@@ -16,6 +16,7 @@
 package bench
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -26,6 +27,10 @@ import (
 )
 
 const benchScale = 12
+
+// bg is the context of every kernel call here: a benchmark loop has
+// nothing to cancel.
+var bg = context.Background()
 
 var (
 	loadOnce  sync.Once
@@ -178,7 +183,7 @@ func BenchmarkAblation_BFS_DirOpt_Kron(b *testing.B) {
 	w := load(b, "Kron")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lagraph.BFSParent(w.LG, w.Sources[i%len(w.Sources)]); err != nil {
+		if _, _, err := lagraph.BreadthFirstSearchAdvanced(bg, w.LG, w.Sources[i%len(w.Sources)], true, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -188,7 +193,7 @@ func BenchmarkAblation_BFS_PushOnly_Kron(b *testing.B) {
 	w := load(b, "Kron")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lagraph.BFSParentPushOnly(w.LG, w.Sources[i%len(w.Sources)]); err != nil {
+		if _, err := lagraph.BFSParentPushOnly(bg, w.LG, w.Sources[i%len(w.Sources)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -202,7 +207,7 @@ func bitmapAblation(b *testing.B, on bool) {
 	defer grb.SetBitmapEnabled(prev)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lagraph.BFSParent(w.LG, w.Sources[i%len(w.Sources)]); err != nil {
+		if _, _, err := lagraph.BreadthFirstSearchAdvanced(bg, w.LG, w.Sources[i%len(w.Sources)], true, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -220,7 +225,7 @@ func lazySortAblation(b *testing.B, on bool) {
 	defer grb.SetLazySortEnabled(prev)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lagraph.BetweennessCentralityAdvanced(w.LG, w.Sources[:4]); err != nil {
+		if _, err := lagraph.BetweennessCentralityAdvanced(bg, w.LG, w.Sources[:4]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -236,7 +241,7 @@ func BenchmarkAblation_TC_MaskedDot(b *testing.B) {
 	w := load(b, "Kron")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lagraph.TriangleCountAdvanced(w.LG, lagraph.TCSandiaLUT, false); err != nil {
+		if _, err := lagraph.TriangleCountAdvanced(bg, w.LG, lagraph.TCSandiaLUT, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -246,7 +251,7 @@ func BenchmarkAblation_TC_Saxpy(b *testing.B) {
 	w := load(b, "Kron")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lagraph.TriangleCountAdvanced(w.LG, lagraph.TCSandiaLL, false); err != nil {
+		if _, err := lagraph.TriangleCountAdvanced(bg, w.LG, lagraph.TCSandiaLL, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -258,7 +263,7 @@ func BenchmarkAblation_TC_PresortOn(b *testing.B) {
 	w := load(b, "Kron")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lagraph.TriangleCountAdvanced(w.LG, lagraph.TCSandiaLUT, true); err != nil {
+		if _, err := lagraph.TriangleCountAdvanced(bg, w.LG, lagraph.TCSandiaLUT, true); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -268,7 +273,7 @@ func BenchmarkAblation_TC_PresortOff(b *testing.B) {
 	w := load(b, "Kron")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lagraph.TriangleCountAdvanced(w.LG, lagraph.TCSandiaLUT, false); err != nil {
+		if _, err := lagraph.TriangleCountAdvanced(bg, w.LG, lagraph.TCSandiaLUT, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -308,7 +313,7 @@ func BenchmarkAblation_BFS_Fused_Road(b *testing.B) {
 	w := load(b, "Road")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experimental.BFSParentFused(w.LG, w.Sources[i%len(w.Sources)]); err != nil {
+		if _, err := experimental.BFSParentFused(bg, w.LG, w.Sources[i%len(w.Sources)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -318,7 +323,7 @@ func BenchmarkAblation_BFS_Unfused_Road(b *testing.B) {
 	w := load(b, "Road")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lagraph.BFSParentPushOnly(w.LG, w.Sources[i%len(w.Sources)]); err != nil {
+		if _, err := lagraph.BFSParentPushOnly(bg, w.LG, w.Sources[i%len(w.Sources)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -333,7 +338,7 @@ func poolAblation(b *testing.B, on bool) {
 	defer grb.SetPoolEnabled(prev)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lagraph.BFSParentPushOnly(w.LG, w.Sources[i%len(w.Sources)]); err != nil {
+		if _, err := lagraph.BFSParentPushOnly(bg, w.LG, w.Sources[i%len(w.Sources)]); err != nil {
 			b.Fatal(err)
 		}
 	}

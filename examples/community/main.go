@@ -1,11 +1,14 @@
 // Community structure with the experimental tier (paper §II-E): k-truss
-// cores, label-propagation communities, local clustering coefficients and
-// a maximal independent set on a planted-partition graph. Run with:
+// cores, label-propagation communities and a maximal independent set on a
+// planted-partition graph, plus the stable tier's local clustering
+// coefficient. Experimental kernels follow the stable calling convention:
+// ctx first, one signature each. Run with:
 //
 //	go run ./examples/community
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +18,8 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+
 	// A planted-partition graph: four dense groups of 32, sparse
 	// cross-links.
 	const groups, size = 4, 32
@@ -60,7 +65,7 @@ func main() {
 		g.NumNodes(), g.NumEdges(), groups)
 
 	// Label propagation should rediscover the planted groups.
-	labels, err := experimental.CommunityDetectionLabelPropagation(g, 30)
+	labels, err := experimental.CommunityDetectionLabelPropagation(ctx, g, 30)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,7 +95,7 @@ func main() {
 
 	// Truss decomposition: how deep do the dense cores go?
 	for k := 3; ; k++ {
-		truss, err := experimental.KTruss(g, k)
+		truss, err := experimental.KTruss(ctx, g, k)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -102,15 +107,15 @@ func main() {
 	}
 
 	// Clustering: group members should have high LCC.
-	lcc, err := experimental.LocalClusteringCoefficient(g)
-	if err != nil {
+	lcc, err := lagraph.LocalClusteringCoefficient(ctx, g)
+	if err != nil && !lagraph.IsWarning(err) {
 		log.Fatal(err)
 	}
 	mean := grb.ReduceVectorToScalar(grb.PlusMonoid[float64](), lcc) / float64(n)
 	fmt.Printf("mean local clustering coefficient: %.3f\n", mean)
 
 	// An independent set (e.g. for picking non-adjacent community seeds).
-	mis, err := experimental.MaximalIndependentSet(g, 7)
+	mis, err := experimental.MaximalIndependentSet(ctx, g, 7)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,11 +1,14 @@
-// Quickstart: build a small graph, inspect it, and run two Basic-mode
+// Quickstart: build a small graph, inspect it, and run the Basic-mode
 // algorithms — the "I just want the correct answer" user mode of paper
-// §II-B. Run with:
+// §II-B. Every kernel takes a context first (there is one signature per
+// algorithm and tier); a program with nothing to cancel passes its root
+// context. Run with:
 //
 //	go run ./examples/quickstart
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -15,6 +18,8 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+
 	// A tiny collaboration network: edges are undirected (both
 	// orientations stored), like the paper's Listing 1 builds a
 	// GrB_Matrix first and then moves it into the Graph.
@@ -49,7 +54,7 @@ func main() {
 
 	// Basic-mode BFS: properties (AT, RowDegree) are computed and cached
 	// for us; the returned warning says so.
-	parent, level, err := lagraph.BreadthFirstSearch(g, 0, true, true)
+	parent, level, err := lagraph.BreadthFirstSearch(ctx, g, 0, true, true)
 	if err != nil && !lagraph.IsWarning(err) {
 		log.Fatal(err)
 	}
@@ -64,7 +69,7 @@ func main() {
 	fmt.Println("  (vertices 4, 5, 6 are unreached — absent from the output vector)")
 
 	// Basic-mode PageRank (the dangling-safe Graphalytics variant).
-	rank, iters, err := lagraph.PageRank(g, 0.85, 1e-8, 100)
+	rank, iters, err := lagraph.PageRank(ctx, g, 0.85, 1e-8, 100)
 	if err != nil && !lagraph.IsWarning(err) {
 		log.Fatal(err)
 	}
@@ -74,15 +79,15 @@ func main() {
 	})
 
 	// Triangle counting.
-	tri, err := lagraph.TriangleCount(g)
+	tri, err := lagraph.TriangleCount(ctx, g)
 	if err != nil && !lagraph.IsWarning(err) {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ntriangles: %d (0-1-2 and 1-2-3)\n", tri)
 
 	// Connected components.
-	comp, err := lagraph.ConnectedComponents(g)
-	if err != nil {
+	comp, err := lagraph.ConnectedComponents(ctx, g)
+	if err != nil && !lagraph.IsWarning(err) {
 		log.Fatal(err)
 	}
 	fmt.Println("\ncomponents (labelled by smallest member):")

@@ -1,12 +1,15 @@
 // Road-network routing: delta-stepping SSSP on a weighted high-diameter
 // grid — the workload class where the paper's evaluation shows the
 // GraphBLAS formulation at its weakest (§VI-B's Road-graph discussion),
-// demonstrated honestly. Run with:
+// demonstrated honestly. It calls SSSP in both tiers — the Basic entry
+// picks Δ, the Advanced one takes it — each through its one ctx-first
+// signature. Run with:
 //
 //	go run ./examples/roadnetwork
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +19,8 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+
 	// A 64x64 road grid with travel-time weights in [1, 255] (the GAP
 	// SSSP weight convention).
 	edges := gen.Road(64, 3)
@@ -37,7 +42,7 @@ func main() {
 
 	// Bucket width Δ: the paper's Algorithm 5 takes it as an input; the
 	// Basic entry point picks one from the average weight when given 0.
-	dist, err := lagraph.SingleSourceShortestPath(g, src, 0.0)
+	dist, err := lagraph.SingleSourceShortestPath(ctx, g, src, 0.0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,7 +79,7 @@ func main() {
 	fmt.Println("\nΔ sensitivity (same distances, different bucket schedules):")
 	for _, delta := range []float64{16, 64, 256, 4096} {
 		tm := lagraph.Tic()
-		d2, err := lagraph.SSSPDeltaStepping(g, src, delta)
+		d2, err := lagraph.SSSPDeltaStepping(ctx, g, src, delta)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -87,7 +92,7 @@ func main() {
 
 	// The hop structure of the grid: BFS levels show the high diameter
 	// that drives the paper's Road-graph pathology.
-	_, levels, err := lagraph.BreadthFirstSearch(g, src, false, true)
+	_, levels, err := lagraph.BreadthFirstSearch(ctx, g, src, false, true)
 	if err != nil && !lagraph.IsWarning(err) {
 		log.Fatal(err)
 	}

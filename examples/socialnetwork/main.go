@@ -1,13 +1,14 @@
 // Social-network analysis: the Advanced-mode workflow of paper §II-B on a
 // scale-free "Twitter-like" graph — the user opts into every property
 // computation, then runs PageRank (influence), betweenness centrality
-// (brokerage), triangle counting (clustering) and connected components.
-// Run with:
+// (brokerage), triangle counting (clustering) and connected components,
+// each through its one ctx-first signature. Run with:
 //
 //	go run ./examples/socialnetwork
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -18,6 +19,8 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+
 	// A directed follower graph with celebrity skew.
 	edges := gen.Twitter(11, 8, 7) // 2048 users
 	ptr, idx, vals := edges.CSR()
@@ -33,7 +36,7 @@ func main() {
 
 	// Advanced mode: we compute the properties explicitly, once, up
 	// front. An Advanced algorithm would have errored had we not.
-	if _, _, err := lagraph.PageRankGAP(g, 0.85, 1e-4, 50); !isPropertyMissing(err) {
+	if _, _, err := lagraph.PageRankGAP(ctx, g, 0.85, 1e-4, 50); !isPropertyMissing(err) {
 		log.Fatal("advanced mode should have demanded cached properties")
 	}
 	must(g.PropertyAT())
@@ -42,7 +45,7 @@ func main() {
 
 	// Influence: PageRank, GAP variant (advanced users know this graph
 	// has sinks and accept the GAP semantics for comparability).
-	rank, iters, err := lagraph.PageRankGAP(g, 0.85, 1e-8, 100)
+	rank, iters, err := lagraph.PageRankGAP(ctx, g, 0.85, 1e-8, 100)
 	must(err)
 	fmt.Printf("PageRank converged in %d iterations; top accounts:\n", iters)
 	for _, v := range topK(rank, 5) {
@@ -58,7 +61,7 @@ func main() {
 	// accounts — in a fragmented follow graph a random seed's forward
 	// reachability can be empty.
 	seeds := activeSeeds(g, 4)
-	bc, err := lagraph.BetweennessCentralityAdvanced(g, seeds)
+	bc, err := lagraph.BetweennessCentralityAdvanced(ctx, g, seeds)
 	must(err)
 	fmt.Printf("\nbetweenness (batch %v); top brokers:\n", seeds)
 	for _, v := range topK(bc, 5) {
@@ -67,14 +70,14 @@ func main() {
 
 	// Clustering: symmetrise and count triangles.
 	sym := symmetrised(edges)
-	tri, err := lagraph.TriangleCount(sym)
+	tri, err := lagraph.TriangleCount(ctx, sym)
 	if err != nil && !lagraph.IsWarning(err) {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ntriangles in the mutual-follow graph: %d\n", tri)
 
 	// Reach: weakly connected components.
-	comp, err := lagraph.ConnectedComponents(g)
+	comp, err := lagraph.ConnectedComponents(ctx, g)
 	must(err)
 	sizes := map[int64]int{}
 	comp.Iterate(func(_ int, c int64) { sizes[c]++ })

@@ -104,7 +104,7 @@ func registerBFS(c *Catalog) {
 				return nil, err
 			}
 			wantLevel := p.Bool("level")
-			parent, level, err := lagraph.BreadthFirstSearchCtx(ctx, g, src, true, wantLevel)
+			parent, level, err := lagraph.BreadthFirstSearch(ctx, g, src, true, wantLevel)
 			if err = warnOK(err); err != nil {
 				return nil, err
 			}
@@ -152,9 +152,9 @@ func registerPageRank(c *Catalog) {
 			damping, tol, maxIter := p.Float("damping"), p.Float("tol"), p.Int("max_iter")
 			switch p.String("variant") {
 			case "gx":
-				ranks, iters, err = lagraph.PageRankGXCtx(ctx, g, damping, tol, maxIter)
+				ranks, iters, err = lagraph.PageRankGX(ctx, g, damping, tol, maxIter)
 			default:
-				ranks, iters, err = lagraph.PageRankGAPCtx(ctx, g, damping, tol, maxIter)
+				ranks, iters, err = lagraph.PageRankGAP(ctx, g, damping, tol, maxIter)
 			}
 			if err = warnOK(err); err != nil {
 				return nil, err
@@ -185,7 +185,7 @@ func registerCC(c *Catalog) {
 			return nil
 		},
 		Run: func(ctx context.Context, g *Graph, p Params) (Result, error) {
-			labels, err := lagraph.ConnectedComponentsCtx(ctx, g)
+			labels, err := lagraph.ConnectedComponents(ctx, g)
 			if err = warnOK(err); err != nil {
 				return nil, err
 			}
@@ -214,7 +214,7 @@ func registerSSSP(c *Catalog) {
 			if err := checkSource(g, src, "source"); err != nil {
 				return nil, err
 			}
-			dist, err := lagraph.SSSPDeltaSteppingCtx(ctx, g, src, p.Float("delta"))
+			dist, err := lagraph.SSSPDeltaStepping(ctx, g, src, p.Float("delta"))
 			if err = warnOK(err); err != nil {
 				return nil, err
 			}
@@ -236,7 +236,7 @@ func registerTC(c *Catalog) {
 		Undirected: true,
 		Properties: staticProps(registry.PropNDiag, registry.PropRowDegree),
 		Run: func(ctx context.Context, g *Graph, _ Params) (Result, error) {
-			count, err := lagraph.TriangleCountCtx(ctx, g)
+			count, err := lagraph.TriangleCount(ctx, g)
 			if err = warnOK(err); err != nil {
 				return nil, err
 			}
@@ -271,7 +271,7 @@ func registerBC(c *Catalog) {
 					return nil, err
 				}
 			}
-			cent, err := lagraph.BetweennessCentralityAdvancedCtx(ctx, g, sources)
+			cent, err := lagraph.BetweennessCentralityAdvanced(ctx, g, sources)
 			if err = warnOK(err); err != nil {
 				return nil, err
 			}
@@ -294,7 +294,7 @@ func registerBFSLevel(c *Catalog) {
 			if err := checkSource(g, src, "source"); err != nil {
 				return nil, err
 			}
-			level, err := lagraph.BFSLevelCtx(ctx, g, src)
+			_, level, err := lagraph.BreadthFirstSearchAdvanced(ctx, g, src, false, true)
 			if err = warnOK(err); err != nil {
 				return nil, err
 			}
@@ -316,7 +316,7 @@ func registerPageRankGX(c *Catalog) {
 		Params:     append(pagerankParams(), limitSpec()),
 		Properties: staticProps(registry.PropAT, registry.PropRowDegree),
 		Run: func(ctx context.Context, g *Graph, p Params) (Result, error) {
-			ranks, iters, err := lagraph.PageRankGXCtx(ctx, g, p.Float("damping"), p.Float("tol"), p.Int("max_iter"))
+			ranks, iters, err := lagraph.PageRankGX(ctx, g, p.Float("damping"), p.Float("tol"), p.Int("max_iter"))
 			if err = warnOK(err); err != nil {
 				return nil, err
 			}
@@ -343,7 +343,7 @@ func registerCCAdvanced(c *Catalog) {
 			return nil
 		},
 		Run: func(ctx context.Context, g *Graph, p Params) (Result, error) {
-			labels, err := lagraph.ConnectedComponentsAdvancedCtx(ctx, g)
+			labels, err := lagraph.ConnectedComponentsAdvanced(ctx, g)
 			if err = warnOK(err); err != nil {
 				return nil, err
 			}
@@ -385,7 +385,7 @@ func registerTCAdvanced(c *Catalog) {
 				return nil, fmt.Errorf("tc.advanced: requires an undirected graph")
 			}
 			method := tcMethods[p.String("method")]
-			count, err := lagraph.TriangleCountAdvancedCtx(ctx, g, method, p.Bool("presort"))
+			count, err := lagraph.TriangleCountAdvanced(ctx, g, method, p.Bool("presort"))
 			if err = warnOK(err); err != nil {
 				return nil, err
 			}
@@ -406,7 +406,7 @@ func registerLCC(c *Catalog) {
 		Params:     []Spec{limitSpec()},
 		Properties: staticProps(registry.PropNDiag, registry.PropRowDegree),
 		Run: func(ctx context.Context, g *Graph, p Params) (Result, error) {
-			lcc, err := lagraph.LocalClusteringCoefficientCtx(ctx, g)
+			lcc, err := lagraph.LocalClusteringCoefficient(ctx, g)
 			if err = warnOK(err); err != nil {
 				return nil, err
 			}

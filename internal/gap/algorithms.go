@@ -35,7 +35,7 @@ func PageRank(g *Graph, damping float64, tol float64, maxIters int) ([]float64, 
 				}
 			}
 		})
-		err := parallel.ReduceFloat64(n, 0, func(lo, hi int) float64 {
+		err := parallel.Reduce(n, 0, func(lo, hi int) float64 {
 			var sum float64
 			for i := lo; i < hi; i++ {
 				var incoming float64
@@ -98,7 +98,7 @@ func TriangleCount(g *Graph) int64 {
 		sort.Slice(lst, func(a, b int) bool { return lst[a] < lst[b] })
 		fwd[rank[u]] = lst
 	})
-	return parallel.ReduceInt64(n, 0, func(lo, hi int) int64 {
+	return parallel.Reduce(n, 0, func(lo, hi int) int64 {
 		var count int64
 		for u := lo; u < hi; u++ {
 			for _, v := range fwd[u] {
@@ -170,7 +170,7 @@ func ConnectedComponents(g *Graph) []int32 {
 		changed = false
 		// Hook: for every edge (u,v), point the larger root at the
 		// smaller label. The GAP code's benign race becomes a CAS here.
-		c := parallel.ReduceInt64(n, 0, func(lo, hi int) int64 {
+		c := parallel.Reduce(n, 0, func(lo, hi int) int64 {
 			var local int64
 			for i := lo; i < hi; i++ {
 				u := int32(i)

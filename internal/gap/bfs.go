@@ -128,7 +128,7 @@ func topDownStep(g *Graph, parent []int32, queue []int32) ([]int32, int64) {
 func bottomUpStep(g *Graph, parent []int32, front, next *bitmap) int64 {
 	next.reset()
 	n := int(g.N)
-	return parallel.ReduceInt64(n, 0, func(lo, hi int) int64 {
+	return parallel.Reduce(n, 0, func(lo, hi int) int64 {
 		var awake int64
 		for i := lo; i < hi; i++ {
 			u := int32(i)

@@ -1,92 +1,6 @@
 package grb
 
-import (
-	"sync"
-
-	"lagraph/internal/parallel"
-)
-
-// buildCSRParallel constructs a sparse matrix row by row. rowFn is called
-// once per row with an emit function; rows are processed in parallel across
-// contiguous blocks, so rowFn must be safe for concurrent calls on distinct
-// rows. Emitted columns need not be sorted: the builder detects disorder per
-// row and leaves the result jumbled (lazy sort) when any row is unsorted.
-func buildCSRParallel[T Value](nr, nc int, rowFn func(i int, emit func(j int, x T))) *Matrix[T] {
-	m := MustMatrix[T](nr, nc)
-	if nr == 0 {
-		return m
-	}
-	nblocks := parallel.Threads(nr)
-	type block struct {
-		idx     []int
-		val     []T
-		jumbled bool
-	}
-	blocks := make([]block, nblocks)
-	rowLen := make([]int, nr+1)
-	chunk := (nr + nblocks - 1) / nblocks
-	var wg sync.WaitGroup
-	for bIdx := 0; bIdx < nblocks; bIdx++ {
-		lo := bIdx * chunk
-		hi := lo + chunk
-		if hi > nr {
-			hi = nr
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(b, lo, hi int) {
-			defer wg.Done()
-			blk := &blocks[b]
-			for i := lo; i < hi; i++ {
-				start := len(blk.idx)
-				last := -1
-				rowSorted := true
-				rowFn(i, func(j int, x T) {
-					blk.idx = append(blk.idx, j)
-					blk.val = append(blk.val, x)
-					if j < last {
-						rowSorted = false
-					}
-					last = j
-				})
-				rowLen[i] = len(blk.idx) - start
-				if !rowSorted {
-					blk.jumbled = true
-				}
-			}
-		}(bIdx, lo, hi)
-	}
-	wg.Wait()
-	nnz := parallel.ExclusiveScan(rowLen)
-	m.ptr = rowLen
-	m.idx = make([]int, nnz)
-	m.val = make([]T, nnz)
-	jumbled := false
-	// Copy each block's buffer into its slot of the final arrays.
-	var wg2 sync.WaitGroup
-	for bIdx := 0; bIdx < nblocks; bIdx++ {
-		lo := bIdx * chunk
-		if lo >= nr {
-			continue
-		}
-		wg2.Add(1)
-		if blocks[bIdx].jumbled {
-			jumbled = true
-		}
-		go func(b, lo int) {
-			defer wg2.Done()
-			copy(m.idx[m.ptr[lo]:], blocks[b].idx)
-			copy(m.val[m.ptr[lo]:], blocks[b].val)
-		}(bIdx, lo)
-	}
-	wg2.Wait()
-	if jumbled {
-		m.markJumbled()
-	}
-	return m
-}
+import "lagraph/internal/parallel"
 
 // buildVectorByIndex constructs a sparse vector by evaluating entryFn for
 // every index in parallel; entries where ok is false are absent. Used by
@@ -96,36 +10,20 @@ func buildVectorByIndex[T Value](n int, entryFn func(i int) (T, bool)) *Vector[T
 	if n == 0 {
 		return v
 	}
-	nblocks := parallel.Threads(n)
 	type block struct {
 		idx []int
 		val []T
 	}
-	blocks := make([]block, nblocks)
-	chunk := (n + nblocks - 1) / nblocks
-	var wg sync.WaitGroup
-	for bIdx := 0; bIdx < nblocks; bIdx++ {
-		lo := bIdx * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(b, lo, hi int) {
-			defer wg.Done()
-			blk := &blocks[b]
-			for i := lo; i < hi; i++ {
-				if x, ok := entryFn(i); ok {
-					blk.idx = append(blk.idx, i)
-					blk.val = append(blk.val, x)
-				}
+	blocks := parallel.Blocks(n, func(lo, hi int) block {
+		var blk block
+		for i := lo; i < hi; i++ {
+			if x, ok := entryFn(i); ok {
+				blk.idx = append(blk.idx, i)
+				blk.val = append(blk.val, x)
 			}
-		}(bIdx, lo, hi)
-	}
-	wg.Wait()
+		}
+		return blk
+	})
 	total := 0
 	for b := range blocks {
 		total += len(blocks[b].idx)

@@ -80,7 +80,7 @@ func plusSecondPullF64(A *Matrix[float64], uHas []int8, u []float64) *Vector[flo
 	w.format = FormatBitmap
 	w.b = make([]int8, nr)
 	w.val = make([]float64, nr)
-	total := parallel.ReduceInt64(nr, 0, func(lo, hi int) int64 {
+	total := parallel.Reduce(nr, 0, func(lo, hi int) int64 {
 		var count int64
 		for i := lo; i < hi; i++ {
 			p, pe := A.ptr[i], A.ptr[i+1]
@@ -123,7 +123,7 @@ func plusTimesPullF64(A *Matrix[float64], uHas []int8, u []float64) *Vector[floa
 	w.format = FormatBitmap
 	w.b = make([]int8, nr)
 	w.val = make([]float64, nr)
-	total := parallel.ReduceInt64(nr, 0, func(lo, hi int) int64 {
+	total := parallel.Reduce(nr, 0, func(lo, hi int) int64 {
 		var count int64
 		for i := lo; i < hi; i++ {
 			p, pe := A.ptr[i], A.ptr[i+1]
@@ -166,7 +166,7 @@ func minSecondPullBoolI64(A *Matrix[bool], uHas []int8, u []int64) *Vector[int64
 	w.format = FormatBitmap
 	w.b = make([]int8, nr)
 	w.val = make([]int64, nr)
-	total := parallel.ReduceInt64(nr, 0, func(lo, hi int) int64 {
+	total := parallel.Reduce(nr, 0, func(lo, hi int) int64 {
 		var count int64
 		for i := lo; i < hi; i++ {
 			p, pe := A.ptr[i], A.ptr[i+1]

@@ -255,83 +255,57 @@ func (s *rowAllowScope) ok(mk Mask, i, j int) bool {
 	return sel
 }
 
-// buildCSRParallelScoped is buildCSRParallel where every worker goroutine
-// gets a private rowAllowScope (dense per-row mask scratch).
+// buildCSRParallelScoped constructs a sparse matrix row by row. Rows are
+// processed in parallel across contiguous blocks; every block calls
+// makeRowFn once with a private rowAllowScope (dense per-row mask scratch),
+// so a kernel keeps its scratch state per goroutine, and then calls the
+// returned rowFn once per row with an emit function. Emitted columns need
+// not be sorted: the builder detects disorder per row and leaves the result
+// jumbled (lazy sort) when any row is unsorted.
 func buildCSRParallelScoped[T Value](nr, nc int, makeRowFn func(*rowAllowScope) func(i int, emit func(j int, x T))) *Matrix[T] {
-	return buildCSRParallelPerWorker(nr, nc, func() func(i int, emit func(j int, x T)) {
-		return makeRowFn(&rowAllowScope{row: -1})
-	})
-}
-
-// buildCSRParallelPerWorker is buildCSRParallel with a worker-local rowFn
-// factory, so kernels can keep scratch state per goroutine.
-func buildCSRParallelPerWorker[T Value](nr, nc int, makeRowFn func() func(i int, emit func(j int, x T))) *Matrix[T] {
 	m := MustMatrix[T](nr, nc)
 	if nr == 0 {
 		return m
 	}
-	nblocks := parallel.Threads(nr)
 	type block struct {
+		lo      int
 		idx     []int
 		val     []T
 		jumbled bool
 	}
-	blocks := make([]block, nblocks)
 	rowLen := make([]int, nr+1)
-	chunk := (nr + nblocks - 1) / nblocks
-	done := make(chan struct{}, nblocks)
-	launched := 0
-	for bIdx := 0; bIdx < nblocks; bIdx++ {
-		lo := bIdx * chunk
-		hi := lo + chunk
-		if hi > nr {
-			hi = nr
-		}
-		if lo >= hi {
-			continue
-		}
-		launched++
-		go func(b, lo, hi int) {
-			defer func() { done <- struct{}{} }()
-			rowFn := makeRowFn()
-			blk := &blocks[b]
-			for i := lo; i < hi; i++ {
-				start := len(blk.idx)
-				last := -1
-				rowSorted := true
-				rowFn(i, func(j int, x T) {
-					blk.idx = append(blk.idx, j)
-					blk.val = append(blk.val, x)
-					if j < last {
-						rowSorted = false
-					}
-					last = j
-				})
-				rowLen[i] = len(blk.idx) - start
-				if !rowSorted {
-					blk.jumbled = true
+	blocks := parallel.Blocks(nr, func(lo, hi int) block {
+		rowFn := makeRowFn(&rowAllowScope{row: -1})
+		blk := block{lo: lo}
+		for i := lo; i < hi; i++ {
+			start := len(blk.idx)
+			last := -1
+			rowSorted := true
+			rowFn(i, func(j int, x T) {
+				blk.idx = append(blk.idx, j)
+				blk.val = append(blk.val, x)
+				if j < last {
+					rowSorted = false
 				}
+				last = j
+			})
+			rowLen[i] = len(blk.idx) - start
+			if !rowSorted {
+				blk.jumbled = true
 			}
-		}(bIdx, lo, hi)
-	}
-	for k := 0; k < launched; k++ {
-		<-done
-	}
+		}
+		return blk
+	})
 	nnz := parallel.ExclusiveScan(rowLen)
 	m.ptr = rowLen
 	m.idx = make([]int, nnz)
 	m.val = make([]T, nnz)
 	jumbled := false
-	for bIdx := 0; bIdx < nblocks; bIdx++ {
-		lo := bIdx * chunk
-		if lo >= nr {
-			continue
-		}
-		if blocks[bIdx].jumbled {
-			jumbled = true
-		}
-		copy(m.idx[m.ptr[lo]:], blocks[bIdx].idx)
-		copy(m.val[m.ptr[lo]:], blocks[bIdx].val)
+	for b := range blocks {
+		blk := &blocks[b]
+		jumbled = jumbled || blk.jumbled
+		copy(m.idx[m.ptr[blk.lo]:], blk.idx)
+		copy(m.val[m.ptr[blk.lo]:], blk.val)
 	}
 	if jumbled {
 		m.markJumbled()

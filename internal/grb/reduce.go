@@ -1,10 +1,6 @@
 package grb
 
-import (
-	"sync"
-
-	"lagraph/internal/parallel"
-)
+import "lagraph/internal/parallel"
 
 // Reductions (paper Table I): row-wise matrix→vector, matrix→scalar and
 // vector→scalar, each on a monoid.
@@ -58,55 +54,34 @@ func reduceRow[T Value](mon Monoid[T], A *Matrix[T], i int) (T, bool) {
 func ReduceMatrixToScalar[T Value](mon Monoid[T], A *Matrix[T]) T {
 	A.Wait()
 	nr := A.NRows()
-	// Parallel partial folds per row block.
-	nb := parallel.Threads(nr)
-	parts := make([]T, nb)
-	hit := make([]bool, nb)
-	chunk := 0
-	if nb > 0 {
-		chunk = (nr + nb - 1) / nb
+	// Parallel partial folds per row block; a block (or the whole matrix)
+	// with no entry contributes nothing, not the identity.
+	type partial struct {
+		acc T
+		got bool
 	}
-	var wg sync.WaitGroup
-	for b := 0; b < nb; b++ {
-		lo := b * chunk
-		hi := lo + chunk
-		if hi > nr {
-			hi = nr
+	fold := func(p partial, x T) partial {
+		if !p.got {
+			return partial{x, true}
 		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(b, lo, hi int) {
-			defer wg.Done()
-			acc := mon.Identity
-			got := false
-			for i := lo; i < hi; i++ {
-				if x, ok := reduceRow(mon, A, i); ok {
-					if !got {
-						acc, got = x, true
-					} else {
-						acc = mon.F(acc, x)
-					}
-				}
-			}
-			parts[b] = acc
-			hit[b] = got
-		}(b, lo, hi)
+		return partial{mon.F(p.acc, x), true}
 	}
-	wg.Wait()
-	acc := mon.Identity
-	got := false
-	for b := range parts {
-		if hit[b] {
-			if !got {
-				acc, got = parts[b], true
-			} else {
-				acc = mon.F(acc, parts[b])
+	parts := parallel.Blocks(nr, func(lo, hi int) partial {
+		p := partial{acc: mon.Identity}
+		for i := lo; i < hi; i++ {
+			if x, ok := reduceRow(mon, A, i); ok {
+				p = fold(p, x)
 			}
 		}
+		return p
+	})
+	total := partial{acc: mon.Identity}
+	for _, p := range parts {
+		if p.got {
+			total = fold(total, p.acc)
+		}
 	}
-	return acc
+	return total.acc
 }
 
 // ReduceVectorToScalar computes s⊙= [⊕_i u(i)].
@@ -129,46 +104,19 @@ func ReduceVectorToScalar[T Value](mon Monoid[T], u *Vector[T]) T {
 
 // parallelFold reduces a dense slice on the monoid.
 func parallelFold[T Value](mon Monoid[T], xs []T) T {
-	n := len(xs)
-	if n == 0 {
+	if len(xs) == 0 {
 		return mon.Identity
 	}
-	nb := parallel.Threads(n)
-	if nb == 1 {
-		acc := xs[0]
-		for _, x := range xs[1:] {
+	parts := parallel.Blocks(len(xs), func(lo, hi int) T {
+		acc := xs[lo]
+		for _, x := range xs[lo+1 : hi] {
 			acc = mon.F(acc, x)
 		}
 		return acc
-	}
-	parts := make([]T, nb)
-	chunk := (n + nb - 1) / nb
-	var wg sync.WaitGroup
-	blocks := 0
-	for b := 0; b < nb; b++ {
-		lo := b * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		blocks++
-		wg.Add(1)
-		go func(b, lo, hi int) {
-			defer wg.Done()
-			acc := xs[lo]
-			for _, x := range xs[lo+1 : hi] {
-				acc = mon.F(acc, x)
-			}
-			parts[b] = acc
-		}(b, lo, hi)
-	}
-	wg.Wait()
+	})
 	acc := parts[0]
-	for b := 1; b < blocks; b++ {
-		acc = mon.F(acc, parts[b])
+	for _, p := range parts[1:] {
+		acc = mon.F(acc, p)
 	}
 	return acc
 }

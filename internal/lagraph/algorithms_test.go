@@ -227,7 +227,7 @@ func TestBFSParentPushOnlyRandomGraphs(t *testing.T) {
 		n := 5 + rng.Intn(30)
 		g := mustGraph(t, randDigraph(rng, n, 0.15), AdjacencyDirected)
 		src := rng.Intn(n)
-		p, err := BFSParentPushOnly(g, src)
+		p, err := BFSParentPushOnly(bg, g, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,12 +242,12 @@ func TestBFSParentDirectionOptimizing(t *testing.T) {
 		g := mustGraph(t, randDigraph(rng, n, 0.2), AdjacencyDirected)
 		src := rng.Intn(n)
 		// Advanced mode demands properties.
-		if _, err := BFSParent(g, src); StatusOf(err) != StatusPropertyMissing {
+		if _, _, err := BreadthFirstSearchAdvanced(bg, g, src, true, false); StatusOf(err) != StatusPropertyMissing {
 			t.Fatalf("advanced BFS without properties: %v", err)
 		}
 		g.PropertyAT()
 		g.PropertyRowDegree()
-		p, err := BFSParent(g, src)
+		p, _, err := BreadthFirstSearchAdvanced(bg, g, src, true, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +263,7 @@ func TestBFSLevelsMatchReference(t *testing.T) {
 		src := rng.Intn(n)
 		g.PropertyAT()
 		g.PropertyRowDegree()
-		l, err := BFSLevel(g, src)
+		_, l, err := BreadthFirstSearchAdvanced(bg, g, src, false, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +288,7 @@ func TestBFSLevelsMatchReference(t *testing.T) {
 func TestBreadthFirstSearchBasicCachesProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	g := mustGraph(t, randDigraph(rng, 20, 0.2), AdjacencyDirected)
-	p, l, err := BreadthFirstSearch(g, 0, true, true)
+	p, l, err := BreadthFirstSearch(bg, g, 0, true, true)
 	if err != nil && !IsWarning(err) {
 		t.Fatal(err)
 	}
@@ -307,10 +307,10 @@ func TestBreadthFirstSearchBasicCachesProperties(t *testing.T) {
 func TestBFSSourceValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	g := mustGraph(t, randDigraph(rng, 5, 0.3), AdjacencyDirected)
-	if _, err := BFSParentPushOnly(g, -1); StatusOf(err) != StatusInvalidValue {
+	if _, err := BFSParentPushOnly(bg, g, -1); StatusOf(err) != StatusInvalidValue {
 		t.Fatal("negative source accepted")
 	}
-	if _, err := BFSParentPushOnly(g, 5); StatusOf(err) != StatusInvalidValue {
+	if _, err := BFSParentPushOnly(bg, g, 5); StatusOf(err) != StatusInvalidValue {
 		t.Fatal("out-of-range source accepted")
 	}
 }
@@ -320,7 +320,7 @@ func TestBFSDisconnectedGraph(t *testing.T) {
 	A, _ := grb.MatrixFromTuples(4, 4,
 		[]int{0, 1, 2, 3}, []int{1, 0, 3, 2}, []float64{1, 1, 1, 1}, nil)
 	g := mustGraph(t, A, AdjacencyUndirected)
-	p, err := BFSParentPushOnly(g, 0)
+	p, err := BFSParentPushOnly(bg, g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestPageRankGXMatchesDensePowerIteration(t *testing.T) {
 		g.PropertyAT()
 		g.PropertyRowDegree()
 		iters := 30
-		r, _, err := PageRankGX(g, 0.85, 0, iters) // tol 0: run all iters
+		r, _, err := PageRankGX(bg, g, 0.85, 0, iters) // tol 0: run all iters
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -434,7 +434,7 @@ func TestPageRankGXSumsToOne(t *testing.T) {
 	g := mustGraph(t, randDigraph(rng, 30, 0.15), AdjacencyDirected)
 	g.PropertyAT()
 	g.PropertyRowDegree()
-	r, _, err := PageRankGX(g, 0.85, 1e-10, 200)
+	r, _, err := PageRankGX(bg, g, 0.85, 1e-10, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +451,7 @@ func TestPageRankGAPLeaksRankAtSinks(t *testing.T) {
 	g := mustGraph(t, A, AdjacencyDirected)
 	g.PropertyAT()
 	g.PropertyRowDegree()
-	r, _, err := PageRankGAP(g, 0.85, 1e-9, 100)
+	r, _, err := PageRankGAP(bg, g, 0.85, 1e-9, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +459,7 @@ func TestPageRankGAPLeaksRankAtSinks(t *testing.T) {
 	if sum >= 0.999 {
 		t.Fatalf("GAP variant should leak rank at sinks, sum=%v", sum)
 	}
-	rGX, _, err := PageRankGX(g, 0.85, 1e-12, 500)
+	rGX, _, err := PageRankGX(bg, g, 0.85, 1e-12, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +480,7 @@ func TestPageRankRanksHubsHigher(t *testing.T) {
 	}
 	A, _ := grb.MatrixFromTuples(10, 10, rows, cols, vals, nil)
 	g := mustGraph(t, A, AdjacencyDirected)
-	r, _, err := PageRank(g, 0.85, 1e-9, 100)
+	r, _, err := PageRank(bg, g, 0.85, 1e-9, 100)
 	if err != nil && !IsWarning(err) {
 		t.Fatal(err)
 	}
@@ -494,12 +494,12 @@ func TestPageRankRanksHubsHigher(t *testing.T) {
 func TestPageRankValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	g := mustGraph(t, randDigraph(rng, 5, 0.3), AdjacencyDirected)
-	if _, _, err := PageRankGAP(g, 0.85, 1e-4, 10); StatusOf(err) != StatusPropertyMissing {
+	if _, _, err := PageRankGAP(bg, g, 0.85, 1e-4, 10); StatusOf(err) != StatusPropertyMissing {
 		t.Fatal("advanced PR without properties must fail")
 	}
 	g.PropertyAT()
 	g.PropertyRowDegree()
-	if _, _, err := PageRankGAP(g, 1.5, 1e-4, 10); StatusOf(err) != StatusInvalidValue {
+	if _, _, err := PageRankGAP(bg, g, 1.5, 1e-4, 10); StatusOf(err) != StatusInvalidValue {
 		t.Fatal("bad damping accepted")
 	}
 }
@@ -513,7 +513,7 @@ func TestTriangleCountMethodsAgreeWithBruteForce(t *testing.T) {
 		n := 6 + rng.Intn(25)
 		g := mustGraph(t, randUndirected(rng, n, 0.25, 1), AdjacencyUndirected)
 		want := refTriangles(g.A)
-		got, err := TriangleCount(g)
+		got, err := TriangleCount(bg, g)
 		if err != nil && !IsWarning(err) {
 			t.Fatal(err)
 		}
@@ -522,7 +522,7 @@ func TestTriangleCountMethodsAgreeWithBruteForce(t *testing.T) {
 		}
 		g.PropertyRowDegree()
 		for _, m := range []TCMethod{TCSandiaLUT, TCSandiaLL, TCBurkhardt, TCCohen} {
-			got, err := TriangleCountAdvanced(g, m, false)
+			got, err := TriangleCountAdvanced(bg, g, m, false)
 			if err != nil {
 				t.Fatalf("method %d: %v", m, err)
 			}
@@ -531,7 +531,7 @@ func TestTriangleCountMethodsAgreeWithBruteForce(t *testing.T) {
 			}
 		}
 		// Presorted variant must agree too.
-		got, err = TriangleCountAdvanced(g, TCSandiaLUT, true)
+		got, err = TriangleCountAdvanced(bg, g, TCSandiaLUT, true)
 		if err != nil || got != want {
 			t.Fatalf("presorted = %d (%v), want %d", got, err, want)
 		}
@@ -548,7 +548,7 @@ func TestTriangleCountStripsSelfEdges(t *testing.T) {
 	}
 	A, _ := grb.MatrixFromTuples(3, 3, rows, cols, vals, nil)
 	g := mustGraph(t, A, AdjacencyUndirected)
-	got, err := TriangleCount(g)
+	got, err := TriangleCount(bg, g)
 	if err != nil && !IsWarning(err) {
 		t.Fatal(err)
 	}
@@ -564,7 +564,7 @@ func TestTriangleCountStripsSelfEdges(t *testing.T) {
 func TestTriangleCountRequiresUndirected(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := mustGraph(t, randDigraph(rng, 5, 0.4), AdjacencyDirected)
-	if _, err := TriangleCount(g); StatusOf(err) != StatusInvalidGraph {
+	if _, err := TriangleCount(bg, g); StatusOf(err) != StatusInvalidGraph {
 		t.Fatal("directed graph accepted")
 	}
 }
@@ -577,7 +577,7 @@ func TestConnectedComponentsMatchUnionFind(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n := 5 + rng.Intn(60)
 		g := mustGraph(t, randUndirected(rng, n, 2.0/float64(n), 1), AdjacencyUndirected)
-		f, err := ConnectedComponents(g)
+		f, err := ConnectedComponents(bg, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -606,8 +606,8 @@ func TestConnectedComponentsDirectedWeak(t *testing.T) {
 	// 0->1, 2->1: weakly connected as one component.
 	A, _ := grb.MatrixFromTuples(4, 4, []int{0, 2}, []int{1, 1}, []float64{1, 1}, nil)
 	g := mustGraph(t, A, AdjacencyDirected)
-	f, err := ConnectedComponents(g)
-	if err != nil {
+	f, err := ConnectedComponents(bg, g)
+	if err != nil && !IsWarning(err) {
 		t.Fatal(err)
 	}
 	c0, _ := f.ExtractElement(0)
@@ -625,7 +625,7 @@ func TestConnectedComponentsDirectedWeak(t *testing.T) {
 func TestConnectedComponentsAdvancedValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	g := mustGraph(t, randDigraph(rng, 6, 0.3), AdjacencyDirected)
-	if _, err := ConnectedComponentsAdvanced(g); StatusOf(err) != StatusPropertyMissing {
+	if _, err := ConnectedComponentsAdvanced(bg, g); StatusOf(err) != StatusPropertyMissing {
 		t.Fatal("advanced CC must demand symmetry knowledge")
 	}
 }
@@ -640,7 +640,7 @@ func TestSSSPMatchesDijkstra(t *testing.T) {
 		g := mustGraph(t, randUndirected(rng, n, 0.15, 10), AdjacencyUndirected)
 		src := rng.Intn(n)
 		for _, delta := range []float64{1, 3, 100} {
-			d, err := SSSPDeltaStepping(g, src, delta)
+			d, err := SSSPDeltaStepping(bg, g, src, delta)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -672,7 +672,7 @@ func TestSSSPDirectedWeighted(t *testing.T) {
 		}
 		W, _ := grb.MatrixFromTuples(n, n, rows, cols, vals, nil)
 		g := mustGraph(t, W, AdjacencyDirected)
-		d, err := SingleSourceShortestPath(g, 0, 0) // heuristic delta
+		d, err := SingleSourceShortestPath(bg, g, 0, 0) // heuristic delta
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -716,7 +716,7 @@ func TestSSSPIntegerWeights(t *testing.T) {
 		Ai, _ := grb.MatrixFromTuples(n, n, rows, cols, vals, nil)
 		gi, _ := New(&Ai, AdjacencyDirected)
 		Af, _ := grb.MatrixFromTuples(n, n, rows, cols, fvals, nil)
-		di, err := SSSPDeltaStepping(gi, 0, int64(3))
+		di, err := SSSPDeltaStepping(bg, gi, 0, int64(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -739,10 +739,10 @@ func TestSSSPIntegerWeights(t *testing.T) {
 func TestSSSPValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	g := mustGraph(t, randUndirected(rng, 5, 0.4, 5), AdjacencyUndirected)
-	if _, err := SSSPDeltaStepping(g, 0, -1); StatusOf(err) != StatusInvalidValue {
+	if _, err := SSSPDeltaStepping(bg, g, 0, -1); StatusOf(err) != StatusInvalidValue {
 		t.Fatal("negative delta accepted")
 	}
-	if _, err := SSSPDeltaStepping(g, 99, 1); StatusOf(err) != StatusInvalidValue {
+	if _, err := SSSPDeltaStepping(bg, g, 99, 1); StatusOf(err) != StatusInvalidValue {
 		t.Fatal("bad source accepted")
 	}
 }
@@ -766,7 +766,7 @@ func TestBetweennessCentralityMatchesBrandes(t *testing.T) {
 				sources = append(sources, s)
 			}
 		}
-		c, err := BetweennessCentralityAdvanced(g, sources)
+		c, err := BetweennessCentralityAdvanced(bg, g, sources)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -786,7 +786,7 @@ func TestBetweennessCentralityDirectedMatchesBrandes(t *testing.T) {
 		g := mustGraph(t, randDigraph(rng, n, 0.15), AdjacencyDirected)
 		g.PropertyAT()
 		sources := []int{rng.Intn(n), rng.Intn(n)}
-		c, err := BetweennessCentralityAdvanced(g, sources)
+		c, err := BetweennessCentralityAdvanced(bg, g, sources)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -805,7 +805,7 @@ func TestBetweennessCentralityPathGraph(t *testing.T) {
 		[]int{0, 1, 1, 2, 2, 3}, []int{1, 0, 2, 1, 3, 2},
 		[]float64{1, 1, 1, 1, 1, 1}, nil)
 	g := mustGraph(t, A, AdjacencyUndirected)
-	c, err := BetweennessCentrality(g, []int{0})
+	c, err := BetweennessCentrality(bg, g, []int{0})
 	if err != nil && !IsWarning(err) {
 		t.Fatal(err)
 	}
@@ -820,10 +820,10 @@ func TestBetweennessValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	g := mustGraph(t, randUndirected(rng, 5, 0.4, 1), AdjacencyUndirected)
 	g.PropertyAT()
-	if _, err := BetweennessCentralityAdvanced(g, nil); StatusOf(err) != StatusInvalidValue {
+	if _, err := BetweennessCentralityAdvanced(bg, g, nil); StatusOf(err) != StatusInvalidValue {
 		t.Fatal("empty batch accepted")
 	}
-	if _, err := BetweennessCentralityAdvanced(g, []int{9}); StatusOf(err) != StatusInvalidValue {
+	if _, err := BetweennessCentralityAdvanced(bg, g, []int{9}); StatusOf(err) != StatusInvalidValue {
 		t.Fatal("bad source accepted")
 	}
 }

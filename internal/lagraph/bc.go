@@ -18,32 +18,30 @@ import (
 const bcPullThreshold = 10
 
 // BetweennessCentrality is the Basic-mode entry point: it caches AT if
-// needed and runs the batched algorithm (a typical batch is 4 sources,
-// paper §IV-B).
-func BetweennessCentrality[T grb.Value](g *Graph[T], sources []int) (*grb.Vector[float64], error) {
-	if g == nil || g.A == nil {
-		return nil, errf(StatusInvalidGraph, "BetweennessCentrality: nil graph")
+// needed (reported by a WarnCacheNotComputed warning) and runs the batched
+// algorithm (a typical batch is 4 sources, paper §IV-B).
+func BetweennessCentrality[T grb.Value](ctx context.Context, g *Graph[T], sources []int) (*grb.Vector[float64], error) {
+	if err := validateGraph(g, "BetweennessCentrality"); err != nil {
+		return nil, err
 	}
-	if g.CachedAT() == nil {
-		if err := g.PropertyAT(); err != nil && !IsWarning(err) {
-			return nil, err
-		}
+	computed, err := ensureCached(ctx, g.PropertyAT)
+	if err != nil {
+		return nil, err
 	}
-	return BetweennessCentralityAdvanced(g, sources)
+	centrality, err := BetweennessCentralityAdvanced(ctx, g, sources)
+	if err != nil {
+		return nil, err
+	}
+	return centrality, cacheWarning("BetweennessCentrality", computed)
 }
 
 // BetweennessCentralityAdvanced is Algorithm 3 (Advanced mode): G.AT must
-// be cached.
-func BetweennessCentralityAdvanced[T grb.Value](g *Graph[T], sources []int) (*grb.Vector[float64], error) {
-	return BetweennessCentralityAdvancedCtx(context.Background(), g, sources)
-}
-
-// BetweennessCentralityAdvancedCtx is the cancellable Advanced-mode BC:
-// ctx is polled once per BFS level in the forward phase and once per
-// level in the backtrack phase, returning ctx.Err() once it is done.
-func BetweennessCentralityAdvancedCtx[T grb.Value](ctx context.Context, g *Graph[T], sources []int) (*grb.Vector[float64], error) {
-	if g == nil || g.A == nil {
-		return nil, errf(StatusInvalidGraph, "BetweennessCentralityAdvanced: nil graph")
+// be cached. ctx is polled once per BFS level in the forward phase and
+// once per level in the backtrack phase, returning ctx.Err() once it is
+// done.
+func BetweennessCentralityAdvanced[T grb.Value](ctx context.Context, g *Graph[T], sources []int) (*grb.Vector[float64], error) {
+	if err := validateGraph(g, "BetweennessCentralityAdvanced"); err != nil {
+		return nil, err
 	}
 	at := g.CachedAT()
 	if at == nil {

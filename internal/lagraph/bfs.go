@@ -28,11 +28,52 @@ const (
 	bfsBetaRatio  = 18
 )
 
+// BreadthFirstSearch is the Basic-mode BFS: it computes and caches any
+// properties it needs (returning a WarnCacheNotComputed warning so callers
+// can notice), then runs the direction-optimizing algorithm. Either output
+// may be requested; pass false to skip one. The traversal polls ctx once
+// per level and returns ctx.Err() when it is done.
+func BreadthFirstSearch[T grb.Value](ctx context.Context, g *Graph[T], src int, wantParent, wantLevel bool) (*grb.Vector[int64], *grb.Vector[int32], error) {
+	if err := validateSource(g, src, "BreadthFirstSearch"); err != nil {
+		return nil, nil, err
+	}
+	computed, err := ensureCached(ctx, g.PropertyAT, g.PropertyRowDegree)
+	if err != nil {
+		return nil, nil, err
+	}
+	p, l, err := BreadthFirstSearchAdvanced(ctx, g, src, wantParent, wantLevel)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p, l, cacheWarning("BreadthFirstSearch", computed)
+}
+
+// BreadthFirstSearchAdvanced is Algorithm 2 (Advanced mode): the
+// direction-optimizing BFS, producing the parent vector (for every reached
+// vertex the id of its BFS-tree parent, the source mapping to itself)
+// and/or the level vector (hop distance, the source at level 0). It
+// requires the cached transpose AT (pull direction) and RowDegree (the
+// push/pull heuristic); missing properties are an error, never computed
+// behind the caller's back.
+func BreadthFirstSearchAdvanced[T grb.Value](ctx context.Context, g *Graph[T], src int, wantParent, wantLevel bool) (*grb.Vector[int64], *grb.Vector[int32], error) {
+	if err := validateSource(g, src, "BreadthFirstSearchAdvanced"); err != nil {
+		return nil, nil, err
+	}
+	at, rowDegree := g.CachedAT(), g.CachedRowDegree()
+	if at == nil {
+		return nil, nil, errf(StatusPropertyMissing, "BreadthFirstSearchAdvanced: G.AT not cached (advanced mode computes nothing; call PropertyAT)")
+	}
+	if rowDegree == nil {
+		return nil, nil, errf(StatusPropertyMissing, "BreadthFirstSearchAdvanced: G.RowDegree not cached (call PropertyRowDegree)")
+	}
+	return bfsDirOpt(ctx, g, at, rowDegree, src, wantParent, wantLevel)
+}
+
 // BFSParentPushOnly is Algorithm 1 (Advanced mode): the push-only parents
-// BFS. It needs no cached properties. The returned vector holds, for every
-// reached vertex, the id of its BFS-tree parent (the source maps to
-// itself).
-func BFSParentPushOnly[T grb.Value](g *Graph[T], src int) (*grb.Vector[int64], error) {
+// BFS, a loop over BFSStep that polls ctx once per level. It needs no
+// cached properties. The returned vector holds, for every reached vertex,
+// the id of its BFS-tree parent (the source maps to itself).
+func BFSParentPushOnly[T grb.Value](ctx context.Context, g *Graph[T], src int) (*grb.Vector[int64], error) {
 	if err := validateSource(g, src, "BFSParentPushOnly"); err != nil {
 		return nil, err
 	}
@@ -41,99 +82,15 @@ func BFSParentPushOnly[T grb.Value](g *Graph[T], src int) (*grb.Vector[int64], e
 	q := grb.MustVector[int64](n)
 	lagTry(p.SetElement(int64(src), src))
 	lagTry(q.SetElement(int64(src), src))
-	semiring := grb.AnySecondI[int64, T, int64]()
-	for level := 1; level < n; level++ {
-		// qᵀ⟨¬s(pᵀ), r⟩ = qᵀ any.secondi A
-		if err := grb.VxM(q, grb.StructVMaskOf(p).Not(), nil, semiring, q, g.A, grb.DescR); err != nil {
-			return nil, wrap(StatusInvalidValue, err, "BFS push step")
+	for level := 1; level < n && q.NVals() > 0; level++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		if q.NVals() == 0 {
-			break
-		}
-		// p⟨s(q)⟩ = q
-		if err := grb.AssignVector(p, grb.StructVMaskOf(q), nil, q, grb.All, nil); err != nil {
-			return nil, wrap(StatusInvalidValue, err, "BFS parent update")
+		if err := BFSStep(g, p, q); err != nil {
+			return nil, err
 		}
 	}
 	return p, nil
-}
-
-// BFSParent is Algorithm 2 (Advanced mode): the direction-optimizing
-// parents BFS. It requires the cached transpose AT (pull direction) and
-// RowDegree (the push/pull heuristic); missing properties are an error,
-// never computed behind the caller's back.
-func BFSParent[T grb.Value](g *Graph[T], src int) (*grb.Vector[int64], error) {
-	if err := validateSource(g, src, "BFSParent"); err != nil {
-		return nil, err
-	}
-	at, rowDegree := g.CachedAT(), g.CachedRowDegree()
-	if at == nil {
-		return nil, errf(StatusPropertyMissing, "BFSParent: G.AT not cached (advanced mode computes nothing; call PropertyAT)")
-	}
-	if rowDegree == nil {
-		return nil, errf(StatusPropertyMissing, "BFSParent: G.RowDegree not cached (call PropertyRowDegree)")
-	}
-	p, _, err := bfsDirOpt(context.Background(), g, at, rowDegree, src, true, false)
-	return p, err
-}
-
-// BFSLevel computes the BFS level (hop distance) of every reached vertex,
-// with the source at level 0 (Advanced mode: same property requirements as
-// BFSParent).
-func BFSLevel[T grb.Value](g *Graph[T], src int) (*grb.Vector[int32], error) {
-	return BFSLevelCtx(context.Background(), g, src)
-}
-
-// BFSLevelCtx is the cancellable BFSLevel: the traversal polls ctx once
-// per level.
-func BFSLevelCtx[T grb.Value](ctx context.Context, g *Graph[T], src int) (*grb.Vector[int32], error) {
-	if err := validateSource(g, src, "BFSLevel"); err != nil {
-		return nil, err
-	}
-	at, rowDegree := g.CachedAT(), g.CachedRowDegree()
-	if at == nil || rowDegree == nil {
-		return nil, errf(StatusPropertyMissing, "BFSLevel: G.AT and G.RowDegree must be cached")
-	}
-	_, l, err := bfsDirOpt(ctx, g, at, rowDegree, src, false, true)
-	return l, err
-}
-
-// BreadthFirstSearch is the Basic-mode BFS: it computes and caches any
-// properties it needs (returning a WarnCacheNotComputed warning so callers
-// can notice), then runs the direction-optimizing algorithm. Either output
-// may be requested; pass false to skip one.
-func BreadthFirstSearch[T grb.Value](g *Graph[T], src int, wantParent, wantLevel bool) (*grb.Vector[int64], *grb.Vector[int32], error) {
-	return BreadthFirstSearchCtx(context.Background(), g, src, wantParent, wantLevel)
-}
-
-// BreadthFirstSearchCtx is the cancellable Basic-mode BFS: identical to
-// BreadthFirstSearch, but the traversal polls ctx once per level and
-// returns ctx.Err() when it is done.
-func BreadthFirstSearchCtx[T grb.Value](ctx context.Context, g *Graph[T], src int, wantParent, wantLevel bool) (*grb.Vector[int64], *grb.Vector[int32], error) {
-	if err := validateSource(g, src, "BreadthFirstSearch"); err != nil {
-		return nil, nil, err
-	}
-	var warned bool
-	if g.CachedAT() == nil {
-		if err := g.PropertyAT(); err != nil && !IsWarning(err) {
-			return nil, nil, err
-		}
-		warned = true
-	}
-	if g.CachedRowDegree() == nil {
-		if err := g.PropertyRowDegree(); err != nil && !IsWarning(err) {
-			return nil, nil, err
-		}
-		warned = true
-	}
-	p, l, err := bfsDirOpt(ctx, g, g.CachedAT(), g.CachedRowDegree(), src, wantParent, wantLevel)
-	if err != nil {
-		return nil, nil, err
-	}
-	if warned {
-		return p, l, &Warning{Status: WarnCacheNotComputed, Msg: "BreadthFirstSearch cached graph properties"}
-	}
-	return p, l, nil
 }
 
 // bfsDirOpt runs the direction-optimizing BFS, producing the parent and/or
@@ -224,13 +181,14 @@ func bfsDirOpt[T grb.Value](ctx context.Context, g *Graph[T], at *grb.Matrix[T],
 // modified; the caller owns the loop and may inspect or edit the frontier
 // between steps. Advanced mode: nothing is cached on the graph.
 func BFSStep[T grb.Value](g *Graph[T], p, q *grb.Vector[int64]) error {
-	if g == nil || g.A == nil {
-		return errf(StatusInvalidGraph, "BFSStep: nil graph")
+	if err := validateGraph(g, "BFSStep"); err != nil {
+		return err
 	}
 	n := g.NumNodes()
 	if p.Size() != n || q.Size() != n {
 		return errf(StatusInvalidValue, "BFSStep: vector length mismatch")
 	}
+	// qᵀ⟨¬s(pᵀ), r⟩ = qᵀ any.secondi A
 	semiring := grb.AnySecondI[int64, T, int64]()
 	if err := grb.VxM(q, grb.StructVMaskOf(p).Not(), nil, semiring, q, g.A, grb.DescR); err != nil {
 		return wrap(StatusInvalidValue, err, "BFSStep push")
@@ -238,6 +196,7 @@ func BFSStep[T grb.Value](g *Graph[T], p, q *grb.Vector[int64]) error {
 	if q.NVals() == 0 {
 		return nil
 	}
+	// p⟨s(q)⟩ = q
 	if err := grb.AssignVector(p, grb.StructVMaskOf(q), nil, q, grb.All, nil); err != nil {
 		return wrap(StatusInvalidValue, err, "BFSStep parent update")
 	}
@@ -258,8 +217,8 @@ func frontierEdges(rowDegree *grb.Vector[int64], q *grb.Vector[int64]) int {
 
 // validateSource checks the graph and source vertex.
 func validateSource[T grb.Value](g *Graph[T], src int, op string) error {
-	if g == nil || g.A == nil {
-		return errf(StatusInvalidGraph, "%s: nil graph", op)
+	if err := validateGraph(g, op); err != nil {
+		return err
 	}
 	if g.A.NRows() != g.A.NCols() {
 		return errf(StatusInvalidGraph, "%s: adjacency matrix not square", op)

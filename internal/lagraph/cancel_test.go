@@ -9,41 +9,101 @@ import (
 	"lagraph/internal/gen"
 )
 
-// Cancellation contract: every *Ctx algorithm polls its context inside the
-// iteration loop and returns context.Canceled — the raw sentinel, not a
-// wrapped lagraph error — once the context is done.
+// Cancellation contract: every kernel entry point polls its context inside
+// the iteration loop and returns context.Canceled — the raw sentinel, not
+// a wrapped lagraph error — once the context is done.
+
+// bg is the root context of tests that have nothing to cancel.
+var bg = context.Background()
 
 // cancelledCtx returns an already-cancelled context.
 func cancelledCtx() context.Context {
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(bg)
 	cancel()
 	return ctx
 }
 
+// warmGraph returns an undirected Kron graph (so TC and LCC run too) with
+// every property a kernel may want already cached.
+func warmGraph(t *testing.T, scale int) *Graph[float64] {
+	t.Helper()
+	g := graphFromEdges(t, gen.Kron(scale, 8, 1))
+	for _, property := range []func() error{g.PropertyAT, g.PropertyRowDegree, g.PropertyNDiag} {
+		if err := property(); err != nil && !IsWarning(err) {
+			t.Fatal(err)
+		}
+	}
+	return g
+}
+
+// TestAllAlgorithmsObservePreCancelledContext covers every ctx-taking
+// entry of the surface (BFSStep, the loop-free sixteenth, takes none); the
+// experimental kernels have the same table in their own package.
 func TestAllAlgorithmsObservePreCancelledContext(t *testing.T) {
-	g := graphFromEdges(t, gen.Kron(7, 8, 1)) // undirected, so TC runs too
-	if err := g.PropertyAT(); err != nil && !IsWarning(err) {
-		t.Fatal(err)
-	}
-	if err := g.PropertyRowDegree(); err != nil && !IsWarning(err) {
-		t.Fatal(err)
-	}
+	g := warmGraph(t, 7)
 	ctx := cancelledCtx()
 
 	for _, tc := range []struct {
 		name string
 		run  func() error
 	}{
-		{"bfs", func() error { _, _, err := BreadthFirstSearchCtx(ctx, g, 0, true, true); return err }},
-		{"pagerank-gap", func() error { _, _, err := PageRankGAPCtx(ctx, g, 0.85, 1e-4, 100); return err }},
-		{"pagerank-gx", func() error { _, _, err := PageRankGXCtx(ctx, g, 0.85, 1e-4, 100); return err }},
-		{"cc", func() error { _, err := ConnectedComponentsCtx(ctx, g); return err }},
-		{"sssp", func() error { _, err := SSSPDeltaSteppingCtx(ctx, g, 0, 2); return err }},
-		{"tc", func() error { _, err := TriangleCountCtx(ctx, g); return err }},
-		{"bc", func() error { _, err := BetweennessCentralityAdvancedCtx(ctx, g, []int{0, 1}); return err }},
+		{"BreadthFirstSearch", func() error { _, _, err := BreadthFirstSearch(ctx, g, 0, true, true); return err }},
+		{"BreadthFirstSearchAdvanced", func() error { _, _, err := BreadthFirstSearchAdvanced(ctx, g, 0, true, true); return err }},
+		{"BFSParentPushOnly", func() error { _, err := BFSParentPushOnly(ctx, g, 0); return err }},
+		{"PageRank", func() error { _, _, err := PageRank(ctx, g, 0.85, 1e-4, 100); return err }},
+		{"PageRankGAP", func() error { _, _, err := PageRankGAP(ctx, g, 0.85, 1e-4, 100); return err }},
+		{"PageRankGX", func() error { _, _, err := PageRankGX(ctx, g, 0.85, 1e-4, 100); return err }},
+		{"ConnectedComponents", func() error { _, err := ConnectedComponents(ctx, g); return err }},
+		{"ConnectedComponentsAdvanced", func() error { _, err := ConnectedComponentsAdvanced(ctx, g); return err }},
+		{"SingleSourceShortestPath", func() error { _, err := SingleSourceShortestPath(ctx, g, 0, 0); return err }},
+		{"SSSPDeltaStepping", func() error { _, err := SSSPDeltaStepping(ctx, g, 0, 2); return err }},
+		{"TriangleCount", func() error { _, err := TriangleCount(ctx, g); return err }},
+		{"TriangleCountAdvanced", func() error { _, err := TriangleCountAdvanced(ctx, g, TCSandiaLUT, true); return err }},
+		{"BetweennessCentrality", func() error { _, err := BetweennessCentrality(ctx, g, []int{0, 1}); return err }},
+		{"BetweennessCentralityAdvanced", func() error { _, err := BetweennessCentralityAdvanced(ctx, g, []int{0, 1}); return err }},
+		{"LocalClusteringCoefficient", func() error { _, err := LocalClusteringCoefficient(ctx, g); return err }},
 	} {
 		if err := tc.run(); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", tc.name, err)
+		}
+	}
+}
+
+// TestBasicEntriesWarnIffTheyCached states the Basic contract for every
+// Basic entry: on a cold graph the call succeeds with the
+// WarnCacheNotComputed warning (it cached properties on the caller's
+// graph), on the now-warm graph the same call returns nil. Delta-stepping
+// reads only G.A, so SingleSourceShortestPath has nothing to cache and is
+// nil both times; ConnectedComponents caches the transpose only for a
+// directed graph.
+func TestBasicEntriesWarnIffTheyCached(t *testing.T) {
+	undirected := func() *Graph[float64] { return graphFromEdges(t, gen.Kron(6, 8, 1)) }
+	directed := func() *Graph[float64] { return graphFromEdges(t, gen.Twitter(6, 8, 1)) }
+	for _, tc := range []struct {
+		name     string
+		graph    func() *Graph[float64]
+		coldWarn bool
+		run      func(g *Graph[float64]) error
+	}{
+		{"BreadthFirstSearch", directed, true, func(g *Graph[float64]) error { _, _, err := BreadthFirstSearch(bg, g, 0, true, true); return err }},
+		{"PageRank", directed, true, func(g *Graph[float64]) error { _, _, err := PageRank(bg, g, 0.85, 1e-4, 100); return err }},
+		{"ConnectedComponents/directed", directed, true, func(g *Graph[float64]) error { _, err := ConnectedComponents(bg, g); return err }},
+		{"ConnectedComponents/undirected", undirected, false, func(g *Graph[float64]) error { _, err := ConnectedComponents(bg, g); return err }},
+		{"SingleSourceShortestPath", directed, false, func(g *Graph[float64]) error { _, err := SingleSourceShortestPath(bg, g, 0, 0); return err }},
+		{"TriangleCount", undirected, true, func(g *Graph[float64]) error { _, err := TriangleCount(bg, g); return err }},
+		{"BetweennessCentrality", directed, true, func(g *Graph[float64]) error { _, err := BetweennessCentrality(bg, g, []int{0, 1}); return err }},
+		{"LocalClusteringCoefficient", undirected, true, func(g *Graph[float64]) error { _, err := LocalClusteringCoefficient(bg, g); return err }},
+	} {
+		g := tc.graph()
+		cold := tc.run(g)
+		if tc.coldWarn && StatusOf(cold) != WarnCacheNotComputed {
+			t.Errorf("%s on a cold graph: err = %v, want the WarnCacheNotComputed warning", tc.name, cold)
+		}
+		if !tc.coldWarn && cold != nil {
+			t.Errorf("%s on a cold graph: err = %v, want nil (nothing to cache)", tc.name, cold)
+		}
+		if warm := tc.run(g); warm != nil {
+			t.Errorf("%s on a warm graph: err = %v, want nil", tc.name, warm)
 		}
 	}
 }
@@ -53,20 +113,14 @@ func TestAllAlgorithmsObservePreCancelledContext(t *testing.T) {
 // and requires the loop to stop promptly with context.Canceled — the
 // "cancelled job stops consuming CPU" half of the jobs-engine contract.
 func TestPageRankCancelledMidIteration(t *testing.T) {
-	g := graphFromEdges(t, gen.Kron(8, 8, 1))
-	if err := g.PropertyAT(); err != nil && !IsWarning(err) {
-		t.Fatal(err)
-	}
-	if err := g.PropertyRowDegree(); err != nil && !IsWarning(err) {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
+	g := warmGraph(t, 8)
+	ctx, cancel := context.WithCancel(bg)
 	go func() {
 		time.Sleep(30 * time.Millisecond)
 		cancel()
 	}()
 	start := time.Now()
-	_, iters, err := PageRankGXCtx(ctx, g, 0.85, -1 /* never converges */, 1<<30)
+	_, iters, err := PageRankGX(ctx, g, 0.85, -1 /* never converges */, 1<<30)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v after %d iters, want context.Canceled", err, iters)
 	}
@@ -75,24 +129,5 @@ func TestPageRankCancelledMidIteration(t *testing.T) {
 	}
 	if iters == 0 {
 		t.Fatal("expected at least one completed iteration before cancellation")
-	}
-}
-
-// TestContextFreeEntryPointsStillWork pins the compatibility contract: the
-// original signatures delegate to the Ctx variants with a background
-// context and behave exactly as before.
-func TestContextFreeEntryPointsStillWork(t *testing.T) {
-	g := graphFromEdges(t, gen.Kron(6, 8, 1))
-	if _, _, err := BreadthFirstSearch(g, 0, true, false); err != nil && !IsWarning(err) {
-		t.Fatalf("bfs: %v", err)
-	}
-	if _, _, err := PageRank(g, 0.85, 1e-4, 50); err != nil && !IsWarning(err) {
-		t.Fatalf("pagerank: %v", err)
-	}
-	if _, err := ConnectedComponents(g); err != nil && !IsWarning(err) {
-		t.Fatalf("cc: %v", err)
-	}
-	if _, err := TriangleCount(g); err != nil && !IsWarning(err) {
-		t.Fatalf("tc: %v", err)
 	}
 }

@@ -12,44 +12,52 @@ import (
 // a fixed point. The linear-algebra kernels are an mxv on min.second (the
 // minimum neighbouring grandparent) and min-combining scatters/gathers.
 
-// ConnectedComponents is the Basic-mode entry point. Directed graphs are
-// handled by operating on the symmetrised pattern A ∪ Aᵀ (weak
-// components), which may require computing the transpose.
-func ConnectedComponents[T grb.Value](g *Graph[T]) (*grb.Vector[int64], error) {
-	return ConnectedComponentsCtx(context.Background(), g)
-}
-
-// ConnectedComponentsCtx is the cancellable Basic-mode FastSV: ctx is
-// polled once per hooking/shortcutting round, returning ctx.Err() once it
-// is done.
-func ConnectedComponentsCtx[T grb.Value](ctx context.Context, g *Graph[T]) (*grb.Vector[int64], error) {
-	if g == nil || g.A == nil {
-		return nil, errf(StatusInvalidGraph, "ConnectedComponents: nil graph")
+// ConnectedComponents is the Basic-mode entry point. Directed graphs whose
+// pattern is not known to be symmetric are handled by operating on the
+// symmetrised pattern A ∪ Aᵀ (weak components), which caches the
+// transpose. ctx is polled once per hooking/shortcutting round, returning
+// ctx.Err() once it is done.
+func ConnectedComponents[T grb.Value](ctx context.Context, g *Graph[T]) (*grb.Vector[int64], error) {
+	if err := validateGraph(g, "ConnectedComponents"); err != nil {
+		return nil, err
 	}
 	if g.A.NRows() != g.A.NCols() {
 		return nil, errf(StatusInvalidGraph, "ConnectedComponents: adjacency matrix not square")
 	}
-	S, err := symmetricPattern(g)
+	S, err := Pattern(g.A)
 	if err != nil {
 		return nil, err
 	}
-	return fastSV(ctx, S)
+	computed := false
+	if !symmetricPattern(g) {
+		if computed, err = ensureCached(ctx, g.PropertyAT); err != nil {
+			return nil, err
+		}
+		// S = pattern(A ∪ Aᵀ)
+		pt, err := Pattern(g.CachedAT())
+		if err != nil {
+			return nil, err
+		}
+		if err := grb.EWiseAdd(S, grb.NoMask, nil, grb.AddOp(grb.LorOp()), S, pt, nil); err != nil {
+			return nil, wrap(StatusInvalidValue, err, "symmetrise")
+		}
+	}
+	labels, err := fastSV(ctx, S)
+	if err != nil {
+		return nil, err
+	}
+	return labels, cacheWarning("ConnectedComponents", computed)
 }
 
 // ConnectedComponentsAdvanced runs FastSV directly on G.A, requiring the
 // caller to guarantee a symmetric pattern (undirected kind, or the
-// ASymmetricPattern property cached as true).
-func ConnectedComponentsAdvanced[T grb.Value](g *Graph[T]) (*grb.Vector[int64], error) {
-	return ConnectedComponentsAdvancedCtx(context.Background(), g)
-}
-
-// ConnectedComponentsAdvancedCtx is the cancellable Advanced-mode FastSV:
-// ctx is polled once per hooking/shortcutting round.
-func ConnectedComponentsAdvancedCtx[T grb.Value](ctx context.Context, g *Graph[T]) (*grb.Vector[int64], error) {
-	if g == nil || g.A == nil {
-		return nil, errf(StatusInvalidGraph, "ConnectedComponentsAdvanced: nil graph")
+// ASymmetricPattern property cached as true). ctx is polled once per
+// hooking/shortcutting round.
+func ConnectedComponentsAdvanced[T grb.Value](ctx context.Context, g *Graph[T]) (*grb.Vector[int64], error) {
+	if err := validateGraph(g, "ConnectedComponentsAdvanced"); err != nil {
+		return nil, err
 	}
-	if g.Kind != AdjacencyUndirected && g.CachedSymmetry() != BoolTrue {
+	if !symmetricPattern(g) {
 		return nil, errf(StatusPropertyMissing,
 			"ConnectedComponentsAdvanced: pattern symmetry unknown; cache ASymmetricPattern or use the Basic entry point")
 	}
@@ -60,29 +68,10 @@ func ConnectedComponentsAdvancedCtx[T grb.Value](ctx context.Context, g *Graph[T
 	return fastSV(ctx, S)
 }
 
-// symmetricPattern returns pattern(A) for symmetric inputs, else
-// pattern(A ∪ Aᵀ).
-func symmetricPattern[T grb.Value](g *Graph[T]) (*grb.Matrix[bool], error) {
-	p, err := Pattern(g.A)
-	if err != nil {
-		return nil, err
-	}
-	if g.Kind == AdjacencyUndirected || g.CachedSymmetry() == BoolTrue {
-		return p, nil
-	}
-	at := g.CachedAT()
-	if at == nil {
-		at = grb.NewTranspose(g.A)
-	}
-	pt, err := Pattern(at)
-	if err != nil {
-		return nil, err
-	}
-	or := grb.LorOp()
-	if err := grb.EWiseAdd(p, grb.NoMask, nil, grb.AddOp(or), p, pt, nil); err != nil {
-		return nil, wrap(StatusInvalidValue, err, "symmetrise")
-	}
-	return p, nil
+// symmetricPattern reports whether pattern(A) is known to equal
+// pattern(Aᵀ): an undirected graph, or the property cached as true.
+func symmetricPattern[T grb.Value](g *Graph[T]) bool {
+	return g.Kind == AdjacencyUndirected || g.CachedSymmetry() == BoolTrue
 }
 
 // fastSV is Algorithm 7 on a boolean symmetric-pattern matrix. ctx is

@@ -112,11 +112,11 @@ func TestConcurrentAlgorithmsShareProperties(t *testing.T) {
 
 	// Sequential reference on an identical graph.
 	ref := randomDigraph(t, 300, 8)
-	refRank, _, err := PageRank(ref, 0.85, 1e-6, 50)
+	refRank, _, err := PageRank(bg, ref, 0.85, 1e-6, 50)
 	if err != nil && !IsWarning(err) {
 		t.Fatalf("reference PageRank: %v", err)
 	}
-	refParent, _, err := BreadthFirstSearch(ref, 0, true, false)
+	refParent, _, err := BreadthFirstSearch(bg, ref, 0, true, false)
 	if err != nil && !IsWarning(err) {
 		t.Fatalf("reference BFS: %v", err)
 	}
@@ -130,7 +130,7 @@ func TestConcurrentAlgorithmsShareProperties(t *testing.T) {
 			defer wg.Done()
 			switch w % 3 {
 			case 0:
-				r, _, err := PageRank(g, 0.85, 1e-6, 50)
+				r, _, err := PageRank(bg, g, 0.85, 1e-6, 50)
 				if err != nil && !IsWarning(err) {
 					errs <- err
 					return
@@ -139,7 +139,7 @@ func TestConcurrentAlgorithmsShareProperties(t *testing.T) {
 					errs <- errf(StatusInvalidValue, "PageRank diverged from sequential run (eq=%v err=%v)", eq, err)
 				}
 			case 1:
-				p, _, err := BreadthFirstSearch(g, 0, true, false)
+				p, _, err := BreadthFirstSearch(bg, g, 0, true, false)
 				if err != nil && !IsWarning(err) {
 					errs <- err
 					return
@@ -148,7 +148,7 @@ func TestConcurrentAlgorithmsShareProperties(t *testing.T) {
 					errs <- errf(StatusInvalidValue, "BFS reached %d vertices, want %d", p.NVals(), refParent.NVals())
 				}
 			case 2:
-				if _, err := ConnectedComponents(g); err != nil && !IsWarning(err) {
+				if _, err := ConnectedComponents(bg, g); err != nil && !IsWarning(err) {
 					errs <- err
 				}
 			}

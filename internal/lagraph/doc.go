@@ -14,13 +14,17 @@
 //
 // # User modes (paper §II-B)
 //
-// Basic entry points (BreadthFirstSearch, PageRank, TriangleCount,
-// ConnectedComponents, SingleSourceShortestPath, BetweennessCentrality)
-// "just work": they may inspect the graph, compute and cache properties,
-// and pick among specialised implementations. Advanced entry points (the
-// *Advanced / BFSParent* family) never mutate the graph: when a required
-// cached property is missing they fail with StatusPropertyMissing rather
-// than surprise the caller with hidden work.
+// Every algorithm exports one function per tier, each taking ctx first
+// (see ctx.go). Basic entry points (BreadthFirstSearch, PageRank,
+// TriangleCount, ConnectedComponents, SingleSourceShortestPath,
+// BetweennessCentrality, LocalClusteringCoefficient) "just work": they may
+// inspect the graph, compute and cache properties — returning the
+// WarnCacheNotComputed warning exactly when they cached something — and
+// pick among specialised implementations. Advanced entry points (the
+// *Advanced family, PageRankGAP/GX, SSSPDeltaStepping, BFSParentPushOnly,
+// BFSStep) never mutate the graph: when a required cached property is
+// missing they fail with StatusPropertyMissing rather than surprise the
+// caller with hidden work.
 //
 // # Calling conventions (paper §II-C, §II-D)
 //

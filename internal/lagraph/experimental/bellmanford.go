@@ -1,6 +1,8 @@
 package experimental
 
 import (
+	"context"
+
 	"lagraph/internal/grb"
 	"lagraph/internal/lagraph"
 )
@@ -17,7 +19,7 @@ import (
 //
 // After n-1 rounds every shortest path is settled; a change in round n
 // proves a reachable negative cycle.
-func BellmanFord[T grb.Number](g *lagraph.Graph[T], src int) (*grb.Vector[T], bool, error) {
+func BellmanFord[T grb.Number](ctx context.Context, g *lagraph.Graph[T], src int) (*grb.Vector[T], bool, error) {
 	if g == nil || g.A == nil {
 		return nil, false, lagraph.ErrInvalid("BellmanFord: nil graph")
 	}
@@ -34,6 +36,9 @@ func BellmanFord[T grb.Number](g *lagraph.Graph[T], src int) (*grb.Vector[T], bo
 	minPlus := grb.MinPlus[T]()
 	minOp := grb.MinOp[T]()
 	relax := func() (bool, error) {
+		if err := ctx.Err(); err != nil {
+			return false, err
+		}
 		// d' = dᵀ min.plus A.
 		dNew := grb.MustVector[T](n)
 		if err := grb.VxM(dNew, grb.NoVMask, nil, minPlus, d, g.A, nil); err != nil {

@@ -1,6 +1,7 @@
 package experimental
 
 import (
+	"context"
 	"sort"
 
 	"lagraph/internal/grb"
@@ -18,7 +19,7 @@ import (
 // C LAGraph's experimental LAGraph_cdlp — the algorithm extracts the
 // adjacency structure once through GraphBLAS and computes modes over the
 // sorted neighbour-label lists each round.
-func CommunityDetectionLabelPropagation[T grb.Value](g *lagraph.Graph[T], maxIter int) (*grb.Vector[int64], error) {
+func CommunityDetectionLabelPropagation[T grb.Value](ctx context.Context, g *lagraph.Graph[T], maxIter int) (*grb.Vector[int64], error) {
 	if g == nil || g.A == nil {
 		return nil, lagraph.ErrInvalid("CDLP: nil graph")
 	}
@@ -63,6 +64,9 @@ func CommunityDetectionLabelPropagation[T grb.Value](g *lagraph.Graph[T], maxIte
 	newLabel := make([]int64, n)
 	scratch := make([]int64, 0, 64)
 	for iter := 0; iter < maxIter; iter++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		changed := false
 		for v := 0; v < n; v++ {
 			lo, hi := ptr[v], ptr[v+1]

@@ -31,7 +31,7 @@ func TestCDLPTwoCliquesWithBridge(t *testing.T) {
 	vals = append(vals, 1, 1)
 	A, _ := grb.MatrixFromTuples(8, 8, rows, cols, vals, nil)
 	g, _ := lagraph.New(&A, lagraph.AdjacencyUndirected)
-	labels, err := CommunityDetectionLabelPropagation(g, 20)
+	labels, err := CommunityDetectionLabelPropagation(bg, g, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestCDLPIsolatedVerticesKeepOwnLabel(t *testing.T) {
 	A.SetElement(1, 0, 1)
 	A.SetElement(1, 1, 0)
 	g, _ := lagraph.New(&A, lagraph.AdjacencyUndirected)
-	labels, err := CommunityDetectionLabelPropagation(g, 5)
+	labels, err := CommunityDetectionLabelPropagation(bg, g, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestCDLPDirectedUsesBothDirections(t *testing.T) {
 	A, _ := grb.MatrixFromTuples(4, 4,
 		[]int{1, 2, 3}, []int{0, 0, 0}, []float64{1, 1, 1}, nil)
 	g, _ := lagraph.New(&A, lagraph.AdjacencyDirected)
-	labels, err := CommunityDetectionLabelPropagation(g, 10)
+	labels, err := CommunityDetectionLabelPropagation(bg, g, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +113,11 @@ func TestCDLPDirectedUsesBothDirections(t *testing.T) {
 func TestCDLPDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randUndirected(rng, 30, 0.15)
-	a, err := CommunityDetectionLabelPropagation(g, 10)
+	a, err := CommunityDetectionLabelPropagation(bg, g, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CommunityDetectionLabelPropagation(g, 10)
+	b, err := CommunityDetectionLabelPropagation(bg, g, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

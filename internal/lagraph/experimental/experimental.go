@@ -4,12 +4,16 @@
 // experience. The goal is to generate lots of ideas and allow uninhibited
 // contributions."
 //
-// It carries algorithms beyond the GAP six (k-truss, Luby's maximal
-// independent set, local clustering coefficient) plus a fused-kernel BFS
-// exercising the §VI-B future-work fusion implemented in grb.
+// It carries algorithms beyond the stable tier (k-truss, Luby's maximal
+// independent set, Bellman-Ford, label propagation) plus a fused-kernel
+// BFS exercising the §VI-B future-work fusion implemented in grb. The
+// calling convention is the stable tier's: one signature per algorithm,
+// ctx first, polled once per round of the algorithm's loop.
 package experimental
 
 import (
+	"context"
+
 	"lagraph/internal/grb"
 	"lagraph/internal/lagraph"
 )
@@ -19,7 +23,7 @@ import (
 // The returned matrix holds, for every surviving edge, its triangle
 // support. Follows the LAGraph experimental LAGraph_ktruss: iterate
 // C⟨s(C)⟩ = C plus.pair Cᵀ, drop edges below support, until fixpoint.
-func KTruss[T grb.Value](g *lagraph.Graph[T], k int) (*grb.Matrix[int64], error) {
+func KTruss[T grb.Value](ctx context.Context, g *lagraph.Graph[T], k int) (*grb.Matrix[int64], error) {
 	if g == nil || g.A == nil {
 		return nil, lagraph.ErrInvalid("KTruss: nil graph")
 	}
@@ -42,6 +46,9 @@ func KTruss[T grb.Value](g *lagraph.Graph[T], k int) (*grb.Matrix[int64], error)
 	support := int64(k - 2)
 	semiring := grb.PlusPair[int64, int64, int64]()
 	for {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		before := C.NVals()
 		// S⟨s(C)⟩ = C plus.pair Cᵀ: per-edge triangle support.
 		S := grb.MustMatrix[int64](n, n)
@@ -62,7 +69,7 @@ func KTruss[T grb.Value](g *lagraph.Graph[T], k int) (*grb.Matrix[int64], error)
 // algorithm: every undecided vertex draws a deterministic pseudo-random
 // score; vertices beating all undecided neighbours join the set and their
 // neighbours drop out. Returns a boolean vector marking members.
-func MaximalIndependentSet[T grb.Value](g *lagraph.Graph[T], seed uint64) (*grb.Vector[bool], error) {
+func MaximalIndependentSet[T grb.Value](ctx context.Context, g *lagraph.Graph[T], seed uint64) (*grb.Vector[bool], error) {
 	if g == nil || g.A == nil {
 		return nil, lagraph.ErrInvalid("MaximalIndependentSet: nil graph")
 	}
@@ -94,6 +101,9 @@ func MaximalIndependentSet[T grb.Value](g *lagraph.Graph[T], seed uint64) (*grb.
 		Mul:  grb.Second[T, uint64](),
 	}
 	for cand.NVals() > 0 {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		// neighbourMax(i) = max score among i's undecided neighbours.
 		nbrMax := grb.MustVector[uint64](n)
 		if err := grb.MxV(nbrMax, grb.StructVMaskOf(cand), nil, maxSecond, g.A, cand, grb.DescR); err != nil {
@@ -143,58 +153,10 @@ func MaximalIndependentSet[T grb.Value](g *lagraph.Graph[T], seed uint64) (*grb.
 	return mis, nil
 }
 
-// LocalClusteringCoefficient returns, per vertex, the fraction of pairs of
-// neighbours that are themselves connected: 2·tri(i) / (d(i)·(d(i)−1)).
-// Vertices of degree < 2 get coefficient 0.
-func LocalClusteringCoefficient[T grb.Value](g *lagraph.Graph[T]) (*grb.Vector[float64], error) {
-	if g == nil || g.A == nil {
-		return nil, lagraph.ErrInvalid("LocalClusteringCoefficient: nil graph")
-	}
-	if g.Kind != lagraph.AdjacencyUndirected {
-		return nil, lagraph.ErrInvalid("LocalClusteringCoefficient: requires an undirected graph")
-	}
-	n := g.A.NRows()
-	// W⟨s(A)⟩ = A plus.pair A: W(i,j) = number of triangles through edge
-	// (i,j); row sums give 2·tri(i).
-	W := grb.MustMatrix[int64](n, n)
-	semiring := grb.PlusPair[T, T, int64]()
-	if err := grb.MxM(W, grb.StructMaskOf(g.A), nil, semiring, g.A, g.A, nil); err != nil {
-		return nil, err
-	}
-	twoTri := grb.MustVector[int64](n)
-	if err := grb.ReduceMatrixToVector(twoTri, grb.NoVMask, nil, grb.PlusMonoid[int64](), W, nil); err != nil {
-		return nil, err
-	}
-	// Degrees (recomputed locally: experimental algorithms may not assume
-	// cached properties).
-	deg := grb.MustVector[int64](n)
-	ones := grb.MustMatrix[int64](n, n)
-	one := grb.UnaryOp[T, int64]{Name: "one", F: func(T) int64 { return 1 }}
-	if err := grb.Apply(ones, grb.NoMask, nil, one, g.A, nil); err != nil {
-		return nil, err
-	}
-	if err := grb.ReduceMatrixToVector(deg, grb.NoVMask, nil, grb.PlusMonoid[int64](), ones, nil); err != nil {
-		return nil, err
-	}
-	lcc := grb.MustVector[float64](n)
-	deg.Iterate(func(i int, d int64) {
-		if d < 2 {
-			lagraph.Must(lcc.SetElement(0, i))
-			return
-		}
-		t2, err := twoTri.ExtractElement(i)
-		if err != nil {
-			t2 = 0
-		}
-		lagraph.Must(lcc.SetElement(float64(t2)/float64(d*(d-1)), i))
-	})
-	return lcc, nil
-}
-
 // BFSParentFused is the push-only parents BFS built on the fused
 // mxv+assign kernel of §VI-B's future-work discussion — one pass per level
 // instead of two.
-func BFSParentFused[T grb.Value](g *lagraph.Graph[T], src int) (*grb.Vector[int64], error) {
+func BFSParentFused[T grb.Value](ctx context.Context, g *lagraph.Graph[T], src int) (*grb.Vector[int64], error) {
 	if g == nil || g.A == nil {
 		return nil, lagraph.ErrInvalid("BFSParentFused: nil graph")
 	}
@@ -207,6 +169,9 @@ func BFSParentFused[T grb.Value](g *lagraph.Graph[T], src int) (*grb.Vector[int6
 	lagraph.Must(p.SetElement(int64(src), src))
 	lagraph.Must(q.SetElement(int64(src), src))
 	for level := 1; level < n; level++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		if err := grb.FusedBFSPushStep(p, q, g.A); err != nil {
 			return nil, err
 		}

@@ -1,13 +1,17 @@
 package experimental
 
 import (
-	"math"
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
 	"lagraph/internal/grb"
 	"lagraph/internal/lagraph"
 )
+
+// bg is the root context of tests that have nothing to cancel.
+var bg = context.Background()
 
 func randUndirected(rng *rand.Rand, n int, density float64) *lagraph.Graph[float64] {
 	var rows, cols []int
@@ -78,7 +82,7 @@ func TestKTrussMatchesReference(t *testing.T) {
 		n := 6 + rng.Intn(14)
 		g := randUndirected(rng, n, 0.4)
 		for _, k := range []int{3, 4} {
-			got, err := KTruss(g, k)
+			got, err := KTruss(bg, g, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +115,7 @@ func TestKTrussSupportValues(t *testing.T) {
 	}
 	A, _ := grb.MatrixFromTuples(4, 4, rows, cols, vals, nil)
 	g, _ := lagraph.New(&A, lagraph.AdjacencyUndirected)
-	tr, err := KTruss(g, 4)
+	tr, err := KTruss(bg, g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +129,7 @@ func TestKTrussSupportValues(t *testing.T) {
 		}
 	}
 	// But a 5-truss of K4 is empty.
-	tr5, err := KTruss(g, 5)
+	tr5, err := KTruss(bg, g, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,21 +141,18 @@ func TestKTrussSupportValues(t *testing.T) {
 func TestKTrussValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := randUndirected(rng, 5, 0.5)
-	if _, err := KTruss(g, 2); err == nil {
+	if _, err := KTruss(bg, g, 2); err == nil {
 		t.Fatal("k=2 accepted")
 	}
 	// Directed graphs are rejected.
 	A := grb.MustMatrix[float64](3, 3)
 	A.SetElement(1, 0, 1)
 	dg, _ := lagraph.New(&A, lagraph.AdjacencyDirected)
-	if _, err := KTruss(dg, 3); err == nil {
+	if _, err := KTruss(bg, dg, 3); err == nil {
 		t.Fatal("directed graph accepted")
 	}
-	if _, err := MaximalIndependentSet(dg, 1); err == nil {
+	if _, err := MaximalIndependentSet(bg, dg, 1); err == nil {
 		t.Fatal("MIS on directed graph accepted")
-	}
-	if _, err := LocalClusteringCoefficient(dg); err == nil {
-		t.Fatal("LCC on directed graph accepted")
 	}
 }
 
@@ -160,7 +161,7 @@ func TestMISIsIndependentAndMaximal(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n := 10 + rng.Intn(60)
 		g := randUndirected(rng, n, 0.15)
-		mis, err := MaximalIndependentSet(g, uint64(trial)+1)
+		mis, err := MaximalIndependentSet(bg, g, uint64(trial)+1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +197,7 @@ func TestMISIncludesIsolatedVertices(t *testing.T) {
 	// Two isolated vertices and one edge.
 	A, _ := grb.MatrixFromTuples(4, 4, []int{0, 1}, []int{1, 0}, []float64{1, 1}, nil)
 	g, _ := lagraph.New(&A, lagraph.AdjacencyUndirected)
-	mis, err := MaximalIndependentSet(g, 7)
+	mis, err := MaximalIndependentSet(bg, g, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,76 +211,17 @@ func TestMISIncludesIsolatedVertices(t *testing.T) {
 	}
 }
 
-func refLCC(edges map[[2]int]bool, n int) []float64 {
-	adj := make([][]int, n)
-	for e := range edges {
-		adj[e[0]] = append(adj[e[0]], e[1])
-	}
-	out := make([]float64, n)
-	for v := 0; v < n; v++ {
-		d := len(adj[v])
-		if d < 2 {
-			continue
-		}
-		links := 0
-		for _, a := range adj[v] {
-			for _, b := range adj[v] {
-				if a < b && edges[[2]int{a, b}] {
-					links++
-				}
-			}
-		}
-		out[v] = 2 * float64(links) / float64(d*(d-1))
-	}
-	return out
-}
-
-func TestLCCMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 8; trial++ {
-		n := 6 + rng.Intn(25)
-		g := randUndirected(rng, n, 0.3)
-		lcc, err := LocalClusteringCoefficient(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := refLCC(edgeSet(g.A), n)
-		lcc.Iterate(func(i int, x float64) {
-			if math.Abs(x-want[i]) > 1e-12 {
-				t.Fatalf("lcc(%d) = %v, want %v", i, x, want[i])
-			}
-		})
-	}
-}
-
-func TestLCCTriangleIsOne(t *testing.T) {
-	rows := []int{0, 1, 1, 2, 2, 0}
-	cols := []int{1, 0, 2, 1, 0, 2}
-	vals := []float64{1, 1, 1, 1, 1, 1}
-	A, _ := grb.MatrixFromTuples(3, 3, rows, cols, vals, nil)
-	g, _ := lagraph.New(&A, lagraph.AdjacencyUndirected)
-	lcc, err := LocalClusteringCoefficient(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lcc.Iterate(func(i int, x float64) {
-		if x != 1 {
-			t.Fatalf("triangle lcc(%d) = %v", i, x)
-		}
-	})
-}
-
 func TestBFSParentFusedMatchesUnfused(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 10; trial++ {
 		n := 10 + rng.Intn(50)
 		g := randUndirected(rng, n, 0.1)
 		src := rng.Intn(n)
-		fused, err := BFSParentFused(g, src)
+		fused, err := BFSParentFused(bg, g, src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := lagraph.BFSParentPushOnly(g, src)
+		plain, err := lagraph.BFSParentPushOnly(bg, g, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,5 +242,28 @@ func TestBFSParentFusedMatchesUnfused(t *testing.T) {
 				t.Fatalf("fused parent %d->%d is not an edge", p, i)
 			}
 		})
+	}
+}
+
+// TestExperimentalKernelsObservePreCancelledContext is the experimental
+// half of lagraph's TestAllAlgorithmsObservePreCancelledContext: every
+// kernel here takes ctx first and polls it once per round.
+func TestExperimentalKernelsObservePreCancelledContext(t *testing.T) {
+	g := randUndirected(rand.New(rand.NewSource(6)), 20, 0.3)
+	ctx, cancel := context.WithCancel(bg)
+	cancel()
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"KTruss", func() error { _, err := KTruss(ctx, g, 3); return err }},
+		{"MaximalIndependentSet", func() error { _, err := MaximalIndependentSet(ctx, g, 1); return err }},
+		{"BFSParentFused", func() error { _, err := BFSParentFused(ctx, g, 0); return err }},
+		{"BellmanFord", func() error { _, _, err := BellmanFord(ctx, g, 0); return err }},
+		{"CommunityDetectionLabelPropagation", func() error { _, err := CommunityDetectionLabelPropagation(ctx, g, 5); return err }},
+	} {
+		if err := tc.run(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", tc.name, err)
+		}
 	}
 }

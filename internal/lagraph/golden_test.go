@@ -63,14 +63,14 @@ func goldenGraphs(t *testing.T) map[string]*Graph[float64] {
 func goldenCases(g *Graph[float64], undirected bool) map[string]func(t *testing.T) string {
 	cases := map[string]func(t *testing.T) string{
 		"bfs": func(t *testing.T) string {
-			level, err := BFSLevel(g, 0)
+			_, level, err := BreadthFirstSearchAdvanced(bg, g, 0, false, true)
 			if err != nil {
 				t.Fatalf("BFSLevel: %v", err)
 			}
 			return renderVector(level, func(x int32) string { return fmt.Sprintf("%d", x) })
 		},
 		"pagerank": func(t *testing.T) string {
-			pr, iters, err := PageRankGAP(g, 0.85, 1e-4, 100)
+			pr, iters, err := PageRankGAP(bg, g, 0.85, 1e-4, 100)
 			if err != nil {
 				t.Fatalf("PageRank: %v", err)
 			}
@@ -78,14 +78,14 @@ func goldenCases(g *Graph[float64], undirected bool) map[string]func(t *testing.
 				renderVector(pr, func(x float64) string { return fmt.Sprintf("%.12g", x) })
 		},
 		"cc": func(t *testing.T) string {
-			comp, err := ConnectedComponents(g)
+			comp, err := ConnectedComponents(bg, g)
 			if err != nil {
 				t.Fatalf("ConnectedComponents: %v", err)
 			}
 			return renderComponents(comp)
 		},
 		"sssp": func(t *testing.T) string {
-			dist, err := SSSPDeltaStepping(g, 0, 64)
+			dist, err := SSSPDeltaStepping(bg, g, 0, 64)
 			if err != nil {
 				t.Fatalf("SSSP: %v", err)
 			}
@@ -97,7 +97,7 @@ func goldenCases(g *Graph[float64], undirected bool) map[string]func(t *testing.
 			})
 		},
 		"bc": func(t *testing.T) string {
-			bc, err := BetweennessCentrality(g, []int{0, 1, 2, 3})
+			bc, err := BetweennessCentrality(bg, g, []int{0, 1, 2, 3})
 			if err != nil {
 				t.Fatalf("BC: %v", err)
 			}
@@ -106,7 +106,7 @@ func goldenCases(g *Graph[float64], undirected bool) map[string]func(t *testing.
 	}
 	if undirected {
 		cases["tc"] = func(t *testing.T) string {
-			n, err := TriangleCount(g)
+			n, err := TriangleCount(bg, g)
 			if err != nil && !IsWarning(err) {
 				t.Fatalf("TriangleCount: %v", err)
 			}

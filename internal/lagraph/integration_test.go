@@ -51,7 +51,7 @@ func TestCrossValidationBFSAllGraphClasses(t *testing.T) {
 			lg := graphFromEdges(t, e)
 			gg := gap.Build(e.N, e.Src, e.Dst, nil, e.Directed)
 			src := 0
-			p, _, err := BreadthFirstSearch(lg, src, true, true)
+			p, _, err := BreadthFirstSearch(bg, lg, src, true, true)
 			if err != nil && !IsWarning(err) {
 				t.Fatal(err)
 			}
@@ -78,7 +78,7 @@ func TestCrossValidationLevelsAllGraphClasses(t *testing.T) {
 			gg := gap.Build(e.N, e.Src, e.Dst, nil, e.Directed)
 			lg.PropertyAT()
 			lg.PropertyRowDegree()
-			l, err := BFSLevel(lg, 0)
+			_, l, err := BreadthFirstSearchAdvanced(bg, lg, 0, false, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,7 +108,7 @@ func TestCrossValidationPageRank(t *testing.T) {
 			lg.PropertyRowDegree()
 			gg := gap.Build(e.N, e.Src, e.Dst, nil, e.Directed)
 			iters := 50
-			r, _, err := PageRankGAP(lg, 0.85, 0, iters)
+			r, _, err := PageRankGAP(bg, lg, 0.85, 0, iters)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,7 +133,7 @@ func TestCrossValidationTriangleCount(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			lg := graphFromEdges(t, e)
 			gg := gap.Build(e.N, e.Src, e.Dst, nil, false)
-			got, err := TriangleCount(lg)
+			got, err := TriangleCount(bg, lg)
 			if err != nil && !IsWarning(err) {
 				t.Fatal(err)
 			}
@@ -151,8 +151,8 @@ func TestCrossValidationConnectedComponents(t *testing.T) {
 		t.Run(e.Name, func(t *testing.T) {
 			lg := graphFromEdges(t, e)
 			gg := gap.Build(e.N, e.Src, e.Dst, nil, e.Directed)
-			f, err := ConnectedComponents(lg)
-			if err != nil {
+			f, err := ConnectedComponents(bg, lg)
+			if err != nil && !IsWarning(err) {
 				t.Fatal(err)
 			}
 			want := gap.ConnectedComponents(gg)
@@ -189,7 +189,7 @@ func TestCrossValidationSSSP(t *testing.T) {
 			lg := graphFromEdges(t, e)
 			gg := gap.Build(e.N, e.Src, e.Dst, e.W, e.Directed)
 			delta := 64.0
-			d, err := SSSPDeltaStepping(lg, 0, delta)
+			d, err := SSSPDeltaStepping(bg, lg, 0, delta)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -227,7 +227,7 @@ func TestCrossValidationBC(t *testing.T) {
 			gg := gap.Build(e.N, e.Src, e.Dst, nil, e.Directed)
 			sources := []int{0, 3, 5, 7}
 			srcs32 := []int32{0, 3, 5, 7}
-			c, err := BetweennessCentralityAdvanced(lg, sources)
+			c, err := BetweennessCentralityAdvanced(bg, lg, sources)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -20,52 +20,15 @@ import (
 // by both of its v-incident edges).
 
 // LocalClusteringCoefficient is the Basic-mode entry: it verifies the
-// graph is undirected, strips self-edges on a temporary copy if needed
-// (caching NDiag), and returns a sparse vector of coefficients — vertices
-// in no triangle are absent (coefficient 0).
-func LocalClusteringCoefficient[T grb.Value](g *Graph[T]) (*grb.Vector[float64], error) {
-	return LocalClusteringCoefficientCtx(context.Background(), g)
-}
-
-// LocalClusteringCoefficientCtx is the cancellable Basic-mode LCC. Like
+// graph is undirected, strips self-edges (which are not triangles) on a
+// temporary copy if needed, caching NDiag and RowDegree (reported by a
+// WarnCacheNotComputed warning), and returns a sparse vector of
+// coefficients — vertices in no triangle are absent (coefficient 0). Like
 // triangle counting it has no iteration loop, so ctx is polled between
 // its O(nnz) phases.
-func LocalClusteringCoefficientCtx[T grb.Value](ctx context.Context, g *Graph[T]) (*grb.Vector[float64], error) {
-	if g == nil || g.A == nil {
-		return nil, errf(StatusInvalidGraph, "LocalClusteringCoefficient: nil graph")
-	}
-	if g.Kind != AdjacencyUndirected {
-		return nil, errf(StatusInvalidGraph, "LocalClusteringCoefficient: requires an undirected graph")
-	}
-	if g.CachedNDiag() < 0 {
-		if err := g.PropertyNDiag(); err != nil && !IsWarning(err) {
-			return nil, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	work := g
-	if g.CachedNDiag() > 0 {
-		// Self-edges are not triangles; strip them on a copy, leaving the
-		// graph itself untouched (same discipline as TriangleCount).
-		var zero T
-		stripped := grb.MustMatrix[T](g.A.NRows(), g.A.NCols())
-		if err := grb.Select(stripped, grb.NoMask, nil, grb.Offdiag[T](), g.A, zero, nil); err != nil {
-			return nil, wrap(StatusInvalidValue, err, "LCC strip diagonal")
-		}
-		w, err := New(&stripped, AdjacencyUndirected)
-		if err != nil {
-			return nil, err
-		}
-		work = w
-	}
-	if work.CachedRowDegree() == nil {
-		if err := work.PropertyRowDegree(); err != nil && !IsWarning(err) {
-			return nil, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
+func LocalClusteringCoefficient[T grb.Value](ctx context.Context, g *Graph[T]) (*grb.Vector[float64], error) {
+	work, computed, err := withoutSelfEdges(ctx, g, "LocalClusteringCoefficient")
+	if err != nil {
 		return nil, err
 	}
 	prb := ProbeFrom(ctx)
@@ -113,5 +76,5 @@ func LocalClusteringCoefficientCtx[T grb.Value](ctx context.Context, g *Graph[T]
 	if err := grb.EWiseMultV(lcc, grb.NoVMask, nil, grb.DivOp[float64](), tf, denom, nil); err != nil {
 		return nil, wrap(StatusInvalidValue, err, "LCC divide")
 	}
-	return lcc, nil
+	return lcc, cacheWarning("LocalClusteringCoefficient", computed)
 }

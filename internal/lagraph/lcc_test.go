@@ -3,6 +3,7 @@ package lagraph
 import (
 	"context"
 	"math"
+	"math/rand"
 	"testing"
 
 	"lagraph/internal/grb"
@@ -38,7 +39,7 @@ func undirectedFromEdges(t *testing.T, n int, edges [][2]int, withLoops []int) *
 // lccMap runs LCC and collects the stored entries.
 func lccMap(t *testing.T, g *Graph[float64]) map[int]float64 {
 	t.Helper()
-	v, err := LocalClusteringCoefficient(g)
+	v, err := LocalClusteringCoefficient(bg, g)
 	if err != nil && !IsWarning(err) {
 		t.Fatalf("LCC: %v", err)
 	}
@@ -50,7 +51,9 @@ func lccMap(t *testing.T, g *Graph[float64]) map[int]float64 {
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
 
 func TestLCCTriangle(t *testing.T) {
-	// K3: every vertex has degree 2 and sits in one triangle → lcc = 1.
+	// K3: every vertex has degree 2 and sits in one triangle → lcc = 1
+	// (also the case the experimental tier's TestLCCTriangleIsOne pinned
+	// before its duplicate implementation was removed).
 	g := undirectedFromEdges(t, 3, [][2]int{{0, 1}, {1, 2}, {0, 2}}, nil)
 	got := lccMap(t, g)
 	if len(got) != 3 {
@@ -109,19 +112,60 @@ func TestLCCIgnoresSelfLoops(t *testing.T) {
 	}
 }
 
+// TestLCCMatchesReference compares against a brute-force count on random
+// undirected graphs (moved here from the experimental tier with its
+// duplicate implementation). The output is sparse: a vertex is stored iff
+// its coefficient is non-zero.
+func TestLCCMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 8; trial++ {
+		n := 6 + rng.Intn(25)
+		var edges [][2]int
+		linked := map[[2]int]bool{}
+		adj := make([][]int, n)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if rng.Float64() < 0.3 {
+					edges = append(edges, [2]int{i, j})
+					linked[[2]int{i, j}] = true
+					adj[i] = append(adj[i], j)
+					adj[j] = append(adj[j], i)
+				}
+			}
+		}
+		got := lccMap(t, undirectedFromEdges(t, n, edges, nil))
+		for v := 0; v < n; v++ {
+			links := 0
+			for _, a := range adj[v] {
+				for _, b := range adj[v] {
+					if linked[[2]int{a, b}] { // a < b by construction
+						links++
+					}
+				}
+			}
+			want := 0.0
+			if links > 0 {
+				want = 2 * float64(links) / float64(len(adj[v])*(len(adj[v])-1))
+			}
+			c, stored := got[v]
+			if stored != (want != 0) || !almost(c, want) {
+				t.Fatalf("trial %d: lcc(%d) = %v (stored %v), want %v", trial, v, c, stored, want)
+			}
+		}
+	}
+}
+
 func TestLCCRejectsDirected(t *testing.T) {
 	A, _ := grb.MatrixFromTuples(3, 3, []int{0, 1}, []int{1, 2}, []float64{1, 1}, nil)
 	g := mustGraph(t, A, AdjacencyDirected)
-	if _, err := LocalClusteringCoefficient(g); err == nil || IsWarning(err) {
+	if _, err := LocalClusteringCoefficient(bg, g); err == nil || IsWarning(err) {
 		t.Fatal("directed graph accepted")
 	}
 }
 
 func TestLCCCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
 	g := undirectedFromEdges(t, 3, [][2]int{{0, 1}, {1, 2}, {0, 2}}, nil)
-	if _, err := LocalClusteringCoefficientCtx(ctx, g); err != context.Canceled {
+	if _, err := LocalClusteringCoefficient(cancelledCtx(), g); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

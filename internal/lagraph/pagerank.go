@@ -16,75 +16,51 @@ import (
 
 // PageRankGAP is Algorithm 4 (Advanced mode). It requires the cached AT
 // and RowDegree properties. It returns the rank vector and the number of
-// iterations performed.
-func PageRankGAP[T grb.Value](g *Graph[T], damping, tol float64, itermax int) (*grb.Vector[float64], int, error) {
-	return PageRankGAPCtx(context.Background(), g, damping, tol, itermax)
+// iterations performed; the power iteration polls ctx once per sweep and
+// returns ctx.Err() when it is done.
+func PageRankGAP[T grb.Value](ctx context.Context, g *Graph[T], damping, tol float64, itermax int) (*grb.Vector[float64], int, error) {
+	return pagerank(ctx, g, "PageRankGAP", damping, tol, itermax, false)
 }
 
-// PageRankGAPCtx is the cancellable PageRankGAP: the power iteration polls
-// ctx once per sweep and returns ctx.Err() when it is done.
-func PageRankGAPCtx[T grb.Value](ctx context.Context, g *Graph[T], damping, tol float64, itermax int) (*grb.Vector[float64], int, error) {
-	if g == nil || g.A == nil {
-		return nil, 0, errf(StatusInvalidGraph, "PageRankGAP: nil graph")
-	}
-	at, rowDegree := g.CachedAT(), g.CachedRowDegree()
-	if at == nil || rowDegree == nil {
-		return nil, 0, errf(StatusPropertyMissing, "PageRankGAP: G.AT and G.RowDegree must be cached")
-	}
-	return pagerank(ctx, g, at, rowDegree, damping, tol, itermax, false)
-}
-
-// PageRankGX is the Graphalytics variant (Advanced mode): dangling
-// vertices' rank is gathered each iteration and redistributed uniformly,
-// so the ranks remain a probability distribution.
-func PageRankGX[T grb.Value](g *Graph[T], damping, tol float64, itermax int) (*grb.Vector[float64], int, error) {
-	return PageRankGXCtx(context.Background(), g, damping, tol, itermax)
-}
-
-// PageRankGXCtx is the cancellable PageRankGX.
-func PageRankGXCtx[T grb.Value](ctx context.Context, g *Graph[T], damping, tol float64, itermax int) (*grb.Vector[float64], int, error) {
-	if g == nil || g.A == nil {
-		return nil, 0, errf(StatusInvalidGraph, "PageRankGX: nil graph")
-	}
-	at, rowDegree := g.CachedAT(), g.CachedRowDegree()
-	if at == nil || rowDegree == nil {
-		return nil, 0, errf(StatusPropertyMissing, "PageRankGX: G.AT and G.RowDegree must be cached")
-	}
-	return pagerank(ctx, g, at, rowDegree, damping, tol, itermax, true)
+// PageRankGX is the Graphalytics variant (Advanced mode, same property
+// requirements): dangling vertices' rank is gathered each iteration and
+// redistributed uniformly, so the ranks remain a probability distribution.
+func PageRankGX[T grb.Value](ctx context.Context, g *Graph[T], damping, tol float64, itermax int) (*grb.Vector[float64], int, error) {
+	return pagerank(ctx, g, "PageRankGX", damping, tol, itermax, true)
 }
 
 // PageRank is the Basic-mode entry point: properties are computed and
-// cached as needed and the dangling-safe variant is selected, since basic
-// users "simply want the correct answer" (paper §II-B).
-func PageRank[T grb.Value](g *Graph[T], damping, tol float64, itermax int) (*grb.Vector[float64], int, error) {
-	if g == nil || g.A == nil {
-		return nil, 0, errf(StatusInvalidGraph, "PageRank: nil graph")
+// cached as needed (reported by a WarnCacheNotComputed warning) and the
+// dangling-safe variant is selected, since basic users "simply want the
+// correct answer" (paper §II-B).
+func PageRank[T grb.Value](ctx context.Context, g *Graph[T], damping, tol float64, itermax int) (*grb.Vector[float64], int, error) {
+	if err := validateGraph(g, "PageRank"); err != nil {
+		return nil, 0, err
 	}
-	warned := false
-	if g.CachedAT() == nil {
-		if err := g.PropertyAT(); err != nil && !IsWarning(err) {
-			return nil, 0, err
-		}
-		warned = true
+	computed, err := ensureCached(ctx, g.PropertyAT, g.PropertyRowDegree)
+	if err != nil {
+		return nil, 0, err
 	}
-	if g.CachedRowDegree() == nil {
-		if err := g.PropertyRowDegree(); err != nil && !IsWarning(err) {
-			return nil, 0, err
-		}
-		warned = true
+	r, iters, err := pagerank(ctx, g, "PageRank", damping, tol, itermax, true)
+	if err != nil {
+		return nil, iters, err
 	}
-	r, it, err := pagerank(context.Background(), g, g.CachedAT(), g.CachedRowDegree(), damping, tol, itermax, true)
-	if err == nil && warned {
-		return r, it, &Warning{Status: WarnCacheNotComputed, Msg: "PageRank cached graph properties"}
-	}
-	return r, it, err
+	return r, iters, cacheWarning("PageRank", computed)
 }
 
-// pagerank runs Algorithm 4 against the caller's snapshots of the cached
-// transpose and out-degree vector (taken via the Cached* accessors, so
-// concurrent property materialization cannot race with the iteration).
-// ctx is polled once per power-iteration sweep.
-func pagerank[T grb.Value](ctx context.Context, g *Graph[T], at *grb.Matrix[T], rowDegree *grb.Vector[int64], damping, tol float64, itermax int, handleDangling bool) (*grb.Vector[float64], int, error) {
+// pagerank runs Algorithm 4 for the entry point named op against snapshots
+// of the cached transpose and out-degree vector (taken via the Cached*
+// accessors, so concurrent property materialization cannot race with the
+// iteration); either one missing is StatusPropertyMissing. ctx is polled
+// once per power-iteration sweep.
+func pagerank[T grb.Value](ctx context.Context, g *Graph[T], op string, damping, tol float64, itermax int, handleDangling bool) (*grb.Vector[float64], int, error) {
+	if err := validateGraph(g, op); err != nil {
+		return nil, 0, err
+	}
+	at, rowDegree := g.CachedAT(), g.CachedRowDegree()
+	if at == nil || rowDegree == nil {
+		return nil, 0, errf(StatusPropertyMissing, "%s: G.AT and G.RowDegree must be cached", op)
+	}
 	prb := ProbeFrom(ctx)
 	n := g.NumNodes()
 	if n == 0 {

@@ -5,8 +5,8 @@ import (
 	"sync"
 )
 
-// Kernel introspection. A Probe rides the context into a kernel's *Ctx
-// entry point and collects per-iteration events — BFS/BC frontier sizes
+// Kernel introspection. A Probe rides the context into a kernel's entry
+// point and collects per-iteration events — BFS/BC frontier sizes
 // and push-vs-pull direction decisions, PageRank residuals and
 // convergence status, SSSP bucket frontiers and relaxation counts,
 // FastSV hooking rounds, tc/lcc nnz processed and the method chosen —

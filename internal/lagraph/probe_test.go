@@ -122,7 +122,7 @@ func TestProbeRoundTrip(t *testing.T) {
 	if err := g.PropertyRowDegree(); err != nil && !IsWarning(err) {
 		t.Fatal(err)
 	}
-	if _, _, err := BreadthFirstSearchCtx(ctx, g, 0, true, true); err != nil {
+	if _, _, err := BreadthFirstSearch(ctx, g, 0, true, true); err != nil {
 		t.Fatal(err)
 	}
 	snap := p.Snapshot()

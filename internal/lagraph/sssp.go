@@ -14,15 +14,16 @@ import (
 
 // SingleSourceShortestPath is the Basic-mode entry point. A non-positive
 // delta selects a heuristic bucket width from the graph's mean degree.
-// Edge weights must be non-negative.
-func SingleSourceShortestPath[T grb.Number](g *Graph[T], src int, delta T) (*grb.Vector[T], error) {
+// Edge weights must be non-negative. Delta-stepping reads only G.A, so
+// there is no property to cache and the Basic warning never arises.
+func SingleSourceShortestPath[T grb.Number](ctx context.Context, g *Graph[T], src int, delta T) (*grb.Vector[T], error) {
 	if err := validateSource(g, src, "SingleSourceShortestPath"); err != nil {
 		return nil, err
 	}
 	if delta <= 0 {
 		delta = defaultDelta[T](g)
 	}
-	return SSSPDeltaStepping(g, src, delta)
+	return SSSPDeltaStepping(ctx, g, src, delta)
 }
 
 // defaultDelta picks Δ the way the GAP benchmark's runner does for its
@@ -54,14 +55,9 @@ func defaultDelta[T grb.Number](g *Graph[T]) T {
 // requires delta > 0. Distances to unreachable vertices are +inf for
 // floating-point weight types (callers on integer graphs should use
 // Reachable to interpret the result: unreached entries hold MaxOf[T]).
-func SSSPDeltaStepping[T grb.Number](g *Graph[T], src int, delta T) (*grb.Vector[T], error) {
-	return SSSPDeltaSteppingCtx(context.Background(), g, src, delta)
-}
-
-// SSSPDeltaSteppingCtx is the cancellable delta-stepping SSSP: ctx is
-// polled at every bucket epoch and every inner light-edge relaxation
-// round, returning ctx.Err() once it is done.
-func SSSPDeltaSteppingCtx[T grb.Number](ctx context.Context, g *Graph[T], src int, delta T) (*grb.Vector[T], error) {
+// ctx is polled at every bucket epoch and every inner light-edge
+// relaxation round, returning ctx.Err() once it is done.
+func SSSPDeltaStepping[T grb.Number](ctx context.Context, g *Graph[T], src int, delta T) (*grb.Vector[T], error) {
 	if err := validateSource(g, src, "SSSPDeltaStepping"); err != nil {
 		return nil, err
 	}

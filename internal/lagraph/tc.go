@@ -45,76 +45,70 @@ func (m TCMethod) String() string {
 
 // TriangleCount is the Basic-mode entry: it verifies the graph is
 // undirected with no self-edges (removing them on a temporary copy if
-// needed), caches RowDegree for the sort heuristic, and runs Algorithm 6
-// with the presort decided by SampleDegree.
-func TriangleCount[T grb.Value](g *Graph[T]) (int64, error) {
-	return TriangleCountCtx(context.Background(), g)
-}
-
-// TriangleCountCtx is the cancellable Basic-mode triangle count. TC has no
-// iteration loop — it is a handful of O(nnz)+ phases (diagonal strip,
-// degree sort, masked multiply) — so ctx is polled between phases, the
-// finest granularity the formulation admits.
-func TriangleCountCtx[T grb.Value](ctx context.Context, g *Graph[T]) (int64, error) {
-	if g == nil || g.A == nil {
-		return 0, errf(StatusInvalidGraph, "TriangleCount: nil graph")
-	}
-	if g.Kind != AdjacencyUndirected {
-		return 0, errf(StatusInvalidGraph, "TriangleCount: requires an undirected graph")
-	}
-	if g.CachedNDiag() < 0 {
-		if err := g.PropertyNDiag(); err != nil && !IsWarning(err) {
-			return 0, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
+// needed), caches NDiag and RowDegree (reported by a WarnCacheNotComputed
+// warning), and runs Algorithm 6 with the presort decided by SampleDegree.
+// TC has no iteration loop — it is a handful of O(nnz)+ phases (diagonal
+// strip, degree sort, masked multiply) — so ctx is polled between phases,
+// the finest granularity the formulation admits.
+func TriangleCount[T grb.Value](ctx context.Context, g *Graph[T]) (int64, error) {
+	work, computed, err := withoutSelfEdges(ctx, g, "TriangleCount")
+	if err != nil {
 		return 0, err
-	}
-	work := g
-	if g.CachedNDiag() > 0 {
-		// Strip self-edges on a copy; the graph itself is left untouched.
-		var zero T
-		stripped := grb.MustMatrix[T](g.A.NRows(), g.A.NCols())
-		if err := grb.Select(stripped, grb.NoMask, nil, grb.Offdiag[T](), g.A, zero, nil); err != nil {
-			return 0, wrap(StatusInvalidValue, err, "TriangleCount strip diagonal")
-		}
-		w, err := New(&stripped, AdjacencyUndirected)
-		if err != nil {
-			return 0, err
-		}
-		work = w
-	}
-	if work.CachedRowDegree() == nil {
-		if err := work.PropertyRowDegree(); err != nil && !IsWarning(err) {
-			return 0, err
-		}
 	}
 	// Algorithm 6 line 2-5: sample degrees; sort if mean > 4 * median.
 	mean, median, err := work.SampleDegree(64)
 	if err != nil {
 		return 0, err
 	}
-	presort := mean > 4*median
-	return triangleCount(ctx, work, TCSandiaLUT, presort)
+	count, err := TriangleCountAdvanced(ctx, work, TCSandiaLUT, mean > 4*median)
+	if err != nil {
+		return 0, err
+	}
+	return count, cacheWarning("TriangleCount", computed)
+}
+
+// withoutSelfEdges is the Basic-mode preamble TriangleCount and
+// LocalClusteringCoefficient share: it verifies g is undirected, caches
+// NDiag, strips self-edges on a copy when there are any (the graph itself
+// is left untouched), and makes sure RowDegree is cached on the graph it
+// returns. computed reports whether anything was cached on g itself.
+func withoutSelfEdges[T grb.Value](ctx context.Context, g *Graph[T], op string) (work *Graph[T], computed bool, err error) {
+	if err := validateGraph(g, op); err != nil {
+		return nil, false, err
+	}
+	if g.Kind != AdjacencyUndirected {
+		return nil, false, errf(StatusInvalidGraph, "%s: requires an undirected graph", op)
+	}
+	if computed, err = ensureCached(ctx, g.PropertyNDiag); err != nil {
+		return nil, false, err
+	}
+	work = g
+	if g.CachedNDiag() > 0 {
+		var zero T
+		stripped := grb.MustMatrix[T](g.A.NRows(), g.A.NCols())
+		if err := grb.Select(stripped, grb.NoMask, nil, grb.Offdiag[T](), g.A, zero, nil); err != nil {
+			return nil, false, wrap(StatusInvalidValue, err, op+" strip diagonal")
+		}
+		if work, err = New(&stripped, AdjacencyUndirected); err != nil {
+			return nil, false, err
+		}
+	}
+	degreeComputed, err := ensureCached(ctx, work.PropertyRowDegree)
+	if err != nil {
+		return nil, false, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, false, err
+	}
+	return work, computed || (degreeComputed && work == g), nil
 }
 
 // TriangleCountAdvanced runs a chosen method (Advanced mode: RowDegree
 // must be cached when presort is requested; nothing is computed or cached
-// on the graph).
-func TriangleCountAdvanced[T grb.Value](g *Graph[T], method TCMethod, presort bool) (int64, error) {
-	return triangleCount(context.Background(), g, method, presort)
-}
-
-// TriangleCountAdvancedCtx is the cancellable TriangleCountAdvanced: ctx
-// is polled between the formulation's phases.
-func TriangleCountAdvancedCtx[T grb.Value](ctx context.Context, g *Graph[T], method TCMethod, presort bool) (int64, error) {
-	return triangleCount(ctx, g, method, presort)
-}
-
-// triangleCount runs a chosen method, polling ctx between phases.
-func triangleCount[T grb.Value](ctx context.Context, g *Graph[T], method TCMethod, presort bool) (int64, error) {
-	if g == nil || g.A == nil {
-		return 0, errf(StatusInvalidGraph, "TriangleCountAdvanced: nil graph")
+// on the graph), polling ctx between the formulation's phases.
+func TriangleCountAdvanced[T grb.Value](ctx context.Context, g *Graph[T], method TCMethod, presort bool) (int64, error) {
+	if err := validateGraph(g, "TriangleCountAdvanced"); err != nil {
+		return 0, err
 	}
 	prb := ProbeFrom(ctx)
 	prb.SetMethod(method.String())

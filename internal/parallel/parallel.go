@@ -48,31 +48,50 @@ func Threads(n int) int {
 	return t
 }
 
+// Blocks is the one fan-out primitive: it splits [0, n) into at most
+// Threads(n) contiguous blocks, runs body(lo, hi) on each concurrently and
+// returns the per-block results in block order, for the caller to combine.
+// A single block runs inline on the caller's goroutine. body must be safe
+// to call concurrently on disjoint ranges.
+func Blocks[S any](n int, body func(lo, hi int) S) []S {
+	if n <= 0 {
+		return nil
+	}
+	t := Threads(n)
+	chunk := (n + t - 1) / t
+	out := make([]S, (n+chunk-1)/chunk)
+	if len(out) == 1 {
+		out[0] = body(0, n)
+		return out
+	}
+	var wg sync.WaitGroup
+	for b := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lo := b * chunk
+			out[b] = body(lo, min(lo+chunk, n))
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
 // For runs body(lo, hi) over disjoint contiguous chunks covering [0, n).
 // body must be safe to call concurrently on disjoint ranges.
 func For(n int, body func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	t := Threads(n)
-	if t == 1 {
-		body(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + t - 1) / t
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+	if Threads(n) == 1 {
+		// Inline, and without the adapter closure below: this is the
+		// per-call path of every tiny-frontier iteration.
+		if n > 0 {
+			body(0, n)
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			body(lo, hi)
-		}(lo, hi)
+		return
 	}
-	wg.Wait()
+	Blocks(n, func(lo, hi int) struct{} {
+		body(lo, hi)
+		return struct{}{}
+	})
 }
 
 // ForEach runs body(i) for every i in [0, n) with static chunking.
@@ -125,69 +144,15 @@ func Guided(n, grain int, body func(i int)) {
 	wg.Wait()
 }
 
-// ReduceInt64 computes the combination of body(lo,hi) partial results over
+// Reduce computes the combination of body(lo,hi) partial results over
 // [0, n) using comb, starting from identity. comb must be associative.
-func ReduceInt64(n int, identity int64, body func(lo, hi int) int64, comb func(a, b int64) int64) int64 {
-	if n <= 0 {
-		return identity
+func Reduce[T any](n int, identity T, body func(lo, hi int) T, comb func(a, b T) T) T {
+	if n > 0 && Threads(n) == 1 {
+		return comb(identity, body(0, n)) // no per-block slice on the tiny path
 	}
-	t := Threads(n)
-	if t == 1 {
-		return comb(identity, body(0, n))
-	}
-	parts := make([]int64, t)
-	var wg sync.WaitGroup
-	chunk := (n + t - 1) / t
-	idx := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(slot, lo, hi int) {
-			defer wg.Done()
-			parts[slot] = body(lo, hi)
-		}(idx, lo, hi)
-		idx++
-	}
-	wg.Wait()
 	acc := identity
-	for _, p := range parts[:idx] {
-		acc = comb(acc, p)
-	}
-	return acc
-}
-
-// ReduceFloat64 is ReduceInt64 for float64 partials.
-func ReduceFloat64(n int, identity float64, body func(lo, hi int) float64, comb func(a, b float64) float64) float64 {
-	if n <= 0 {
-		return identity
-	}
-	t := Threads(n)
-	if t == 1 {
-		return comb(identity, body(0, n))
-	}
-	parts := make([]float64, t)
-	var wg sync.WaitGroup
-	chunk := (n + t - 1) / t
-	idx := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(slot, lo, hi int) {
-			defer wg.Done()
-			parts[slot] = body(lo, hi)
-		}(idx, lo, hi)
-		idx++
-	}
-	wg.Wait()
-	acc := identity
-	for _, p := range parts[:idx] {
-		acc = comb(acc, p)
+	for _, part := range Blocks(n, body) {
+		acc = comb(acc, part)
 	}
 	return acc
 }

@@ -48,6 +48,21 @@ func TestForCoversRangeExactlyOnce(t *testing.T) {
 	}
 }
 
+func TestBlocksCoverRangeInBlockOrder(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 3000, 10000} {
+		next := 0
+		for _, blk := range Blocks(n, func(lo, hi int) [2]int { return [2]int{lo, hi} }) {
+			if blk[0] != next || blk[1] <= blk[0] {
+				t.Fatalf("n=%d: block [%d,%d) after %d", n, blk[0], blk[1], next)
+			}
+			next = blk[1]
+		}
+		if next != n {
+			t.Fatalf("n=%d: blocks cover [0,%d)", n, next)
+		}
+	}
+}
+
 func TestForEachAndGuidedCoverage(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 3000, 10000} {
 		hits := make([]int32, n)
@@ -69,7 +84,7 @@ func TestForEachAndGuidedCoverage(t *testing.T) {
 
 func TestReduceInt64(t *testing.T) {
 	n := 100000
-	got := ReduceInt64(n, 0, func(lo, hi int) int64 {
+	got := Reduce(n, 0, func(lo, hi int) int64 {
 		var s int64
 		for i := lo; i < hi; i++ {
 			s += int64(i)
@@ -80,14 +95,14 @@ func TestReduceInt64(t *testing.T) {
 	if got != want {
 		t.Fatalf("sum = %d, want %d", got, want)
 	}
-	if ReduceInt64(0, 42, nil, func(a, b int64) int64 { return a + b }) != 42 {
+	if Reduce(0, 42, nil, func(a, b int64) int64 { return a + b }) != 42 {
 		t.Fatal("empty reduce must return identity")
 	}
 }
 
 func TestReduceFloat64(t *testing.T) {
 	n := 50000
-	got := ReduceFloat64(n, 0, func(lo, hi int) float64 {
+	got := Reduce(n, 0, func(lo, hi int) float64 {
 		var s float64
 		for i := lo; i < hi; i++ {
 			s++

@@ -93,7 +93,7 @@ func (s *Server) submitAlgorithmJob(r *http.Request, display string, d *algo.Des
 		ctx = obs.NewContext(ctx, tr)
 		// EnsureProperties also finalizes a streamed-in snapshot's
 		// pending deltas before any kernel reads the matrix structure.
-		pctx, psp := obs.StartSpan(ctx, "properties", obs.String("graph", name))
+		_, psp := obs.StartSpan(ctx, "properties", obs.String("graph", name))
 		pstart := time.Now()
 		err := entry.EnsureProperties(d.RequiredProperties(g)...)
 		propSecs := time.Since(pstart).Seconds()
@@ -109,7 +109,7 @@ func (s *Server) submitAlgorithmJob(r *http.Request, display string, d *algo.Des
 		// Every service run carries a probe: the report feeds the
 		// explain surfaces, the per-algorithm metrics and the tracer.
 		prb := lagraph.NewProbe(0)
-		kctx, ksp := obs.StartSpan(pctx, "kernel:"+d.Name)
+		kctx, ksp := obs.StartSpan(ctx, "kernel:"+d.Name)
 		kctx = lagraph.WithProbe(kctx, prb)
 		start := time.Now()
 		res, err := d.Run(kctx, g, p)

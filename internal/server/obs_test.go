@@ -146,14 +146,20 @@ func TestTraceLifecycle(t *testing.T) {
 	if !ok {
 		t.Fatal("finished trace not in the ring")
 	}
-	names := map[string]bool{}
+	parents := map[string]string{}
 	for _, sp := range info.Spans {
-		names[sp.Name] = true
+		parents[sp.Name] = sp.Parent
 	}
 	for _, want := range []string{"http POST /graphs/{name}/algorithms/{alg}", "properties", "kernel:bfs"} {
-		if !names[want] {
-			t.Errorf("span %q missing; trace has %v", want, names)
+		if _, ok := parents[want]; !ok {
+			t.Errorf("span %q missing; trace has %v", want, parents)
 		}
+	}
+	// Property materialization and the kernel run are consecutive phases
+	// of the job, so their spans are siblings — not kernel under properties.
+	if parents["kernel:bfs"] != parents["properties"] {
+		t.Errorf("kernel:bfs has parent %q, properties has %q; want siblings",
+			parents["kernel:bfs"], parents["properties"])
 	}
 
 	// And over HTTP: /debug/traces/{id} serves the same snapshot.

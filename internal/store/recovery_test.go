@@ -254,7 +254,7 @@ func TestKillAndRecoverAfterCompactionCheckpoint(t *testing.T) {
 
 func TestRecoveryStopsAtTornTail(t *testing.T) {
 	dir := t.TempDir()
-	opts := stream.Options{CompactThreshold: 1 << 20}
+	opts := stream.Options{CompactThreshold: 1 << 20, CompactRatio: 1e9}
 
 	h1, _ := newHarness(t, dir, opts)
 	h1.loadGraph(t, "g", lagraph.AdjacencyDirected, 4, [][3]float64{{0, 1, 1}})

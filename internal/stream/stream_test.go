@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -120,14 +121,14 @@ func TestApplySnapshotIsolation(t *testing.T) {
 
 	// BFS confirms semantic visibility: from 0 the old graph reaches
 	// {0,1,2}, the new graph (0→1 deleted) reaches only {0}.
-	parent, _, err := lagraph.BreadthFirstSearch(og, 0, true, false)
+	parent, _, err := lagraph.BreadthFirstSearch(context.Background(), og, 0, true, false)
 	if err != nil && !lagraph.IsWarning(err) {
 		t.Fatal(err)
 	}
 	if parent.NVals() != 3 {
 		t.Fatalf("old BFS reached %d, want 3", parent.NVals())
 	}
-	parent, _, err = lagraph.BreadthFirstSearch(ng, 0, true, false)
+	parent, _, err = lagraph.BreadthFirstSearch(context.Background(), ng, 0, true, false)
 	if err != nil && !lagraph.IsWarning(err) {
 		t.Fatal(err)
 	}
@@ -411,7 +412,7 @@ func TestConcurrentMutateWhileQuerying(t *testing.T) {
 				if g.NumEdges() < 0 {
 					errc <- fmt.Errorf("negative edge count")
 				}
-				parent, _, err := lagraph.BreadthFirstSearch(g, q%16, true, false)
+				parent, _, err := lagraph.BreadthFirstSearch(context.Background(), g, q%16, true, false)
 				if err != nil && !lagraph.IsWarning(err) {
 					errc <- fmt.Errorf("reader %d round %d: %w", q, r, err)
 					l.Release()
