@@ -23,7 +23,6 @@ import (
 	"lagraph/internal/bench"
 	"lagraph/internal/grb"
 	"lagraph/internal/lagraph"
-	"lagraph/internal/lagraph/experimental"
 )
 
 const benchScale = 12
@@ -307,13 +306,15 @@ func BenchmarkAblation_AnySecondI_Pull(b *testing.B) { anyVsMin(b, true) }
 func BenchmarkAblation_MinSecondI_Pull(b *testing.B) { anyVsMin(b, false) }
 
 // BenchmarkAblation_BFS_Fused vs Unfused on the Road graph: §VI-B's fusion
-// future work (one pass instead of vxm + assign per level) measured where
-// it matters most — the high-diameter class with thousands of tiny steps.
+// (one pass instead of vxm + assign per level) measured where it matters
+// most — the high-diameter class with thousands of tiny steps. The
+// kernels use the fused step; the unfused side spells out Algorithm 1's
+// two GraphBLAS calls here, so the product code carries no second path.
 func BenchmarkAblation_BFS_Fused_Road(b *testing.B) {
 	w := load(b, "Road")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experimental.BFSParentFused(bg, w.LG, w.Sources[i%len(w.Sources)]); err != nil {
+		if _, err := lagraph.BFSParentPushOnly(bg, w.LG, w.Sources[i%len(w.Sources)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -321,28 +322,41 @@ func BenchmarkAblation_BFS_Fused_Road(b *testing.B) {
 
 func BenchmarkAblation_BFS_Unfused_Road(b *testing.B) {
 	w := load(b, "Road")
+	n := w.Edges.N
+	semiring := grb.AnySecondI[int64, float64, int64]()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lagraph.BFSParentPushOnly(bg, w.LG, w.Sources[i%len(w.Sources)]); err != nil {
-			b.Fatal(err)
+		src := w.Sources[i%len(w.Sources)]
+		p, q := grb.MustVector[int64](n), grb.MustVector[int64](n)
+		lagraph.Must(p.SetElement(int64(src), src))
+		lagraph.Must(q.SetElement(int64(src), src))
+		for level := 1; level < n && q.NVals() > 0; level++ {
+			// qᵀ⟨¬s(pᵀ), r⟩ = qᵀ any.secondi A, then p⟨s(q)⟩ = q
+			if err := grb.VxM(q, grb.StructVMaskOf(p).Not(), nil, semiring, q, w.LG.A, grb.DescR); err != nil {
+				b.Fatal(err)
+			}
+			if err := grb.AssignVector(p, grb.StructVMaskOf(q), nil, q, grb.All, nil); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
 
 // BenchmarkAblation_Pool_{On,Off}: §VI-B's internal memory pool future
-// work — scratch reuse across the thousands of small GraphBLAS calls the
-// Road BFS makes.
+// work — scratch reuse across the thousands of small GraphBLAS calls a
+// Road traversal makes. SSSP is the Road kernel whose every step is a
+// push vxm, the one operation that borrows from the pool.
 func poolAblation(b *testing.B, on bool) {
 	w := load(b, "Road")
 	prev := grb.SetPoolEnabled(on)
 	defer grb.SetPoolEnabled(prev)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lagraph.BFSParentPushOnly(bg, w.LG, w.Sources[i%len(w.Sources)]); err != nil {
+		if _, err := lagraph.SSSPDeltaStepping(bg, w.LG, w.Sources[i%len(w.Sources)], 64); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkAblation_PoolOn_RoadBFS(b *testing.B)  { poolAblation(b, true) }
-func BenchmarkAblation_PoolOff_RoadBFS(b *testing.B) { poolAblation(b, false) }
+func BenchmarkAblation_PoolOn_RoadSSSP(b *testing.B)  { poolAblation(b, true) }
+func BenchmarkAblation_PoolOff_RoadSSSP(b *testing.B) { poolAblation(b, false) }

@@ -8,20 +8,16 @@
 //	gapbench -table4 -scale 14
 //	gapbench -table3 -algos BFS,PR -graphs Kron,Road
 //	gapbench -table3 -algos lcc,tc.advanced -graphs Kron    # catalog-only kernels
-//	gapbench -table3 -json BENCH_2026-08-07.json            # recorded perf point
 //	gapbench -list-algorithms
-//
-// With -json the run additionally writes a machine-readable perf record
-// (schema lagraph-bench/v2): per-cell seconds and GTEPS, each SS cell's
-// kernel introspection report (iterations, convergence, work counters),
-// the graph sizes, and the git revision — one point of the repo's
-// recorded performance trajectory, produced in CI on every run and
-// compared against the committed baseline by cmd/benchdiff.
 //
 // Table III prints the run time (seconds) of the GAP-style baselines
 // ("GAP") and the LAGraph-on-GraphBLAS implementations ("SS", following
 // the paper's label for LAGraph+SS:GrB) for six kernels on five graphs,
 // plus the SS/GAP ratio so the "shape" — who wins where — is explicit.
+// Within a cell the two implementations alternate trial by trial, so the
+// box's drift over a long run lands on both sides of every ratio. This
+// is the paper artefact only: whether a change made the repo faster or
+// slower is bench/e2e's question.
 //
 // The SS side dispatches through the algorithm catalog (internal/algo),
 // so -algos accepts any registered algorithm name — kernels without a GAP
@@ -30,97 +26,16 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/debug"
 	"strings"
-	"time"
 
 	"lagraph/internal/algo"
 	"lagraph/internal/bench"
 	"lagraph/internal/lagraph"
 )
-
-// benchRecord is the -json perf record, schema lagraph-bench/v2 (v1 plus
-// per-cell run reports; benchdiff still reads v1). Each cell is one
-// (algorithm, implementation, graph) timing with its derived GTEPS;
-// successive records — one per CI run — form the repo's recorded
-// performance trajectory.
-type benchRecord struct {
-	Schema string `json:"schema"` // "lagraph-bench/v2"
-	Date   string `json:"date"`   // RFC 3339, UTC
-	// GitRev deliberately has no omitempty: benchdiff labels both sides of
-	// a comparison by this field, so it is always present ("unknown" when
-	// neither the -git-rev flag nor a VCS stamp supplies one).
-	GitRev     string        `json:"git_rev"`
-	GoVersion  string        `json:"go_version"`
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	Scale      int           `json:"scale"`
-	EdgeFactor int           `json:"edge_factor"`
-	Trials     int           `json:"trials"`
-	Seed       uint64        `json:"seed"`
-	Graphs     []graphRecord `json:"graphs"`
-	Cells      []cellRecord  `json:"cells"`
-}
-
-// graphRecord is one benchmark graph's size, mirroring Table IV.
-type graphRecord struct {
-	Name    string `json:"name"`
-	Nodes   int    `json:"nodes"`
-	Entries int    `json:"entries"` // nonzeros in A
-	Kind    string `json:"kind"`    // directed | undirected
-}
-
-// cellRecord is one Table III cell. GTEPS is entries/seconds/1e9 — the
-// GAP convention of edges traversed per second, using the adjacency
-// entry count as the work proxy so the figure is comparable across runs
-// of the same graph. Skipped cells carry the reason instead of a time.
-type cellRecord struct {
-	Algorithm string  `json:"algorithm"`
-	Impl      string  `json:"impl"` // GAP | SS
-	Graph     string  `json:"graph"`
-	Trials    int     `json:"trials,omitempty"`
-	Seconds   float64 `json:"seconds,omitempty"`
-	GTEPS     float64 `json:"gteps,omitempty"`
-	Skipped   string  `json:"skipped,omitempty"`
-	// Report is the SS cell's kernel introspection record (v2 addition):
-	// the first trial's iteration trace, convergence status and work
-	// counters. GAP baseline cells have none.
-	Report *algo.RunReport `json:"report,omitempty"`
-}
-
-// gitRevision labels the record's side of a benchdiff comparison: the
-// -git-rev flag wins (CI passes $GITHUB_SHA), then the VCS revision
-// stamped into the binary ("-dirty" appended for modified checkouts),
-// then the literal "unknown" — never an empty field, so a benchdiff of
-// records from stampless builds (`go run`, a source tarball outside any
-// checkout) can still label both sides.
-func gitRevision(flagRev string) string {
-	if flagRev != "" {
-		return flagRev
-	}
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		rev, dirty := "", false
-		for _, kv := range bi.Settings {
-			switch kv.Key {
-			case "vcs.revision":
-				rev = kv.Value
-			case "vcs.modified":
-				dirty = kv.Value == "true"
-			}
-		}
-		if rev != "" {
-			if dirty {
-				rev += "-dirty"
-			}
-			return rev
-		}
-	}
-	return "unknown"
-}
 
 func main() {
 	var (
@@ -133,8 +48,6 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "generator seed")
 		algos    = flag.String("algos", strings.Join(bench.AlgNames, ","), "comma-separated kernels (Table III labels or catalog names)")
 		graphs   = flag.String("graphs", strings.Join(bench.GraphNames, ","), "comma-separated graph classes")
-		jsonOut  = flag.String("json", "", "also write a lagraph-bench/v2 perf record to this file")
-		gitRev   = flag.String("git-rev", "", "git revision recorded in the -json output (default: the binary's VCS stamp)")
 	)
 	flag.Parse()
 	if *listAlgs {
@@ -170,41 +83,8 @@ func main() {
 	if *table4 {
 		printTable4(graphList, workloads)
 	}
-	var cells []cellRecord
 	if *table3 {
-		cells = printTable3(graphList, algoList, workloads, *trials)
-	}
-	if *jsonOut != "" {
-		rec := benchRecord{
-			Schema:     "lagraph-bench/v2",
-			Date:       time.Now().UTC().Format(time.RFC3339),
-			GitRev:     gitRevision(*gitRev),
-			GoVersion:  runtime.Version(),
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			Scale:      *scale,
-			EdgeFactor: *ef,
-			Trials:     *trials,
-			Seed:       *seed,
-			Cells:      cells,
-		}
-		for _, gName := range graphList {
-			w := workloads[gName]
-			kind := "undirected"
-			if w.Edges.Directed {
-				kind = "directed"
-			}
-			rec.Graphs = append(rec.Graphs, graphRecord{
-				Name: gName, Nodes: w.Edges.N, Entries: w.LG.A.NVals(), Kind: kind,
-			})
-		}
-		b, err := json.MarshalIndent(rec, "", "  ")
-		if err != nil {
-			fatal("encoding -json record: %v", err)
-		}
-		if err := os.WriteFile(*jsonOut, append(b, '\n'), 0o644); err != nil {
-			fatal("writing %s: %v", *jsonOut, err)
-		}
-		fmt.Printf("wrote perf record to %s\n", *jsonOut)
+		printTable3(graphList, algoList, workloads, *trials)
 	}
 }
 
@@ -270,81 +150,78 @@ func cellTrials(alg string, trials int) int {
 	return 1
 }
 
-// printTable3 renders the run-time table and returns the cells for the
-// -json perf record.
-func printTable3(graphList, algoList []string, workloads map[string]*bench.Workload, trials int) []cellRecord {
-	var cells []cellRecord
+// printTable3 renders the run-time table: a GAP and an SS row per
+// algorithm (SS alone for kernels without a GAP baseline), then the
+// SS/GAP ratios of the same paired timings.
+func printTable3(graphList, algoList []string, workloads map[string]*bench.Workload, trials int) {
 	fmt.Println("TABLE III: Run time of GAP and LAGraph+GrB (seconds)")
-	fmt.Printf("%-12s", "package")
-	for _, gName := range graphList {
-		fmt.Printf(" %10s", gName)
-	}
-	fmt.Println()
-	ratios := map[string][2]map[string]float64{}
-	for _, alg := range algoList {
-		perImpl := [2]map[string]float64{{}, {}}
+	printRow("package", graphList)
+	ratios := make([][]string, len(algoList))
+	for a, alg := range algoList {
 		impls := []string{"GAP", "SS"}
 		if !bench.HasGAP(alg) {
 			impls = []string{"SS"}
 		}
-		for _, impl := range impls {
-			i := 0
-			if impl == "SS" {
-				i = 1
+		rows := make([][]string, len(impls))
+		for _, gName := range graphList {
+			secs, err := pairedCell(alg, impls, cellWorkload(alg, workloads[gName]), cellTrials(alg, trials))
+			if err != nil {
+				// A kernel/graph incompatibility (cc.advanced on an
+				// asymmetric directed class, say) skips the cell with a
+				// warning instead of aborting the whole table.
+				fmt.Fprintf(os.Stderr, "gapbench: skipping %s on %s: %v\n", alg, gName, err)
 			}
-			fmt.Printf("%-12s", alg+" : "+impl)
-			for _, gName := range graphList {
-				w := cellWorkload(alg, workloads[gName])
-				nTrials := cellTrials(alg, trials)
-				res, err := bench.RunCell(alg, impl, w, nTrials)
-				if err != nil && !lagraph.IsWarning(err) {
-					// A kernel/graph incompatibility (cc.advanced on an
-					// asymmetric directed class, say) skips the cell with a
-					// warning instead of aborting the whole table.
-					fmt.Fprintf(os.Stderr, "gapbench: skipping %s/%s on %s: %v\n", alg, impl, gName, err)
-					fmt.Printf(" %10s", "-")
-					cells = append(cells, cellRecord{
-						Algorithm: alg, Impl: impl, Graph: gName, Skipped: err.Error(),
-					})
-					continue
+			ratio := "-"
+			for i := range impls {
+				cell := "-"
+				if err == nil {
+					cell = fmt.Sprintf("%.3f", secs[i])
 				}
-				perImpl[i][gName] = res.Seconds
-				fmt.Printf(" %10.3f", res.Seconds)
-				cell := cellRecord{
-					Algorithm: alg, Impl: impl, Graph: gName,
-					Trials: nTrials, Seconds: res.Seconds,
-					Report: res.Report,
-				}
-				if res.Seconds > 0 {
-					cell.GTEPS = float64(w.LG.A.NVals()) / res.Seconds / 1e9
-				}
-				cells = append(cells, cell)
+				rows[i] = append(rows[i], cell)
 			}
-			fmt.Println()
+			if err == nil && len(impls) == 2 && secs[0] > 0 {
+				ratio = fmt.Sprintf("%.2f", secs[1]/secs[0])
+			}
+			ratios[a] = append(ratios[a], ratio)
 		}
-		ratios[alg] = perImpl
+		for i, impl := range impls {
+			printRow(alg+" : "+impl, rows[i])
+		}
 	}
 	fmt.Println()
 	fmt.Println("SS / GAP ratio (>1: GAP faster, <1: LAGraph faster)")
-	fmt.Printf("%-12s", "")
-	for _, gName := range graphList {
-		fmt.Printf(" %10s", gName)
+	printRow("", graphList)
+	for a, alg := range algoList {
+		printRow(alg, ratios[a])
+	}
+}
+
+func printRow(label string, cells []string) {
+	fmt.Printf("%-12s", label)
+	for _, c := range cells {
+		fmt.Printf(" %10s", c)
 	}
 	fmt.Println()
-	for _, alg := range algoList {
-		fmt.Printf("%-12s", alg)
-		for _, gName := range graphList {
-			gapT, gok := ratios[alg][0][gName]
-			ssT, sok := ratios[alg][1][gName]
-			if gok && sok && gapT > 0 {
-				fmt.Printf(" %10.2f", ssT/gapT)
-			} else {
-				fmt.Printf(" %10s", "-")
-			}
-		}
-		fmt.Println()
+}
+
+// pairedCell times one (algorithm, graph) cell, alternating the
+// implementations trial by trial, and returns each one's mean seconds in
+// impls order.
+func pairedCell(alg string, impls []string, w *bench.Workload, trials int) ([]float64, error) {
+	if trials < 1 {
+		trials = 1
 	}
-	return cells
+	secs := make([]float64, len(impls))
+	for trial := 0; trial < trials; trial++ {
+		for i, impl := range impls {
+			res, err := bench.RunTrial(alg, impl, w, trial)
+			if err != nil && !lagraph.IsWarning(err) {
+				return nil, fmt.Errorf("%s: %w", impl, err)
+			}
+			secs[i] += res.Seconds / float64(trials)
+		}
+	}
+	return secs, nil
 }
 
 func splitList(s string) []string {

@@ -9,9 +9,8 @@ import (
 // RunReport is the structured "explain" record of one kernel invocation:
 // the probe's per-iteration trace plus the wall-clock split between
 // property materialization and the kernel proper. It rides along with the
-// job result (under the reserved "report" envelope key), is rendered by
-// ?explain=1 and GET /jobs/{id}/report, and is embedded per-cell in
-// gapbench's lagraph-bench/v2 records.
+// job result (under the reserved "report" envelope key) and is rendered by
+// ?explain=1 and GET /jobs/{id}/report.
 type RunReport struct {
 	// Algorithm is the catalog name the report describes.
 	Algorithm string `json:"algorithm"`

@@ -118,11 +118,6 @@ type Result struct {
 	Alg, Impl, Graph string
 	Seconds          float64
 	Check            string // brief correctness note (e.g. triangle count)
-	// Report is the first trial's kernel introspection record (SS cells
-	// only; GAP baselines have no probe). The first trial is chosen so the
-	// report — and benchdiff's iteration-drift canary built on it — is a
-	// pure function of (graph, seed), independent of the -trials count.
-	Report *algo.RunReport
 }
 
 // timeIt runs f once and returns elapsed seconds.
@@ -139,18 +134,27 @@ func RunCell(alg, impl string, w *Workload, trials int) (Result, error) {
 	if trials < 1 {
 		trials = 1
 	}
-	res := Result{Alg: alg, Impl: impl, Graph: w.Name}
+	var res Result
 	total := 0.0
 	for trial := 0; trial < trials; trial++ {
-		src := w.Sources[trial%len(w.Sources)]
-		secs, err := runOnce(alg, impl, w, src, trial, &res)
-		if err != nil {
+		var err error
+		if res, err = RunTrial(alg, impl, w, trial); err != nil {
 			return res, err
 		}
-		total += secs
+		total += res.Seconds
 	}
 	res.Seconds = total / float64(trials)
 	return res, nil
+}
+
+// RunTrial times trial number `trial` of a cell on its own, so a caller
+// comparing implementations can alternate them trial by trial and have
+// both sides see the same drift of the box.
+func RunTrial(alg, impl string, w *Workload, trial int) (Result, error) {
+	res := Result{Alg: alg, Impl: impl, Graph: w.Name}
+	var err error
+	res.Seconds, err = runOnce(alg, impl, w, w.Sources[trial%len(w.Sources)], trial, &res)
+	return res, err
 }
 
 func runOnce(alg, impl string, w *Workload, src, trial int, res *Result) (float64, error) {
@@ -276,29 +280,17 @@ func runCatalogOnce(label string, w *Workload, src, trial int, res *Result) (flo
 	if err != nil {
 		return 0, err
 	}
-	pstart := time.Now()
 	if err := algo.EnsureProperties(d, w.LG); err != nil {
 		return 0, err
 	}
-	propSecs := time.Since(pstart).Seconds()
-	ctx := context.Background()
-	var prb *lagraph.Probe
-	if res.Report == nil { // first trial: collect the cell's report
-		prb = lagraph.NewProbe(0)
-		ctx = lagraph.WithProbe(ctx, prb)
-	}
-	secs, err := timeIt(func() error {
-		out, err := d.Run(ctx, w.LG, p)
+	return timeIt(func() error {
+		out, err := d.Run(context.Background(), w.LG, p)
 		if err != nil && !lagraph.IsWarning(err) {
 			return err
 		}
 		res.Check = checkNote(out)
 		return nil
 	})
-	if err == nil && prb != nil {
-		res.Report = algo.NewReport(d.Name, prb, propSecs, secs)
-	}
-	return secs, err
 }
 
 // checkNote derives the Table III correctness note from a result's named

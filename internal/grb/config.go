@@ -10,12 +10,6 @@ import "sync/atomic"
 type config struct {
 	bitmapEnabled   atomic.Bool
 	lazySortEnabled atomic.Bool
-	// bitmapSwitchNum/Den: switch sparse->bitmap when nvals*Den >= size*Num.
-	bitmapSwitchNum atomic.Int64
-	bitmapSwitchDen atomic.Int64
-	// maxDenseEntries caps nrows*ncols for bitmap/full allocation of
-	// matrices, so a huge sparse adjacency matrix is never densified.
-	maxDenseEntries atomic.Int64
 }
 
 var global config
@@ -23,10 +17,17 @@ var global config
 func init() {
 	global.bitmapEnabled.Store(true)
 	global.lazySortEnabled.Store(true)
-	global.bitmapSwitchNum.Store(1)
-	global.bitmapSwitchDen.Store(8)
-	global.maxDenseEntries.Store(1 << 24)
 }
+
+const (
+	// bitmapSwitchDen: a sparse result converts to bitmap once at least
+	// 1/bitmapSwitchDen of its positions hold an entry.
+	bitmapSwitchDen = 8
+	// maxDenseEntries caps nrows*ncols for bitmap/full allocation of
+	// matrices, so a huge sparse adjacency matrix is never densified.
+	// Vectors are always small enough and are not subject to it.
+	maxDenseEntries = 1 << 24
+)
 
 // SetBitmapEnabled toggles the bitmap/full formats globally. When disabled,
 // all results conform to sparse (CSR) storage — the pre-v4 SS:GrB behaviour
@@ -52,36 +53,16 @@ func SetLazySortEnabled(on bool) bool {
 // LazySortEnabled reports whether results may be left jumbled.
 func LazySortEnabled() bool { return global.lazySortEnabled.Load() }
 
-// SetBitmapSwitch sets the density threshold num/den at which a sparse
-// result converts to bitmap. The default is 1/8.
-func SetBitmapSwitch(num, den int64) {
-	if num < 0 || den <= 0 {
-		return
-	}
-	global.bitmapSwitchNum.Store(num)
-	global.bitmapSwitchDen.Store(den)
-}
-
-// SetMaxDenseEntries bounds nrows*ncols for automatic densification of
-// matrices. Vectors are always small enough and are not subject to it.
-func SetMaxDenseEntries(n int64) {
-	if n > 0 {
-		global.maxDenseEntries.Store(n)
-	}
-}
-
 // wantBitmap reports whether a structure of the given size/occupancy should
 // be stored as bitmap.
 func wantBitmap(nvals int, size int64, isVector bool) bool {
 	if !BitmapEnabled() || size <= 0 {
 		return false
 	}
-	if !isVector && size > global.maxDenseEntries.Load() {
+	if !isVector && size > maxDenseEntries {
 		return false
 	}
-	num := global.bitmapSwitchNum.Load()
-	den := global.bitmapSwitchDen.Load()
-	return int64(nvals)*den >= size*num
+	return int64(nvals)*bitmapSwitchDen >= size
 }
 
 // wantSparse reports whether a bitmap structure has become sparse enough to
@@ -90,7 +71,5 @@ func wantSparse(nvals int, size int64) bool {
 	if size <= 0 {
 		return true
 	}
-	num := global.bitmapSwitchNum.Load()
-	den := global.bitmapSwitchDen.Load()
-	return int64(nvals)*den*2 < size*num
+	return int64(nvals)*bitmapSwitchDen*2 < size
 }

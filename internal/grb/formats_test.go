@@ -277,7 +277,6 @@ func TestLazySortObservableOnKernelOutputs(t *testing.T) {
 func TestConformSwitchesFormats(t *testing.T) {
 	prevBM := SetBitmapEnabled(true)
 	defer SetBitmapEnabled(prevBM)
-	SetBitmapSwitch(1, 8)
 	// A dense-ish vector result should become bitmap/full automatically.
 	n := 4096
 	v := MustVector[float64](n)

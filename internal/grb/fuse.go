@@ -7,7 +7,9 @@ package grb
 // parent vector p. This could be implemented in a future GraphBLAS
 // library, since the GraphBLAS API allows for a non-blocking mode … We
 // intend to exploit this in the future." This file implements that
-// future-work fusion as an explicit opt-in kernel.
+// fusion; every push level of lagraph's BFS (bfsDirOpt, BFSStep) runs it.
+// The generic VxM + AssignVector pair remains the reference its tests and
+// the §VI-B ablation benchmark compare against.
 
 // FusedBFSPushStep performs, in a single pass over the frontier's edges,
 //

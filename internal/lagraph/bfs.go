@@ -114,7 +114,6 @@ func bfsDirOpt[T grb.Value](ctx context.Context, g *Graph[T], at *grb.Matrix[T],
 	q := grb.MustVector[int64](n)
 	lagTry(q.SetElement(int64(src), src))
 
-	semiringPush := grb.AnySecondI[int64, T, int64]()
 	semiringPull := grb.AnySecondI[T, int64, int64]()
 
 	nnzA := g.A.NVals()
@@ -138,8 +137,8 @@ func bfsDirOpt[T grb.Value](ctx context.Context, g *Graph[T], at *grb.Matrix[T],
 		}
 		var err error
 		if doPush {
-			// qᵀ⟨¬s(pᵀ), r⟩ = qᵀ any.secondi A
-			err = grb.VxM(q, grb.StructVMaskOf(p).Not(), nil, semiringPush, q, g.A, grb.DescR)
+			// qᵀ⟨¬s(pᵀ), r⟩ = qᵀ any.secondi A and p⟨s(q)⟩ = q in one pass
+			err = grb.FusedBFSPushStep(p, q, g.A)
 		} else {
 			// q⟨¬s(p), r⟩ = Aᵀ any.secondi q
 			err = grb.MxV(q, grb.StructVMaskOf(p).Not(), nil, semiringPull, at, q, grb.DescR)
@@ -158,9 +157,11 @@ func bfsDirOpt[T grb.Value](ctx context.Context, g *Graph[T], at *grb.Matrix[T],
 		if nq == 0 {
 			break
 		}
-		// p⟨s(q)⟩ = q
-		if err := grb.AssignVector(p, grb.StructVMaskOf(q), nil, q, grb.All, nil); err != nil {
-			return nil, nil, wrap(StatusInvalidValue, err, "BFS parent update")
+		if !doPush {
+			// p⟨s(q)⟩ = q (the fused push step has already written p)
+			if err := grb.AssignVector(p, grb.StructVMaskOf(q), nil, q, grb.All, nil); err != nil {
+				return nil, nil, wrap(StatusInvalidValue, err, "BFS parent update")
+			}
 		}
 		if wantLevel {
 			if err := grb.AssignVectorScalar(l, grb.StructVMaskOf(q), nil, level, grb.All, nil); err != nil {
@@ -188,17 +189,9 @@ func BFSStep[T grb.Value](g *Graph[T], p, q *grb.Vector[int64]) error {
 	if p.Size() != n || q.Size() != n {
 		return errf(StatusInvalidValue, "BFSStep: vector length mismatch")
 	}
-	// qᵀ⟨¬s(pᵀ), r⟩ = qᵀ any.secondi A
-	semiring := grb.AnySecondI[int64, T, int64]()
-	if err := grb.VxM(q, grb.StructVMaskOf(p).Not(), nil, semiring, q, g.A, grb.DescR); err != nil {
+	// qᵀ⟨¬s(pᵀ), r⟩ = qᵀ any.secondi A and p⟨s(q)⟩ = q in one pass
+	if err := grb.FusedBFSPushStep(p, q, g.A); err != nil {
 		return wrap(StatusInvalidValue, err, "BFSStep push")
-	}
-	if q.NVals() == 0 {
-		return nil
-	}
-	// p⟨s(q)⟩ = q
-	if err := grb.AssignVector(p, grb.StructVMaskOf(q), nil, q, grb.All, nil); err != nil {
-		return wrap(StatusInvalidValue, err, "BFSStep parent update")
 	}
 	return nil
 }

@@ -5,10 +5,9 @@
 // contributions."
 //
 // It carries algorithms beyond the stable tier (k-truss, Luby's maximal
-// independent set, Bellman-Ford, label propagation) plus a fused-kernel
-// BFS exercising the §VI-B future-work fusion implemented in grb. The
-// calling convention is the stable tier's: one signature per algorithm,
-// ctx first, polled once per round of the algorithm's loop.
+// independent set, Bellman-Ford, label propagation). The calling
+// convention is the stable tier's: one signature per algorithm, ctx
+// first, polled once per round of the algorithm's loop.
 package experimental
 
 import (
@@ -151,33 +150,4 @@ func MaximalIndependentSet[T grb.Value](ctx context.Context, g *lagraph.Graph[T]
 		cand = next
 	}
 	return mis, nil
-}
-
-// BFSParentFused is the push-only parents BFS built on the fused
-// mxv+assign kernel of §VI-B's future-work discussion — one pass per level
-// instead of two.
-func BFSParentFused[T grb.Value](ctx context.Context, g *lagraph.Graph[T], src int) (*grb.Vector[int64], error) {
-	if g == nil || g.A == nil {
-		return nil, lagraph.ErrInvalid("BFSParentFused: nil graph")
-	}
-	n := g.A.NRows()
-	if src < 0 || src >= n {
-		return nil, lagraph.ErrInvalid("BFSParentFused: source out of range")
-	}
-	p := grb.MustVector[int64](n)
-	q := grb.MustVector[int64](n)
-	lagraph.Must(p.SetElement(int64(src), src))
-	lagraph.Must(q.SetElement(int64(src), src))
-	for level := 1; level < n; level++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := grb.FusedBFSPushStep(p, q, g.A); err != nil {
-			return nil, err
-		}
-		if q.NVals() == 0 {
-			break
-		}
-	}
-	return p, nil
 }

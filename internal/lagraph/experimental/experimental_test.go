@@ -211,40 +211,6 @@ func TestMISIncludesIsolatedVertices(t *testing.T) {
 	}
 }
 
-func TestBFSParentFusedMatchesUnfused(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 10; trial++ {
-		n := 10 + rng.Intn(50)
-		g := randUndirected(rng, n, 0.1)
-		src := rng.Intn(n)
-		fused, err := BFSParentFused(bg, g, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plain, err := lagraph.BFSParentPushOnly(bg, g, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Same reachability; both must be valid parent assignments. Parent
-		// choices may differ (any semantics), so compare reachable sets
-		// and verify fused parents are edges at the right level.
-		if fused.NVals() != plain.NVals() {
-			t.Fatalf("fused reached %d, plain %d", fused.NVals(), plain.NVals())
-		}
-		fused.Iterate(func(i int, p int64) {
-			if i == src {
-				if p != int64(src) {
-					t.Fatalf("source parent %d", p)
-				}
-				return
-			}
-			if _, err := g.A.ExtractElement(int(p), i); err != nil {
-				t.Fatalf("fused parent %d->%d is not an edge", p, i)
-			}
-		})
-	}
-}
-
 // TestExperimentalKernelsObservePreCancelledContext is the experimental
 // half of lagraph's TestAllAlgorithmsObservePreCancelledContext: every
 // kernel here takes ctx first and polls it once per round.
@@ -258,7 +224,6 @@ func TestExperimentalKernelsObservePreCancelledContext(t *testing.T) {
 	}{
 		{"KTruss", func() error { _, err := KTruss(ctx, g, 3); return err }},
 		{"MaximalIndependentSet", func() error { _, err := MaximalIndependentSet(ctx, g, 1); return err }},
-		{"BFSParentFused", func() error { _, err := BFSParentFused(ctx, g, 0); return err }},
 		{"BellmanFord", func() error { _, _, err := BellmanFord(ctx, g, 0); return err }},
 		{"CommunityDetectionLabelPropagation", func() error { _, err := CommunityDetectionLabelPropagation(ctx, g, 5); return err }},
 	} {

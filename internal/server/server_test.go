@@ -115,6 +115,15 @@ func TestAllAlgorithmEndpoints(t *testing.T) {
 	ts, _ := newTestServer(t, 0)
 	loadSyntheticGraph(t, ts.URL, "und", "kron", 7)    // undirected
 	loadSyntheticGraph(t, ts.URL, "dir", "twitter", 7) // directed
+	// The other three benchmark classes, weighted as the GAP runner's are.
+	for _, class := range []string{"urand", "web", "road"} {
+		code, body := doJSON(t, "POST", ts.URL+"/graphs", map[string]any{
+			"name": class, "class": class, "scale": 6, "edge_factor": 4, "seed": 42, "weights": true,
+		})
+		if code != http.StatusCreated {
+			t.Fatalf("load %s: status %d, body %v", class, code, body)
+		}
+	}
 
 	for _, tc := range []struct {
 		graph, alg string
@@ -131,6 +140,25 @@ func TestAllAlgorithmEndpoints(t *testing.T) {
 		{"dir", "pagerank", map[string]any{"variant": "gx"}, "ranks"},
 		{"dir", "cc", nil, "components"},
 		{"dir", "bc", map[string]any{"sources": []int{0, 1}}, "centrality"},
+		{"und", "lcc", map[string]any{"limit": 8}, "coefficients"},
+		{"dir", "sssp", map[string]any{"source": 0, "delta": 64}, "distances"},
+		{"urand", "bfs", map[string]any{"source": 0}, "parent"},
+		{"urand", "pagerank", map[string]any{"max_iter": 20}, "ranks"},
+		{"urand", "cc", nil, "components"},
+		{"urand", "sssp", map[string]any{"source": 0, "delta": 64}, "distances"},
+		{"urand", "tc", nil, "triangles"},
+		{"urand", "bc", map[string]any{"sources": []int{0, 1, 2, 3}}, "centrality"},
+		{"urand", "lcc", map[string]any{"limit": 8}, "coefficients"},
+		{"web", "bfs", map[string]any{"source": 0}, "parent"},
+		{"web", "pagerank", map[string]any{"max_iter": 20}, "ranks"},
+		{"web", "cc", nil, "components"},
+		{"web", "sssp", map[string]any{"source": 0, "delta": 64}, "distances"},
+		{"web", "bc", map[string]any{"sources": []int{0, 1, 2, 3}}, "centrality"},
+		{"road", "bfs", map[string]any{"source": 0}, "parent"},
+		{"road", "pagerank", map[string]any{"max_iter": 20}, "ranks"},
+		{"road", "cc", nil, "components"},
+		{"road", "sssp", map[string]any{"source": 0, "delta": 64}, "distances"},
+		{"road", "bc", map[string]any{"sources": []int{0, 1, 2, 3}}, "centrality"},
 	} {
 		url := fmt.Sprintf("%s/graphs/%s/algorithms/%s", ts.URL, tc.graph, tc.alg)
 		code, body := doJSON(t, "POST", url, tc.params)
