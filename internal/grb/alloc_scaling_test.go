@@ -1,0 +1,176 @@
+package grb
+
+import (
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"lagraph/internal/parallel"
+)
+
+// tinyFrontier holds the operands of one BC level and one SSSP round on
+// an n-vertex ring when the frontier has 16 entries: every call below
+// should cost what the 16 entries cost, whatever n is.
+type tinyFrontier struct {
+	n, ns  int
+	adj    *Matrix[float64] // ring adjacency, two entries a row
+	front  *Matrix[float64] // F: ns×n sparse, 16 entries where P has none
+	back   *Matrix[float64] // W: ns×n sparse, 16 entries where P has one
+	levels *Matrix[bool]    // S[i]: W's pattern as a structural mask
+	paths  *Matrix[float64] // P: ns×n bitmap, the even columns present
+	deps   *Matrix[float64] // B: ns×n full
+	dist   *Vector[float64] // t: full, 16 entries inside the bucket [0, 100)
+	req    *Vector[float64] // tReq: sparse, the same 16 positions
+	lower  *Vector[bool]    // tless: sparse valued mask over them
+}
+
+func newTinyFrontier(t *testing.T, n int) *tinyFrontier {
+	t.Helper()
+	const ns, k = 4, 16
+	tf := &tinyFrontier{n: n, ns: ns}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows, cols := make([]int, 0, 2*n), make([]int, 0, 2*n)
+	for i := 0; i < n; i++ {
+		rows, cols = append(rows, i, i), append(cols, (i+1)%n, (i+n-1)%n)
+	}
+	ones := make([]float64, 2*n)
+	for i := range ones {
+		ones[i] = 1
+	}
+	var err error
+	tf.adj, err = MatrixFromTuples(n, n, rows, cols, ones, nil)
+	must(err)
+
+	fr, even, odd := make([]int, k), make([]int, k), make([]int, k)
+	fv, fb := make([]float64, k), make([]bool, k)
+	for e := 0; e < k; e++ {
+		fr[e], even[e], odd[e], fv[e], fb[e] = e%ns, e*(n/k), e*(n/k)+1, float64(e+1), true
+	}
+	idx := odd
+	tf.front, err = MatrixFromTuples(ns, n, fr, odd, fv, nil)
+	must(err)
+	tf.back, err = MatrixFromTuples(ns, n, fr, even, fv, nil)
+	must(err)
+	tf.levels, err = MatrixFromTuples(ns, n, fr, even, fb, nil)
+	must(err)
+
+	tf.paths = MustMatrix[float64](ns, n)
+	tf.paths.ConvertTo(FormatBitmap)
+	for i := 0; i < ns; i++ {
+		for j := 0; j < n; j += 2 {
+			must(tf.paths.SetElement(1, i, j))
+		}
+	}
+	tf.deps = MustMatrix[float64](ns, n)
+	must(AssignMatrixScalar(tf.deps, NoMask, nil, 1.0, All, All, nil))
+
+	tf.dist = DenseVector(n, 1e9)
+	for e, i := range idx {
+		must(tf.dist.SetElement(float64(10+e), i))
+	}
+	tf.req, err = VectorFromTuples(n, idx, fv, nil)
+	must(err)
+	tf.lower, err = VectorFromTuples(n, idx, fb, nil)
+	must(err)
+	return tf
+}
+
+// calls lists one call per row of the driver table in the package doc,
+// plus a tiny push VxM. Each closure leaves its operands as it found them
+// (in format and size, not in value), so it can run repeatedly.
+func (tf *tinyFrontier) calls() map[string]func() error {
+	n, ns := tf.n, tf.ns
+	plus := func(a, b float64) float64 { return a + b }
+	less := BinaryOp[float64, float64, bool]{Name: "lt", F: func(a, b float64) bool { return a < b }}
+	inBucket := IndexUnaryOp[float64]{Name: "range", F: func(x float64, _, _ int, hi float64) bool { return 0 <= x && x < hi }}
+	return map[string]func() error{
+		"W⟨s(S),r⟩ = B div∩ P (mask-driven)": func() error {
+			return EWiseMult(MustMatrix[float64](ns, n), StructMaskOf(tf.levels), nil, DivOp[float64](), tf.deps, tf.paths, DescR)
+		},
+		"W ×∩ P (sparse ∩ bitmap)": func() error {
+			return EWiseMult(MustMatrix[float64](ns, n), NoMask, nil, TimesOp[float64](), tf.back, tf.paths, nil)
+		},
+		"tless = tReq <∩ t (sparse ∩ full)": func() error {
+			return EWiseMultV(MustVector[bool](n), NoVMask, nil, less, tf.req, tf.dist, nil)
+		},
+		"B += W ×∩ P (accumulate into full)": func() error {
+			return EWiseMult(tf.deps, NoMask, plus, TimesOp[float64](), tf.back, tf.paths, nil)
+		},
+		"t += tReq (accumulate into full)": func() error {
+			return ApplyV(tf.dist, NoVMask, plus, Identity[float64](), tf.req, nil)
+		},
+		"P = P +∪ F (in place)": func() error {
+			return EWiseAdd(tf.paths, NoMask, nil, AddOp(PlusOp[float64]()), tf.paths, tf.front, nil)
+		},
+		"t = t min∪ tReq (in place)": func() error {
+			return EWiseAddV(tf.dist, NoVMask, nil, MinOp[float64](), tf.dist, tf.req, nil)
+		},
+		"improved⟨tless⟩ = tReq (mask probed)": func() error {
+			return ApplyV(MustVector[float64](n), VMaskOf(tf.lower), nil, Identity[float64](), tf.req, nil)
+		},
+		"b⟨¬s(tless)⟩ = tReq⟨≥ 3⟩ (mask probed)": func() error {
+			return SelectV(MustVector[float64](n), StructVMaskOf(tf.lower).Not(), nil, ValueGE[float64](), tf.req, 3, nil)
+		},
+		"e⟨s(tB)⟩ = true": func() error {
+			return AssignVectorScalar(MustVector[bool](n), StructVMaskOf(tf.req), nil, true, All, nil)
+		},
+		"tB = t⟨lo ≤ t < hi⟩ (one select)": func() error {
+			return SelectV(MustVector[float64](n), NoVMask, nil, inBucket, tf.dist, 100, nil)
+		},
+		"F⟨¬s(P),r⟩ = F plus.first A (saxpy)": func() error {
+			return MxM(MustMatrix[float64](ns, n), StructMaskOf(tf.paths).Not(), nil, PlusFirst[float64, float64](), tf.front, tf.adj, DescR)
+		},
+		"tReq = tB min.plus A (push)": func() error {
+			return VxM(MustVector[float64](n), NoVMask, nil, MinPlus[float64](), tf.req, tf.adj, nil)
+		},
+		"q⟨¬s(t)⟩ = tB min.plus A (push, mask probed)": func() error {
+			return VxM(MustVector[float64](n), StructVMaskOf(tf.dist).Not(), nil, MinPlus[float64](), tf.req, tf.adj, nil)
+		},
+	}
+}
+
+// bytesPerCall is the mean TotalAlloc of one call once the pool is warm,
+// with the collector off so that it cannot empty the pool in between.
+func bytesPerCall(t *testing.T, call func() error) float64 {
+	t.Helper()
+	const rounds = 8
+	for i := 0; i < 2; i++ {
+		if err := call(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		if err := call(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / rounds
+}
+
+// TestTinyFrontierCallsDoNotAllocateByN states the property the Road
+// kernels need (paper §VI-B): a call whose sparsest participant has 16
+// entries allocates the same on 2¹⁰ vertices as on 2¹⁶ — within 2×,
+// where allocating by n would show 64×.
+func TestTinyFrontierCallsDoNotAllocateByN(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	defer parallel.SetMaxThreads(parallel.SetMaxThreads(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	small, large := newTinyFrontier(t, 1<<10), newTinyFrontier(t, 1<<16)
+	largeCalls := large.calls()
+	for name, call := range small.calls() {
+		s, l := bytesPerCall(t, call), bytesPerCall(t, largeCalls[name])
+		if l >= 2*s && l > 0 {
+			t.Errorf("%s: %.0f B/call at n=2^10, %.0f B/call at n=2^16 (%.1fx)", name, s, l, l/s)
+		}
+	}
+}

@@ -92,9 +92,10 @@ func ApplyV[TIn, TOut Value](w *Vector[TOut], mask VMask, accum func(TOut, TOut)
 	}
 	d := descOf(desc)
 	u.Wait()
-	allow := mask.denseAllow(u.Size())
+	allow := mask.allowFor(u.Size(), u.format != FormatSparse)
+	defer allow.release()
 	t := MustVector[TOut](u.Size())
-	if u.format == FormatFull && allow == nil {
+	if u.format == FormatFull && !mask.Exists() {
 		t.format = FormatFull
 		t.val = make([]TOut, u.n)
 		for i := 0; i < u.n; i++ {
@@ -106,14 +107,13 @@ func ApplyV[TIn, TOut Value](w *Vector[TOut], mask VMask, accum func(TOut, TOut)
 		}
 	} else {
 		u.Iterate(func(i int, x TIn) {
-			if allow != nil && allow[i] == 0 {
+			if !allow.ok(i) {
 				return
 			}
+			t.idx = append(t.idx, i)
 			if f.PosF != nil {
-				t.idx = append(t.idx, i)
 				t.val = append(t.val, f.PosF(x, i, 0))
 			} else {
-				t.idx = append(t.idx, i)
 				t.val = append(t.val, f.F(x))
 			}
 		})
@@ -135,13 +135,11 @@ func SelectV[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 	}
 	d := descOf(desc)
 	u.Wait()
-	allow := mask.denseAllow(u.Size())
+	allow := mask.allowFor(u.Size(), u.format != FormatSparse)
+	defer allow.release()
 	t := MustVector[T](u.Size())
 	u.Iterate(func(i int, x T) {
-		if allow != nil && allow[i] == 0 {
-			return
-		}
-		if f.F(x, i, 0, thunk) {
+		if allow.ok(i) && f.F(x, i, 0, thunk) {
 			t.idx = append(t.idx, i)
 			t.val = append(t.val, x)
 		}

@@ -44,11 +44,12 @@ func AssignVector[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 	// straight into w.
 	if isAll(indices) && accum == nil && !d.Replace &&
 		mask.Exists() && !mask.Comp && mask.Structural && sameVectorSource(mask.src, u) {
-		scatterOverwrite(w, u)
+		scatterEntries(w, u, nil)
 		return nil
 	}
 
-	allow := mask.denseAllow(n)
+	allow := mask.allowFor(n, true)
+	defer allow.release()
 	// Stage the assignment region densely: reg[i] = 1 if i is in the
 	// region, and the value arriving there (duplicates combined).
 	reg := make([]int8, n)
@@ -77,7 +78,7 @@ func AssignVector[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 			stage(i, x, ok)
 		}
 	}
-	assignMergeVector(w, allow, d.Replace, accum, reg, regHas, regVal)
+	assignMergeVector(w, &allow, d.Replace, accum, reg, regHas, regVal)
 	return nil
 }
 
@@ -113,7 +114,24 @@ func AssignVectorScalar[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 		return nil
 	}
 
-	allow := mask.denseAllow(n)
+	// Fast path: w⟨m⟩ ⊙= s over the whole range, merge semantics, with a
+	// sparse mask that lists its allowed positions — BFS's level stamp and
+	// SSSP's settled set. Only those positions change, and each receives
+	// the scalar, so they are folded into w where they land.
+	if isAll(indices) && !d.Replace && mask.Exists() && !mask.Comp && !mask.src.maskIsDenseV() {
+		u := MustVector[T](n)
+		mask.src.maskIterV(func(i int, tv bool) {
+			if mask.selects(tv) {
+				u.idx = append(u.idx, i)
+				u.val = append(u.val, s)
+			}
+		})
+		scatterEntries(w, u, accum)
+		return nil
+	}
+
+	allow := mask.allowFor(n, true)
+	defer allow.release()
 	reg := make([]int8, n)
 	regHas := make([]int8, n)
 	regVal := make([]T, n)
@@ -131,7 +149,7 @@ func AssignVectorScalar[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 			mark(i)
 		}
 	}
-	assignMergeVector(w, allow, d.Replace, accum, reg, regHas, regVal)
+	assignMergeVector(w, &allow, d.Replace, accum, reg, regHas, regVal)
 	return nil
 }
 
@@ -141,7 +159,7 @@ func AssignVectorScalar[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 //	i allowed, in region, no value      : accum==nil ? delete : keep
 //	i allowed, not in region            : keep
 //	i not allowed                       : replace ? delete : keep
-func assignMergeVector[T Value](w *Vector[T], allow []int8, replace bool,
+func assignMergeVector[T Value](w *Vector[T], allow *vAllow, replace bool,
 	accum func(T, T) T, reg, regHas []int8, regVal []T) {
 
 	n := w.Size()
@@ -149,7 +167,7 @@ func assignMergeVector[T Value](w *Vector[T], allow []int8, replace bool,
 	outV := make([]T, n)
 	nvals := 0
 	for i := 0; i < n; i++ {
-		al := allow == nil || allow[i] != 0
+		al := allow.ok(i)
 		wx, wok := w.get(i)
 		var x T
 		keep := false
@@ -192,47 +210,56 @@ func sameVectorSource[T Value](src vectorMaskSource, u *Vector[T]) bool {
 	return ok && v == u
 }
 
-// scatterOverwrite sets w(i) = u(i) for every entry of u.
-func scatterOverwrite[T Value](w, u *Vector[T]) {
-	switch w.format {
-	case FormatFull:
-		u.Iterate(func(i int, x T) { w.val[i] = x })
-	case FormatBitmap:
+// scatterEntries folds every entry of u into w in place of a rebuild:
+// w(i) = accum(w(i), u(i)) where w holds an entry and an accumulator is
+// given, u(i) otherwise. It is the whole of an unmasked w ⊙= u, and of
+// w = w op∪ u; u is not w's storage.
+func scatterEntries[T Value](w, u *Vector[T], accum func(T, T) T) {
+	if w.format == FormatSparse && u.format != FormatSparse {
+		w.sparseToBitmap() // the result is at least as dense as u
+	}
+	if w.format != FormatSparse {
 		u.Iterate(func(i int, x T) {
-			if w.b[i] == 0 {
+			if w.format == FormatFull || w.b[i] != 0 {
+				if accum != nil {
+					x = accum(w.val[i], x)
+				}
+			} else {
 				w.b[i] = 1
 				w.nvalsB++
 			}
 			w.val[i] = x
 		})
 		w.conform()
-	default:
-		// Sparse: merge the two sorted lists, u winning collisions.
-		u.Wait()
-		outI := make([]int, 0, len(w.idx)+u.NVals())
-		outV := make([]T, 0, cap(outI))
-		uIdx, uVal := vecView(u)
-		p, q := 0, 0
-		for p < len(w.idx) || q < len(uIdx) {
-			switch {
-			case p < len(w.idx) && (q >= len(uIdx) || w.idx[p] < uIdx[q]):
-				outI = append(outI, w.idx[p])
-				outV = append(outV, w.val[p])
-				p++
-			case q < len(uIdx) && (p >= len(w.idx) || uIdx[q] < w.idx[p]):
-				outI = append(outI, uIdx[q])
-				outV = append(outV, uVal[q])
-				q++
-			default:
-				outI = append(outI, uIdx[q])
-				outV = append(outV, uVal[q])
-				p++
-				q++
-			}
-		}
-		w.idx, w.val = outI, outV
-		w.conform()
+		return
 	}
+	// Both sparse: merge the two sorted lists.
+	outI := make([]int, 0, len(w.idx)+len(u.idx))
+	outV := make([]T, 0, cap(outI))
+	p, q := 0, 0
+	for p < len(w.idx) || q < len(u.idx) {
+		switch {
+		case p < len(w.idx) && (q >= len(u.idx) || w.idx[p] < u.idx[q]):
+			outI = append(outI, w.idx[p])
+			outV = append(outV, w.val[p])
+			p++
+		case q < len(u.idx) && (p >= len(w.idx) || u.idx[q] < w.idx[p]):
+			outI = append(outI, u.idx[q])
+			outV = append(outV, u.val[q])
+			q++
+		default:
+			x := u.val[q]
+			if accum != nil {
+				x = accum(w.val[p], x)
+			}
+			outI = append(outI, u.idx[q])
+			outV = append(outV, x)
+			p++
+			q++
+		}
+	}
+	w.idx, w.val = outI, outV
+	w.conform()
 }
 
 // AssignMatrixScalar computes C⟨M⟩(rows, cols)⊙= s.

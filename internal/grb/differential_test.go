@@ -284,6 +284,10 @@ func TestQuickEWiseAgainstDenseReference(t *testing.T) {
 		A := randMatrix(rng, n, m, density)
 		B := randMatrix(rng, n, m, density)
 		da, db := denseFrom(A), denseFrom(B)
+		// Any storage format may arrive (a full one only when every
+		// cell is present; the matrix stays bitmap otherwise).
+		A.ConvertTo(allFormats[rng.Intn(3)])
+		B.ConvertTo(allFormats[rng.Intn(3)])
 
 		add := MustMatrix[float64](n, m)
 		if err := EWiseAdd(add, NoMask, nil, AddOp(PlusOp[float64]()), A, B, nil); err != nil {
@@ -305,6 +309,16 @@ func TestQuickEWiseAgainstDenseReference(t *testing.T) {
 		}
 		if !wantAdd.equalsMatrix(add) {
 			t.Logf("seed %d: eWiseAdd diverges from dense reference", seed)
+			return false
+		}
+		// The same union written over its first operand.
+		acc := A.Dup()
+		if err := EWiseAdd(acc, NoMask, nil, AddOp(PlusOp[float64]()), acc, B, nil); err != nil {
+			t.Logf("eWiseAdd in place: %v", err)
+			return false
+		}
+		if !wantAdd.equalsMatrix(acc) {
+			t.Logf("seed %d: eWiseAdd over its first operand (%v, %v) diverges from dense reference", seed, A.Format(), B.Format())
 			return false
 		}
 

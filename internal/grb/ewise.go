@@ -35,7 +35,10 @@ func EWiseAdd[TA, TB, TC Value](C *Matrix[TC], mask Mask, accum func(TC, TC) TC,
 	}
 	A.Wait()
 	B.Wait()
-	t := ewiseMatrix(op.both, op.left, op.right, A, B, mask, true)
+	if unionInPlace(C, mask, accum, op, A, B) {
+		return nil
+	}
+	t := ewiseMatrix(op.both, op.left, op.right, A, B, mask)
 	maskAccumMatrix(C, mask, accum, t, d.Replace, true)
 	return nil
 }
@@ -71,13 +74,7 @@ func EWiseMult[TA, TB, TC Value](C *Matrix[TC], mask Mask, accum func(TC, TC) TC
 	}
 	A.Wait()
 	B.Wait()
-	bothF := func(i, j int, ax TA, bx TB) (TC, bool) {
-		if op.PosF != nil {
-			return op.PosF(i, 0, j), true
-		}
-		return op.F(ax, bx), true
-	}
-	t := ewiseMatrix(bothF, nil, nil, A, B, mask, true)
+	t := ewiseMatrix(bothOf(op), nil, nil, A, B, mask)
 	maskAccumMatrix(C, mask, accum, t, d.Replace, true)
 	return nil
 }
@@ -86,105 +83,169 @@ func EWiseMult[TA, TB, TC Value](C *Matrix[TC], mask Mask, accum func(TC, TC) TC
 // of single-sided entries requires TA, TB and TC to be inter-assignable.
 // AddOp builds it for the common TA=TB=TC case of the C API.
 type addOpPair[TA, TB, TC Value] struct {
-	both  func(i, j int, ax TA, bx TB) (TC, bool)
-	left  func(i, j int, ax TA) (TC, bool)
-	right func(i, j int, bx TB) (TC, bool)
+	both  func(i, j int, ax TA, bx TB) TC
+	left  func(i, j int, ax TA) TC
+	right func(i, j int, bx TB) TC
 }
 
 // AddOp adapts a same-typed binary operator for use with EWiseAdd.
 func AddOp[T Value](op BinaryOp[T, T, T]) addOpPair[T, T, T] {
 	return addOpPair[T, T, T]{
-		both: func(i, j int, a, b T) (T, bool) {
-			if op.PosF != nil {
-				return op.PosF(i, 0, j), true
-			}
-			return op.F(a, b), true
-		},
-		left:  func(_, _ int, a T) (T, bool) { return a, true },
-		right: func(_, _ int, b T) (T, bool) { return b, true },
+		both:  bothOf(op),
+		left:  func(_, _ int, a T) T { return a },
+		right: func(_, _ int, b T) T { return b },
 	}
 }
 
-// ewiseMatrix merges A and B row-by-row. When left/right are nil the merge
-// is an intersection; otherwise a union with pass-through. Positions the
-// mask disallows are skipped (mask pre-restriction).
+// bothOf evaluates op where both operands hold an entry.
+func bothOf[TA, TB, TC Value](op BinaryOp[TA, TB, TC]) func(i, j int, ax TA, bx TB) TC {
+	if op.PosF != nil {
+		return func(i, j int, _ TA, _ TB) TC { return op.PosF(i, 0, j) }
+	}
+	return func(_, _ int, ax TA, bx TB) TC { return op.F(ax, bx) }
+}
+
+// unionInPlace is C = C op∪ B for a bitmap/full C and a sparse B, with no
+// mask and no accumulator: only B's entries can change C, so they are
+// folded in where they land. It reports false, having done nothing, when
+// the call is any other shape. A bitmap/full C is never a shared snapshot
+// and holds no pending tuples, and B, being sparse, is not C.
+func unionInPlace[TA, TB, TC Value](C *Matrix[TC], mask Mask, accum func(TC, TC) TC,
+	op addOpPair[TA, TB, TC], A *Matrix[TA], B *Matrix[TB]) bool {
+
+	if mask.Exists() || accum != nil || C.format == FormatSparse || B.format != FormatSparse {
+		return false
+	}
+	if a, ok := any(A).(*Matrix[TC]); !ok || a != C {
+		return false
+	}
+	for i := 0; i < B.nr; i++ {
+		base := i * C.nc
+		for q := B.ptr[i]; q < B.ptr[i+1]; q++ {
+			j := B.idx[q]
+			if p := base + j; C.denseHas(p) {
+				C.val[p] = op.both(i, j, A.val[p], B.val[q])
+			} else {
+				C.b[p], C.val[p] = 1, op.right(i, j, B.val[q])
+				C.nvalsB++
+			}
+		}
+	}
+	C.conform()
+	return true
+}
+
+// ewiseMatrix combines A and B row by row: an intersection when left and
+// right are nil, otherwise a union with pass-through. Positions the mask
+// disallows are skipped (mask pre-restriction). Each row is driven by its
+// sparsest participant:
+//
+//	sparse ∘ sparse                      two-pointer merge of the sorted rows
+//	sparse ∩ bitmap/full                 walk the sparse row, probe the other
+//	bitmap/full ∩ bitmap/full under a    walk the mask's row, probe both
+//	  sparse non-complemented mask
+//	anything else (a union with a dense  one pass over the row's positions
+//	  side, dense ∩ dense)
 func ewiseMatrix[TA, TB, TC Value](
-	both func(i, j int, ax TA, bx TB) (TC, bool),
-	left func(i, j int, ax TA) (TC, bool),
-	right func(i, j int, bx TB) (TC, bool),
-	A *Matrix[TA], B *Matrix[TB], mask Mask, useMask bool) *Matrix[TC] {
+	both func(i, j int, ax TA, bx TB) TC,
+	left func(i, j int, ax TA) TC,
+	right func(i, j int, bx TB) TC,
+	A *Matrix[TA], B *Matrix[TB], mask Mask) *Matrix[TC] {
 
 	nr, nc := A.Dims()
+	union := left != nil
+	aS, bS := A.format == FormatSparse, B.format == FormatSparse
 	denseMaskSrc := !mask.Exists() || mask.src.maskIsDense()
+	walkMask := !union && !aS && !bS && mask.enumerable() && !denseMaskSrc
 	return buildCSRParallelScoped(nr, nc, func(scope *rowAllowScope) func(i int, emit func(j int, x TC)) {
-		// Dense row scratch for non-sparse operands.
-		var aHas []int8
-		var aVal []TA
-		var bHas []int8
-		var bVal []TB
 		return func(i int, emit func(j int, x TC)) {
-			if useMask {
-				scope.load(mask, i, nc, denseMaskSrc)
+			base := i * nc
+			if walkMask {
+				mask.rowIterAllowed(i, func(j int) {
+					if p := base + j; A.denseHas(p) && B.denseHas(p) {
+						emit(j, both(i, j, A.val[p], B.val[p]))
+					}
+				})
+				return
 			}
-			ok := func(j int) bool { return !useMask || scope.ok(mask, i, j) }
-			// Obtain row views as sorted streams.
-			aIdx, aValS := rowView(A, i, &aHas, &aVal)
-			bIdx, bValS := rowView(B, i, &bHas, &bVal)
-			p, q := 0, 0
-			for p < len(aIdx) || q < len(bIdx) {
-				switch {
-				case p < len(aIdx) && (q >= len(bIdx) || aIdx[p] < bIdx[q]):
-					j := aIdx[p]
-					if left != nil && ok(j) {
-						if x, keep := left(i, j, aValS[p]); keep {
-							emit(j, x)
+			scope.load(mask, i, nc, denseMaskSrc)
+			var p, pe, q, qe int
+			if aS {
+				p, pe = A.ptr[i], A.ptr[i+1]
+			}
+			if bS {
+				q, qe = B.ptr[i], B.ptr[i+1]
+			}
+			switch {
+			case aS && bS:
+				for p < pe || q < qe {
+					switch {
+					case p < pe && (q >= qe || A.idx[p] < B.idx[q]):
+						if j := A.idx[p]; union && scope.ok(mask, i, j) {
+							emit(j, left(i, j, A.val[p]))
 						}
-					}
-					p++
-				case q < len(bIdx) && (p >= len(aIdx) || bIdx[q] < aIdx[p]):
-					j := bIdx[q]
-					if right != nil && ok(j) {
-						if x, keep := right(i, j, bValS[q]); keep {
-							emit(j, x)
+						p++
+					case q < qe && (p >= pe || B.idx[q] < A.idx[p]):
+						if j := B.idx[q]; union && scope.ok(mask, i, j) {
+							emit(j, right(i, j, B.val[q]))
 						}
-					}
-					q++
-				default:
-					j := aIdx[p]
-					if ok(j) {
-						if x, keep := both(i, j, aValS[p], bValS[q]); keep {
-							emit(j, x)
+						q++
+					default:
+						if j := A.idx[p]; scope.ok(mask, i, j) {
+							emit(j, both(i, j, A.val[p], B.val[q]))
 						}
+						p++
+						q++
 					}
-					p++
-					q++
+				}
+			case aS && !union:
+				for ; p < pe; p++ {
+					if j := A.idx[p]; B.denseHas(base+j) && scope.ok(mask, i, j) {
+						emit(j, both(i, j, A.val[p], B.val[base+j]))
+					}
+				}
+			case bS && !union:
+				for ; q < qe; q++ {
+					if j := B.idx[q]; A.denseHas(base+j) && scope.ok(mask, i, j) {
+						emit(j, both(i, j, A.val[base+j], B.val[q]))
+					}
+				}
+			default:
+				for j := 0; j < nc; j++ {
+					var ax TA
+					var bx TB
+					aok, bok := false, false
+					if aS {
+						if p < pe && A.idx[p] == j {
+							ax, aok = A.val[p], true
+							p++
+						}
+					} else if A.denseHas(base + j) {
+						ax, aok = A.val[base+j], true
+					}
+					if bS {
+						if q < qe && B.idx[q] == j {
+							bx, bok = B.val[q], true
+							q++
+						}
+					} else if B.denseHas(base + j) {
+						bx, bok = B.val[base+j], true
+					}
+					if emits := aok && bok || union && (aok || bok); !emits || !scope.ok(mask, i, j) {
+						continue
+					}
+					switch {
+					case aok && bok:
+						emit(j, both(i, j, ax, bx))
+					case aok:
+						emit(j, left(i, j, ax))
+					default:
+						emit(j, right(i, j, bx))
+					}
 				}
 			}
 		}
 	})
-}
-
-// rowView returns row i of m as sorted parallel index/value slices. Dense
-// formats are expanded into the caller-provided scratch buffers.
-func rowView[T Value](m *Matrix[T], i int, scratchIdxBuf *[]int8, scratchValBuf *[]T) ([]int, []T) {
-	if m.format == FormatSparse {
-		lo, hi := m.ptr[i], m.ptr[i+1]
-		return m.idx[lo:hi], m.val[lo:hi]
-	}
-	_ = scratchIdxBuf
-	// Expand the dense row into fresh slices; rows are short-lived and this
-	// path is not on the benchmarks' hot loops.
-	idx := make([]int, 0, m.nc)
-	val := make([]T, 0, m.nc)
-	base := i * m.nc
-	for j := 0; j < m.nc; j++ {
-		if m.format == FormatFull || m.b[base+j] != 0 {
-			idx = append(idx, j)
-			val = append(val, m.val[base+j])
-		}
-	}
-	*scratchValBuf = val
-	return idx, val
 }
 
 // waited returns m after finishing its pending work (helper for call
@@ -210,7 +271,14 @@ func EWiseAddV[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 	d := descOf(desc)
 	u.Wait()
 	v.Wait()
-	t := ewiseVector(op, u, v, mask, true)
+	// w = w op∪ v with w bitmap/full and v sparse (so v is not w), no mask
+	// and no accumulator: only v's entries can change w — fold them in.
+	if w == u && !mask.Exists() && accum == nil && op.PosF == nil &&
+		w.format != FormatSparse && v.format == FormatSparse {
+		scatterEntries(w, v, op.F)
+		return nil
+	}
+	t := ewiseVector(op, u, v, mask)
 	maskAccumVector(w, mask, accum, t, d.Replace, true)
 	return nil
 }
@@ -233,13 +301,14 @@ func EWiseMultV[TA, TB, TC Value](w *Vector[TC], mask VMask, accum func(TC, TC) 
 	return nil
 }
 
-func ewiseVector[T Value](op BinaryOp[T, T, T], u, v *Vector[T], mask VMask, union bool) *Vector[T] {
+// ewiseVector is the union u op∪ v restricted to the mask. Two sparse
+// operands are merged; with a bitmap/full operand the union is at least
+// as dense, so it is built by position straight into a bitmap.
+func ewiseVector[T Value](op BinaryOp[T, T, T], u, v *Vector[T], mask VMask) *Vector[T] {
 	n := u.Size()
-	allow := mask.denseAllow(n)
-	ok := func(i int) bool { return allow == nil || allow[i] != 0 }
 	t := MustVector[T](n)
 	// Dense fast path: both operands full and everything allowed.
-	if u.format == FormatFull && v.format == FormatFull && allow == nil && op.PosF == nil {
+	if u.format == FormatFull && v.format == FormatFull && !mask.Exists() && op.PosF == nil {
 		t.format = FormatFull
 		t.val = make([]T, n)
 		for i := 0; i < n; i++ {
@@ -247,97 +316,122 @@ func ewiseVector[T Value](op BinaryOp[T, T, T], u, v *Vector[T], mask VMask, uni
 		}
 		return t
 	}
-	uIdx, uVal := vecView(u)
-	vIdx, vVal := vecView(v)
-	apply := func(i int, a, b T) T {
-		if op.PosF != nil {
-			return op.PosF(i, 0, 0)
-		}
-		return op.F(a, b)
-	}
+	both := bothOf(op)
+	uS, vS := u.format == FormatSparse, v.format == FormatSparse
+	allow := mask.allowFor(n, !uS || !vS)
+	defer allow.release()
 	p, q := 0, 0
-	for p < len(uIdx) || q < len(vIdx) {
-		switch {
-		case p < len(uIdx) && (q >= len(vIdx) || uIdx[p] < vIdx[q]):
-			if union && ok(uIdx[p]) {
-				t.idx = append(t.idx, uIdx[p])
-				t.val = append(t.val, uVal[p])
+	if uS && vS {
+		emit := func(i int, x T) {
+			if allow.ok(i) {
+				t.idx = append(t.idx, i)
+				t.val = append(t.val, x)
 			}
+		}
+		for p < len(u.idx) || q < len(v.idx) {
+			switch {
+			case p < len(u.idx) && (q >= len(v.idx) || u.idx[p] < v.idx[q]):
+				emit(u.idx[p], u.val[p])
+				p++
+			case q < len(v.idx) && (p >= len(u.idx) || v.idx[q] < u.idx[p]):
+				emit(v.idx[q], v.val[q])
+				q++
+			default:
+				emit(u.idx[p], both(u.idx[p], 0, u.val[p], v.val[q]))
+				p++
+				q++
+			}
+		}
+		t.conform()
+		return t
+	}
+	t.format = FormatBitmap
+	t.b = make([]int8, n)
+	t.val = make([]T, n)
+	for i := 0; i < n; i++ {
+		var ux, vx T
+		uok, vok := false, false
+		if !uS {
+			ux, uok = u.get(i)
+		} else if p < len(u.idx) && u.idx[p] == i {
+			ux, uok = u.val[p], true
 			p++
-		case q < len(vIdx) && (p >= len(uIdx) || vIdx[q] < uIdx[p]):
-			if union && ok(vIdx[q]) {
-				t.idx = append(t.idx, vIdx[q])
-				t.val = append(t.val, vVal[q])
-			}
-			q++
-		default:
-			if ok(uIdx[p]) {
-				t.idx = append(t.idx, uIdx[p])
-				t.val = append(t.val, apply(uIdx[p], uVal[p], vVal[q]))
-			}
-			p++
+		}
+		if !vS {
+			vx, vok = v.get(i)
+		} else if q < len(v.idx) && v.idx[q] == i {
+			vx, vok = v.val[q], true
 			q++
 		}
+		switch {
+		case !uok && !vok, !allow.ok(i):
+			continue
+		case uok && vok:
+			t.val[i] = both(i, 0, ux, vx)
+		case uok:
+			t.val[i] = ux
+		default:
+			t.val[i] = vx
+		}
+		t.b[i] = 1
+		t.nvalsB++
 	}
 	t.conform()
 	return t
 }
 
+// ewiseMultVector is the intersection u op∩ v restricted to the mask,
+// driven by a sparse operand when there is one: it is walked and the other
+// operand and the mask are probed at its entries.
 func ewiseMultVector[TA, TB, TC Value](op BinaryOp[TA, TB, TC], u *Vector[TA], v *Vector[TB], mask VMask) *Vector[TC] {
 	n := u.Size()
-	allow := mask.denseAllow(n)
-	ok := func(i int) bool { return allow == nil || allow[i] != 0 }
 	t := MustVector[TC](n)
-	uIdx, uVal := vecView(u)
-	vIdx, vVal := vecView(v)
-	apply := func(i int, a TA, b TB) TC {
-		if op.PosF != nil {
-			return op.PosF(i, 0, 0)
+	both := bothOf(op)
+	uS, vS := u.format == FormatSparse, v.format == FormatSparse
+	allow := mask.allowFor(n, !uS && !vS)
+	defer allow.release()
+	emit := func(i int, ux TA, vx TB) {
+		if allow.ok(i) {
+			t.idx = append(t.idx, i)
+			t.val = append(t.val, both(i, 0, ux, vx))
 		}
-		return op.F(a, b)
 	}
-	p, q := 0, 0
-	for p < len(uIdx) && q < len(vIdx) {
-		switch {
-		case uIdx[p] < vIdx[q]:
-			p++
-		case vIdx[q] < uIdx[p]:
-			q++
-		default:
-			if ok(uIdx[p]) {
-				t.idx = append(t.idx, uIdx[p])
-				t.val = append(t.val, apply(uIdx[p], uVal[p], vVal[q]))
+	switch {
+	case uS && vS:
+		p, q := 0, 0
+		for p < len(u.idx) && q < len(v.idx) {
+			switch {
+			case u.idx[p] < v.idx[q]:
+				p++
+			case v.idx[q] < u.idx[p]:
+				q++
+			default:
+				emit(u.idx[p], u.val[p], v.val[q])
+				p++
+				q++
 			}
-			p++
-			q++
+		}
+	case uS:
+		for p, i := range u.idx {
+			if vx, ok := v.get(i); ok {
+				emit(i, u.val[p], vx)
+			}
+		}
+	case vS:
+		for q, i := range v.idx {
+			if ux, ok := u.get(i); ok {
+				emit(i, ux, v.val[q])
+			}
+		}
+	default:
+		for i := 0; i < n; i++ {
+			if ux, ok := u.get(i); ok {
+				if vx, ok := v.get(i); ok {
+					emit(i, ux, vx)
+				}
+			}
 		}
 	}
 	t.conform()
 	return t
-}
-
-// vecView returns the finished vector as sorted (indices, values) slices;
-// dense formats are expanded.
-func vecView[T Value](v *Vector[T]) ([]int, []T) {
-	v.Wait()
-	switch v.format {
-	case FormatSparse:
-		return v.idx, v.val
-	case FormatFull:
-		idx := make([]int, v.n)
-		for i := range idx {
-			idx[i] = i
-		}
-		return idx, v.val
-	default:
-		idx := make([]int, 0, v.nvalsB)
-		val := make([]T, 0, v.nvalsB)
-		for i := 0; i < v.n; i++ {
-			if v.b[i] != 0 {
-				idx = append(idx, i)
-				val = append(val, v.val[i])
-			}
-		}
-		return idx, val
-	}
 }

@@ -113,10 +113,11 @@ func ExtractColumn[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 		return err
 	}
 	A.Wait()
-	allow := mask.denseAllow(outN)
+	allow := mask.allowFor(outN, true)
+	defer allow.release()
 	t := buildVectorByIndex(outN, func(k int) (T, bool) {
 		var zero T
-		if allow != nil && allow[k] == 0 {
+		if !allow.ok(k) {
 			return zero, false
 		}
 		si := k
@@ -162,10 +163,11 @@ func ExtractSubvector[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 	}
 	d := descOf(desc)
 	u.Wait()
-	allow := mask.denseAllow(outN)
+	allow := mask.allowFor(outN, true)
+	defer allow.release()
 	t := buildVectorByIndex(outN, func(k int) (T, bool) {
 		var zero T
-		if allow != nil && allow[k] == 0 {
+		if !allow.ok(k) {
 			return zero, false
 		}
 		si := k

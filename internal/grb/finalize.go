@@ -41,17 +41,25 @@ func maskAccumVector[T Value](w *Vector[T], mk VMask, accum func(T, T) T, t *Vec
 		})
 		return
 	}
+	// Fast path 4: unmasked accumulate into a bitmap/full w — only t's
+	// entries can change anything, so fold them in where they land.
+	if !mk.Exists() && accum != nil && w.format != FormatSparse {
+		scatterEntries(w, t, accum)
+		return
+	}
 	// General path.
 	w.Wait()
 	t.Wait()
-	allow := mk.denseAllow(n)
-	if w.format != FormatSparse || t.format != FormatSparse {
+	dense := w.format != FormatSparse || t.format != FormatSparse
+	allow := mk.allowFor(n, dense)
+	defer allow.release()
+	if dense {
 		// Dense-ish: produce a bitmap result.
 		outB := make([]int8, n)
 		outV := make([]T, n)
 		nvals := 0
 		for i := 0; i < n; i++ {
-			al := allow == nil || allow[i] != 0
+			al := allow.ok(i)
 			wx, wok := w.get(i)
 			tx, tok := t.get(i)
 			var x T
@@ -103,7 +111,7 @@ func maskAccumVector[T Value](w *Vector[T], mk VMask, accum func(T, T) T, t *Vec
 		default:
 			i, wok, tok = widx[p], true, true
 		}
-		al := allow == nil || allow[i] != 0
+		al := allow.ok(i)
 		switch {
 		case al && wok && tok:
 			if accum != nil {
@@ -151,6 +159,26 @@ func maskAccumMatrix[T Value](C *Matrix[T], mk Mask, accum func(T, T) T, t *Matr
 				C.val[p] = accum(C.val[p], t.val[p])
 			}
 		})
+		return
+	}
+	// Fast path 4: unmasked accumulate into a bitmap/full C (which is never
+	// a shared snapshot and holds no pending tuples): fold t's entries in
+	// where they land instead of rebuilding C around them.
+	if !mk.Exists() && accum != nil && C.format != FormatSparse {
+		t.Wait()
+		for i := 0; i < t.nr; i++ {
+			base := i * C.nc
+			aRowIter(t, i, func(j int, x T) {
+				p := base + j
+				if C.format == FormatFull || C.b[p] != 0 {
+					C.val[p] = accum(C.val[p], x)
+				} else {
+					C.b[p], C.val[p] = 1, x
+					C.nvalsB++
+				}
+			})
+		}
+		C.conform()
 		return
 	}
 	// General path: row-parallel merge in sparse form.
@@ -214,12 +242,28 @@ func maskAccumMatrix[T Value](C *Matrix[T], mk Mask, accum func(T, T) T, t *Matr
 
 // rowAllowScope caches one mask row scattered into a dense scratch, so
 // sparse-mask lookups during a row merge are O(1). Each parallel worker
-// owns one scope.
+// owns one scope; the scratch is a pooled slab, handed back (after atEnd,
+// where a kernel returns what else it borrowed) when the worker's block ends.
 type rowAllowScope struct {
+	slab    *[]int8
 	scratch []int8
 	touched []int
 	row     int
 	direct  bool // dense mask source (or no mask): query mk.allowed directly
+	atEnd   func()
+}
+
+func (s *rowAllowScope) release() {
+	if s.slab != nil {
+		for _, j := range s.touched {
+			s.scratch[j] = 0
+		}
+		putSlab(s.slab)
+		s.slab, s.scratch = nil, nil
+	}
+	if s.atEnd != nil {
+		s.atEnd()
+	}
 }
 
 func (s *rowAllowScope) load(mk Mask, i, nc int, denseSrc bool) {
@@ -230,7 +274,8 @@ func (s *rowAllowScope) load(mk Mask, i, nc int, denseSrc bool) {
 	}
 	s.direct = false
 	if s.scratch == nil {
-		s.scratch = make([]int8, nc)
+		s.slab = getSlab(nc)
+		s.scratch = *s.slab
 	}
 	for _, j := range s.touched {
 		s.scratch[j] = 0
@@ -275,7 +320,9 @@ func buildCSRParallelScoped[T Value](nr, nc int, makeRowFn func(*rowAllowScope) 
 	}
 	rowLen := make([]int, nr+1)
 	blocks := parallel.Blocks(nr, func(lo, hi int) block {
-		rowFn := makeRowFn(&rowAllowScope{row: -1})
+		scope := &rowAllowScope{row: -1}
+		defer scope.release()
+		rowFn := makeRowFn(scope)
 		blk := block{lo: lo}
 		for i := lo; i < hi; i++ {
 			start := len(blk.idx)

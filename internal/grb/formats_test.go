@@ -104,36 +104,396 @@ func TestVxMMxVAcrossFormats(t *testing.T) {
 	}
 }
 
+// operandIn returns a random matrix stored in format f: sparse operands
+// are sparse in content too, and a full one holds every cell.
+func operandIn(rng *rand.Rand, nr, nc int, f Format) *Matrix[float64] {
+	density := map[Format]float64{FormatSparse: 0.2, FormatBitmap: 0.5, FormatFull: 1}[f]
+	m := randMatrix(rng, nr, nc, density)
+	m.ConvertTo(f)
+	return m
+}
+
+func vecOperandIn(rng *rand.Rand, n int, f Format) *Vector[float64] {
+	density := map[Format]float64{FormatSparse: 0.2, FormatBitmap: 0.5, FormatFull: 1}[f]
+	v := randVector(rng, n, density)
+	v.ConvertTo(f)
+	return v
+}
+
+// withZeros rewrites about a third of the stored values to an explicit
+// zero, so that a valued mask and a structural one differ.
+func withZeros(rng *rand.Rand, vals []float64) {
+	for k := range vals {
+		if rng.Intn(3) == 0 {
+			vals[k] = 0
+		}
+	}
+}
+
+// maskVariant names one of the mask shapes every element-wise, apply and
+// select path is checked under.
+type maskVariant struct {
+	name             string
+	none, dense      bool
+	structural, comp bool
+}
+
+var maskVariants = []maskVariant{
+	{name: "nomask", none: true},
+	{name: "s(sparse)", structural: true},
+	{name: "valued(sparse)"},
+	{name: "¬s(sparse)", structural: true, comp: true},
+	{name: "valued(bitmap)", dense: true},
+}
+
+func (mv maskVariant) matrix(M *Matrix[float64]) Mask {
+	if mv.none {
+		return NoMask
+	}
+	M = M.Dup()
+	if mv.dense {
+		M.ConvertTo(FormatBitmap)
+	}
+	mk := MaskOf(M)
+	if mv.structural {
+		mk = mk.Structure()
+	}
+	if mv.comp {
+		mk = mk.Not()
+	}
+	return mk
+}
+
+func (mv maskVariant) vector(m *Vector[float64]) VMask {
+	if mv.none {
+		return NoVMask
+	}
+	m = m.Dup()
+	if mv.dense {
+		m.ConvertTo(FormatBitmap)
+	}
+	mk := VMaskOf(m)
+	if mv.structural {
+		mk = mk.Structure()
+	}
+	if mv.comp {
+		mk = mk.Not()
+	}
+	return mk
+}
+
+// asCoords lifts a dense vector image to the (i, 0) coordinates the mask
+// model speaks; colMatrix is the same lift for a vector.
+func asCoords(v map[int]float64) map[coord]float64 {
+	out := make(map[coord]float64, len(v))
+	for i, x := range v {
+		out[coord{i, 0}] = x
+	}
+	return out
+}
+
+func colMatrix(t *testing.T, v *Vector[float64]) *Matrix[float64] {
+	t.Helper()
+	idx, vals := v.ExtractTuples()
+	m, err := MatrixFromTuples(v.Size(), 1, idx, make([]int, len(idx)), vals, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestEWiseAcrossFormats is the differential test of the operand-driven
+// paths: for every storage format of both operands and of the output,
+// every mask shape, accumulator and replace setting, the element-wise,
+// apply and select operations must agree with the same call made on
+// sparse copies of everything — which takes the sorted-merge kernel and
+// the general mask/accumulate tail, the reference paths — and that
+// reference must in turn equal the element-by-element model of the mask
+// and accumulator semantics (mask_semantics_test.go).
 func TestEWiseAcrossFormats(t *testing.T) {
 	rng := rand.New(rand.NewSource(104))
-	n := 10
-	A := randMatrix(rng, n, n, 0.3)
-	B := randMatrix(rng, n, n, 0.3)
-	refAdd := MustMatrix[float64](n, n)
-	if err := EWiseAdd(refAdd, NoMask, nil, AddOp(PlusOp[float64]()), A, B, nil); err != nil {
-		t.Fatal(err)
-	}
-	refMul := MustMatrix[float64](n, n)
-	if err := EWiseMult(refMul, NoMask, nil, TimesOp[float64](), A, B, nil); err != nil {
-		t.Fatal(err)
-	}
-	wantAdd := denseOf(refAdd)
-	wantMul := denseOf(refMul)
+	const nr, nc = 5, 12
+	plus := func(a, b float64) float64 { return a + b }
+	sparse := func(m *Matrix[float64]) *Matrix[float64] { return inFormat(m, FormatSparse) }
+	vsparse := func(v *Vector[float64]) *Vector[float64] { return vecInFormat(v, FormatSparse) }
+	half := float64(5)
+
+	mr, mcols, mvals := randMatrix(rng, nr, nc, 0.4).ExtractTuples()
+	withZeros(rng, mvals)
+	M, _ := MatrixFromTuples(nr, nc, mr, mcols, mvals, nil)
+	mi, mv := randVector(rng, nc, 0.4).ExtractTuples()
+	withZeros(rng, mv)
+	m, _ := VectorFromTuples(nc, mi, mv, nil)
+
+	mSet, mvSet := denseOf(M), asCoords(vdenseOf(m))
 	for _, fa := range allFormats {
 		for _, fb := range allFormats {
-			Af := inFormat(A, fa)
-			Bf := inFormat(B, fb)
-			C := MustMatrix[float64](n, n)
-			if err := EWiseAdd(C, NoMask, nil, AddOp(PlusOp[float64]()), Af, Bf, nil); err != nil {
-				t.Fatal(err)
+			A, B := operandIn(rng, nr, nc, fa), operandIn(rng, nr, nc, fb)
+			u, v := vecOperandIn(rng, nc, fa), vecOperandIn(rng, nc, fb)
+			// The unmasked results, element by element: the model's T.
+			tOf := map[string]map[coord]float64{"ApplyV": {}, "SelectV": {}, "AssignVectorScalar": {}}
+			tOf["EWiseAdd"], tOf["EWiseMult"] = unionAndIntersection(denseOf(A), denseOf(B))
+			du := asCoords(vdenseOf(u))
+			tOf["EWiseAddV"], tOf["EWiseMultV"] = unionAndIntersection(du, asCoords(vdenseOf(v)))
+			for i := 0; i < nc; i++ {
+				p := coord{i, 0}
+				if a, ok := du[p]; ok {
+					tOf["ApplyV"][p] = -a
+					if a >= half {
+						tOf["SelectV"][p] = a
+					}
+				}
+				tOf["AssignVectorScalar"][p] = half
 			}
-			matricesEqual(t, C, wantAdd, "eadd "+fa.String()+"x"+fb.String())
-			D := MustMatrix[float64](n, n)
-			if err := EWiseMult(D, NoMask, nil, TimesOp[float64](), Af, Bf, nil); err != nil {
-				t.Fatal(err)
+			for _, fc := range allFormats {
+				C0, w0 := operandIn(rng, nr, nc, fc), vecOperandIn(rng, nc, fc)
+				for _, mvar := range maskVariants {
+					for _, withAccum := range []bool{false, true} {
+						for _, replace := range []bool{false, true} {
+							var acc func(float64, float64) float64
+							if withAccum {
+								acc = plus
+							}
+							var desc *Descriptor
+							if replace {
+								desc = DescR
+							}
+							label := fa.String() + "∘" + fb.String() + " into " + fc.String() + " " + mvar.name
+							if withAccum {
+								label += " accum"
+							}
+							if replace {
+								label += " replace"
+							}
+							mk, vmk := mvar.matrix(M), mvar.vector(m)
+
+							matrixOps := map[string]func(C, A, B *Matrix[float64]) error{
+								"EWiseAdd": func(C, A, B *Matrix[float64]) error {
+									return EWiseAdd(C, mk, acc, AddOp(PlusOp[float64]()), A, B, desc)
+								},
+								"EWiseMult": func(C, A, B *Matrix[float64]) error {
+									return EWiseMult(C, mk, acc, TimesOp[float64](), A, B, desc)
+								},
+							}
+							for name, op := range matrixOps {
+								got, want := C0.Dup(), sparse(C0)
+								if err := op(got, A, B); err != nil {
+									t.Fatalf("%s %s: %v", name, label, err)
+								}
+								if err := op(want, sparse(A), sparse(B)); err != nil {
+									t.Fatalf("%s %s (reference): %v", name, label, err)
+								}
+								matricesEqual(t, got, denseOf(want), name+" "+label)
+								exists := func(p coord) bool { _, ok := mSet[p]; return ok }
+								if mvar.none {
+									exists = nil
+								}
+								matricesEqual(t, want, modelMaskAccum(denseOf(C0), tOf[name], mSet, exists,
+									mvar.comp, mvar.structural, replace, withAccum), name+" reference vs model "+label)
+							}
+
+							vectorOps := map[string]func(w, u, v *Vector[float64]) error{
+								"EWiseAddV": func(w, u, v *Vector[float64]) error {
+									return EWiseAddV(w, vmk, acc, PlusOp[float64](), u, v, desc)
+								},
+								"EWiseMultV": func(w, u, v *Vector[float64]) error {
+									return EWiseMultV(w, vmk, acc, TimesOp[float64](), u, v, desc)
+								},
+								"ApplyV": func(w, u, _ *Vector[float64]) error {
+									return ApplyV(w, vmk, acc, AInvOp[float64](), u, desc)
+								},
+								"SelectV": func(w, u, _ *Vector[float64]) error {
+									return SelectV(w, vmk, acc, ValueGE[float64](), u, half, desc)
+								},
+								"AssignVectorScalar": func(w, _, _ *Vector[float64]) error {
+									return AssignVectorScalar(w, vmk, acc, half, All, desc)
+								},
+							}
+							for name, op := range vectorOps {
+								got, want := w0.Dup(), vsparse(w0)
+								if err := op(got, u, v); err != nil {
+									t.Fatalf("%s %s: %v", name, label, err)
+								}
+								if err := op(want, vsparse(u), vsparse(v)); err != nil {
+									t.Fatalf("%s %s (reference): %v", name, label, err)
+								}
+								vectorsEqual(t, got, vdenseOf(want), name+" "+label)
+								exists := func(p coord) bool { _, ok := mvSet[p]; return ok }
+								if mvar.none {
+									exists = nil
+								}
+								matricesEqual(t, colMatrix(t, want), modelMaskAccum(asCoords(vdenseOf(w0)), tOf[name], mvSet, exists,
+									mvar.comp, mvar.structural, replace, withAccum), name+" reference vs model "+label)
+							}
+						}
+					}
+				}
 			}
-			matricesEqual(t, D, wantMul, "emult "+fa.String()+"x"+fb.String())
 		}
+	}
+}
+
+// TestEWiseAliasedOutputs names the aliasing shapes the in-place paths
+// must get right: the output as first or second operand, as its own mask,
+// as a copy-on-write snapshot of a shared matrix, and with pending tuples.
+func TestEWiseAliasedOutputs(t *testing.T) {
+	rng := rand.New(rand.NewSource(105))
+	const nr, nc = 4, 14
+	plus := func(a, b float64) float64 { return a + b }
+	addOp := AddOp(PlusOp[float64]())
+	M, m := randMatrix(rng, nr, nc, 0.4), randVector(rng, nc, 0.4)
+
+	for _, fp := range allFormats {
+		for _, ff := range allFormats {
+			label := fp.String() + "," + ff.String()
+			P0, F := operandIn(rng, nr, nc, fp), operandIn(rng, nr, nc, ff)
+			t0, r := vecOperandIn(rng, nc, fp), vecOperandIn(rng, nc, ff)
+
+			// The output as first and as second operand, under every mask
+			// shape, with and without accumulator and replace; the
+			// vector op is order-sensitive.
+			minus := MinusOp[float64]()
+			for _, mvar := range maskVariants {
+				for _, acc := range []func(float64, float64) float64{nil, plus} {
+					for _, desc := range []*Descriptor{nil, DescR} {
+						lbl := label + " " + mvar.name
+						if acc != nil {
+							lbl += " accum"
+						}
+						if desc != nil {
+							lbl += " replace"
+						}
+						mk, vmk := mvar.matrix(M), mvar.vector(m)
+						want, P := P0.Dup(), P0.Dup()
+						if err := EWiseAdd(want, mk, acc, addOp, P0.Dup(), F, desc); err != nil {
+							t.Fatal(err)
+						}
+						if err := EWiseAdd(P, mk, acc, addOp, P, F, desc); err != nil {
+							t.Fatal(err)
+						}
+						matricesEqual(t, P, denseOf(want), "EWiseAdd(P,…,P,F) "+lbl)
+						P = P0.Dup()
+						if err := EWiseAdd(P, mk, acc, addOp, F, P, desc); err != nil {
+							t.Fatal(err)
+						}
+						matricesEqual(t, P, denseOf(want), "EWiseAdd(P,…,F,P) "+lbl)
+
+						wantV, tv := t0.Dup(), t0.Dup()
+						if err := EWiseAddV(wantV, vmk, acc, minus, t0.Dup(), r, desc); err != nil {
+							t.Fatal(err)
+						}
+						if err := EWiseAddV(tv, vmk, acc, minus, tv, r, desc); err != nil {
+							t.Fatal(err)
+						}
+						vectorsEqual(t, tv, vdenseOf(wantV), "EWiseAddV(t,…,t,r) "+lbl)
+						wantV, tv = t0.Dup(), t0.Dup()
+						if err := EWiseAddV(wantV, vmk, acc, minus, r, t0.Dup(), desc); err != nil {
+							t.Fatal(err)
+						}
+						if err := EWiseAddV(tv, vmk, acc, minus, r, tv, desc); err != nil {
+							t.Fatal(err)
+						}
+						vectorsEqual(t, tv, vdenseOf(wantV), "EWiseAddV(w,…,u,w) "+lbl)
+					}
+				}
+			}
+
+			// The output is its own (valued) mask.
+			wantSelf := P0.Dup()
+			if err := EWiseMult(wantSelf, MaskOf(P0.Dup()), plus, TimesOp[float64](), P0.Dup(), F, nil); err != nil {
+				t.Fatal(err)
+			}
+			P := P0.Dup()
+			if err := EWiseMult(P, MaskOf(P), plus, TimesOp[float64](), P, F, nil); err != nil {
+				t.Fatal(err)
+			}
+			matricesEqual(t, P, denseOf(wantSelf), "EWiseMult(P,⟨P⟩,+,P,F) "+label)
+			for name, op := range map[string]func(w *Vector[float64], mk VMask, u *Vector[float64]) error{
+				"ApplyV": func(w *Vector[float64], mk VMask, u *Vector[float64]) error {
+					return ApplyV(w, mk, nil, AInvOp[float64](), u, DescR)
+				},
+				"SelectV": func(w *Vector[float64], mk VMask, u *Vector[float64]) error {
+					return SelectV(w, mk, plus, ValueGE[float64](), u, 3, nil)
+				},
+				"EWiseMultV": func(w *Vector[float64], mk VMask, u *Vector[float64]) error {
+					return EWiseMultV(w, mk, nil, TimesOp[float64](), u, r, nil)
+				},
+				"AssignVectorScalar": func(w *Vector[float64], mk VMask, _ *Vector[float64]) error {
+					return AssignVectorScalar(w, mk.Structure(), plus, 7, All, nil)
+				},
+			} {
+				wantW := t0.Dup()
+				if err := op(wantW, VMaskOf(t0.Dup()), t0.Dup()); err != nil {
+					t.Fatal(err)
+				}
+				w := t0.Dup()
+				if err := op(w, VMaskOf(w), w); err != nil {
+					t.Fatal(err)
+				}
+				vectorsEqual(t, w, vdenseOf(wantW), name+"(w,⟨w⟩,…,w) "+label)
+			}
+		}
+
+		// The output is a snapshot of a shared matrix: the base must not
+		// move, whatever format the other operand arrives in.
+		base := operandIn(rng, nr, nc, FormatSparse)
+		baseWant := denseOf(base)
+		F := operandIn(rng, nr, nc, fp)
+		for name, op := range map[string]func(C *Matrix[float64]) error{
+			"EWiseAdd(C,…,C,F)":    func(C *Matrix[float64]) error { return EWiseAdd(C, NoMask, nil, addOp, C, F, nil) },
+			"EWiseAdd(C,+,F,F)":    func(C *Matrix[float64]) error { return EWiseAdd(C, NoMask, plus, addOp, F, F, nil) },
+			"EWiseMult(C,+,C,F)":   func(C *Matrix[float64]) error { return EWiseMult(C, NoMask, plus, TimesOp[float64](), C, F, nil) },
+			"EWiseMult(C,⟨C⟩,C,F)": func(C *Matrix[float64]) error { return EWiseMult(C, MaskOf(C), nil, TimesOp[float64](), C, F, nil) },
+		} {
+			want := base.Dup()
+			if err := op(want); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := base.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := op(snap); err != nil {
+				t.Fatal(err)
+			}
+			matricesEqual(t, snap, denseOf(want), name+" on a snapshot, F "+fp.String())
+			matricesEqual(t, base, baseWant, name+": snapshot base, F "+fp.String())
+
+			// The same call on an output that still holds pending tuples.
+			pend, wantPend := base.Dup(), base.Dup()
+			for k := 0; k < 6; k++ {
+				i, j, x := rng.Intn(nr), rng.Intn(nc), float64(1+rng.Intn(9))
+				if err := pend.SetElement(x, i, j); err != nil {
+					t.Fatal(err)
+				}
+				if err := wantPend.SetElement(x, i, j); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wantPend.Wait()
+			if err := op(wantPend); err != nil {
+				t.Fatal(err)
+			}
+			if err := op(pend); err != nil {
+				t.Fatal(err)
+			}
+			matricesEqual(t, pend, denseOf(wantPend), name+" on pending tuples, F "+fp.String())
+		}
+		w, wantW := MustVector[float64](nc), MustVector[float64](nc)
+		for k := 0; k < 5; k++ {
+			i, x := rng.Intn(nc), float64(1+rng.Intn(9))
+			_ = w.SetElement(x, i)
+			_ = wantW.SetElement(x, i)
+		}
+		wantW.Wait()
+		r := vecOperandIn(rng, nc, fp)
+		if err := EWiseAddV(wantW, NoVMask, nil, PlusOp[float64](), wantW, r, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := EWiseAddV(w, NoVMask, nil, PlusOp[float64](), w, r, nil); err != nil {
+			t.Fatal(err)
+		}
+		vectorsEqual(t, w, vdenseOf(wantW), "EWiseAddV(w,…,w,r) on pending tuples, r "+fp.String())
 	}
 }
 

@@ -91,8 +91,8 @@ func randVector(rng *rand.Rand, n int, density float64) *Vector[float64] {
 func matricesEqual[T Value](t *testing.T, got *Matrix[T], want map[coord]T, label string) {
 	t.Helper()
 	g := denseOf(got)
-	if len(g) != len(want) {
-		t.Fatalf("%s: nvals got %d want %d\n got %v\nwant %v", label, len(g), len(want), g, want)
+	if len(g) != len(want) || got.NVals() != len(want) {
+		t.Fatalf("%s: nvals got %d (NVals %d) want %d\n got %v\nwant %v", label, len(g), got.NVals(), len(want), g, want)
 	}
 	for p, x := range want {
 		if g[p] != x {
@@ -104,8 +104,8 @@ func matricesEqual[T Value](t *testing.T, got *Matrix[T], want map[coord]T, labe
 func vectorsEqual[T Value](t *testing.T, got *Vector[T], want map[int]T, label string) {
 	t.Helper()
 	g := vdenseOf(got)
-	if len(g) != len(want) {
-		t.Fatalf("%s: nvals got %d want %d\n got %v\nwant %v", label, len(g), len(want), g, want)
+	if len(g) != len(want) || got.NVals() != len(want) {
+		t.Fatalf("%s: nvals got %d (NVals %d) want %d\n got %v\nwant %v", label, len(g), got.NVals(), len(want), g, want)
 	}
 	for i, x := range want {
 		if g[i] != x {

@@ -159,30 +159,57 @@ func (mk VMask) allowed(i int) bool {
 	return sel
 }
 
-// denseAllow materialises the allowed set as a byte array of length n,
-// or nil when every position is allowed. Kernels use it for O(1) checks.
-func (mk VMask) denseAllow(n int) []int8 {
-	if !mk.Exists() {
-		return nil
+// vAllow answers "may position i be written?" for one vector call. A call
+// that visits all n positions anyway (its input is bitmap or full) reads a
+// pooled byte array filled once from the mask; a call driven by a sparse
+// input probes the mask per entry instead — O(1) on a dense mask source,
+// O(log nnz) on a sparse one — so it never touches n.
+type vAllow struct {
+	mk    VMask
+	slab  *[]int8
+	dense []int8
+}
+
+// allowFor builds the lookup; denseInput selects the array form. The mask
+// is read while the call computes its result, before the output (which
+// may be the mask's own source) is written. Call release when done.
+func (mk VMask) allowFor(n int, denseInput bool) vAllow {
+	a := vAllow{mk: mk}
+	if !mk.Exists() || !denseInput {
+		return a
 	}
-	allow := make([]int8, n)
+	a.slab = getSlab(n)
+	a.dense = *a.slab
 	if mk.Comp {
-		for i := range allow {
-			allow[i] = 1
+		for i := range a.dense {
+			a.dense[i] = 1
 		}
-		mk.src.maskIterV(func(i int, tv bool) {
-			if mk.selects(tv) {
-				allow[i] = 0
-			}
-		})
-	} else {
-		mk.src.maskIterV(func(i int, tv bool) {
-			if mk.selects(tv) {
-				allow[i] = 1
-			}
-		})
 	}
-	return allow
+	var sel int8
+	if !mk.Comp {
+		sel = 1
+	}
+	mk.src.maskIterV(func(i int, tv bool) {
+		if mk.selects(tv) {
+			a.dense[i] = sel
+		}
+	})
+	return a
+}
+
+func (a *vAllow) ok(i int) bool {
+	if a.dense != nil {
+		return a.dense[i] != 0
+	}
+	return a.mk.src == nil || a.mk.allowed(i)
+}
+
+func (a *vAllow) release() {
+	if a.slab != nil {
+		clear(a.dense)
+		putSlab(a.slab)
+		a.slab, a.dense = nil, nil
+	}
 }
 
 // nAllowedUpper estimates how many positions the mask allows (an upper

@@ -65,6 +65,25 @@ func modelMaskAccum(
 	return out
 }
 
+// unionAndIntersection gives the unmasked eWiseAdd (plus over the union,
+// single-sided entries passing through) and eWiseMult (times over the
+// intersection) of two dense images.
+func unionAndIntersection(a, b map[coord]float64) (add, mult map[coord]float64) {
+	add, mult = map[coord]float64{}, map[coord]float64{}
+	for p, x := range a {
+		add[p] = x
+		if y, ok := b[p]; ok {
+			add[p], mult[p] = x+y, x*y
+		}
+	}
+	for p, y := range b {
+		if _, ok := a[p]; !ok {
+			add[p] = y
+		}
+	}
+	return add, mult
+}
+
 func TestMaskSemanticsMatrixAllVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(201))
 	plus := func(a, b float64) float64 { return a + b }
@@ -93,6 +112,11 @@ func TestMaskSemanticsMatrixAllVariants(t *testing.T) {
 
 		cInit := randMatrix(rng, n, n, 0.3)
 		cMap := denseOf(cInit)
+
+		// The element-wise operations go through the same tail; their
+		// operands and output rotate through the storage formats.
+		Af, Bf := inFormat(A, allFormats[trial%3]), inFormat(B, allFormats[trial/3%3])
+		addMap, multMap := unionAndIntersection(denseOf(A), denseOf(B))
 
 		for _, comp := range []bool{false, true} {
 			for _, structural := range []bool{false, true} {
@@ -133,6 +157,19 @@ func TestMaskSemanticsMatrixAllVariants(t *testing.T) {
 							label += " accum"
 						}
 						matricesEqual(t, C, want, label)
+
+						C = inFormat(cInit, allFormats[(trial+1)%3])
+						if err := EWiseAdd(C, mask, acc, AddOp(PlusOp[float64]()), Af, Bf, desc); err != nil {
+							t.Fatal(err)
+						}
+						matricesEqual(t, C, modelMaskAccum(cMap, addMap, mSet, mExists,
+							comp, structural, replace, withAccum), "eWiseAdd"+label[3:])
+						C = inFormat(cInit, allFormats[(trial+1)%3])
+						if err := EWiseMult(C, mask, acc, TimesOp[float64](), Af, Bf, desc); err != nil {
+							t.Fatal(err)
+						}
+						matricesEqual(t, C, modelMaskAccum(cMap, multMap, mSet, mExists,
+							comp, structural, replace, withAccum), "eWiseMult"+label[3:])
 					}
 				}
 			}
@@ -165,6 +202,8 @@ func TestMaskSemanticsVectorAllVariants(t *testing.T) {
 		tMap := vdenseOf(tFull)
 		wInit := randVector(rng, n, 0.4)
 		wMap := vdenseOf(wInit)
+		v := randVector(rng, n, 0.5)
+		uf, vf := vecInFormat(u, allFormats[trial%3]), vecInFormat(v, allFormats[trial/3%3])
 
 		asCoord := func(mm map[int]float64) map[coord]float64 {
 			out := map[coord]float64{}
@@ -218,6 +257,37 @@ func TestMaskSemanticsVectorAllVariants(t *testing.T) {
 							label += " accum"
 						}
 						vectorsEqual(t, w, want, label)
+
+						// Element-wise, apply and select through the same
+						// tail, operands and output rotating through the
+						// storage formats.
+						addMap, multMap := unionAndIntersection(asCoord(vdenseOf(u)), asCoord(vdenseOf(v)))
+						negMap, geMap := map[coord]float64{}, map[coord]float64{}
+						for i, x := range vdenseOf(u) {
+							negMap[coord{i, 0}] = -x
+							if x >= 5 {
+								geMap[coord{i, 0}] = x
+							}
+						}
+						for name, c := range map[string]struct {
+							t   map[coord]float64
+							run func(w *Vector[float64]) error
+						}{
+							"eWiseAddV":  {addMap, func(w *Vector[float64]) error { return EWiseAddV(w, mask, acc, PlusOp[float64](), uf, vf, desc) }},
+							"eWiseMultV": {multMap, func(w *Vector[float64]) error { return EWiseMultV(w, mask, acc, TimesOp[float64](), uf, vf, desc) }},
+							"applyV":     {negMap, func(w *Vector[float64]) error { return ApplyV(w, mask, acc, AInvOp[float64](), uf, desc) }},
+							"selectV":    {geMap, func(w *Vector[float64]) error { return SelectV(w, mask, acc, ValueGE[float64](), uf, 5, desc) }},
+						} {
+							w := vecInFormat(wInit, allFormats[(trial+1)%3])
+							if err := c.run(w); err != nil {
+								t.Fatal(err)
+							}
+							want := map[int]float64{}
+							for p, x := range modelMaskAccum(asCoord(wMap), c.t, mCoord, mExists, comp, structural, replace, withAccum) {
+								want[p.i] = x
+							}
+							vectorsEqual(t, w, want, name+label[3:])
+						}
 					}
 				}
 			}

@@ -463,8 +463,7 @@ func (m *Matrix[T]) ConvertTo(f Format) {
 	case f == FormatSparse && m.format == FormatBitmap:
 		m.bitmapToSparse()
 	case f == FormatSparse && m.format == FormatFull:
-		m.fullToBitmap()
-		m.bitmapToSparse()
+		m.fullToSparse()
 	case f == FormatFull && m.format == FormatBitmap:
 		if m.nvalsB == m.nr*m.nc {
 			m.b = nil
@@ -508,6 +507,23 @@ func (m *Matrix[T]) fullToBitmap() {
 	m.b = b
 	m.nvalsB = size
 	m.format = FormatBitmap
+}
+
+// fullToSparse keeps the value array (row-major order is CSR order when
+// every cell is present) and only writes the structure around it.
+func (m *Matrix[T]) fullToSparse() {
+	ptr := make([]int, m.nr+1)
+	idx := make([]int, m.nr*m.nc)
+	parallel.For(m.nr, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ptr[i+1] = (i + 1) * m.nc
+			for j := 0; j < m.nc; j++ {
+				idx[i*m.nc+j] = j
+			}
+		}
+	})
+	m.ptr, m.idx = ptr, idx
+	m.format = FormatSparse
 }
 
 func (m *Matrix[T]) bitmapToSparse() {
@@ -690,6 +706,10 @@ func (m *Matrix[T]) ExportCSR() (ptr, idx []int, val []T) {
 	}
 	return m.ptr, m.idx, m.val
 }
+
+// denseHas reports whether cell p (= i*nc + j) of a bitmap or full matrix
+// holds an entry.
+func (m *Matrix[T]) denseHas(p int) bool { return m.format == FormatFull || m.b[p] != 0 }
 
 // rowNNZ returns the entry count of row i (sparse, finished matrices).
 func (m *Matrix[T]) rowNNZ(i int) int { return m.ptr[i+1] - m.ptr[i] }

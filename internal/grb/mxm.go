@@ -51,8 +51,8 @@ func MxM[TA, TB, TC Value](C *Matrix[TC], mask Mask, accum func(TC, TC) TC,
 }
 
 // saxpyKernel computes t = A·B row by row: t(i,:) = ⊕_k A(i,k)·B(k,:),
-// restricted to mask-allowed positions. Each worker owns a sparse
-// accumulator sized to B's column count.
+// restricted to mask-allowed positions. Each block of rows borrows a pooled
+// sparse accumulator sized to B's column count.
 func saxpyKernel[TA, TB, TC Value](s Semiring[TA, TB, TC], A *Matrix[TA], B *Matrix[TB], mask Mask) *Matrix[TC] {
 	nr, nc := A.NRows(), B.NCols()
 	addF := s.Add.F
@@ -61,7 +61,8 @@ func saxpyKernel[TA, TB, TC Value](s Semiring[TA, TB, TC], A *Matrix[TA], B *Mat
 	denseMaskSrc := !mask.Exists() || mask.src.maskIsDense()
 	bSparse := B.format == FormatSparse
 	return buildCSRParallelScoped(nr, nc, func(scope *rowAllowScope) func(i int, emit func(j int, x TC)) {
-		acc := newSPA[TC](nc)
+		acc := getSPA[TC](nc)
+		scope.atEnd = func() { putSPA(acc) }
 		return func(i int, emit func(j int, x TC)) {
 			scope.load(mask, i, nc, denseMaskSrc)
 			acc.reset()

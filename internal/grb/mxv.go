@@ -85,7 +85,8 @@ func swapSemiring[TA, TB, TC Value](s Semiring[TA, TB, TC]) Semiring[TB, TA, TC]
 func pushKernel[TA, TB, TC Value](s Semiring[TA, TB, TC], u *Vector[TA], A *Matrix[TB], mask VMask) *Vector[TC] {
 	n := A.NCols()
 	t := MustVector[TC](n)
-	allow := mask.denseAllow(n)
+	allow := mask.allowFor(n, u.format != FormatSparse)
+	defer allow.release()
 	acc := getSPA[TC](n)
 	defer putSPA(acc)
 	acc.reset()
@@ -95,7 +96,7 @@ func pushKernel[TA, TB, TC Value](s Semiring[TA, TB, TC], u *Vector[TA], A *Matr
 	aIsSparse := A.format == FormatSparse
 	u.Iterate(func(k int, ux TA) {
 		emit := func(j int, ax TB) {
-			if allow != nil && allow[j] == 0 {
+			if !allow.ok(j) {
 				return
 			}
 			if acc.has(j) {
@@ -150,10 +151,12 @@ func pushKernel[TA, TB, TC Value](s Semiring[TA, TB, TC], u *Vector[TA], A *Matr
 // hit — the linear-algebra form of GAP's early-exit bottom-up BFS step.
 func pullKernel[TA, TB, TC Value](s Semiring[TA, TB, TC], A *Matrix[TA], u *Vector[TB], mask VMask) *Vector[TC] {
 	n := A.NRows()
-	allow := mask.denseAllow(n)
-	// Dense view of u.
+	allow := mask.allowFor(n, true)
+	defer allow.release()
+	// Dense view of u; a sparse u is scattered into a pooled accumulator.
 	var uHasArr []int8
 	var uValArr []TB
+	var uSPA *spa[TB]
 	switch u.format {
 	case FormatFull:
 		uValArr = u.val
@@ -161,9 +164,13 @@ func pullKernel[TA, TB, TC Value](s Semiring[TA, TB, TC], A *Matrix[TA], u *Vect
 		uHasArr = u.b
 		uValArr = u.val
 	default:
-		uHasArr = make([]int8, A.NCols())
-		uValArr = make([]TB, A.NCols())
-		u.scatterInto(uHasArr, uValArr)
+		uSPA = getSPA[TB](A.NCols())
+		defer putSPA(uSPA)
+		uSPA.reset()
+		for p, k := range u.idx {
+			uSPA.put(k, u.val[p])
+		}
+		uValArr = uSPA.val
 	}
 	addF := s.Add.F
 	isAny := s.Add.IsAny
@@ -172,12 +179,12 @@ func pullKernel[TA, TB, TC Value](s Semiring[TA, TB, TC], A *Matrix[TA], u *Vect
 	aSparse := A.format == FormatSparse
 	return buildVectorByIndex(n, func(i int) (TC, bool) {
 		var acc TC
-		if allow != nil && allow[i] == 0 {
+		if !allow.ok(i) {
 			return acc, false
 		}
 		got := false
 		combine := func(k int, ax TA) bool {
-			if uHasArr != nil && uHasArr[k] == 0 {
+			if uHasArr != nil && uHasArr[k] == 0 || uSPA != nil && !uSPA.has(k) {
 				return true
 			}
 			var x TC

@@ -10,10 +10,22 @@ import (
 // graph pathology to per-call allocation: "Each call to GraphBLAS does
 // several malloc and frees … A future version of SS:GrB is planned that
 // will eliminate this work entirely, by implementing an internal memory
-// pool." This file implements that future-work feature: sparse
-// accumulators are recycled across operations, and their generation
-// counter makes reuse free of clearing. SetPoolEnabled(false) restores
-// allocate-per-call behaviour for the ablation benchmarks.
+// pool." This file implements that future-work feature for everything a
+// call needs that is sized by a vector length but is not its result:
+//
+//   - sparse accumulators (push VxM, every block of the saxpy MxM, and the
+//     scattered view of a sparse u in the pull MxV) — the generation
+//     counter makes reuse free of clearing;
+//   - byte slabs: the mask row a rowAllowScope scatters for O(1) lookups,
+//     and the VMask.denseAllow array of the calls whose input is itself
+//     dense. A slab is borrowed all-zero and must be returned all-zero.
+//
+// Not pooled: results (index/value arrays, bitmap cells, the row builder's
+// per-block buffers and row counts) and view headers — those wait for the
+// per-kernel-run arena (ROADMAP). Nothing of size nrows·ncols or nnz(A)
+// is ever retained, and sync.Pool drops what a GC cycle finds idle.
+// SetPoolEnabled(false) restores allocate-per-call behaviour for the
+// ablation benchmarks.
 
 var poolEnabled atomic.Bool
 
@@ -62,4 +74,30 @@ func putSPA[T Value](s *spa[T]) {
 	rt := reflect.TypeOf((*spa[T])(nil))
 	pi, _ := spaPools.LoadOrStore(rt, &sync.Pool{})
 	pi.(*sync.Pool).Put(s)
+}
+
+// slabPool recycles the byte slabs. It holds pointers so that Put does not
+// allocate a slice header per call.
+var slabPool sync.Pool
+
+// getSlab returns an all-zero byte slab of length n.
+func getSlab(n int) *[]int8 {
+	if PoolEnabled() {
+		if v := slabPool.Get(); v != nil {
+			s := v.(*[]int8)
+			if cap(*s) >= n {
+				*s = (*s)[:n]
+				return s
+			}
+		}
+	}
+	s := make([]int8, n)
+	return &s
+}
+
+// putSlab returns a slab the caller has zeroed again.
+func putSlab(s *[]int8) {
+	if s != nil && PoolEnabled() {
+		slabPool.Put(s)
+	}
 }

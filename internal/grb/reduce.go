@@ -24,9 +24,10 @@ func ReduceMatrixToVector[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 		return err
 	}
 	A.Wait()
-	allow := mask.denseAllow(A.NRows())
+	allow := mask.allowFor(A.NRows(), true)
+	defer allow.release()
 	t := buildVectorByIndex(A.NRows(), func(i int) (T, bool) {
-		if allow != nil && allow[i] == 0 {
+		if !allow.ok(i) {
 			var zero T
 			return zero, false
 		}

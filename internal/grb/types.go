@@ -18,6 +18,15 @@
 //     "any" monoid, which may pick an arbitrary reduction witness and
 //     therefore lets kernels terminate a row reduction early.
 //
+// A call costs what its sparsest participant holds. The driver is chosen
+// from what the call can see — formats, entry counts, output aliasing:
+//
+//	sparse ∩ bitmap/full                          walk the sparse side, probe the other and the mask
+//	bitmap/full ∩ bitmap/full, sparse mask ⟨M⟩    walk the mask's row, probe both operands
+//	C ⊙= sparse T, C = C ∪ sparse B, C bitmap/full, no mask    update C in place at the sparse entries
+//	vector op with a sparse input, any mask       probe the mask per entry (no length-n allow array)
+//	sparse ∘ sparse; unmasked dense ∘ dense       the one sorted merge / one pass by position
+//
 // Matrices are held by row. There is no separate CSC format: computations
 // that need the reverse orientation take an explicitly transposed matrix,
 // exactly as LAGraph caches G.AT.

@@ -275,8 +275,11 @@ func (v *Vector[T]) ConvertTo(f Format) {
 	case f == FormatSparse && v.format == FormatBitmap:
 		v.bitmapToSparse()
 	case f == FormatSparse && v.format == FormatFull:
-		v.fullToBitmap()
-		v.bitmapToSparse()
+		v.idx = make([]int, v.n)
+		for i := range v.idx {
+			v.idx[i] = i
+		}
+		v.format = FormatSparse
 	case f == FormatFull && v.format == FormatBitmap:
 		if v.nvalsB == v.n {
 			v.b = nil
@@ -468,16 +471,4 @@ func (v *Vector[T]) get(i int) (T, bool) {
 		}
 		return zero, false
 	}
-}
-
-// scatterInto writes the vector's entries into dense scratch arrays
-// (present flags and values) and returns the touched indices for cleanup.
-func (v *Vector[T]) scatterInto(present []int8, vals []T) []int {
-	touched := make([]int, 0, v.NVals())
-	v.Iterate(func(i int, x T) {
-		present[i] = 1
-		vals[i] = x
-		touched = append(touched, i)
-	})
-	return touched
 }

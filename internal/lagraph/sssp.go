@@ -90,21 +90,13 @@ func SSSPDeltaStepping[T grb.Number](ctx context.Context, g *Graph[T], src int, 
 	minOp := grb.MinOp[T]()
 	less := grb.BinaryOp[T, T, bool]{Name: "lt", F: func(a, b T) bool { return a < b }}
 
-	// bucketOf extracts t's entries with lo ≤ t < hi.
-	bucketOf := func(v *grb.Vector[T], lo, hi T, strictFinite bool) (*grb.Vector[T], error) {
+	// bucketOf extracts v's entries with lo ≤ v < hi in one pass, through a
+	// user-defined select operator (the C API's GrB_IndexUnaryOp_new).
+	bucketOf := func(v *grb.Vector[T], lo, hi T) (*grb.Vector[T], error) {
+		inRange := grb.IndexUnaryOp[T]{Name: "range", F: func(x T, _, _ int, upper T) bool { return lo <= x && x < upper }}
 		b := grb.MustVector[T](n)
-		if err := grb.SelectV(b, grb.NoVMask, nil, grb.ValueGE[T](), v, lo, nil); err != nil {
-			return nil, wrap(StatusInvalidValue, err, "sssp bucket lower")
-		}
-		if err := grb.SelectV(b, grb.NoVMask, nil, grb.ValueLT[T](), b, hi, nil); err != nil {
-			return nil, wrap(StatusInvalidValue, err, "sssp bucket upper")
-		}
-		if strictFinite {
-			if err := grb.SelectV(b, grb.NoVMask, nil, grb.ValueLT[T](), b, inf, nil); err != nil {
-				return nil, wrap(StatusInvalidValue, err, "sssp bucket finite")
-			}
-		}
-		return b, nil
+		err := grb.SelectV(b, grb.NoVMask, nil, inRange, v, hi, nil)
+		return b, wrap(StatusInvalidValue, err, "sssp bucket")
 	}
 
 	for i := 0; ; i++ {
@@ -114,7 +106,7 @@ func SSSPDeltaStepping[T grb.Number](ctx context.Context, g *Graph[T], src int, 
 		lo := T(i) * delta
 		hi := lo + delta
 		// tB = t⟨iΔ ≤ t < (i+1)Δ⟩ (line 8).
-		tB, err := bucketOf(t, lo, hi, false)
+		tB, err := bucketOf(t, lo, hi)
 		if err != nil {
 			return nil, err
 		}
@@ -130,7 +122,10 @@ func SSSPDeltaStepping[T grb.Number](ctx context.Context, g *Graph[T], src int, 
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			tB.Iterate(func(k int, _ T) { lagTry(e.SetElement(true, k)) })
+			// e⟨s(tB)⟩ = true.
+			if err := grb.AssignVectorScalar(e, grb.StructVMaskOf(tB), nil, true, grb.All, nil); err != nil {
+				return nil, wrap(StatusInvalidValue, err, "sssp settled set")
+			}
 			// tReq = ALᵀ min.plus tB, expressed as the push tBᵀ·AL
 			// (line 10-11).
 			tReq := grb.MustVector[T](n)
@@ -155,7 +150,7 @@ func SSSPDeltaStepping[T grb.Number](ctx context.Context, g *Graph[T], src int, 
 			if err := grb.ApplyV(improved, grb.VMaskOf(tless), nil, grb.Identity[T](), tReq, nil); err != nil {
 				return nil, wrap(StatusInvalidValue, err, "sssp improved gather")
 			}
-			tB, err = bucketOf(improved, lo, hi, false)
+			tB, err = bucketOf(improved, lo, hi)
 			if err != nil {
 				return nil, err
 			}
@@ -185,7 +180,7 @@ func SSSPDeltaStepping[T grb.Number](ctx context.Context, g *Graph[T], src int, 
 		// Terminate when no finite tentative distance ≥ (i+1)Δ remains
 		// (line 6's condition); otherwise skip straight to the next
 		// non-empty bucket.
-		remain, err := bucketOf(t, hi, inf, true)
+		remain, err := bucketOf(t, hi, inf)
 		if err != nil {
 			return nil, err
 		}
