@@ -61,7 +61,8 @@ func SummarizeIf[T grb.Number](v *grb.Vector[T], limit int, keep func(i int, x T
 	if v == nil {
 		return nil
 	}
-	s := &VecSummary{Entries: []VecEntry{}}
+	// Never nil: an empty vector is "entries": [] on the wire.
+	s := &VecSummary{Entries: make([]VecEntry, 0, max(0, min(limit, v.NVals())))}
 	v.Iterate(func(i int, x T) {
 		if keep != nil && !keep(i, x) {
 			return

@@ -1,6 +1,8 @@
 package grb
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"lagraph/internal/parallel"
@@ -359,18 +361,33 @@ func (m *Matrix[T]) assemblePending() {
 	if dup == nil {
 		dup = func(_, n T) T { return n }
 	}
-	pend := m.pend
+	log := m.pend
 	m.pend = nil
 	m.ndel = 0
-	sort.SliceStable(pend, func(a, b int) bool {
-		if pend[a].i != pend[b].i {
-			return pend[a].i < pend[b].i
+	// Order the log by position, keeping call order within one: a stable
+	// bucket by row (count, prefix sum, scatter), then a stable sort by
+	// column inside each row's short run.
+	end := make([]int, m.nr+1)
+	for _, op := range log {
+		end[op.i+1]++
+	}
+	for i := 0; i < m.nr; i++ {
+		end[i+1] += end[i]
+	}
+	pend := make([]pending[T], len(log))
+	for _, op := range log {
+		pend[end[op.i]] = op
+		end[op.i]++ // leaves end[i] one past row i's run
+	}
+	for i, lo := 0, 0; i < m.nr; i++ {
+		if end[i]-lo > 1 {
+			slices.SortStableFunc(pend[lo:end[i]], func(a, b pending[T]) int { return cmp.Compare(a.j, b.j) })
 		}
-		return pend[a].j < pend[b].j
-	})
-	// Fold each position's operations in call order (the sort is stable):
-	// inserts combine through dup, a tombstone clears what came before it
-	// and disconnects the position from its existing CSR value.
+		lo = end[i]
+	}
+	// Fold each position's operations in call order: inserts combine
+	// through dup, a tombstone clears what came before it and disconnects
+	// the position from its existing CSR value.
 	fold := make([]foldedOp[T], 0, len(pend))
 	for _, op := range pend {
 		if n := len(fold); n > 0 && fold[n-1].i == op.i && fold[n-1].j == op.j {
@@ -393,46 +410,51 @@ func (m *Matrix[T]) assemblePending() {
 		}
 		fold = append(fold, f)
 	}
-	// Merge the folded operations with the CSR rows into fresh arrays
-	// (never in place: a frozen snapshot shares its arrays with its
-	// source).
+	// Merge the folded operations into fresh arrays (never in place: a
+	// frozen snapshot shares its arrays with its source). CSR rows are
+	// contiguous, so whatever lies between two operations — the rest of a
+	// row, a run of untouched rows — is copied in one piece, and a row's
+	// new start is its old one shifted by the entries gained so far.
 	newIdx := make([]int, 0, len(m.idx)+len(fold))
 	newVal := make([]T, 0, len(m.val)+len(fold))
-	newPtr := make([]int, m.nr+1)
-	q := 0
-	for i := 0; i < m.nr; i++ {
-		newPtr[i] = len(newIdx)
-		p, pe := m.ptr[i], m.ptr[i+1]
-		for p < pe || (q < len(fold) && fold[q].i == i) {
-			switch {
-			case p < pe && (q >= len(fold) || fold[q].i != i || m.idx[p] < fold[q].j):
-				newIdx = append(newIdx, m.idx[p])
-				newVal = append(newVal, m.val[p])
-				p++
-			case p < pe && q < len(fold) && fold[q].i == i && m.idx[p] == fold[q].j:
-				f := fold[q]
-				switch {
-				case !f.kill: // pure inserts onto an existing entry
-					newIdx = append(newIdx, m.idx[p])
-					newVal = append(newVal, dup(m.val[p], f.x))
-				case f.has: // deleted, then re-inserted: base value gone
-					newIdx = append(newIdx, f.j)
-					newVal = append(newVal, f.x)
-				}
-				// else: net deletion — drop the entry.
-				p++
-				q++
-			default:
-				if fold[q].has {
-					newIdx = append(newIdx, fold[q].j)
-					newVal = append(newVal, fold[q].x)
-				}
-				// else: tombstone on an absent entry — a no-op.
-				q++
-			}
+	newPtr := end // done with the buckets; every slot is rewritten
+	newPtr[0] = 0
+	p, row, gained := 0, 0, 0
+	emit := func(j int, x T) {
+		newIdx = append(newIdx, j)
+		newVal = append(newVal, x)
+	}
+	for _, f := range fold {
+		for row < f.i {
+			row++
+			newPtr[row] = m.ptr[row] + gained
+		}
+		at, present := slices.BinarySearch(m.idx[m.ptr[f.i]:m.ptr[f.i+1]], f.j)
+		at += m.ptr[f.i]
+		newIdx = append(newIdx, m.idx[p:at]...)
+		newVal = append(newVal, m.val[p:at]...)
+		p = at
+		switch {
+		case present && !f.kill: // pure inserts onto an existing entry
+			emit(f.j, dup(m.val[p], f.x))
+		case present && f.has: // deleted, then re-inserted: base value gone
+			emit(f.j, f.x)
+		case present: // net deletion
+			gained--
+		case f.has:
+			emit(f.j, f.x)
+			gained++
+		} // else: tombstone on an absent entry — a no-op.
+		if present {
+			p++
 		}
 	}
-	newPtr[m.nr] = len(newIdx)
+	newIdx = append(newIdx, m.idx[p:m.ptr[m.nr]]...)
+	newVal = append(newVal, m.val[p:m.ptr[m.nr]]...)
+	for row < m.nr {
+		row++
+		newPtr[row] = m.ptr[row] + gained
+	}
 	m.ptr, m.idx, m.val = newPtr, newIdx, newVal
 	m.frozen = false // the arrays above are private now
 }

@@ -1,8 +1,11 @@
 package grb
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
+	"testing/quick"
 )
 
 // tuplesOf flattens a matrix into comparable (i, j, x) triples.
@@ -244,4 +247,117 @@ func TestMatrixFromTuplesDupWithSelfLoops(t *testing.T) {
 	if x, _ := m2.ExtractElement(0, 2); x != 20 {
 		t.Fatalf("(0,2) last-wins = %d, want 20", x)
 	}
+}
+
+// TestQuickAssemblePendingAgainstRebuild replays random operation logs
+// onto a Snapshot and compares the assembled matrix, array for array, with
+// one rebuilt from a map model of the same calls: duplicates in call
+// order, delete-then-reinsert, insert-then-delete, tombstones on absent
+// entries, with and without a duplicate operator, rows left untouched at
+// the start, middle and end, empty rows, and logs from one operation to
+// several per row. The shared base must come out unchanged.
+func TestQuickAssemblePendingAgainstRebuild(t *testing.T) {
+	dups := []func(float64, float64) float64{
+		nil, // last insert wins
+		func(old, x float64) float64 { return old + x },
+		func(old, _ float64) float64 { return old }, // first wins: order-sensitive the other way
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := []int{1, 2, 7, 40, 200}[rng.Intn(5)]
+		nc := 1 + rng.Intn(2*n)
+		model := map[[2]int]float64{}
+		for i := 0; i < n; i++ {
+			if rng.Intn(4) == 0 {
+				continue // an empty row
+			}
+			for k := rng.Intn(6); k > 0; k-- {
+				model[[2]int{i, rng.Intn(nc)}] = float64(1 + rng.Intn(9))
+			}
+		}
+		base := matrixFromModel(t, n, nc, model)
+		basePtr, baseIdx, baseVal := slices.Clone(base.ptr), slices.Clone(base.idx), slices.Clone(base.val)
+
+		snap, err := base.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dup := dups[rng.Intn(len(dups))]
+		if dup != nil {
+			snap.SetPendingDup(dup)
+		}
+		// Operations land in up to two row windows, so whole runs of rows
+		// before, between and after them stay untouched.
+		var rows []int
+		for w := 1 + rng.Intn(2); w > 0; w-- {
+			lo := rng.Intn(n)
+			for i := lo; i < min(n, lo+1+rng.Intn(1+n/4)); i++ {
+				rows = append(rows, i)
+			}
+		}
+		nops := []int{1, 3, 48, max(1, n/16), n/16 + 1, 4 * n}[rng.Intn(6)]
+		hot := [][2]int{} // positions revisited, so one position folds several calls
+		for k := 0; k < nops; k++ {
+			pos := [2]int{rows[rng.Intn(len(rows))], rng.Intn(nc)}
+			if len(hot) > 0 && rng.Intn(3) == 0 {
+				pos = hot[rng.Intn(len(hot))]
+			}
+			hot = append(hot, pos)
+			if rng.Intn(3) == 0 {
+				if err := snap.RemoveElement(pos[0], pos[1]); err != nil {
+					t.Fatal(err)
+				}
+				delete(model, pos)
+				continue
+			}
+			x := float64(1 + rng.Intn(9))
+			if err := snap.SetElement(x, pos[0], pos[1]); err != nil {
+				t.Fatal(err)
+			}
+			if old, ok := model[pos]; ok && dup != nil {
+				x = dup(old, x)
+			}
+			model[pos] = x
+		}
+		if snap.PendingTuples() != nops {
+			t.Fatalf("seed %d: %d operations buffered, want %d", seed, snap.PendingTuples(), nops)
+		}
+		snap.Wait()
+
+		want := matrixFromModel(t, n, nc, model)
+		if !slices.Equal(snap.ptr, want.ptr) || !slices.Equal(snap.idx, want.idx) || !slices.Equal(snap.val, want.val) {
+			t.Errorf("seed %d (%dx%d, %d ops): assembled\n ptr %v\n idx %v\n val %v\nrebuilt\n ptr %v\n idx %v\n val %v",
+				seed, n, nc, nops, snap.ptr, snap.idx, snap.val, want.ptr, want.idx, want.val)
+			return false
+		}
+		if snap.Frozen() || snap.PendingTuples() != 0 || snap.PendingDeletes() != 0 {
+			t.Errorf("seed %d: assembled snapshot still frozen or pending", seed)
+			return false
+		}
+		if !slices.Equal(base.ptr, basePtr) || !slices.Equal(base.idx, baseIdx) || !slices.Equal(base.val, baseVal) {
+			t.Errorf("seed %d: assembling the snapshot changed its base", seed)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400, Rand: rand.New(rand.NewSource(21))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// matrixFromModel builds a finished sparse matrix holding exactly the
+// model's entries.
+func matrixFromModel(t *testing.T, nr, nc int, model map[[2]int]float64) *Matrix[float64] {
+	t.Helper()
+	var rows, cols []int
+	var vals []float64
+	for pos, x := range model {
+		rows, cols, vals = append(rows, pos[0]), append(cols, pos[1]), append(vals, x)
+	}
+	m, err := MatrixFromTuples(nr, nc, rows, cols, vals, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Wait()
+	return m
 }

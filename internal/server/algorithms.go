@@ -7,9 +7,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
+	"sync"
 
 	"lagraph/internal/algo"
 	"lagraph/internal/jobs"
+	"lagraph/internal/obs"
 	"lagraph/internal/tenant"
 )
 
@@ -41,32 +44,30 @@ type algoResponse struct {
 	Report *algo.RunReport
 }
 
-// MarshalJSON inlines the kernel's result entries next to the envelope
-// fields, keeping the wire shape flat ({"graph":..., "ranks":...}).
-func (r *algoResponse) MarshalJSON() ([]byte, error) {
-	return json.Marshal(r.envelope(false))
-}
+// respBufs holds response buffers between requests; a body is never
+// retained with the result it was rendered from.
+var respBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// envelope renders the flat response map, optionally with the report.
-func (r *algoResponse) envelope(explain bool) map[string]any {
-	out := make(map[string]any, len(r.Result)+4)
-	for k, v := range r.Result {
-		out[k] = v
+// writeAlgoResponse is the one place an algorithm response is rendered:
+// appended into a pooled buffer by algo.AppendResponse (the report only
+// under explain) and written with its Content-Length in one Write.
+func writeAlgoResponse(ctx context.Context, w http.ResponseWriter, resp *algoResponse, explain bool) {
+	_, sp := obs.StartSpan(ctx, "encode")
+	defer sp.End()
+	rep := resp.Report
+	if !explain {
+		rep = nil
 	}
-	out["graph"] = r.Graph
-	out["algorithm"] = r.Algorithm
-	out["seconds"] = r.Seconds
-	if explain && r.Report != nil {
-		out["report"] = r.Report
+	buf := respBufs.Get().(*[]byte)
+	defer respBufs.Put(buf)
+	var err error
+	*buf, err = algo.AppendResponse((*buf)[:0], resp.Graph, resp.Algorithm, resp.Seconds, resp.Result, rep)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encode response: "+err.Error())
+		return
 	}
-	return out
-}
-
-// explainResponse renders an algoResponse with its report included.
-type explainResponse struct{ *algoResponse }
-
-func (r explainResponse) MarshalJSON() ([]byte, error) {
-	return json.Marshal(r.envelope(true))
+	writeBody(w, http.StatusOK, *buf)
+	sp.SetAttr("bytes", strconv.Itoa(len(*buf)))
 }
 
 // handleAlgorithm is the synchronous algorithm endpoint: submit-and-wait
@@ -107,13 +108,16 @@ func (s *Server) handleAlgorithm(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.record(r, tenant.OutcomeAdmitted)
-	if !s.jobs.WaitOrAbandon(r.Context(), job) {
+	_, wsp := obs.StartSpan(r.Context(), "wait")
+	waited := s.jobs.WaitOrAbandon(r.Context(), job)
+	wsp.End()
+	if !waited {
 		// The client is gone; if it was the job's only audience the job is
 		// already cancelled. Nobody will read this response.
 		writeError(w, http.StatusServiceUnavailable, "request abandoned")
 		return
 	}
-	s.writeJobOutcomeExplain(w, job, explainRequested(r))
+	writeJobOutcome(w, r, job, explainRequested(r))
 }
 
 // explainRequested reports whether the request opted into the run-report
@@ -147,22 +151,15 @@ func (s *Server) handleGetAlgorithm(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeJobOutcome renders a terminal job the way the synchronous API
-// always has: the bare result envelope on success, a mapped error
-// otherwise.
-func (s *Server) writeJobOutcome(w http.ResponseWriter, j *jobs.Job) {
-	s.writeJobOutcomeExplain(w, j, false)
-}
-
-// writeJobOutcomeExplain is writeJobOutcome with opt-in report rendering:
-// under explain a successful algorithm response carries its "report"
-// envelope key.
-func (s *Server) writeJobOutcomeExplain(w http.ResponseWriter, j *jobs.Job, explain bool) {
+// always has: the bare result envelope on success (with its "report" key
+// under explain), a mapped error otherwise.
+func writeJobOutcome(w http.ResponseWriter, r *http.Request, j *jobs.Job, explain bool) {
 	if v, ok := j.Result(); ok {
-		if resp, isAlgo := v.(*algoResponse); isAlgo && explain {
-			writeJSON(w, http.StatusOK, explainResponse{resp})
-			return
+		if resp, isAlgo := v.(*algoResponse); isAlgo {
+			writeAlgoResponse(r.Context(), w, resp, explain)
+		} else { // an embedder's own job on the shared engine
+			writeJSON(w, http.StatusOK, v)
 		}
-		writeJSON(w, http.StatusOK, v)
 		return
 	}
 	err := j.Err()

@@ -109,7 +109,7 @@ func (s *Server) handleBundle(w http.ResponseWriter, _ *http.Request) {
 			"incident_capacity": itoaDefault(s.opts.IncidentCapacity, 16),
 			"slow_query":        s.opts.SlowThreshold.String(),
 			"fsync_alert":       s.opts.FsyncAlert.String(),
-			"durable":           boolStr(s.store != nil),
+			"durable":           strconv.FormatBool(s.store != nil),
 			"workers":           itoaDefault(s.opts.Workers, 0),
 		},
 	}
@@ -168,11 +168,4 @@ func itoaDefault(v, def int) string {
 		v = def
 	}
 	return strconv.Itoa(v)
-}
-
-func boolStr(b bool) string {
-	if b {
-		return "true"
-	}
-	return "false"
 }

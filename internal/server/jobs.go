@@ -263,13 +263,10 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	}
 	info := job.Info()
 	switch info.State {
-	case jobs.StateDone:
-		v, _ := job.Result()
-		writeJSON(w, http.StatusOK, v)
+	case jobs.StateDone, jobs.StateFailed:
+		writeJobOutcome(w, r, job, false)
 	case jobs.StateCancelled:
 		writeError(w, http.StatusGone, fmt.Sprintf("job %q was cancelled", id))
-	case jobs.StateFailed:
-		s.writeJobOutcome(w, job)
 	default:
 		writeJSON(w, http.StatusConflict, displayInfo(r, info))
 	}
@@ -317,7 +314,7 @@ func (s *Server) handleJobReport(w http.ResponseWriter, r *http.Request) {
 	case jobs.StateCancelled:
 		writeError(w, http.StatusGone, fmt.Sprintf("job %q was cancelled", id))
 	case jobs.StateFailed:
-		s.writeJobOutcome(w, job)
+		writeJobOutcome(w, r, job, false)
 	default:
 		writeJSON(w, http.StatusConflict, displayInfo(r, info))
 	}

@@ -1,10 +1,14 @@
 package server
 
 import (
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"lagraph/internal/obs"
 	"lagraph/internal/registry"
@@ -191,6 +195,73 @@ func TestTraceLifecycle(t *testing.T) {
 	resp.Body.Close()
 	if got := resp.Header.Get("X-Trace-Id"); got == "" || got == "bad id with spaces" {
 		t.Fatalf("invalid proposed id handling: echoed %q", got)
+	}
+}
+
+// TestWaitAndEncodeSpans: the request's own share of an algorithm call is
+// named. A cold request's trace holds wait (for the job) and encode
+// (append + write, carrying the body's size) under the root span, beside
+// the job's properties and kernel:<name>; a result-cache hit holds the
+// root, wait and encode alone.
+func TestWaitAndEncodeSpans(t *testing.T) {
+	srv := New(registry.New(0), Options{})
+	ts := newHTTPServer(t, srv)
+	loadSyntheticGraph(t, ts, "g", "kron", 6)
+
+	const root = "http POST /graphs/{name}/algorithms/{alg}"
+	for _, tc := range []struct {
+		id   string
+		want []string
+	}{
+		{"span-cold", []string{root, "wait", "properties", "kernel:pagerank", "encode"}},
+		{"span-hit", []string{root, "wait", "encode"}},
+	} {
+		req, err := http.NewRequest("POST", ts+"/graphs/g/algorithms/pagerank", strings.NewReader(`{"limit":64}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Trace-Id", tc.id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %v", tc.id, resp.StatusCode, err)
+		}
+		// The body carries its length, so it can be read whole before the
+		// handler has returned and the trace entered the ring.
+		var info obs.TraceInfo
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			var ok bool
+			if info, ok = srv.Tracer().Get(tc.id); ok {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: trace never finished", tc.id)
+			}
+		}
+		var names []string
+		spans := map[string]obs.SpanInfo{}
+		for _, sp := range info.Spans {
+			names = append(names, sp.Name)
+			spans[sp.Name] = sp
+		}
+		// The worker may open the job's spans before the handler opens wait.
+		slices.Sort(names)
+		slices.Sort(tc.want)
+		if !slices.Equal(names, tc.want) {
+			t.Errorf("%s: spans %q, want %q", tc.id, names, tc.want)
+		}
+		for _, name := range []string{"wait", "encode"} {
+			if spans[name].Parent != root {
+				t.Errorf("%s: span %q has parent %q, want the root span", tc.id, name, spans[name].Parent)
+			}
+		}
+		if want := []obs.Attr{obs.String("bytes", strconv.Itoa(len(body)))}; !slices.Equal(spans["encode"].Attrs, want) {
+			t.Errorf("%s: encode attrs %v, want %v", tc.id, spans["encode"].Attrs, want)
+		}
 	}
 }
 

@@ -45,6 +45,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"time"
 
 	"lagraph/internal/algo"
@@ -509,12 +510,24 @@ type errorBody struct {
 	Field string `json:"field,omitempty"`
 }
 
+// writeJSON encodes before it answers, so a value the encoder refuses (a
+// NaN in a stats payload) is a 500 with an error body, not a 200 with
+// none.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encode response: "+err.Error())
+		return
+	}
+	writeBody(w, status, append(body, '\n'))
+}
+
+// writeBody sends a finished JSON document with its length in one Write.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(body) // a failed write means the client is gone
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"lagraph/internal/algo"
 	"lagraph/internal/registry"
@@ -296,15 +297,28 @@ func TestTenantJobQuotaAnd429(t *testing.T) {
 			map[string]any{"algorithm": "test.block", "params": map[string]any{"id": id}})
 	}
 	// First job occupies the single worker; acme may queue one more.
-	if code, body, _ := submit("tok-a", 1); code != http.StatusAccepted {
+	code, body, _ := submit("tok-a", 1)
+	if code != http.StatusAccepted {
 		t.Fatalf("job 1: %d %v", code, body)
+	}
+	// Until the worker has taken job 1 it counts as queued, and job 2
+	// would breach the quota one submission early.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		_, info, _ := doAuth(t, "GET", ts.URL+"/jobs/"+body["id"].(string), "tok-a", nil)
+		if info["state"] == "running" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job 1 never started: %v", info)
+		}
 	}
 	if code, body, _ := submit("tok-a", 2); code != http.StatusAccepted {
 		t.Fatalf("job 2: %d %v", code, body)
 	}
 	// Third acme submission breaches max_queued_jobs: 429 + Retry-After,
 	// error naming the quota.
-	code, body, hdr := submit("tok-a", 3)
+	var hdr http.Header
+	code, body, hdr = submit("tok-a", 3)
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("over-quota submit: %d %v, want 429", code, body)
 	}
