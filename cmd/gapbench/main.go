@@ -117,11 +117,7 @@ func printTable4(graphList []string, workloads map[string]*bench.Workload) {
 	fmt.Printf("%-10s %12s %14s %12s\n", "graph", "nodes", "entries in A", "graph kind")
 	for _, gName := range graphList {
 		w := workloads[gName]
-		kind := "undirected"
-		if w.Edges.Directed {
-			kind = "directed"
-		}
-		fmt.Printf("%-10s %12d %14d %12s\n", gName, w.Edges.N, w.LG.A.NVals(), kind)
+		fmt.Printf("%-10s %12d %14d %12s\n", gName, w.Edges.N, w.LG.A.NVals(), lagraph.KindName(w.LG.Kind))
 	}
 	fmt.Println()
 }

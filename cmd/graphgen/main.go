@@ -1,5 +1,6 @@
 // Command graphgen generates one of the benchmark graph classes and saves
-// it as a Matrix Market or binary file, so experiments can run on frozen
+// it as a Matrix Market or binary file (grb.SerializeMatrix, the bytes
+// POST /graphs?format=bin accepts), so experiments can run on frozen
 // inputs.
 //
 // Usage:
@@ -11,10 +12,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"lagraph/internal/gen"
-	"lagraph/internal/grb"
 	"lagraph/internal/lagraph"
 )
 
@@ -30,52 +31,48 @@ func main() {
 	)
 	flag.Parse()
 
-	var e *gen.EdgeList
-	switch *class {
-	case "Kron":
-		e = gen.Kron(*scale, *ef, *seed)
-	case "Urand":
-		e = gen.Urand(*scale, *ef, *seed)
-	case "Twitter":
-		e = gen.Twitter(*scale, *ef, *seed)
-	case "Web":
-		e = gen.Web(*scale, *ef, *seed)
-	case "Road":
-		e = gen.Road(1<<(*scale/2), *seed)
-	default:
-		fatal("unknown class %q", *class)
-	}
-	if *weights {
-		e.AddUniformWeights(*seed+17, 1, 255)
-	}
-	ptr, idx, vals := e.CSR()
-	A, err := grb.ImportCSR(e.N, e.N, ptr, idx, vals, false)
-	if err != nil {
-		fatal("building matrix: %v", err)
-	}
-
 	w := os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
 			fatal("creating %s: %v", *out, err)
 		}
-		defer f.Close()
 		w = f
 	}
-	switch *format {
-	case "mm":
-		err = lagraph.MMWrite(w, A)
-	case "bin":
-		err = lagraph.BinWrite(w, A)
-	default:
-		fatal("unknown format %q", *format)
+	e, err := generate(w, *format, *class, *scale, *ef, *seed, *weights)
+	if err == nil {
+		err = w.Close()
 	}
 	if err != nil {
-		fatal("writing: %v", err)
+		fatal("%v", err)
 	}
 	fmt.Fprintf(os.Stderr, "%s: %d nodes, %d entries, directed=%v\n",
-		*class, e.N, A.NVals(), e.Directed)
+		e.Name, e.N, e.NumEdges(), e.Directed)
+}
+
+// generate builds one graph class and writes its adjacency matrix to w,
+// as Matrix Market text ("mm") or the GraphBLAS serialization ("bin").
+func generate(w io.Writer, format, class string, scale, ef int, seed uint64, weights bool) (*gen.EdgeList, error) {
+	e, err := gen.Generate(class, scale, ef, seed)
+	if err != nil {
+		return nil, err
+	}
+	if weights {
+		e.AddUniformWeights(seed+17, 1, 255)
+	}
+	g, err := lagraph.FromEdgeList(e)
+	if err != nil {
+		return nil, fmt.Errorf("building matrix: %w", err)
+	}
+	switch format {
+	case "mm":
+		err = lagraph.MMWrite(w, g.A)
+	case "bin":
+		err = lagraph.BinWrite(w, g.A)
+	default:
+		err = fmt.Errorf("unknown format %q", format)
+	}
+	return e, err
 }
 
 func fatal(format string, args ...any) {

@@ -96,52 +96,54 @@ func newLogger(level, format string) (*slog.Logger, error) {
 }
 
 func main() {
-	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		maxBytes    = flag.Int64("max-bytes", 1<<30, "registry memory budget in bytes (0 = unlimited)")
-		maxInflight = flag.Int("max-inflight", 0, "max concurrently served requests (0 = 2x worker threads)")
-		maxUpload   = flag.Int64("max-upload-bytes", 64<<20, "max POST /graphs body size")
-		maxParams   = flag.Int64("max-params-bytes", 1<<20, "max algorithm-parameter and job-submission body size")
-		threads     = flag.Int("threads", 0, "kernel worker threads (0 = GOMAXPROCS)")
-		gracePeriod = flag.Duration("grace", 10*time.Second, "graceful-shutdown drain period")
+	// Flags bind straight into the struct each package reads, so an option
+	// is declared once: here, and in the field that documents it.
+	opts := server.Options{Obs: obs.NewRegistry()}
+	var storeOpts store.Options
+	addr := flag.String("addr", ":8080", "listen address")
+	maxBytes := flag.Int64("max-bytes", 1<<30, "registry memory budget in bytes (0 = unlimited)")
+	flag.IntVar(&opts.MaxInFlight, "max-inflight", 0, "max concurrently served requests (0 = 2x worker threads)")
+	flag.Int64Var(&opts.MaxUploadBytes, "max-upload-bytes", 64<<20, "max POST /graphs body size")
+	flag.Int64Var(&opts.MaxParamsBytes, "max-params-bytes", 1<<20, "max algorithm-parameter and job-submission body size")
+	threads := flag.Int("threads", 0, "kernel worker threads (0 = GOMAXPROCS)")
+	gracePeriod := flag.Duration("grace", 10*time.Second, "graceful-shutdown drain period")
 
-		workers    = flag.Int("workers", 0, "jobs-engine workers: concurrently executing algorithms (0 = kernel worker threads)")
-		queueDepth = flag.Int("queue-depth", 0, "max jobs waiting for a worker (0 = 64)")
-		resultTTL  = flag.Duration("result-ttl", 0, "how long completed results stay cached (0 = 5m)")
-		maxResults = flag.Int("max-cached-results", 0, "result-cache entry bound (0 = 256)")
-		jobTimeout = flag.Duration("job-timeout", 0, "default per-job deadline when the submission sets none (0 = none)")
+	flag.IntVar(&opts.Jobs.Workers, "workers", 0, "jobs-engine workers: concurrently executing algorithms (0 = kernel worker threads)")
+	flag.IntVar(&opts.Jobs.QueueDepth, "queue-depth", 0, "max jobs waiting for a worker (0 = 64)")
+	flag.DurationVar(&opts.Jobs.ResultTTL, "result-ttl", 0, "how long completed results stay cached (0 = 5m)")
+	flag.IntVar(&opts.Jobs.MaxCachedResults, "max-cached-results", 0, "result-cache entry bound (0 = 256)")
+	flag.DurationVar(&opts.Jobs.DefaultTimeout, "job-timeout", 0, "default per-job deadline when the submission sets none (0 = none)")
 
-		compactThreshold = flag.Int("compact-threshold", 0, "delta-log ops per graph before background compaction (0 = 4096)")
-		compactRatio     = flag.Float64("compact-ratio", 0, "delta-log/graph-size ratio that triggers compaction (0 = 0.25)")
-		maxBatchOps      = flag.Int("max-batch-ops", 0, "max edge operations per mutation batch (0 = 65536)")
+	flag.IntVar(&opts.Stream.CompactThreshold, "compact-threshold", 0, "delta-log ops per graph before background compaction (0 = 4096)")
+	flag.Float64Var(&opts.Stream.CompactRatio, "compact-ratio", 0, "delta-log/graph-size ratio that triggers compaction (0 = 0.25)")
+	flag.IntVar(&opts.Stream.MaxBatchOps, "max-batch-ops", 0, "max edge operations per mutation batch (0 = 65536)")
 
-		dataDir            = flag.String("data-dir", "", "durable store directory: persist graphs + mutation WAL, recover on boot (empty = memory only)")
-		fsync              = flag.Bool("fsync", true, "fsync WAL appends and checkpoint writes (with -data-dir)")
-		checkpointInterval = flag.Duration("checkpoint-interval", 5*time.Minute, "periodic WAL-bounding checkpoint cadence (0 disables; with -data-dir)")
+	flag.StringVar(&storeOpts.Dir, "data-dir", "", "durable store directory: persist graphs + mutation WAL, recover on boot (empty = memory only)")
+	flag.BoolVar(&storeOpts.Fsync, "fsync", true, "fsync WAL appends and checkpoint writes (with -data-dir)")
+	flag.DurationVar(&storeOpts.CheckpointInterval, "checkpoint-interval", 5*time.Minute, "periodic WAL-bounding checkpoint cadence (0 disables; with -data-dir)")
 
-		logLevel      = flag.String("log-level", "info", "log verbosity: debug|info|warn|error")
-		logFormat     = flag.String("log-format", "text", "log encoding: text|json")
-		slowQuery     = flag.Duration("slow-query", 0, "log requests at least this slow with their span breakdown, and capture a slow_query incident (0 disables)")
-		traceCapacity = flag.Int("trace-capacity", 0, "finished-trace ring size served by /debug/traces (0 = 256)")
-		pprofAddr     = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty disables)")
+	logLevel := flag.String("log-level", "info", "log verbosity: debug|info|warn|error")
+	logFormat := flag.String("log-format", "text", "log encoding: text|json")
+	flag.DurationVar(&opts.SlowThreshold, "slow-query", 0, "log requests at least this slow with their span breakdown, and capture a slow_query incident (0 disables)")
+	flag.IntVar(&opts.TraceCapacity, "trace-capacity", 0, "finished-trace ring size served by /debug/traces (0 = 256)")
+	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty disables)")
 
-		incidentWindow   = flag.Duration("incident-window", 30*time.Second, "flight-recorder lookback per incident and per-trigger debounce (0 disables the recorder)")
-		incidentCapacity = flag.Int("incident-capacity", 0, "retained-incident bound served by /debug/incidents (0 = 16)")
-		fsyncAlert       = flag.Duration("fsync-alert", 0, "capture a wal_fsync_stall incident when one WAL append+fsync is at least this slow (0 disables; with -data-dir)")
-		heapAlertBytes   = flag.Int64("heap-alert-bytes", 0, "capture a heap_watermark incident when the heap high watermark crosses this many bytes (0 disables)")
+	flag.DurationVar(&opts.IncidentWindow, "incident-window", 30*time.Second, "flight-recorder lookback per incident and per-trigger debounce (0 disables the recorder)")
+	flag.IntVar(&opts.IncidentCapacity, "incident-capacity", 0, "retained-incident bound served by /debug/incidents (0 = 16)")
+	flag.DurationVar(&opts.FsyncAlert, "fsync-alert", 0, "capture a wal_fsync_stall incident when one WAL append+fsync is at least this slow (0 disables; with -data-dir)")
+	flag.Int64Var(&opts.HeapAlertBytes, "heap-alert-bytes", 0, "capture a heap_watermark incident when the heap high watermark crosses this many bytes (0 disables)")
 
-		role        = flag.String("role", "", "cluster role: leader|follower (empty = single-node, no clustering)")
-		advertise   = flag.String("advertise", "", "this node's advertised host:port, how peers reach it (required with -role)")
-		leaderAddr  = flag.String("leader", "", "leader's host:port (required on followers)")
-		peers       = flag.String("peers", "", "comma-separated static cluster membership (host:port each); self and leader are always included")
-		replicaPoll = flag.Duration("replica-poll", 250*time.Millisecond, "follower replication poll interval")
+	flag.StringVar((*string)(&opts.Cluster.Role), "role", "", "cluster role: leader|follower (empty = single-node, no clustering)")
+	flag.StringVar(&opts.Cluster.Self, "advertise", "", "this node's advertised host:port, how peers reach it (required with -role)")
+	flag.StringVar(&opts.Cluster.Leader, "leader", "", "leader's host:port (required on followers)")
+	peers := flag.String("peers", "", "comma-separated static cluster membership (host:port each); self and leader are always included")
+	flag.DurationVar(&opts.Cluster.Poll, "replica-poll", 250*time.Millisecond, "follower replication poll interval")
 
-		authTokens       = flag.String("auth-tokens", "", "tenant token file (JSON); enables multi-tenant mode with bearer auth, per-tenant namespaces and quotas (empty = single-tenant, no auth)")
-		tenantMaxGraphs  = flag.Int("tenant-max-graphs", 0, "default per-tenant resident-graph quota for tenants without their own (0 = unlimited; with -auth-tokens)")
-		tenantMaxBytes   = flag.Int64("tenant-max-bytes", 0, "default per-tenant resident-byte quota (0 = unlimited; with -auth-tokens)")
-		tenantMaxRunning = flag.Int("tenant-max-running", 0, "default per-tenant concurrently running job bound (0 = unlimited; with -auth-tokens)")
-		tenantMaxQueued  = flag.Int("tenant-max-queued", 0, "default per-tenant queued-job bound (0 = unlimited; with -auth-tokens)")
-	)
+	authTokens := flag.String("auth-tokens", "", "tenant token file (JSON); enables multi-tenant mode with bearer auth, per-tenant namespaces and quotas (empty = single-tenant, no auth)")
+	flag.IntVar(&opts.TenantDefaults.MaxGraphs, "tenant-max-graphs", 0, "default per-tenant resident-graph quota for tenants without their own (0 = unlimited; with -auth-tokens)")
+	flag.Int64Var(&opts.TenantDefaults.MaxResidentBytes, "tenant-max-bytes", 0, "default per-tenant resident-byte quota (0 = unlimited; with -auth-tokens)")
+	flag.IntVar(&opts.TenantDefaults.MaxRunningJobs, "tenant-max-running", 0, "default per-tenant concurrently running job bound (0 = unlimited; with -auth-tokens)")
+	flag.IntVar(&opts.TenantDefaults.MaxQueuedJobs, "tenant-max-queued", 0, "default per-tenant queued-job bound (0 = unlimited; with -auth-tokens)")
 	flag.Parse()
 
 	logger, err := newLogger(*logLevel, *logFormat)
@@ -150,6 +152,7 @@ func main() {
 		os.Exit(1)
 	}
 	slog.SetDefault(logger)
+	opts.Logger = logger
 	fatal := func(msg string, args ...any) {
 		logger.Error(msg, args...)
 		os.Exit(1)
@@ -159,86 +162,42 @@ func main() {
 		parallel.SetMaxThreads(*threads)
 	}
 
-	var tenants *tenant.Config
 	if *authTokens != "" {
-		var err error
-		tenants, err = tenant.Load(*authTokens)
-		if err != nil {
+		if opts.Tenants, err = tenant.Load(*authTokens); err != nil {
 			fatal("loading tenant tokens", "file", *authTokens, "error", err)
 		}
 	}
 
-	clusterCfg := cluster.Config{
-		Role:   cluster.Role(*role),
-		Self:   *advertise,
-		Leader: *leaderAddr,
-		Peers:  cluster.ParsePeers(*peers),
-		Poll:   *replicaPoll,
-	}
+	clusterCfg := &opts.Cluster
+	clusterCfg.Peers = cluster.ParsePeers(*peers)
 	if err := clusterCfg.Validate(); err != nil {
 		fatal("cluster config", "error", err)
 	}
-	if clusterCfg.Role == cluster.RoleLeader && *dataDir == "" {
+	if clusterCfg.Role == cluster.RoleLeader && storeOpts.Dir == "" {
 		fatal("cluster config", "error", "a leader needs -data-dir: the WAL is the replication log")
 	}
 
-	var st *store.Store
-	if *dataDir != "" {
-		var err error
-		st, err = store.Open(store.Options{
-			Dir:                *dataDir,
-			Fsync:              *fsync,
-			CheckpointInterval: *checkpointInterval,
-		})
-		if err != nil {
-			fatal("opening data dir", "dir", *dataDir, "error", err)
+	if storeOpts.Dir != "" {
+		if opts.Store, err = store.Open(storeOpts); err != nil {
+			fatal("opening data dir", "dir", storeOpts.Dir, "error", err)
 		}
 	}
 
 	reg := registry.New(*maxBytes)
-	srv := server.New(reg, server.Options{
-		MaxInFlight:      *maxInflight,
-		MaxUploadBytes:   *maxUpload,
-		MaxParamsBytes:   *maxParams,
-		Workers:          *workers,
-		QueueDepth:       *queueDepth,
-		ResultTTL:        *resultTTL,
-		MaxCachedResults: *maxResults,
-		JobTimeout:       *jobTimeout,
-		CompactThreshold: *compactThreshold,
-		CompactRatio:     *compactRatio,
-		MaxBatchOps:      *maxBatchOps,
-		Store:            st,
-		Obs:              obs.NewRegistry(),
-		Logger:           logger,
-		SlowThreshold:    *slowQuery,
-		TraceCapacity:    *traceCapacity,
-		IncidentWindow:   *incidentWindow,
-		IncidentCapacity: *incidentCapacity,
-		FsyncAlert:       *fsyncAlert,
-		HeapAlertBytes:   *heapAlertBytes,
-		Tenants:          tenants,
-		TenantDefaults: tenant.Defaults{
-			MaxGraphs:        *tenantMaxGraphs,
-			MaxResidentBytes: *tenantMaxBytes,
-			MaxRunningJobs:   *tenantMaxRunning,
-			MaxQueuedJobs:    *tenantMaxQueued,
-		},
-		Cluster: clusterCfg,
-	})
+	srv := server.New(reg, opts)
 	if clusterCfg.Role != cluster.RoleNone {
 		logger.Info("cluster mode", "role", string(clusterCfg.Role),
 			"self", clusterCfg.Self, "leader", clusterCfg.Leader, "peers", clusterCfg.Peers)
 	}
-	if tenants != nil {
-		logger.Info("multi-tenant mode", "tenants", len(tenants.Tenants), "file", *authTokens)
+	if opts.Tenants != nil {
+		logger.Info("multi-tenant mode", "tenants", len(opts.Tenants.Tenants), "file", *authTokens)
 	}
-	if st != nil {
-		stats := st.StatsSnapshot()
+	if opts.Store != nil {
+		stats := opts.Store.StatsSnapshot()
 		if rec := stats.Recovery; rec != nil {
 			logger.Info("recovered durable state",
 				"graphs", rec.GraphsRecovered, "wal_batches", rec.BatchesReplayed,
-				"ops", rec.OpsReplayed, "dir", *dataDir, "seconds", rec.Seconds)
+				"ops", rec.OpsReplayed, "dir", storeOpts.Dir, "seconds", rec.Seconds)
 			for _, f := range rec.Failed {
 				logger.Warn("recovery skipped graph", "detail", f)
 			}

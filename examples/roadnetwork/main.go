@@ -25,12 +25,7 @@ func main() {
 	// SSSP weight convention).
 	edges := gen.Road(64, 3)
 	edges.AddUniformWeights(11, 1, 255)
-	ptr, idx, vals := edges.CSR()
-	A, err := grb.ImportCSR(edges.N, edges.N, ptr, idx, vals, false)
-	if err != nil {
-		log.Fatal(err)
-	}
-	g, err := lagraph.New(&A, lagraph.AdjacencyDirected)
+	g, err := lagraph.FromEdgeList(edges)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,12 +23,7 @@ func main() {
 
 	// A directed follower graph with celebrity skew.
 	edges := gen.Twitter(11, 8, 7) // 2048 users
-	ptr, idx, vals := edges.CSR()
-	A, err := grb.ImportCSR(edges.N, edges.N, ptr, idx, vals, false)
-	if err != nil {
-		log.Fatal(err)
-	}
-	g, err := lagraph.New(&A, lagraph.AdjacencyDirected)
+	g, err := lagraph.FromEdgeList(edges)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -110,13 +105,12 @@ func symmetrised(e *gen.EdgeList) *lagraph.Graph[float64] {
 	src := append(append([]int32{}, e.Src...), e.Dst...)
 	dst := append(append([]int32{}, e.Dst...), e.Src...)
 	sym := &gen.EdgeList{N: e.N, Src: src, Dst: dst, Directed: false}
-	ptr, idx, vals := sym.CSR()
-	A, err := grb.ImportCSR(sym.N, sym.N, ptr, idx, vals, false)
+	dup, err := lagraph.FromEdgeList(sym)
 	if err != nil {
 		log.Fatal(err)
 	}
 	// Duplicate mutual edges collapse via a rebuild through tuples.
-	rows, cols, vv := A.ExtractTuples()
+	rows, cols, vv := dup.A.ExtractTuples()
 	B, err := grb.MatrixFromTuples(sym.N, sym.N, rows, cols, vv, func(a, _ float64) float64 { return a })
 	if err != nil {
 		log.Fatal(err)

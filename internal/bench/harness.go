@@ -20,7 +20,6 @@ import (
 	"lagraph/internal/algo"
 	"lagraph/internal/gap"
 	"lagraph/internal/gen"
-	"lagraph/internal/grb"
 	"lagraph/internal/lagraph"
 )
 
@@ -47,33 +46,19 @@ type Workload struct {
 // the synthetic classes; Road uses a 2^(scale/2) grid so its vertex count
 // matches) and prepares both representations.
 func Load(name string, scale, edgeFactor int, seed uint64) (*Workload, error) {
-	var e *gen.EdgeList
-	switch name {
-	case "Kron":
-		e = gen.Kron(scale, edgeFactor, seed)
-	case "Urand":
-		e = gen.Urand(scale, edgeFactor, seed)
-	case "Twitter":
-		e = gen.Twitter(scale, edgeFactor, seed)
-	case "Web":
-		e = gen.Web(scale, edgeFactor, seed)
-	case "Road":
-		e = gen.Road(1<<(scale/2), seed)
-	default:
-		return nil, fmt.Errorf("unknown graph class %q", name)
-	}
-	e.AddUniformWeights(seed+17, 1, 255)
-
-	ptr, idx, vals := e.CSR()
-	A, err := grb.ImportCSR(e.N, e.N, ptr, idx, vals, false)
+	e, err := gen.Generate(name, scale, edgeFactor, seed)
 	if err != nil {
 		return nil, err
 	}
-	kind := lagraph.AdjacencyUndirected
-	if e.Directed {
-		kind = lagraph.AdjacencyDirected
-	}
-	lg, err := lagraph.New(&A, kind)
+	return build(e, seed)
+}
+
+// build attaches the GAP-convention weights and prepares both
+// representations of an edge list. Weights and source sampling derive
+// from the explicit seed, never from ambient or hard-wired state.
+func build(e *gen.EdgeList, seed uint64) (*Workload, error) {
+	e.AddUniformWeights(seed+17, 1, 255)
+	lg, err := lagraph.FromEdgeList(e)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +73,7 @@ func Load(name string, scale, edgeFactor int, seed uint64) (*Workload, error) {
 	}
 	gg := gap.Build(e.N, e.Src, e.Dst, e.W, e.Directed)
 
-	w := &Workload{Name: name, Seed: seed, Edges: e, LG: lg, GG: gg}
+	w := &Workload{Name: e.Name, Seed: seed, Edges: e, LG: lg, GG: gg}
 	w.Sources = pickSources(e, 64, seed)
 	return w, nil
 }
@@ -349,42 +334,12 @@ func TCWorkload(w *Workload) *Workload {
 	sym := &gen.EdgeList{N: w.Edges.N, Name: w.Edges.Name, Directed: false}
 	sym.Src = append(append([]int32{}, w.Edges.Src...), w.Edges.Dst...)
 	sym.Dst = append(append([]int32{}, w.Edges.Dst...), w.Edges.Src...)
-	symW, err := Load2(sym, w.Seed)
+	dedupe(sym)
+	symW, err := build(sym, w.Seed)
 	if err != nil {
 		return w
 	}
 	return symW
-}
-
-// Load2 builds a Workload from an existing edge list (used for the
-// symmetrised TC inputs). Weights and source sampling derive from the
-// explicit seed, never from ambient or hard-wired state.
-func Load2(e *gen.EdgeList, seed uint64) (*Workload, error) {
-	dedupe(e)
-	e.AddUniformWeights(seed+17, 1, 255)
-	ptr, idx, vals := e.CSR()
-	A, err := grb.ImportCSR(e.N, e.N, ptr, idx, vals, false)
-	if err != nil {
-		return nil, err
-	}
-	kind := lagraph.AdjacencyUndirected
-	if e.Directed {
-		kind = lagraph.AdjacencyDirected
-	}
-	lg, err := lagraph.New(&A, kind)
-	if err != nil {
-		return nil, err
-	}
-	if err := lg.PropertyAT(); err != nil && !lagraph.IsWarning(err) {
-		return nil, err
-	}
-	if err := lg.PropertyRowDegree(); err != nil && !lagraph.IsWarning(err) {
-		return nil, err
-	}
-	gg := gap.Build(e.N, e.Src, e.Dst, e.W, e.Directed)
-	w := &Workload{Name: e.Name, Seed: seed, Edges: e, LG: lg, GG: gg}
-	w.Sources = pickSources(e, 64, seed)
-	return w, nil
 }
 
 // dedupe removes duplicate directed edges and self loops in place.

@@ -25,8 +25,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"lagraph/internal/lagraph"
 )
 
 // Role is a node's cluster role.
@@ -109,15 +107,4 @@ func ParsePeers(s string) []string {
 		}
 	}
 	return out
-}
-
-// kindFromName is the inverse of lagraph.KindName.
-func kindFromName(s string) (lagraph.Kind, error) {
-	switch s {
-	case "directed":
-		return lagraph.AdjacencyDirected, nil
-	case "undirected":
-		return lagraph.AdjacencyUndirected, nil
-	}
-	return 0, fmt.Errorf("cluster: unknown graph kind %q", s)
 }

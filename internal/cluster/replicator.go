@@ -268,7 +268,7 @@ func (r *Replicator) bootstrap(name string) (*replState, error) {
 	if err != nil {
 		return nil, err
 	}
-	kind, err := kindFromName(ck.Kind)
+	kind, err := lagraph.ParseKind(ck.Kind)
 	if err != nil {
 		return nil, err
 	}

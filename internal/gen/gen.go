@@ -14,7 +14,11 @@
 // All generators are deterministic in (scale, seed).
 package gen
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+	"strings"
+)
 
 // EdgeList is the generator output: a directed edge list over n vertices.
 // W, when non-nil, carries positive edge weights (GAP assigns uniform
@@ -28,6 +32,27 @@ type EdgeList struct {
 	// Directed records the intended interpretation; undirected lists
 	// contain both orientations of every edge.
 	Directed bool
+}
+
+// Generate builds one class by name (matched case-insensitively) — the
+// one table behind POST /graphs, the bench harness and graphgen. The
+// synthetic classes have 2^scale vertices and edgeFactor edges per vertex
+// before deduplication; Road ignores edgeFactor and uses a 2^(scale/2)
+// grid so its vertex count matches.
+func Generate(class string, scale, edgeFactor int, seed uint64) (*EdgeList, error) {
+	switch strings.ToLower(class) {
+	case "kron":
+		return Kron(scale, edgeFactor, seed), nil
+	case "urand":
+		return Urand(scale, edgeFactor, seed), nil
+	case "twitter":
+		return Twitter(scale, edgeFactor, seed), nil
+	case "web":
+		return Web(scale, edgeFactor, seed), nil
+	case "road":
+		return Road(1<<(scale/2), seed), nil
+	}
+	return nil, fmt.Errorf("unknown graph class %q (kron|urand|twitter|web|road)", class)
 }
 
 // NumEdges returns the number of (directed) edges in the list.

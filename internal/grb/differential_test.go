@@ -156,9 +156,9 @@ func TestQuickMxMAgainstDenseReference(t *testing.T) {
 }
 
 // TestQuickMxVFastPathsAgainstDenseReference compares the pull kernel —
-// which silently dispatches to the monomorphized plus.times / plus.second
-// fast paths whenever u is dense — against a dense dot-per-row loop, on
-// both dense u (fast path) and sparse u (generic path).
+// which silently dispatches to the monomorphized plus.second fast path
+// whenever u is dense — against a dense dot-per-row loop, on both dense u
+// (fast path) and sparse u (generic path).
 func TestQuickMxVFastPathsAgainstDenseReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng, n, m, _, density := quickDims(seed)
@@ -182,7 +182,6 @@ func TestQuickMxVFastPathsAgainstDenseReference(t *testing.T) {
 			ref func(av, uv float64) float64
 		}
 		for _, sc := range []semiringCase{
-			{PlusTimes[float64](), func(av, uv float64) float64 { return av * uv }},
 			{PlusSecond[float64, float64](), func(_, uv float64) float64 { return uv }},
 		} {
 			want := make([]float64, n)

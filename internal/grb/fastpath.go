@@ -36,22 +36,6 @@ func tryPullFast[TA, TB, TC Value](s Semiring[TA, TB, TC], A *Matrix[TA], u *Vec
 			return nil
 		}
 		return res
-	case "plus.times":
-		// Conventional SpMV.
-		af, ok := any(A).(*Matrix[float64])
-		if !ok {
-			return nil
-		}
-		uf, ok := any(u).(*Vector[float64])
-		if !ok {
-			return nil
-		}
-		out := plusTimesPullF64(af, uf.b, uf.val)
-		res, ok := any(out).(*Vector[TC])
-		if !ok {
-			return nil
-		}
-		return res
 	case "min.second":
 		// FastSV's minimum-neighbour gather.
 		af, ok := any(A).(*Matrix[bool])
@@ -98,49 +82,6 @@ func plusSecondPullF64(A *Matrix[float64], uHas []int8, u []float64) *Vector[flo
 				for ; p < pe; p++ {
 					if k := A.idx[p]; uHas[k] != 0 {
 						acc += u[k]
-						hit = true
-					}
-				}
-			}
-			if !hit {
-				continue
-			}
-			w.b[i] = 1
-			w.val[i] = acc
-			count++
-		}
-		return count
-	}, func(a, b int64) int64 { return a + b })
-	w.nvalsB = int(total)
-	w.conform()
-	return w
-}
-
-// plusTimesPullF64: w(i) = Σ A(i,k)·u(k) over u's present entries.
-func plusTimesPullF64(A *Matrix[float64], uHas []int8, u []float64) *Vector[float64] {
-	nr := A.nr
-	w := MustVector[float64](nr)
-	w.format = FormatBitmap
-	w.b = make([]int8, nr)
-	w.val = make([]float64, nr)
-	total := parallel.Reduce(nr, 0, func(lo, hi int) int64 {
-		var count int64
-		for i := lo; i < hi; i++ {
-			p, pe := A.ptr[i], A.ptr[i+1]
-			if p == pe {
-				continue
-			}
-			var acc float64
-			hit := false
-			if uHas == nil {
-				hit = p < pe
-				for ; p < pe; p++ {
-					acc += A.val[p] * u[A.idx[p]]
-				}
-			} else {
-				for ; p < pe; p++ {
-					if k := A.idx[p]; uHas[k] != 0 {
-						acc += A.val[p] * u[k]
 						hit = true
 					}
 				}

@@ -133,7 +133,7 @@ func Kronecker[TA, TB, TC Value](C *Matrix[TC], mask Mask, accum func(TC, TC) TC
 // MatrixDiag builds an n×n matrix with vector v on the k-th diagonal
 // (GxB_Matrix_diag).
 func MatrixDiag[T Value](v *Vector[T], k int) (*Matrix[T], error) {
-	n := v.Size() + abs(k)
+	n := v.Size() + max(k, -k)
 	m, err := NewMatrix[T](n, n)
 	if err != nil {
 		return nil, err
@@ -155,9 +155,9 @@ func VectorDiag[T Value](A *Matrix[T], k int) (*Vector[T], error) {
 	nr, nc := A.Dims()
 	var n int
 	if k >= 0 {
-		n = min2(nr, nc-k)
+		n = min(nr, nc-k)
 	} else {
-		n = min2(nr+k, nc)
+		n = min(nr+k, nc)
 	}
 	if n < 0 {
 		n = 0
@@ -178,20 +178,6 @@ func VectorDiag[T Value](A *Matrix[T], k int) (*Vector[T], error) {
 	}
 	v.Wait()
 	return v, nil
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-func min2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // lagSet panics on impossible internal errors from pre-validated indices.

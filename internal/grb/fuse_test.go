@@ -236,7 +236,7 @@ func TestFastPathMatchesGenericPull(t *testing.T) {
 		uSparse.ConvertTo(FormatSparse)
 
 		for _, s := range []Semiring[float64, float64, float64]{
-			PlusSecond[float64, float64](), PlusTimes[float64](),
+			PlusSecond[float64, float64](),
 		} {
 			w1 := MustVector[float64](n)
 			if err := MxV(w1, NoVMask, nil, s, A, uFull, nil); err != nil {

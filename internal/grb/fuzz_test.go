@@ -104,39 +104,3 @@ func FuzzDeserializeMatrix(f *testing.F) {
 		}
 	})
 }
-
-// FuzzDeserializeVector is the vector-container companion.
-func FuzzDeserializeVector(f *testing.F) {
-	mk := func(n int, entries map[int]float64) []byte {
-		v := MustVector[float64](n)
-		for i, x := range entries {
-			if err := v.SetElement(x, i); err != nil {
-				panic(err)
-			}
-		}
-		var buf bytes.Buffer
-		if err := SerializeVector(&buf, v); err != nil {
-			panic(err)
-		}
-		return buf.Bytes()
-	}
-	f.Add(mk(0, nil))
-	f.Add(mk(5, map[int]float64{0: 1, 3: -2.5}))
-	whole := mk(4, map[int]float64{2: 7})
-	f.Add(whole[:len(whole)-3])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		v, err := DeserializeVector[float64](bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if v.NVals() > v.Size() {
-			t.Fatalf("accepted %d entries in a size-%d vector", v.NVals(), v.Size())
-		}
-		idx, _ := v.ExtractTuples()
-		for _, i := range idx {
-			if i < 0 || i >= v.Size() {
-				t.Fatalf("accepted out-of-range index %d", i)
-			}
-		}
-	})
-}

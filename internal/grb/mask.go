@@ -13,7 +13,6 @@ type matrixMaskSource interface {
 	Dims() (int, int)
 	maskHas(i, j int) (exists, truthyVal bool)
 	maskRowIter(i int, f func(j int, truthyVal bool))
-	maskNVals() int
 	finishMask()
 	maskIsDense() bool
 }
@@ -23,7 +22,6 @@ type vectorMaskSource interface {
 	Size() int
 	maskHasV(i int) (exists, truthyVal bool)
 	maskIterV(f func(i int, truthyVal bool))
-	maskNValsV() int
 	finishMaskV()
 	maskIsDenseV() bool
 }
@@ -212,18 +210,6 @@ func (a *vAllow) release() {
 	}
 }
 
-// nAllowedUpper estimates how many positions the mask allows (an upper
-// bound used for sizing kernel outputs).
-func (mk VMask) nAllowedUpper(n int) int {
-	if !mk.Exists() {
-		return n
-	}
-	if mk.Comp {
-		return n
-	}
-	return mk.src.maskNValsV()
-}
-
 // ---------------------------------------------------------------------------
 // Matrix implements matrixMaskSource.
 
@@ -261,8 +247,6 @@ func (m *Matrix[T]) maskRowIter(i int, f func(j int, truthyVal bool)) {
 	}
 }
 
-func (m *Matrix[T]) maskNVals() int { return m.nvalsUpper() }
-
 func (m *Matrix[T]) finishMask() { m.Wait() }
 
 func (m *Matrix[T]) maskIsDense() bool { return m.format != FormatSparse }
@@ -277,17 +261,6 @@ func (v *Vector[T]) maskHasV(i int) (bool, bool) {
 
 func (v *Vector[T]) maskIterV(f func(i int, truthyVal bool)) {
 	v.Iterate(func(i int, x T) { f(i, truthy(x)) })
-}
-
-func (v *Vector[T]) maskNValsV() int {
-	switch v.format {
-	case FormatSparse:
-		return len(v.idx) - v.nzombies + len(v.pend)
-	case FormatBitmap:
-		return v.nvalsB
-	default:
-		return v.n
-	}
 }
 
 func (v *Vector[T]) finishMaskV() { v.Wait() }

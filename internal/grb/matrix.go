@@ -733,9 +733,6 @@ func (m *Matrix[T]) ExportCSR() (ptr, idx []int, val []T) {
 // holds an entry.
 func (m *Matrix[T]) denseHas(p int) bool { return m.format == FormatFull || m.b[p] != 0 }
 
-// rowNNZ returns the entry count of row i (sparse, finished matrices).
-func (m *Matrix[T]) rowNNZ(i int) int { return m.ptr[i+1] - m.ptr[i] }
-
 // ---------------------------------------------------------------------------
 // sorting helpers
 

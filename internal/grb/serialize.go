@@ -196,7 +196,7 @@ func DeserializeMatrix[T Value](r io.Reader) (*Matrix[T], error) {
 	// header can claim 2^60 entries the stream does not carry, and the
 	// allocation itself would abort the process before the short read is
 	// noticed. Grow with the data actually read instead.
-	ptr := make([]int, 0, UntrustedCap(nr+1))
+	ptr := make([]int, 0, untrustedCap(nr+1))
 	for i := 0; i <= nr; i++ {
 		x, err := readU64()
 		if err != nil {
@@ -207,10 +207,10 @@ func DeserializeMatrix[T Value](r io.Reader) (*Matrix[T], error) {
 	if ptr[nr] != nnz {
 		// Early exit before reading nnz indices and values the row
 		// pointers cannot account for; the full invariants are enforced by
-		// ImportCSRChecked below.
+		// importCSRChecked below.
 		return nil, errf(InvalidObject, "DeserializeMatrix: ptr/nvals mismatch")
 	}
-	idx := make([]int, 0, UntrustedCap(nnz))
+	idx := make([]int, 0, untrustedCap(nnz))
 	for i := 0; i < nnz; i++ {
 		x, err := readU64()
 		if err != nil {
@@ -218,7 +218,7 @@ func DeserializeMatrix[T Value](r io.Reader) (*Matrix[T], error) {
 		}
 		idx = append(idx, int(x))
 	}
-	val := make([]T, 0, UntrustedCap(nnz))
+	val := make([]T, 0, untrustedCap(nnz))
 	for i := 0; i < nnz; i++ {
 		bits, err := readU64()
 		if err != nil {
@@ -226,7 +226,7 @@ func DeserializeMatrix[T Value](r io.Reader) (*Matrix[T], error) {
 		}
 		val = append(val, DecodeValue[T](bits))
 	}
-	return ImportCSRChecked(nr, nc, ptr, idx, val)
+	return importCSRChecked(nr, nc, ptr, idx, val)
 }
 
 // allocChunk bounds the up-front capacity of deserialization allocations;
@@ -234,43 +234,42 @@ func DeserializeMatrix[T Value](r io.Reader) (*Matrix[T], error) {
 // forged headers fail on the short read instead of on the allocation.
 const allocChunk = 1 << 16
 
-// UntrustedCap clamps an untrusted size to [0, allocChunk] for use as a
+// untrustedCap clamps an untrusted size to [0, allocChunk] for use as a
 // slice capacity, so deserializers grow arrays with the data actually
 // read instead of a header's claim. The clamp also absorbs integer
 // overflow: a header claiming MaxInt64 rows makes nr+1 wrap negative,
-// and passing that to make() would panic. Shared by every reader of
-// untrusted containers (this package's deserializers, lagraph's BinRead).
-func UntrustedCap(n int) int {
+// and passing that to make() would panic.
+func untrustedCap(n int) int {
 	if n < 0 || n > allocChunk {
 		return allocChunk
 	}
 	return n
 }
 
-// ImportCSRChecked is ImportCSR for untrusted input (deserializers, file
+// importCSRChecked is ImportCSR for untrusted input (deserializers, file
 // uploads): it enforces the full CSR invariants — ptr[0] == 0, monotone
 // non-negative row pointers ending at len(idx), and in-range, strictly
 // increasing column indices within each row (which also excludes
 // duplicates) — and rejects any violation with InvalidObject instead of
 // importing garbage that a later kernel would trip over.
-func ImportCSRChecked[T Value](nr, nc int, ptr, idx []int, val []T) (*Matrix[T], error) {
+func importCSRChecked[T Value](nr, nc int, ptr, idx []int, val []T) (*Matrix[T], error) {
 	if nr < 0 || nc < 0 || len(ptr) != nr+1 || len(val) != len(idx) {
-		return nil, errf(InvalidObject, "ImportCSRChecked: inconsistent arrays")
+		return nil, errf(InvalidObject, "DeserializeMatrix: inconsistent arrays")
 	}
 	if ptr[0] != 0 || ptr[nr] != len(idx) {
-		return nil, errf(InvalidObject, "ImportCSRChecked: ptr does not span [0,%d]", len(idx))
+		return nil, errf(InvalidObject, "DeserializeMatrix: ptr does not span [0,%d]", len(idx))
 	}
 	for i := 0; i < nr; i++ {
 		lo, hi := ptr[i], ptr[i+1]
 		if lo > hi || lo < 0 || hi > len(idx) {
-			return nil, errf(InvalidObject, "ImportCSRChecked: row pointers not monotone at row %d", i)
+			return nil, errf(InvalidObject, "DeserializeMatrix: row pointers not monotone at row %d", i)
 		}
 		for p := lo; p < hi; p++ {
 			if idx[p] < 0 || idx[p] >= nc {
-				return nil, errf(InvalidObject, "ImportCSRChecked: row %d index %d outside [0,%d)", i, idx[p], nc)
+				return nil, errf(InvalidObject, "DeserializeMatrix: row %d index %d outside [0,%d)", i, idx[p], nc)
 			}
 			if p > lo && idx[p] <= idx[p-1] {
-				return nil, errf(InvalidObject, "ImportCSRChecked: row %d columns not strictly increasing", i)
+				return nil, errf(InvalidObject, "DeserializeMatrix: row %d columns not strictly increasing", i)
 			}
 		}
 	}

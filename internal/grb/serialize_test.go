@@ -92,41 +92,6 @@ func TestDeserializeCorruptionRejected(t *testing.T) {
 	}
 }
 
-func TestSerializeVectorRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(302))
-	v := randVector(rng, 20, 0.4)
-	var buf bytes.Buffer
-	if err := SerializeVector(&buf, v); err != nil {
-		t.Fatal(err)
-	}
-	back, err := DeserializeVector[float64](&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vectorsEqual(t, back, vdenseOf(v), "vector round trip")
-	// Dense formats round-trip through tuples too.
-	d := DenseVector(5, int64(9))
-	buf.Reset()
-	if err := SerializeVector(&buf, d); err != nil {
-		t.Fatal(err)
-	}
-	backD, err := DeserializeVector[int64](&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if backD.NVals() != 5 {
-		t.Fatal("dense vector entries lost")
-	}
-	// Type mismatch rejected.
-	buf.Reset()
-	if err := SerializeVector(&buf, d); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DeserializeVector[float64](&buf); err == nil {
-		t.Fatal("type mismatch accepted")
-	}
-}
-
 func TestSerializeFinishesPendingWork(t *testing.T) {
 	m := MustMatrix[float64](3, 3)
 	m.SetElement(4, 0, 1) // pending tuple

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"lagraph/internal/gen"
 	"lagraph/internal/grb"
 )
 
@@ -31,6 +32,18 @@ func KindName(k Kind) string {
 	default:
 		return "unknown"
 	}
+}
+
+// ParseKind is the inverse of KindName: the one parser behind the store's
+// meta.json, the replication wire and the upload API's ?kind=.
+func ParseKind(name string) (Kind, error) {
+	switch name {
+	case "undirected":
+		return AdjacencyUndirected, nil
+	case "directed":
+		return AdjacencyDirected, nil
+	}
+	return 0, errf(StatusInvalidKind, "unknown graph kind %q (directed|undirected)", name)
 }
 
 // BoolProp is a three-valued cached boolean property
@@ -100,6 +113,23 @@ func New[T grb.Value](A **grb.Matrix[T], kind Kind) (*Graph[T], error) {
 		g.ASymmetricPattern = BoolTrue
 	}
 	return g, nil
+}
+
+// FromEdgeList builds the graph of a generated edge list: its CSR arrays
+// become the adjacency matrix (weights when the list carries them, unit
+// values otherwise) and its Directed flag the kind. Every loader of a
+// synthetic graph — server, bench harness, graphgen, examples — calls it.
+func FromEdgeList(e *gen.EdgeList) (*Graph[float64], error) {
+	ptr, idx, vals := e.CSR()
+	A, err := grb.ImportCSR(e.N, e.N, ptr, idx, vals, false)
+	if err != nil {
+		return nil, wrap(StatusInvalidGraph, err, "FromEdgeList")
+	}
+	kind := AdjacencyUndirected
+	if e.Directed {
+		kind = AdjacencyDirected
+	}
+	return New(&A, kind)
 }
 
 // DeleteProperties clears all cached properties, resetting them to unknown

@@ -392,3 +392,20 @@ func TestTicToc(t *testing.T) {
 		t.Fatal("negative elapsed time")
 	}
 }
+
+// TestParseKindInvertsKindName: the two kind names round-trip and nothing
+// else parses — case and whitespace included, since the store's meta.json
+// and the replication wire carry exactly KindName's output.
+func TestParseKindInvertsKindName(t *testing.T) {
+	for _, k := range []Kind{AdjacencyUndirected, AdjacencyDirected} {
+		got, err := ParseKind(KindName(k))
+		if err != nil || got != k {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", KindName(k), got, err, k)
+		}
+	}
+	for _, bad := range []string{"", "unknown", "Directed", " directed", "bipartite", KindName(Kind(7))} {
+		if _, err := ParseKind(bad); StatusOf(err) != StatusInvalidKind {
+			t.Errorf("ParseKind(%q) = %v, want StatusInvalidKind", bad, err)
+		}
+	}
+}

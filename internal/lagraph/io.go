@@ -1,10 +1,7 @@
 package lagraph
 
 import (
-	"bufio"
-	"encoding/binary"
 	"io"
-	"math"
 
 	"lagraph/internal/grb"
 	"lagraph/internal/mmio"
@@ -38,115 +35,22 @@ func MMWrite(w io.Writer, m *grb.Matrix[float64]) error {
 	return nil
 }
 
-// binMagic identifies the binary matrix container (paper §V: BinRead /
-// BinWrite). Format: magic, version, nrows, ncols, nvals, then the CSR
-// arrays as little-endian int64 / float64.
-var binMagic = [8]byte{'L', 'A', 'G', 'R', 'B', 'I', 'N', '1'}
-
-// BinWrite serialises a finished matrix in the binary container.
+// BinWrite serialises a finished matrix in the binary container (paper
+// §V). As in LAGraph itself that is the GraphBLAS's own serialization, so
+// an upload body, a graphgen or mmconvert file and a store checkpoint are
+// the same bytes.
 func BinWrite(w io.Writer, m *grb.Matrix[float64]) error {
-	bw := bufio.NewWriter(w)
-	ptr, idx, val := m.ExportCSR()
-	if _, err := bw.Write(binMagic[:]); err != nil {
-		return wrap(StatusIO, err, "BinWrite magic")
-	}
-	hdr := []int64{1, int64(m.NRows()), int64(m.NCols()), int64(len(idx))}
-	for _, h := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return wrap(StatusIO, err, "BinWrite header")
-		}
-	}
-	buf := make([]byte, 8)
-	writeInt := func(x int64) error {
-		binary.LittleEndian.PutUint64(buf, uint64(x))
-		_, err := bw.Write(buf)
-		return err
-	}
-	for _, p := range ptr {
-		if err := writeInt(int64(p)); err != nil {
-			return wrap(StatusIO, err, "BinWrite ptr")
-		}
-	}
-	for _, j := range idx {
-		if err := writeInt(int64(j)); err != nil {
-			return wrap(StatusIO, err, "BinWrite idx")
-		}
-	}
-	for _, x := range val {
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(x))
-		if _, err := bw.Write(buf); err != nil {
-			return wrap(StatusIO, err, "BinWrite val")
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return wrap(StatusIO, err, "BinWrite flush")
-	}
-	return nil
+	return wrap(StatusIO, grb.SerializeMatrix(w, m), "BinWrite")
 }
 
-// BinRead deserialises a matrix written by BinWrite.
+// BinRead deserialises a matrix written by BinWrite. The bytes are
+// untrusted (HTTP uploads land here); grb.DeserializeMatrix is the
+// hardened, fuzzed decoder, so a malformed file is an error, never a
+// panic in a later kernel.
 func BinRead(r io.Reader) (*grb.Matrix[float64], error) {
-	br := bufio.NewReader(r)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, wrap(StatusIO, err, "BinRead magic")
-	}
-	if magic != binMagic {
-		return nil, errf(StatusIO, "BinRead: bad magic %q", magic)
-	}
-	var hdr [4]int64
-	for i := range hdr {
-		if err := binary.Read(br, binary.LittleEndian, &hdr[i]); err != nil {
-			return nil, wrap(StatusIO, err, "BinRead header")
-		}
-	}
-	if hdr[0] != 1 {
-		return nil, errf(StatusIO, "BinRead: unsupported version %d", hdr[0])
-	}
-	nr, nc, nnz := int(hdr[1]), int(hdr[2]), int(hdr[3])
-	if nr < 0 || nc < 0 || nnz < 0 {
-		return nil, errf(StatusIO, "BinRead: negative dimensions")
-	}
-	readInt := func() (int64, error) {
-		var x int64
-		err := binary.Read(br, binary.LittleEndian, &x)
-		return x, err
-	}
-	// The container is untrusted (HTTP uploads land here): grow arrays
-	// with the bytes actually present rather than pre-allocating the
-	// header's claimed sizes, and import through ImportCSRChecked, which
-	// enforces the CSR invariants — so a malformed file is an error,
-	// never a panic in a later kernel.
-	ptr := make([]int, 0, grb.UntrustedCap(nr+1))
-	for i := 0; i <= nr; i++ {
-		x, err := readInt()
-		if err != nil {
-			return nil, wrap(StatusIO, err, "BinRead ptr")
-		}
-		ptr = append(ptr, int(x))
-	}
-	if ptr[nr] != nnz {
-		return nil, errf(StatusIO, "BinRead: ptr[n]=%d but nvals=%d", ptr[nr], nnz)
-	}
-	idx := make([]int, 0, grb.UntrustedCap(nnz))
-	for i := 0; i < nnz; i++ {
-		x, err := readInt()
-		if err != nil {
-			return nil, wrap(StatusIO, err, "BinRead idx")
-		}
-		idx = append(idx, int(x))
-	}
-	val := make([]float64, 0, grb.UntrustedCap(nnz))
-	for i := 0; i < nnz; i++ {
-		var bits uint64
-		if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
-			return nil, wrap(StatusIO, err, "BinRead val")
-		}
-		val = append(val, math.Float64frombits(bits))
-	}
-	m, err := grb.ImportCSRChecked(nr, nc, ptr, idx, val)
+	m, err := grb.DeserializeMatrix[float64](r)
 	if err != nil {
-		return nil, wrap(StatusIO, err, "BinRead import")
+		return nil, wrap(StatusIO, err, "BinRead")
 	}
 	return m, nil
 }

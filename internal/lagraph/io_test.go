@@ -109,8 +109,9 @@ func TestBinReadRejectsMalformedStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	// Header layout: 8 magic, then version/nrows/ncols/nvals as int64.
-	const nvalsOff = 8 + 3*8
+	// Header layout (33 bytes): 8 magic, 1 type tag, then
+	// nrows/ncols/nvals as uint64.
+	const nvalsOff = 8 + 1 + 2*8
 
 	// Forge a gigantic entry count over the short body: BinRead must hit
 	// the truncation, not allocate 2^40 entries.
@@ -172,7 +173,7 @@ func TestBinReadRejectsOverflowingHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	const nrowsOff = 8 + 8
+	const nrowsOff = 8 + 1 // magic, type tag
 	forged := append([]byte(nil), data...)
 	binary.LittleEndian.PutUint64(forged[nrowsOff:], 1<<63-1)
 	if _, err := BinRead(bytes.NewReader(forged)); err == nil {

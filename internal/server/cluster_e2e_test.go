@@ -16,6 +16,7 @@ import (
 	"lagraph/internal/grb"
 	"lagraph/internal/registry"
 	"lagraph/internal/store"
+	"lagraph/internal/stream"
 )
 
 // Two-process cluster e2e: a leader and a follower, each a full handler
@@ -67,7 +68,7 @@ func bootClusterNode(t *testing.T, dir string, l net.Listener, cfg cluster.Confi
 	// Compaction off: a leader checkpoint that truncates the WAL past a
 	// downed follower's cursor forces a (correct) re-bootstrap, and the
 	// restart-resume test needs the tail to stay servable instead.
-	srv := New(reg, Options{Store: st, Cluster: cfg, CompactThreshold: 1 << 20, CompactRatio: 1e9})
+	srv := New(reg, Options{Store: st, Cluster: cfg, Stream: stream.Options{CompactThreshold: 1 << 20, CompactRatio: 1e9}})
 	ts := httptest.NewUnstartedServer(srv.Handler())
 	ts.Listener.Close()
 	ts.Listener = l

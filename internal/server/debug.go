@@ -110,7 +110,7 @@ func (s *Server) handleBundle(w http.ResponseWriter, _ *http.Request) {
 			"slow_query":        s.opts.SlowThreshold.String(),
 			"fsync_alert":       s.opts.FsyncAlert.String(),
 			"durable":           strconv.FormatBool(s.store != nil),
-			"workers":           itoaDefault(s.opts.Workers, 0),
+			"workers":           itoaDefault(s.opts.Jobs.Workers, 0),
 		},
 	}
 	if bi, ok := debug.ReadBuildInfo(); ok {

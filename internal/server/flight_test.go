@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"lagraph/internal/algo"
+	"lagraph/internal/jobs"
 	"lagraph/internal/obs"
 	"lagraph/internal/registry"
 	"lagraph/internal/store"
@@ -78,8 +79,7 @@ func incidentKinds(t *testing.T, base string, want ...string) map[string]map[str
 func TestFlightRecorderE2E(t *testing.T) {
 	reg := registry.New(0)
 	srv := New(reg, Options{
-		Workers:        1,
-		QueueDepth:     1,
+		Jobs:           jobs.Options{Workers: 1, QueueDepth: 1},
 		SlowThreshold:  time.Nanosecond, // every request is a slow query
 		IncidentWindow: time.Hour,
 		Catalog:        failingCatalog(t),

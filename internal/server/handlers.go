@@ -39,12 +39,17 @@ type loadResponse struct {
 // the machine for minutes.
 const maxLoadScale = 22
 
+// maxLoadEdges bounds edge_factor · 2^scale: the generators allocate that
+// many edge slots (twice over) before the registry budget ever sees the
+// graph, and an allocation that large is an abort no handler recovers.
+const maxLoadEdges = 1 << 27
+
 // handleLoadGraph loads a graph into the registry. The load path is
 // chosen by Content-Type / ?format:
 //
 //	application/json                   → synthetic spec (internal/gen)
 //	?format=mm  (or Content-Type text) → Matrix Market upload, ?kind=
-//	?format=bin                        → LAGraph binary upload, ?kind=
+//	?format=bin                        → grb.SerializeMatrix upload, ?kind=
 func (s *Server) handleLoadGraph(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxUploadBytes)
@@ -126,35 +131,36 @@ func (s *Server) handleLoadGraph(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// validate checks a synthetic spec before anything is generated, filling
+// the edge_factor default.
+func (spec *loadSpec) validate() error {
+	if spec.Name == "" {
+		return errors.New("missing graph name")
+	}
+	if spec.Scale < 1 || spec.Scale > maxLoadScale {
+		return fmt.Errorf("scale %d outside [1,%d]", spec.Scale, maxLoadScale)
+	}
+	if spec.EdgeFactor <= 0 {
+		spec.EdgeFactor = 8
+	}
+	if limit := maxLoadEdges >> spec.Scale; spec.EdgeFactor > limit {
+		return fmt.Errorf("edge_factor %d outside [1,%d] at scale %d", spec.EdgeFactor, limit, spec.Scale)
+	}
+	return nil
+}
+
 // loadSynthetic builds a graph from a generator spec.
 func (s *Server) loadSynthetic(r *http.Request) (string, *lagraph.Graph[float64], error) {
 	var spec loadSpec
 	if err := decodeJSONBody(r, &spec); err != nil {
 		return "", nil, err
 	}
-	if spec.Name == "" {
-		return "", nil, errors.New("missing graph name")
+	if err := spec.validate(); err != nil {
+		return "", nil, err
 	}
-	if spec.Scale < 1 || spec.Scale > maxLoadScale {
-		return "", nil, fmt.Errorf("scale %d outside [1,%d]", spec.Scale, maxLoadScale)
-	}
-	if spec.EdgeFactor <= 0 {
-		spec.EdgeFactor = 8
-	}
-	var e *gen.EdgeList
-	switch strings.ToLower(spec.Class) {
-	case "kron":
-		e = gen.Kron(spec.Scale, spec.EdgeFactor, spec.Seed)
-	case "urand":
-		e = gen.Urand(spec.Scale, spec.EdgeFactor, spec.Seed)
-	case "twitter":
-		e = gen.Twitter(spec.Scale, spec.EdgeFactor, spec.Seed)
-	case "web":
-		e = gen.Web(spec.Scale, spec.EdgeFactor, spec.Seed)
-	case "road":
-		e = gen.Road(1<<(spec.Scale/2), spec.Seed)
-	default:
-		return "", nil, fmt.Errorf("unknown graph class %q (kron|urand|twitter|web|road)", spec.Class)
+	e, err := gen.Generate(spec.Class, spec.Scale, spec.EdgeFactor, spec.Seed)
+	if err != nil {
+		return "", nil, err
 	}
 	if spec.Weights {
 		lo, hi := spec.WeightLo, spec.WeightHi
@@ -163,21 +169,8 @@ func (s *Server) loadSynthetic(r *http.Request) (string, *lagraph.Graph[float64]
 		}
 		e.AddUniformWeights(spec.Seed+17, lo, hi)
 	}
-	g, err := graphFromEdgeList(e)
+	g, err := lagraph.FromEdgeList(e)
 	return spec.Name, g, err
-}
-
-func graphFromEdgeList(e *gen.EdgeList) (*lagraph.Graph[float64], error) {
-	ptr, idx, vals := e.CSR()
-	A, err := grb.ImportCSR(e.N, e.N, ptr, idx, vals, false)
-	if err != nil {
-		return nil, err
-	}
-	kind := lagraph.AdjacencyUndirected
-	if e.Directed {
-		kind = lagraph.AdjacencyDirected
-	}
-	return lagraph.New(&A, kind)
 }
 
 // loadUpload reads a Matrix Market or binary matrix from the request body.
@@ -187,18 +180,16 @@ func (s *Server) loadUpload(r *http.Request, format string) (string, *lagraph.Gr
 	if name == "" {
 		return "", nil, errors.New("missing ?name= for upload")
 	}
-	kind := lagraph.AdjacencyDirected
-	switch strings.ToLower(q.Get("kind")) {
-	case "", "directed":
-	case "undirected":
-		kind = lagraph.AdjacencyUndirected
-	default:
-		return "", nil, fmt.Errorf("unknown kind %q (directed|undirected)", q.Get("kind"))
-	}
 	var (
-		A   *grb.Matrix[float64]
-		err error
+		A    *grb.Matrix[float64]
+		kind = lagraph.AdjacencyDirected
+		err  error
 	)
+	if k := q.Get("kind"); k != "" {
+		if kind, err = lagraph.ParseKind(strings.ToLower(k)); err != nil {
+			return "", nil, fmt.Errorf("unknown kind %q (directed|undirected)", k)
+		}
+	}
 	if format == "mm" {
 		A, err = lagraph.MMRead(r.Body)
 	} else {

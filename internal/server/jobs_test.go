@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"lagraph/internal/jobs"
 	"lagraph/internal/registry"
 )
 
@@ -362,7 +363,7 @@ func TestJobsStatsExposed(t *testing.T) {
 // (queue full) must hand the lease back.
 func TestFailedSubmissionReleasesLease(t *testing.T) {
 	reg := registry.New(0)
-	srv := New(reg, Options{Workers: 1, QueueDepth: 1})
+	srv := New(reg, Options{Jobs: jobs.Options{Workers: 1, QueueDepth: 1}})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	t.Cleanup(srv.Close)

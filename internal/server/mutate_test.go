@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lagraph/internal/registry"
+	"lagraph/internal/stream"
 )
 
 // pathGraphMM is a 4-vertex directed path 0→1→2 with vertex 3 isolated,
@@ -47,7 +48,7 @@ func mutate(t *testing.T, base, name string, ops []map[string]any) (int, map[str
 func TestGraphInfoExposesVersionAndDeltaState(t *testing.T) {
 	// The ratio trigger would compact this tiny graph after one op; keep
 	// the delta log visible for the assertions.
-	ts, _, _ := newMutationServer(t, Options{CompactRatio: 1000})
+	ts, _, _ := newMutationServer(t, Options{Stream: stream.Options{CompactRatio: 1000}})
 	loadPathGraph(t, ts.URL, "g")
 
 	code, info := doJSON(t, "GET", ts.URL+"/graphs/g", nil)
@@ -203,7 +204,7 @@ func TestHTTPSnapshotIsolationAndCacheRekey(t *testing.T) {
 
 // TestMutateValidationStatuses maps mutation failures onto HTTP codes.
 func TestMutateValidationStatuses(t *testing.T) {
-	ts, _, _ := newMutationServer(t, Options{MaxBatchOps: 2})
+	ts, _, _ := newMutationServer(t, Options{Stream: stream.Options{MaxBatchOps: 2}})
 	loadPathGraph(t, ts.URL, "g")
 
 	cases := []struct {

@@ -71,31 +71,13 @@ type Options struct {
 	// MaxParamsBytes caps algorithm-parameter and job-submission bodies —
 	// tiny JSON objects, not uploads. <= 0 means 1 MiB.
 	MaxParamsBytes int64
-	// Workers is the jobs-engine worker-pool size — the bound on
-	// concurrently executing algorithms. <= 0 selects the parallel worker
-	// bound (one algorithm per core set).
-	Workers int
-	// QueueDepth bounds jobs waiting for a worker. <= 0 means 64.
-	QueueDepth int
-	// ResultTTL is how long completed algorithm results stay cached for
-	// identical resubmissions. <= 0 selects the engine default (5m).
-	ResultTTL time.Duration
-	// MaxCachedResults bounds the result cache entry count. <= 0 selects
-	// the engine default (256).
-	MaxCachedResults int
-	// JobTimeout is the default per-job deadline when a submission sets
-	// none (0 = no deadline).
-	JobTimeout time.Duration
-	// CompactThreshold is the per-graph delta-log length that triggers a
-	// background compaction. <= 0 selects the stream default (4096).
-	CompactThreshold int
-	// CompactRatio triggers compaction once the delta log reaches this
-	// fraction of the base CSR entry count. <= 0 selects the stream
-	// default (0.25).
-	CompactRatio float64
-	// MaxBatchOps bounds one mutation batch. <= 0 selects the stream
-	// default (65536).
-	MaxBatchOps int
+	// Jobs and Stream configure the two engines; see their own docs. New
+	// overrides only what is the server's to decide: Jobs.Workers <= 0
+	// selects the parallel worker bound (one algorithm per core set), both
+	// Obs fields follow Obs, and Jobs.Node / OnFailed / OnSaturated come
+	// from Cluster.Self and the flight recorder.
+	Jobs   jobs.Options
+	Stream stream.Options
 	// Store, when non-nil, makes the service durable: graphs persisted on
 	// load, mutation batches write-ahead-logged before publication,
 	// compactions checkpointed, deletes mirrored to disk — and New begins
@@ -168,7 +150,6 @@ type Server struct {
 
 	obs      *obs.Registry
 	tracer   *obs.Tracer
-	runtime  *obs.RuntimeSource
 	recorder *obs.Recorder // nil when IncidentWindow <= 0
 
 	// Component-level readiness (health.go): probes registered at build
@@ -200,8 +181,8 @@ func New(reg *registry.Registry, opts Options) *Server {
 	if opts.MaxParamsBytes <= 0 {
 		opts.MaxParamsBytes = 1 << 20
 	}
-	if opts.Workers <= 0 {
-		opts.Workers = parallel.MaxThreads()
+	if opts.Jobs.Workers <= 0 {
+		opts.Jobs.Workers = parallel.MaxThreads()
 	}
 	if opts.Catalog == nil {
 		opts.Catalog = algo.Default()
@@ -237,25 +218,18 @@ func New(reg *registry.Registry, opts Options) *Server {
 		logger = slog.New(recorder.WrapHandler(inner))
 	}
 
-	jobsOpts := jobs.Options{
-		Workers:          opts.Workers,
-		QueueDepth:       opts.QueueDepth,
-		DefaultTimeout:   opts.JobTimeout,
-		ResultTTL:        opts.ResultTTL,
-		MaxCachedResults: opts.MaxCachedResults,
-		Obs:              o,
-	}
+	opts.Jobs.Obs, opts.Stream.Obs = o, o
 	if opts.Cluster.Role != cluster.RoleNone {
 		// Cluster job ids carry the minting node's address so polls can
 		// be routed back to it from any peer.
-		jobsOpts.Node = opts.Cluster.Self
+		opts.Jobs.Node = opts.Cluster.Self
 	}
 	if recorder != nil {
-		jobsOpts.OnFailed = func(key jobs.Key, err error) {
+		opts.Jobs.OnFailed = func(key jobs.Key, err error) {
 			recorder.Trigger(obs.TriggerJobFailure,
 				fmt.Sprintf("job %s@v%d/%s failed: %v", key.Graph, key.Version, key.Algorithm, err))
 		}
-		jobsOpts.OnSaturated = func(queued, depth int) {
+		opts.Jobs.OnSaturated = func(queued, depth int) {
 			recorder.Trigger(obs.TriggerQueueSaturated,
 				fmt.Sprintf("job queue saturated: %d/%d queued, submission rejected with 429", queued, depth))
 		}
@@ -282,20 +256,14 @@ func New(reg *registry.Registry, opts Options) *Server {
 	s := &Server{
 		reg:      reg,
 		catalog:  opts.Catalog,
-		runtime:  rt,
 		recorder: recorder,
-		jobs:     jobs.NewEngine(jobsOpts),
-		stream: stream.NewEngine(reg, stream.Options{
-			CompactThreshold: opts.CompactThreshold,
-			CompactRatio:     opts.CompactRatio,
-			MaxBatchOps:      opts.MaxBatchOps,
-			Obs:              o,
-		}),
-		store:   opts.Store,
-		mux:     http.NewServeMux(),
-		sem:     make(chan struct{}, opts.MaxInFlight),
-		opts:    opts,
-		started: time.Now(),
+		jobs:     jobs.NewEngine(opts.Jobs),
+		stream:   stream.NewEngine(reg, opts.Stream),
+		store:    opts.Store,
+		mux:      http.NewServeMux(),
+		sem:      make(chan struct{}, opts.MaxInFlight),
+		opts:     opts,
+		started:  time.Now(),
 
 		obs:       o,
 		tracer:    obs.NewTracer(tracerOpts),
@@ -415,17 +383,8 @@ func (s *Server) Stream() *stream.Engine { return s.stream }
 // Store exposes the durable store (nil when memory-only).
 func (s *Server) Store() *store.Store { return s.store }
 
-// Obs exposes the metrics registry GET /metrics scrapes.
-func (s *Server) Obs() *obs.Registry { return s.obs }
-
 // Tracer exposes the request tracer backing GET /debug/traces.
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
-
-// Recorder exposes the flight recorder (nil when IncidentWindow <= 0).
-func (s *Server) Recorder() *obs.Recorder { return s.recorder }
-
-// Runtime exposes the Go-runtime telemetry source.
-func (s *Server) Runtime() *obs.RuntimeSource { return s.runtime }
 
 // Close stops the jobs and stream engines — running jobs are cancelled,
 // workers drain, and pending compactions finish — then closes the store,

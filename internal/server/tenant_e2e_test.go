@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"lagraph/internal/algo"
+	"lagraph/internal/jobs"
 	"lagraph/internal/registry"
 	"lagraph/internal/tenant"
 )
@@ -288,7 +289,7 @@ func TestTenantJobQuotaAnd429(t *testing.T) {
 	]}`)
 	catalog, release := blockingCatalog(t)
 	defer release()
-	ts := newTenantServer(t, Options{Tenants: cfg, Catalog: catalog, Workers: 1, QueueDepth: 2})
+	ts := newTenantServer(t, Options{Tenants: cfg, Catalog: catalog, Jobs: jobs.Options{Workers: 1, QueueDepth: 2}})
 	loadTenantGraph(t, ts.URL, "tok-a", "g", 5)
 	loadTenantGraph(t, ts.URL, "tok-b", "g", 5)
 
@@ -385,7 +386,7 @@ func TestTenantJobQuotaAnd429(t *testing.T) {
 func TestTenantPriorityAndDefaultClass(t *testing.T) {
 	catalog, release := blockingCatalog(t)
 	defer release()
-	ts := newTenantServer(t, Options{Catalog: catalog, Workers: 1, QueueDepth: 16})
+	ts := newTenantServer(t, Options{Catalog: catalog, Jobs: jobs.Options{Workers: 1, QueueDepth: 16}})
 	loadTenantGraph(t, ts.URL, "tok-a", "g", 5)
 
 	// An invalid priority is rejected up front on both endpoints.

@@ -2,13 +2,17 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
+	"lagraph/internal/gen"
 	"lagraph/internal/grb"
 	"lagraph/internal/lagraph"
+	"lagraph/internal/store"
 )
 
 // postBody uploads raw bytes to POST /graphs with the given query string.
@@ -216,5 +220,161 @@ func TestBinUploadRoundTrip(t *testing.T) {
 	garbage := append([]byte("XXXXXXXX"), bin.Bytes()[8:]...)
 	if code, _ := postBody(t, ts.URL, "format=bin&name=junk", garbage); code != http.StatusBadRequest {
 		t.Fatalf("corrupt upload: %d, want 400", code)
+	}
+}
+
+// cycleUpload serialises the directed n-cycle i → i+1 (weights i+1) the
+// way an upload client would. Its layout is fully known — 33-byte header,
+// ptr = 0..n, idx = 1..n-1,0 — so the forgeries below can aim at one
+// field each.
+func cycleUpload(t *testing.T, n int) []byte {
+	t.Helper()
+	var rows, cols []int
+	var vals []float64
+	for i := 0; i < n; i++ {
+		rows, cols, vals = append(rows, i), append(cols, (i+1)%n), append(vals, float64(i+1))
+	}
+	A, err := grb.MatrixFromTuples(n, n, rows, cols, vals, nil)
+	if err != nil {
+		t.Fatalf("MatrixFromTuples: %v", err)
+	}
+	var bin bytes.Buffer
+	if err := lagraph.BinWrite(&bin, A); err != nil {
+		t.Fatalf("BinWrite: %v", err)
+	}
+	return bin.Bytes()
+}
+
+// TestBinUploadRejectsForgedContainers: every way a ?format=bin body can
+// lie is a 400 naming the check that caught it — never a 5xx, never a
+// panic, never an allocation of the forged size. The decoder is
+// grb.DeserializeMatrix, the one FuzzDeserializeMatrix covers; this pins
+// that the HTTP path inherits each of its checks.
+func TestBinUploadRejectsForgedContainers(t *testing.T) {
+	ts, _ := newTestServer(t, 0)
+	const (
+		n       = 6
+		hdr     = 8 + 1 + 3*8 // magic, type tag, nrows/ncols/nvals
+		nvalsAt = 8 + 1 + 2*8
+		ptrAt   = hdr
+		idxAt   = hdr + (n+1)*8
+	)
+	good := cycleUpload(t, n)
+	forge := func(at int, v uint64) []byte {
+		b := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint64(b[at:], v)
+		return b
+	}
+	ints, err := grb.MatrixFromTuples(2, 2, []int{0}, []int{1}, []int64{7}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var intBody bytes.Buffer
+	if err := grb.SerializeMatrix(&intBody, ints); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name, caughtBy string // caughtBy: the decoder check, by its message
+		body           []byte
+	}{
+		{"int64 matrix", "type tag", intBody.Bytes()},
+		{"cut mid-idx", "DeserializeMatrix idx", good[:idxAt+8*2+3]},
+		{"header claims 2^60 entries", "ptr/nvals mismatch", forge(nvalsAt, 1<<60)},
+		// ptr[1] = 3 swallows rows 1 and 2 (still sorted, in range), so the
+		// first violation is row 1 starting after it ends.
+		{"ptr not monotone", "row pointers not monotone at row 1", forge(ptrAt+8, 3)},
+		{"column out of range", "outside [0,6)", forge(idxAt, 1<<40)},
+	} {
+		code, body := postBody(t, ts.URL, "format=bin&name=forged", tc.body)
+		msg, _ := body["error"].(string)
+		if code != http.StatusBadRequest || !strings.Contains(msg, tc.caughtBy) {
+			t.Errorf("%s: HTTP %d %q, want 400 mentioning %q", tc.name, code, msg, tc.caughtBy)
+		}
+	}
+	// Nothing forged became resident; the pristine body still loads.
+	if code, body := postBody(t, ts.URL, "format=bin&name=forged", good); code != http.StatusCreated {
+		t.Fatalf("pristine upload: %d %v", code, body)
+	}
+}
+
+// TestCheckpointIsAnUpload: the store's checkpoint file and a ?format=bin
+// body are one container. Save a graph, post the checkpoint's bytes back
+// as an upload, and get the same graph.
+func TestCheckpointIsAnUpload(t *testing.T) {
+	st, err := store.Open(store.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
+	defer st.Close()
+	e, err := gen.Generate("twitter", 6, 4, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.AddUniformWeights(3, 1, 255)
+	g, err := lagraph.FromEdgeList(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveGraph("saved", g, 1); err != nil {
+		t.Fatalf("SaveGraph: %v", err)
+	}
+	ck, err := st.ReadCheckpoint("saved")
+	if err != nil {
+		t.Fatalf("ReadCheckpoint: %v", err)
+	}
+
+	ts, reg := newTestServer(t, 0)
+	code, body := postBody(t, ts.URL, "format=bin&name=back&kind="+ck.Kind, ck.Data)
+	if code != http.StatusCreated {
+		t.Fatalf("upload of checkpoint bytes: %d %v", code, body)
+	}
+	lease, err := reg.Acquire("back")
+	if err != nil {
+		t.Fatalf("Acquire: %v", err)
+	}
+	defer lease.Release()
+	if lease.Graph().Kind != g.Kind {
+		t.Fatalf("kind = %v, want %v", lease.Graph().Kind, g.Kind)
+	}
+	if eq, err := lagraph.IsEqual(lease.Graph().A, g.A); err != nil || !eq {
+		t.Fatalf("uploaded checkpoint differs from the saved graph (err %v)", err)
+	}
+}
+
+// TestSyntheticLoadBoundsEdgeFactor: scale alone does not bound a
+// synthetic load — edge_factor multiplies it — so the pair is bounded
+// before anything is generated. The oversized request must answer 400 at
+// once (the client timeout is the assertion: generating it would take
+// minutes, or abort the process allocating).
+func TestSyntheticLoadBoundsEdgeFactor(t *testing.T) {
+	ts, _ := newTestServer(t, 0)
+	client := &http.Client{Timeout: 2 * time.Second}
+	resp, err := client.Post(ts.URL+"/graphs", "application/json",
+		strings.NewReader(`{"name":"huge","class":"kron","scale":22,"edge_factor":100000}`))
+	if err != nil {
+		t.Fatalf("oversized load did not answer promptly: %v", err)
+	}
+	defer resp.Body.Close()
+	out := map[string]any{}
+	decodeInto(t, resp, out)
+	if msg, _ := out["error"].(string); resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, "edge_factor") {
+		t.Fatalf("HTTP %d %v, want 400 naming edge_factor", resp.StatusCode, out)
+	}
+
+	// The bound is on the product, so it moves with scale; validation
+	// alone is checked here — generating scale 22 is not a unit test.
+	for _, tc := range []struct {
+		scale, ef int
+		ok        bool
+	}{
+		{22, 32, true}, {22, 33, false}, {22, 0, true}, // 0 → the default 8
+		{10, 1 << 17, true}, {10, 1<<17 + 1, false},
+		{1, 1 << 62, false}, // no overflow on the way to the answer
+	} {
+		spec := loadSpec{Name: "g", Class: "kron", Scale: tc.scale, EdgeFactor: tc.ef}
+		if err := spec.validate(); (err == nil) != tc.ok {
+			t.Errorf("scale %d edge_factor %d: validate = %v, want ok=%v", tc.scale, tc.ef, err, tc.ok)
+		}
 	}
 }

@@ -3,9 +3,7 @@ package store
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 	"time"
 
 	"lagraph/internal/lagraph"
@@ -167,40 +165,18 @@ func (s *Store) InstallCheckpoint(name string, kind lagraph.Kind, version uint64
 		return err
 	}
 	ckpt := checkpointPath(gf.dir, version)
-	tmp := fmt.Sprintf("%s.tmp%d", ckpt, s.tombSeq.Add(1))
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	tmp, err := stageFile(ckpt, s.opts.Fsync, func(f *os.File) error {
+		_, err := f.Write(data)
+		return err
+	})
 	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if s.opts.Fsync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
 		return err
 	}
 	// Wipe the previous incarnation's state before installing.
 	gf.closeWALLocked()
 	os.Remove(gf.walPath())
-	if files, err := os.ReadDir(gf.dir); err == nil {
-		for _, fi := range files {
-			n := fi.Name()
-			if strings.HasPrefix(n, "checkpoint-") && strings.HasSuffix(n, ".bin") && n != checkpointName(version) {
-				os.Remove(filepath.Join(gf.dir, n))
-			}
-		}
-	}
-	if err := os.Rename(tmp, ckpt); err != nil {
-		os.Remove(tmp)
+	removeStale(gf.dir, checkpointName(version), false)
+	if err := installStaged(tmp, ckpt); err != nil {
 		return err
 	}
 	if err := s.writeMeta(gf.dir, meta{

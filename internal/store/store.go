@@ -21,7 +21,8 @@
 // checkpointer — land as checkpoint-<V>.bin via temp+rename, then
 // meta.json flips to V, then WAL records with version <= V are dropped.
 // Every step is crash-safe: an orphaned checkpoint or a stale WAL prefix
-// is cleaned or skipped on the next Open.
+// is cleaned or skipped on the next Open; every install goes through
+// stageFile + installStaged, the seam for a fault-injecting filesystem.
 //
 // Recovery (RecoverInto) rebuilds the registry by deserializing each
 // graph's checkpoint, restoring it at its recorded version, and replaying
@@ -371,14 +372,9 @@ func openGraphDir(dir string) (*graphFile, error) {
 	if err := json.Unmarshal(mb, &m); err != nil {
 		return nil, err
 	}
-	var kind lagraph.Kind
-	switch m.Kind {
-	case "directed":
-		kind = lagraph.AdjacencyDirected
-	case "undirected":
-		kind = lagraph.AdjacencyUndirected
-	default:
-		return nil, fmt.Errorf("store: %s: unknown kind %q", dir, m.Kind)
+	kind, err := lagraph.ParseKind(m.Kind)
+	if err != nil {
+		return nil, fmt.Errorf("store: %s: %w", dir, err)
 	}
 	if m.Name == "" || m.CheckpointVersion == 0 {
 		return nil, fmt.Errorf("store: %s: incomplete meta", dir)
@@ -388,16 +384,7 @@ func openGraphDir(dir string) (*graphFile, error) {
 	}
 	// Drop temp files and checkpoints meta no longer points at (both are
 	// crash leftovers).
-	if files, err := os.ReadDir(dir); err == nil {
-		for _, f := range files {
-			n := f.Name()
-			if strings.Contains(n, ".tmp") ||
-				(strings.HasPrefix(n, "checkpoint-") && strings.HasSuffix(n, ".bin") &&
-					n != checkpointName(m.CheckpointVersion)) {
-				os.Remove(filepath.Join(dir, n))
-			}
-		}
-	}
+	removeStale(dir, checkpointName(m.CheckpointVersion), true)
 	gf := &graphFile{dir: dir, name: m.Name, kind: kind, ckptVersion: m.CheckpointVersion, epoch: m.Epoch}
 	// Repair a torn tail now so appends land after the last good record.
 	walPath := filepath.Join(dir, "wal.log")
@@ -663,25 +650,8 @@ func (s *Store) checkpointInto(gf *graphFile, name string, kind lagraph.Kind, m 
 	// lock (the matrix is finalized and immutable; concurrent writers get
 	// distinct temp names and resolve by version under the lock below).
 	ckpt := checkpointPath(gf.dir, version)
-	tmp := fmt.Sprintf("%s.tmp%d", ckpt, s.tombSeq.Add(1))
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	tmp, err := stageFile(ckpt, s.opts.Fsync, func(f *os.File) error { return grb.SerializeMatrix(f, m) })
 	if err != nil {
-		return err
-	}
-	if err := grb.SerializeMatrix(f, m); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if s.opts.Fsync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
 		return err
 	}
 
@@ -706,14 +676,7 @@ func (s *Store) checkpointInto(gf *graphFile, name string, kind lagraph.Kind, m 
 		// base.
 		gf.closeWALLocked()
 		os.Remove(gf.walPath())
-		if files, err := os.ReadDir(gf.dir); err == nil {
-			for _, fi := range files {
-				n := fi.Name()
-				if strings.HasPrefix(n, "checkpoint-") && strings.HasSuffix(n, ".bin") {
-					os.Remove(filepath.Join(gf.dir, n))
-				}
-			}
-		}
+		removeStale(gf.dir, "", false)
 		gf.ckptVersion = 0
 		gf.walSize = 0
 		gf.walRecords = 0
@@ -730,8 +693,7 @@ func (s *Store) checkpointInto(gf *graphFile, name string, kind lagraph.Kind, m 
 		// every served checkpoint carries one.
 		gf.epoch = newEpoch()
 	}
-	if err := os.Rename(tmp, ckpt); err != nil {
-		os.Remove(tmp)
+	if err := installStaged(tmp, ckpt); err != nil {
 		return err
 	}
 	st, _ := os.Stat(ckpt)
@@ -789,28 +751,75 @@ func (s *Store) writeMeta(dir string, m meta) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, "meta.json.tmp")
+	return installFile(filepath.Join(dir, "meta.json"), s.opts.Fsync, func(f *os.File) error {
+		_, err := f.Write(mb)
+		return err
+	})
+}
+
+// tmpSeq makes temp-file names unique within the process: concurrent
+// checkpoint writers stage off the graph lock and must not share a name.
+var tmpSeq atomic.Int64
+
+// stageFile writes a uniquely named temp sibling of path through write,
+// syncs it iff fsync, closes it and returns its name; on any error the
+// temp file is removed. Every durable file but the append-only WAL handle
+// (checkpoints, meta.json, rewritten WALs) is born here and nowhere else.
+func stageFile(path string, fsync bool, write func(f *os.File) error) (tmp string, err error) {
+	tmp = fmt.Sprintf("%s.tmp%d", path, tmpSeq.Add(1))
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return "", err
+	}
+	err = write(f)
+	if err == nil && fsync {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return "", err
+	}
+	return tmp, nil
+}
+
+// installStaged renames a staged temp file over path, removing it when
+// the rename fails.
+func installStaged(tmp, path string) error {
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return nil
+}
+
+// installFile atomically replaces path with what write produces: stage,
+// then rename.
+func installFile(path string, fsync bool, write func(f *os.File) error) error {
+	tmp, err := stageFile(path, fsync, write)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(mb); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	return installStaged(tmp, path)
+}
+
+// removeStale deletes crash and dead-incarnation leftovers from a graph
+// directory: every checkpoint-*.bin other than keep ("" keeps none) and,
+// with temps set, every temp file. Best-effort: the next Open retries.
+func removeStale(dir, keep string, temps bool) {
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		return
 	}
-	if s.opts.Fsync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
+	for _, f := range files {
+		n := f.Name()
+		if (temps && strings.Contains(n, ".tmp")) ||
+			(strings.HasPrefix(n, "checkpoint-") && strings.HasSuffix(n, ".bin") && n != keep) {
+			os.Remove(filepath.Join(dir, n))
 		}
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(dir, "meta.json"))
 }
 
 // SaveGraph persists a freshly loaded graph: a checkpoint at its load

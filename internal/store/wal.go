@@ -186,39 +186,25 @@ func readWAL(path string) (recs []walRecord, goodLen int64, torn bool, err error
 // writeWAL writes a fresh WAL file at path atomically (temp + rename),
 // containing the given records.
 func writeWAL(path string, recs []walRecord, fsync bool) (int64, error) {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return 0, err
-	}
 	size := int64(len(walMagic))
-	if _, err := f.Write(walMagic[:]); err != nil {
-		f.Close()
-		return 0, err
-	}
-	for _, rec := range recs {
-		payload, err := encodeBatch(rec.Version, rec.Ops)
-		if err != nil {
-			f.Close()
-			return 0, err
+	err := installFile(path, fsync, func(f *os.File) error {
+		if _, err := f.Write(walMagic[:]); err != nil {
+			return err
 		}
-		n, err := appendRecord(f, payload, false)
-		if err != nil {
-			f.Close()
-			return 0, err
+		for _, rec := range recs {
+			payload, err := encodeBatch(rec.Version, rec.Ops)
+			if err != nil {
+				return err
+			}
+			n, err := appendRecord(f, payload, false)
+			if err != nil {
+				return err
+			}
+			size += n
 		}
-		size += n
-	}
-	if fsync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return 0, err
-		}
-	}
-	if err := f.Close(); err != nil {
-		return 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
+		return nil
+	})
+	if err != nil {
 		return 0, err
 	}
 	return size, nil
