@@ -174,3 +174,107 @@ func TestTinyFrontierCallsDoNotAllocateByN(t *testing.T) {
 		}
 	}
 }
+
+// denseIteration holds one sweep of PageRank (paper Alg. 4) and one round
+// of FastSV (Alg. 7) on an n-vertex ring, every vector bitmap or full as it
+// is from the second iteration on.
+type denseIteration struct {
+	n            int
+	adj          *Matrix[float64]
+	t, r, d, w   *Vector[float64] // d, and so w, lack vertex 0: bitmap
+	f, gf, mngf  *Vector[int64]
+	dup, changed *Vector[int64]
+	x            []int
+}
+
+func newDenseIteration(t *testing.T, n int) *denseIteration {
+	t.Helper()
+	it := &denseIteration{n: n, adj: newTinyFrontier(t, n).adj, x: make([]int, n)}
+	it.t, it.r, it.d = DenseVector(n, 1/float64(n)), DenseVector(n, 0.0), DenseVector(n, 2/0.85)
+	if err := it.d.RemoveElement(0); err != nil {
+		t.Fatal(err)
+	}
+	it.w = MustVector[float64](n)
+	it.f = DenseVector(n, int64(0))
+	if err := ApplyV(it.f, NoVMask, nil, RowIndexOp[int64, int64](), it.f, nil); err != nil {
+		t.Fatal(err)
+	}
+	it.gf, it.mngf, it.dup, it.changed = it.f.Dup(), it.f.Dup(), it.f.Dup(), MustVector[int64](n)
+	return it
+}
+
+type namedCall struct {
+	name string
+	call func() error
+}
+
+// calls lists, in program order, the six grb calls of a PageRank sweep and the seven of a
+// FastSV round (plus its dup = gf), each on the outputs the loops keep.
+func (it *denseIteration) calls() []namedCall {
+	plus := func(a, b float64) float64 { return a + b }
+	minI := func(a, b int64) int64 { return min(a, b) }
+	return []namedCall{
+		{"pr: w = t div∩ d", func() error {
+			return EWiseMultV(it.w, NoVMask, nil, DivOp[float64](), it.t, it.d, nil)
+		}},
+		{"pr: r(:) = teleport", func() error {
+			return AssignVectorScalar(it.r, NoVMask, nil, 0.15/float64(it.n), All, nil)
+		}},
+		{"pr: r += A plus.second w", func() error {
+			return MxV(it.r, NoVMask, plus, PlusSecond[float64, float64](), it.adj, it.w, nil)
+		}},
+		{"pr: t = t −∪ r", func() error {
+			return EWiseAddV(it.t, NoVMask, nil, MinusOp[float64](), it.t, it.r, nil)
+		}},
+		{"pr: t = |t|", func() error { return ApplyV(it.t, NoVMask, nil, AbsOp[float64](), it.t, nil) }},
+		{"pr: Σ t", func() error {
+			ReduceVectorToScalar(PlusMonoid[float64](), it.t)
+			return nil
+		}},
+		{"cc: mngf min= A min.second gf", func() error {
+			return MxV(it.mngf, NoVMask, minI, MinSecond[float64, int64](), it.adj, it.gf, nil)
+		}},
+		{"cc: f(x) min= mngf", func() error {
+			it.f.Iterate(func(i int, v int64) { it.x[i] = int(v) })
+			return AssignVector(it.f, NoVMask, minI, it.mngf, it.x, nil)
+		}},
+		{"cc: f = f min∪ mngf", func() error {
+			return EWiseAddV(it.f, NoVMask, nil, MinOp[int64](), it.f, it.mngf, nil)
+		}},
+		{"cc: f = f min∪ gf", func() error {
+			return EWiseAddV(it.f, NoVMask, nil, MinOp[int64](), it.f, it.gf, nil)
+		}},
+		{"cc: gf = f(x)", func() error {
+			it.f.Iterate(func(i int, v int64) { it.x[i] = int(v) })
+			return ExtractSubvector(it.gf, NoVMask, nil, it.f, it.x, nil)
+		}},
+		{"cc: changed = gf ≠∩ dup", func() error {
+			return EWiseMultV(it.changed, NoVMask, nil, NEOp[int64, int64](), it.gf, it.dup, nil)
+		}},
+		{"cc: Σ changed", func() error {
+			ReduceVectorToScalar(PlusMonoid[int64](), it.changed)
+			return nil
+		}},
+		{"cc: dup(:) = gf", func() error { return AssignVector(it.dup, NoVMask, nil, it.gf, All, nil) }},
+	}
+}
+
+// TestDenseVectorCallsDoNotAllocate states the dense-output rule as the
+// kernels see it: on warm bitmap/full operands each call of a PageRank
+// sweep and of a FastSV round writes into its output's own arrays, so it
+// allocates a few headers — under 1 KiB, on 2¹⁰ vertices and on 2¹⁶
+// alike — where one temporary of length n would be 8 to 512 KiB.
+func TestDenseVectorCallsDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	defer parallel.SetMaxThreads(parallel.SetMaxThreads(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, n := range []int{1 << 10, 1 << 16} {
+		for _, c := range newDenseIteration(t, n).calls() {
+			if b := bytesPerCall(t, c.call); b >= 1<<10 {
+				t.Errorf("%s: %.0f B/call at n=%d", c.name, b, n)
+			}
+		}
+	}
+}

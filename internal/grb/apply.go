@@ -92,34 +92,42 @@ func ApplyV[TIn, TOut Value](w *Vector[TOut], mask VMask, accum func(TOut, TOut)
 	}
 	d := descOf(desc)
 	u.Wait()
-	allow := mask.allowFor(u.Size(), u.format != FormatSparse)
-	defer allow.release()
-	t := MustVector[TOut](u.Size())
-	if u.format == FormatFull && !mask.Exists() {
-		t.format = FormatFull
-		t.val = make([]TOut, u.n)
-		for i := 0; i < u.n; i++ {
-			if f.PosF != nil {
-				t.val[i] = f.PosF(u.val[i], i, 0)
-			} else {
-				t.val[i] = f.F(u.val[i])
+	apply := func(i int, x TIn) TOut {
+		if f.PosF != nil {
+			return f.PosF(x, i, 0)
+		}
+		return f.F(x)
+	}
+	if u.format == FormatSparse {
+		allow := mask.allowFor(u.n, false)
+		t := MustVector[TOut](u.n)
+		for p, i := range u.idx {
+			if allow.ok(i) {
+				t.idx = append(t.idx, i)
+				t.val = append(t.val, apply(i, u.val[p]))
 			}
 		}
-	} else {
-		u.Iterate(func(i int, x TIn) {
-			if !allow.ok(i) {
-				return
-			}
-			t.idx = append(t.idx, i)
-			if f.PosF != nil {
-				t.val = append(t.val, f.PosF(x, i, 0))
-			} else {
-				t.val = append(t.val, f.F(x))
-			}
-		})
 		t.conform()
+		maskAccumVector(w, mask, accum, t, d.Replace, true)
+		return nil
 	}
-	maskAccumVector(w, mask, accum, t, d.Replace, true)
+	dst := denseOutput(w, mask, accum, d.Replace)
+	uv, ub := u.val, u.b
+	if dst.plain && ub == nil && f.PosF == nil {
+		for i, x := range uv {
+			dst.val[i] = f.F(x)
+		}
+		dst.commit()
+		return nil
+	}
+	for i, x := range uv {
+		if ub != nil && ub[i] == 0 {
+			dst.none(i)
+		} else {
+			dst.put(i, apply(i, x))
+		}
+	}
+	dst.commit()
 	return nil
 }
 
@@ -135,16 +143,32 @@ func SelectV[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 	}
 	d := descOf(desc)
 	u.Wait()
-	allow := mask.allowFor(u.Size(), u.format != FormatSparse)
-	defer allow.release()
-	t := MustVector[T](u.Size())
-	u.Iterate(func(i int, x T) {
-		if allow.ok(i) && f.F(x, i, 0, thunk) {
-			t.idx = append(t.idx, i)
-			t.val = append(t.val, x)
+	// A selection is at most as dense as u, and a thin one (SSSP's bucket
+	// out of a full t) is the common case: it is collected as a list unless
+	// it lands in a w that is already bitmap/full.
+	if u.format == FormatSparse || w.format == FormatSparse {
+		allow := mask.allowFor(u.n, u.format != FormatSparse)
+		defer allow.release()
+		t := MustVector[T](u.n)
+		u.Iterate(func(i int, x T) {
+			if allow.ok(i) && f.F(x, i, 0, thunk) {
+				t.idx = append(t.idx, i)
+				t.val = append(t.val, x)
+			}
+		})
+		t.conform()
+		maskAccumVector(w, mask, accum, t, d.Replace, true)
+		return nil
+	}
+	dst := denseOutput(w, mask, accum, d.Replace)
+	uv, ub := u.val, u.b
+	for i, x := range uv {
+		if (ub == nil || ub[i] != 0) && f.F(x, i, 0, thunk) {
+			dst.put(i, x)
+		} else {
+			dst.none(i)
 		}
-	})
-	t.conform()
-	maskAccumVector(w, mask, accum, t, d.Replace, true)
+	}
+	dst.commit()
 	return nil
 }

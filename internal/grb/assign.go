@@ -38,47 +38,54 @@ func AssignVector[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 	w.Wait()
 	u.Wait()
 
-	// Fast path: p⟨s(q)⟩ = q — whole-range assign of the mask vector
-	// itself with structural, non-complemented mask, merge semantics and
-	// no accumulator. Only insertions/overwrites can occur, so scatter
-	// straight into w.
-	if isAll(indices) && accum == nil && !d.Replace &&
-		mask.Exists() && !mask.Comp && mask.Structural && sameVectorSource(mask.src, u) {
-		scatterEntries(w, u, nil)
+	if isAll(indices) {
+		// p⟨s(q)⟩ = q — the mask is u itself, structural, merge semantics,
+		// no accumulator: only insertions and overwrites, at u's entries.
+		if accum == nil && !d.Replace && mask.Exists() && !mask.Comp && mask.Structural && sameVectorSource(mask.src, u) {
+			scatterEntries(w, u, nil)
+			return nil
+		}
+		// Over the whole range the region is every position, so this is
+		// the common w⟨m⟩ ⊙= t with t = u (a sparse u copied, because w may
+		// come to own t's arrays).
+		if u.format == FormatSparse {
+			maskAccumVector(w, mask, accum, u.Dup(), d.Replace, false)
+		} else {
+			mergeByPosition(w, mask, accum, u, d.Replace)
+		}
 		return nil
 	}
 
-	allow := mask.allowFor(n, true)
-	defer allow.release()
+	// f(x) ⊙= u, the scatter: u(k) is folded into w at indices[k], in list
+	// order, duplicates included.
+	if inPlace(w, mask, accum, false, u) {
+		uc := cursorOf(u)
+		for k, i := range indices {
+			if x, ok := uc.at(k); ok {
+				w.fold(i, x, accum)
+			}
+		}
+		w.conform()
+		return nil
+	}
+
 	// Stage the assignment region densely: reg[i] = 1 if i is in the
 	// region, and the value arriving there (duplicates combined).
 	reg := make([]int8, n)
 	regHas := make([]int8, n)
 	regVal := make([]T, n)
-	stage := func(i int, x T, has bool) {
+	for k, i := range indices {
 		reg[i] = 1
-		if !has {
-			return
+		x, ok := u.get(k)
+		if !ok {
+			continue
 		}
 		if regHas[i] != 0 && accum != nil {
-			regVal[i] = accum(regVal[i], x)
-		} else {
-			regVal[i] = x
+			x = accum(regVal[i], x)
 		}
-		regHas[i] = 1
+		regHas[i], regVal[i] = 1, x
 	}
-	if isAll(indices) {
-		for i := 0; i < n; i++ {
-			x, ok := u.get(i)
-			stage(i, x, ok)
-		}
-	} else {
-		for k, i := range indices {
-			x, ok := u.get(k)
-			stage(i, x, ok)
-		}
-	}
-	assignMergeVector(w, &allow, d.Replace, accum, reg, regHas, regVal)
+	assignStaged(w, mask, accum, d.Replace, reg, regHas, regVal)
 	return nil
 }
 
@@ -99,25 +106,10 @@ func AssignVectorScalar[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 	d := descOf(desc)
 	w.Wait()
 
-	// Fast path: unmasked, unaccumulated whole-range scalar assign makes
-	// the vector full — w(:) = s, the idiom PR and SSSP use to initialise.
-	if isAll(indices) && !mask.Exists() && accum == nil {
-		w.idx, w.b = nil, nil
-		w.nvalsB = 0
-		w.val = make([]T, n)
-		if truthy(s) {
-			for i := range w.val {
-				w.val[i] = s
-			}
-		}
-		w.format = FormatFull
-		return nil
-	}
-
-	// Fast path: w⟨m⟩ ⊙= s over the whole range, merge semantics, with a
-	// sparse mask that lists its allowed positions — BFS's level stamp and
-	// SSSP's settled set. Only those positions change, and each receives
-	// the scalar, so they are folded into w where they land.
+	// w⟨m⟩ ⊙= s over the whole range, merge semantics, with a sparse mask
+	// that lists its allowed positions — BFS's level stamp and SSSP's
+	// settled set. Only those positions change, and each receives the
+	// scalar, so they are folded into w where they land.
 	if isAll(indices) && !d.Replace && mask.Exists() && !mask.Comp && !mask.src.maskIsDenseV() {
 		u := MustVector[T](n)
 		mask.src.maskIterV(func(i int, tv bool) {
@@ -129,79 +121,50 @@ func AssignVectorScalar[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 		scatterEntries(w, u, accum)
 		return nil
 	}
+	// w(:) = s: every position receives the scalar — unmasked and
+	// unaccumulated, the idiom PR and SSSP initialise with, w ends full.
+	if isAll(indices) {
+		dst := denseOutput(w, mask, accum, d.Replace)
+		for i := 0; i < n; i++ {
+			dst.put(i, s)
+		}
+		dst.commit()
+		return nil
+	}
 
-	allow := mask.allowFor(n, true)
-	defer allow.release()
 	reg := make([]int8, n)
 	regHas := make([]int8, n)
 	regVal := make([]T, n)
-	mark := func(i int) {
-		reg[i] = 1
-		regHas[i] = 1
-		regVal[i] = s
+	for _, i := range indices {
+		reg[i], regHas[i], regVal[i] = 1, 1, s
 	}
-	if isAll(indices) {
-		for i := 0; i < n; i++ {
-			mark(i)
-		}
-	} else {
-		for _, i := range indices {
-			mark(i)
-		}
-	}
-	assignMergeVector(w, &allow, d.Replace, accum, reg, regHas, regVal)
+	assignStaged(w, mask, accum, d.Replace, reg, regHas, regVal)
 	return nil
 }
 
-// assignMergeVector rebuilds w from the staged region:
+// assignStaged merges a staged region into w, where it lies:
 //
-//	i allowed, in region, value arrived : accum(w,u) / u
-//	i allowed, in region, no value      : accum==nil ? delete : keep
-//	i allowed, not in region            : keep
-//	i not allowed                       : replace ? delete : keep
-func assignMergeVector[T Value](w *Vector[T], allow *vAllow, replace bool,
-	accum func(T, T) T, reg, regHas []int8, regVal []T) {
+//	i in region, value arrived : put  (allowed: accum(w,u) / u)
+//	i in region, no value      : none (allowed: accum==nil ? delete : keep)
+//	i not in region            : keep (not allowed: replace ? delete : keep)
+func assignStaged[T Value](w *Vector[T], mask VMask, accum func(T, T) T, replace bool,
+	reg, regHas []int8, regVal []T) {
 
-	n := w.Size()
-	outB := make([]int8, n)
-	outV := make([]T, n)
-	nvals := 0
-	for i := 0; i < n; i++ {
-		al := allow.ok(i)
-		wx, wok := w.get(i)
-		var x T
-		keep := false
+	if w.format == FormatSparse {
+		w.sparseToBitmap() // positions outside the region keep what w holds
+	}
+	dst := denseOutput(w, mask, accum, replace)
+	for i := range reg {
 		switch {
-		case al && reg[i] != 0 && regHas[i] != 0:
-			if accum != nil && wok {
-				x, keep = accum(wx, regVal[i]), true
-			} else {
-				x, keep = regVal[i], true
-			}
-		case al && reg[i] != 0: // region position with no incoming value
-			if accum != nil && wok {
-				x, keep = wx, true
-			}
-		case al:
-			if wok {
-				x, keep = wx, true
-			}
+		case reg[i] == 0:
+			dst.keep(i)
+		case regHas[i] != 0:
+			dst.put(i, regVal[i])
 		default:
-			if !replace && wok {
-				x, keep = wx, true
-			}
-		}
-		if keep {
-			outB[i] = 1
-			outV[i] = x
-			nvals++
+			dst.none(i)
 		}
 	}
-	w.idx = nil
-	w.b, w.val = outB, outV
-	w.nvalsB = nvals
-	w.format = FormatBitmap
-	w.conform()
+	dst.commit()
 }
 
 // sameVectorSource reports whether the mask's source is the vector u.
@@ -219,47 +182,15 @@ func scatterEntries[T Value](w, u *Vector[T], accum func(T, T) T) {
 		w.sparseToBitmap() // the result is at least as dense as u
 	}
 	if w.format != FormatSparse {
-		u.Iterate(func(i int, x T) {
-			if w.format == FormatFull || w.b[i] != 0 {
-				if accum != nil {
-					x = accum(w.val[i], x)
-				}
-			} else {
-				w.b[i] = 1
-				w.nvalsB++
-			}
-			w.val[i] = x
-		})
+		u.Iterate(func(i int, x T) { w.fold(i, x, accum) })
 		w.conform()
 		return
 	}
-	// Both sparse: merge the two sorted lists.
-	outI := make([]int, 0, len(w.idx)+len(u.idx))
-	outV := make([]T, 0, cap(outI))
-	p, q := 0, 0
-	for p < len(w.idx) || q < len(u.idx) {
-		switch {
-		case p < len(w.idx) && (q >= len(u.idx) || w.idx[p] < u.idx[q]):
-			outI = append(outI, w.idx[p])
-			outV = append(outV, w.val[p])
-			p++
-		case q < len(u.idx) && (p >= len(w.idx) || u.idx[q] < w.idx[p]):
-			outI = append(outI, u.idx[q])
-			outV = append(outV, u.val[q])
-			q++
-		default:
-			x := u.val[q]
-			if accum != nil {
-				x = accum(w.val[p], x)
-			}
-			outI = append(outI, u.idx[q])
-			outV = append(outV, x)
-			p++
-			q++
-		}
+	// Both sparse: the sorted merge, u's entry winning without an accumulator.
+	if accum == nil {
+		accum = func(_, x T) T { return x }
 	}
-	w.idx, w.val = outI, outV
-	w.conform()
+	maskAccumVector(w, NoVMask, accum, u, false, false)
 }
 
 // AssignMatrixScalar computes C⟨M⟩(rows, cols)⊙= s.

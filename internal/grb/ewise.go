@@ -271,15 +271,38 @@ func EWiseAddV[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 	d := descOf(desc)
 	u.Wait()
 	v.Wait()
-	// w = w op∪ v with w bitmap/full and v sparse (so v is not w), no mask
-	// and no accumulator: only v's entries can change w — fold them in.
-	if w == u && !mask.Exists() && accum == nil && op.PosF == nil &&
-		w.format != FormatSparse && v.format == FormatSparse {
+	// w = w op∪ v with a sparse v (so v is not w) is w op= v at v's entries.
+	if w == u && accum == nil && op.PosF == nil && v.format == FormatSparse && inPlace(w, mask, op.F, false) {
 		scatterEntries(w, v, op.F)
 		return nil
 	}
-	t := ewiseVector(op, u, v, mask)
-	maskAccumVector(w, mask, accum, t, d.Replace, true)
+	if u.format == FormatSparse && v.format == FormatSparse {
+		maskAccumVector(w, mask, accum, mergeSparseVectors(op, u, v, mask), d.Replace, true)
+		return nil
+	}
+	if u.format == FormatFull && v.format == FormatFull {
+		return EWiseMultV(w, mask, accum, op, u, v, desc) // the union is the intersection
+	}
+	// A bitmap/full operand makes the union as dense: by position, into w.
+	dst := denseOutput(w, mask, accum, d.Replace)
+	uc, vc := cursorOf(u), cursorOf(v)
+	for i := 0; i < w.n; i++ {
+		ux, uok := uc.at(i)
+		vx, vok := vc.at(i)
+		switch {
+		case uok && vok && op.PosF != nil:
+			dst.put(i, op.PosF(i, 0, 0))
+		case uok && vok:
+			dst.put(i, op.F(ux, vx))
+		case uok:
+			dst.put(i, ux)
+		case vok:
+			dst.put(i, vx)
+		default:
+			dst.none(i)
+		}
+	}
+	dst.commit()
 	return nil
 }
 
@@ -296,100 +319,72 @@ func EWiseMultV[TA, TB, TC Value](w *Vector[TC], mask VMask, accum func(TC, TC) 
 	d := descOf(desc)
 	u.Wait()
 	v.Wait()
-	t := ewiseMultVector(op, u, v, mask)
-	maskAccumVector(w, mask, accum, t, d.Replace, true)
+	if u.format == FormatSparse || v.format == FormatSparse {
+		maskAccumVector(w, mask, accum, ewiseMultVector(op, u, v, mask), d.Replace, true)
+		return nil
+	}
+	dst := denseOutput(w, mask, accum, d.Replace)
+	uv, ub, vv, vb := u.val, u.b, v.val, v.b
+	if dst.plain && ub == nil && vb == nil && op.PosF == nil {
+		for i := range dst.val {
+			dst.val[i] = op.F(uv[i], vv[i])
+		}
+		dst.commit()
+		return nil
+	}
+	for i := range uv {
+		switch {
+		case ub != nil && ub[i] == 0 || vb != nil && vb[i] == 0:
+			dst.none(i)
+		case op.PosF != nil:
+			dst.put(i, op.PosF(i, 0, 0))
+		default:
+			dst.put(i, op.F(uv[i], vv[i]))
+		}
+	}
+	dst.commit()
 	return nil
 }
 
-// ewiseVector is the union u op∪ v restricted to the mask. Two sparse
-// operands are merged; with a bitmap/full operand the union is at least
-// as dense, so it is built by position straight into a bitmap.
-func ewiseVector[T Value](op BinaryOp[T, T, T], u, v *Vector[T], mask VMask) *Vector[T] {
-	n := u.Size()
-	t := MustVector[T](n)
-	// Dense fast path: both operands full and everything allowed.
-	if u.format == FormatFull && v.format == FormatFull && !mask.Exists() && op.PosF == nil {
-		t.format = FormatFull
-		t.val = make([]T, n)
-		for i := 0; i < n; i++ {
-			t.val[i] = op.F(u.val[i], v.val[i])
-		}
-		return t
-	}
+// mergeSparseVectors is the union u op∪ v of two sparse vectors restricted
+// to the mask: the sorted merge.
+func mergeSparseVectors[T Value](op BinaryOp[T, T, T], u, v *Vector[T], mask VMask) *Vector[T] {
+	t := MustVector[T](u.Size())
 	both := bothOf(op)
-	uS, vS := u.format == FormatSparse, v.format == FormatSparse
-	allow := mask.allowFor(n, !uS || !vS)
-	defer allow.release()
-	p, q := 0, 0
-	if uS && vS {
-		emit := func(i int, x T) {
-			if allow.ok(i) {
-				t.idx = append(t.idx, i)
-				t.val = append(t.val, x)
-			}
+	allow := mask.allowFor(u.Size(), false)
+	emit := func(i int, x T) {
+		if allow.ok(i) {
+			t.idx = append(t.idx, i)
+			t.val = append(t.val, x)
 		}
-		for p < len(u.idx) || q < len(v.idx) {
-			switch {
-			case p < len(u.idx) && (q >= len(v.idx) || u.idx[p] < v.idx[q]):
-				emit(u.idx[p], u.val[p])
-				p++
-			case q < len(v.idx) && (p >= len(u.idx) || v.idx[q] < u.idx[p]):
-				emit(v.idx[q], v.val[q])
-				q++
-			default:
-				emit(u.idx[p], both(u.idx[p], 0, u.val[p], v.val[q]))
-				p++
-				q++
-			}
-		}
-		t.conform()
-		return t
 	}
-	t.format = FormatBitmap
-	t.b = make([]int8, n)
-	t.val = make([]T, n)
-	for i := 0; i < n; i++ {
-		var ux, vx T
-		uok, vok := false, false
-		if !uS {
-			ux, uok = u.get(i)
-		} else if p < len(u.idx) && u.idx[p] == i {
-			ux, uok = u.val[p], true
+	p, q := 0, 0
+	for p < len(u.idx) || q < len(v.idx) {
+		switch {
+		case p < len(u.idx) && (q >= len(v.idx) || u.idx[p] < v.idx[q]):
+			emit(u.idx[p], u.val[p])
 			p++
-		}
-		if !vS {
-			vx, vok = v.get(i)
-		} else if q < len(v.idx) && v.idx[q] == i {
-			vx, vok = v.val[q], true
+		case q < len(v.idx) && (p >= len(u.idx) || v.idx[q] < u.idx[p]):
+			emit(v.idx[q], v.val[q])
+			q++
+		default:
+			emit(u.idx[p], both(u.idx[p], 0, u.val[p], v.val[q]))
+			p++
 			q++
 		}
-		switch {
-		case !uok && !vok, !allow.ok(i):
-			continue
-		case uok && vok:
-			t.val[i] = both(i, 0, ux, vx)
-		case uok:
-			t.val[i] = ux
-		default:
-			t.val[i] = vx
-		}
-		t.b[i] = 1
-		t.nvalsB++
 	}
 	t.conform()
 	return t
 }
 
-// ewiseMultVector is the intersection u op∩ v restricted to the mask,
-// driven by a sparse operand when there is one: it is walked and the other
-// operand and the mask are probed at its entries.
+// ewiseMultVector is the intersection u op∩ v restricted to the mask when
+// an operand is sparse: it is walked, and the other operand and the mask
+// are probed at its entries.
 func ewiseMultVector[TA, TB, TC Value](op BinaryOp[TA, TB, TC], u *Vector[TA], v *Vector[TB], mask VMask) *Vector[TC] {
 	n := u.Size()
 	t := MustVector[TC](n)
 	both := bothOf(op)
-	uS, vS := u.format == FormatSparse, v.format == FormatSparse
-	allow := mask.allowFor(n, !uS && !vS)
-	defer allow.release()
+	allow := mask.allowFor(n, false)
 	emit := func(i int, ux TA, vx TB) {
 		if allow.ok(i) {
 			t.idx = append(t.idx, i)
@@ -397,7 +392,7 @@ func ewiseMultVector[TA, TB, TC Value](op BinaryOp[TA, TB, TC], u *Vector[TA], v
 		}
 	}
 	switch {
-	case uS && vS:
+	case u.format == FormatSparse && v.format == FormatSparse:
 		p, q := 0, 0
 		for p < len(u.idx) && q < len(v.idx) {
 			switch {
@@ -411,24 +406,16 @@ func ewiseMultVector[TA, TB, TC Value](op BinaryOp[TA, TB, TC], u *Vector[TA], v
 				q++
 			}
 		}
-	case uS:
+	case u.format == FormatSparse:
 		for p, i := range u.idx {
 			if vx, ok := v.get(i); ok {
 				emit(i, u.val[p], vx)
 			}
 		}
-	case vS:
+	default:
 		for q, i := range v.idx {
 			if ux, ok := u.get(i); ok {
 				emit(i, ux, v.val[q])
-			}
-		}
-	default:
-		for i := 0; i < n; i++ {
-			if ux, ok := u.get(i); ok {
-				if vx, ok := v.get(i); ok {
-					emit(i, ux, vx)
-				}
 			}
 		}
 	}

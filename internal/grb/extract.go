@@ -163,19 +163,20 @@ func ExtractSubvector[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 	}
 	d := descOf(desc)
 	u.Wait()
-	allow := mask.allowFor(outN, true)
-	defer allow.release()
-	t := buildVectorByIndex(outN, func(k int) (T, bool) {
-		var zero T
-		if !allow.ok(k) {
-			return zero, false
-		}
+	// A gather visits every position of w but reads u at another.
+	dst := denseOutput(w, mask, accum, d.Replace, u)
+	all := isAll(indices)
+	for k := 0; k < outN; k++ {
 		si := k
-		if !isAll(indices) {
+		if !all {
 			si = indices[k]
 		}
-		return u.get(si)
-	})
-	maskAccumVector(w, mask, accum, t, d.Replace, true)
+		if x, ok := u.get(si); ok {
+			dst.put(k, x)
+		} else {
+			dst.none(k)
+		}
+	}
+	dst.commit()
 	return nil
 }

@@ -1,6 +1,10 @@
 package grb
 
-import "lagraph/internal/parallel"
+import (
+	"math"
+
+	"lagraph/internal/parallel"
+)
 
 // Monomorphized kernel fast paths. The generic kernels pay two indirect
 // function calls per stored entry (⊗ then ⊕), which Go cannot inline.
@@ -11,131 +15,121 @@ import "lagraph/internal/parallel"
 // generic path (tests compare them) and exist purely for the Table III
 // shape.
 
-// tryPullFast recognises hot (semiring, format) combinations for
-// w = A ⊕.⊗ u with a FULL u and no mask, and computes the result with a
-// tight concrete-typed loop. Returns nil when not applicable.
-func tryPullFast[TA, TB, TC Value](s Semiring[TA, TB, TC], A *Matrix[TA], u *Vector[TB], mask VMask) *Vector[TC] {
-	if mask.Exists() || A.format != FormatSparse ||
-		(u.format != FormatFull && u.format != FormatBitmap) {
-		return nil
+// tryPullFast recognises the hot semirings of w ⊙= A ⊕.second u over a
+// sparse A, a bitmap/full u and no mask, and runs the row reductions as a
+// tight concrete-typed loop; second ignores A's values, so A may hold any
+// type. Under the dense-output rule (an accumulator, a bitmap/full w that
+// is not u) each row's reduction is folded straight into w; otherwise it
+// lands in a fresh bitmap that is merged as usual. It reports false,
+// having done nothing, when the call is any other shape.
+func tryPullFast[TA, TB, TC Value](w *Vector[TC], mask VMask, accum func(TC, TC) TC,
+	s Semiring[TA, TB, TC], A *Matrix[TA], u *Vector[TB]) bool {
+
+	if mask.Exists() || A.format != FormatSparse || u.format == FormatSparse {
+		return false
 	}
+	var reduce func(dst *Vector[TC], acc func(TC, TC) TC)
 	switch s.Name {
-	case "plus.second":
-		// PageRank's pull: w(i) = Σ_k u(k) over row i's entries.
-		af, ok := any(A).(*Matrix[float64])
-		if !ok {
-			return nil
-		}
+	case "plus.second": // PageRank's pull: w(i) = Σ_k u(k) over row i's entries
 		uf, ok := any(u).(*Vector[float64])
-		if !ok {
-			return nil
+		if _, same := any(w).(*Vector[float64]); !ok || !same {
+			return false
 		}
-		out := plusSecondPullF64(af, uf.b, uf.val)
-		res, ok := any(out).(*Vector[TC])
-		if !ok {
-			return nil
+		reduce = func(dst *Vector[TC], acc func(TC, TC) TC) {
+			plusSecondPull(A, uf, any(dst).(*Vector[float64]), any(acc).(func(float64, float64) float64))
 		}
-		return res
-	case "min.second":
-		// FastSV's minimum-neighbour gather.
-		af, ok := any(A).(*Matrix[bool])
-		if !ok {
-			return nil
-		}
+	case "min.second": // FastSV's minimum-neighbour gather
 		ui, ok := any(u).(*Vector[int64])
-		if !ok {
-			return nil
+		if _, same := any(w).(*Vector[int64]); !ok || !same {
+			return false
 		}
-		out := minSecondPullBoolI64(af, ui.b, ui.val)
-		res, ok := any(out).(*Vector[TC])
-		if !ok {
-			return nil
+		reduce = func(dst *Vector[TC], acc func(TC, TC) TC) {
+			minSecondPull(A, ui, any(dst).(*Vector[int64]), any(acc).(func(int64, int64) int64))
 		}
-		return res
+	default:
+		return false
 	}
-	return nil
+	if inPlace(w, mask, accum, false, u) {
+		reduce(w, accum)
+		return true
+	}
+	t := MustVector[TC](A.nr)
+	t.format, t.b, t.val = FormatBitmap, make([]int8, A.nr), make([]TC, A.nr)
+	reduce(t, nil)
+	maskAccumVector(w, mask, accum, t, false, true)
+	return true
 }
 
-// plusSecondPullF64: w(i) = Σ_{k ∈ A(i,:) ∩ u} u(k). uHas is nil when u is
-// full. Rows with no hits are absent, so the result is a bitmap vector.
-func plusSecondPullF64(A *Matrix[float64], uHas []int8, u []float64) *Vector[float64] {
-	nr := A.nr
-	w := MustVector[float64](nr)
-	w.format = FormatBitmap
-	w.b = make([]int8, nr)
-	w.val = make([]float64, nr)
-	total := parallel.Reduce(nr, 0, func(lo, hi int) int64 {
-		var count int64
+// plusSecondPull folds Σ_{k ∈ A(i,:) ∩ u} u(k), the row's sum first, into
+// the bitmap/full w at every row i that has a hit.
+func plusSecondPull[TA Value](A *Matrix[TA], u, w *Vector[float64], accum func(float64, float64) float64) {
+	added := parallel.Reduce(A.nr, 0, func(lo, hi int) int {
+		ptr, idx, ub, uv, wb, wv := A.ptr, A.idx, u.b, u.val, w.b, w.val
+		count := 0
 		for i := lo; i < hi; i++ {
-			p, pe := A.ptr[i], A.ptr[i+1]
-			if p == pe {
-				continue
-			}
 			var acc float64
-			hit := false
-			if uHas == nil {
-				hit = p < pe
-				for ; p < pe; p++ {
-					acc += u[A.idx[p]]
+			row := idx[ptr[i]:ptr[i+1]]
+			hit := len(row) > 0
+			if ub == nil {
+				for _, k := range row {
+					acc += uv[k]
 				}
 			} else {
-				for ; p < pe; p++ {
-					if k := A.idx[p]; uHas[k] != 0 {
-						acc += u[k]
+				hit = false
+				for _, k := range row {
+					if ub[k] != 0 {
+						acc += uv[k]
 						hit = true
 					}
 				}
 			}
-			if !hit {
-				continue
+			switch {
+			case !hit:
+			case wb == nil || wb[i] != 0:
+				wv[i] = accum(wv[i], acc)
+			default:
+				wb[i], wv[i] = 1, acc
+				count++
 			}
-			w.b[i] = 1
-			w.val[i] = acc
-			count++
 		}
 		return count
-	}, func(a, b int64) int64 { return a + b })
-	w.nvalsB = int(total)
+	}, func(a, b int) int { return a + b })
+	w.nvalsB += added
 	w.conform()
-	return w
 }
 
-// minSecondPullBoolI64: w(i) = min over A(i,:) ∩ u of u(k).
-func minSecondPullBoolI64(A *Matrix[bool], uHas []int8, u []int64) *Vector[int64] {
-	nr := A.nr
-	w := MustVector[int64](nr)
-	w.format = FormatBitmap
-	w.b = make([]int8, nr)
-	w.val = make([]int64, nr)
-	total := parallel.Reduce(nr, 0, func(lo, hi int) int64 {
-		var count int64
+// minSecondPull is plusSecondPull on the min monoid.
+func minSecondPull[TA Value](A *Matrix[TA], u, w *Vector[int64], accum func(int64, int64) int64) {
+	added := parallel.Reduce(A.nr, 0, func(lo, hi int) int {
+		ptr, idx, ub, uv, wb, wv := A.ptr, A.idx, u.b, u.val, w.b, w.val
+		count := 0
 		for i := lo; i < hi; i++ {
-			p, pe := A.ptr[i], A.ptr[i+1]
-			if p == pe {
-				continue
-			}
-			var acc int64
-			hit := false
-			for ; p < pe; p++ {
-				k := A.idx[p]
-				if uHas != nil && uHas[k] == 0 {
-					continue
+			acc := int64(math.MaxInt64)
+			row := idx[ptr[i]:ptr[i+1]]
+			hit := len(row) > 0
+			if ub == nil {
+				for _, k := range row {
+					acc = min(acc, uv[k])
 				}
-				if x := u[k]; !hit || x < acc {
-					acc = x
-					hit = true
+			} else {
+				hit = false
+				for _, k := range row {
+					if ub[k] != 0 {
+						acc, hit = min(acc, uv[k]), true
+					}
 				}
 			}
-			if !hit {
-				continue
+			switch {
+			case !hit:
+			case wb == nil || wb[i] != 0:
+				wv[i] = accum(wv[i], acc)
+			default:
+				wb[i], wv[i] = 1, acc
+				count++
 			}
-			w.b[i] = 1
-			w.val[i] = acc
-			count++
 		}
 		return count
-	}, func(a, b int64) int64 { return a + b })
-	w.nvalsB = int(total)
+	}, func(a, b int) int { return a + b })
+	w.nvalsB += added
 	w.conform()
-	return w
 }

@@ -19,81 +19,29 @@ import "lagraph/internal/parallel"
 // it because the general path re-checks the mask.
 
 func maskAccumVector[T Value](w *Vector[T], mk VMask, accum func(T, T) T, t *Vector[T], replace, tMasked bool) {
-	n := w.n
-	// Fast path 1: no mask, no accumulator — w becomes t.
-	if !mk.Exists() && accum == nil {
+	// No accumulator and nothing of w survives outside t (no mask, or a
+	// replace with a pre-masked t): w becomes t.
+	if accum == nil && (!mk.Exists() || replace && tMasked) {
 		*w = *t
 		w.conform()
 		return
 	}
-	// Fast path 2: masked replace with no accumulator and a pre-masked t.
-	if mk.Exists() && replace && accum == nil && tMasked {
-		*w = *t
-		w.conform()
-		return
-	}
-	// Fast path 3: dense += dense with no mask.
-	if !mk.Exists() && accum != nil && w.format == FormatFull && t.format == FormatFull {
-		parallel.For(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				w.val[i] = accum(w.val[i], t.val[i])
-			}
-		})
-		return
-	}
-	// Fast path 4: unmasked accumulate into a bitmap/full w — only t's
-	// entries can change anything, so fold them in where they land.
-	if !mk.Exists() && accum != nil && w.format != FormatSparse {
+	t.Wait()
+	// Only a sparse t's entries can change w: fold them in where they land.
+	if t.format == FormatSparse && inPlace(w, mk, accum, false) {
 		scatterEntries(w, t, accum)
 		return
 	}
-	// General path.
 	w.Wait()
-	t.Wait()
-	dense := w.format != FormatSparse || t.format != FormatSparse
-	allow := mk.allowFor(n, dense)
-	defer allow.release()
-	if dense {
-		// Dense-ish: produce a bitmap result.
-		outB := make([]int8, n)
-		outV := make([]T, n)
-		nvals := 0
-		for i := 0; i < n; i++ {
-			al := allow.ok(i)
-			wx, wok := w.get(i)
-			tx, tok := t.get(i)
-			var x T
-			keep := false
-			if al {
-				switch {
-				case tok && wok:
-					if accum != nil {
-						x, keep = accum(wx, tx), true
-					} else {
-						x, keep = tx, true
-					}
-				case tok:
-					x, keep = tx, true
-				case wok && accum != nil:
-					x, keep = wx, true
-				}
-			} else if !replace && wok {
-				x, keep = wx, true
-			}
-			if keep {
-				outB[i] = 1
-				outV[i] = x
-				nvals++
-			}
-		}
-		w.idx = nil
-		w.b, w.val = outB, outV
-		w.nvalsB = nvals
-		w.format = FormatBitmap
-		w.conform()
+	if w.format == FormatSparse && !inPlace(w, mk, accum, true) {
+		t.ConvertTo(FormatSparse) // a thin result for a sparse w: merge the lists
+	}
+	if w.format != FormatSparse || t.format != FormatSparse {
+		mergeByPosition(w, mk, accum, t, replace)
 		return
 	}
-	// Sparse two-pointer merge.
+	// Sparse two-pointer merge, the mask probed per entry.
+	allow := mk.allowFor(w.n, false)
 	widx, wval := w.idx, w.val
 	tidx, tval := t.idx, t.val
 	outI := make([]int, 0, len(widx)+len(tidx))
@@ -137,6 +85,21 @@ func maskAccumVector[T Value](w *Vector[T], mk VMask, accum func(T, T) T, t *Vec
 	}
 	w.idx, w.val = outI, outV
 	w.conform()
+}
+
+// mergeByPosition is w⟨m⟩ ⊙= t made position by position under the
+// dense-output rule; t is only read, and may be w.
+func mergeByPosition[T Value](w *Vector[T], mk VMask, accum func(T, T) T, t *Vector[T], replace bool) {
+	dst := denseOutput(w, mk, accum, replace)
+	tc := cursorOf(t)
+	for i := 0; i < w.n; i++ {
+		if x, ok := tc.at(i); ok {
+			dst.put(i, x)
+		} else {
+			dst.none(i)
+		}
+	}
+	dst.commit()
 }
 
 func maskAccumMatrix[T Value](C *Matrix[T], mk Mask, accum func(T, T) T, t *Matrix[T], replace, tMasked bool) {
@@ -323,19 +286,22 @@ func buildCSRParallelScoped[T Value](nr, nc int, makeRowFn func(*rowAllowScope) 
 		scope := &rowAllowScope{row: -1}
 		defer scope.release()
 		rowFn := makeRowFn(scope)
+		// One emit closure per block, its row state reset per row: created
+		// inside the row loop it would cost three heap objects a row.
 		blk := block{lo: lo}
+		last, rowSorted := -1, true
+		emit := func(j int, x T) {
+			blk.idx = append(blk.idx, j)
+			blk.val = append(blk.val, x)
+			if j < last {
+				rowSorted = false
+			}
+			last = j
+		}
 		for i := lo; i < hi; i++ {
 			start := len(blk.idx)
-			last := -1
-			rowSorted := true
-			rowFn(i, func(j int, x T) {
-				blk.idx = append(blk.idx, j)
-				blk.val = append(blk.val, x)
-				if j < last {
-					rowSorted = false
-				}
-				last = j
-			})
+			last, rowSorted = -1, true
+			rowFn(i, emit)
 			rowLen[i] = len(blk.idx) - start
 			if !rowSorted {
 				blk.jumbled = true

@@ -226,12 +226,14 @@ func TestEWiseAcrossFormats(t *testing.T) {
 	m, _ := VectorFromTuples(nc, mi, mv, nil)
 
 	mSet, mvSet := denseOf(M), asCoords(vdenseOf(m))
+	list := rng.Perm(nc) // an index list with a duplicate
+	list[1] = list[0]
 	for _, fa := range allFormats {
 		for _, fb := range allFormats {
 			A, B := operandIn(rng, nr, nc, fa), operandIn(rng, nr, nc, fb)
 			u, v := vecOperandIn(rng, nc, fa), vecOperandIn(rng, nc, fb)
 			// The unmasked results, element by element: the model's T.
-			tOf := map[string]map[coord]float64{"ApplyV": {}, "SelectV": {}, "AssignVectorScalar": {}}
+			tOf := map[string]map[coord]float64{"ApplyV": {}, "SelectV": {}, "AssignVectorScalar": {}, "ExtractSubvector": {}}
 			tOf["EWiseAdd"], tOf["EWiseMult"] = unionAndIntersection(denseOf(A), denseOf(B))
 			du := asCoords(vdenseOf(u))
 			tOf["EWiseAddV"], tOf["EWiseMultV"] = unionAndIntersection(du, asCoords(vdenseOf(v)))
@@ -244,7 +246,11 @@ func TestEWiseAcrossFormats(t *testing.T) {
 					}
 				}
 				tOf["AssignVectorScalar"][p] = half
+				if a, ok := du[coord{list[i], 0}]; ok {
+					tOf["ExtractSubvector"][p] = a
+				}
 			}
+			tOf["AssignVector(All)"] = du
 			for _, fc := range allFormats {
 				C0, w0 := operandIn(rng, nr, nc, fc), vecOperandIn(rng, nc, fc)
 				for _, mvar := range maskVariants {
@@ -308,6 +314,15 @@ func TestEWiseAcrossFormats(t *testing.T) {
 								"AssignVectorScalar": func(w, _, _ *Vector[float64]) error {
 									return AssignVectorScalar(w, vmk, acc, half, All, desc)
 								},
+								"ExtractSubvector": func(w, u, _ *Vector[float64]) error {
+									return ExtractSubvector(w, vmk, acc, u, list, desc)
+								},
+								"AssignVector(All)": func(w, u, _ *Vector[float64]) error {
+									return AssignVector(w, vmk, acc, u, All, desc)
+								},
+								"AssignVector(list)": func(w, u, _ *Vector[float64]) error {
+									return AssignVector(w, vmk, acc, u, list, desc)
+								},
 							}
 							for name, op := range vectorOps {
 								got, want := w0.Dup(), vsparse(w0)
@@ -318,6 +333,9 @@ func TestEWiseAcrossFormats(t *testing.T) {
 									t.Fatalf("%s %s (reference): %v", name, label, err)
 								}
 								vectorsEqual(t, got, vdenseOf(want), name+" "+label)
+								if tOf[name] == nil {
+									continue // a scatter is not w⟨m⟩ ⊙= t: the sparse reference is its oracle
+								}
 								exists := func(p coord) bool { _, ok := mvSet[p]; return ok }
 								if mvar.none {
 									exists = nil
@@ -342,6 +360,8 @@ func TestEWiseAliasedOutputs(t *testing.T) {
 	plus := func(a, b float64) float64 { return a + b }
 	addOp := AddOp(PlusOp[float64]())
 	M, m := randMatrix(rng, nr, nc, 0.4), randVector(rng, nc, 0.4)
+	S, list := randMatrix(rng, nc, nc, 0.3), rng.Perm(nc)
+	list[1] = list[0]
 
 	for _, fp := range allFormats {
 		for _, ff := range allFormats {
@@ -394,6 +414,36 @@ func TestEWiseAliasedOutputs(t *testing.T) {
 							t.Fatal(err)
 						}
 						vectorsEqual(t, tv, vdenseOf(wantV), "EWiseAddV(w,…,u,w) "+lbl)
+
+						// The output read at other positions than the one written —
+						// through an index list (with a duplicate) or a product —
+						// against the same call on a copy of it.
+						for name, op := range map[string]func(w, u *Vector[float64]) error{
+							"w = w(list)": func(w, u *Vector[float64]) error {
+								return ExtractSubvector(w, vmk, acc, u, list, desc)
+							},
+							"w(list) = w": func(w, u *Vector[float64]) error {
+								return AssignVector(w, vmk, acc, u, list, desc)
+							},
+							"w(:) = w": func(w, u *Vector[float64]) error {
+								return AssignVector(w, vmk, acc, u, All, desc)
+							},
+							"w = A·w": func(w, u *Vector[float64]) error {
+								return MxV(w, vmk, acc, PlusSecond[float64, float64](), S, u, desc)
+							},
+							"w = w·A": func(w, u *Vector[float64]) error {
+								return VxM(w, vmk, acc, PlusFirst[float64, float64](), u, S, desc)
+							},
+						} {
+							wantV, tv := t0.Dup(), t0.Dup()
+							if err := op(wantV, t0.Dup()); err != nil {
+								t.Fatal(err)
+							}
+							if err := op(tv, tv); err != nil {
+								t.Fatal(err)
+							}
+							vectorsEqual(t, tv, vdenseOf(wantV), name+" "+lbl)
+						}
 					}
 				}
 			}

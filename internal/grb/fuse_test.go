@@ -218,43 +218,68 @@ func TestPoolReuseKeepsResultsCorrect(t *testing.T) {
 	}
 }
 
+// TestFastPathMatchesGenericPull: the two monomorphic pull loops read only
+// A's pattern, so they must agree with the generic kernel (forced by a
+// sparse copy of u) for a bool, a float64 and an int64 A alike, for a
+// full and a bitmap u, into an empty w and — the in-place case — into a
+// full or bitmap w under an accumulator.
 func TestFastPathMatchesGenericPull(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
+	plus := func(a, b float64) float64 { return a + b }
+	minI := func(a, b int64) int64 { return min(a, b) }
+	for trial := 0; trial < 12; trial++ {
 		n := 5 + rng.Intn(30)
-		A := randMatrix(rng, n, n, 0.3)
-		// Full u triggers the fast path; a sparse copy forces the generic
-		// kernel.
-		uFull := DenseVector(n, 0.0)
-		for i := 0; i < n; i++ {
-			uFull.SetElement(float64(rng.Intn(10)), i)
+		A := randMatrix(rng, n, n, 0.2)
+		rows, cols, vals := A.ExtractTuples()
+		ints, bools := make([]int64, len(vals)), make([]bool, len(vals))
+		for k, x := range vals {
+			ints[k], bools[k] = int64(x), true
 		}
-		uSparse := MustVector[float64](n)
-		uFull.Iterate(func(i int, x float64) { uSparse.SetElement(x, i) })
-		uSparse.Wait()
-		// Keep it genuinely sparse-format.
-		uSparse.ConvertTo(FormatSparse)
+		AI, _ := MatrixFromTuples(n, n, rows, cols, ints, nil)
+		AB, _ := MatrixFromTuples(n, n, rows, cols, bools, nil)
+		randF := func() float64 { return float64(rng.Intn(10)) }
+		randI := func() int64 { return int64(rng.Intn(100)) }
+		pullFastAgrees(t, rng, A, PlusSecond[float64, float64](), plus, randF)
+		pullFastAgrees(t, rng, AI, PlusSecond[int64, float64](), plus, randF)
+		pullFastAgrees(t, rng, AB, PlusSecond[bool, float64](), plus, randF)
+		pullFastAgrees(t, rng, A, MinSecond[float64, int64](), minI, randI)
+		pullFastAgrees(t, rng, AI, MinSecond[int64, int64](), minI, randI)
+		pullFastAgrees(t, rng, AB, MinSecond[bool, int64](), minI, randI)
+	}
+}
 
-		for _, s := range []Semiring[float64, float64, float64]{
-			PlusSecond[float64, float64](),
-		} {
-			w1 := MustVector[float64](n)
-			if err := MxV(w1, NoVMask, nil, s, A, uFull, nil); err != nil {
+func pullFastAgrees[TA, TV Value](t *testing.T, rng *rand.Rand, A *Matrix[TA],
+	s Semiring[TA, TV, TV], accum func(TV, TV) TV, rnd func() TV) {
+
+	t.Helper()
+	n := A.NRows()
+	randDense := func(f Format) *Vector[TV] {
+		v := MustVector[TV](n)
+		for i := 0; i < n; i++ {
+			if f == FormatFull || rng.Intn(3) > 0 {
+				v.SetElement(rnd(), i)
+			}
+		}
+		v.ConvertTo(f)
+		return v
+	}
+	for _, fu := range []Format{FormatFull, FormatBitmap} {
+		u := randDense(fu)
+		uSparse := u.Dup()
+		uSparse.ConvertTo(FormatSparse)
+		for _, w0 := range []*Vector[TV]{MustVector[TV](n), randDense(FormatFull), randDense(FormatBitmap)} {
+			acc := accum
+			if w0.Format() == FormatSparse {
+				acc = nil
+			}
+			got, want := w0.Dup(), w0.Dup()
+			if err := MxV(got, NoVMask, acc, s, A, u, nil); err != nil {
 				t.Fatal(err)
 			}
-			w2 := MustVector[float64](n)
-			if err := MxV(w2, NoVMask, nil, s, A, uSparse, nil); err != nil {
+			if err := MxV(want, NoVMask, acc, s, A, uSparse, nil); err != nil {
 				t.Fatal(err)
 			}
-			g1, g2 := vdenseOf(w1), vdenseOf(w2)
-			if len(g1) != len(g2) {
-				t.Fatalf("%s: fast vs generic nvals %d vs %d", s.Name, len(g1), len(g2))
-			}
-			for i, x := range g1 {
-				if g2[i] != x {
-					t.Fatalf("%s: at %d fast %v generic %v", s.Name, i, x, g2[i])
-				}
-			}
+			vectorsEqual(t, got, vdenseOf(want), s.Name+" u "+fu.String()+" into "+w0.Format().String())
 		}
 	}
 }

@@ -55,11 +55,9 @@ func MxV[TA, TB, TC Value](w *Vector[TC], mask VMask, accum func(TC, TC) TC,
 	}
 	u.Wait()
 	A.Wait()
-	t := tryPullFast(s, A, u, mask)
-	if t == nil {
-		t = pullKernel(s, A, u, mask)
+	if !tryPullFast(w, mask, accum, s, A, u) {
+		maskAccumVector(w, mask, accum, pullKernel(s, A, u, mask), d.Replace, true)
 	}
-	maskAccumVector(w, mask, accum, t, d.Replace, true)
 	return nil
 }
 

@@ -25,7 +25,9 @@
 //	bitmap/full ∩ bitmap/full, sparse mask ⟨M⟩    walk the mask's row, probe both operands
 //	C ⊙= sparse T, C = C ∪ sparse B, C bitmap/full, no mask    update C in place at the sparse entries
 //	vector op with a sparse input, any mask       probe the mask per entry (no length-n allow array)
-//	sparse ∘ sparse; unmasked dense ∘ dense       the one sorted merge / one pass by position
+//	vector op into a bitmap/full w, or a dense    one pass by position into w's own arrays, w free to
+//	  result into an empty one                      alias an operand (the dense-output rule, denseout.go)
+//	sparse ∘ sparse                               the one sorted merge
 //
 // Matrices are held by row. There is no separate CSC format: computations
 // that need the reverse orientation take an explicitly transposed matrix,

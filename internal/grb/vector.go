@@ -453,22 +453,18 @@ func (v *Vector[T]) Iterate(f func(i int, x T)) {
 }
 
 // get returns (value, present) with O(1) access for dense formats and
-// binary search for sparse. The vector must be finished.
-func (v *Vector[T]) get(i int) (T, bool) {
-	var zero T
-	switch v.format {
-	case FormatFull:
-		return v.val[i], true
-	case FormatBitmap:
-		if v.b[i] == 0 {
-			return zero, false
-		}
-		return v.val[i], true
-	default:
-		p := sort.SearchInts(v.idx, i)
-		if p < len(v.idx) && v.idx[p] == i {
-			return v.val[p], true
-		}
-		return zero, false
+// binary search for sparse; the value is meaningful only where present. The
+// vector must be finished.
+func (v *Vector[T]) get(i int) (x T, ok bool) {
+	if v.format == FormatSparse {
+		return v.getSparse(i)
 	}
+	return v.val[i], v.b == nil || v.b[i] != 0
+}
+
+func (v *Vector[T]) getSparse(i int) (x T, ok bool) {
+	if p := sort.SearchInts(v.idx, i); p < len(v.idx) && v.idx[p] == i {
+		return v.val[p], true
+	}
+	return x, false
 }

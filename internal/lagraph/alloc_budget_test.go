@@ -9,6 +9,7 @@ import (
 
 	"lagraph/internal/gap"
 	"lagraph/internal/gen"
+	"lagraph/internal/grb"
 )
 
 // TestRoadKernelAllocationBudget pins the two kernels the paper's Road row
@@ -18,6 +19,13 @@ import (
 // sources and delta-stepping SSSP must equal the GAP oracle on the mutated
 // graph and stay inside an allocation budget per run — 24 and 16 MiB,
 // where allocating by n on every tiny-frontier call cost 1 286 and 440.
+// The two dense-iteration kernels run on an undirected snapshot that took
+// the same batch in both orientations (the service's graphs are
+// symmetrised) and still holds it as pending tuples, so FastSV and the
+// PageRank pull read the matrix the registry hands them: PageRank within
+// 1e-9 (L1) of the oracle inside 1 MiB a run, CC the oracle's partition
+// inside 2 MiB and 500 allocations, where a temporary per call and a copy
+// of A's pattern cost 18 MiB each and 30 000 allocations.
 func TestRoadKernelAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -29,12 +37,44 @@ func TestRoadKernelAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	symA, err := base.A.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sym, err := New(&symA, AdjacencyUndirected)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// The mirror the oracle is built from.
 	type edge struct{ u, v int32 }
-	mirror := make(map[edge]float64, len(e.Src))
+	mirror, symMirror := make(map[edge]float64, len(e.Src)), make(map[edge]float64, len(e.Src))
 	for k := range e.Src {
 		mirror[edge{e.Src[k], e.Dst[k]}] = e.W[k]
+		symMirror[edge{e.Src[k], e.Dst[k]}] = e.W[k]
+	}
+	// upsert and remove apply one op to g as given and to sym both ways.
+	upsert := func(u, v int32, w float64) {
+		t.Helper()
+		mirror[edge{u, v}], symMirror[edge{u, v}], symMirror[edge{v, u}] = w, w, w
+		for _, err := range []error{g.A.SetElement(w, int(u), int(v)),
+			sym.A.SetElement(w, int(u), int(v)), sym.A.SetElement(w, int(v), int(u))} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	remove := func(u, v int32) {
+		t.Helper()
+		delete(mirror, edge{u, v})
+		delete(symMirror, edge{u, v})
+		delete(symMirror, edge{v, u})
+		for _, err := range []error{g.A.RemoveElement(int(u), int(v)),
+			sym.A.RemoveElement(int(u), int(v)), sym.A.RemoveElement(int(v), int(u))} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	rng := rand.New(rand.NewSource(18))
 	for k := 0; k < 256; k++ {
@@ -42,59 +82,98 @@ func TestRoadKernelAllocationBudget(t *testing.T) {
 		u, v := e.Src[at], e.Dst[at]
 		switch k % 4 {
 		case 0, 1: // delete an edge of the original graph
-			delete(mirror, edge{u, v})
-			if err := g.A.RemoveElement(int(u), int(v)); err != nil {
-				t.Fatal(err)
-			}
+			remove(u, v)
 		case 2: // reweight one (or bring a deleted one back)
-			w := float64(1 + rng.Intn(255))
-			mirror[edge{u, v}] = w
-			if err := g.A.SetElement(w, int(u), int(v)); err != nil {
-				t.Fatal(err)
-			}
+			upsert(u, v, float64(1+rng.Intn(255)))
 		default: // a new shortcut
-			v = int32(rng.Intn(e.N))
-			if v == u {
-				continue
-			}
-			w := float64(1 + rng.Intn(255))
-			mirror[edge{u, v}] = w
-			if err := g.A.SetElement(w, int(u), int(v)); err != nil {
-				t.Fatal(err)
+			if v = int32(rng.Intn(e.N)); v != u {
+				upsert(u, v, float64(1+rng.Intn(255)))
 			}
 		}
 	}
-	edges := make([]edge, 0, len(mirror))
-	for ed := range mirror {
-		edges = append(edges, ed)
+	oracleOf := func(mirror map[edge]float64, directed bool) *gap.Graph {
+		edges := make([]edge, 0, len(mirror))
+		for ed := range mirror {
+			edges = append(edges, ed)
+		}
+		sort.Slice(edges, func(a, b int) bool {
+			return edges[a].u < edges[b].u || edges[a].u == edges[b].u && edges[a].v < edges[b].v
+		})
+		src, dst, w := make([]int32, len(edges)), make([]int32, len(edges)), make([]float64, len(edges))
+		for k, ed := range edges {
+			src[k], dst[k], w[k] = ed.u, ed.v, mirror[ed]
+		}
+		return gap.Build(e.N, src, dst, w, directed)
 	}
-	sort.Slice(edges, func(a, b int) bool {
-		return edges[a].u < edges[b].u || edges[a].u == edges[b].u && edges[a].v < edges[b].v
-	})
-	src, dst, w := make([]int32, len(edges)), make([]int32, len(edges)), make([]float64, len(edges))
-	for k, ed := range edges {
-		src[k], dst[k], w[k] = ed.u, ed.v, mirror[ed]
-	}
-	oracle := gap.Build(e.N, src, dst, w, true)
-	if got := g.NumEdges(); got != len(edges) {
-		t.Fatalf("mutated graph has %d edges, mirror %d", got, len(edges))
-	}
-	if err := g.PropertyAT(); err != nil && !IsWarning(err) {
-		t.Fatal(err)
-	}
-	if n := base.NumEdges(); n != len(e.Src) {
-		t.Fatalf("the snapshot's base moved: %d edges, want %d", n, len(e.Src))
-	}
+	oracle, symOracle := oracleOf(mirror, true), oracleOf(symMirror, false)
 
 	// allocated runs f twice — the pool is warm the second time, as it is
-	// in a serving process — and reports the second run's bytes.
-	allocated := func(f func()) float64 {
+	// in a serving process — and reports the second run's bytes and
+	// allocations.
+	allocated := func(f func()) (mib float64, mallocs uint64) {
 		f()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		f()
 		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+		return float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20), after.Mallocs - before.Mallocs
+	}
+
+	// CC first: its first run meets the batch as pending tuples.
+	if sym.A.PendingTuples() == 0 {
+		t.Fatal("the undirected snapshot holds no pending tuples")
+	}
+	wantComp := gap.ConnectedComponents(symOracle)
+	mib, mallocs := allocated(func() {
+		labels, err := ConnectedComponents(bg, sym)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePartition(t, labels, wantComp)
+	})
+	if mib > 2 || mallocs > 500 {
+		t.Errorf("CC on Road 96×96 allocated %.2f MiB in %d allocations, budget 2 MiB and 500", mib, mallocs)
+	}
+	for _, prop := range []func() error{sym.PropertyAT, sym.PropertyRowDegree} {
+		if err := prop(); err != nil && !IsWarning(err) {
+			t.Fatal(err)
+		}
+	}
+	wantRank, wantIters := gap.PageRank(symOracle, 0.85, 1e-4, 20)
+	mib, _ = allocated(func() {
+		r, iters, err := PageRankGAP(bg, sym, 0.85, 1e-4, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dist := 0.0
+		r.Iterate(func(i int, x float64) { dist += math.Abs(x - wantRank[i]) })
+		if iters != wantIters || dist > 1e-9 || r.NVals() != e.N {
+			t.Fatalf("pagerank: %d iterations, %d ranks, L1 distance %g from gap's %d iterations", iters, r.NVals(), dist, wantIters)
+		}
+	})
+	if mib > 1 {
+		t.Errorf("PageRank on Road 96×96 allocated %.2f MiB, budget 1", mib)
+	}
+
+	if got := g.NumEdges(); got != len(mirror) {
+		t.Fatalf("mutated graph has %d edges, mirror %d", got, len(mirror))
+	}
+	if err := g.PropertyAT(); err != nil && !IsWarning(err) {
+		t.Fatal(err)
+	}
+
+	// The directed snapshot takes CC's other branch, the pattern of A ∪ Aᵀ
+	// built by three row builders: one closure a block, not three a row.
+	wantComp = gap.ConnectedComponents(oracle)
+	_, mallocs = allocated(func() {
+		labels, err := ConnectedComponents(bg, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePartition(t, labels, wantComp)
+	})
+	if mallocs > 1000 {
+		t.Errorf("CC on the directed Road 96×96 made %d allocations, budget 1000", mallocs)
 	}
 
 	sources := []int{0, e.N / 3, e.N / 2, e.N - 1}
@@ -103,7 +182,7 @@ func TestRoadKernelAllocationBudget(t *testing.T) {
 		sources32[k] = int32(s)
 	}
 	wantBC := gap.BC(oracle, sources32)
-	mib := allocated(func() {
+	mib, _ = allocated(func() {
 		c, err := BetweennessCentralityAdvanced(bg, g, sources)
 		if err != nil {
 			t.Fatal(err)
@@ -120,7 +199,7 @@ func TestRoadKernelAllocationBudget(t *testing.T) {
 
 	const delta = 64
 	wantDist := gap.SSSPDelta(oracle, 0, delta)
-	mib = allocated(func() {
+	mib, _ = allocated(func() {
 		d, err := SSSPDeltaStepping(bg, g, 0, delta)
 		if err != nil {
 			t.Fatal(err)
@@ -133,5 +212,28 @@ func TestRoadKernelAllocationBudget(t *testing.T) {
 	})
 	if mib > 16 {
 		t.Errorf("SSSP on Road 96×96 allocated %.1f MiB, budget 16", mib)
+	}
+	if n := base.NumEdges(); n != len(e.Src) {
+		t.Fatalf("the snapshot's base moved: %d edges, want %d", n, len(e.Src))
+	}
+}
+
+// samePartition fails unless labels and the oracle's components map one to
+// one.
+func samePartition(t *testing.T, labels *grb.Vector[int64], want []int32) {
+	t.Helper()
+	to, from := map[int64]int32{}, map[int32]int64{}
+	labels.Iterate(func(i int, l int64) {
+		c := want[i]
+		if x, ok := to[l]; ok && x != c {
+			t.Fatalf("label %d spans components %d and %d", l, x, c)
+		}
+		if x, ok := from[c]; ok && x != l {
+			t.Fatalf("component %d carries labels %d and %d", c, x, l)
+		}
+		to[l], from[c] = c, l
+	})
+	if labels.NVals() != len(want) {
+		t.Fatalf("%d labels for %d vertices", labels.NVals(), len(want))
 	}
 }

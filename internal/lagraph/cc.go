@@ -24,23 +24,24 @@ func ConnectedComponents[T grb.Value](ctx context.Context, g *Graph[T]) (*grb.Ve
 	if g.A.NRows() != g.A.NCols() {
 		return nil, errf(StatusInvalidGraph, "ConnectedComponents: adjacency matrix not square")
 	}
+	if symmetricPattern(g) {
+		return fastSV(ctx, g.A)
+	}
+	computed, err := ensureCached(ctx, g.PropertyAT)
+	if err != nil {
+		return nil, err
+	}
+	// S = pattern(A ∪ Aᵀ)
 	S, err := Pattern(g.A)
 	if err != nil {
 		return nil, err
 	}
-	computed := false
-	if !symmetricPattern(g) {
-		if computed, err = ensureCached(ctx, g.PropertyAT); err != nil {
-			return nil, err
-		}
-		// S = pattern(A ∪ Aᵀ)
-		pt, err := Pattern(g.CachedAT())
-		if err != nil {
-			return nil, err
-		}
-		if err := grb.EWiseAdd(S, grb.NoMask, nil, grb.AddOp(grb.LorOp()), S, pt, nil); err != nil {
-			return nil, wrap(StatusInvalidValue, err, "symmetrise")
-		}
+	pt, err := Pattern(g.CachedAT())
+	if err != nil {
+		return nil, err
+	}
+	if err := grb.EWiseAdd(S, grb.NoMask, nil, grb.AddOp(grb.LorOp()), S, pt, nil); err != nil {
+		return nil, wrap(StatusInvalidValue, err, "symmetrise")
 	}
 	labels, err := fastSV(ctx, S)
 	if err != nil {
@@ -61,11 +62,7 @@ func ConnectedComponentsAdvanced[T grb.Value](ctx context.Context, g *Graph[T]) 
 		return nil, errf(StatusPropertyMissing,
 			"ConnectedComponentsAdvanced: pattern symmetry unknown; cache ASymmetricPattern or use the Basic entry point")
 	}
-	S, err := Pattern(g.A)
-	if err != nil {
-		return nil, err
-	}
-	return fastSV(ctx, S)
+	return fastSV(ctx, g.A)
 }
 
 // symmetricPattern reports whether pattern(A) is known to equal
@@ -74,9 +71,9 @@ func symmetricPattern[T grb.Value](g *Graph[T]) bool {
 	return g.Kind == AdjacencyUndirected || g.CachedSymmetry() == BoolTrue
 }
 
-// fastSV is Algorithm 7 on a boolean symmetric-pattern matrix. ctx is
-// polled once per round.
-func fastSV(ctx context.Context, S *grb.Matrix[bool]) (*grb.Vector[int64], error) {
+// fastSV is Algorithm 7 on a matrix with a symmetric pattern; min.second
+// never reads its values. ctx is polled once per round.
+func fastSV[T grb.Value](ctx context.Context, S *grb.Matrix[T]) (*grb.Vector[int64], error) {
 	prb := ProbeFrom(ctx)
 	n := S.NRows()
 	if n == 0 {
@@ -90,19 +87,18 @@ func fastSV(ctx context.Context, S *grb.Matrix[bool]) (*grb.Vector[int64], error
 	gf := f.Dup()   // grandparent
 	dup := gf.Dup() // previous grandparent, for termination
 	mngf := gf.Dup()
+	diff := grb.MustVector[int64](n)
 	// {i, x} ↤ f: the parent array used as scatter indices.
-	_, xs := f.ExtractTuples()
 	x := make([]int, n)
-	for i, v := range xs {
-		x[i] = int(v)
-	}
+	parents := func(i int, v int64) { x[i] = int(v) }
+	f.Iterate(parents)
 	minOp := func(a, b int64) int64 {
 		if b < a {
 			return b
 		}
 		return a
 	}
-	semiring := grb.MinSecond[bool, int64]()
+	semiring := grb.MinSecond[T, int64]()
 	for round := 1; ; round++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -125,23 +121,22 @@ func fastSV(ctx context.Context, S *grb.Matrix[bool]) (*grb.Vector[int64], error
 			return nil, wrap(StatusInvalidValue, err, "fastsv shortcut")
 		}
 		// Step 4, grandparents: x = values of f; gf = f(x).
-		_, xs = f.ExtractTuples()
-		for i, v := range xs {
-			x[i] = int(v)
-		}
+		f.Iterate(parents)
 		if err := grb.ExtractSubvector(gf, grb.NoVMask, nil, f, x, nil); err != nil {
 			return nil, wrap(StatusInvalidValue, err, "fastsv grandparent")
 		}
 		// Step 5, termination: any grandparent changed?
-		diff := grb.MustVector[int64](n)
 		if err := grb.EWiseMultV(diff, grb.NoVMask, nil, grb.NEOp[int64, int64](), gf, dup, nil); err != nil {
 			return nil, wrap(StatusInvalidValue, err, "fastsv diff")
 		}
 		changed := grb.ReduceVectorToScalar(grb.PlusMonoid[int64](), diff)
 		prb.Iter(IterStat{Iter: round, Work: changed})
-		dup = gf.Dup()
 		if changed == 0 {
 			break
+		}
+		// dup = gf, for the next round's comparison.
+		if err := grb.AssignVector(dup, grb.NoVMask, nil, gf, grb.All, nil); err != nil {
+			return nil, wrap(StatusInvalidValue, err, "fastsv previous grandparent")
 		}
 	}
 	// FastSV always terminates at the fixed point — it converged by

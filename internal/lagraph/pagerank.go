@@ -95,6 +95,9 @@ func pagerank[T grb.Value](ctx context.Context, g *Graph[T], op string, damping,
 
 	r := grb.DenseVector(n, 1/float64(n))
 	t := grb.MustVector[float64](n)
+	// w (the scaled contributions) and ts (the rank held at sinks) live
+	// across sweeps: each sweep overwrites them where they lie.
+	w, ts := grb.MustVector[float64](n), grb.MustVector[float64](n)
 	plus := func(a, b float64) float64 { return a + b }
 	semiring := grb.PlusSecond[T, float64]()
 
@@ -108,14 +111,12 @@ func pagerank[T grb.Value](ctx context.Context, g *Graph[T], op string, damping,
 		// swap t and r: t is now the prior rank.
 		t, r = r, t
 		// w = t div∩ d
-		w := grb.MustVector[float64](n)
 		if err := grb.EWiseMultV(w, grb.NoVMask, nil, grb.DivOp[float64](), t, d, nil); err != nil {
 			return nil, 0, wrap(StatusInvalidValue, err, "pagerank contributions")
 		}
 		base := teleport
 		if handleDangling {
 			// Redistribute rank trapped at sinks: damping * Σ t(sinks) / n.
-			ts := grb.MustVector[float64](n)
 			if err := grb.ApplyV(ts, grb.VMaskOf(sink), nil, grb.Identity[float64](), t, nil); err != nil {
 				return nil, 0, wrap(StatusInvalidValue, err, "pagerank sink gather")
 			}
