@@ -2,13 +2,13 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"log/slog"
 	"sort"
 	"sync"
 	"time"
 
-	"lagraph/internal/grb"
 	"lagraph/internal/lagraph"
 	"lagraph/internal/obs"
 	"lagraph/internal/registry"
@@ -283,16 +283,7 @@ func (r *Replicator) bootstrap(name string) (*replState, error) {
 			return nil, fmt.Errorf("install checkpoint: %w", err)
 		}
 	}
-	m, err := grb.DeserializeMatrix[float64](bytes.NewReader(ck.Data))
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	A := m
-	g, err := lagraph.New(&A, kind)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := r.reg.Restore(name, g, ck.Version); err != nil {
+	if err := store.RestoreCheckpoint(r.reg, name, kind, ck.Version, bytes.NewReader(ck.Data)); err != nil {
 		return nil, err
 	}
 	st := &replState{version: ck.Version, epoch: ck.Epoch, lastApplied: time.Now()}
@@ -306,9 +297,8 @@ func (r *Replicator) bootstrap(name string) (*replState, error) {
 	return st, nil
 }
 
-// tail fetches and applies the WAL records past the cursor, mirroring
-// boot-time recovery's checks: versions must be contiguous and each
-// apply must publish exactly the recorded version.
+// tail fetches the WAL records past the cursor and replays them under
+// boot-time recovery's own checks (store.Replay).
 func (r *Replicator) tail(name string, st *replState) error {
 	t, err := r.client.FetchTail(name, st.version)
 	if err != nil {
@@ -323,36 +313,27 @@ func (r *Replicator) tail(name string, st *replState) error {
 		// Our resume point was compacted past on the leader: the records
 		// between st.version and the checkpoint are gone. Re-bootstrap
 		// from the checkpoint rather than replaying a gap.
-		if _, err := r.bootstrap(name); err != nil {
-			return err
-		}
-		return nil
+		_, err := r.bootstrap(name)
+		return err
 	}
-	for _, b := range t.Batches {
-		if b.Version <= st.version {
-			continue // already applied (stale record the leader has not trimmed)
-		}
-		if b.Version != st.version+1 {
-			// A hole in the tail — the leader checkpointed past our cursor
-			// between polls. Start over from the checkpoint.
-			if _, err := r.bootstrap(name); err != nil {
-				return fmt.Errorf("tail gap at v%d (have v%d), re-bootstrap: %w", b.Version, st.version, err)
-			}
-			return nil
-		}
-		res, err := r.eng.Apply(name, b.Ops)
-		if err != nil {
-			return fmt.Errorf("apply v%d: %w", b.Version, err)
-		}
-		if res.Version != b.Version {
-			return fmt.Errorf("apply published v%d, leader recorded v%d", res.Version, b.Version)
-		}
+	_, err = store.Replay(r.eng, name, st.version, t.Batches, func(b store.TailBatch) {
 		r.mu.Lock()
 		st.version = b.Version
 		st.lastApplied = time.Now()
 		r.mu.Unlock()
 		r.applied.Inc()
 		r.appliedOps.Add(float64(len(b.Ops)))
+	})
+	if errors.Is(err, store.ErrVersionGap) {
+		// A hole in the tail — the leader checkpointed past our cursor
+		// between polls. Start over from the checkpoint.
+		if _, berr := r.bootstrap(name); berr != nil {
+			return fmt.Errorf("%v, re-bootstrap: %w", err, berr)
+		}
+		return nil
+	}
+	if err != nil {
+		return err
 	}
 	head := t.CheckpointVersion
 	if n := len(t.Batches); n > 0 && t.Batches[n-1].Version > head {

@@ -9,12 +9,7 @@ func Apply[TIn, TOut Value](C *Matrix[TOut], mask Mask, accum func(TOut, TOut) T
 	f UnaryOp[TIn, TOut], A *Matrix[TIn], desc *Descriptor) error {
 
 	d := descOf(desc)
-	if d.TranA {
-		A2 := transposeWork(waited(A))
-		d2 := d
-		d2.TranA = false
-		return Apply(C, mask, accum, f, A2, &d2)
-	}
+	A = oriented(A, d.TranA)
 	ar, ac := A.Dims()
 	cr, cc := C.Dims()
 	if cr != ar || cc != ac {
@@ -40,7 +35,7 @@ func Apply[TIn, TOut Value](C *Matrix[TOut], mask Mask, accum func(TOut, TOut) T
 			})
 		}
 	})
-	maskAccumMatrix(C, mask, accum, t, d.Replace, true)
+	maskAccumMatrix(C, mask, accum, t, d.Replace, true, nil)
 	return nil
 }
 
@@ -50,12 +45,7 @@ func Select[T Value](C *Matrix[T], mask Mask, accum func(T, T) T,
 	f IndexUnaryOp[T], A *Matrix[T], thunk T, desc *Descriptor) error {
 
 	d := descOf(desc)
-	if d.TranA {
-		A2 := transposeWork(waited(A))
-		d2 := d
-		d2.TranA = false
-		return Select(C, mask, accum, f, A2, thunk, &d2)
-	}
+	A = oriented(A, d.TranA)
 	ar, ac := A.Dims()
 	cr, cc := C.Dims()
 	if cr != ar || cc != ac {
@@ -76,7 +66,7 @@ func Select[T Value](C *Matrix[T], mask Mask, accum func(T, T) T,
 			})
 		}
 	})
-	maskAccumMatrix(C, mask, accum, t, d.Replace, true)
+	maskAccumMatrix(C, mask, accum, t, d.Replace, true, nil)
 	return nil
 }
 

@@ -1,6 +1,6 @@
 package grb
 
-import "sort"
+import "cmp"
 
 // Assign operations (paper Table I): project values into a region of the
 // output selected by index arrays, under mask/accumulator control. The
@@ -26,10 +26,8 @@ func AssignVector[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 	if u.Size() != regionN {
 		return dimErr("AssignVector", "u length "+itoa(u.Size()), "region size "+itoa(regionN))
 	}
-	for _, i := range indices {
-		if i < 0 || i >= n {
-			return errf(IndexOutOfBounds, "AssignVector: index %d outside %d", i, n)
-		}
+	if err := checkIndices("AssignVector", "index", indices, n); err != nil {
+		return err
 	}
 	if err := mask.check(n, "AssignVector"); err != nil {
 		return err
@@ -62,7 +60,7 @@ func AssignVector[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 		uc := cursorOf(u)
 		for k, i := range indices {
 			if x, ok := uc.at(k); ok {
-				w.fold(i, x, accum)
+				foldAt(w.val, w.b, &w.nvalsB, i, x, accum)
 			}
 		}
 		w.conform()
@@ -95,10 +93,8 @@ func AssignVectorScalar[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 	s T, indices []int, desc *Descriptor) error {
 
 	n := w.Size()
-	for _, i := range indices {
-		if i < 0 || i >= n {
-			return errf(IndexOutOfBounds, "AssignVectorScalar: index %d outside %d", i, n)
-		}
+	if err := checkIndices("AssignVectorScalar", "index", indices, n); err != nil {
+		return err
 	}
 	if err := mask.check(n, "AssignVectorScalar"); err != nil {
 		return err
@@ -182,7 +178,7 @@ func scatterEntries[T Value](w, u *Vector[T], accum func(T, T) T) {
 		w.sparseToBitmap() // the result is at least as dense as u
 	}
 	if w.format != FormatSparse {
-		u.Iterate(func(i int, x T) { w.fold(i, x, accum) })
+		u.Iterate(func(i int, x T) { foldAt(w.val, w.b, &w.nvalsB, i, x, accum) })
 		w.conform()
 		return
 	}
@@ -198,126 +194,43 @@ func AssignMatrixScalar[T Value](C *Matrix[T], mask Mask, accum func(T, T) T,
 	s T, rows, cols []int, desc *Descriptor) error {
 
 	nr, nc := C.Dims()
-	for _, r := range rows {
-		if r < 0 || r >= nr {
-			return errf(IndexOutOfBounds, "AssignMatrixScalar: row %d outside %d", r, nr)
-		}
-	}
-	for _, c := range cols {
-		if c < 0 || c >= nc {
-			return errf(IndexOutOfBounds, "AssignMatrixScalar: col %d outside %d", c, nc)
-		}
-	}
-	if err := mask.check(nr, nc, "AssignMatrixScalar"); err != nil {
+	region, err := checkRegion(nr, nc, mask, rows, cols, "AssignMatrixScalar")
+	if err != nil {
 		return err
 	}
-	d := descOf(desc)
-	C.Wait()
-
-	// Fast path: whole-matrix unmasked, unaccumulated scalar assign makes
-	// the matrix full (BC's B(:) = 1).
-	if isAll(rows) && isAll(cols) && !mask.Exists() && accum == nil {
-		C.ptr, C.idx, C.b = nil, nil, nil
-		C.nvalsB = 0
-		C.val = make([]T, nr*nc)
+	var t *Matrix[T]
+	if region.fn == nil && !mask.Exists() {
+		// C(:) ⊙= s: t holds the scalar everywhere (BC's B(:) = 1).
+		t = &Matrix[T]{nr: nr, nc: nc, format: FormatFull, val: make([]T, nr*nc)}
 		if truthy(s) {
-			for i := range C.val {
-				C.val[i] = s
+			for p := range t.val {
+				t.val[p] = s
 			}
-		}
-		C.format = FormatFull
-		return nil
-	}
-
-	inRow := make([]int8, nr)
-	if isAll(rows) {
-		for i := range inRow {
-			inRow[i] = 1
 		}
 	} else {
-		for _, r := range rows {
-			inRow[r] = 1
-		}
-	}
-	var colList []int
-	if isAll(cols) {
-		colList = make([]int, nc)
-		for j := range colList {
-			colList[j] = j
-		}
-	} else {
-		colList = append([]int(nil), cols...)
-		sort.Ints(colList)
-		// drop duplicates
-		w := 0
-		for _, c := range colList {
-			if w == 0 || colList[w-1] != c {
-				colList[w] = c
-				w++
-			}
-		}
-		colList = colList[:w]
-	}
-	if C.format != FormatSparse {
-		C.ConvertTo(FormatSparse)
-	}
-	cPtr, cIdx, cVal := C.ptr, C.idx, C.val
-	denseMaskSrc := !mask.Exists() || mask.src.maskIsDense()
-	out := buildCSRParallelScoped(nr, nc, func(scope *rowAllowScope) func(i int, emit func(j int, x T)) {
-		return func(i int, emit func(j int, x T)) {
-			scope.load(mask, i, nc, denseMaskSrc)
-			p, pe := cPtr[i], cPtr[i+1]
-			if inRow[i] == 0 {
-				// Row not in region: keep entries, except replace deletes
-				// disallowed positions.
-				for ; p < pe; p++ {
-					if scope.ok(mask, i, cIdx[p]) || !d.Replace {
-						emit(cIdx[p], cVal[p])
-					}
+		denseMaskSrc := !mask.Exists() || mask.src.maskIsDense()
+		t = buildCSRParallelScoped(nr, nc, func(scope *rowAllowScope) func(i int, emit func(j int, x T)) {
+			return func(i int, emit func(j int, x T)) {
+				if region.inRow[i] == 0 {
+					return
 				}
-				return
-			}
-			q := 0
-			for p < pe || q < len(colList) {
-				var j int
-				wok, rok := false, false
-				switch {
-				case p < pe && (q >= len(colList) || cIdx[p] < colList[q]):
-					j, wok = cIdx[p], true
-				case q < len(colList) && (p >= pe || colList[q] < cIdx[p]):
-					j, rok = colList[q], true
-				default:
-					j, wok, rok = cIdx[p], true, true
-				}
-				al := scope.ok(mask, i, j)
-				switch {
-				case al && rok:
-					if accum != nil && wok {
-						emit(j, accum(cVal[p], s))
-					} else {
+				scope.load(mask, i, nc, denseMaskSrc)
+				for _, j := range region.cols {
+					if scope.ok(mask, i, j) {
 						emit(j, s)
 					}
-				case al && wok:
-					emit(j, cVal[p])
-				case !al && wok && !d.Replace:
-					emit(j, cVal[p])
-				}
-				if wok {
-					p++
-				}
-				if rok {
-					q++
 				}
 			}
-		}
-	})
-	*C = *out
-	C.conform()
+		})
+	}
+	maskAccumMatrix(C, mask, accum, t, descOf(desc).Replace, true, region.fn)
 	return nil
 }
 
 // AssignMatrix computes C⟨M⟩(rows, cols)⊙= A, with A(r,c) landing at
-// (rows[r], cols[c]).
+// (rows[r], cols[c]). Entries that a repeated column index lands on one
+// position are combined by the accumulator in column order (without one the
+// last wins); of a repeated row index the last occurrence is assigned.
 func AssignMatrix[T Value](C *Matrix[T], mask Mask, accum func(T, T) T,
 	A *Matrix[T], rows, cols []int, desc *Descriptor) error {
 
@@ -329,141 +242,102 @@ func AssignMatrix[T Value](C *Matrix[T], mask Mask, accum func(T, T) T,
 	if isAll(cols) {
 		regC = nc
 	}
-	ar, ac := A.Dims()
-	if ar != regR || ac != regC {
+	if ar, ac := A.Dims(); ar != regR || ac != regC {
 		return dimErr("AssignMatrix", "A "+itoa(ar)+"x"+itoa(ac), "region "+itoa(regR)+"x"+itoa(regC))
 	}
-	for _, r := range rows {
-		if r < 0 || r >= nr {
-			return errf(IndexOutOfBounds, "AssignMatrix: row %d outside %d", r, nr)
-		}
-	}
-	for _, c := range cols {
-		if c < 0 || c >= nc {
-			return errf(IndexOutOfBounds, "AssignMatrix: col %d outside %d", c, nc)
-		}
-	}
-	if err := mask.check(nr, nc, "AssignMatrix"); err != nil {
+	region, err := checkRegion(nr, nc, mask, rows, cols, "AssignMatrix")
+	if err != nil {
 		return err
 	}
-	d := descOf(desc)
-	C.Wait()
 	A.Wait()
-
-	// Map output row -> source row of A (or -1).
+	// Output row -> the row of A assigned to it.
 	rowOf := make([]int, nr)
 	for i := range rowOf {
-		rowOf[i] = -1
+		rowOf[i] = i
 	}
-	if isAll(rows) {
-		for i := 0; i < nr; i++ {
-			rowOf[i] = i
-		}
-	} else {
-		for r, i := range rows {
-			rowOf[i] = r
-		}
+	for r, i := range rows {
+		rowOf[i] = r
 	}
-	if C.format != FormatSparse {
-		C.ConvertTo(FormatSparse)
-	}
-	cPtr, cIdx, cVal := C.ptr, C.idx, C.val
 	denseMaskSrc := !mask.Exists() || mask.src.maskIsDense()
-	out := buildCSRParallelScoped(nr, nc, func(scope *rowAllowScope) func(i int, emit func(j int, x T)) {
-		// Staging scratch for one source row scattered to output columns.
-		regHas := make([]int8, nc)
-		regVal := make([]T, nc)
-		regCols := make([]int, 0, 64)
+	t := buildCSRParallelScoped(nr, nc, func(scope *rowAllowScope) func(i int, emit func(j int, x T)) {
+		// One row of A staged onto its output columns.
+		staged := getSPA[T](nc)
+		scope.atEnd = func() { putSPA(staged) }
 		return func(i int, emit func(j int, x T)) {
-			scope.load(mask, i, nc, denseMaskSrc)
-			p, pe := cPtr[i], cPtr[i+1]
-			sr := rowOf[i]
-			if sr < 0 {
-				for ; p < pe; p++ {
-					if scope.ok(mask, i, cIdx[p]) || !d.Replace {
-						emit(cIdx[p], cVal[p])
-					}
-				}
+			if region.inRow[i] == 0 {
 				return
 			}
-			// Stage A's row sr onto output columns.
-			for _, j := range regCols {
-				regHas[j] = 0
-			}
-			regCols = regCols[:0]
-			aRowIter(A, sr, func(c int, x T) {
-				oc := c
+			scope.load(mask, i, nc, denseMaskSrc)
+			staged.reset()
+			aRowIter(A, rowOf[i], func(c int, x T) {
 				if !isAll(cols) {
-					oc = cols[c]
+					c = cols[c]
 				}
-				if regHas[oc] != 0 && accum != nil {
-					regVal[oc] = accum(regVal[oc], x)
-				} else {
-					regVal[oc] = x
-				}
-				if regHas[oc] == 0 {
-					regHas[oc] = 1
-					regCols = append(regCols, oc)
+				switch {
+				case !staged.has(c):
+					staged.put(c, x)
+				case accum != nil:
+					staged.val[c] = accum(staged.val[c], x)
+				default:
+					staged.val[c] = x
 				}
 			})
-			// The region's columns (where deletions may occur).
-			inRegion := func(j int) bool {
-				if isAll(cols) {
-					return true
-				}
-				return regHas[j] != 0 || colInList(cols, j)
-			}
-			// Merge: iterate the union of C's row and the staged values.
-			sort.Ints(regCols)
-			q := 0
-			for p < pe || q < len(regCols) {
-				var j int
-				wok, rok := false, false
-				switch {
-				case p < pe && (q >= len(regCols) || cIdx[p] < regCols[q]):
-					j, wok = cIdx[p], true
-				case q < len(regCols) && (p >= pe || regCols[q] < cIdx[p]):
-					j, rok = regCols[q], true
-				default:
-					j, wok, rok = cIdx[p], true, true
-				}
-				al := scope.ok(mask, i, j)
-				switch {
-				case al && rok:
-					if accum != nil && wok {
-						emit(j, accum(cVal[p], regVal[j]))
-					} else {
-						emit(j, regVal[j])
-					}
-				case al && wok:
-					// In-region position with no incoming entry deletes
-					// (no accumulator); otherwise C's entry is kept.
-					if accum != nil || !inRegion(j) {
-						emit(j, cVal[p])
-					}
-				case !al && wok && !d.Replace:
-					emit(j, cVal[p])
-				}
-				if wok {
-					p++
-				}
-				if rok {
-					q++
+			for _, j := range staged.touched {
+				if scope.ok(mask, i, j) {
+					emit(j, staged.val[j])
 				}
 			}
 		}
 	})
-	*C = *out
-	C.conform()
+	maskAccumMatrix(C, mask, accum, t, descOf(desc).Replace, true, region.fn)
 	return nil
 }
 
-// colInList reports whether j appears in the (unsorted) column index list.
-func colInList(cols []int, j int) bool {
-	for _, c := range cols {
-		if c == j {
-			return true
+// matrixRegion is the rows × cols region of a matrix assign: membership per
+// row and per column, the columns ascending without repeats, and the
+// position predicate maskAccumMatrix takes — nil when the region is all of C.
+type matrixRegion struct {
+	inRow, inCol []int8
+	cols         []int
+	fn           func(i, j int) bool
+}
+
+// checkRegion validates the index lists and the mask of an assign into an
+// nr×nc matrix and marks the region.
+func checkRegion(nr, nc int, mask Mask, rows, cols []int, op string) (matrixRegion, error) {
+	if err := cmp.Or(checkIndices(op, "row", rows, nr), checkIndices(op, "col", cols, nc), mask.check(nr, nc, op)); err != nil {
+		return matrixRegion{}, err
+	}
+	mark := func(list []int, n int) []int8 {
+		in := make([]int8, n)
+		for _, i := range list {
+			in[i] = 1
+		}
+		if isAll(list) {
+			for i := range in {
+				in[i] = 1
+			}
+		}
+		return in
+	}
+	reg := matrixRegion{inRow: mark(rows, nr), inCol: mark(cols, nc)}
+	for j, in := range reg.inCol {
+		if in != 0 {
+			reg.cols = append(reg.cols, j)
 		}
 	}
-	return false
+	if !isAll(rows) || !isAll(cols) {
+		reg.fn = func(i, j int) bool { return reg.inRow[i] != 0 && reg.inCol[j] != 0 }
+	}
+	return reg, nil
+}
+
+// checkIndices reports the first index of list outside [0, n).
+func checkIndices(op, what string, list []int, n int) error {
+	for _, i := range list {
+		if i < 0 || i >= n {
+			return errf(IndexOutOfBounds, "%s: %s %d outside %d", op, what, i, n)
+		}
+	}
+	return nil
 }

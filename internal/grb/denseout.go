@@ -88,65 +88,57 @@ func (d *denseDst[T]) put(i int, x T) {
 		d.val[i] = x
 		return
 	}
-	d.merge(i, x)
+	d.visit(i, x, true, true)
 }
 
-func (d *denseDst[T]) merge(i int, x T) {
-	switch {
-	case d.t != nil:
-		if d.allow.ok(i) {
+// none records that the result holds no entry at position i.
+func (d *denseDst[T]) none(i int) {
+	var zero T
+	d.visit(i, zero, false, true)
+}
+
+// keep records that position i lies outside the region of an assign.
+func (d *denseDst[T]) keep(i int) {
+	var zero T
+	d.visit(i, zero, false, false)
+}
+
+// visit settles position i, where the result holds x (tok) or nothing: in
+// place what settle decides is done to w; a temporary collects the allowed
+// entries for commit to merge.
+func (d *denseDst[T]) visit(i int, x T, tok, inRegion bool) {
+	if d.t != nil {
+		if tok && d.allow.ok(i) {
 			d.t.idx, d.t.val = append(d.t.idx, i), append(d.t.val, x)
 		}
-	case !d.allow.ok(i):
-		d.outside(i)
-	case d.b == nil || d.b[i] != 0:
-		if d.accum != nil {
-			x = d.accum(d.val[i], x)
-		}
+		return
+	}
+	cok := d.b == nil || d.b[i] != 0
+	switch settle(d.allow.ok(i), d.replace, inRegion, d.accum != nil, cok, tok) {
+	case combined:
+		d.val[i] = d.accum(d.val[i], x)
+	case taken:
 		d.val[i] = x
-	default:
-		d.b[i], d.val[i] = 1, x
-		d.nvals++
+		if !cok {
+			d.b[i] = 1
+			d.nvals++
+		}
+	case gone:
+		if cok {
+			d.remove(i)
+		}
 	}
 }
 
-// none records that the result holds no entry at position i: without an
-// accumulator an allowed w(i) is deleted.
-func (d *denseDst[T]) none(i int) {
-	switch {
-	case d.t != nil:
-	case !d.allow.ok(i):
-		d.outside(i)
-	case d.accum == nil:
-		d.remove(i)
-	}
-}
-
-// keep leaves w(i) as it is where the mask allows it: a position outside
-// the region of an assign.
-func (d *denseDst[T]) keep(i int) {
-	if !d.allow.ok(i) {
-		d.outside(i)
-	}
-}
-
-// outside handles a position the mask does not allow.
-func (d *denseDst[T]) outside(i int) {
-	if d.replace {
-		d.remove(i)
-	}
-}
-
+// remove deletes the entry w holds at position i; a full w turns bitmap.
 func (d *denseDst[T]) remove(i int) {
 	if d.b == nil {
 		d.w.fullToBitmap()
 		d.b, d.nvals, d.plain = d.w.b, d.w.n, false
 	}
-	if d.b[i] != 0 {
-		var zero T
-		d.b[i], d.val[i] = 0, zero
-		d.nvals--
-	}
+	var zero T
+	d.b[i], d.val[i] = 0, zero
+	d.nvals--
 }
 
 // commit finishes the call: in place, the entry count is stored and the
@@ -163,20 +155,6 @@ func (d *denseDst[T]) commit() {
 		d.w.nvalsB = d.nvals
 		d.w.conform()
 	}
-}
-
-// fold is w(i) ⊙= x on a bitmap/full w: accum(w(i), x) where w holds an
-// entry and an accumulator is given, x otherwise.
-func (w *Vector[T]) fold(i int, x T, accum func(T, T) T) {
-	if w.b == nil || w.b[i] != 0 {
-		if accum != nil {
-			x = accum(w.val[i], x)
-		}
-	} else {
-		w.b[i] = 1
-		w.nvalsB++
-	}
-	w.val[i] = x
 }
 
 // vecCursor reads a finished vector of any format at ascending positions.

@@ -9,18 +9,8 @@ func EWiseAdd[TA, TB, TC Value](C *Matrix[TC], mask Mask, accum func(TC, TC) TC,
 	op addOpPair[TA, TB, TC], A *Matrix[TA], B *Matrix[TB], desc *Descriptor) error {
 
 	d := descOf(desc)
-	if d.TranA {
-		A2 := transposeWork(waited(A))
-		d2 := d
-		d2.TranA = false
-		return EWiseAdd(C, mask, accum, op, A2, B, &d2)
-	}
-	if d.TranB {
-		B2 := transposeWork(waited(B))
-		d2 := d
-		d2.TranB = false
-		return EWiseAdd(C, mask, accum, op, A, B2, &d2)
-	}
+	A = oriented(A, d.TranA)
+	B = oriented(B, d.TranB)
 	ar, ac := A.Dims()
 	br, bc := B.Dims()
 	if ar != br || ac != bc {
@@ -35,11 +25,15 @@ func EWiseAdd[TA, TB, TC Value](C *Matrix[TC], mask Mask, accum func(TC, TC) TC,
 	}
 	A.Wait()
 	B.Wait()
-	if unionInPlace(C, mask, accum, op, A, B) {
+	// C = C op∪ B with a sparse B (so B is not C) into a bitmap/full C, no
+	// mask, no accumulator: C op= B, folded in at B's entries.
+	if f, ok := any(op.f).(func(TC, TC) TC); ok && f != nil && any(A) == any(C) && !mask.Exists() &&
+		accum == nil && C.format != FormatSparse && B.format == FormatSparse {
+		maskAccumMatrix(C, NoMask, f, any(B).(*Matrix[TC]), false, false, nil)
 		return nil
 	}
 	t := ewiseMatrix(op.both, op.left, op.right, A, B, mask)
-	maskAccumMatrix(C, mask, accum, t, d.Replace, true)
+	maskAccumMatrix(C, mask, accum, t, d.Replace, true, nil)
 	return nil
 }
 
@@ -48,18 +42,8 @@ func EWiseMult[TA, TB, TC Value](C *Matrix[TC], mask Mask, accum func(TC, TC) TC
 	op BinaryOp[TA, TB, TC], A *Matrix[TA], B *Matrix[TB], desc *Descriptor) error {
 
 	d := descOf(desc)
-	if d.TranA {
-		A2 := transposeWork(waited(A))
-		d2 := d
-		d2.TranA = false
-		return EWiseMult(C, mask, accum, op, A2, B, &d2)
-	}
-	if d.TranB {
-		B2 := transposeWork(waited(B))
-		d2 := d
-		d2.TranB = false
-		return EWiseMult(C, mask, accum, op, A, B2, &d2)
-	}
+	A = oriented(A, d.TranA)
+	B = oriented(B, d.TranB)
 	ar, ac := A.Dims()
 	br, bc := B.Dims()
 	if ar != br || ac != bc {
@@ -75,7 +59,7 @@ func EWiseMult[TA, TB, TC Value](C *Matrix[TC], mask Mask, accum func(TC, TC) TC
 	A.Wait()
 	B.Wait()
 	t := ewiseMatrix(bothOf(op), nil, nil, A, B, mask)
-	maskAccumMatrix(C, mask, accum, t, d.Replace, true)
+	maskAccumMatrix(C, mask, accum, t, d.Replace, true, nil)
 	return nil
 }
 
@@ -86,6 +70,7 @@ type addOpPair[TA, TB, TC Value] struct {
 	both  func(i, j int, ax TA, bx TB) TC
 	left  func(i, j int, ax TA) TC
 	right func(i, j int, bx TB) TC
+	f     func(TA, TB) TC // both without the position; nil for a positional operator
 }
 
 // AddOp adapts a same-typed binary operator for use with EWiseAdd.
@@ -94,6 +79,7 @@ func AddOp[T Value](op BinaryOp[T, T, T]) addOpPair[T, T, T] {
 		both:  bothOf(op),
 		left:  func(_, _ int, a T) T { return a },
 		right: func(_, _ int, b T) T { return b },
+		f:     op.F,
 	}
 }
 
@@ -103,36 +89,6 @@ func bothOf[TA, TB, TC Value](op BinaryOp[TA, TB, TC]) func(i, j int, ax TA, bx 
 		return func(i, j int, _ TA, _ TB) TC { return op.PosF(i, 0, j) }
 	}
 	return func(_, _ int, ax TA, bx TB) TC { return op.F(ax, bx) }
-}
-
-// unionInPlace is C = C op∪ B for a bitmap/full C and a sparse B, with no
-// mask and no accumulator: only B's entries can change C, so they are
-// folded in where they land. It reports false, having done nothing, when
-// the call is any other shape. A bitmap/full C is never a shared snapshot
-// and holds no pending tuples, and B, being sparse, is not C.
-func unionInPlace[TA, TB, TC Value](C *Matrix[TC], mask Mask, accum func(TC, TC) TC,
-	op addOpPair[TA, TB, TC], A *Matrix[TA], B *Matrix[TB]) bool {
-
-	if mask.Exists() || accum != nil || C.format == FormatSparse || B.format != FormatSparse {
-		return false
-	}
-	if a, ok := any(A).(*Matrix[TC]); !ok || a != C {
-		return false
-	}
-	for i := 0; i < B.nr; i++ {
-		base := i * C.nc
-		for q := B.ptr[i]; q < B.ptr[i+1]; q++ {
-			j := B.idx[q]
-			if p := base + j; C.denseHas(p) {
-				C.val[p] = op.both(i, j, A.val[p], B.val[q])
-			} else {
-				C.b[p], C.val[p] = 1, op.right(i, j, B.val[q])
-				C.nvalsB++
-			}
-		}
-	}
-	C.conform()
-	return true
 }
 
 // ewiseMatrix combines A and B row by row: an intersection when left and
@@ -178,26 +134,18 @@ func ewiseMatrix[TA, TB, TC Value](
 			}
 			switch {
 			case aS && bS:
-				for p < pe || q < qe {
+				av, bv := A.val[p:pe], B.val[q:qe]
+				unionWalk(A.idx[p:pe], B.idx[q:qe], func(j, pa, qb int) {
 					switch {
-					case p < pe && (q >= qe || A.idx[p] < B.idx[q]):
-						if j := A.idx[p]; union && scope.ok(mask, i, j) {
-							emit(j, left(i, j, A.val[p]))
-						}
-						p++
-					case q < qe && (p >= pe || B.idx[q] < A.idx[p]):
-						if j := B.idx[q]; union && scope.ok(mask, i, j) {
-							emit(j, right(i, j, B.val[q]))
-						}
-						q++
+					case (pa < 0 || qb < 0) && !union || !scope.ok(mask, i, j):
+					case qb < 0:
+						emit(j, left(i, j, av[pa]))
+					case pa < 0:
+						emit(j, right(i, j, bv[qb]))
 					default:
-						if j := A.idx[p]; scope.ok(mask, i, j) {
-							emit(j, both(i, j, A.val[p], B.val[q]))
-						}
-						p++
-						q++
+						emit(j, both(i, j, av[pa], bv[qb]))
 					}
-				}
+				})
 			case aS && !union:
 				for ; p < pe; p++ {
 					if j := A.idx[p]; B.denseHas(base+j) && scope.ok(mask, i, j) {
@@ -246,13 +194,6 @@ func ewiseMatrix[TA, TB, TC Value](
 			}
 		}
 	})
-}
-
-// waited returns m after finishing its pending work (helper for call
-// chains).
-func waited[T Value](m *Matrix[T]) *Matrix[T] {
-	m.Wait()
-	return m
 }
 
 // ---------------------------------------------------------------------------
@@ -352,27 +293,20 @@ func mergeSparseVectors[T Value](op BinaryOp[T, T, T], u, v *Vector[T], mask VMa
 	t := MustVector[T](u.Size())
 	both := bothOf(op)
 	allow := mask.allowFor(u.Size(), false)
-	emit := func(i int, x T) {
-		if allow.ok(i) {
-			t.idx = append(t.idx, i)
-			t.val = append(t.val, x)
+	unionWalk(u.idx, v.idx, func(i, p, q int) {
+		if !allow.ok(i) {
+			return
 		}
-	}
-	p, q := 0, 0
-	for p < len(u.idx) || q < len(v.idx) {
+		ux, uok := entryAt(u.val, p)
+		vx, vok := entryAt(v.val, q)
 		switch {
-		case p < len(u.idx) && (q >= len(v.idx) || u.idx[p] < v.idx[q]):
-			emit(u.idx[p], u.val[p])
-			p++
-		case q < len(v.idx) && (p >= len(u.idx) || v.idx[q] < u.idx[p]):
-			emit(v.idx[q], v.val[q])
-			q++
-		default:
-			emit(u.idx[p], both(u.idx[p], 0, u.val[p], v.val[q]))
-			p++
-			q++
+		case uok && vok:
+			ux = both(i, 0, ux, vx)
+		case vok:
+			ux = vx
 		}
-	}
+		t.idx, t.val = append(t.idx, i), append(t.val, ux)
+	})
 	t.conform()
 	return t
 }

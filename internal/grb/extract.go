@@ -1,5 +1,7 @@
 package grb
 
+import "cmp"
+
 // Extract operations (paper Table I): C⟨M⟩⊙= A(i,j), w⟨m⟩⊙= A(:,j) and
 // w⟨m⟩⊙= u(i). Index arrays may contain duplicates (gather semantics);
 // grb.All selects the whole range.
@@ -12,12 +14,7 @@ func ExtractSubmatrix[T Value](C *Matrix[T], mask Mask, accum func(T, T) T,
 	A *Matrix[T], rows, cols []int, desc *Descriptor) error {
 
 	d := descOf(desc)
-	if d.TranA {
-		A2 := transposeWork(waited(A))
-		d2 := d
-		d2.TranA = false
-		return ExtractSubmatrix(C, mask, accum, A2, rows, cols, &d2)
-	}
+	A = oriented(A, d.TranA)
 	ar, ac := A.Dims()
 	outR, outC := len(rows), len(cols)
 	if isAll(rows) {
@@ -30,15 +27,8 @@ func ExtractSubmatrix[T Value](C *Matrix[T], mask Mask, accum func(T, T) T,
 	if cr != outR || cc != outC {
 		return dimErr("ExtractSubmatrix", "C "+itoa(cr)+"x"+itoa(cc), itoa(outR)+"x"+itoa(outC))
 	}
-	for _, r := range rows {
-		if r < 0 || r >= ar {
-			return errf(IndexOutOfBounds, "ExtractSubmatrix: row index %d outside %d", r, ar)
-		}
-	}
-	for _, c := range cols {
-		if c < 0 || c >= ac {
-			return errf(IndexOutOfBounds, "ExtractSubmatrix: col index %d outside %d", c, ac)
-		}
+	if err := cmp.Or(checkIndices("ExtractSubmatrix", "row", rows, ar), checkIndices("ExtractSubmatrix", "col", cols, ac)); err != nil {
+		return err
 	}
 	if err := mask.check(cr, cc, "ExtractSubmatrix"); err != nil {
 		return err
@@ -82,7 +72,7 @@ func ExtractSubmatrix[T Value](C *Matrix[T], mask Mask, accum func(T, T) T,
 			})
 		}
 	})
-	maskAccumMatrix(C, mask, accum, t, d.Replace, true)
+	maskAccumMatrix(C, mask, accum, t, d.Replace, true, nil)
 	return nil
 }
 
@@ -92,12 +82,7 @@ func ExtractColumn[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 	A *Matrix[T], rows []int, j int, desc *Descriptor) error {
 
 	d := descOf(desc)
-	if d.TranA {
-		A2 := transposeWork(waited(A))
-		d2 := d
-		d2.TranA = false
-		return ExtractColumn(w, mask, accum, A2, rows, j, &d2)
-	}
+	A = oriented(A, d.TranA)
 	ar, ac := A.Dims()
 	if j < 0 || j >= ac {
 		return errf(InvalidIndex, "ExtractColumn: column %d outside %d", j, ac)
@@ -153,10 +138,8 @@ func ExtractSubvector[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 	if w.Size() != outN {
 		return dimErr("ExtractSubvector", "w length "+itoa(w.Size()), itoa(outN))
 	}
-	for _, i := range indices {
-		if i < 0 || i >= un {
-			return errf(IndexOutOfBounds, "ExtractSubvector: index %d outside %d", i, un)
-		}
+	if err := checkIndices("ExtractSubvector", "index", indices, un); err != nil {
+		return err
 	}
 	if err := mask.check(outN, "ExtractSubvector"); err != nil {
 		return err

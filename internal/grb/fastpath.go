@@ -29,8 +29,8 @@ func tryPullFast[TA, TB, TC Value](w *Vector[TC], mask VMask, accum func(TC, TC)
 		return false
 	}
 	var reduce func(dst *Vector[TC], acc func(TC, TC) TC)
-	switch s.Name {
-	case "plus.second": // PageRank's pull: w(i) = Σ_k u(k) over row i's entries
+	switch s.pull {
+	case pullPlusSecond: // PageRank's pull: w(i) = Σ_k u(k) over row i's entries
 		uf, ok := any(u).(*Vector[float64])
 		if _, same := any(w).(*Vector[float64]); !ok || !same {
 			return false
@@ -38,7 +38,7 @@ func tryPullFast[TA, TB, TC Value](w *Vector[TC], mask VMask, accum func(TC, TC)
 		reduce = func(dst *Vector[TC], acc func(TC, TC) TC) {
 			plusSecondPull(A, uf, any(dst).(*Vector[float64]), any(acc).(func(float64, float64) float64))
 		}
-	case "min.second": // FastSV's minimum-neighbour gather
+	case pullMinSecond: // FastSV's minimum-neighbour gather
 		ui, ok := any(u).(*Vector[int64])
 		if _, same := any(w).(*Vector[int64]); !ok || !same {
 			return false

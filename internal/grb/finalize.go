@@ -3,20 +3,98 @@ package grb
 import "lagraph/internal/parallel"
 
 // finalize implements the common tail of every GraphBLAS operation:
-// C⟨M⟩⊙= T (and the vector analogue), where T is the freshly computed
-// result. The semantics (C API §"mask and accumulator"):
-//
-//	position allowed by mask:
-//	    T and C present  -> accum==nil ? T : accum(C, T)
-//	    only T present   -> T
-//	    only C present   -> accum==nil ? deleted : C kept
-//	position not allowed:
-//	    replace          -> deleted
-//	    merge            -> C kept
+// C⟨M, r⟩ ⊙= T (and the vector analogue), where T is the freshly computed
+// result. The rule at one position is settle, written once; every merge in
+// the package — the sparse lists, the CSR rows, the dense output updated
+// where it lies (denseout.go), the assigns with their region — calls it.
 //
 // tMasked declares that T was already restricted to allowed positions by
-// the kernel, enabling the move fast paths; correctness does not depend on
+// the kernel, enabling the move fast path; correctness does not depend on
 // it because the general path re-checks the mask.
+
+// fate is what C⟨M, r⟩ ⊙= T leaves at one position of C.
+type fate int8
+
+const (
+	gone     fate = iota // no entry
+	kept                 // the entry C holds, as it is
+	taken                // T's entry
+	combined             // accum(C's entry, T's entry)
+)
+
+// settle is C⟨M, r⟩ ⊙= T at one position (C API §"mask and accumulator"),
+// given whether the mask allows the position, whether the call writes it at
+// all — an assign leaves what lies outside its region alone — and whether C
+// (cok) and T (tok) hold an entry there:
+//
+//	not allowed              replace ? gone : kept
+//	allowed, outside region  kept
+//	allowed, T and C         accumulator ? combined : taken
+//	allowed, only T          taken
+//	allowed, only C          accumulator ? kept : gone
+func settle(allowed, replace, inRegion, accumulator, cok, tok bool) fate {
+	keep := gone
+	if cok {
+		keep = kept
+	}
+	switch {
+	case !allowed && replace:
+		return gone
+	case !allowed, !inRegion:
+		return keep
+	case tok && cok && accumulator:
+		return combined
+	case tok:
+		return taken
+	case accumulator:
+		return keep
+	}
+	return gone
+}
+
+// unionWalk visits the union of two ascending index lists in order:
+// visit(i, p, q) with p and q the places of i in a and b, -1 where a list
+// does not hold it.
+func unionWalk(a, b []int, visit func(i, p, q int)) {
+	p, q := 0, 0
+	for p < len(a) || q < len(b) {
+		switch {
+		case p < len(a) && (q >= len(b) || a[p] < b[q]):
+			visit(a[p], p, -1)
+			p++
+		case q < len(b) && (p >= len(a) || b[q] < a[p]):
+			visit(b[q], -1, q)
+			q++
+		default:
+			visit(a[p], p, q)
+			p++
+			q++
+		}
+	}
+}
+
+// entryAt reads one side of a unionWalk visit: vals[p], or no entry.
+func entryAt[T any](vals []T, p int) (x T, ok bool) {
+	if p < 0 {
+		return x, false
+	}
+	return vals[p], true
+}
+
+// foldAt is C(p) ⊙= x where C is bitmap or full, on the (val, b, nvals)
+// triple a matrix and a vector share: accum(C(p), x) where C holds an entry
+// and an accumulator is given, x otherwise.
+func foldAt[T Value](val []T, b []int8, nvals *int, p int, x T, accum func(T, T) T) {
+	if b == nil || b[p] != 0 {
+		if accum != nil {
+			x = accum(val[p], x)
+		}
+	} else {
+		b[p] = 1
+		*nvals++
+	}
+	val[p] = x
+}
 
 func maskAccumVector[T Value](w *Vector[T], mk VMask, accum func(T, T) T, t *Vector[T], replace, tMasked bool) {
 	// No accumulator and nothing of w survives outside t (no mask, or a
@@ -40,49 +118,20 @@ func maskAccumVector[T Value](w *Vector[T], mk VMask, accum func(T, T) T, t *Vec
 		mergeByPosition(w, mk, accum, t, replace)
 		return
 	}
-	// Sparse two-pointer merge, the mask probed per entry.
+	// The sorted merge of two lists, the mask probed per entry.
 	allow := mk.allowFor(w.n, false)
-	widx, wval := w.idx, w.val
-	tidx, tval := t.idx, t.val
-	outI := make([]int, 0, len(widx)+len(tidx))
-	outV := make([]T, 0, len(widx)+len(tidx))
-	p, q := 0, 0
-	emit := func(i int, x T) { outI = append(outI, i); outV = append(outV, x) }
-	for p < len(widx) || q < len(tidx) {
-		var i int
-		wok, tok := false, false
-		switch {
-		case p < len(widx) && (q >= len(tidx) || widx[p] < tidx[q]):
-			i, wok = widx[p], true
-		case q < len(tidx) && (p >= len(widx) || tidx[q] < widx[p]):
-			i, tok = tidx[q], true
-		default:
-			i, wok, tok = widx[p], true, true
+	outI := make([]int, 0, len(w.idx)+len(t.idx))
+	outV := make([]T, 0, len(w.idx)+len(t.idx))
+	unionWalk(w.idx, t.idx, func(i, p, q int) {
+		switch settle(allow.ok(i), replace, true, accum != nil, p >= 0, q >= 0) {
+		case kept:
+			outI, outV = append(outI, i), append(outV, w.val[p])
+		case taken:
+			outI, outV = append(outI, i), append(outV, t.val[q])
+		case combined:
+			outI, outV = append(outI, i), append(outV, accum(w.val[p], t.val[q]))
 		}
-		al := allow.ok(i)
-		switch {
-		case al && wok && tok:
-			if accum != nil {
-				emit(i, accum(wval[p], tval[q]))
-			} else {
-				emit(i, tval[q])
-			}
-		case al && tok:
-			emit(i, tval[q])
-		case al && wok:
-			if accum != nil {
-				emit(i, wval[p])
-			}
-		case !al && wok && !replace:
-			emit(i, wval[p])
-		}
-		if wok {
-			p++
-		}
-		if tok {
-			q++
-		}
-	}
+	})
 	w.idx, w.val = outI, outV
 	w.conform()
 }
@@ -102,44 +151,25 @@ func mergeByPosition[T Value](w *Vector[T], mk VMask, accum func(T, T) T, t *Vec
 	dst.commit()
 }
 
-func maskAccumMatrix[T Value](C *Matrix[T], mk Mask, accum func(T, T) T, t *Matrix[T], replace, tMasked bool) {
-	// Fast path 1: no mask, no accumulator — C becomes t.
-	if !mk.Exists() && accum == nil {
+// maskAccumMatrix is C⟨M, r⟩ ⊙= t. region, when non-nil, is the set of
+// positions an assign writes; every other call writes all of C.
+func maskAccumMatrix[T Value](C *Matrix[T], mk Mask, accum func(T, T) T, t *Matrix[T],
+	replace, tMasked bool, region func(i, j int) bool) {
+
+	// No accumulator and nothing of C survives outside t: C becomes t.
+	if accum == nil && region == nil && (!mk.Exists() || replace && tMasked) {
 		*C = *t
 		C.conform()
 		return
 	}
-	// Fast path 2: masked replace, no accumulator, pre-masked t.
-	if mk.Exists() && replace && accum == nil && tMasked {
-		*C = *t
-		C.conform()
-		return
-	}
-	// Fast path 3: dense += dense with no mask.
-	if !mk.Exists() && accum != nil && C.format == FormatFull && t.format == FormatFull {
-		parallel.For(len(C.val), func(lo, hi int) {
-			for p := lo; p < hi; p++ {
-				C.val[p] = accum(C.val[p], t.val[p])
-			}
-		})
-		return
-	}
-	// Fast path 4: unmasked accumulate into a bitmap/full C (which is never
-	// a shared snapshot and holds no pending tuples): fold t's entries in
-	// where they land instead of rebuilding C around them.
+	// An unmasked accumulate into a bitmap/full C (which is never a shared
+	// snapshot and holds no pending tuples) changes C only at t's entries:
+	// they are folded in where they land.
 	if !mk.Exists() && accum != nil && C.format != FormatSparse {
 		t.Wait()
 		for i := 0; i < t.nr; i++ {
 			base := i * C.nc
-			aRowIter(t, i, func(j int, x T) {
-				p := base + j
-				if C.format == FormatFull || C.b[p] != 0 {
-					C.val[p] = accum(C.val[p], x)
-				} else {
-					C.b[p], C.val[p] = 1, x
-					C.nvalsB++
-				}
-			})
+			aRowIter(t, i, func(j int, x T) { foldAt(C.val, C.b, &C.nvalsB, base+j, x, accum) })
 		}
 		C.conform()
 		return
@@ -147,56 +177,25 @@ func maskAccumMatrix[T Value](C *Matrix[T], mk Mask, accum func(T, T) T, t *Matr
 	// General path: row-parallel merge in sparse form.
 	C.Wait()
 	t.Wait()
-	if C.format != FormatSparse {
-		C.ConvertTo(FormatSparse)
-	}
-	if t.format != FormatSparse {
-		t.ConvertTo(FormatSparse)
-	}
+	C.ConvertTo(FormatSparse)
+	t.ConvertTo(FormatSparse)
 	nr, nc := C.nr, C.nc
-	cPtr, cIdx, cVal := C.ptr, C.idx, C.val
-	tPtr, tIdx, tVal := t.ptr, t.idx, t.val
 	denseMaskSrc := !mk.Exists() || mk.src.maskIsDense()
 	out := buildCSRParallelScoped(nr, nc, func(scope *rowAllowScope) func(i int, emit func(j int, x T)) {
 		return func(i int, emit func(j int, x T)) {
 			scope.load(mk, i, nc, denseMaskSrc)
-			p, pe := cPtr[i], cPtr[i+1]
-			q, qe := tPtr[i], tPtr[i+1]
-			for p < pe || q < qe {
-				var j int
-				wok, tok := false, false
-				switch {
-				case p < pe && (q >= qe || cIdx[p] < tIdx[q]):
-					j, wok = cIdx[p], true
-				case q < qe && (p >= pe || tIdx[q] < cIdx[p]):
-					j, tok = tIdx[q], true
-				default:
-					j, wok, tok = cIdx[p], true, true
-				}
-				al := scope.ok(mk, i, j)
-				switch {
-				case al && wok && tok:
-					if accum != nil {
-						emit(j, accum(cVal[p], tVal[q]))
-					} else {
-						emit(j, tVal[q])
-					}
-				case al && tok:
-					emit(j, tVal[q])
-				case al && wok:
-					if accum != nil {
-						emit(j, cVal[p])
-					}
-				case !al && wok && !replace:
+			cIdx, cVal := C.idx[C.ptr[i]:C.ptr[i+1]], C.val[C.ptr[i]:C.ptr[i+1]]
+			tIdx, tVal := t.idx[t.ptr[i]:t.ptr[i+1]], t.val[t.ptr[i]:t.ptr[i+1]]
+			unionWalk(cIdx, tIdx, func(j, p, q int) {
+				switch settle(scope.ok(mk, i, j), replace, region == nil || region(i, j), accum != nil, p >= 0, q >= 0) {
+				case kept:
 					emit(j, cVal[p])
+				case taken:
+					emit(j, tVal[q])
+				case combined:
+					emit(j, accum(cVal[p], tVal[q]))
 				}
-				if wok {
-					p++
-				}
-				if tok {
-					q++
-				}
-			}
+			})
 		}
 	})
 	*C = *out

@@ -295,7 +295,7 @@ func TestEWiseAcrossFormats(t *testing.T) {
 									exists = nil
 								}
 								matricesEqual(t, want, modelMaskAccum(denseOf(C0), tOf[name], mSet, exists,
-									mvar.comp, mvar.structural, replace, withAccum), name+" reference vs model "+label)
+									mvar.comp, mvar.structural, replace, withAccum, nil), name+" reference vs model "+label)
 							}
 
 							vectorOps := map[string]func(w, u, v *Vector[float64]) error{
@@ -341,7 +341,7 @@ func TestEWiseAcrossFormats(t *testing.T) {
 									exists = nil
 								}
 								matricesEqual(t, colMatrix(t, want), modelMaskAccum(asCoords(vdenseOf(w0)), tOf[name], mvSet, exists,
-									mvar.comp, mvar.structural, replace, withAccum), name+" reference vs model "+label)
+									mvar.comp, mvar.structural, replace, withAccum, nil), name+" reference vs model "+label)
 							}
 						}
 					}

@@ -85,18 +85,8 @@ func Kronecker[TA, TB, TC Value](C *Matrix[TC], mask Mask, accum func(TC, TC) TC
 	op BinaryOp[TA, TB, TC], A *Matrix[TA], B *Matrix[TB], desc *Descriptor) error {
 
 	d := descOf(desc)
-	if d.TranA {
-		A2 := transposeWork(waited(A))
-		d2 := d
-		d2.TranA = false
-		return Kronecker(C, mask, accum, op, A2, B, &d2)
-	}
-	if d.TranB {
-		B2 := transposeWork(waited(B))
-		d2 := d
-		d2.TranB = false
-		return Kronecker(C, mask, accum, op, A, B2, &d2)
-	}
+	A = oriented(A, d.TranA)
+	B = oriented(B, d.TranB)
 	ar, ac := A.Dims()
 	br, bc := B.Dims()
 	cr, cc := C.Dims()
@@ -126,7 +116,7 @@ func Kronecker[TA, TB, TC Value](C *Matrix[TC], mask Mask, accum func(TC, TC) TC
 			})
 		}
 	})
-	maskAccumMatrix(C, mask, accum, t, d.Replace, true)
+	maskAccumMatrix(C, mask, accum, t, d.Replace, true, nil)
 	return nil
 }
 

@@ -245,6 +245,13 @@ func TestFastPathMatchesGenericPull(t *testing.T) {
 		pullFastAgrees(t, rng, A, MinSecond[float64, int64](), minI, randI)
 		pullFastAgrees(t, rng, AI, MinSecond[int64, int64](), minI, randI)
 		pullFastAgrees(t, rng, AB, MinSecond[bool, int64](), minI, randI)
+		// The loops are chosen by the constructor, not by the exported
+		// Name: a semiring the caller assembles under a built-in's name
+		// runs the generic kernel.
+		pullFastAgrees(t, rng, A, Semiring[float64, float64, float64]{
+			Name: "plus.second", Add: MaxMonoid[float64](), Mul: TimesOp[float64]()}, plus, randF)
+		pullFastAgrees(t, rng, AI, Semiring[int64, int64, int64]{
+			Name: "min.second", Add: PlusMonoid[int64](), Mul: TimesOp[int64]()}, minI, randI)
 	}
 }
 

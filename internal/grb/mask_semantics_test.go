@@ -12,10 +12,13 @@ import (
 // semantics).
 
 // modelMaskAccum computes the expected result of C⟨M⟩⊙=T per the spec.
+// region, when non-nil, is the set of positions an assign writes: an allowed
+// position outside it keeps what C holds.
 func modelMaskAccum(
 	c, t map[coord]float64,
 	m map[coord]float64, mExists func(coord) bool,
 	comp, structural, replace bool, accum bool,
+	region map[coord]bool,
 ) map[coord]float64 {
 	allowed := func(p coord) bool {
 		if mExists == nil {
@@ -47,6 +50,10 @@ func modelMaskAccum(
 		tv, tok := t[p]
 		if allowed(p) {
 			switch {
+			case region != nil && !region[p]:
+				if cok {
+					out[p] = cv
+				}
 			case tok && cok:
 				if accum {
 					out[p] = cv + tv
@@ -84,6 +91,76 @@ func unionAndIntersection(a, b map[coord]float64) (add, mult map[coord]float64) 
 	return add, mult
 }
 
+// assignRegion is one (rows, cols) region of an n×n assign with its position
+// set: nr×nc is the shape of the source an AssignMatrix takes for it.
+type assignRegion struct {
+	name             string
+	rows, cols       []int
+	nr, nc           int
+	dupRows, dupCols bool
+	set              map[coord]bool
+}
+
+// at maps source position (r, c) to the output position it lands on.
+func (reg assignRegion) at(r, c int) coord {
+	p := coord{r, c}
+	if reg.rows != nil {
+		p.i = reg.rows[r]
+	}
+	if reg.cols != nil {
+		p.j = reg.cols[c]
+	}
+	return p
+}
+
+// scalarT is the T of a scalar assign: s at every position of the region.
+func (reg assignRegion) scalarT(s float64) map[coord]float64 {
+	out := map[coord]float64{}
+	for p := range reg.set {
+		out[p] = s
+	}
+	return out
+}
+
+// matrixT is the T of C(rows, cols) += src: entries that land on one
+// position through a duplicated column are summed.
+func (reg assignRegion) matrixT(src *Matrix[float64]) map[coord]float64 {
+	out := map[coord]float64{}
+	for p, x := range denseOf(src) {
+		out[reg.at(p.i, p.j)] += x
+	}
+	return out
+}
+
+// assignRegions draws a sub-region in list order, the whole matrix, and two
+// regions with a repeated column and a repeated row index.
+func assignRegions(rng *rand.Rand, n int) []assignRegion {
+	sub := func() []int { return rng.Perm(n)[:1+rng.Intn(n-1)] }
+	dup := func() []int { l := sub(); return append(l, l[rng.Intn(len(l))]) }
+	regions := []assignRegion{
+		{name: "sub", rows: sub(), cols: sub()},
+		{name: "all"},
+		{name: "dup cols", rows: sub(), cols: dup(), dupCols: true},
+		{name: "dup rows", rows: dup(), dupRows: true},
+	}
+	for k := range regions {
+		reg := &regions[k]
+		reg.nr, reg.nc, reg.set = len(reg.rows), len(reg.cols), map[coord]bool{}
+		if reg.rows == nil {
+			reg.nr = n
+		}
+		if reg.cols == nil {
+			reg.nc = n
+		}
+		for r := 0; r < reg.nr; r++ {
+			for c := 0; c < reg.nc; c++ {
+				reg.set[reg.at(r, c)] = true
+			}
+		}
+	}
+	return regions
+}
+
 func TestMaskSemanticsMatrixAllVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(201))
 	plus := func(a, b float64) float64 { return a + b }
@@ -117,6 +194,8 @@ func TestMaskSemanticsMatrixAllVariants(t *testing.T) {
 		// operands and output rotate through the storage formats.
 		Af, Bf := inFormat(A, allFormats[trial%3]), inFormat(B, allFormats[trial/3%3])
 		addMap, multMap := unionAndIntersection(denseOf(A), denseOf(B))
+		regions := assignRegions(rng, n)
+		cDense := inFormat(randMatrix(rng, n, n, 1), FormatFull)
 
 		for _, comp := range []bool{false, true} {
 			for _, structural := range []bool{false, true} {
@@ -142,7 +221,7 @@ func TestMaskSemanticsMatrixAllVariants(t *testing.T) {
 							t.Fatal(err)
 						}
 						want := modelMaskAccum(cMap, tMap, mSet, mExists,
-							comp, structural, replace, withAccum)
+							comp, structural, replace, withAccum, nil)
 						label := "mxm"
 						if comp {
 							label += " comp"
@@ -163,13 +242,39 @@ func TestMaskSemanticsMatrixAllVariants(t *testing.T) {
 							t.Fatal(err)
 						}
 						matricesEqual(t, C, modelMaskAccum(cMap, addMap, mSet, mExists,
-							comp, structural, replace, withAccum), "eWiseAdd"+label[3:])
+							comp, structural, replace, withAccum, nil), "eWiseAdd"+label[3:])
 						C = inFormat(cInit, allFormats[(trial+1)%3])
 						if err := EWiseMult(C, mask, acc, TimesOp[float64](), Af, Bf, desc); err != nil {
 							t.Fatal(err)
 						}
 						matricesEqual(t, C, modelMaskAccum(cMap, multMap, mSet, mExists,
-							comp, structural, replace, withAccum), "eWiseMult"+label[3:])
+							comp, structural, replace, withAccum, nil), "eWiseMult"+label[3:])
+
+						// Assign is the same tail with a region: C rotates
+						// through sparse, bitmap and full, one format a region.
+						for k, reg := range regions {
+							c0 := cDense
+							if f := allFormats[(trial+k)%3]; f != FormatFull {
+								c0 = inFormat(cInit, f)
+							}
+							c0Map := denseOf(c0)
+							C = c0.Dup()
+							if err := AssignMatrixScalar(C, mask, acc, 3, reg.rows, reg.cols, desc); err != nil {
+								t.Fatal(err)
+							}
+							matricesEqual(t, C, modelMaskAccum(c0Map, reg.scalarT(3), mSet, mExists,
+								comp, structural, replace, withAccum, reg.set), "assign scalar "+reg.name+label[3:])
+							if reg.dupRows || reg.dupCols && !withAccum {
+								continue // AssignMatrix combines duplicates only through an accumulator
+							}
+							src := randMatrix(rng, reg.nr, reg.nc, 0.5)
+							C = c0.Dup()
+							if err := AssignMatrix(C, mask, acc, src, reg.rows, reg.cols, desc); err != nil {
+								t.Fatal(err)
+							}
+							matricesEqual(t, C, modelMaskAccum(c0Map, reg.matrixT(src), mSet, mExists,
+								comp, structural, replace, withAccum, reg.set), "assign matrix "+reg.name+label[3:])
+						}
 					}
 				}
 			}
@@ -238,7 +343,7 @@ func TestMaskSemanticsVectorAllVariants(t *testing.T) {
 							t.Fatal(err)
 						}
 						wantC := modelMaskAccum(asCoord(wMap), asCoord(tMap),
-							mCoord, mExists, comp, structural, replace, withAccum)
+							mCoord, mExists, comp, structural, replace, withAccum, nil)
 						want := map[int]float64{}
 						for p, x := range wantC {
 							want[p.i] = x
@@ -283,7 +388,7 @@ func TestMaskSemanticsVectorAllVariants(t *testing.T) {
 								t.Fatal(err)
 							}
 							want := map[int]float64{}
-							for p, x := range modelMaskAccum(asCoord(wMap), c.t, mCoord, mExists, comp, structural, replace, withAccum) {
+							for p, x := range modelMaskAccum(asCoord(wMap), c.t, mCoord, mExists, comp, structural, replace, withAccum, nil) {
 								want[p.i] = x
 							}
 							vectorsEqual(t, w, want, name+label[3:])

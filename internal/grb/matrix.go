@@ -624,10 +624,8 @@ func MatrixFromTuples[T Value](nr, nc int, rows, cols []int, vals []T, dup func(
 	if err != nil {
 		return nil, err
 	}
-	for k := range rows {
-		if rows[k] < 0 || rows[k] >= nr || cols[k] < 0 || cols[k] >= nc {
-			return nil, errf(IndexOutOfBounds, "MatrixFromTuples: tuple %d at (%d,%d) outside %dx%d", k, rows[k], cols[k], nr, nc)
-		}
+	if err := cmp.Or(checkIndices("MatrixFromTuples", "row", rows, nr), checkIndices("MatrixFromTuples", "col", cols, nc)); err != nil {
+		return nil, err
 	}
 	// Counting sort by row, then sort each row segment by column.
 	counts := make([]int, nr+1)

@@ -17,12 +17,7 @@ func MxM[TA, TB, TC Value](C *Matrix[TC], mask Mask, accum func(TC, TC) TC,
 	s Semiring[TA, TB, TC], A *Matrix[TA], B *Matrix[TB], desc *Descriptor) error {
 
 	d := descOf(desc)
-	if d.TranA {
-		AT := transposeWork(A)
-		d2 := d
-		d2.TranA = false
-		return MxM(C, mask, accum, s, AT, B, &d2)
-	}
+	A = oriented(A, d.TranA)
 	ar, ac := A.Dims()
 	br, bc := B.Dims()
 	if d.TranB {
@@ -46,7 +41,7 @@ func MxM[TA, TB, TC Value](C *Matrix[TC], mask Mask, accum func(TC, TC) TC,
 	} else {
 		t = saxpyKernel(s, A, B, mask)
 	}
-	maskAccumMatrix(C, mask, accum, t, d.Replace, true)
+	maskAccumMatrix(C, mask, accum, t, d.Replace, true, nil)
 	return nil
 }
 
@@ -55,59 +50,62 @@ func MxM[TA, TB, TC Value](C *Matrix[TC], mask Mask, accum func(TC, TC) TC,
 // sparse accumulator sized to B's column count.
 func saxpyKernel[TA, TB, TC Value](s Semiring[TA, TB, TC], A *Matrix[TA], B *Matrix[TB], mask Mask) *Matrix[TC] {
 	nr, nc := A.NRows(), B.NCols()
-	addF := s.Add.F
-	isAny := s.Add.IsAny
-	mul := s.Mul
 	denseMaskSrc := !mask.Exists() || mask.src.maskIsDense()
-	bSparse := B.format == FormatSparse
 	return buildCSRParallelScoped(nr, nc, func(scope *rowAllowScope) func(i int, emit func(j int, x TC)) {
 		acc := getSPA[TC](nc)
 		scope.atEnd = func() { putSPA(acc) }
+		var allowed func(j int) bool
+		if mask.Exists() {
+			allowed = func(j int) bool { return scope.ok(mask, scope.row, j) }
+		}
 		return func(i int, emit func(j int, x TC)) {
 			scope.load(mask, i, nc, denseMaskSrc)
-			acc.reset()
-			scatter := func(k int, ax TA) {
-				contribute := func(j int, bx TB) {
-					if !scope.ok(mask, i, j) {
-						return
-					}
-					if acc.has(j) {
-						if isAny {
-							return
-						}
-						var x TC
-						if mul.PosF != nil {
-							x = mul.PosF(i, k, j)
-						} else {
-							x = mul.F(ax, bx)
-						}
-						acc.val[j] = addF(acc.val[j], x)
-						return
-					}
-					var x TC
-					if mul.PosF != nil {
-						x = mul.PosF(i, k, j)
-					} else {
-						x = mul.F(ax, bx)
-					}
-					acc.put(j, x)
-				}
-				if bSparse {
-					for q := B.ptr[k]; q < B.ptr[k+1]; q++ {
-						contribute(B.idx[q], B.val[q])
-					}
-				} else {
-					base := k * B.nc
-					for j := 0; j < B.nc; j++ {
-						if B.format == FormatFull || B.b[base+j] != 0 {
-							contribute(j, B.val[base+j])
-						}
-					}
-				}
-			}
-			aRowIter(A, i, scatter)
+			saxpyRow(&s, A, i, B, allowed, acc)
 			for _, j := range acc.touched {
 				emit(j, acc.val[j])
+			}
+		}
+	})
+}
+
+// saxpyRow leaves ⊕_k A(i,k)·B(k,:) in acc, at the columns allowed lets
+// through (nil: all). It is the product's one scatter: a row of MxM, and the
+// whole of a push VxM, whose frontier is row 0 of a one-row A.
+func saxpyRow[TA, TB, TC Value](s *Semiring[TA, TB, TC], A *Matrix[TA], i int, B *Matrix[TB],
+	allowed func(j int) bool, acc *spa[TC]) {
+
+	acc.reset()
+	addF, isAny, mul := s.Add.F, s.Add.IsAny, s.Mul
+	aRowIter(A, i, func(k int, ax TA) {
+		contribute := func(j int, bx TB) {
+			if allowed != nil && !allowed(j) {
+				return
+			}
+			seen := acc.has(j)
+			if seen && isAny {
+				return
+			}
+			var x TC
+			if mul.PosF != nil {
+				x = mul.PosF(i, k, j)
+			} else {
+				x = mul.F(ax, bx)
+			}
+			if seen {
+				acc.val[j] = addF(acc.val[j], x)
+			} else {
+				acc.put(j, x)
+			}
+		}
+		if B.format == FormatSparse {
+			for q := B.ptr[k]; q < B.ptr[k+1]; q++ {
+				contribute(B.idx[q], B.val[q])
+			}
+		} else {
+			for j, base := 0, k*B.nc; j < B.nc; j++ {
+				if B.denseHas(base + j) {
+					contribute(j, B.val[base+j])
+				}
 			}
 		}
 	})
@@ -125,7 +123,7 @@ func dotKernel[TA, TB, TC Value](s Semiring[TA, TB, TC], A *Matrix[TA], B *Matri
 		return func(i int, emit func(j int, x TC)) {
 			if enumerable {
 				mask.rowIterAllowed(i, func(j int) {
-					if x, ok := dotRow(s, A, B, i, j); ok {
+					if x, ok := dotRow(&s, A, B, i, j); ok {
 						emit(j, x)
 					}
 				})
@@ -136,7 +134,7 @@ func dotKernel[TA, TB, TC Value](s Semiring[TA, TB, TC], A *Matrix[TA], B *Matri
 				if !scope.ok(mask, i, j) {
 					continue
 				}
-				if x, ok := dotRow(s, A, B, i, j); ok {
+				if x, ok := dotRow(&s, A, B, i, j); ok {
 					emit(j, x)
 				}
 			}
@@ -145,7 +143,7 @@ func dotKernel[TA, TB, TC Value](s Semiring[TA, TB, TC], A *Matrix[TA], B *Matri
 }
 
 // dotRow reduces the intersection of A(i,:) with B(j,:) on the semiring.
-func dotRow[TA, TB, TC Value](s Semiring[TA, TB, TC], A *Matrix[TA], B *Matrix[TB], i, j int) (TC, bool) {
+func dotRow[TA, TB, TC Value](s *Semiring[TA, TB, TC], A *Matrix[TA], B *Matrix[TB], i, j int) (TC, bool) {
 	var acc TC
 	got := false
 	mul := s.Mul

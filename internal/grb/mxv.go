@@ -77,60 +77,32 @@ func swapSemiring[TA, TB, TC Value](s Semiring[TA, TB, TC]) Semiring[TB, TA, TC]
 	return out
 }
 
-// pushKernel: t(j) = ⊕ over entries u(k) with A(k,j) present of u(k)⊗A(k,j).
-// The mask pre-restricts which t(j) are computed. Sequential scatter: the
-// push direction is used with small frontiers, where fork cost dominates.
+// asRow views a finished vector as the 1×n matrix that shares its arrays —
+// the form in which the product kernels take a vector operand. ptr is the
+// caller's row pointer, so that the view costs no allocation.
+func (v *Vector[T]) asRow(ptr *[2]int) Matrix[T] {
+	ptr[1] = len(v.idx)
+	return Matrix[T]{nr: 1, nc: v.n, format: v.format, ptr: ptr[:], idx: v.idx, val: v.val, b: v.b, nvalsB: v.nvalsB}
+}
+
+// pushKernel: t(j) = ⊕ over entries u(k) with A(k,j) present of u(k)⊗A(k,j),
+// the saxpy row of u as a one-row matrix. The mask pre-restricts which t(j)
+// are computed. Sequential scatter: the push direction is used with small
+// frontiers, where fork cost dominates.
 func pushKernel[TA, TB, TC Value](s Semiring[TA, TB, TC], u *Vector[TA], A *Matrix[TB], mask VMask) *Vector[TC] {
 	n := A.NCols()
-	t := MustVector[TC](n)
 	allow := mask.allowFor(n, u.format != FormatSparse)
 	defer allow.release()
+	var allowed func(j int) bool
+	if mask.Exists() {
+		allowed = allow.ok
+	}
 	acc := getSPA[TC](n)
 	defer putSPA(acc)
-	acc.reset()
-	addF := s.Add.F
-	isAny := s.Add.IsAny
-	mul := s.Mul
-	aIsSparse := A.format == FormatSparse
-	u.Iterate(func(k int, ux TA) {
-		emit := func(j int, ax TB) {
-			if !allow.ok(j) {
-				return
-			}
-			if acc.has(j) {
-				if isAny {
-					return
-				}
-				var x TC
-				if mul.PosF != nil {
-					x = mul.PosF(0, k, j)
-				} else {
-					x = mul.F(ux, ax)
-				}
-				acc.val[j] = addF(acc.val[j], x)
-				return
-			}
-			var x TC
-			if mul.PosF != nil {
-				x = mul.PosF(0, k, j)
-			} else {
-				x = mul.F(ux, ax)
-			}
-			acc.put(j, x)
-		}
-		if aIsSparse {
-			for p := A.ptr[k]; p < A.ptr[k+1]; p++ {
-				emit(A.idx[p], A.val[p])
-			}
-		} else {
-			base := k * A.nc
-			for j := 0; j < A.nc; j++ {
-				if A.format == FormatFull || A.b[base+j] != 0 {
-					emit(j, A.val[base+j])
-				}
-			}
-		}
-	})
+	var ptr [2]int
+	row := u.asRow(&ptr)
+	saxpyRow(&s, &row, 0, A, allowed, acc)
+	t := MustVector[TC](n)
 	t.idx = append([]int(nil), acc.touched...)
 	t.val = make([]TC, len(t.idx))
 	for p, j := range t.idx {
@@ -144,83 +116,38 @@ func pushKernel[TA, TB, TC Value](s Semiring[TA, TB, TC], u *Vector[TA], A *Matr
 }
 
 // pullKernel: t(i) = ⊕ over k in row i of A with u(k) present of
-// A(i,k)⊗u(k). Rows are independent, so the kernel is row-parallel; u is
-// viewed through a dense scatter. The any monoid exits a row at the first
-// hit — the linear-algebra form of GAP's early-exit bottom-up BFS step.
+// A(i,k)⊗u(k) — the dot of row i with u as a one-row matrix. Rows are
+// independent, so the kernel is row-parallel. The any monoid exits a row at
+// the first hit — the linear-algebra form of GAP's early-exit bottom-up BFS
+// step.
 func pullKernel[TA, TB, TC Value](s Semiring[TA, TB, TC], A *Matrix[TA], u *Vector[TB], mask VMask) *Vector[TC] {
 	n := A.NRows()
 	allow := mask.allowFor(n, true)
 	defer allow.release()
-	// Dense view of u; a sparse u is scattered into a pooled accumulator.
-	var uHasArr []int8
-	var uValArr []TB
-	var uSPA *spa[TB]
-	switch u.format {
-	case FormatFull:
-		uValArr = u.val
-	case FormatBitmap:
-		uHasArr = u.b
-		uValArr = u.val
-	default:
-		uSPA = getSPA[TB](A.NCols())
-		defer putSPA(uSPA)
-		uSPA.reset()
+	var ptr [2]int
+	row := u.asRow(&ptr)
+	if u.format == FormatSparse {
+		// Pull visits every row anyway: a sparse u is read through a bitmap
+		// view scattered into pooled arrays.
+		vals, has := getSPA[TB](u.n), getSlab(u.n)
+		defer func() {
+			for _, k := range u.idx {
+				(*has)[k] = 0
+			}
+			putSlab(has)
+			putSPA(vals)
+		}()
 		for p, k := range u.idx {
-			uSPA.put(k, u.val[p])
+			(*has)[k], vals.val[k] = 1, u.val[p]
 		}
-		uValArr = uSPA.val
+		row = Matrix[TB]{nr: 1, nc: u.n, format: FormatBitmap, val: vals.val, b: *has}
 	}
-	addF := s.Add.F
-	isAny := s.Add.IsAny
-	terminal := s.Add.Terminal
-	mul := s.Mul
-	aSparse := A.format == FormatSparse
 	return buildVectorByIndex(n, func(i int) (TC, bool) {
-		var acc TC
 		if !allow.ok(i) {
-			return acc, false
+			var zero TC
+			return zero, false
 		}
-		got := false
-		combine := func(k int, ax TA) bool {
-			if uHasArr != nil && uHasArr[k] == 0 || uSPA != nil && !uSPA.has(k) {
-				return true
-			}
-			var x TC
-			if mul.PosF != nil {
-				x = mul.PosF(i, k, 0)
-			} else {
-				x = mul.F(ax, uValArr[k])
-			}
-			if !got {
-				acc, got = x, true
-				if isAny {
-					return false
-				}
-			} else {
-				acc = addF(acc, x)
-			}
-			if terminal != nil && acc == *terminal {
-				return false
-			}
-			return true
-		}
-		if aSparse {
-			for p := A.ptr[i]; p < A.ptr[i+1]; p++ {
-				if !combine(A.idx[p], A.val[p]) {
-					break
-				}
-			}
-		} else {
-			base := i * A.nc
-			for k := 0; k < A.nc; k++ {
-				if A.format == FormatFull || A.b[base+k] != 0 {
-					if !combine(k, A.val[base+k]) {
-						break
-					}
-				}
-			}
-		}
-		return acc, got
+		return dotRow(&s, A, &row, i, 0)
 	})
 }
 

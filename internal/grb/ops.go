@@ -49,7 +49,19 @@ type Semiring[TA, TB, TC Value] struct {
 	Name string
 	Add  Monoid[TC]
 	Mul  BinaryOp[TA, TB, TC]
+	// pull is the monomorphic pull loop (fastpath.go) that computes this
+	// semiring. Only the built-in constructors set it: a semiring assembled
+	// by the caller, whatever its Name, runs the generic kernels.
+	pull pullLoop
 }
+
+type pullLoop int8
+
+const (
+	pullGeneric pullLoop = iota
+	pullPlusSecond
+	pullMinSecond
+)
 
 // ---------------------------------------------------------------------------
 // numeric limits
@@ -300,7 +312,7 @@ func PlusFirst[TA Number, TB Value]() Semiring[TA, TB, TA] {
 // PlusSecond propagates values from the right operand, ignoring the left's
 // (PageRank against a possibly-weighted graph).
 func PlusSecond[TA Value, TB Number]() Semiring[TA, TB, TB] {
-	return Semiring[TA, TB, TB]{Name: "plus.second", Add: PlusMonoid[TB](), Mul: Second[TA, TB]()}
+	return Semiring[TA, TB, TB]{Name: "plus.second", Add: PlusMonoid[TB](), Mul: Second[TA, TB](), pull: pullPlusSecond}
 }
 
 // PlusPair counts structural intersections (triangle counting).
@@ -311,7 +323,7 @@ func PlusPair[TA, TB Value, TC Number]() Semiring[TA, TB, TC] {
 // MinSecond propagates the right operand's value and keeps the minimum
 // (FastSV hooking).
 func MinSecond[TA Value, TB Number]() Semiring[TA, TB, TB] {
-	return Semiring[TA, TB, TB]{Name: "min.second", Add: MinMonoid[TB](), Mul: Second[TA, TB]()}
+	return Semiring[TA, TB, TB]{Name: "min.second", Add: MinMonoid[TB](), Mul: Second[TA, TB](), pull: pullMinSecond}
 }
 
 // MinFirst propagates the left operand's value and keeps the minimum.

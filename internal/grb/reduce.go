@@ -11,12 +11,7 @@ func ReduceMatrixToVector[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 	mon Monoid[T], A *Matrix[T], desc *Descriptor) error {
 
 	d := descOf(desc)
-	if d.TranA {
-		A2 := transposeWork(waited(A))
-		d2 := d
-		d2.TranA = false
-		return ReduceMatrixToVector(w, mask, accum, mon, A2, &d2)
-	}
+	A = oriented(A, d.TranA)
 	if w.Size() != A.NRows() {
 		return dimErr("ReduceMatrixToVector", "w length "+itoa(w.Size()), "A rows "+itoa(A.NRows()))
 	}

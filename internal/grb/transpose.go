@@ -24,13 +24,21 @@ func Transpose[T Value](C *Matrix[T], mask Mask, accum func(T, T) T, A *Matrix[T
 	} else {
 		t = transposeWork(A)
 	}
-	maskAccumMatrix(C, mask, accum, t, d.Replace, false)
+	maskAccumMatrix(C, mask, accum, t, d.Replace, false, nil)
 	return nil
 }
 
 // NewTranspose allocates and returns Aᵀ (a convenience the LAGraph
 // property layer uses for G.AT).
-func NewTranspose[T Value](A *Matrix[T]) *Matrix[T] {
+func NewTranspose[T Value](A *Matrix[T]) *Matrix[T] { return oriented(A, true) }
+
+// oriented is the operand a call reads: A, or — the descriptor asking for
+// the transpose — Aᵀ materialised once, the explicit-transpose strategy
+// LAGraph itself uses via G.AT.
+func oriented[T Value](A *Matrix[T], tran bool) *Matrix[T] {
+	if !tran {
+		return A
+	}
 	A.Wait()
 	return transposeWork(A)
 }

@@ -27,7 +27,18 @@
 //	vector op with a sparse input, any mask       probe the mask per entry (no length-n allow array)
 //	vector op into a bitmap/full w, or a dense    one pass by position into w's own arrays, w free to
 //	  result into an empty one                      alias an operand (the dense-output rule, denseout.go)
-//	sparse ∘ sparse                               the one sorted merge
+//	sparse ∘ sparse                               the one sorted merge (unionWalk)
+//	MxM, push VxM (u a one-row A)                 saxpyRow: scatter A(i,:)·B into a pooled accumulator
+//	MxM by Bᵀ, pull MxV (u a one-row B)           dotRow: reduce A(i,:) ∩ B(j,:), early exit on any / terminal
+//	pull MxV, PlusSecond() / MinSecond(), no      the monomorphic loops of fastpath.go, chosen by the
+//	  mask, bitmap/full u                           constructor's identity, never by Semiring.Name
+//
+// Each rule has one body. What C⟨M, r⟩ ⊙= T leaves at a position is settle
+// (finalize.go), which the list merges, the CSR row merge, the dense output
+// and the assigns with their region all call; a bitmap/full output is
+// updated at T's entries by foldAt; two ascending index lists are walked by
+// unionWalk; and a vector operand reaches the two product kernels as a
+// one-row matrix view of its own arrays (Vector.asRow).
 //
 // Matrices are held by row. There is no separate CSC format: computations
 // that need the reverse orientation take an explicitly transposed matrix,

@@ -228,26 +228,22 @@ func (v *Vector[T]) Wait() {
 			}
 		}
 		pend = pend[:w]
+		pidx := make([]int, len(pend))
+		for q := range pend {
+			pidx[q] = pend[q].i
+		}
 		idx := make([]int, 0, len(v.idx)+len(pend))
 		val := make([]T, 0, len(v.val)+len(pend))
-		p, q := 0, 0
-		for p < len(v.idx) || q < len(pend) {
+		unionWalk(v.idx, pidx, func(i, p, q int) {
+			x, ok := entryAt(v.val, p)
 			switch {
-			case p < len(v.idx) && (q >= len(pend) || v.idx[p] < pend[q].i):
-				idx = append(idx, v.idx[p])
-				val = append(val, v.val[p])
-				p++
-			case p < len(v.idx) && q < len(pend) && v.idx[p] == pend[q].i:
-				idx = append(idx, v.idx[p])
-				val = append(val, dup(v.val[p], pend[q].x))
-				p++
-				q++
-			default:
-				idx = append(idx, pend[q].i)
-				val = append(val, pend[q].x)
-				q++
+			case ok && q >= 0:
+				x = dup(x, pend[q].x)
+			case q >= 0:
+				x = pend[q].x
 			}
-		}
+			idx, val = append(idx, i), append(val, x)
+		})
 		v.idx, v.val = idx, val
 	}
 }
@@ -369,10 +365,8 @@ func VectorFromTuples[T Value](n int, indices []int, vals []T, dup func(T, T) T)
 	if err != nil {
 		return nil, err
 	}
-	for k, i := range indices {
-		if i < 0 || i >= n {
-			return nil, errf(IndexOutOfBounds, "VectorFromTuples: tuple %d at %d outside length %d", k, i, n)
-		}
+	if err := checkIndices("VectorFromTuples", "index", indices, n); err != nil {
+		return nil, err
 	}
 	idx := append([]int(nil), indices...)
 	val := append([]T(nil), vals...)

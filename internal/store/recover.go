@@ -1,10 +1,11 @@
 package store
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"lagraph/internal/grb"
@@ -42,21 +43,13 @@ func (s *Store) RecoverInto(reg *registry.Registry, eng *stream.Engine) Recovery
 	start := time.Now()
 	var rep RecoveryReport
 
-	s.mu.Lock()
-	names := make([]string, 0, len(s.graphs))
-	for name := range s.graphs {
-		names = append(names, name)
-	}
-	s.mu.Unlock()
-	sort.Strings(names)
-
-	for _, name := range names {
-		if err := s.recoverOne(reg, eng, name, &rep); err != nil {
-			rep.Failed = append(rep.Failed, fmt.Sprintf("%s: %v", name, err))
+	for _, gf := range s.tracked() {
+		if err := recoverOne(reg, eng, gf, &rep); err != nil {
+			rep.Failed = append(rep.Failed, fmt.Sprintf("%s: %v", gf.name, err))
 			// The graph may be half-restored (checkpoint in, replay
 			// failed): drop the partial incarnation so the registry never
 			// serves state the WAL says is stale.
-			_ = reg.Remove(name)
+			_ = reg.Remove(gf.name)
 		}
 	}
 	rep.Seconds = time.Since(start).Seconds()
@@ -67,30 +60,18 @@ func (s *Store) RecoverInto(reg *registry.Registry, eng *stream.Engine) Recovery
 }
 
 // recoverOne restores one graph: checkpoint, then WAL tail.
-func (s *Store) recoverOne(reg *registry.Registry, eng *stream.Engine, name string, rep *RecoveryReport) error {
-	gf := s.graph(name)
-	if gf == nil {
-		return ErrUnknown
-	}
+func recoverOne(reg *registry.Registry, eng *stream.Engine, gf *graphFile, rep *RecoveryReport) error {
 	gf.mu.Lock()
-	dir, kind, version := gf.dir, gf.kind, gf.ckptVersion
+	name, dir, kind, version := gf.name, gf.dir, gf.kind, gf.ckptVersion
 	gf.mu.Unlock()
 
 	f, err := os.Open(checkpointPath(dir, version))
 	if err != nil {
 		return err
 	}
-	m, err := grb.DeserializeMatrix[float64](f)
+	err = RestoreCheckpoint(reg, name, kind, version, f)
 	f.Close()
 	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	A := m
-	g, err := lagraph.New(&A, kind)
-	if err != nil {
-		return err
-	}
-	if _, err := reg.Restore(name, g, version); err != nil {
 		return err
 	}
 	rep.GraphsRecovered++
@@ -99,29 +80,58 @@ func (s *Store) recoverOne(reg *registry.Registry, eng *stream.Engine, name stri
 	if err != nil {
 		return err
 	}
-	expected := version + 1
-	for _, rec := range recs {
-		if rec.Version <= version {
-			// Superseded by the checkpoint (a crash between the meta flip
-			// and the WAL rewrite leaves these behind, harmlessly).
-			rep.StaleSkipped++
+	// Stale records were superseded by the checkpoint (a crash between the
+	// meta flip and the WAL rewrite leaves them behind, harmlessly).
+	stale, err := Replay(eng, name, version, recs, func(b TailBatch) {
+		rep.BatchesReplayed++
+		rep.OpsReplayed += len(b.Ops)
+	})
+	rep.StaleSkipped += stale
+	return err
+}
+
+// RestoreCheckpoint deserializes a checkpoint and restores it into reg as
+// graph name at the checkpoint's version — at boot and on a follower alike.
+func RestoreCheckpoint(reg *registry.Registry, name string, kind lagraph.Kind, version uint64, ckpt io.Reader) error {
+	A, err := grb.DeserializeMatrix[float64](ckpt)
+	if err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	g, err := lagraph.New(&A, kind)
+	if err != nil {
+		return err
+	}
+	_, err = reg.Restore(name, g, version)
+	return err
+}
+
+// ErrVersionGap reports a hole in a batch sequence handed to Replay.
+var ErrVersionGap = errors.New("version gap")
+
+// Replay applies the batches recorded after version `after` through eng's
+// ordinary Apply. Batches at or below the cursor are skipped and counted as
+// stale; the rest must be contiguous (ErrVersionGap otherwise) and each must
+// publish exactly the version recorded. applied is called as each one lands.
+func Replay(eng *stream.Engine, name string, after uint64, batches []TailBatch, applied func(TailBatch)) (stale int, err error) {
+	for _, b := range batches {
+		if b.Version <= after {
+			stale++
 			continue
 		}
-		if rec.Version != expected {
-			return fmt.Errorf("wal: version gap: have %d, want %d", rec.Version, expected)
+		if b.Version != after+1 {
+			return stale, fmt.Errorf("replay: %w: have v%d, next batch is v%d", ErrVersionGap, after, b.Version)
 		}
-		res, err := eng.Apply(name, rec.Ops)
+		res, err := eng.Apply(name, b.Ops)
 		if err != nil {
-			return fmt.Errorf("wal replay v%d: %w", rec.Version, err)
+			return stale, fmt.Errorf("replay v%d: %w", b.Version, err)
 		}
-		if res.Version != rec.Version {
-			return fmt.Errorf("wal replay produced v%d, recorded v%d", res.Version, rec.Version)
+		if res.Version != b.Version {
+			return stale, fmt.Errorf("replay published v%d, recorded v%d", res.Version, b.Version)
 		}
-		expected++
-		rep.BatchesReplayed++
-		rep.OpsReplayed += len(rec.Ops)
+		after = b.Version
+		applied(b)
 	}
-	return nil
+	return stale, nil
 }
 
 // walPath needs no lock: dir is immutable after the handle is created.

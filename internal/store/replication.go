@@ -3,7 +3,6 @@ package store
 import (
 	"fmt"
 	"os"
-	"sort"
 	"time"
 
 	"lagraph/internal/lagraph"
@@ -34,12 +33,7 @@ type DurableInfo struct {
 // name. Graphs without a checkpoint yet (created but never saved) are
 // omitted — there is nothing to ship.
 func (s *Store) ListDurable() []DurableInfo {
-	s.mu.Lock()
-	gfs := make([]*graphFile, 0, len(s.graphs))
-	for _, gf := range s.graphs {
-		gfs = append(gfs, gf)
-	}
-	s.mu.Unlock()
+	gfs := s.tracked()
 	infos := make([]DurableInfo, 0, len(gfs))
 	for _, gf := range gfs {
 		gf.mu.Lock()
@@ -54,7 +48,6 @@ func (s *Store) ListDurable() []DurableInfo {
 		}
 		gf.mu.Unlock()
 	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
 	return infos
 }
 
@@ -91,9 +84,9 @@ func (s *Store) ReadCheckpoint(name string) (CheckpointData, error) {
 	}, nil
 }
 
-// TailBatch is one WAL record on the replication wire: the ops exactly
-// as the API accepted them, stamped with the registry version their
-// publication produced on the leader.
+// TailBatch is one WAL record, as decoded from the log and as it goes on
+// the replication wire: the ops exactly as the API accepted them, stamped
+// with the registry version their publication produced.
 type TailBatch struct {
 	Version uint64      `json:"version"`
 	Ops     []stream.Op `json:"ops"`
@@ -132,10 +125,8 @@ func (s *Store) TailSince(name string, after uint64) (Tail, error) {
 	if err != nil {
 		return Tail{}, err
 	}
-	for _, rec := range recs {
-		if rec.Version > after {
-			t.Batches = append(t.Batches, TailBatch{Version: rec.Version, Ops: rec.Ops})
-		}
+	if recs = recordsBetween(recs, after, noVersion); len(recs) > 0 {
+		t.Batches = recs // nil, not empty, when there is none: "batches": null on the wire
 	}
 	return t, nil
 }

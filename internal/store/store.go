@@ -37,9 +37,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -344,15 +345,16 @@ func (s *Store) Healthy() (ok bool, detail string) {
 // a scraped registry via AddSource.
 func (s *Store) Obs() *obs.Registry { return s.obsReg }
 
+// tracked lists the handle of every tracked graph, in name order.
+func (s *Store) tracked() []*graphFile {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.SortedFunc(maps.Values(s.graphs), func(a, b *graphFile) int { return strings.Compare(a.name, b.name) })
+}
+
 // walTotals sums live WAL records and bytes over all tracked graphs.
 func (s *Store) walTotals() (records, bytes int64) {
-	s.mu.Lock()
-	gfs := make([]*graphFile, 0, len(s.graphs))
-	for _, gf := range s.graphs {
-		gfs = append(gfs, gf)
-	}
-	s.mu.Unlock()
-	for _, gf := range gfs {
+	for _, gf := range s.tracked() {
 		gf.mu.Lock()
 		records += int64(gf.walRecords)
 		bytes += gf.walSize
@@ -510,13 +512,7 @@ func (gf *graphFile) repairWALLocked(fsync bool) error {
 		return err
 	}
 	if gf.revertFloor > 0 {
-		keep := recs[:0]
-		for _, r := range recs {
-			if r.Version < gf.revertFloor {
-				keep = append(keep, r)
-			}
-		}
-		recs = keep
+		recs = recordsBetween(recs, 0, gf.revertFloor)
 	}
 	size, err := writeWAL(gf.walPath(), recs, fsync)
 	if err != nil {
@@ -557,12 +553,7 @@ func (s *Store) RevertBatch(name string, version uint64) {
 	// Slow path (a checkpoint rewrite moved offsets): filter by version.
 	recs, _, _, err := readWAL(gf.walPath())
 	if err == nil {
-		keep := recs[:0]
-		for _, r := range recs {
-			if r.Version < version {
-				keep = append(keep, r)
-			}
-		}
+		keep := recordsBetween(recs, 0, version)
 		if len(keep) == len(recs) {
 			return
 		}
@@ -720,12 +711,7 @@ func (s *Store) checkpointInto(gf *graphFile, name string, kind lagraph.Kind, m 
 	walPath := gf.walPath()
 	recs, _, _, err := readWAL(walPath)
 	if err == nil {
-		keep := recs[:0]
-		for _, r := range recs {
-			if r.Version > version {
-				keep = append(keep, r)
-			}
-		}
+		keep := recordsBetween(recs, version, noVersion)
 		gf.closeWALLocked()
 		if len(keep) == 0 {
 			os.Remove(walPath)
@@ -922,18 +908,14 @@ func (s *Store) StartCheckpointer(reg *registry.Registry) {
 
 // checkpointPass snapshots every graph with outstanding WAL records.
 func (s *Store) checkpointPass(reg *registry.Registry) {
-	s.mu.Lock()
-	var due []string
-	for name, gf := range s.graphs {
+	for _, gf := range s.tracked() {
 		gf.mu.Lock()
-		if gf.walRecords > 0 {
-			due = append(due, name)
-		}
+		due := gf.walRecords > 0
 		gf.mu.Unlock()
-	}
-	s.mu.Unlock()
-	sort.Strings(due)
-	for _, name := range due {
+		if !due {
+			continue
+		}
+		name := gf.name
 		lease, err := reg.Acquire(name)
 		if err != nil {
 			continue // evicted or deleted; its WAL stays as-is
@@ -986,10 +968,7 @@ func (s *Store) Close() {
 	}
 	s.closed = true
 	close(s.stopCh)
-	gfs := make([]*graphFile, 0, len(s.graphs))
-	for _, gf := range s.graphs {
-		gfs = append(gfs, gf)
-	}
+	gfs := slices.Collect(maps.Values(s.graphs))
 	s.mu.Unlock()
 	s.wg.Wait()
 	for _, gf := range gfs {

@@ -43,11 +43,8 @@ const (
 	maxWALPayload = 64 << 20
 )
 
-// walRecord is one decoded WAL record.
-type walRecord struct {
-	Version uint64
-	Ops     []stream.Op
-}
+// walRecord is one decoded WAL record: the type the replication tail ships.
+type walRecord = TailBatch
 
 // encodeBatch builds a record payload.
 func encodeBatch(version uint64, ops []stream.Op) ([]byte, error) {
@@ -181,6 +178,21 @@ func readWAL(path string) (recs []walRecord, goodLen int64, torn bool, err error
 		rest = rest[8+plen:]
 	}
 	return recs, off, false, nil
+}
+
+// noVersion is recordsBetween's open upper bound.
+const noVersion = ^uint64(0)
+
+// recordsBetween keeps, in place and in log order, the records published
+// after version `after` and before version `before`.
+func recordsBetween(recs []walRecord, after, before uint64) []walRecord {
+	keep := recs[:0]
+	for _, r := range recs {
+		if after < r.Version && r.Version < before {
+			keep = append(keep, r)
+		}
+	}
+	return keep
 }
 
 // writeWAL writes a fresh WAL file at path atomically (temp + rename),

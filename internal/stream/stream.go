@@ -143,7 +143,7 @@ type graphState struct {
 	baseNNZ   int
 
 	log     []logOp
-	overlay map[coord]int8 // +1 live in delta, -1 deleted; absent → ask base
+	overlay map[coord]bool // live (true) or deleted in the delta; absent → ask base
 
 	// batchEnds records, for every published batch still in the delta log,
 	// the log length at its end and the version it published — the map the
@@ -488,8 +488,7 @@ func (e *Engine) ApplyCtx(ctx context.Context, name string, ops []Op) (Result, e
 // returning 1 when a new edge came into existence.
 func (st *graphState) upsert(i, j int, w float64) int {
 	existed := st.has(i, j)
-	st.overlay[coord{i, j}] = 1
-	st.log = append(st.log, logOp{i: i, j: j, w: w})
+	st.record(logOp{i: i, j: j, w: w})
 	if existed {
 		return 0
 	}
@@ -508,8 +507,7 @@ func (st *graphState) delete(i, j int) int {
 	if !st.has(i, j) {
 		return 0
 	}
-	st.overlay[coord{i, j}] = -1
-	st.log = append(st.log, logOp{i: i, j: j, del: true})
+	st.record(logOp{i: i, j: j, del: true})
 	st.edges--
 	st.rowDeg[i]--
 	st.colDeg[j]--
@@ -519,10 +517,29 @@ func (st *graphState) delete(i, j int) int {
 	return 1
 }
 
+// record appends op to the delta log and marks its position in the overlay.
+func (st *graphState) record(op logOp) {
+	st.overlay[coord{op.i, op.j}] = !op.del
+	st.log = append(st.log, op)
+}
+
+// replayLog applies a delta log to m, a snapshot of the base it was logged
+// against, as pending tuples and tombstones.
+func replayLog(m *grb.Matrix[float64], log []logOp) (err error) {
+	for k := 0; k < len(log) && err == nil; k++ {
+		if op := log[k]; op.del {
+			err = m.RemoveElement(op.i, op.j)
+		} else {
+			err = m.SetElement(op.w, op.i, op.j)
+		}
+	}
+	return err
+}
+
 // has reports whether edge (i,j) is live: the overlay overrides the base.
 func (st *graphState) has(i, j int) bool {
-	if v, ok := st.overlay[coord{i, j}]; ok {
-		return v > 0
+	if live, ok := st.overlay[coord{i, j}]; ok {
+		return live
 	}
 	_, err := st.base.ExtractElement(i, j)
 	return err == nil
@@ -549,7 +566,7 @@ func (st *graphState) resetFrom(entry *registry.Entry) error {
 	st.baseNNZ = len(idx)
 	st.log = nil
 	st.batchEnds = nil
-	st.overlay = make(map[coord]int8)
+	st.overlay = make(map[coord]bool)
 	st.edges = len(idx)
 	st.rowDeg = make([]int64, n)
 	st.colDeg = make([]int64, n)
@@ -577,14 +594,8 @@ func (st *graphState) snapshot(prev *lagraph.Graph[float64]) (*lagraph.Graph[flo
 	if err != nil {
 		return nil, err
 	}
-	for _, op := range st.log {
-		if op.del {
-			if err := g.A.RemoveElement(op.i, op.j); err != nil {
-				return nil, err
-			}
-		} else if err := g.A.SetElement(op.w, op.i, op.j); err != nil {
-			return nil, err
-		}
+	if err := replayLog(g.A, st.log); err != nil {
+		return nil, err
 	}
 	g.NDiag = st.ndiag
 	if prev.CachedRowDegree() != nil || prev.CachedColDegree() != nil {
@@ -733,14 +744,8 @@ func (e *Engine) compactOne(name string) {
 	if err != nil {
 		return
 	}
-	for _, op := range logCopy {
-		if op.del {
-			if m.RemoveElement(op.i, op.j) != nil {
-				return
-			}
-		} else if m.SetElement(op.w, op.i, op.j) != nil {
-			return
-		}
+	if replayLog(m, logCopy) != nil {
+		return
 	}
 	m.Wait() // assemble the merged CSR: this is the new base
 
@@ -776,14 +781,9 @@ func (e *Engine) compactOne(name string) {
 	st.base = m
 	st.baseGraph = bg
 	st.baseNNZ = m.NVals() // finished and private: cheap, no assembly
-	st.log = tail
-	st.overlay = make(map[coord]int8)
+	st.log, st.overlay = nil, make(map[coord]bool)
 	for _, op := range tail {
-		if op.del {
-			st.overlay[coord{op.i, op.j}] = -1
-		} else {
-			st.overlay[coord{op.i, op.j}] = 1
-		}
+		st.record(op)
 	}
 	kind := st.kind
 	e.compactions.Inc()
