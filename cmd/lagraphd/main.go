@@ -120,7 +120,6 @@ func main() {
 
 	flag.StringVar(&storeOpts.Dir, "data-dir", "", "durable store directory: persist graphs + mutation WAL, recover on boot (empty = memory only)")
 	flag.BoolVar(&storeOpts.Fsync, "fsync", true, "fsync WAL appends and checkpoint writes (with -data-dir)")
-	flag.DurationVar(&storeOpts.CheckpointInterval, "checkpoint-interval", 5*time.Minute, "periodic WAL-bounding checkpoint cadence (0 disables; with -data-dir)")
 
 	logLevel := flag.String("log-level", "info", "log verbosity: debug|info|warn|error")
 	logFormat := flag.String("log-format", "text", "log encoding: text|json")

@@ -501,10 +501,10 @@ type SwapStats struct {
 	PendingOps int64 // unassembled delta-log operations it carries
 
 	// KeepVersion publishes the snapshot under the replaced entry's
-	// version instead of bumping it. Compaction uses this: the compacted
-	// snapshot is logically identical to what it replaces, so results
-	// cached under the version stay valid and new readers simply get the
-	// cheaper representation.
+	// version instead of bumping it. Compaction uses this: it republishes
+	// the version's own assembled graph, now without a pending delta, so
+	// results cached under the version stay valid and new readers see the
+	// compacted accounting.
 	KeepVersion bool
 
 	// Prev, when non-nil, asserts which entry the snapshot was derived

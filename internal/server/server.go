@@ -287,12 +287,12 @@ func New(reg *registry.Registry, opts Options) *Server {
 	if s.store != nil {
 		// Order matters: recovery replays the WAL through the stream
 		// engine while no journal is attached (so the replayed batches are
-		// not re-appended), then the journal and the registry delete
-		// listener come live, then the periodic checkpointer.
+		// not re-appended), then the journal (which also receives the
+		// compactor's checkpoints) and the registry delete listener come
+		// live.
 		s.store.RecoverInto(reg, s.stream)
 		s.stream.SetJournal(s.store)
 		s.store.Attach(reg)
-		s.store.StartCheckpointer(reg)
 	}
 	if s.store != nil {
 		// The store predates the server in boot order and owns its private

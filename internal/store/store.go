@@ -16,10 +16,13 @@
 // Writing order is durability before visibility: a mutation batch is
 // appended (and optionally fsynced) to the WAL before the stream engine
 // publishes its snapshot, and a batch whose publication fails is taken
-// back off the log. Checkpoints — written when a graph is first loaded,
-// when the stream compactor merges a delta log, and by the periodic
-// checkpointer — land as checkpoint-<V>.bin via temp+rename, then
-// meta.json flips to V, then WAL records with version <= V are dropped.
+// back off the log. Checkpoints — written when a graph is first loaded
+// and whenever the stream compactor folds a delta log into its base —
+// land as checkpoint-<V>.bin via temp+rename, then meta.json flips to V,
+// then WAL records with version <= V are dropped. Compaction is what
+// bounds the WAL: every record since the last checkpoint is a logged
+// delta op, and the log schedules a compaction, ending in a checkpoint,
+// at the stream engine's size or ratio threshold.
 // Every step is crash-safe: an orphaned checkpoint or a stale WAL prefix
 // is cleaned or skipped on the next Open; every install goes through
 // stageFile + installStaged, the seam for a fault-injecting filesystem.
@@ -69,10 +72,6 @@ type Options struct {
 	// recent writes for speed (the files stay structurally valid either
 	// way: recovery drops a torn tail).
 	Fsync bool
-	// CheckpointInterval is how often the periodic checkpointer (see
-	// StartCheckpointer) snapshots graphs whose WAL has grown. <= 0
-	// disables periodic checkpoints; compaction-driven ones still happen.
-	CheckpointInterval time.Duration
 }
 
 // meta is the per-graph meta.json payload.
@@ -121,9 +120,7 @@ type Store struct {
 	skipped []string // dirs Open could not serve, fixed at Open time
 	lock    *os.File // flock on <dir>/LOCK, held for the store's lifetime
 
-	stopCh  chan struct{}
-	wg      sync.WaitGroup
-	ckOnce  sync.Once
+	wg      sync.WaitGroup // background tombstone reclamation
 	tombSeq atomic.Int64
 
 	// Store telemetry lives in a private obs registry created by Open
@@ -197,7 +194,6 @@ func Open(opts Options) (*Store, error) {
 	s := &Store{
 		opts:   opts,
 		graphs: make(map[string]*graphFile),
-		stopCh: make(chan struct{}),
 		lock:   lock,
 
 		obsReg:      o,
@@ -612,10 +608,10 @@ func (s *Store) Checkpoint(name string, kind lagraph.Kind, m *grb.Matrix[float64
 // records from a dead incarnation, possibly at *higher* versions after a
 // partial recovery — is wiped rather than merged, so an acknowledged
 // load is always exactly what lands on disk. Without fresh (the journal
-// paths) checkpoints only move forward: a stale writer (the periodic
-// pass and the compactor can race on the same graph) is a no-op, because
-// regressing meta would orphan the WAL records the newer checkpoint
-// already dropped.
+// path) checkpoints only move forward: a stale writer (the compactor's
+// checkpoint of a version SaveGraph or InstallCheckpoint has since
+// replaced) is a no-op, because regressing meta would orphan the WAL
+// records the newer checkpoint already dropped.
 //
 // The matrix serialization — the expensive part — runs outside gf.mu so
 // a checkpoint of a large graph does not stall that graph's mutation
@@ -880,56 +876,6 @@ func (s *Store) Attach(reg *registry.Registry) {
 	})
 }
 
-// StartCheckpointer runs the periodic checkpointer against reg until
-// Close: every CheckpointInterval it snapshots each graph whose WAL holds
-// records, bounding replay work after a crash even when the stream
-// compactor's thresholds are never reached. No-op if the interval is 0.
-func (s *Store) StartCheckpointer(reg *registry.Registry) {
-	if s.opts.CheckpointInterval <= 0 {
-		return
-	}
-	s.ckOnce.Do(func() {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			t := time.NewTicker(s.opts.CheckpointInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-s.stopCh:
-					return
-				case <-t.C:
-					s.checkpointPass(reg)
-				}
-			}
-		}()
-	})
-}
-
-// checkpointPass snapshots every graph with outstanding WAL records.
-func (s *Store) checkpointPass(reg *registry.Registry) {
-	for _, gf := range s.tracked() {
-		gf.mu.Lock()
-		due := gf.walRecords > 0
-		gf.mu.Unlock()
-		if !due {
-			continue
-		}
-		name := gf.name
-		lease, err := reg.Acquire(name)
-		if err != nil {
-			continue // evicted or deleted; its WAL stays as-is
-		}
-		entry := lease.Entry()
-		// Assemble any pending deltas (single flight with every other
-		// reader) so the serialized matrix is the full content at the
-		// entry's version.
-		entry.EnsureFinalized()
-		_ = s.Checkpoint(name, entry.Graph().Kind, entry.Graph().A, entry.Version())
-		lease.Release()
-	}
-}
-
 // StatsSnapshot returns the store counters, read back from the same obs
 // instruments the Prometheus exposition renders.
 func (s *Store) StatsSnapshot() Stats {
@@ -957,9 +903,9 @@ func (s *Store) StatsSnapshot() Stats {
 	}
 }
 
-// Close stops the periodic checkpointer and closes open WAL handles.
-// Everything on disk is already durable; Close exists so tests and
-// daemons can release file descriptors deterministically.
+// Close waits for background tombstone reclamation and closes open WAL
+// handles. Everything on disk is already durable; Close exists so tests
+// and daemons can release file descriptors deterministically.
 func (s *Store) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -967,7 +913,6 @@ func (s *Store) Close() {
 		return
 	}
 	s.closed = true
-	close(s.stopCh)
 	gfs := slices.Collect(maps.Values(s.graphs))
 	s.mu.Unlock()
 	s.wg.Wait()

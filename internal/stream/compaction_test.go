@@ -1,0 +1,303 @@
+package stream
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+
+	"lagraph/internal/grb"
+	"lagraph/internal/lagraph"
+	"lagraph/internal/registry"
+)
+
+// edgeModel is the reference a batch sequence must produce: stored entry
+// (i,j) → weight, both directions for undirected graphs.
+type edgeModel map[coord]float64
+
+// apply applies ops with Apply's semantics: sequential, a nil weight is 1,
+// undirected ops mirrored, deleting an absent edge a no-op.
+func (m edgeModel) apply(kind lagraph.Kind, ops []Op) {
+	for _, op := range ops {
+		w := 1.0
+		if op.Weight != nil {
+			w = *op.Weight
+		}
+		at := []coord{{op.Src, op.Dst}}
+		if kind == lagraph.AdjacencyUndirected && op.Src != op.Dst {
+			at = append(at, coord{op.Dst, op.Src})
+		}
+		for _, c := range at {
+			if op.Op == OpUpsert {
+				m[c] = w
+			} else {
+				delete(m, c)
+			}
+		}
+	}
+}
+
+// sorted lists the model's entries in row-major order.
+func (m edgeModel) sorted() []coord {
+	keys := make([]coord, 0, len(m))
+	for c := range m {
+		keys = append(keys, c)
+	}
+	slices.SortFunc(keys, func(a, b coord) int {
+		if a.i != b.i {
+			return a.i - b.i
+		}
+		return a.j - b.j
+	})
+	return keys
+}
+
+// modelOf reads a finished matrix into a model.
+func modelOf(A *grb.Matrix[float64]) edgeModel {
+	rows, cols, vals := A.ExtractTuples()
+	m := make(edgeModel, len(rows))
+	for k := range rows {
+		m[coord{rows[k], cols[k]}] = vals[k]
+	}
+	return m
+}
+
+// diffModels names the first difference between got and want.
+func diffModels(got, want edgeModel) error {
+	for _, c := range want.sorted() {
+		if w, ok := got[c]; !ok || w != want[c] {
+			return fmt.Errorf("entry (%d,%d): got %g (present %v), want %g", c.i, c.j, w, ok, want[c])
+		}
+	}
+	if len(got) != len(want) {
+		return fmt.Errorf("%d entries, want %d", len(got), len(want))
+	}
+	return nil
+}
+
+// randomBatch draws 1–6 upserts and deletes over n vertices: about one
+// op in eight is a self-loop, half the deletes target a live edge and the
+// rest are mostly deletes of absent edges.
+func randomBatch(rng *rand.Rand, n int, m edgeModel) []Op {
+	ops := make([]Op, 1+rng.Intn(6))
+	for k := range ops {
+		src, dst := rng.Intn(n), rng.Intn(n)
+		if rng.Intn(8) == 0 {
+			dst = src
+		}
+		if rng.Intn(2) == 0 {
+			op := Op{Op: OpUpsert, Src: src, Dst: dst}
+			if rng.Intn(2) == 0 {
+				w := float64(1 + rng.Intn(9))
+				op.Weight = &w
+			}
+			ops[k] = op
+			continue
+		}
+		if live := m.sorted(); len(live) > 0 && rng.Intn(2) == 0 {
+			c := live[rng.Intn(len(live))]
+			src, dst = c.i, c.j
+		}
+		ops[k] = del(src, dst)
+	}
+	return ops
+}
+
+// TestMutationDifferentialWithCompaction drives seeded random batches
+// through Apply while the compactor runs between them (threshold 8, so
+// it races the next batch) and checks, after every batch, the finalized
+// snapshot, Result.Edges, the incremental degrees and NDiag against a map
+// model; at the end, every checkpoint plus the journaled batches above
+// its version must reproduce the model too.
+func TestMutationDifferentialWithCompaction(t *testing.T) {
+	for _, kind := range []lagraph.Kind{lagraph.AdjacencyDirected, lagraph.AdjacencyUndirected} {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", lagraph.KindName(kind), seed), func(t *testing.T) {
+				mutationDifferential(t, kind, seed)
+			})
+		}
+	}
+}
+
+func mutationDifferential(t *testing.T, kind lagraph.Kind, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	n := 16 + rng.Intn(49)
+	var initial [][2]int
+	for k := 0; k < 2*n; k++ {
+		initial = append(initial, [2]int{rng.Intn(n), rng.Intn(n)})
+	}
+	want := make(edgeModel)
+	for _, e := range initial {
+		want.apply(kind, []Op{upsert(e[0], e[1])})
+	}
+	g := makeGraph(t, n, kind, initial)
+	reg, e := setup(t, "d", g, Options{CompactThreshold: 8, CompactRatio: 1e9})
+	j := &fakeJournal{}
+	e.SetJournal(j)
+
+	// Degrees materialized once are seeded into every later snapshot from
+	// the incremental counts; checking the seeded vectors checks those.
+	materializeDegrees(t, reg)
+	for b := 0; b < 200; b++ {
+		ops := randomBatch(rng, n, want)
+		want.apply(kind, ops)
+		res, err := e.Apply("d", ops)
+		if err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+		if res.Edges != len(want) {
+			t.Fatalf("batch %d: Result.Edges = %d, model has %d", b, res.Edges, len(want))
+		}
+		checkPublished(t, reg, res.Version, want)
+		checkBookkeeping(t, e, want)
+		materializeDegrees(t, reg)
+	}
+
+	// Close drains every scheduled compaction, checkpoints included.
+	e.Close()
+	appends, reverts, ckpts, _ := j.snapshot()
+	if len(reverts) != 0 {
+		t.Fatalf("unexpected reverts %v", reverts)
+	}
+	if len(ckpts) == 0 {
+		t.Fatal("200 batches over threshold 8 and no checkpoint")
+	}
+	if !slices.IsSorted(ckpts) {
+		t.Fatalf("checkpoint versions regress: %v", ckpts)
+	}
+	// Recovery reads the last checkpoint; every earlier one must have been
+	// just as good a starting point.
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for c, cv := range ckpts {
+		recovered := modelOf(j.matrices[c])
+		for k, v := range appends {
+			if v > cv {
+				recovered.apply(kind, j.ops[k])
+			}
+		}
+		if err := diffModels(recovered, want); err != nil {
+			t.Fatalf("checkpoint v%d + journal tail: %v", cv, err)
+		}
+	}
+}
+
+// materializeDegrees computes the degree properties on the current entry
+// (a cache hit when the snapshot was seeded with them).
+func materializeDegrees(t *testing.T, reg *registry.Registry) {
+	t.Helper()
+	l, err := reg.Acquire("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Release()
+	if err := l.Entry().EnsureProperties(registry.PropRowDegree, registry.PropColDegree); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkPublished leases the current entry the way a job does and compares
+// its content, seeded degree vectors and NDiag with the model.
+func checkPublished(t *testing.T, reg *registry.Registry, version uint64, want edgeModel) {
+	t.Helper()
+	l, err := reg.Acquire("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Release()
+	if got := l.Entry().Version(); got != version {
+		t.Fatalf("registry serves v%d, Apply published v%d", got, version)
+	}
+	l.Entry().EnsureFinalized()
+	g := l.Graph()
+	if err := diffModels(modelOf(g.A), want); err != nil {
+		t.Fatalf("v%d snapshot: %v", version, err)
+	}
+	n := g.NumNodes()
+	row, col, ndiag := modelDegrees(n, want)
+	for _, d := range []struct {
+		name string
+		vec  *grb.Vector[int64]
+		want []int64
+	}{{"row", g.CachedRowDegree(), row}, {"col", g.CachedColDegree(), col}} {
+		if d.vec == nil {
+			t.Fatalf("v%d: %s degree not seeded", version, d.name)
+		}
+		got := make([]int64, n)
+		d.vec.Iterate(func(i int, x int64) { got[i] = x })
+		if !slices.Equal(got, d.want) {
+			t.Fatalf("v%d: %s degrees %v, model %v", version, d.name, got, d.want)
+		}
+	}
+	if got := g.CachedNDiag(); got != ndiag {
+		t.Fatalf("v%d: NDiag %d, model %d", version, got, ndiag)
+	}
+}
+
+// checkBookkeeping compares the engine's incremental counts with the model.
+func checkBookkeeping(t *testing.T, e *Engine, want edgeModel) {
+	t.Helper()
+	e.mu.Lock()
+	st := e.states["d"]
+	e.mu.Unlock()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	row, col, ndiag := modelDegrees(st.n, want)
+	if st.edges != len(want) || st.ndiag != ndiag || !slices.Equal(st.rowDeg, row) || !slices.Equal(st.colDeg, col) {
+		t.Fatalf("bookkeeping edges=%d ndiag=%d rowDeg=%v colDeg=%v; model edges=%d ndiag=%d rowDeg=%v colDeg=%v",
+			st.edges, st.ndiag, st.rowDeg, st.colDeg, len(want), ndiag, row, col)
+	}
+}
+
+func modelDegrees(n int, m edgeModel) (row, col []int64, ndiag int64) {
+	row, col = make([]int64, n), make([]int64, n)
+	for c := range m {
+		row[c.i]++
+		col[c.j]++
+		if c.i == c.j {
+			ndiag++
+		}
+	}
+	return row, col, ndiag
+}
+
+// TestCompactionReusesFinalizedVersion: compacting a version a reader has
+// already finalized adopts that assembly instead of merging the delta log
+// again, so it allocates nothing that grows with the graph.
+func TestCompactionReusesFinalizedVersion(t *testing.T) {
+	const n, perVertex = 1 << 12, 8
+	edges := make([][2]int, 0, n*perVertex)
+	for i := 0; i < n; i++ {
+		for k := 0; k < perVertex; k++ {
+			edges = append(edges, [2]int{i, (i + 1 + 509*k) % n})
+		}
+	}
+	g := makeGraph(t, n, lagraph.AdjacencyDirected, edges)
+	reg, e := setup(t, "big", g, Options{CompactThreshold: 1 << 30, CompactRatio: 1e9})
+	res, err := e.Apply("big", []Op{upsert(0, 0), upsert(1, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	readEdges(t, reg, "big") // finalize v2 through a lease, as the first reader does
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e.compactOne("big")
+	runtime.ReadMemStats(&after)
+
+	perEntry := float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Edges)
+	t.Logf("compaction allocated %d B over %d stored entries", after.TotalAlloc-before.TotalAlloc, res.Edges)
+	if perEntry >= 1 {
+		t.Fatalf("compaction allocated %d B = %.1f B per stored entry, want < 1",
+			after.TotalAlloc-before.TotalAlloc, perEntry)
+	}
+	info, _ := reg.Info("big")
+	if info.Version != res.Version || info.PendingDeltaOps != 0 {
+		t.Fatalf("after compaction v%d with %d pending ops, want v%d with 0", info.Version, info.PendingDeltaOps, res.Version)
+	}
+	if got := e.StatsSnapshot().Compactions; got != 1 {
+		t.Fatalf("compactions = %d, want 1", got)
+	}
+}

@@ -21,6 +21,9 @@ type fakeJournal struct {
 	checkpoints []uint64
 	failAppend  error
 
+	ops      [][]Op                 // each appended batch, parallel to appends
+	matrices []*grb.Matrix[float64] // each checkpointed matrix, parallel to checkpoints
+
 	// versionAtAppend records the registry version visible when each
 	// append arrived: it must be the *pre-publish* version, one less than
 	// the appended record's.
@@ -36,6 +39,7 @@ func (j *fakeJournal) AppendBatch(name string, version uint64, ops []Op) error {
 		return j.failAppend
 	}
 	j.appends = append(j.appends, version)
+	j.ops = append(j.ops, append([]Op(nil), ops...))
 	if j.reg != nil {
 		if lease, err := j.reg.Acquire(j.graph); err == nil {
 			j.versionAtHooks = append(j.versionAtHooks, lease.Entry().Version())
@@ -55,6 +59,7 @@ func (j *fakeJournal) Checkpoint(name string, kind lagraph.Kind, m *grb.Matrix[f
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.checkpoints = append(j.checkpoints, version)
+	j.matrices = append(j.matrices, m)
 	return nil
 }
 
@@ -113,6 +118,9 @@ func TestJournalAppendFailureRejectsBatch(t *testing.T) {
 	if version != 1 || edges != 1 {
 		t.Fatalf("graph moved despite journal failure: v%d, %d edges", version, edges)
 	}
+	if st := e.StatsSnapshot(); st.RejectedBatches != 1 || st.Batches != 0 {
+		t.Fatalf("batches=%d rejected=%d after a refused append, want 0 and 1", st.Batches, st.RejectedBatches)
+	}
 	// The engine recovers once the journal does: the retried batch applies
 	// cleanly on a resynced state, at the version the failed one wanted.
 	j.mu.Lock()
@@ -148,6 +156,9 @@ func TestJournalRevertOnFailedPublish(t *testing.T) {
 	appends, reverts, _, _ := hook.snapshot()
 	if len(appends) != 1 || len(reverts) != 1 || appends[0] != reverts[0] {
 		t.Fatalf("appends=%v reverts=%v, want the appended version reverted", appends, reverts)
+	}
+	if got := e.StatsSnapshot().RejectedBatches; got != 1 {
+		t.Fatalf("rejected = %d after a refused publish, want 1", got)
 	}
 }
 

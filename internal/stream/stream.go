@@ -13,12 +13,14 @@
 // (snapshot isolation), the jobs result cache re-keys automatically, and
 // new submissions see the new graph.
 //
-// A background compactor merges the delta log into a fresh base CSR once
-// the log crosses a size or ratio threshold, republishing the compacted
-// snapshot under the *same* version (content is unchanged, so cached
-// results stay valid). Degree vectors and the self-loop count are
-// maintained incrementally across batches; symmetry and other properties
-// are recomputed on demand.
+// Once the log crosses a size or ratio threshold, a background compactor
+// adopts the current version's assembled CSR — the registry finalizes
+// each version once, often for a reader that got there first — as the
+// new base and checkpoints it; when no batch raced it, the same graph is
+// republished under the *same* version with no pending delta (content is
+// unchanged, so cached results stay valid). Degree vectors and the
+// self-loop count are maintained incrementally across batches; other
+// properties are recomputed on demand.
 package stream
 
 import (
@@ -65,11 +67,11 @@ var (
 // snapshot is published under version; a non-nil error rejects the batch.
 // RevertBatch undoes the most recent append for the graph when the
 // publish itself failed, so an unacknowledged batch can never replay.
-// Checkpoint hands over a freshly compacted base matrix: content of the
-// graph as of version, with every delta merged in. AppendBatch and
-// RevertBatch for one graph are serialized by the engine; Checkpoint runs
-// on the compactor goroutine and may overlap them, so implementations
-// must do their own per-graph file locking.
+// Checkpoint hands over a compacted base: the assembled matrix published
+// as version, every delta merged in. AppendBatch and RevertBatch for one
+// graph are serialized by the engine; Checkpoint runs on the compactor
+// goroutine and may overlap them, so implementations must do their own
+// per-graph file locking.
 type Journal interface {
 	AppendBatch(graph string, version uint64, ops []Op) error
 	RevertBatch(graph string, version uint64)
@@ -123,20 +125,16 @@ const logOpBytes = 96
 // coord keys the existence overlay.
 type coord struct{ i, j int }
 
-// batchEnd marks one published batch's boundary in the delta log.
-type batchEnd struct {
-	ops     int    // log length after the batch (mirrored ops included)
-	version uint64 // version the batch published
-}
-
 // graphState is the per-name mutation state. mu serializes mutation and
 // compaction for the graph; different graphs proceed in parallel.
 type graphState struct {
 	mu sync.Mutex
 
-	version uint64 // registry version of the snapshot we last published
-	kind    lagraph.Kind
-	n       int
+	// entry is the registry entry the state last published (or was reset
+	// from): its version is the state's, and its graph is base plus log.
+	entry *registry.Entry
+	kind  lagraph.Kind
+	n     int
 
 	base      *grb.Matrix[float64]    // finished CSR shared by every snapshot
 	baseGraph *lagraph.Graph[float64] // wraps base; source of COW snapshots
@@ -144,12 +142,6 @@ type graphState struct {
 
 	log     []logOp
 	overlay map[coord]bool // live (true) or deleted in the delta; absent → ask base
-
-	// batchEnds records, for every published batch still in the delta log,
-	// the log length at its end and the version it published — the map the
-	// compactor needs to name the version a merged log prefix corresponds
-	// to (merges always stop at batch boundaries).
-	batchEnds []batchEnd
 
 	// Incremental bookkeeping, exact at all times.
 	edges  int
@@ -202,8 +194,8 @@ type Engine struct {
 	closed  bool
 	journal Journal
 
-	compactCh chan string
-	wg        sync.WaitGroup
+	compactCh     chan string
+	compactorDone chan struct{} // closed when the compactor goroutine exits
 
 	// compactorBeat is the unixnano of the compactor goroutine's last
 	// liveness beat — ticked while idle, stamped around each merge — so
@@ -231,10 +223,11 @@ func NewEngine(reg *registry.Registry, opts Options) *Engine {
 	opts.fill()
 	o := opts.Obs
 	e := &Engine{
-		reg:       reg,
-		opts:      opts,
-		states:    make(map[string]*graphState),
-		compactCh: make(chan string, 64),
+		reg:           reg,
+		opts:          opts,
+		states:        make(map[string]*graphState),
+		compactCh:     make(chan string, 64),
+		compactorDone: make(chan struct{}),
 
 		batches:      o.Counter("stream_batches_total", "Mutation batches applied (no-op batches included)."),
 		opsApplied:   o.Counter("stream_ops_applied_total", "Edge operations accepted across all batches."),
@@ -246,7 +239,7 @@ func NewEngine(reg *registry.Registry, opts Options) *Engine {
 		applySecs: o.Histogram("stream_apply_seconds",
 			"Mutation batch apply latency: validation through snapshot publication.", nil),
 		compactSecs: o.Histogram("stream_compaction_seconds",
-			"Background compaction duration: merge through republish.", nil),
+			"Background compaction duration: finalize of the current version through adoption, republish and checkpoint.", nil),
 	}
 	o.GaugeFunc("stream_pending_delta_ops", "Delta-log operations not yet compacted, summed over graphs.",
 		func() float64 { return float64(e.pendingOps()) })
@@ -258,7 +251,6 @@ func NewEngine(reg *registry.Registry, opts Options) *Engine {
 		})
 	reg.AddRemoveListener(func(name string, _ registry.RemoveReason) { e.Forget(name) })
 	e.beat()
-	e.wg.Add(1)
 	go e.compactor()
 	return e
 }
@@ -291,7 +283,7 @@ func (e *Engine) Close() {
 	e.closed = true
 	close(e.compactCh)
 	e.mu.Unlock()
-	e.wg.Wait()
+	<-e.compactorDone
 }
 
 // Forget drops the per-graph mutation state (the graph was deleted).
@@ -326,20 +318,30 @@ func (e *Engine) Apply(name string, ops []Op) (Result, error) {
 
 // ApplyCtx is Apply with a context carrying the caller's trace: the
 // journal append (the fsync on the write path) gets its own span.
-func (e *Engine) ApplyCtx(ctx context.Context, name string, ops []Op) (Result, error) {
+func (e *Engine) ApplyCtx(ctx context.Context, name string, ops []Op) (res Result, err error) {
 	start := time.Now()
-	defer func() { e.applySecs.Observe(time.Since(start).Seconds()) }()
+	defer func() {
+		// Every batch is counted here, once: a batch that returns an error
+		// is rejected, whichever step refused it (validation, state,
+		// journal or publish).
+		if err != nil {
+			e.rejected.Inc()
+		} else {
+			e.batches.Inc()
+			e.opsApplied.Add(float64(res.Applied))
+			e.upserts.Add(float64(res.Upserts))
+			e.deletes.Add(float64(res.Deletes))
+		}
+		e.applySecs.Observe(time.Since(start).Seconds())
+	}()
 	if len(ops) == 0 {
-		e.rejected.Inc()
 		return Result{}, fmt.Errorf("%w: empty batch", ErrBadBatch)
 	}
 	if len(ops) > e.opts.MaxBatchOps {
-		e.rejected.Inc()
 		return Result{}, fmt.Errorf("%w: %d ops > limit %d", ErrBatchTooLarge, len(ops), e.opts.MaxBatchOps)
 	}
 	st, err := e.state(name)
 	if err != nil {
-		e.rejected.Inc()
 		return Result{}, err
 	}
 
@@ -351,7 +353,6 @@ func (e *Engine) ApplyCtx(ctx context.Context, name string, ops []Op) (Result, e
 	// our publish and make us resync from a stale entry.
 	lease, err := e.reg.Acquire(name)
 	if err != nil {
-		e.rejected.Inc()
 		// Don't leak an empty state for a name that never resolved:
 		// repeated mutations of unknown graphs must not grow the map.
 		if st.base == nil {
@@ -366,11 +367,10 @@ func (e *Engine) ApplyCtx(ctx context.Context, name string, ops []Op) (Result, e
 	defer lease.Release()
 	entry := lease.Entry()
 
-	if st.base == nil || st.version != entry.Version() {
+	if st.base == nil || st.entry.Version() != entry.Version() {
 		// First mutation of this incarnation (or the graph was replaced by
 		// a fresh upload): rebuild the state from the registry's graph.
 		if err := st.resetFrom(entry); err != nil {
-			e.rejected.Inc()
 			return Result{}, err
 		}
 	}
@@ -378,16 +378,14 @@ func (e *Engine) ApplyCtx(ctx context.Context, name string, ops []Op) (Result, e
 	// Validate before touching anything: batches are all-or-nothing.
 	for k, op := range ops {
 		if op.Op != OpUpsert && op.Op != OpDelete {
-			e.rejected.Inc()
 			return Result{}, fmt.Errorf("%w: op %d has unknown kind %q (upsert|delete)", ErrBadBatch, k, op.Op)
 		}
 		if op.Src < 0 || op.Src >= st.n || op.Dst < 0 || op.Dst >= st.n {
-			e.rejected.Inc()
 			return Result{}, fmt.Errorf("%w: op %d edge (%d,%d) outside %d-node graph", ErrBadBatch, k, op.Src, op.Dst, st.n)
 		}
 	}
 
-	res := Result{Graph: name, Applied: len(ops)}
+	res = Result{Graph: name, Applied: len(ops)}
 	logBefore := len(st.log)
 	for _, op := range ops {
 		switch op.Op {
@@ -414,12 +412,7 @@ func (e *Engine) ApplyCtx(ctx context.Context, name string, ops []Op) (Result, e
 		// Nothing was logged (every delete targeted an absent edge): the
 		// graph is content-identical, so don't publish — a version bump
 		// would wipe the result cache for an unchanged graph.
-		e.batches.Inc()
-		e.opsApplied.Add(float64(res.Applied))
-		e.deletes.Add(float64(res.Deletes))
-		res.Version = st.version
-		res.Edges = st.edges
-		res.PendingOps = len(st.log)
+		res.Version, res.Edges, res.PendingOps = st.entry.Version(), st.edges, len(st.log)
 		return res, nil
 	}
 
@@ -469,17 +462,8 @@ func (e *Engine) ApplyCtx(ctx context.Context, name string, ops []Op) (Result, e
 		st.base = nil
 		return Result{}, err
 	}
-	st.version = newEntry.Version()
-	st.batchEnds = append(st.batchEnds, batchEnd{ops: len(st.log), version: st.version})
-
-	e.batches.Inc()
-	e.opsApplied.Add(float64(res.Applied))
-	e.upserts.Add(float64(res.Upserts))
-	e.deletes.Add(float64(res.Deletes))
-
-	res.Version = st.version
-	res.Edges = st.edges
-	res.PendingOps = len(st.log)
+	st.entry = newEntry
+	res.Version, res.Edges, res.PendingOps = newEntry.Version(), st.edges, len(st.log)
 	res.CompactionScheduled = e.maybeScheduleCompact(name, st)
 	return res, nil
 }
@@ -523,19 +507,6 @@ func (st *graphState) record(op logOp) {
 	st.log = append(st.log, op)
 }
 
-// replayLog applies a delta log to m, a snapshot of the base it was logged
-// against, as pending tuples and tombstones.
-func replayLog(m *grb.Matrix[float64], log []logOp) (err error) {
-	for k := 0; k < len(log) && err == nil; k++ {
-		if op := log[k]; op.del {
-			err = m.RemoveElement(op.i, op.j)
-		} else {
-			err = m.SetElement(op.w, op.i, op.j)
-		}
-	}
-	return err
-}
-
 // has reports whether edge (i,j) is live: the overlay overrides the base.
 func (st *graphState) has(i, j int) bool {
 	if live, ok := st.overlay[coord{i, j}]; ok {
@@ -558,14 +529,13 @@ func (st *graphState) resetFrom(entry *registry.Entry) error {
 	ptr, idx, _ := base.ExportCSR() // finished: shared, read-only
 	n := base.NRows()
 
-	st.version = entry.Version()
+	st.entry = entry
 	st.kind = g.Kind
 	st.n = n
 	st.base = base
 	st.baseGraph = g
 	st.baseNNZ = len(idx)
 	st.log = nil
-	st.batchEnds = nil
 	st.overlay = make(map[coord]bool)
 	st.edges = len(idx)
 	st.rowDeg = make([]int64, n)
@@ -591,10 +561,14 @@ func (st *graphState) resetFrom(entry *registry.Entry) error {
 // everything else is recomputed on demand.
 func (st *graphState) snapshot(prev *lagraph.Graph[float64]) (*lagraph.Graph[float64], error) {
 	g, err := st.baseGraph.Snapshot()
-	if err != nil {
-		return nil, err
+	for k := 0; k < len(st.log) && err == nil; k++ {
+		if op := st.log[k]; op.del {
+			err = g.A.RemoveElement(op.i, op.j)
+		} else {
+			err = g.A.SetElement(op.w, op.i, op.j)
+		}
 	}
-	if err := replayLog(g.A, st.log); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	g.NDiag = st.ndiag
@@ -692,7 +666,7 @@ func (e *Engine) CompactorLive(staleAfter time.Duration) (bool, string) {
 // compactor drains compaction requests until Close, beating the
 // liveness heartbeat while idle and around each merge.
 func (e *Engine) compactor() {
-	defer e.wg.Done()
+	defer close(e.compactorDone)
 	tick := time.NewTicker(compactorBeatInterval)
 	defer tick.Stop()
 	for {
@@ -710,13 +684,15 @@ func (e *Engine) compactor() {
 	}
 }
 
-// compactOne merges a graph's delta log into a fresh base CSR and
-// republishes the compacted snapshot under the current version (identical
-// content, so cached results survive). The O(nnz) merge runs *outside*
-// st.mu — mutation batches keep landing while it works — and the result
-// is adopted under the lock only if the state it was computed from is
-// still a prefix of the live state; batches that arrived mid-merge simply
-// remain in the (now much shorter) delta log.
+// compactOne folds a graph's delta log into its base by adopting the
+// current version's assembled CSR. The registry assembles each published
+// version at most once (Entry.EnsureFinalized, the single flight every
+// reader shares), so a version a reader already finalized compacts for the
+// cost of the bookkeeping, and any other pays the assembly its first
+// reader would have. That O(nnz) step runs *outside* st.mu — mutation
+// batches keep landing while it works — and is adopted under the lock
+// only if the base the log was recorded against is still the live one;
+// batches that arrived meanwhile stay in the (now much shorter) delta log.
 func (e *Engine) compactOne(name string) {
 	e.mu.Lock()
 	st := e.states[name]
@@ -727,104 +703,61 @@ func (e *Engine) compactOne(name string) {
 	start := time.Now()
 	defer func() { e.compactSecs.Observe(time.Since(start).Seconds()) }()
 
-	// Phase 1: snapshot the merge inputs.
+	// The state's own entry publishes the whole log. It is not leased: a
+	// pin held through an O(nnz) finalize would make concurrent loads fail
+	// for want of an evictable graph, and a deleted or evicted graph's
+	// state is dropped by the removal listener anyway.
 	st.mu.Lock()
 	st.compactScheduled = false
 	if len(st.log) == 0 || st.base == nil {
 		st.mu.Unlock()
 		return
 	}
-	base := st.base
-	merged := len(st.log)
-	logCopy := append([]logOp(nil), st.log...)
+	entry, base, merged := st.entry, st.base, len(st.log)
 	st.mu.Unlock()
 
-	// Phase 2: the heavy merge, off every lock.
-	m, err := base.Snapshot()
-	if err != nil {
-		return
-	}
-	if replayLog(m, logCopy) != nil {
-		return
-	}
-	m.Wait() // assemble the merged CSR: this is the new base
+	entry.EnsureFinalized()
+	g := entry.Graph()
 
-	// Phase 3: adopt under the lock. Apply only ever appends to the log
-	// (resets swap out st.base), so base identity + length is enough to
-	// prove logCopy is still a prefix of st.log.
+	// Adopt under the lock. Apply only ever appends to the log (resets swap
+	// out st.base), so an unchanged base proves the first merged ops of the
+	// log are exactly what g assembled.
 	st.mu.Lock()
-	if st.base != base || len(st.log) < merged {
+	if st.base != base {
 		st.mu.Unlock()
-		return // resynced or replaced mid-merge; nothing to adopt
+		return // resynced mid-merge; nothing to adopt
 	}
-	// The merged prefix always stops at a batch boundary (Apply holds
-	// st.mu for the whole batch), so it names a published version — the
-	// version the compacted base is a checkpoint of.
-	var ckptVersion uint64
-	remain := st.batchEnds[:0:0]
-	for _, be := range st.batchEnds {
-		if be.ops == merged {
-			ckptVersion = be.version
-		}
-		if be.ops > merged {
-			remain = append(remain, batchEnd{ops: be.ops - merged, version: be.version})
-		}
-	}
-	st.batchEnds = remain
-	tail := append([]logOp(nil), st.log[merged:]...)
-	A := m
-	bg, err := lagraph.New(&A, st.kind)
-	if err != nil {
-		st.mu.Unlock()
-		return
-	}
-	st.base = m
-	st.baseGraph = bg
-	st.baseNNZ = m.NVals() // finished and private: cheap, no assembly
+	tail := st.log[merged:]
+	st.base, st.baseGraph, st.baseNNZ = g.A, g, g.A.NVals()
 	st.log, st.overlay = nil, make(map[coord]bool)
 	for _, op := range tail {
 		st.record(op)
 	}
-	kind := st.kind
 	e.compactions.Inc()
 	e.compactedOps.Add(float64(merged))
-
-	// Republish so readers of the current version get the compacted base
-	// (plus any mid-merge tail) instead of paying the lazy merge
-	// themselves. Best-effort: on failure the compacted base still serves
-	// every future snapshot.
-	func() {
-		lease, err := e.reg.Acquire(name)
-		if err != nil {
-			return // deleted; the removal listener clears the state
-		}
-		defer lease.Release()
-		entry := lease.Entry()
-		if entry.Version() != st.version {
-			return // replaced externally; the next Apply resyncs
-		}
-		g, err := st.snapshot(entry.Graph())
-		if err != nil {
-			return
-		}
-		_, _ = e.reg.Swap(name, g, registry.SwapStats{
+	if len(tail) == 0 {
+		// Republish the same graph under the same version so the entry
+		// reports no pending delta. Best-effort: on failure the adopted
+		// base still serves every future snapshot.
+		if republished, err := e.reg.Swap(name, g, registry.SwapStats{
 			Bytes:       st.estimateBytes(),
 			Nodes:       st.n,
 			Edges:       st.edges,
-			PendingOps:  int64(len(tail)),
 			KeepVersion: true,
 			Prev:        entry,
-		})
-	}()
+		}); err == nil {
+			st.entry = republished
+		}
+	}
 	st.mu.Unlock()
 
-	// The compacted base is a full checkpoint of the graph at the merged
-	// boundary's version: persist it (off every engine lock — the base is
-	// immutable from here on) so the journal can drop the WAL records it
-	// supersedes. Best-effort: a failed checkpoint leaves the longer WAL
-	// in place, which only costs replay time.
-	if journal := e.journalFor(); journal != nil && ckptVersion != 0 {
-		_ = journal.Checkpoint(name, kind, m, ckptVersion)
+	// The adopted base is a full checkpoint of the graph at the entry's
+	// version: persist it (off every engine lock — it is immutable from here
+	// on) so the journal can drop the WAL records it supersedes.
+	// Best-effort: a failed checkpoint leaves the longer WAL in place, which
+	// only costs replay time.
+	if journal := e.journalFor(); journal != nil {
+		_ = journal.Checkpoint(name, g.Kind, g.A, entry.Version())
 	}
 }
 
