@@ -59,7 +59,6 @@ import (
 	"syscall"
 	"time"
 
-	"lagraph/internal/cluster"
 	"lagraph/internal/obs"
 	"lagraph/internal/parallel"
 	"lagraph/internal/registry"
@@ -132,12 +131,6 @@ func main() {
 	flag.DurationVar(&opts.FsyncAlert, "fsync-alert", 0, "capture a wal_fsync_stall incident when one WAL append+fsync is at least this slow (0 disables; with -data-dir)")
 	flag.Int64Var(&opts.HeapAlertBytes, "heap-alert-bytes", 0, "capture a heap_watermark incident when the heap high watermark crosses this many bytes (0 disables)")
 
-	flag.StringVar((*string)(&opts.Cluster.Role), "role", "", "cluster role: leader|follower (empty = single-node, no clustering)")
-	flag.StringVar(&opts.Cluster.Self, "advertise", "", "this node's advertised host:port, how peers reach it (required with -role)")
-	flag.StringVar(&opts.Cluster.Leader, "leader", "", "leader's host:port (required on followers)")
-	peers := flag.String("peers", "", "comma-separated static cluster membership (host:port each); self and leader are always included")
-	flag.DurationVar(&opts.Cluster.Poll, "replica-poll", 250*time.Millisecond, "follower replication poll interval")
-
 	authTokens := flag.String("auth-tokens", "", "tenant token file (JSON); enables multi-tenant mode with bearer auth, per-tenant namespaces and quotas (empty = single-tenant, no auth)")
 	flag.IntVar(&opts.TenantDefaults.MaxGraphs, "tenant-max-graphs", 0, "default per-tenant resident-graph quota for tenants without their own (0 = unlimited; with -auth-tokens)")
 	flag.Int64Var(&opts.TenantDefaults.MaxResidentBytes, "tenant-max-bytes", 0, "default per-tenant resident-byte quota (0 = unlimited; with -auth-tokens)")
@@ -167,15 +160,6 @@ func main() {
 		}
 	}
 
-	clusterCfg := &opts.Cluster
-	clusterCfg.Peers = cluster.ParsePeers(*peers)
-	if err := clusterCfg.Validate(); err != nil {
-		fatal("cluster config", "error", err)
-	}
-	if clusterCfg.Role == cluster.RoleLeader && storeOpts.Dir == "" {
-		fatal("cluster config", "error", "a leader needs -data-dir: the WAL is the replication log")
-	}
-
 	if storeOpts.Dir != "" {
 		if opts.Store, err = store.Open(storeOpts); err != nil {
 			fatal("opening data dir", "dir", storeOpts.Dir, "error", err)
@@ -184,10 +168,6 @@ func main() {
 
 	reg := registry.New(*maxBytes)
 	srv := server.New(reg, opts)
-	if clusterCfg.Role != cluster.RoleNone {
-		logger.Info("cluster mode", "role", string(clusterCfg.Role),
-			"self", clusterCfg.Self, "leader", clusterCfg.Leader, "peers", clusterCfg.Peers)
-	}
 	if opts.Tenants != nil {
 		logger.Info("multi-tenant mode", "tenants", len(opts.Tenants.Tenants), "file", *authTokens)
 	}

@@ -77,102 +77,3 @@ func FusedBFSPushStep[T Value](p, q *Vector[int64], A *Matrix[T]) error {
 	q.conform()
 	return nil
 }
-
-// Kronecker computes C⟨M⟩⊙= A ⊗kron B on a semiring's multiplicative
-// operator: C((iA·rB)+iB, (jA·cB)+jB) = A(iA,jA) ⊗ B(iB,jB). This is the
-// GrB_kronecker operation; RMAT generators are its repeated self-product.
-func Kronecker[TA, TB, TC Value](C *Matrix[TC], mask Mask, accum func(TC, TC) TC,
-	op BinaryOp[TA, TB, TC], A *Matrix[TA], B *Matrix[TB], desc *Descriptor) error {
-
-	d := descOf(desc)
-	A = oriented(A, d.TranA)
-	B = oriented(B, d.TranB)
-	ar, ac := A.Dims()
-	br, bc := B.Dims()
-	cr, cc := C.Dims()
-	if cr != ar*br || cc != ac*bc {
-		return dimErr("Kronecker", "C "+itoa(cr)+"x"+itoa(cc), itoa(ar*br)+"x"+itoa(ac*bc))
-	}
-	if err := mask.check(cr, cc, "Kronecker"); err != nil {
-		return err
-	}
-	if op.PosF != nil {
-		return errf(NotImplemented, "Kronecker: positional operators are not defined for kron")
-	}
-	A.Wait()
-	B.Wait()
-	denseMaskSrc := !mask.Exists() || mask.src.maskIsDense()
-	t := buildCSRParallelScoped(cr, cc, func(scope *rowAllowScope) func(i int, emit func(j int, x TC)) {
-		return func(i int, emit func(j int, x TC)) {
-			scope.load(mask, i, cc, denseMaskSrc)
-			iA, iB := i/br, i%br
-			aRowIter(A, iA, func(jA int, ax TA) {
-				aRowIter(B, iB, func(jB int, bx TB) {
-					j := jA*bc + jB
-					if scope.ok(mask, i, j) {
-						emit(j, op.F(ax, bx))
-					}
-				})
-			})
-		}
-	})
-	maskAccumMatrix(C, mask, accum, t, d.Replace, true, nil)
-	return nil
-}
-
-// MatrixDiag builds an n×n matrix with vector v on the k-th diagonal
-// (GxB_Matrix_diag).
-func MatrixDiag[T Value](v *Vector[T], k int) (*Matrix[T], error) {
-	n := v.Size() + max(k, -k)
-	m, err := NewMatrix[T](n, n)
-	if err != nil {
-		return nil, err
-	}
-	v.Iterate(func(i int, x T) {
-		r, c := i, i+k
-		if k < 0 {
-			r, c = i-k, i
-		}
-		lagSet(m.SetElement(x, r, c))
-	})
-	m.Wait()
-	return m, nil
-}
-
-// VectorDiag extracts the k-th diagonal of a matrix into a vector
-// (GxB_Vector_diag).
-func VectorDiag[T Value](A *Matrix[T], k int) (*Vector[T], error) {
-	nr, nc := A.Dims()
-	var n int
-	if k >= 0 {
-		n = min(nr, nc-k)
-	} else {
-		n = min(nr+k, nc)
-	}
-	if n < 0 {
-		n = 0
-	}
-	v, err := NewVector[T](n)
-	if err != nil {
-		return nil, err
-	}
-	A.Wait()
-	for i := 0; i < n; i++ {
-		r, c := i, i+k
-		if k < 0 {
-			r, c = i-k, i
-		}
-		if x, err := A.ExtractElement(r, c); err == nil {
-			lagSet(v.SetElement(x, i))
-		}
-	}
-	v.Wait()
-	return v, nil
-}
-
-// lagSet panics on impossible internal errors from pre-validated indices.
-func lagSet(err error) {
-	if err != nil {
-		panic(err)
-	}
-}

@@ -92,100 +92,6 @@ func TestFusedBFSValidation(t *testing.T) {
 	}
 }
 
-func TestKroneckerSmall(t *testing.T) {
-	// A = [[1,2],[0,3]] (sparse), B = [[0,5],[6,0]] patterns.
-	A := mustFromTuples(t, 2, 2, []int{0, 0, 1}, []int{0, 1, 1}, []float64{1, 2, 3})
-	B := mustFromTuples(t, 2, 2, []int{0, 1}, []int{1, 0}, []float64{5, 6})
-	C := MustMatrix[float64](4, 4)
-	if err := Kronecker(C, NoMask, nil, TimesOp[float64](), A, B, nil); err != nil {
-		t.Fatal(err)
-	}
-	want := map[coord]float64{
-		{0, 1}: 5, {1, 0}: 6, // A(0,0)=1 times B
-		{0, 3}: 10, {1, 2}: 12, // A(0,1)=2
-		{2, 3}: 15, {3, 2}: 18, // A(1,1)=3
-	}
-	matricesEqual(t, C, want, "kronecker")
-}
-
-func TestKroneckerDimsAndErrors(t *testing.T) {
-	A := MustMatrix[float64](2, 3)
-	B := MustMatrix[float64](4, 5)
-	C := MustMatrix[float64](8, 15)
-	if err := Kronecker(C, NoMask, nil, TimesOp[float64](), A, B, nil); err != nil {
-		t.Fatal(err)
-	}
-	bad := MustMatrix[float64](7, 15)
-	if err := Kronecker(bad, NoMask, nil, TimesOp[float64](), A, B, nil); err == nil {
-		t.Fatal("bad dims accepted")
-	}
-	pos := SecondIOp[float64, float64, float64]()
-	if err := Kronecker(C, NoMask, nil, BinaryOp[float64, float64, float64]{Name: "secondi", PosF: pos.PosF}, A, B, nil); err == nil {
-		t.Fatal("positional op accepted")
-	}
-}
-
-func TestKroneckerSelfProductGrowsRMATStyle(t *testing.T) {
-	// kron(G, G) of a 2-vertex seed graph gives the Graph500 recursion
-	// shape: nvals squares.
-	G := mustFromTuples(t, 2, 2, []int{0, 0, 1}, []int{0, 1, 1}, []float64{1, 1, 1})
-	K := MustMatrix[float64](4, 4)
-	if err := Kronecker(K, NoMask, nil, TimesOp[float64](), G, G, nil); err != nil {
-		t.Fatal(err)
-	}
-	if K.NVals() != 9 {
-		t.Fatalf("kron nvals = %d, want 3^2", K.NVals())
-	}
-}
-
-func TestMatrixDiagAndVectorDiag(t *testing.T) {
-	v, _ := VectorFromTuples(3, []int{0, 2}, []float64{5, 7}, nil)
-	D, err := MatrixDiag(v, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if D.NRows() != 3 || D.NVals() != 2 {
-		t.Fatalf("diag shape %dx%d nvals %d", D.NRows(), D.NCols(), D.NVals())
-	}
-	if x, _ := D.ExtractElement(2, 2); x != 7 {
-		t.Fatalf("D(2,2)=%v", x)
-	}
-	// Superdiagonal placement.
-	U, err := MatrixDiag(v, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if U.NRows() != 4 {
-		t.Fatalf("k=1 diag size %d", U.NRows())
-	}
-	if x, _ := U.ExtractElement(0, 1); x != 5 {
-		t.Fatalf("U(0,1)=%v", x)
-	}
-	// Round trip through VectorDiag.
-	back, err := VectorDiag(U, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NVals() != 2 {
-		t.Fatalf("extracted diag nvals %d", back.NVals())
-	}
-	if x, _ := back.ExtractElement(2); x != 7 {
-		t.Fatalf("back(2)=%v", x)
-	}
-	// Subdiagonal.
-	L, err := MatrixDiag(v, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x, _ := L.ExtractElement(1, 0); x != 5 {
-		t.Fatalf("L(1,0)=%v", x)
-	}
-	lv, err := VectorDiag(L, -1)
-	if err != nil || lv.NVals() != 2 {
-		t.Fatalf("subdiag extract: %v %d", err, lv.NVals())
-	}
-}
-
 func TestPoolReuseKeepsResultsCorrect(t *testing.T) {
 	prev := SetPoolEnabled(true)
 	defer SetPoolEnabled(prev)

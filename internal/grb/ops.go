@@ -199,24 +199,11 @@ func LandOp() BinaryOp[bool, bool, bool] {
 	return BinaryOp[bool, bool, bool]{Name: "land", F: func(a, b bool) bool { return a && b }}
 }
 
-// Positional multiplicative operators, named per GxB: for a pair
-// a(i,k)*b(k,j), firsti=i, firstj=k, secondi=k, secondj=j. The result type
-// is a generic Number so algorithms can pick int32 or int64 ids.
-
-func FirstIOp[TA, TB Value, TC Number]() BinaryOp[TA, TB, TC] {
-	return BinaryOp[TA, TB, TC]{Name: "firsti", PosF: func(i, _, _ int) TC { return TC(i) }}
-}
-
-func FirstJOp[TA, TB Value, TC Number]() BinaryOp[TA, TB, TC] {
-	return BinaryOp[TA, TB, TC]{Name: "firstj", PosF: func(_, k, _ int) TC { return TC(k) }}
-}
-
+// SecondIOp is the positional multiplicative operator named per GxB: for
+// a pair a(i,k)*b(k,j), secondi=k. The result type is a generic Number so
+// algorithms can pick int32 or int64 ids.
 func SecondIOp[TA, TB Value, TC Number]() BinaryOp[TA, TB, TC] {
 	return BinaryOp[TA, TB, TC]{Name: "secondi", PosF: func(_, k, _ int) TC { return TC(k) }}
-}
-
-func SecondJOp[TA, TB Value, TC Number]() BinaryOp[TA, TB, TC] {
-	return BinaryOp[TA, TB, TC]{Name: "secondj", PosF: func(_, _, j int) TC { return TC(j) }}
 }
 
 // ---------------------------------------------------------------------------
@@ -373,20 +360,8 @@ func ValueGE[T Number]() IndexUnaryOp[T] {
 	return IndexUnaryOp[T]{Name: "valuege", F: func(x T, _, _ int, k T) bool { return x >= k }}
 }
 
-func ValueLT[T Number]() IndexUnaryOp[T] {
-	return IndexUnaryOp[T]{Name: "valuelt", F: func(x T, _, _ int, k T) bool { return x < k }}
-}
-
 func ValueLE[T Number]() IndexUnaryOp[T] {
 	return IndexUnaryOp[T]{Name: "valuele", F: func(x T, _, _ int, k T) bool { return x <= k }}
-}
-
-func ValueNE[T Value]() IndexUnaryOp[T] {
-	return IndexUnaryOp[T]{Name: "valuene", F: func(x T, _, _ int, k T) bool { return x != k }}
-}
-
-func ValueEQ[T Value]() IndexUnaryOp[T] {
-	return IndexUnaryOp[T]{Name: "valueeq", F: func(x T, _, _ int, k T) bool { return x == k }}
 }
 
 // ---------------------------------------------------------------------------

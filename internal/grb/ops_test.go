@@ -78,18 +78,9 @@ func TestMonoidLawsProperty(t *testing.T) {
 }
 
 func TestPositionalOperatorConventions(t *testing.T) {
-	// For pair a(i,k)*b(k,j): firsti=i, firstj=k, secondi=k, secondj=j.
-	if FirstIOp[bool, bool, int64]().PosF(3, 5, 7) != 3 {
-		t.Fatal("firsti")
-	}
-	if FirstJOp[bool, bool, int64]().PosF(3, 5, 7) != 5 {
-		t.Fatal("firstj")
-	}
+	// For pair a(i,k)*b(k,j): secondi=k.
 	if SecondIOp[bool, bool, int64]().PosF(3, 5, 7) != 5 {
 		t.Fatal("secondi")
-	}
-	if SecondJOp[bool, bool, int64]().PosF(3, 5, 7) != 7 {
-		t.Fatal("secondj")
 	}
 }
 

@@ -232,11 +232,6 @@ type Options struct {
 	// queue-saturation trigger. queued/depth describe the queue at
 	// rejection time.
 	OnSaturated func(queued, depth int)
-	// Node, when set, suffixes every minted job id with "@<Node>" —
-	// the node's advertised cluster address — so a poll for the job
-	// arriving at any cluster node can be routed back to the node that
-	// owns the record. Empty (single-node) keeps the bare "j-%06d" ids.
-	Node string
 }
 
 func (o *Options) fill() {
@@ -767,9 +762,6 @@ func (e *Engine) popEligibleLocked(c Class) *Job {
 // newIDLocked mints the next job id.
 func (e *Engine) newIDLocked() string {
 	e.nextID++
-	if e.opts.Node != "" {
-		return fmt.Sprintf("j-%06d@%s", e.nextID, e.opts.Node)
-	}
 	return fmt.Sprintf("j-%06d", e.nextID)
 }
 

@@ -35,7 +35,7 @@ func KindName(k Kind) string {
 }
 
 // ParseKind is the inverse of KindName: the one parser behind the store's
-// meta.json, the replication wire and the upload API's ?kind=.
+// meta.json and the upload API's ?kind=.
 func ParseKind(name string) (Kind, error) {
 	switch name {
 	case "undirected":

@@ -395,7 +395,7 @@ func TestTicToc(t *testing.T) {
 
 // TestParseKindInvertsKindName: the two kind names round-trip and nothing
 // else parses — case and whitespace included, since the store's meta.json
-// and the replication wire carry exactly KindName's output.
+// carries exactly KindName's output.
 func TestParseKindInvertsKindName(t *testing.T) {
 	for _, k := range []Kind{AdjacencyUndirected, AdjacencyDirected} {
 		got, err := ParseKind(KindName(k))

@@ -140,11 +140,6 @@ func (s *Server) handleBundle(w http.ResponseWriter, _ *http.Request) {
 	addJSON("bundle/build.json", info)
 	addFile(tw, "bundle/metrics.prom", scrape.Bytes(), now)
 	addJSON("bundle/healthz.json", health)
-	if cs := s.clusterStatsSnapshot(); cs != nil {
-		// Role, peers, and per-graph replicated versions + lag: an
-		// incident captured on a follower is diagnosable offline.
-		addJSON("bundle/cluster.json", cs)
-	}
 	addJSON("bundle/incidents.json", incidents)
 	addJSON("bundle/traces.json", s.tracer.Traces(maxTraceLimit))
 	addFile(tw, "bundle/goroutines.txt", goroutines.Bytes(), now)

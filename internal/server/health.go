@@ -57,11 +57,6 @@ func (s *Server) registerHealth() {
 	if s.store != nil {
 		s.addHealth("store", s.store.Healthy)
 	}
-	if s.cluster != nil && s.cluster.repl != nil {
-		// A follower that cannot reach its leader serves unboundedly
-		// stale reads — that is a degradation /healthz must show.
-		s.addHealth("replication", s.cluster.repl.Healthy)
-	}
 }
 
 // componentHealth is one component's /healthz rendering.

@@ -49,7 +49,6 @@ import (
 	"time"
 
 	"lagraph/internal/algo"
-	"lagraph/internal/cluster"
 	"lagraph/internal/jobs"
 	"lagraph/internal/obs"
 	"lagraph/internal/parallel"
@@ -74,8 +73,8 @@ type Options struct {
 	// Jobs and Stream configure the two engines; see their own docs. New
 	// overrides only what is the server's to decide: Jobs.Workers <= 0
 	// selects the parallel worker bound (one algorithm per core set), both
-	// Obs fields follow Obs, and Jobs.Node / OnFailed / OnSaturated come
-	// from Cluster.Self and the flight recorder.
+	// Obs fields follow Obs, and Jobs.OnFailed / OnSaturated come from the
+	// flight recorder.
 	Jobs   jobs.Options
 	Stream stream.Options
 	// Store, when non-nil, makes the service durable: graphs persisted on
@@ -128,11 +127,6 @@ type Options struct {
 	// TenantDefaults carries the daemon-wide quota flags for tenants that
 	// set no bound of their own. Ignored when Tenants is nil.
 	TenantDefaults tenant.Defaults
-	// Cluster joins the node to a leader/follower cluster (see
-	// internal/cluster and cluster.go). The zero value (Role unset)
-	// keeps single-node behavior byte-identical: no replication routes,
-	// no routing wrappers, no cluster section anywhere.
-	Cluster cluster.Config
 }
 
 // Server is the lagraphd HTTP service.
@@ -143,7 +137,6 @@ type Server struct {
 	store   *store.Store // nil when the service is memory-only
 	catalog *algo.Catalog
 	tenants *tenant.Facade // nil in single-tenant mode
-	cluster *clusterState  // nil in single-node mode
 	mux     *http.ServeMux
 	sem     chan struct{}
 	opts    Options
@@ -219,11 +212,6 @@ func New(reg *registry.Registry, opts Options) *Server {
 	}
 
 	opts.Jobs.Obs, opts.Stream.Obs = o, o
-	if opts.Cluster.Role != cluster.RoleNone {
-		// Cluster job ids carry the minting node's address so polls can
-		// be routed back to it from any peer.
-		opts.Jobs.Node = opts.Cluster.Self
-	}
 	if recorder != nil {
 		opts.Jobs.OnFailed = func(key jobs.Key, err error) {
 			recorder.Trigger(obs.TriggerJobFailure,
@@ -319,9 +307,6 @@ func New(reg *registry.Registry, opts Options) *Server {
 	if opts.Tenants != nil {
 		s.tenants = tenant.New(opts.Tenants, opts.TenantDefaults, reg, s.jobs, o)
 	}
-	if opts.Cluster.Role != cluster.RoleNone {
-		s.initCluster()
-	}
 	s.registerHealth()
 	// Every route runs inside the instrumented middleware: a trace (id
 	// adopted from X-Trace-Id, echoed back), a root span, and the
@@ -330,27 +315,21 @@ func New(reg *registry.Registry, opts Options) *Server {
 	// single-tenant mode), inside instrumentation — an unauthorized
 	// request is still traced and counted — but outside the limiter, so
 	// bad tokens never occupy a concurrency slot.
-	// The cluster wrappers (leaderWrite, routedRead, routedJob) sit
-	// inside the tenant middleware — an unauthorized request is 401
-	// before it learns any topology, and ring placement hashes the same
-	// tenant-scoped names every peer uses — and outside the limiter, so
-	// a proxied request never holds a local compute slot. Single-node
-	// (Options.Cluster unset) every wrapper is the identity.
-	s.mux.HandleFunc("POST /graphs", s.instrumented("/graphs", s.tenanted(s.leaderWrite(s.limited(s.handleLoadGraph)))))
-	s.mux.HandleFunc("POST /graphs/{name}/edges", s.instrumented("/graphs/{name}/edges", s.tenanted(s.leaderWrite(s.limited(s.handleMutateGraph)))))
+	s.mux.HandleFunc("POST /graphs", s.instrumented("/graphs", s.tenanted(s.limited(s.handleLoadGraph))))
+	s.mux.HandleFunc("POST /graphs/{name}/edges", s.instrumented("/graphs/{name}/edges", s.tenanted(s.limited(s.handleMutateGraph))))
 	s.mux.HandleFunc("GET /graphs", s.instrumented("/graphs", s.tenanted(s.limited(s.handleListGraphs))))
-	s.mux.HandleFunc("GET /graphs/{name}", s.instrumented("/graphs/{name}", s.tenanted(s.routedRead(s.limited(s.handleGetGraph)))))
-	s.mux.HandleFunc("DELETE /graphs/{name}", s.instrumented("/graphs/{name}", s.tenanted(s.leaderWrite(s.limited(s.handleDeleteGraph)))))
-	s.mux.HandleFunc("POST /graphs/{name}/algorithms/{alg}", s.instrumented("/graphs/{name}/algorithms/{alg}", s.tenanted(s.routedRead(s.limited(s.handleAlgorithm)))))
-	s.mux.HandleFunc("POST /graphs/{name}/jobs", s.instrumented("/graphs/{name}/jobs", s.tenanted(s.routedRead(s.limited(s.handleSubmitJob)))))
+	s.mux.HandleFunc("GET /graphs/{name}", s.instrumented("/graphs/{name}", s.tenanted(s.limited(s.handleGetGraph))))
+	s.mux.HandleFunc("DELETE /graphs/{name}", s.instrumented("/graphs/{name}", s.tenanted(s.limited(s.handleDeleteGraph))))
+	s.mux.HandleFunc("POST /graphs/{name}/algorithms/{alg}", s.instrumented("/graphs/{name}/algorithms/{alg}", s.tenanted(s.limited(s.handleAlgorithm))))
+	s.mux.HandleFunc("POST /graphs/{name}/jobs", s.instrumented("/graphs/{name}/jobs", s.tenanted(s.limited(s.handleSubmitJob))))
 	// Job polling, cancellation and monitoring bypass the limiter so they
 	// answer under load — a client must be able to cancel the very jobs
 	// that are saturating the server.
 	s.mux.HandleFunc("GET /jobs", s.instrumented("/jobs", s.tenanted(s.handleListJobs)))
-	s.mux.HandleFunc("GET /jobs/{id}", s.instrumented("/jobs/{id}", s.tenanted(s.routedJob(s.handleGetJob))))
-	s.mux.HandleFunc("GET /jobs/{id}/result", s.instrumented("/jobs/{id}/result", s.tenanted(s.routedJob(s.handleJobResult))))
-	s.mux.HandleFunc("GET /jobs/{id}/report", s.instrumented("/jobs/{id}/report", s.tenanted(s.routedJob(s.handleJobReport))))
-	s.mux.HandleFunc("DELETE /jobs/{id}", s.instrumented("/jobs/{id}", s.tenanted(s.routedJob(s.handleCancelJob))))
+	s.mux.HandleFunc("GET /jobs/{id}", s.instrumented("/jobs/{id}", s.tenanted(s.handleGetJob)))
+	s.mux.HandleFunc("GET /jobs/{id}/result", s.instrumented("/jobs/{id}/result", s.tenanted(s.handleJobResult)))
+	s.mux.HandleFunc("GET /jobs/{id}/report", s.instrumented("/jobs/{id}/report", s.tenanted(s.handleJobReport)))
+	s.mux.HandleFunc("DELETE /jobs/{id}", s.instrumented("/jobs/{id}", s.tenanted(s.handleCancelJob)))
 	// Catalog introspection is cheap and read-only; it bypasses the
 	// limiter so clients can discover the API even under load.
 	s.mux.HandleFunc("GET /algorithms", s.instrumented("/algorithms", s.tenanted(s.handleListAlgorithms)))
@@ -366,8 +345,6 @@ func New(reg *registry.Registry, opts Options) *Server {
 	s.mux.HandleFunc("GET /debug/incidents", s.handleListIncidents)
 	s.mux.HandleFunc("GET /debug/incidents/{id}", s.handleGetIncident)
 	s.mux.HandleFunc("GET /debug/bundle", s.handleBundle)
-	s.registerClusterRoutes()
-	s.startCluster()
 	return s
 }
 
@@ -391,9 +368,6 @@ func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 // if any. The HTTP handler keeps answering (submissions fail with 503),
 // so Close is safe to call before the listener stops.
 func (s *Server) Close() {
-	if s.cluster != nil && s.cluster.repl != nil {
-		s.cluster.repl.Stop() // before the engines it applies batches through
-	}
 	s.recorder.Stop() // nil-safe; halts the metric-snapshot sampler
 	s.jobs.Close()
 	s.stream.Close()
@@ -431,9 +405,8 @@ type serverStats struct {
 	Jobs          jobs.Stats     `json:"jobs"`
 	Registry      registry.Stats `json:"registry"`
 	Stream        stream.Stats   `json:"stream"`
-	Store         *store.Stats   `json:"store,omitempty"`   // absent when memory-only
-	Tenants       []tenant.Stats `json:"tenant,omitempty"`  // absent in single-tenant mode
-	Cluster       *clusterStats  `json:"cluster,omitempty"` // absent in single-node mode
+	Store         *store.Stats   `json:"store,omitempty"`  // absent when memory-only
+	Tenants       []tenant.Stats `json:"tenant,omitempty"` // absent in single-tenant mode
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -449,7 +422,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, serverStats{
 		Store:         storeStats,
 		Tenants:       tenantStats,
-		Cluster:       s.clusterStatsSnapshot(),
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		MaxInFlight:   s.opts.MaxInFlight,
 		InFlight:      len(s.sem),

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -341,5 +342,43 @@ func TestEvictionOverHTTP(t *testing.T) {
 	}
 	if code, _ := doJSON(t, "GET", ts2.URL+"/graphs/a", nil); code != 200 {
 		t.Fatalf("a should be resident, got %d", code)
+	}
+}
+
+// TestSingleNodeUnchangedByClusterCode pins the single-node wire surface
+// that the retired cluster mode once wrapped: no replication routes, no
+// cluster stats key, and bare "j-%06d" job ids.
+func TestSingleNodeUnchangedByClusterCode(t *testing.T) {
+	ts, _ := newTestServer(t, 0)
+
+	resp, err := http.Get(ts.URL + "/replication/graphs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 404 {
+		t.Fatalf("/replication/graphs: HTTP %d, want 404", resp.StatusCode)
+	}
+	loadSyntheticGraph(t, ts.URL, "g", "kron", 5)
+	code, body := doJSON(t, "POST", ts.URL+"/graphs/g/edges", map[string]any{
+		"ops": []map[string]any{{"op": "upsert", "src": 1, "dst": 2}},
+	})
+	if code != 200 {
+		t.Fatalf("write: HTTP %d %v", code, body)
+	}
+	code, stats := doJSON(t, "GET", ts.URL+"/stats", nil)
+	if code != 200 {
+		t.Fatalf("stats: HTTP %d", code)
+	}
+	if _, present := stats["cluster"]; present {
+		t.Fatalf("/stats has a cluster section: %v", stats["cluster"])
+	}
+	code, sub := doJSON(t, "POST", ts.URL+"/graphs/g/jobs", map[string]any{"algorithm": "pagerank"})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", code)
+	}
+	if id := sub["id"].(string); !regexp.MustCompile(`^j-\d{6}$`).MatchString(id) {
+		t.Fatalf("job id %q, want j-%%06d", id)
 	}
 }

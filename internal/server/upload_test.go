@@ -3,8 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -300,9 +303,11 @@ func TestBinUploadRejectsForgedContainers(t *testing.T) {
 
 // TestCheckpointIsAnUpload: the store's checkpoint file and a ?format=bin
 // body are one container. Save a graph, post the checkpoint's bytes back
-// as an upload, and get the same graph.
+// as an upload, and get the same graph. The file is found by the layout
+// the store package documents: <data-dir>/g-<hex(name)>/checkpoint-<V>.bin.
 func TestCheckpointIsAnUpload(t *testing.T) {
-	st, err := store.Open(store.Options{Dir: t.TempDir()})
+	dir := t.TempDir()
+	st, err := store.Open(store.Options{Dir: dir})
 	if err != nil {
 		t.Fatalf("store.Open: %v", err)
 	}
@@ -319,13 +324,13 @@ func TestCheckpointIsAnUpload(t *testing.T) {
 	if err := st.SaveGraph("saved", g, 1); err != nil {
 		t.Fatalf("SaveGraph: %v", err)
 	}
-	ck, err := st.ReadCheckpoint("saved")
+	ckpt, err := os.ReadFile(filepath.Join(dir, "g-"+hex.EncodeToString([]byte("saved")), "checkpoint-1.bin"))
 	if err != nil {
-		t.Fatalf("ReadCheckpoint: %v", err)
+		t.Fatalf("reading the checkpoint file: %v", err)
 	}
 
 	ts, reg := newTestServer(t, 0)
-	code, body := postBody(t, ts.URL, "format=bin&name=back&kind="+ck.Kind, ck.Data)
+	code, body := postBody(t, ts.URL, "format=bin&name=back&kind="+lagraph.KindName(g.Kind), ckpt)
 	if code != http.StatusCreated {
 		t.Fatalf("upload of checkpoint bytes: %d %v", code, body)
 	}

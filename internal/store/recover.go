@@ -3,7 +3,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -69,9 +68,16 @@ func recoverOne(reg *registry.Registry, eng *stream.Engine, gf *graphFile, rep *
 	if err != nil {
 		return err
 	}
-	err = RestoreCheckpoint(reg, name, kind, version, f)
+	A, err := grb.DeserializeMatrix[float64](f)
 	f.Close()
 	if err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	g, err := lagraph.New(&A, kind)
+	if err != nil {
+		return err
+	}
+	if _, err := reg.Restore(name, g, version); err != nil {
 		return err
 	}
 	rep.GraphsRecovered++
@@ -80,58 +86,39 @@ func recoverOne(reg *registry.Registry, eng *stream.Engine, gf *graphFile, rep *
 	if err != nil {
 		return err
 	}
-	// Stale records were superseded by the checkpoint (a crash between the
-	// meta flip and the WAL rewrite leaves them behind, harmlessly).
-	stale, err := Replay(eng, name, version, recs, func(b TailBatch) {
-		rep.BatchesReplayed++
-		rep.OpsReplayed += len(b.Ops)
-	})
-	rep.StaleSkipped += stale
-	return err
+	return replay(eng, name, version, recs, rep)
 }
 
-// RestoreCheckpoint deserializes a checkpoint and restores it into reg as
-// graph name at the checkpoint's version — at boot and on a follower alike.
-func RestoreCheckpoint(reg *registry.Registry, name string, kind lagraph.Kind, version uint64, ckpt io.Reader) error {
-	A, err := grb.DeserializeMatrix[float64](ckpt)
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	g, err := lagraph.New(&A, kind)
-	if err != nil {
-		return err
-	}
-	_, err = reg.Restore(name, g, version)
-	return err
-}
+// errVersionGap reports a hole in a batch sequence handed to replay.
+var errVersionGap = errors.New("version gap")
 
-// ErrVersionGap reports a hole in a batch sequence handed to Replay.
-var ErrVersionGap = errors.New("version gap")
-
-// Replay applies the batches recorded after version `after` through eng's
-// ordinary Apply. Batches at or below the cursor are skipped and counted as
-// stale; the rest must be contiguous (ErrVersionGap otherwise) and each must
-// publish exactly the version recorded. applied is called as each one lands.
-func Replay(eng *stream.Engine, name string, after uint64, batches []TailBatch, applied func(TailBatch)) (stale int, err error) {
+// replay applies the batches recorded after version `after` through eng's
+// ordinary Apply, counting them into rep. Batches at or below the cursor
+// were superseded by the checkpoint (a crash between the meta flip and the
+// WAL rewrite leaves them behind, harmlessly) and are counted as stale; the
+// rest must be contiguous (errVersionGap otherwise) and each must publish
+// exactly the version recorded.
+func replay(eng *stream.Engine, name string, after uint64, batches []walRecord, rep *RecoveryReport) error {
 	for _, b := range batches {
 		if b.Version <= after {
-			stale++
+			rep.StaleSkipped++
 			continue
 		}
 		if b.Version != after+1 {
-			return stale, fmt.Errorf("replay: %w: have v%d, next batch is v%d", ErrVersionGap, after, b.Version)
+			return fmt.Errorf("replay: %w: have v%d, next batch is v%d", errVersionGap, after, b.Version)
 		}
 		res, err := eng.Apply(name, b.Ops)
 		if err != nil {
-			return stale, fmt.Errorf("replay v%d: %w", b.Version, err)
+			return fmt.Errorf("replay v%d: %w", b.Version, err)
 		}
 		if res.Version != b.Version {
-			return stale, fmt.Errorf("replay published v%d, recorded v%d", res.Version, b.Version)
+			return fmt.Errorf("replay published v%d, recorded v%d", res.Version, b.Version)
 		}
 		after = b.Version
-		applied(b)
+		rep.BatchesReplayed++
+		rep.OpsReplayed += len(b.Ops)
 	}
-	return stale, nil
+	return nil
 }
 
 // walPath needs no lock: dir is immutable after the handle is created.

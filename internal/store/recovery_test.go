@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -286,5 +287,100 @@ func appendJunk(t *testing.T, path string, junk []byte) {
 	defer f.Close()
 	if _, err := f.Write(junk); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDirWithEpochMetaRecovers: directories written before the incarnation
+// epoch was retired carry an "epoch" key in meta.json — minted locally on a
+// single node, or adopted from the leader on a former follower. Either
+// opens as a plain directory and recovers at the WAL's last version with
+// its pending ops, Open leaves meta.json's bytes alone, and the next fresh
+// save writes a meta.json without the key.
+func TestDirWithEpochMetaRecovers(t *testing.T) {
+	opts := stream.Options{CompactThreshold: 1 << 20, CompactRatio: 1e9}
+	tuples := [][3]float64{{0, 1, 1}, {1, 2, 2}, {2, 3, 3}}
+	batches := []walRecord{
+		{Version: 2, Ops: []stream.Op{
+			{Op: stream.OpUpsert, Src: 0, Dst: 3, Weight: fp(2.5)},
+			{Op: stream.OpDelete, Src: 1, Dst: 2},
+		}},
+		{Version: 3, Ops: []stream.Op{{Op: stream.OpUpsert, Src: 2, Dst: 0}}},
+	}
+
+	// The reference: the same load and batches applied live.
+	ref, _ := newHarness(t, t.TempDir(), opts)
+	ref.loadGraph(t, "g", lagraph.AdjacencyDirected, 4, tuples)
+	for _, b := range batches {
+		if _, err := ref.eng.Apply("g", b.Ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := fingerprint(t, ref.reg, "g")
+	ref.st.Close()
+	ref.eng.Close()
+	if want.version != 3 || want.pendingOps == 0 {
+		t.Fatalf("reference at v%d with %d pending ops", want.version, want.pendingOps)
+	}
+
+	for _, tc := range []struct{ name, epoch string }{
+		{"single node", "9c1f04e2b7a3d865"},
+		{"former follower", "41d7e0a93b6c2f18"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			gdir := dirForName(dir, "g")
+			if err := os.MkdirAll(gdir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			metaBytes := []byte(`{
+  "name": "g",
+  "kind": "directed",
+  "checkpoint_version": 1,
+  "epoch": "` + tc.epoch + `",
+  "saved_at": "2026-10-14T09:00:00Z"
+}`)
+			metaPath := filepath.Join(gdir, "meta.json")
+			if err := os.WriteFile(metaPath, metaBytes, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var ckpt bytes.Buffer
+			if err := grb.SerializeMatrix(&ckpt, testMatrix(t, 4, tuples)); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(checkpointPath(gdir, 1), ckpt.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := writeWAL(filepath.Join(gdir, "wal.log"), batches, false); err != nil {
+				t.Fatal(err)
+			}
+
+			h, rep := newHarness(t, dir, opts)
+			defer h.eng.Close()
+			defer h.st.Close()
+			if len(rep.Failed) != 0 || rep.GraphsRecovered != 1 || rep.BatchesReplayed != 2 {
+				t.Fatalf("recovery report = %+v", rep)
+			}
+			checkFingerprint(t, "g", want, fingerprint(t, h.reg, "g"))
+			if got, err := os.ReadFile(metaPath); err != nil || !bytes.Equal(got, metaBytes) {
+				t.Fatalf("Open rewrote meta.json (err %v):\n%s", err, got)
+			}
+
+			// Delete and reload the name: the fresh save's meta has no epoch.
+			if err := h.reg.Remove("g"); err != nil {
+				t.Fatal(err)
+			}
+			h.loadGraph(t, "g", lagraph.AdjacencyDirected, 4, tuples)
+			mb, err := os.ReadFile(metaPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m map[string]any
+			if err := json.Unmarshal(mb, &m); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := m["epoch"]; ok || m["name"] != "g" {
+				t.Fatalf("fresh meta.json = %s", mb)
+			}
+		})
 	}
 }

@@ -35,7 +35,6 @@
 package store
 
 import (
-	crand "crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -74,20 +73,15 @@ type Options struct {
 	Fsync bool
 }
 
-// meta is the per-graph meta.json payload.
+// meta is the per-graph meta.json payload. Older directories also carry
+// an "epoch" key; decoding ignores it and Open leaves the file as it is.
+// Two incarnations of one name never share a WAL: SaveGraph wipes the
+// old one's files before the new checkpoint lands.
 type meta struct {
 	Name              string `json:"name"`
 	Kind              string `json:"kind"` // "directed" | "undirected"
 	CheckpointVersion uint64 `json:"checkpoint_version"`
-	// Epoch identifies one incarnation of the name: SaveGraph (a fresh
-	// load, wiping whatever the name held before) mints a new opaque id,
-	// and every later checkpoint of the same incarnation carries it
-	// forward. Versions alone cannot tell two incarnations apart — the
-	// registry's version counter restarts across a daemon reboot after a
-	// delete+recreate — so replication compares epochs before trusting a
-	// WAL tail.
-	Epoch   string `json:"epoch,omitempty"`
-	SavedAt string `json:"saved_at"`
+	SavedAt           string `json:"saved_at"`
 }
 
 // graphFile is the in-memory handle on one graph's on-disk state. mu
@@ -100,7 +94,6 @@ type graphFile struct {
 	kind lagraph.Kind
 
 	ckptVersion uint64 // version meta.json points at
-	epoch       string // incarnation id meta.json carries (see meta.Epoch)
 	wal         *os.File
 	walSize     int64
 	walRecords  int
@@ -271,31 +264,9 @@ func Open(opts Options) (*Store, error) {
 			s.skipped = append(s.skipped, fmt.Sprintf("%s: %v", ent.Name(), err))
 			continue
 		}
-		if gf.epoch == "" {
-			// A pre-epoch directory: adopt an incarnation id now (read
-			// repair) so the replication surface always has one to serve.
-			// Best-effort — a failed write leaves the epoch to be minted by
-			// the next checkpoint instead.
-			gf.epoch = newEpoch()
-			_ = s.writeMeta(dir, meta{
-				Name: gf.name, Kind: lagraph.KindName(gf.kind),
-				CheckpointVersion: gf.ckptVersion,
-				Epoch:             gf.epoch,
-				SavedAt:           time.Now().UTC().Format(time.RFC3339),
-			})
-		}
 		s.graphs[gf.name] = gf
 	}
 	return s, nil
-}
-
-// newEpoch mints an opaque incarnation id.
-func newEpoch() string {
-	var b [8]byte
-	if _, err := crand.Read(b[:]); err != nil {
-		return fmt.Sprintf("e-%d", time.Now().UnixNano())
-	}
-	return hex.EncodeToString(b[:])
 }
 
 // SkippedDirs reports the directories Open could not serve and why.
@@ -383,7 +354,7 @@ func openGraphDir(dir string) (*graphFile, error) {
 	// Drop temp files and checkpoints meta no longer points at (both are
 	// crash leftovers).
 	removeStale(dir, checkpointName(m.CheckpointVersion), true)
-	gf := &graphFile{dir: dir, name: m.Name, kind: kind, ckptVersion: m.CheckpointVersion, epoch: m.Epoch}
+	gf := &graphFile{dir: dir, name: m.Name, kind: kind, ckptVersion: m.CheckpointVersion}
 	// Repair a torn tail now so appends land after the last good record.
 	walPath := filepath.Join(dir, "wal.log")
 	recs, goodLen, torn, err := readWAL(walPath)
@@ -609,8 +580,7 @@ func (s *Store) Checkpoint(name string, kind lagraph.Kind, m *grb.Matrix[float64
 // partial recovery — is wiped rather than merged, so an acknowledged
 // load is always exactly what lands on disk. Without fresh (the journal
 // path) checkpoints only move forward: a stale writer (the compactor's
-// checkpoint of a version SaveGraph or InstallCheckpoint has since
-// replaced) is a no-op, because regressing meta would orphan the WAL
+// checkpoint of a version SaveGraph has since replaced) is a no-op, because regressing meta would orphan the WAL
 // records the newer checkpoint already dropped.
 //
 // The matrix serialization — the expensive part — runs outside gf.mu so
@@ -669,16 +639,6 @@ func (s *Store) checkpointInto(gf *graphFile, name string, kind lagraph.Kind, m 
 		gf.walRecords = 0
 		gf.lastAppend = 0
 		gf.walDirty = false
-		// A fresh save is a new incarnation of the name: mint a new epoch
-		// so a replica holding the dead incarnation's tail can tell the
-		// difference and re-bootstrap instead of mixing the two.
-		gf.epoch = newEpoch()
-	}
-	if gf.epoch == "" {
-		// Pre-epoch directory (or a skipped dir re-entering through a
-		// fresh save path that somehow kept state): adopt an epoch now so
-		// every served checkpoint carries one.
-		gf.epoch = newEpoch()
 	}
 	if err := installStaged(tmp, ckpt); err != nil {
 		return err
@@ -692,7 +652,6 @@ func (s *Store) checkpointInto(gf *graphFile, name string, kind lagraph.Kind, m 
 	if err := s.writeMeta(gf.dir, meta{
 		Name: name, Kind: lagraph.KindName(kind),
 		CheckpointVersion: version,
-		Epoch:             gf.epoch,
 		SavedAt:           time.Now().UTC().Format(time.RFC3339),
 	}); err != nil {
 		return err

@@ -43,8 +43,12 @@ const (
 	maxWALPayload = 64 << 20
 )
 
-// walRecord is one decoded WAL record: the type the replication tail ships.
-type walRecord = TailBatch
+// walRecord is one decoded WAL record: the ops exactly as the API accepted
+// them, stamped with the registry version their publication produced.
+type walRecord struct {
+	Version uint64
+	Ops     []stream.Op
+}
 
 // encodeBatch builds a record payload.
 func encodeBatch(version uint64, ops []stream.Op) ([]byte, error) {
