@@ -18,14 +18,7 @@
 // request traces (ids propagate via X-Trace-Id), the access and
 // slow-query logs are structured slog records (-log-level, -log-format,
 // -slow-query), and -pprof-addr exposes net/http/pprof on its own
-// listener. A built-in flight recorder (-incident-window, default 30s)
-// continuously rings recent logs, traces and metric snapshots; anomalies
-// — a slow query, a failed job, a saturated queue, a WAL fsync stall
-// (-fsync-alert), a heap high-watermark crossing (-heap-alert-bytes) —
-// freeze the ring into incidents served by GET /debug/incidents, and
-// GET /debug/bundle ships everything (incidents, current scrape, build
-// info, recent traces, component health, a goroutine dump) as one
-// tar.gz. GET /healthz reports per-component readiness: store
+// listener. GET /healthz reports per-component readiness: store
 // writability, job-queue headroom, compactor liveness.
 //
 // Quickstart:
@@ -41,8 +34,7 @@
 //	curl localhost:8080/jobs
 //	curl localhost:8080/stats
 //	curl localhost:8080/metrics
-//	curl localhost:8080/debug/incidents
-//	curl localhost:8080/debug/bundle | tar tz
+//	curl localhost:8080/debug/traces
 package main
 
 import (
@@ -122,14 +114,9 @@ func main() {
 
 	logLevel := flag.String("log-level", "info", "log verbosity: debug|info|warn|error")
 	logFormat := flag.String("log-format", "text", "log encoding: text|json")
-	flag.DurationVar(&opts.SlowThreshold, "slow-query", 0, "log requests at least this slow with their span breakdown, and capture a slow_query incident (0 disables)")
+	flag.DurationVar(&opts.SlowThreshold, "slow-query", 0, "log requests at least this slow with their span breakdown (0 disables)")
 	flag.IntVar(&opts.TraceCapacity, "trace-capacity", 0, "finished-trace ring size served by /debug/traces (0 = 256)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty disables)")
-
-	flag.DurationVar(&opts.IncidentWindow, "incident-window", 30*time.Second, "flight-recorder lookback per incident and per-trigger debounce (0 disables the recorder)")
-	flag.IntVar(&opts.IncidentCapacity, "incident-capacity", 0, "retained-incident bound served by /debug/incidents (0 = 16)")
-	flag.DurationVar(&opts.FsyncAlert, "fsync-alert", 0, "capture a wal_fsync_stall incident when one WAL append+fsync is at least this slow (0 disables; with -data-dir)")
-	flag.Int64Var(&opts.HeapAlertBytes, "heap-alert-bytes", 0, "capture a heap_watermark incident when the heap high watermark crosses this many bytes (0 disables)")
 
 	authTokens := flag.String("auth-tokens", "", "tenant token file (JSON); enables multi-tenant mode with bearer auth, per-tenant namespaces and quotas (empty = single-tenant, no auth)")
 	flag.IntVar(&opts.TenantDefaults.MaxGraphs, "tenant-max-graphs", 0, "default per-tenant resident-graph quota for tenants without their own (0 = unlimited; with -auth-tokens)")

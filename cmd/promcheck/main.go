@@ -10,7 +10,7 @@
 //	promcheck -url http://localhost:8080/metrics
 //	promcheck -url http://localhost:8080/metrics \
 //	    -require jobs_queued,store_wal_appends_total \
-//	    -require go_goroutines,component_ready,incidents_total
+//	    -require go_goroutines,component_ready,http_requests_total
 //
 // -require repeats and takes comma-separated lists; when families are
 // missing, promcheck prints every missing family (one per line) before

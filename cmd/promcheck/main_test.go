@@ -33,14 +33,14 @@ func TestRunValidWithRequired(t *testing.T) {
 func TestRunReportsEveryMissingFamily(t *testing.T) {
 	code, stderr := runCheck(t, []string{
 		"-require", "jobs_queued,component_ready",
-		"-require", "incidents_total",
+		"-require", "http_requests_total",
 	}, validExposition)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1; stderr: %s", code, stderr)
 	}
 	for _, want := range []string{
 		"missing required family: component_ready",
-		"missing required family: incidents_total",
+		"missing required family: http_requests_total",
 		"2 of 3 required families missing",
 	} {
 		if !strings.Contains(stderr, want) {

@@ -223,15 +223,6 @@ type Options struct {
 	// once. Nil selects a private registry (the instruments still work;
 	// they are simply not scraped).
 	Obs *obs.Registry
-	// OnFailed, when set, is invoked off the engine mutex each time a
-	// job reaches the failed state (not cancelled, not done) — the
-	// flight recorder's job-failure trigger.
-	OnFailed func(key Key, err error)
-	// OnSaturated, when set, is invoked each time a submission is
-	// rejected with ErrQueueFull — the flight recorder's
-	// queue-saturation trigger. queued/depth describe the queue at
-	// rejection time.
-	OnSaturated func(queued, depth int)
 }
 
 func (o *Options) fill() {
@@ -614,11 +605,7 @@ func (e *Engine) Submit(req Request) (j *Job, isNew bool, err error) {
 		return nil, false, fmt.Errorf("jobs: invalid class %d", int(req.Class))
 	}
 	if e.queuedN >= e.opts.QueueDepth {
-		queued := e.queuedN
 		e.mu.Unlock()
-		if e.opts.OnSaturated != nil {
-			e.opts.OnSaturated(queued, e.opts.QueueDepth)
-		}
 		return nil, false, fmt.Errorf("%w (depth %d)", ErrQueueFull, e.opts.QueueDepth)
 	}
 
@@ -888,10 +875,6 @@ func (e *Engine) finishLocked(j *Job, v any, err error) []func() {
 	close(j.done)
 	hooks := j.onDone
 	j.onDone = nil
-	if j.state == StateFailed && e.opts.OnFailed != nil {
-		key, ferr := j.key, j.err
-		hooks = append(hooks, func() { e.opts.OnFailed(key, ferr) })
-	}
 	return hooks
 }
 

@@ -16,10 +16,7 @@ import (
 // AddSource, exactly like the durable store's.
 //
 // Samples are collected lazily at scrape time, rate-limited so a tight
-// scrape (or the flight recorder's snapshot ticker) never turns
-// metrics.Read into a hot path. The same sampled values back Snapshot(),
-// the flight recorder's periodic metric feed, so /metrics and incident
-// captures can never disagree about what the runtime looked like.
+// scrape loop never turns metrics.Read into a hot path.
 
 // runtimeSampleNames are the runtime/metrics samples the source reads.
 // All of them exist since Go 1.17; unknown names read as KindBad and are
@@ -63,13 +60,6 @@ type RuntimeSource struct {
 	// High watermarks (monotone over the process lifetime).
 	heapHW      float64
 	goroutineHW float64
-
-	// Heap alert: fired when heapHW first reaches alertBytes, and again
-	// each time the watermark grows another 10% past the last firing —
-	// a leak keeps reporting without one crossing spamming incidents.
-	alertBytes  float64
-	alertFired  float64
-	onHeapAlert func(heapBytes uint64)
 }
 
 // NewRuntimeSource builds the source and registers its families.
@@ -117,96 +107,48 @@ func (rs *RuntimeSource) Registry() *Registry { return rs.reg }
 
 // value refreshes (rate-limited) and reads one sampled field under mu.
 func (rs *RuntimeSource) value(read func(*RuntimeSource) float64) float64 {
-	rs.refresh()
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
+	rs.refreshLocked()
 	return read(rs)
 }
 
-// refresh re-samples runtime/metrics unless the previous sample set is
-// fresh enough, then fires the heap alert (outside the lock) if the
-// watermark crossed the threshold.
-func (rs *RuntimeSource) refresh() {
-	rs.mu.Lock()
-	var fire float64
-	var fn func(uint64)
-	if time.Since(rs.lastRefresh) >= rs.minRefresh {
-		rs.lastRefresh = time.Now()
-		metrics.Read(rs.samples)
-		for i := range rs.samples {
-			s := &rs.samples[i]
-			switch s.Name {
-			case "/sched/goroutines:goroutines":
-				rs.goroutines = sampleFloat(s)
-				rs.goroutineHW = math.Max(rs.goroutineHW, rs.goroutines)
-			case "/sched/gomaxprocs:threads":
-				rs.gomaxprocs = sampleFloat(s)
-			case "/memory/classes/heap/objects:bytes":
-				rs.heapBytes = sampleFloat(s)
-				rs.heapHW = math.Max(rs.heapHW, rs.heapBytes)
-			case "/memory/classes/total:bytes":
-				rs.totalBytes = sampleFloat(s)
-			case "/gc/cycles/total:gc-cycles":
-				rs.gcCycles = sampleFloat(s)
-			case "/gc/heap/goal:bytes":
-				rs.heapGoal = sampleFloat(s)
-			case "/gc/pauses:seconds":
-				if h := sampleHist(s); h != nil {
-					rs.gcPauseP50 = histQuantile(h, 0.50)
-					rs.gcPauseMax = histMax(h)
-				}
-			case "/sched/latencies:seconds":
-				if h := sampleHist(s); h != nil {
-					rs.schedLatP50 = histQuantile(h, 0.50)
-					rs.schedLatP99 = histQuantile(h, 0.99)
-				}
+// refreshLocked re-samples runtime/metrics unless the previous sample set
+// is fresh enough.
+func (rs *RuntimeSource) refreshLocked() {
+	if time.Since(rs.lastRefresh) < rs.minRefresh {
+		return
+	}
+	rs.lastRefresh = time.Now()
+	metrics.Read(rs.samples)
+	for i := range rs.samples {
+		s := &rs.samples[i]
+		switch s.Name {
+		case "/sched/goroutines:goroutines":
+			rs.goroutines = sampleFloat(s)
+			rs.goroutineHW = math.Max(rs.goroutineHW, rs.goroutines)
+		case "/sched/gomaxprocs:threads":
+			rs.gomaxprocs = sampleFloat(s)
+		case "/memory/classes/heap/objects:bytes":
+			rs.heapBytes = sampleFloat(s)
+			rs.heapHW = math.Max(rs.heapHW, rs.heapBytes)
+		case "/memory/classes/total:bytes":
+			rs.totalBytes = sampleFloat(s)
+		case "/gc/cycles/total:gc-cycles":
+			rs.gcCycles = sampleFloat(s)
+		case "/gc/heap/goal:bytes":
+			rs.heapGoal = sampleFloat(s)
+		case "/gc/pauses:seconds":
+			if h := sampleHist(s); h != nil {
+				rs.gcPauseP50 = histQuantile(h, 0.50)
+				rs.gcPauseMax = histMax(h)
+			}
+		case "/sched/latencies:seconds":
+			if h := sampleHist(s); h != nil {
+				rs.schedLatP50 = histQuantile(h, 0.50)
+				rs.schedLatP99 = histQuantile(h, 0.99)
 			}
 		}
-		if rs.alertBytes > 0 && rs.onHeapAlert != nil && rs.heapHW >= rs.alertBytes &&
-			(rs.alertFired == 0 || rs.heapHW >= rs.alertFired*1.1) {
-			rs.alertFired = rs.heapHW
-			fire, fn = rs.heapHW, rs.onHeapAlert
-		}
-	}
-	rs.mu.Unlock()
-	if fn != nil {
-		fn(uint64(fire))
-	}
-}
-
-// SetHeapAlert arms the heap high-watermark trigger: fn fires when the
-// watermark reaches bytes, and again on each further 10% of growth.
-// bytes == 0 disarms.
-func (rs *RuntimeSource) SetHeapAlert(bytes uint64, fn func(heapBytes uint64)) {
-	rs.mu.Lock()
-	rs.alertBytes = float64(bytes)
-	rs.alertFired = 0
-	rs.onHeapAlert = fn
-	rs.mu.Unlock()
-}
-
-// Snapshot returns the current sampled values keyed by family name —
-// the flight recorder's periodic metric feed. Refresh rate-limiting
-// applies, so a recorder ticking faster than runtimeRefreshInterval
-// records repeated (but consistent) values rather than hammering
-// metrics.Read.
-func (rs *RuntimeSource) Snapshot() map[string]float64 {
-	rs.refresh()
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return map[string]float64{
-		"go_goroutines":                rs.goroutines,
-		"go_goroutines_high_watermark": rs.goroutineHW,
-		"go_gomaxprocs":                rs.gomaxprocs,
-		"go_heap_objects_bytes":        rs.heapBytes,
-		"go_heap_high_watermark_bytes": rs.heapHW,
-		"go_heap_goal_bytes":           rs.heapGoal,
-		"go_memory_total_bytes":        rs.totalBytes,
-		"go_gc_cycles_total":           rs.gcCycles,
-		"go_gc_pause_p50_seconds":      rs.gcPauseP50,
-		"go_gc_pause_max_seconds":      rs.gcPauseMax,
-		"go_sched_latency_p50_seconds": rs.schedLatP50,
-		"go_sched_latency_p99_seconds": rs.schedLatP99,
 	}
 }
 

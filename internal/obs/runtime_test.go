@@ -3,51 +3,17 @@ package obs
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
-// TestRuntimeSourceSnapshot asserts the sampled value set is complete
-// and sane: a live Go process has goroutines, GOMAXPROCS, heap bytes,
-// and watermarks at least as high as the current values.
-func TestRuntimeSourceSnapshot(t *testing.T) {
-	rs := NewRuntimeSource()
-	rs.minRefresh = 0 // force a real metrics.Read per call in tests
-	snap := rs.Snapshot()
-
-	for _, key := range []string{
-		"go_goroutines", "go_goroutines_high_watermark", "go_gomaxprocs",
-		"go_heap_objects_bytes", "go_heap_high_watermark_bytes", "go_heap_goal_bytes",
-		"go_memory_total_bytes", "go_gc_cycles_total",
-		"go_gc_pause_p50_seconds", "go_gc_pause_max_seconds",
-		"go_sched_latency_p50_seconds", "go_sched_latency_p99_seconds",
-	} {
-		if _, ok := snap[key]; !ok {
-			t.Errorf("snapshot missing %s", key)
-		}
-	}
-	if snap["go_goroutines"] < 1 {
-		t.Errorf("go_goroutines = %v, want >= 1", snap["go_goroutines"])
-	}
-	if snap["go_gomaxprocs"] < 1 {
-		t.Errorf("go_gomaxprocs = %v, want >= 1", snap["go_gomaxprocs"])
-	}
-	if snap["go_heap_objects_bytes"] <= 0 {
-		t.Errorf("go_heap_objects_bytes = %v, want > 0", snap["go_heap_objects_bytes"])
-	}
-	if snap["go_heap_high_watermark_bytes"] < snap["go_heap_objects_bytes"] {
-		t.Errorf("heap watermark %v below current %v",
-			snap["go_heap_high_watermark_bytes"], snap["go_heap_objects_bytes"])
-	}
-	if snap["go_goroutines_high_watermark"] < snap["go_goroutines"] {
-		t.Errorf("goroutine watermark %v below current %v",
-			snap["go_goroutines_high_watermark"], snap["go_goroutines"])
-	}
-}
-
 // TestRuntimeSourceExposition composes the source into a scraped
-// registry the way the server does and validates the rendered families
-// with the strict parser.
+// registry the way the server does, validates the rendered families
+// with the strict parser, and checks the scraped values are sane: a live
+// Go process has goroutines, GOMAXPROCS and heap bytes, and each high
+// watermark is at least its current value.
 func TestRuntimeSourceExposition(t *testing.T) {
 	rs := NewRuntimeSource()
+	rs.minRefresh = time.Hour // one sample set for the whole scrape
 	reg := NewRegistry()
 	reg.AddSource(rs.Registry())
 
@@ -61,45 +27,42 @@ func TestRuntimeSourceExposition(t *testing.T) {
 	}
 	for fam, kind := range map[string]string{
 		"go_goroutines":                "gauge",
-		"go_gc_cycles_total":           "counter",
-		"go_heap_goal_bytes":           "gauge",
+		"go_goroutines_high_watermark": "gauge",
 		"go_gomaxprocs":                "gauge",
+		"go_heap_objects_bytes":        "gauge",
+		"go_heap_high_watermark_bytes": "gauge",
+		"go_heap_goal_bytes":           "gauge",
+		"go_memory_total_bytes":        "gauge",
+		"go_gc_cycles_total":           "counter",
+		"go_gc_pause_p50_seconds":      "gauge",
+		"go_gc_pause_max_seconds":      "gauge",
+		"go_sched_latency_p50_seconds": "gauge",
 		"go_sched_latency_p99_seconds": "gauge",
 	} {
 		if got := exp.Types[fam]; got != kind {
 			t.Errorf("family %s: type %q, want %q", fam, got, kind)
 		}
 	}
-}
 
-// TestHeapAlert arms the watermark trigger at one byte — any live heap
-// crosses it — and asserts it fires on the next refresh but does not
-// re-fire until the watermark grows another 10%.
-func TestHeapAlert(t *testing.T) {
-	rs := NewRuntimeSource()
-	rs.minRefresh = 0
-	fired := 0
-	var firedAt uint64
-	rs.SetHeapAlert(1, func(heapBytes uint64) {
-		fired++
-		firedAt = heapBytes
-	})
-	rs.Snapshot()
-	if fired != 1 {
-		t.Fatalf("alert fired %d times after first refresh, want 1", fired)
+	val := map[string]float64{}
+	for _, s := range exp.Samples {
+		val[s.Name] = s.Value
 	}
-	if firedAt == 0 {
-		t.Fatal("alert reported zero heap bytes")
+	if val["go_goroutines"] < 1 {
+		t.Errorf("go_goroutines = %v, want >= 1", val["go_goroutines"])
 	}
-	rs.Snapshot()
-	if fired != 1 {
-		t.Fatalf("alert re-fired without 10%% watermark growth (fired %d)", fired)
+	if val["go_gomaxprocs"] < 1 {
+		t.Errorf("go_gomaxprocs = %v, want >= 1", val["go_gomaxprocs"])
 	}
-
-	// Disarming stops further firings even if the watermark keeps rising.
-	rs.SetHeapAlert(0, nil)
-	rs.Snapshot()
-	if fired != 1 {
-		t.Fatalf("disarmed alert fired (count %d)", fired)
+	if val["go_heap_objects_bytes"] <= 0 {
+		t.Errorf("go_heap_objects_bytes = %v, want > 0", val["go_heap_objects_bytes"])
+	}
+	if val["go_heap_high_watermark_bytes"] < val["go_heap_objects_bytes"] {
+		t.Errorf("heap watermark %v below current %v",
+			val["go_heap_high_watermark_bytes"], val["go_heap_objects_bytes"])
+	}
+	if val["go_goroutines_high_watermark"] < val["go_goroutines"] {
+		t.Errorf("goroutine watermark %v below current %v",
+			val["go_goroutines_high_watermark"], val["go_goroutines"])
 	}
 }

@@ -33,10 +33,6 @@ type TracerOptions struct {
 	// SlowThreshold gates the slow-query log: a finished trace at least
 	// this slow logs a warning with its span breakdown. 0 disables.
 	SlowThreshold time.Duration
-	// OnFinish, when set, receives a snapshot of each finished trace —
-	// the flight recorder's trace feed. The snapshot is a value copy,
-	// safe to hold after the trace is evicted from the ring.
-	OnFinish func(TraceInfo)
 }
 
 // Tracer owns the finished-trace ring.
@@ -202,9 +198,6 @@ func (tr *Trace) Finish() {
 	}
 	t.mu.Unlock()
 	t.log(tr)
-	if t.opts.OnFinish != nil {
-		t.opts.OnFinish(tr.Snapshot())
-	}
 }
 
 // log emits the access-log record and, past the threshold, the
@@ -337,14 +330,14 @@ func (t *Tracer) Traces(limit int) []TraceInfo {
 	return out
 }
 
-// Get returns the ringed trace with the given id.
+// Get returns the ringed trace with the given id. Client-proposed ids
+// can repeat; the newest match wins, the one Traces lists first.
 func (t *Tracer) Get(id string) (TraceInfo, bool) {
 	t.mu.Lock()
 	var found *Trace
 	for _, tr := range t.ring {
-		if tr.id == id {
+		if tr.id == id && (found == nil || tr.start.After(found.start)) {
 			found = tr
-			break
 		}
 	}
 	t.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"strings"
 	"testing"
@@ -80,6 +81,54 @@ func TestTracerRingBounded(t *testing.T) {
 	}
 	if limited := tracer.Traces(2); len(limited) != 2 {
 		t.Fatalf("limit ignored: %d", len(limited))
+	}
+
+	// Traces finishing (evicting ring entries, mutating spans) while
+	// Traces and Get snapshot the ring must never tear. Run under -race
+	// in CI.
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			tr := tracer.Start("churn")
+			sp := tr.startSpan("work", "", String("i", fmt.Sprint(i)))
+			sp.SetAttr("k", "v")
+			sp.End()
+			tr.Finish()
+		}
+	}()
+	for churning := true; churning; {
+		select {
+		case <-done:
+			churning = false
+		default:
+		}
+		for _, ti := range tracer.Traces(0) {
+			if ti.ID == "" {
+				t.Fatalf("torn trace snapshot: %+v", ti)
+			}
+		}
+		if ti, ok := tracer.Get("churn"); ok && len(ti.Spans) != 1 {
+			t.Fatalf("torn churn trace: %+v", ti)
+		}
+	}
+}
+
+// TestGetReturnsNewestOfRepeatedID: client-proposed X-Trace-Id values can
+// repeat, and Get must agree with Traces, which lists the newest first.
+func TestGetReturnsNewestOfRepeatedID(t *testing.T) {
+	tracer := NewTracer(TracerOptions{Capacity: 4})
+	for _, name := range []string{"first", "second"} {
+		tr := tracer.Start("same")
+		tr.startSpan(name, "").End()
+		tr.Finish()
+	}
+	got, ok := tracer.Get("same")
+	if !ok || len(got.Spans) != 1 || got.Spans[0].Name != "second" {
+		t.Fatalf("Get(same) = %+v, want the newer trace (span %q)", got, "second")
+	}
+	if listed := tracer.Traces(1)[0]; listed.Start != got.Start {
+		t.Fatalf("Get and Traces disagree on the newest: %s vs %s", got.Start, listed.Start)
 	}
 }
 

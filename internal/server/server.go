@@ -18,9 +18,9 @@
 //	DELETE /jobs/{id}                       cancel a job
 //	GET    /healthz                         component-level readiness probe
 //	GET    /stats                           registry + jobs + server counters
-//	GET    /debug/incidents                 flight-recorder incident list
-//	GET    /debug/incidents/{id}            one captured incident
-//	GET    /debug/bundle                    tar.gz debug bundle (one curl)
+//	GET    /metrics                         Prometheus exposition
+//	GET    /debug/traces                    recent request traces
+//	GET    /debug/traces/{id}               one trace's span tree
 //
 // Requests against the same graph share its cached properties: the first
 // PageRank materializes the transpose and degree vector once (single
@@ -42,7 +42,6 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -72,9 +71,8 @@ type Options struct {
 	MaxParamsBytes int64
 	// Jobs and Stream configure the two engines; see their own docs. New
 	// overrides only what is the server's to decide: Jobs.Workers <= 0
-	// selects the parallel worker bound (one algorithm per core set), both
-	// Obs fields follow Obs, and Jobs.OnFailed / OnSaturated come from the
-	// flight recorder.
+	// selects the parallel worker bound (one algorithm per core set) and
+	// both Obs fields follow Obs.
 	Jobs   jobs.Options
 	Stream stream.Options
 	// Store, when non-nil, makes the service durable: graphs persisted on
@@ -97,27 +95,10 @@ type Options struct {
 	// keyed by trace id) and the slow-query log. Nil disables logging.
 	Logger *slog.Logger
 	// SlowThreshold gates the slow-query log: requests at least this slow
-	// log a warning with their span breakdown. 0 disables. With the flight
-	// recorder enabled, the same threshold is the slow-query incident
-	// trigger.
+	// log a warning with their span breakdown. 0 disables.
 	SlowThreshold time.Duration
 	// TraceCapacity bounds the GET /debug/traces ring. <= 0 means 256.
 	TraceCapacity int
-	// IncidentWindow enables the flight recorder: the lookback captured
-	// into each incident and the per-trigger-kind debounce. <= 0 disables
-	// the recorder entirely — the disabled path adds zero allocations to
-	// request handling. lagraphd's -incident-window flag defaults to 30s.
-	IncidentWindow time.Duration
-	// IncidentCapacity bounds retained incidents. <= 0 means 16.
-	IncidentCapacity int
-	// FsyncAlert triggers a wal_fsync_stall incident when one WAL
-	// append+fsync takes at least this long (needs Store and the
-	// recorder). 0 disables.
-	FsyncAlert time.Duration
-	// HeapAlertBytes triggers a heap_watermark incident when the heap
-	// high watermark crosses this many bytes (re-firing on each further
-	// 10% of growth). 0 disables.
-	HeapAlertBytes int64
 	// Tenants, when non-nil, switches the service to multi-tenant mode:
 	// data-plane requests must carry a bearer token from the config, graph
 	// names are namespaced per tenant, and quotas are enforced. Nil keeps
@@ -141,9 +122,8 @@ type Server struct {
 	sem     chan struct{}
 	opts    Options
 
-	obs      *obs.Registry
-	tracer   *obs.Tracer
-	recorder *obs.Recorder // nil when IncidentWindow <= 0
+	obs    *obs.Registry
+	tracer *obs.Tracer
 
 	// Component-level readiness (health.go): probes registered at build
 	// time, read by /healthz and the component_ready gauge family.
@@ -184,77 +164,27 @@ func New(reg *registry.Registry, opts Options) *Server {
 		opts.Obs = obs.NewRegistry()
 	}
 	o := opts.Obs
-
-	// Runtime telemetry always runs (it is scrape-time sampling, not a
-	// background cost); the flight recorder only when an incident window
-	// is configured. With the recorder off, no trigger callback is
-	// installed anywhere — the hot path carries not even a nil check.
-	rt := obs.NewRuntimeSource()
-	o.AddSource(rt.Registry())
-	var recorder *obs.Recorder
-	if opts.IncidentWindow > 0 {
-		recorder = obs.NewRecorder(obs.RecorderOptions{
-			Window:   opts.IncidentWindow,
-			Capacity: opts.IncidentCapacity,
-			Source:   rt.Snapshot,
-			Obs:      o,
-		})
-	}
-	logger := opts.Logger
-	if recorder != nil {
-		// Tee every slog record through the flight ring on its way to the
-		// configured handler, so incidents capture the logs around them.
-		var inner slog.Handler
-		if logger != nil {
-			inner = logger.Handler()
-		}
-		logger = slog.New(recorder.WrapHandler(inner))
-	}
-
+	// Runtime telemetry is scrape-time sampling, not a background cost.
+	o.AddSource(obs.NewRuntimeSource().Registry())
 	opts.Jobs.Obs, opts.Stream.Obs = o, o
-	if recorder != nil {
-		opts.Jobs.OnFailed = func(key jobs.Key, err error) {
-			recorder.Trigger(obs.TriggerJobFailure,
-				fmt.Sprintf("job %s@v%d/%s failed: %v", key.Graph, key.Version, key.Algorithm, err))
-		}
-		opts.Jobs.OnSaturated = func(queued, depth int) {
-			recorder.Trigger(obs.TriggerQueueSaturated,
-				fmt.Sprintf("job queue saturated: %d/%d queued, submission rejected with 429", queued, depth))
-		}
-	}
-
-	tracerOpts := obs.TracerOptions{
-		Capacity:      opts.TraceCapacity,
-		Logger:        logger,
-		SlowThreshold: opts.SlowThreshold,
-	}
-	if recorder != nil {
-		slow := opts.SlowThreshold
-		tracerOpts.OnFinish = func(ti obs.TraceInfo) {
-			// ti is a value copy cut by Trace.Snapshot, so an incident
-			// holding it cannot race the tracer ring's eviction.
-			recorder.RecordTrace(ti)
-			if slow > 0 && ti.Seconds >= slow.Seconds() {
-				recorder.Trigger(obs.TriggerSlowQuery,
-					fmt.Sprintf("trace %s (%s) took %.3fs, threshold %s", ti.ID, traceRoute(ti), ti.Seconds, slow))
-			}
-		}
-	}
 
 	s := &Server{
-		reg:      reg,
-		catalog:  opts.Catalog,
-		recorder: recorder,
-		jobs:     jobs.NewEngine(opts.Jobs),
-		stream:   stream.NewEngine(reg, opts.Stream),
-		store:    opts.Store,
-		mux:      http.NewServeMux(),
-		sem:      make(chan struct{}, opts.MaxInFlight),
-		opts:     opts,
-		started:  time.Now(),
+		reg:     reg,
+		catalog: opts.Catalog,
+		jobs:    jobs.NewEngine(opts.Jobs),
+		stream:  stream.NewEngine(reg, opts.Stream),
+		store:   opts.Store,
+		mux:     http.NewServeMux(),
+		sem:     make(chan struct{}, opts.MaxInFlight),
+		opts:    opts,
+		started: time.Now(),
 
-		obs:       o,
-		tracer:    obs.NewTracer(tracerOpts),
+		obs: o,
+		tracer: obs.NewTracer(obs.TracerOptions{
+			Capacity:      opts.TraceCapacity,
+			Logger:        opts.Logger,
+			SlowThreshold: opts.SlowThreshold,
+		}),
 		requests:  o.Counter("http_admitted_total", "API requests admitted through the concurrency limiter."),
 		rejected:  o.Counter("http_rejected_total", "API requests abandoned while queued for a limiter slot."),
 		algErrors: o.Counter("algorithm_errors_total", "Algorithm runs that failed server-side (property or kernel faults)."),
@@ -286,23 +216,6 @@ func New(reg *registry.Registry, opts Options) *Server {
 		// The store predates the server in boot order and owns its private
 		// registry; compose it into the scraped exposition.
 		o.AddSource(s.store.Obs())
-	}
-	if recorder != nil {
-		if s.store != nil && opts.FsyncAlert > 0 {
-			alert := opts.FsyncAlert
-			s.store.SetAppendAlert(alert, func(graph string, elapsed time.Duration) {
-				recorder.Trigger(obs.TriggerFsyncStall,
-					fmt.Sprintf("WAL append+fsync on %q took %s, threshold %s", graph, elapsed, alert))
-			})
-		}
-		if opts.HeapAlertBytes > 0 {
-			limit := opts.HeapAlertBytes
-			rt.SetHeapAlert(uint64(limit), func(heapBytes uint64) {
-				recorder.Trigger(obs.TriggerHeapWatermark,
-					fmt.Sprintf("heap high watermark %d bytes crossed alert threshold %d", heapBytes, limit))
-			})
-		}
-		recorder.Start()
 	}
 	if opts.Tenants != nil {
 		s.tenants = tenant.New(opts.Tenants, opts.TenantDefaults, reg, s.jobs, o)
@@ -342,9 +255,6 @@ func New(reg *registry.Registry, opts Options) *Server {
 	s.mux.Handle("GET /metrics", o.Handler())
 	s.mux.HandleFunc("GET /debug/traces", s.handleListTraces)
 	s.mux.HandleFunc("GET /debug/traces/{id}", s.handleGetTrace)
-	s.mux.HandleFunc("GET /debug/incidents", s.handleListIncidents)
-	s.mux.HandleFunc("GET /debug/incidents/{id}", s.handleGetIncident)
-	s.mux.HandleFunc("GET /debug/bundle", s.handleBundle)
 	return s
 }
 
@@ -368,7 +278,6 @@ func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 // if any. The HTTP handler keeps answering (submissions fail with 503),
 // so Close is safe to call before the listener stops.
 func (s *Server) Close() {
-	s.recorder.Stop() // nil-safe; halts the metric-snapshot sampler
 	s.jobs.Close()
 	s.stream.Close()
 	if s.store != nil {

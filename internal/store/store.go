@@ -132,11 +132,6 @@ type Store struct {
 	// last recovery outcome, for /stats.
 	recMu    sync.Mutex
 	recovery *RecoveryReport
-
-	// WAL append+fsync stall alert (see SetAppendAlert).
-	alertMu      sync.Mutex
-	appendAlert  time.Duration
-	onSlowAppend func(graph string, elapsed time.Duration)
 }
 
 // Stats is the store's /stats section.
@@ -271,16 +266,6 @@ func Open(opts Options) (*Store, error) {
 
 // SkippedDirs reports the directories Open could not serve and why.
 func (s *Store) SkippedDirs() []string { return append([]string(nil), s.skipped...) }
-
-// SetAppendAlert arms the WAL-stall trigger: fn fires (on the appending
-// goroutine, off the store mutex) whenever one append+fsync takes at
-// least threshold. threshold <= 0 or fn == nil disarms.
-func (s *Store) SetAppendAlert(threshold time.Duration, fn func(graph string, elapsed time.Duration)) {
-	s.alertMu.Lock()
-	s.appendAlert = threshold
-	s.onSlowAppend = fn
-	s.alertMu.Unlock()
-}
 
 // Healthy probes the store's ability to accept writes: the store is
 // open (directory lock still held) and the data directory is writable.
@@ -441,16 +426,7 @@ func (s *Store) AppendBatch(name string, version uint64, ops []stream.Op) error 
 	gf.lastAppend = gf.walSize
 	appendStart := time.Now()
 	n, err := appendRecord(gf.wal, payload, s.opts.Fsync)
-	elapsed := time.Since(appendStart)
-	s.appendSecs.Observe(elapsed.Seconds())
-	s.alertMu.Lock()
-	alert, onSlow := s.appendAlert, s.onSlowAppend
-	s.alertMu.Unlock()
-	if onSlow != nil && alert > 0 && elapsed >= alert {
-		// A stalled fsync is the classic silent killer (dying disk, cgroup
-		// IO throttle); surface it the moment it happens.
-		onSlow(name, elapsed)
-	}
+	s.appendSecs.Observe(time.Since(appendStart).Seconds())
 	if err != nil {
 		// The file may now hold a partial frame; drop it so the next
 		// append starts clean. If even the truncate fails, poison the
