@@ -6,12 +6,10 @@ import (
 	"time"
 )
 
-// TestRuntimeSourceExposition composes the source into a scraped
-// registry the way the server does, validates the rendered families
-// with the strict parser, and checks the scraped values are sane: a live
-// Go process has goroutines, GOMAXPROCS and heap bytes, and each high
-// watermark is at least its current value.
-func TestRuntimeSourceExposition(t *testing.T) {
+// scrapeRuntime composes a fresh source into a scraped registry the way
+// the server does and validates the rendering with the strict parser.
+func scrapeRuntime(t *testing.T) *Exposition {
+	t.Helper()
 	rs := NewRuntimeSource()
 	rs.minRefresh = time.Hour // one sample set for the whole scrape
 	reg := NewRegistry()
@@ -25,6 +23,13 @@ func TestRuntimeSourceExposition(t *testing.T) {
 	if err != nil {
 		t.Fatalf("runtime families rejected by strict parser: %v", err)
 	}
+	return exp
+}
+
+// TestRuntimeSourceExposition asserts all twelve runtime families are
+// rendered with their declared types.
+func TestRuntimeSourceExposition(t *testing.T) {
+	exp := scrapeRuntime(t)
 	for fam, kind := range map[string]string{
 		"go_goroutines":                "gauge",
 		"go_goroutines_high_watermark": "gauge",
@@ -43,7 +48,13 @@ func TestRuntimeSourceExposition(t *testing.T) {
 			t.Errorf("family %s: type %q, want %q", fam, got, kind)
 		}
 	}
+}
 
+// TestRuntimeSourceSnapshot asserts the sampled values one scrape reads
+// are sane: a live Go process has goroutines, GOMAXPROCS and heap bytes,
+// and each high watermark is at least its current value.
+func TestRuntimeSourceSnapshot(t *testing.T) {
+	exp := scrapeRuntime(t)
 	val := map[string]float64{}
 	for _, s := range exp.Samples {
 		val[s.Name] = s.Value

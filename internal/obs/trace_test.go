@@ -82,10 +82,13 @@ func TestTracerRingBounded(t *testing.T) {
 	if limited := tracer.Traces(2); len(limited) != 2 {
 		t.Fatalf("limit ignored: %d", len(limited))
 	}
+}
 
-	// Traces finishing (evicting ring entries, mutating spans) while
-	// Traces and Get snapshot the ring must never tear. Run under -race
-	// in CI.
+// TestTraceEvictionDuringCaptureRace: traces finishing (evicting ring
+// entries, mutating spans) while Traces and Get snapshot the ring must
+// never tear. Run under -race in CI.
+func TestTraceEvictionDuringCaptureRace(t *testing.T) {
+	tracer := NewTracer(TracerOptions{Capacity: 3})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
