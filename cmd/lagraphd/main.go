@@ -5,7 +5,10 @@
 //
 // Algorithm execution — synchronous and asynchronous — runs on a jobs
 // engine: a worker pool of cancellable jobs with single-flight dedup and
-// a result cache keyed by each graph's registry version.
+// a result cache keyed by each graph's registry version. Jobs wait in one
+// FIFO queue of -queue-depth entries; a submission that finds it full is
+// a 429 with a Retry-After hint. Requests carry no credentials: the
+// daemon serves whoever can reach -addr.
 //
 // With -data-dir the daemon is durable: loaded graphs are checkpointed,
 // mutation batches are write-ahead-logged before they become visible,
@@ -56,7 +59,6 @@ import (
 	"lagraph/internal/registry"
 	"lagraph/internal/server"
 	"lagraph/internal/store"
-	"lagraph/internal/tenant"
 )
 
 // newLogger builds the daemon's slog logger from the -log-level and
@@ -117,12 +119,6 @@ func main() {
 	flag.DurationVar(&opts.SlowThreshold, "slow-query", 0, "log requests at least this slow with their span breakdown (0 disables)")
 	flag.IntVar(&opts.TraceCapacity, "trace-capacity", 0, "finished-trace ring size served by /debug/traces (0 = 256)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty disables)")
-
-	authTokens := flag.String("auth-tokens", "", "tenant token file (JSON); enables multi-tenant mode with bearer auth, per-tenant namespaces and quotas (empty = single-tenant, no auth)")
-	flag.IntVar(&opts.TenantDefaults.MaxGraphs, "tenant-max-graphs", 0, "default per-tenant resident-graph quota for tenants without their own (0 = unlimited; with -auth-tokens)")
-	flag.Int64Var(&opts.TenantDefaults.MaxResidentBytes, "tenant-max-bytes", 0, "default per-tenant resident-byte quota (0 = unlimited; with -auth-tokens)")
-	flag.IntVar(&opts.TenantDefaults.MaxRunningJobs, "tenant-max-running", 0, "default per-tenant concurrently running job bound (0 = unlimited; with -auth-tokens)")
-	flag.IntVar(&opts.TenantDefaults.MaxQueuedJobs, "tenant-max-queued", 0, "default per-tenant queued-job bound (0 = unlimited; with -auth-tokens)")
 	flag.Parse()
 
 	logger, err := newLogger(*logLevel, *logFormat)
@@ -141,12 +137,6 @@ func main() {
 		parallel.SetMaxThreads(*threads)
 	}
 
-	if *authTokens != "" {
-		if opts.Tenants, err = tenant.Load(*authTokens); err != nil {
-			fatal("loading tenant tokens", "file", *authTokens, "error", err)
-		}
-	}
-
 	if storeOpts.Dir != "" {
 		if opts.Store, err = store.Open(storeOpts); err != nil {
 			fatal("opening data dir", "dir", storeOpts.Dir, "error", err)
@@ -155,9 +145,6 @@ func main() {
 
 	reg := registry.New(*maxBytes)
 	srv := server.New(reg, opts)
-	if opts.Tenants != nil {
-		logger.Info("multi-tenant mode", "tenants", len(opts.Tenants.Tenants), "file", *authTokens)
-	}
 	if opts.Store != nil {
 		stats := opts.Store.StatsSnapshot()
 		if rec := stats.Recovery; rec != nil {

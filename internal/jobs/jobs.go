@@ -17,18 +17,11 @@
 // the registry's per-graph version, replacing a graph under the same name
 // can never serve a stale result.
 //
-// Admission is priority-aware: every submission carries a Class
-// (interactive, normal or batch) and waits in that class's FIFO; workers
-// dequeue by weighted round-robin (4:2:1), so a flood of batch work can
-// slow interactive requests but never starve behind them — and vice
-// versa, batch jobs still drain at their weight under interactive load.
-// Submissions may also carry per-tenant admission bounds: MaxQueued
-// rejects a tenant's excess submissions at the door (ErrTenantQuota),
-// MaxRunning holds its queued jobs back from workers until one of its
-// running jobs finishes, without blocking other tenants' work behind
-// them. When the engine-wide queue saturates, RetryAfterHint derives a
-// client back-off from the recent drain rate — the Retry-After header on
-// the HTTP layer's 429s.
+// New jobs wait in one FIFO queue and workers take them in submission
+// order; a dedup attach leaves the job where it is. Once QueueDepth jobs
+// are waiting, Submit fails with ErrQueueFull, and RetryAfterHint derives
+// a client back-off from the recent drain rate — the Retry-After header
+// on the HTTP layer's 429s.
 package jobs
 
 import (
@@ -56,67 +49,6 @@ const (
 // Terminal reports whether the state is final.
 func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
-}
-
-// Class is a submission's scheduling priority. The zero value is
-// ClassNormal, so callers that never think about priority get today's
-// behavior.
-type Class int
-
-const (
-	ClassNormal Class = iota
-	ClassInteractive
-	ClassBatch
-	numClasses
-)
-
-// classOrder is the dequeue scan order (highest priority first) and
-// classWeights the per-refill dequeue credit of each class: per credit
-// cycle a busy engine serves up to 4 interactive, 2 normal and 1 batch
-// job, in that order.
-var (
-	classOrder   = [numClasses]Class{ClassInteractive, ClassNormal, ClassBatch}
-	classWeights = [numClasses]int{ClassInteractive: 4, ClassNormal: 2, ClassBatch: 1}
-)
-
-func (c Class) String() string {
-	switch c {
-	case ClassInteractive:
-		return "interactive"
-	case ClassNormal:
-		return "normal"
-	case ClassBatch:
-		return "batch"
-	default:
-		return fmt.Sprintf("Class(%d)", int(c))
-	}
-}
-
-// rank orders classes for dedup promotion: attaching a higher-priority
-// submission to a queued job lifts the job into the faster queue.
-func (c Class) rank() int {
-	switch c {
-	case ClassInteractive:
-		return 2
-	case ClassNormal:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// ParseClass maps the wire spelling of a priority class ("" = normal).
-func ParseClass(s string) (Class, error) {
-	switch s {
-	case "", "normal":
-		return ClassNormal, nil
-	case "interactive":
-		return ClassInteractive, nil
-	case "batch":
-		return ClassBatch, nil
-	default:
-		return ClassNormal, fmt.Errorf("jobs: unknown priority class %q (interactive|normal|batch)", s)
-	}
 }
 
 // Key identifies a computation for deduplication and result caching. Two
@@ -163,28 +95,6 @@ type Request struct {
 	// submission pinned, is cancelled: a disconnected HTTP client
 	// reclaims its worker.
 	Pin bool
-
-	// Class is the scheduling priority (zero value = ClassNormal). A
-	// deduplicated submission of a higher class promotes the queued job
-	// it attaches to; a running job's class can no longer matter.
-	Class Class
-
-	// Tenant attributes the job for per-tenant admission accounting
-	// (empty = unattributed; no bounds apply). A deduplicated submission
-	// attaches to the original submitter's job and counts against that
-	// tenant, not the attacher.
-	Tenant string
-
-	// MaxQueued rejects the submission with ErrTenantQuota when the
-	// tenant already has this many jobs waiting for a worker (0 = no
-	// bound). Requires Tenant.
-	MaxQueued int
-
-	// MaxRunning keeps the tenant's queued jobs away from workers while
-	// the tenant has this many jobs executing (0 = no bound). The job
-	// stays queued — other tenants' jobs pass it — until a slot frees.
-	// Requires Tenant.
-	MaxRunning int
 }
 
 // Engine errors.
@@ -192,10 +102,6 @@ var (
 	ErrClosed    = errors.New("jobs: engine closed")
 	ErrQueueFull = errors.New("jobs: queue full")
 	ErrNotFound  = errors.New("jobs: job not found")
-	// ErrTenantQuota marks a submission rejected by the submitting
-	// tenant's own admission bound (Request.MaxQueued) rather than by
-	// engine-wide saturation.
-	ErrTenantQuota = errors.New("jobs: tenant job quota exhausted")
 )
 
 // Options configures an Engine.
@@ -266,10 +172,6 @@ type Job struct {
 	run     func(ctx context.Context) (any, error)
 	cancel  context.CancelFunc // set while running
 	onDone  []func()
-
-	class      Class
-	tenant     string
-	maxRunning int // tenant running-cap carried by the submission
 
 	pinned  bool
 	waiters int
@@ -376,17 +278,6 @@ type Stats struct {
 	CacheHits int64 `json:"cache_hits"`
 
 	CachedResults int `json:"cached_results"`
-
-	// QueuedByClass breaks Queued down by priority class; omitted while
-	// nothing waits, so the idle /stats shape is unchanged.
-	QueuedByClass map[string]int `json:"queued_by_class,omitempty"`
-}
-
-// tenantCounts is one tenant's live queue occupancy, kept only while
-// non-zero.
-type tenantCounts struct {
-	queued  int
-	running int
 }
 
 // drainRingSize bounds the dequeue-timestamp ring behind RetryAfterHint.
@@ -403,19 +294,10 @@ type Engine struct {
 	byKey  map[Key]*Job // queued/running jobs, for dedup
 	nextID int64
 
-	// Per-class FIFO queues, drained by weighted round-robin: credits
-	// refill to classWeights whenever no class holds both credit and an
-	// eligible job. Entries whose tenant is at its running cap are
-	// skipped in place (they keep their position); workers park on cond
-	// when nothing is eligible.
-	queues  [numClasses][]*Job
-	credits [numClasses]int
-	queuedN int // total queued, the saturation bound
-	cond    *sync.Cond
-
-	// tenants tracks per-tenant queue occupancy for admission bounds and
-	// the facade's usage gauges; entries vanish when both counts are 0.
-	tenants map[string]*tenantCounts
+	// queue holds the jobs waiting for a worker, oldest first; its length
+	// is the saturation bound. Workers park on cond while it is empty.
+	queue []*Job
+	cond  *sync.Cond
 
 	// drains rings the last dequeue times (a job leaving the queue for a
 	// worker, or dying queued) — the denominator of RetryAfterHint.
@@ -430,7 +312,6 @@ type Engine struct {
 	// Prometheus exposition. Gauges are mutated only under e.mu (they
 	// mirror queue occupancy); counters are hot-path atomics.
 	queuedG   *obs.Gauge
-	queuedC   *obs.GaugeVec // jobs_queued_by_class{class}
 	runningG  *obs.Gauge
 	submitted *obs.Counter
 	completed *obs.Counter
@@ -453,14 +334,11 @@ func NewEngine(opts Options) *Engine {
 		opts:       opts,
 		jobs:       make(map[string]*Job),
 		byKey:      make(map[Key]*Job),
-		tenants:    make(map[string]*tenantCounts),
-		credits:    classWeights,
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		cache:      newResultCache(opts.MaxCachedResults, opts.ResultTTL),
 
 		queuedG:   o.Gauge("jobs_queued", "Jobs waiting for a worker."),
-		queuedC:   o.GaugeVec("jobs_queued_by_class", "Jobs waiting for a worker, by priority class.", "class"),
 		runningG:  o.Gauge("jobs_running", "Jobs currently executing."),
 		submitted: o.Counter("jobs_submitted_total", "Job submissions, dedup and cache hits included."),
 		completed: o.Counter("jobs_completed_total", "Jobs that finished successfully."),
@@ -476,9 +354,6 @@ func NewEngine(opts Options) *Engine {
 	e.cond = sync.NewCond(&e.mu)
 	o.GaugeFunc("jobs_cached_results", "Entries in the versioned result cache.",
 		func() float64 { return float64(e.cache.len()) })
-	for c := range classOrder {
-		e.queuedC.With(classOrder[c].String()).Set(0)
-	}
 	for i := 0; i < opts.Workers; i++ {
 		e.wg.Add(1)
 		go e.worker()
@@ -499,16 +374,11 @@ func (e *Engine) Close() {
 	// Finalize everything still waiting for a worker as cancelled, then
 	// wake every parked worker so it observes closed and exits.
 	var hooks []func()
-	for _, c := range classOrder {
-		for _, j := range e.queues[c] {
-			if j.state != StateQueued {
-				continue
-			}
-			e.dequeueAccountingLocked(j)
-			hooks = append(hooks, e.finishLocked(j, nil, context.Canceled)...)
-		}
-		e.queues[c] = nil
+	for _, j := range e.queue {
+		e.dequeueAccountingLocked()
+		hooks = append(hooks, e.finishLocked(j, nil, context.Canceled)...)
 	}
+	e.queue = nil
 	e.cond.Broadcast()
 	e.mu.Unlock()
 	runHooks(hooks)
@@ -548,16 +418,6 @@ func (e *Engine) Submit(req Request) (j *Job, isNew bool, err error) {
 		if cur.state == StateQueued && cur.timeout > 0 && (timeout <= 0 || timeout > cur.timeout) {
 			cur.timeout = timeout
 		}
-		// A higher-priority attach promotes the queued job into the
-		// faster class: the work is now also interactive work. Never
-		// demoted, and the job keeps its original tenant attribution.
-		if cur.state == StateQueued && req.Class.rank() > cur.class.rank() {
-			e.removeQueuedLocked(cur)
-			e.queuedC.With(cur.class.String()).Dec()
-			cur.class = req.Class
-			e.queues[req.Class] = append(e.queues[req.Class], cur)
-			e.queuedC.With(req.Class.String()).Inc()
-		}
 		e.submitted.Inc()
 		e.dedupHits.Inc()
 		e.mu.Unlock()
@@ -588,38 +448,19 @@ func (e *Engine) Submit(req Request) (j *Job, isNew bool, err error) {
 		return j, false, nil
 	}
 
-	// Tenant admission bound: the tenant's own queue allowance, checked
-	// before engine-wide saturation so a greedy tenant hits its quota,
-	// not everyone's 429.
-	if req.Tenant != "" && req.MaxQueued > 0 {
-		if tc := e.tenants[req.Tenant]; tc != nil && tc.queued >= req.MaxQueued {
-			queued := tc.queued
-			e.mu.Unlock()
-			return nil, false, fmt.Errorf("%w: tenant %q has %d jobs queued (max_queued_jobs %d)",
-				ErrTenantQuota, req.Tenant, queued, req.MaxQueued)
-		}
-	}
-
-	if req.Class < 0 || req.Class >= numClasses {
-		e.mu.Unlock()
-		return nil, false, fmt.Errorf("jobs: invalid class %d", int(req.Class))
-	}
-	if e.queuedN >= e.opts.QueueDepth {
+	if len(e.queue) >= e.opts.QueueDepth {
 		e.mu.Unlock()
 		return nil, false, fmt.Errorf("%w (depth %d)", ErrQueueFull, e.opts.QueueDepth)
 	}
 
 	j = &Job{
 		e: e, id: e.newIDLocked(), key: req.Key,
-		state:      StateQueued,
-		submitted:  time.Now(),
-		timeout:    timeout,
-		run:        req.Run,
-		pinned:     req.Pin,
-		class:      req.Class,
-		tenant:     req.Tenant,
-		maxRunning: req.MaxRunning,
-		done:       make(chan struct{}),
+		state:     StateQueued,
+		submitted: time.Now(),
+		timeout:   timeout,
+		run:       req.Run,
+		pinned:    req.Pin,
+		done:      make(chan struct{}),
 	}
 	if !req.Pin {
 		j.waiters = 1 // the submitting caller; balanced by WaitOrAbandon
@@ -630,120 +471,31 @@ func (e *Engine) Submit(req Request) (j *Job, isNew bool, err error) {
 	e.submitted.Inc()
 	e.recordLocked(j)
 	e.byKey[req.Key] = j
-	e.queues[j.class] = append(e.queues[j.class], j)
-	e.queuedN++
+	e.queue = append(e.queue, j)
 	e.queuedG.Inc()
-	e.queuedC.With(j.class.String()).Inc()
-	if j.tenant != "" {
-		e.tenantLocked(j.tenant).queued++
-	}
 	e.cond.Signal()
 	e.mu.Unlock()
 	return j, true, nil
 }
 
-// tenantLocked returns (creating if needed) the tenant's live counters.
-func (e *Engine) tenantLocked(name string) *tenantCounts {
-	tc := e.tenants[name]
-	if tc == nil {
-		tc = &tenantCounts{}
-		e.tenants[name] = tc
-	}
-	return tc
-}
-
-// tenantDoneLocked decrements one tenant counter and drops the entry once
-// idle, keeping the map bounded by live tenants.
-func (e *Engine) tenantDoneLocked(name string, running bool) {
-	tc := e.tenants[name]
-	if tc == nil {
-		return
-	}
-	if running {
-		tc.running--
-	} else {
-		tc.queued--
-	}
-	if tc.queued <= 0 && tc.running <= 0 {
-		delete(e.tenants, name)
-	}
-}
-
-// TenantCounts reports one tenant's live queue occupancy — the facade's
-// per-tenant job gauges.
-func (e *Engine) TenantCounts(name string) (queued, running int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if tc := e.tenants[name]; tc != nil {
-		return tc.queued, tc.running
-	}
-	return 0, 0
-}
-
-// removeQueuedLocked deletes a job from its class FIFO (promotion and
-// queued-cancellation paths). The caller fixes up the gauges.
+// removeQueuedLocked deletes a job from the queue (the queued-cancellation
+// path). The caller fixes up the gauges.
 func (e *Engine) removeQueuedLocked(j *Job) {
-	q := e.queues[j.class]
-	for i, cur := range q {
+	for i, cur := range e.queue {
 		if cur == j {
-			e.queues[j.class] = append(q[:i], q[i+1:]...)
+			e.queue = append(e.queue[:i], e.queue[i+1:]...)
 			return
 		}
 	}
 }
 
 // dequeueAccountingLocked records a job leaving the queue for any reason:
-// occupancy gauges, tenant queued count, and the drain ring that feeds
-// RetryAfterHint (either exit frees a queue slot, so both count as
-// drain).
-func (e *Engine) dequeueAccountingLocked(j *Job) {
-	e.queuedN--
+// the occupancy gauge and the drain ring that feeds RetryAfterHint (either
+// exit frees a queue slot, so both count as drain).
+func (e *Engine) dequeueAccountingLocked() {
 	e.queuedG.Dec()
-	e.queuedC.With(j.class.String()).Dec()
-	if j.tenant != "" {
-		e.tenantDoneLocked(j.tenant, false)
-	}
 	e.drains[e.drainN%drainRingSize] = time.Now()
 	e.drainN++
-}
-
-// dequeueLocked picks the next runnable job by weighted round-robin over
-// the class queues, skipping (in place) jobs whose tenant is at its
-// running cap. Credits refill whenever no class holds both credit and an
-// eligible job but eligible work exists — weighted fairness under
-// contention, work conservation under slack. Returns nil when nothing is
-// eligible.
-func (e *Engine) dequeueLocked() *Job {
-	for pass := 0; pass < 2; pass++ {
-		for _, c := range classOrder {
-			if e.credits[c] <= 0 {
-				continue
-			}
-			if j := e.popEligibleLocked(c); j != nil {
-				e.credits[c]--
-				return j
-			}
-		}
-		// Every class with credit is out of eligible work; refill and
-		// rescan once so a creditless class with work is not stalled.
-		e.credits = classWeights
-	}
-	return nil
-}
-
-// popEligibleLocked removes and returns the first job in class c whose
-// tenant is under its running cap; capped jobs keep their position.
-func (e *Engine) popEligibleLocked(c Class) *Job {
-	for i, j := range e.queues[c] {
-		if j.tenant != "" && j.maxRunning > 0 {
-			if tc := e.tenants[j.tenant]; tc != nil && tc.running >= j.maxRunning {
-				continue
-			}
-		}
-		e.queues[c] = append(e.queues[c][:i], e.queues[c][i+1:]...)
-		return j
-	}
-	return nil
 }
 
 // newIDLocked mints the next job id.
@@ -786,24 +538,24 @@ func (e *Engine) recordLocked(j *Job) {
 	}
 }
 
-// worker dequeues and runs jobs until the engine closes. Workers park on
-// the engine condvar when no job is eligible — queues empty, or every
-// queued job's tenant is at its running cap — and are woken by
-// submissions, finished runs (a cap slot freed) and Close.
+// worker takes the oldest queued job and runs it, until the engine
+// closes. Workers park on the engine condvar while the queue is empty and
+// are woken by submissions and Close.
 func (e *Engine) worker() {
 	defer e.wg.Done()
 	for {
 		e.mu.Lock()
-		j := e.dequeueLocked()
-		for j == nil && !e.closed {
+		for len(e.queue) == 0 && !e.closed {
 			e.cond.Wait()
-			j = e.dequeueLocked()
 		}
-		if j == nil { // closed; Close finalized everything still queued
+		if len(e.queue) == 0 { // closed; Close finalized everything still queued
 			e.mu.Unlock()
 			return
 		}
-		e.dequeueAccountingLocked(j)
+		j := e.queue[0]
+		e.queue[0] = nil
+		e.queue = e.queue[1:]
+		e.dequeueAccountingLocked()
 		// Arm the run context and transition to running under the same
 		// lock hold as the dequeue: a queued-state cancel can therefore
 		// never race the start.
@@ -819,9 +571,6 @@ func (e *Engine) worker() {
 		j.started = time.Now()
 		e.waitSecs.Observe(j.started.Sub(j.submitted).Seconds())
 		e.runningG.Inc()
-		if j.tenant != "" {
-			e.tenantLocked(j.tenant).running++
-		}
 		e.mu.Unlock()
 
 		v, err := j.run(ctx)
@@ -830,13 +579,7 @@ func (e *Engine) worker() {
 		e.mu.Lock()
 		j.cancel = nil
 		e.runningG.Dec()
-		if j.tenant != "" {
-			e.tenantDoneLocked(j.tenant, true)
-		}
 		hooks := e.finishLocked(j, v, err)
-		// The finished run may have freed a tenant running slot; let a
-		// parked worker re-examine jobs it skipped.
-		e.cond.Signal()
 		e.mu.Unlock()
 		runHooks(hooks)
 	}
@@ -908,7 +651,7 @@ func (e *Engine) cancelLocked(j *Job) []func() {
 	switch j.state {
 	case StateQueued:
 		e.removeQueuedLocked(j)
-		e.dequeueAccountingLocked(j)
+		e.dequeueAccountingLocked()
 		return e.finishLocked(j, nil, context.Canceled)
 	case StateRunning:
 		if j.cancel != nil {
@@ -1023,7 +766,7 @@ func (e *Engine) RetryAfterHint() int {
 	rate := float64(n) / span
 	// The retrier needs one slot: estimate draining the whole queue plus
 	// its own submission.
-	secs := int(math.Ceil(float64(e.queuedN+1) / rate))
+	secs := int(math.Ceil(float64(len(e.queue)+1) / rate))
 	if secs < retryAfterFloor {
 		return retryAfterFloor
 	}
@@ -1037,17 +780,6 @@ func (e *Engine) RetryAfterHint() int {
 // the same obs instruments the Prometheus exposition renders — one
 // definition, two read paths.
 func (e *Engine) StatsSnapshot() Stats {
-	var byClass map[string]int
-	e.mu.Lock()
-	if e.queuedN > 0 {
-		byClass = make(map[string]int, numClasses)
-		for _, c := range classOrder {
-			if n := len(e.queues[c]); n > 0 {
-				byClass[c.String()] = n
-			}
-		}
-	}
-	e.mu.Unlock()
 	return Stats{
 		Workers:       e.opts.Workers,
 		QueueDepth:    e.opts.QueueDepth,
@@ -1060,6 +792,5 @@ func (e *Engine) StatsSnapshot() Stats {
 		DedupHits:     e.dedupHits.Int(),
 		CacheHits:     e.cacheHits.Int(),
 		CachedResults: e.cache.len(),
-		QueuedByClass: byClass,
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -687,22 +686,6 @@ func (r *Registry) List() []GraphInfo {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// UsageUnder reports how many resident graphs live under a name prefix
-// and their summed byte estimates. This is the tenant facade's quota
-// accounting: it reads entry state under one lock hold instead of
-// rendering full GraphInfo records per entry.
-func (r *Registry) UsageUnder(prefix string) (graphs int, bytes int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for name, e := range r.entries {
-		if strings.HasPrefix(name, prefix) {
-			graphs++
-			bytes += e.bytes
-		}
-	}
-	return graphs, bytes
 }
 
 // Instrument registers the registry's Prometheus series on o as Func

@@ -13,7 +13,6 @@ import (
 	"lagraph/internal/algo"
 	"lagraph/internal/jobs"
 	"lagraph/internal/obs"
-	"lagraph/internal/tenant"
 )
 
 // Algorithm execution and introspection ride the self-describing catalog
@@ -96,18 +95,12 @@ func (s *Server) handleAlgorithm(w http.ResponseWriter, r *http.Request) {
 		writeValidationError(w, err)
 		return
 	}
-	class, err := requestClass(r, r.URL.Query().Get("priority"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
 
-	job, err := s.submitAlgorithmJob(r, name, d, p, false, 0, class)
+	job, err := s.submitAlgorithmJob(r, name, d, p, false, 0)
 	if err != nil {
-		s.writeSubmitError(w, r, err)
+		s.writeSubmitError(w, err)
 		return
 	}
-	s.record(r, tenant.OutcomeAdmitted)
 	_, wsp := obs.StartSpan(r.Context(), "wait")
 	waited := s.jobs.WaitOrAbandon(r.Context(), job)
 	wsp.End()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -12,7 +13,6 @@ import (
 	"lagraph/internal/lagraph"
 	"lagraph/internal/obs"
 	"lagraph/internal/registry"
-	"lagraph/internal/tenant"
 )
 
 // loadSpec is the JSON body of POST /graphs when loading a synthetic
@@ -85,24 +85,11 @@ func (s *Server) handleLoadGraph(w http.ResponseWriter, r *http.Request) {
 		writeBodyError(w, err)
 		return
 	}
-	display := name
-	name = scopeGraph(r, name)
-	if t := requestTenant(r); t != nil {
-		// Quota admission before the registry sees the graph: the facade
-		// mutex serializes this check against concurrent loads by the same
-		// tenant, so two requests cannot both pass a last-slot check.
-		if err := s.tenants.AdmitGraph(t, registry.EstimateBytes(g)); err != nil {
-			s.record(r, tenant.OutcomeOverQuota)
-			writeError(w, http.StatusInsufficientStorage, err.Error())
-			return
-		}
-	}
 	entry, err := s.reg.Add(name, g)
 	if err != nil {
-		writeRegistryError(w, r, err)
+		writeRegistryError(w, err)
 		return
 	}
-	s.record(r, tenant.OutcomeAdmitted)
 	if s.store != nil {
 		// Durable before acknowledged: a load the store cannot checkpoint
 		// is refused, not served from memory only to vanish on restart.
@@ -122,10 +109,8 @@ func (s *Server) handleLoadGraph(w http.ResponseWriter, r *http.Request) {
 			lease.Release()
 		}
 	}
-	info := entry.Info()
-	info.Name = display
 	writeJSON(w, http.StatusCreated, loadResponse{
-		GraphInfo: info,
+		GraphInfo: entry.Info(),
 		Source:    source,
 		Seconds:   time.Since(start).Seconds(),
 	})
@@ -213,36 +198,23 @@ func (s *Server) loadUpload(r *http.Request, format string) (string, *lagraph.Gr
 	return name, g, nil
 }
 
-func (s *Server) handleListGraphs(w http.ResponseWriter, r *http.Request) {
-	list := s.reg.List()
-	if t := requestTenant(r); t != nil {
-		kept := list[:0]
-		for _, gi := range list {
-			if name, ok := t.Strip(gi.Name); ok {
-				gi.Name = name
-				kept = append(kept, gi)
-			}
-		}
-		list = kept
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"graphs": list})
+func (s *Server) handleListGraphs(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, http.StatusOK, map[string]any{"graphs": s.reg.List()})
 }
 
 func (s *Server) handleGetGraph(w http.ResponseWriter, r *http.Request) {
-	display := r.PathValue("name")
-	if info, ok := s.reg.Info(scopeGraph(r, display)); ok {
-		info.Name = display
+	name := r.PathValue("name")
+	if info, ok := s.reg.Info(name); ok {
 		writeJSON(w, http.StatusOK, info)
 		return
 	}
-	writeError(w, http.StatusNotFound, fmt.Sprintf("graph %q not found", display))
+	writeError(w, http.StatusNotFound, fmt.Sprintf("graph %q not found", name))
 }
 
 func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
-	display := r.PathValue("name")
-	name := scopeGraph(r, display)
+	name := r.PathValue("name")
 	if err := s.reg.Remove(name); err != nil {
-		writeRegistryError(w, r, err)
+		writeRegistryError(w, err)
 		return
 	}
 	// Version keys make the dead graph's cached results unreachable;
@@ -250,14 +222,24 @@ func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 	// drops its delta state — and the durable store its on-disk state —
 	// through the registry's removal listeners.)
 	s.jobs.InvalidateGraph(name)
-	writeJSON(w, http.StatusOK, map[string]string{"deleted": display})
+	writeJSON(w, http.StatusOK, map[string]string{"deleted": name})
 }
 
-// writeRegistryError maps registry failures onto HTTP statuses. Messages
-// are built around engine-wide (tenant-scoped) names; strip the
-// requester's namespace so tenants read the names they sent.
-func writeRegistryError(w http.ResponseWriter, r *http.Request, err error) {
-	msg := stripMessage(r, err.Error())
+// writeBodyError maps a request-body read failure: 413 when the body
+// blew through its MaxBytesReader cap, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			"request body exceeds "+strconv.FormatInt(mbe.Limit, 10)+" bytes")
+		return
+	}
+	writeError(w, http.StatusBadRequest, err.Error())
+}
+
+// writeRegistryError maps registry failures onto HTTP statuses.
+func writeRegistryError(w http.ResponseWriter, err error) {
+	msg := err.Error()
 	switch {
 	case errors.Is(err, registry.ErrNotFound):
 		writeError(w, http.StatusNotFound, msg)

@@ -13,7 +13,6 @@ import (
 	"lagraph/internal/lagraph"
 	"lagraph/internal/obs"
 	"lagraph/internal/registry"
-	"lagraph/internal/tenant"
 )
 
 // Asynchronous jobs API:
@@ -37,9 +36,6 @@ type jobSpec struct {
 	Algorithm      string         `json:"algorithm"`
 	Params         map[string]any `json:"params"`
 	TimeoutSeconds float64        `json:"timeout_seconds"` // 0 = server default
-	// Priority selects the admission class (interactive | normal |
-	// batch); empty inherits the tenant's default, or normal.
-	Priority string `json:"priority"`
 }
 
 // maxJobTimeout bounds client-requested deadlines.
@@ -57,9 +53,8 @@ const maxJobTimeout = time.Hour
 // it to the worker's context so the property-materialization and
 // kernel-run spans land on the submitter's trace. A deduplicated
 // submission runs under the trace of whichever request created the job.
-func (s *Server) submitAlgorithmJob(r *http.Request, display string, d *algo.Descriptor, p algo.Params, pin bool, timeout time.Duration, class jobs.Class) (*jobs.Job, error) {
+func (s *Server) submitAlgorithmJob(r *http.Request, name string, d *algo.Descriptor, p algo.Params, pin bool, timeout time.Duration) (*jobs.Job, error) {
 	tr := obs.FromContext(r.Context())
-	name := scopeGraph(r, display)
 	lease, err := s.reg.Acquire(name)
 	if err != nil {
 		return nil, err
@@ -76,13 +71,7 @@ func (s *Server) submitAlgorithmJob(r *http.Request, display string, d *algo.Des
 		Key:     key,
 		Pin:     pin,
 		Timeout: timeout,
-		Class:   class,
 		OnDone:  lease.Release,
-	}
-	if t := requestTenant(r); t != nil {
-		req.Tenant = t.Name
-		req.MaxQueued = t.MaxQueuedJobs
-		req.MaxRunning = t.MaxRunningJobs
 	}
 	req.Run = func(ctx context.Context) (any, error) {
 		if err := ctx.Err(); err != nil {
@@ -105,7 +94,7 @@ func (s *Server) submitAlgorithmJob(r *http.Request, display string, d *algo.Des
 			// reports 500 (the pre-engine behavior).
 			return nil, fmt.Errorf("%w: %w", errInternalFailure, err)
 		}
-		resp := &algoResponse{Graph: display, Algorithm: d.Name}
+		resp := &algoResponse{Graph: name, Algorithm: d.Name}
 		// Every service run carries a probe: the report feeds the
 		// explain surfaces, the per-algorithm metrics and the tracer.
 		prb := lagraph.NewProbe(0)
@@ -147,25 +136,25 @@ func (s *Server) submitAlgorithmJob(r *http.Request, display string, d *algo.Des
 	return job, nil
 }
 
-// writeSubmitError maps submission failures onto HTTP statuses. Both
-// saturation (queue full) and an exhausted tenant job quota answer 429,
-// and every 429 carries the drain-rate-derived Retry-After hint.
-func (s *Server) writeSubmitError(w http.ResponseWriter, r *http.Request, err error) {
+// setRetryAfter stamps the drain-rate-derived backoff hint every 429
+// must carry.
+func (s *Server) setRetryAfter(w http.ResponseWriter) {
+	w.Header().Set("Retry-After", strconv.Itoa(s.jobs.RetryAfterHint()))
+}
+
+// writeSubmitError maps submission failures onto HTTP statuses. A full
+// queue answers 429 with a Retry-After hint derived from the drain rate.
+func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	switch {
 	case algo.IsUnknown(err):
 		writeError(w, http.StatusNotFound, err.Error())
-	case errors.Is(err, jobs.ErrTenantQuota):
-		s.record(r, tenant.OutcomeOverQuota)
-		s.setRetryAfter(w)
-		writeError(w, http.StatusTooManyRequests, err.Error())
 	case errors.Is(err, jobs.ErrQueueFull):
-		s.record(r, tenant.OutcomeRejected)
 		s.setRetryAfter(w)
 		writeError(w, http.StatusTooManyRequests, err.Error())
 	case errors.Is(err, jobs.ErrClosed):
 		writeError(w, http.StatusServiceUnavailable, err.Error())
 	case errors.Is(err, registry.ErrNotFound), errors.Is(err, registry.ErrClosed):
-		writeRegistryError(w, r, err)
+		writeRegistryError(w, err)
 	default:
 		writeError(w, http.StatusBadRequest, err.Error())
 	}
@@ -188,11 +177,6 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "timeout_seconds must be >= 0")
 		return
 	}
-	class, err := requestClass(r, spec.Priority)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
 	d, err := s.catalog.Lookup(spec.Algorithm)
 	if err != nil {
 		writeError(w, http.StatusNotFound, err.Error())
@@ -210,37 +194,29 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		spec.TimeoutSeconds = maxJobTimeout.Seconds()
 	}
 	timeout := time.Duration(spec.TimeoutSeconds * float64(time.Second))
-	job, err := s.submitAlgorithmJob(r, name, d, p, true, timeout, class)
+	job, err := s.submitAlgorithmJob(r, name, d, p, true, timeout)
 	if err != nil {
-		s.writeSubmitError(w, r, err)
+		s.writeSubmitError(w, err)
 		return
 	}
-	s.record(r, tenant.OutcomeQueued)
-	writeJSON(w, http.StatusAccepted, displayInfo(r, job.Info()))
+	writeJSON(w, http.StatusAccepted, job.Info())
 }
 
-// displayInfo strips the tenant namespace from a job record before it
-// goes on the wire.
-func displayInfo(r *http.Request, in jobs.Info) jobs.Info {
-	in.Graph = displayName(r, in.Graph)
-	return in
+// handleListJobs is GET /jobs.
+func (s *Server) handleListJobs(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.jobs.List()})
 }
 
-// handleListJobs is GET /jobs: a tenant sees only jobs on its own
-// graphs, under its own names.
-func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
-	list := s.jobs.List()
-	if t := requestTenant(r); t != nil {
-		kept := list[:0]
-		for _, in := range list {
-			if name, ok := t.Strip(in.Graph); ok {
-				in.Graph = name
-				kept = append(kept, in)
-			}
-		}
-		list = kept
+// jobForRequest fetches the job named by the path id, answering 404 when
+// it is unknown.
+func (s *Server) jobForRequest(w http.ResponseWriter, r *http.Request) (*jobs.Job, string, bool) {
+	id := r.PathValue("id")
+	job, ok := s.jobs.Get(id)
+	if !ok {
+		writeError(w, http.StatusNotFound, "job "+strconv.Quote(id)+" not found")
+		return nil, id, false
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": list})
+	return job, id, true
 }
 
 // handleGetJob is GET /jobs/{id}.
@@ -249,7 +225,7 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, displayInfo(r, job.Info()))
+	writeJSON(w, http.StatusOK, job.Info())
 }
 
 // handleJobResult is GET /jobs/{id}/result: the full algorithm response
@@ -268,7 +244,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	case jobs.StateCancelled:
 		writeError(w, http.StatusGone, fmt.Sprintf("job %q was cancelled", id))
 	default:
-		writeJSON(w, http.StatusConflict, displayInfo(r, info))
+		writeJSON(w, http.StatusConflict, info)
 	}
 }
 
@@ -316,22 +292,18 @@ func (s *Server) handleJobReport(w http.ResponseWriter, r *http.Request) {
 	case jobs.StateFailed:
 		writeJobOutcome(w, r, job, false)
 	default:
-		writeJSON(w, http.StatusConflict, displayInfo(r, info))
+		writeJSON(w, http.StatusConflict, info)
 	}
 }
 
 // handleCancelJob is DELETE /jobs/{id}. Cancellation is idempotent: a
-// terminal job is returned as-is. Ownership is checked before the cancel
-// so one tenant cannot kill another's work by guessing ids.
+// terminal job is returned as-is.
 func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
-	_, id, ok := s.jobForRequest(w, r)
-	if !ok {
-		return
-	}
+	id := r.PathValue("id")
 	job, err := s.jobs.Cancel(id)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
+		writeError(w, http.StatusNotFound, "job "+strconv.Quote(id)+" not found")
 		return
 	}
-	writeJSON(w, http.StatusOK, displayInfo(r, job.Info()))
+	writeJSON(w, http.StatusOK, job.Info())
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -360,7 +361,8 @@ func TestJobsStatsExposed(t *testing.T) {
 }
 
 // TestFailedSubmissionReleasesLease: submissions the engine rejects
-// (queue full) must hand the lease back.
+// (queue full) must hand the lease back, and both submission paths answer
+// the overflow with a 429 carrying Retry-After.
 func TestFailedSubmissionReleasesLease(t *testing.T) {
 	reg := registry.New(0)
 	srv := New(reg, Options{Jobs: jobs.Options{Workers: 1, QueueDepth: 1}})
@@ -390,12 +392,31 @@ func TestFailedSubmissionReleasesLease(t *testing.T) {
 	if code, _ := submit(1 << 28); code != http.StatusAccepted {
 		t.Fatalf("second submit: %d", code)
 	}
-	code, body := submit(1 << 27)
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("overflow submit: %d %v", code, body)
+	// Overflow through the async and the sync path, each with params of
+	// its own so neither attaches to a job already in flight.
+	for _, tc := range []struct{ path, body string }{
+		{"/graphs/g/jobs", `{"algorithm":"pagerank","params":{"tol":-1,"max_iter":134217728}}`},
+		{"/graphs/g/algorithms/pagerank", `{"tol":-1,"max_iter":67108864}`},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", tc.path, err)
+		}
+		var body map[string]any
+		json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("overflow %s: %d %v, want 429", tc.path, resp.StatusCode, body)
+		}
+		if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 || ra > 120 {
+			t.Fatalf("overflow %s: Retry-After = %q, want integer in [1,120]", tc.path, resp.Header.Get("Retry-After"))
+		}
+		if msg, _ := body["error"].(string); !strings.Contains(msg, "queue full") {
+			t.Fatalf("overflow %s: error %q does not mention the full queue", tc.path, msg)
+		}
 	}
-	// The rejected submission's lease is back: exactly two outstanding.
+	// The rejected submissions' leases are back: exactly two outstanding.
 	if info, _ := reg.Info("g"); info.Refs != 2 {
-		t.Fatalf("refs = %d, want 2 (rejected submission released its lease)", info.Refs)
+		t.Fatalf("refs = %d, want 2 (rejected submissions released their leases)", info.Refs)
 	}
 }

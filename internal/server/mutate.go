@@ -37,7 +37,6 @@ type mutateResponse struct {
 // handleMutateGraph is POST /graphs/{name}/edges.
 func (s *Server) handleMutateGraph(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	display := r.PathValue("name")
 	// Mutation batches are bulk traffic like uploads, not parameter
 	// bodies: give them the upload budget.
 	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxUploadBytes)
@@ -46,12 +45,11 @@ func (s *Server) handleMutateGraph(w http.ResponseWriter, r *http.Request) {
 		writeBodyError(w, err)
 		return
 	}
-	res, err := s.stream.ApplyCtx(r.Context(), scopeGraph(r, display), spec.Ops)
+	res, err := s.stream.ApplyCtx(r.Context(), r.PathValue("name"), spec.Ops)
 	if err != nil {
-		writeMutateError(w, r, err)
+		writeMutateError(w, err)
 		return
 	}
-	res.Graph = display
 	writeJSON(w, http.StatusOK, mutateResponse{
 		Result:  res,
 		Seconds: time.Since(start).Seconds(),
@@ -59,8 +57,8 @@ func (s *Server) handleMutateGraph(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeMutateError maps mutation failures onto HTTP statuses.
-func writeMutateError(w http.ResponseWriter, r *http.Request, err error) {
-	msg := stripMessage(r, err.Error())
+func writeMutateError(w http.ResponseWriter, err error) {
+	msg := err.Error()
 	switch {
 	case errors.Is(err, stream.ErrBatchTooLarge):
 		writeError(w, http.StatusRequestEntityTooLarge, msg)
@@ -73,7 +71,7 @@ func writeMutateError(w http.ResponseWriter, r *http.Request, err error) {
 	case errors.Is(err, registry.ErrNotFound),
 		errors.Is(err, registry.ErrNoCapacity),
 		errors.Is(err, registry.ErrClosed):
-		writeRegistryError(w, r, err)
+		writeRegistryError(w, err)
 	default:
 		writeError(w, http.StatusInternalServerError, msg)
 	}

@@ -54,7 +54,6 @@ import (
 	"lagraph/internal/registry"
 	"lagraph/internal/store"
 	"lagraph/internal/stream"
-	"lagraph/internal/tenant"
 )
 
 // Options configures the service.
@@ -72,7 +71,8 @@ type Options struct {
 	// Jobs and Stream configure the two engines; see their own docs. New
 	// overrides only what is the server's to decide: Jobs.Workers <= 0
 	// selects the parallel worker bound (one algorithm per core set) and
-	// both Obs fields follow Obs.
+	// both Obs fields follow Obs. A submission that finds Jobs.QueueDepth
+	// jobs already waiting is a 429 carrying Retry-After.
 	Jobs   jobs.Options
 	Stream stream.Options
 	// Store, when non-nil, makes the service durable: graphs persisted on
@@ -99,15 +99,6 @@ type Options struct {
 	SlowThreshold time.Duration
 	// TraceCapacity bounds the GET /debug/traces ring. <= 0 means 256.
 	TraceCapacity int
-	// Tenants, when non-nil, switches the service to multi-tenant mode:
-	// data-plane requests must carry a bearer token from the config, graph
-	// names are namespaced per tenant, and quotas are enforced. Nil keeps
-	// the pre-tenancy single-tenant behavior exactly. Built from the
-	// -auth-tokens file via tenant.Load.
-	Tenants *tenant.Config
-	// TenantDefaults carries the daemon-wide quota flags for tenants that
-	// set no bound of their own. Ignored when Tenants is nil.
-	TenantDefaults tenant.Defaults
 }
 
 // Server is the lagraphd HTTP service.
@@ -117,7 +108,6 @@ type Server struct {
 	stream  *stream.Engine
 	store   *store.Store // nil when the service is memory-only
 	catalog *algo.Catalog
-	tenants *tenant.Facade // nil in single-tenant mode
 	mux     *http.ServeMux
 	sem     chan struct{}
 	opts    Options
@@ -217,36 +207,30 @@ func New(reg *registry.Registry, opts Options) *Server {
 		// registry; compose it into the scraped exposition.
 		o.AddSource(s.store.Obs())
 	}
-	if opts.Tenants != nil {
-		s.tenants = tenant.New(opts.Tenants, opts.TenantDefaults, reg, s.jobs, o)
-	}
 	s.registerHealth()
 	// Every route runs inside the instrumented middleware: a trace (id
 	// adopted from X-Trace-Id, echoed back), a root span, and the
-	// per-route request counter and latency histogram. Data-plane routes
-	// additionally run behind the tenanted middleware (the identity in
-	// single-tenant mode), inside instrumentation — an unauthorized
-	// request is still traced and counted — but outside the limiter, so
-	// bad tokens never occupy a concurrency slot.
-	s.mux.HandleFunc("POST /graphs", s.instrumented("/graphs", s.tenanted(s.limited(s.handleLoadGraph))))
-	s.mux.HandleFunc("POST /graphs/{name}/edges", s.instrumented("/graphs/{name}/edges", s.tenanted(s.limited(s.handleMutateGraph))))
-	s.mux.HandleFunc("GET /graphs", s.instrumented("/graphs", s.tenanted(s.limited(s.handleListGraphs))))
-	s.mux.HandleFunc("GET /graphs/{name}", s.instrumented("/graphs/{name}", s.tenanted(s.limited(s.handleGetGraph))))
-	s.mux.HandleFunc("DELETE /graphs/{name}", s.instrumented("/graphs/{name}", s.tenanted(s.limited(s.handleDeleteGraph))))
-	s.mux.HandleFunc("POST /graphs/{name}/algorithms/{alg}", s.instrumented("/graphs/{name}/algorithms/{alg}", s.tenanted(s.limited(s.handleAlgorithm))))
-	s.mux.HandleFunc("POST /graphs/{name}/jobs", s.instrumented("/graphs/{name}/jobs", s.tenanted(s.limited(s.handleSubmitJob))))
+	// per-route request counter and latency histogram. Graph and
+	// algorithm routes additionally run behind the concurrency limiter.
+	s.mux.HandleFunc("POST /graphs", s.instrumented("/graphs", s.limited(s.handleLoadGraph)))
+	s.mux.HandleFunc("POST /graphs/{name}/edges", s.instrumented("/graphs/{name}/edges", s.limited(s.handleMutateGraph)))
+	s.mux.HandleFunc("GET /graphs", s.instrumented("/graphs", s.limited(s.handleListGraphs)))
+	s.mux.HandleFunc("GET /graphs/{name}", s.instrumented("/graphs/{name}", s.limited(s.handleGetGraph)))
+	s.mux.HandleFunc("DELETE /graphs/{name}", s.instrumented("/graphs/{name}", s.limited(s.handleDeleteGraph)))
+	s.mux.HandleFunc("POST /graphs/{name}/algorithms/{alg}", s.instrumented("/graphs/{name}/algorithms/{alg}", s.limited(s.handleAlgorithm)))
+	s.mux.HandleFunc("POST /graphs/{name}/jobs", s.instrumented("/graphs/{name}/jobs", s.limited(s.handleSubmitJob)))
 	// Job polling, cancellation and monitoring bypass the limiter so they
 	// answer under load — a client must be able to cancel the very jobs
 	// that are saturating the server.
-	s.mux.HandleFunc("GET /jobs", s.instrumented("/jobs", s.tenanted(s.handleListJobs)))
-	s.mux.HandleFunc("GET /jobs/{id}", s.instrumented("/jobs/{id}", s.tenanted(s.handleGetJob)))
-	s.mux.HandleFunc("GET /jobs/{id}/result", s.instrumented("/jobs/{id}/result", s.tenanted(s.handleJobResult)))
-	s.mux.HandleFunc("GET /jobs/{id}/report", s.instrumented("/jobs/{id}/report", s.tenanted(s.handleJobReport)))
-	s.mux.HandleFunc("DELETE /jobs/{id}", s.instrumented("/jobs/{id}", s.tenanted(s.handleCancelJob)))
+	s.mux.HandleFunc("GET /jobs", s.instrumented("/jobs", s.handleListJobs))
+	s.mux.HandleFunc("GET /jobs/{id}", s.instrumented("/jobs/{id}", s.handleGetJob))
+	s.mux.HandleFunc("GET /jobs/{id}/result", s.instrumented("/jobs/{id}/result", s.handleJobResult))
+	s.mux.HandleFunc("GET /jobs/{id}/report", s.instrumented("/jobs/{id}/report", s.handleJobReport))
+	s.mux.HandleFunc("DELETE /jobs/{id}", s.instrumented("/jobs/{id}", s.handleCancelJob))
 	// Catalog introspection is cheap and read-only; it bypasses the
 	// limiter so clients can discover the API even under load.
-	s.mux.HandleFunc("GET /algorithms", s.instrumented("/algorithms", s.tenanted(s.handleListAlgorithms)))
-	s.mux.HandleFunc("GET /algorithms/{name}", s.instrumented("/algorithms/{name}", s.tenanted(s.handleGetAlgorithm)))
+	s.mux.HandleFunc("GET /algorithms", s.instrumented("/algorithms", s.handleListAlgorithms))
+	s.mux.HandleFunc("GET /algorithms/{name}", s.instrumented("/algorithms/{name}", s.handleGetAlgorithm))
 	s.mux.HandleFunc("GET /healthz", s.instrumented("/healthz", s.handleHealthz))
 	s.mux.HandleFunc("GET /stats", s.instrumented("/stats", s.handleStats))
 	// Telemetry endpoints stay outside their own instrumentation: a scrape
@@ -314,8 +298,7 @@ type serverStats struct {
 	Jobs          jobs.Stats     `json:"jobs"`
 	Registry      registry.Stats `json:"registry"`
 	Stream        stream.Stats   `json:"stream"`
-	Store         *store.Stats   `json:"store,omitempty"`  // absent when memory-only
-	Tenants       []tenant.Stats `json:"tenant,omitempty"` // absent in single-tenant mode
+	Store         *store.Stats   `json:"store,omitempty"` // absent when memory-only
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -324,13 +307,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		st := s.store.StatsSnapshot()
 		storeStats = &st
 	}
-	var tenantStats []tenant.Stats
-	if s.tenants != nil {
-		tenantStats = s.tenants.StatsSnapshot()
-	}
 	writeJSON(w, http.StatusOK, serverStats{
 		Store:         storeStats,
-		Tenants:       tenantStats,
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		MaxInFlight:   s.opts.MaxInFlight,
 		InFlight:      len(s.sem),

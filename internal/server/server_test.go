@@ -8,10 +8,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 
+	"lagraph/internal/jobs"
 	"lagraph/internal/registry"
 )
 
@@ -381,4 +383,88 @@ func TestSingleNodeUnchangedByClusterCode(t *testing.T) {
 	if id := sub["id"].(string); !regexp.MustCompile(`^j-\d{6}$`).MatchString(id) {
 		t.Fatalf("job id %q, want j-%%06d", id)
 	}
+}
+
+// TestRetiredTenancySurface pins what is left of the retired multi-tenant
+// mode and its priority classes: a bearer token is ignored, a job
+// "priority" is an unknown field, and neither /metrics nor /stats carries
+// a tenant or per-class queue series while a job waits.
+func TestRetiredTenancySurface(t *testing.T) {
+	reg := registry.New(0)
+	srv := New(reg, Options{Jobs: jobs.Options{Workers: 1, QueueDepth: 4}})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	t.Cleanup(srv.Close)
+	loadSyntheticGraph(t, ts.URL, "g", "kron", 5)
+
+	// An Authorization header and a ?priority= query are ignored.
+	for _, path := range []string{"/graphs", "/graphs/g/algorithms/pagerank?priority=batch"} {
+		method := "GET"
+		if strings.Contains(path, "algorithms") {
+			method = "POST"
+		}
+		req, err := http.NewRequest(method, ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Authorization", "Bearer x")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s %s with a bearer token: HTTP %d, want 200", method, path, resp.StatusCode)
+		}
+	}
+
+	code, body := doJSON(t, "POST", ts.URL+"/graphs/g/jobs", map[string]any{"algorithm": "pagerank", "priority": "batch"})
+	if msg, _ := body["error"].(string); code != 400 || !strings.Contains(msg, `"priority"`) {
+		t.Fatalf("job with priority: HTTP %d %v, want 400 naming priority", code, body)
+	}
+
+	// Occupy the one worker, then queue a second job behind it.
+	code, body = doJSON(t, "POST", ts.URL+"/graphs/g/jobs", map[string]any{"algorithm": "pagerank", "params": neverConverges})
+	if code != http.StatusAccepted {
+		t.Fatalf("blocker: HTTP %d %v", code, body)
+	}
+	pollJob(t, ts.URL, body["id"].(string), func(s string) bool { return s == "running" })
+	code, queued := doJSON(t, "POST", ts.URL+"/graphs/g/jobs", map[string]any{"algorithm": "cc"})
+	if code != http.StatusAccepted || queued["state"] != "queued" {
+		t.Fatalf("queued submit: HTTP %d %v", code, queued)
+	}
+	if got, want := sortedKeys(queued), "algorithm cache_hit graph graph_version id state submitted_at wait_seconds"; got != want {
+		t.Fatalf("queued job record keys %q, want %q", got, want)
+	}
+
+	js := jobsStats(t, ts.URL)
+	if js["queued"].(float64) != 1 {
+		t.Fatalf("jobs stats queued = %v, want 1", js["queued"])
+	}
+	if got, want := sortedKeys(js), "cache_hits cached_results cancelled completed dedup_hits failed queue_depth queued running submitted workers"; got != want {
+		t.Fatalf("jobs stats keys with a job queued %q, want %q", got, want)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scrape, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, line := range strings.Split(string(scrape), "\n") {
+		family, ok := strings.CutPrefix(line, "# TYPE ")
+		if ok && (strings.HasPrefix(family, "tenant_") || strings.HasPrefix(family, "jobs_queued_")) {
+			t.Fatalf("/metrics carries a retired family: %s", line)
+		}
+	}
+}
+
+// sortedKeys renders a JSON object's key set, sorted and space-joined.
+func sortedKeys(m map[string]any) string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, " ")
 }

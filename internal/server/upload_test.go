@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,6 +17,7 @@ import (
 	"lagraph/internal/gen"
 	"lagraph/internal/grb"
 	"lagraph/internal/lagraph"
+	"lagraph/internal/registry"
 	"lagraph/internal/store"
 )
 
@@ -381,5 +384,59 @@ func TestSyntheticLoadBoundsEdgeFactor(t *testing.T) {
 		if err := spec.validate(); (err == nil) != tc.ok {
 			t.Errorf("scale %d edge_factor %d: validate = %v, want ok=%v", tc.scale, tc.ef, err, tc.ok)
 		}
+	}
+}
+
+// TestOversizedBodies413 covers the shared 413 mapping on all four body
+// paths: graph upload (including the Matrix Market scanner path), sync
+// algorithm params, job submission, and mutation batches.
+func TestOversizedBodies413(t *testing.T) {
+	reg := registry.New(0)
+	srv := New(reg, Options{MaxUploadBytes: 512, MaxParamsBytes: 128})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	t.Cleanup(srv.Close)
+	loadSyntheticGraph(t, ts.URL, "g", "kron", 5)
+
+	big := strings.Repeat("x", 1024)
+	post := func(path, ctype, body string) int {
+		req, err := http.NewRequest("POST", ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("NewRequest: %v", err)
+		}
+		req.Header.Set("Content-Type", ctype)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode
+	}
+
+	// Synthetic-spec upload: oversized JSON body.
+	if code := post("/graphs", "application/json", `{"name":"`+big+`"}`); code != 413 {
+		t.Fatalf("oversized synthetic spec: %d, want 413", code)
+	}
+	// Matrix Market upload: valid lines, body larger than the cap — the
+	// MaxBytesError must survive the mmio scanner (the %w wrap).
+	mm := "%%MatrixMarket matrix coordinate real general\n64 64 200\n" +
+		strings.Repeat("1 1 1.0\n", 200)
+	if code := post("/graphs?format=mm&name=big", "text/plain", mm); code != 413 {
+		t.Fatalf("oversized MM upload: %d, want 413", code)
+	}
+	// Sync algorithm params over the params cap.
+	if code := post("/graphs/g/algorithms/pagerank", "application/json", `{"pad":"`+big+`"}`); code != 413 {
+		t.Fatalf("oversized sync params: %d, want 413", code)
+	}
+	// Job submission over the params cap.
+	if code := post("/graphs/g/jobs", "application/json", `{"algorithm":"`+big+`"}`); code != 413 {
+		t.Fatalf("oversized job spec: %d, want 413", code)
+	}
+	// Mutation batch over the upload cap — valid JSON throughout, so the
+	// decoder reads past the byte cap rather than erroring on syntax.
+	ops := strings.Repeat(`{"op":"upsert","src":1,"dst":2},`, 40)
+	if code := post("/graphs/g/edges", "application/json", `{"ops":[`+strings.TrimSuffix(ops, ",")+`]}`); code != 413 {
+		t.Fatalf("oversized mutation batch: %d, want 413", code)
 	}
 }
