@@ -31,11 +31,10 @@ type Matrix[T Value] struct {
 	b      []int8
 	nvalsB int
 
-	jumbled    bool
-	nzombies   int
-	pend       []pending[T]
-	ndel       int          // tombstones among pend (pending deletions)
-	pendingDup func(T, T) T // nil = second (last insert wins)
+	jumbled  bool
+	nzombies int
+	pend     []pending[T] // assembled in call order: the last operation on a position wins
+	ndel     int          // tombstones among pend (pending deletions)
 
 	// frozen marks a copy-on-write snapshot (see Snapshot): the CSR arrays
 	// are shared with other matrices and must never be mutated in place.
@@ -74,7 +73,7 @@ func (m *Matrix[T]) Dims() (int, int) { return m.nr, m.nc }
 func (m *Matrix[T]) Format() Format { return m.format }
 
 // Jumbled reports whether any row's indices may be unsorted (lazy sort
-// outstanding). Exposed for the substrate ablation benchmarks.
+// outstanding). Tests use it to observe the lazy sort.
 func (m *Matrix[T]) Jumbled() bool { return m.jumbled }
 
 // PendingTuples reports the number of unassembled operations (insertions
@@ -165,15 +164,9 @@ func (m *Matrix[T]) Snapshot() (*Matrix[T], error) {
 	return &Matrix[T]{
 		nr: m.nr, nc: m.nc, format: FormatSparse,
 		ptr: m.ptr, idx: m.idx, val: m.val,
-		pendingDup: m.pendingDup,
-		frozen:     true,
+		frozen: true,
 	}, nil
 }
-
-// SetPendingDup sets the operator used to combine duplicate pending tuples
-// (and a pending tuple landing on an existing entry) during Wait. The
-// default keeps the last value.
-func (m *Matrix[T]) SetPendingDup(f func(old, new T) T) { m.pendingDup = f }
 
 // SetElement stores A(i,j) = x. On sparse matrices an entry that is not
 // already present becomes a pending tuple (non-blocking mode).
@@ -345,22 +338,7 @@ func (m *Matrix[T]) sortRows() {
 	m.jumbled = false
 }
 
-// foldedOp is the net effect of every pending operation on one position:
-// has/x carry the surviving inserted value (combined with the dup
-// operator), kill records that a tombstone severed the position from any
-// pre-existing CSR entry (so the base value must not be combined in).
-type foldedOp[T Value] struct {
-	i, j int
-	x    T
-	has  bool
-	kill bool
-}
-
 func (m *Matrix[T]) assemblePending() {
-	dup := m.pendingDup
-	if dup == nil {
-		dup = func(_, n T) T { return n }
-	}
 	log := m.pend
 	m.pend = nil
 	m.ndel = 0
@@ -385,30 +363,15 @@ func (m *Matrix[T]) assemblePending() {
 		}
 		lo = end[i]
 	}
-	// Fold each position's operations in call order: inserts combine
-	// through dup, a tombstone clears what came before it and disconnects
-	// the position from its existing CSR value.
-	fold := make([]foldedOp[T], 0, len(pend))
+	// Fold each position's operations to the last one in call order: a
+	// later insert overwrites, a tombstone deletes whatever came before it.
+	fold := pend[:0]
 	for _, op := range pend {
 		if n := len(fold); n > 0 && fold[n-1].i == op.i && fold[n-1].j == op.j {
-			f := &fold[n-1]
-			if op.del {
-				f.has = false
-				f.kill = true
-			} else if f.has {
-				f.x = dup(f.x, op.x)
-			} else {
-				f.x, f.has = op.x, true
-			}
+			fold[n-1] = op
 			continue
 		}
-		f := foldedOp[T]{i: op.i, j: op.j}
-		if op.del {
-			f.kill = true
-		} else {
-			f.x, f.has = op.x, true
-		}
-		fold = append(fold, f)
+		fold = append(fold, op)
 	}
 	// Merge the folded operations into fresh arrays (never in place: a
 	// frozen snapshot shares its arrays with its source). CSR rows are
@@ -435,13 +398,11 @@ func (m *Matrix[T]) assemblePending() {
 		newVal = append(newVal, m.val[p:at]...)
 		p = at
 		switch {
-		case present && !f.kill: // pure inserts onto an existing entry
-			emit(f.j, dup(m.val[p], f.x))
-		case present && f.has: // deleted, then re-inserted: base value gone
+		case present && !f.del: // the insert replaces the existing value
 			emit(f.j, f.x)
 		case present: // net deletion
 			gained--
-		case f.has:
+		case !f.del:
 			emit(f.j, f.x)
 			gained++
 		} // else: tombstone on an absent entry — a no-op.

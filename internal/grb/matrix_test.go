@@ -62,18 +62,6 @@ func TestSetElementDuplicatePendingLastWins(t *testing.T) {
 	}
 }
 
-func TestSetElementPendingDupOperator(t *testing.T) {
-	m := MustMatrix[int32](2, 2)
-	m.SetPendingDup(func(a, b int32) int32 { return a + b })
-	m.SetElement(1, 0, 1)
-	m.SetElement(7, 0, 1)
-	m.Wait()
-	got, _ := m.ExtractElement(0, 1)
-	if got != 8 {
-		t.Fatalf("dup operator: got %d, want 8", got)
-	}
-}
-
 func TestSetElementUpdatesExistingInPlace(t *testing.T) {
 	m := mustFromTuples(t, 3, 3, []int{0, 1}, []int{1, 2}, []int64{10, 20})
 	if err := m.SetElement(99, 0, 1); err != nil {
@@ -373,6 +361,12 @@ func TestVectorPendingZombiesWait(t *testing.T) {
 	}
 	if _, err := v.ExtractElement(3); !IsNoValue(err) {
 		t.Fatal("deleted entry still present")
+	}
+	// Two pending tuples on one index: the last one wins.
+	v.SetElement(4, 5)
+	v.SetElement(9, 5)
+	if x, err := v.ExtractElement(5); err != nil || x != 9 {
+		t.Fatalf("duplicate pending tuple: v(5) = %v, %v; want 9 (last wins)", x, err)
 	}
 }
 

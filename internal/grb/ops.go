@@ -170,16 +170,6 @@ func MinOp[T Number]() BinaryOp[T, T, T] {
 	}}
 }
 
-// MaxOp returns max(x, y).
-func MaxOp[T Number]() BinaryOp[T, T, T] {
-	return BinaryOp[T, T, T]{Name: "max", F: func(a, b T) T {
-		if b > a {
-			return b
-		}
-		return a
-	}}
-}
-
 // NEOp returns x != y as the target numeric type (1 or 0).
 func NEOp[T Value, TC Number]() BinaryOp[T, T, TC] {
 	return BinaryOp[T, T, TC]{Name: "ne", F: func(a, b T) TC {
@@ -190,13 +180,9 @@ func NEOp[T Value, TC Number]() BinaryOp[T, T, TC] {
 	}}
 }
 
-// LorOp and LandOp are boolean or / and.
+// LorOp is boolean or.
 func LorOp() BinaryOp[bool, bool, bool] {
 	return BinaryOp[bool, bool, bool]{Name: "lor", F: func(a, b bool) bool { return a || b }}
-}
-
-func LandOp() BinaryOp[bool, bool, bool] {
-	return BinaryOp[bool, bool, bool]{Name: "land", F: func(a, b bool) bool { return a && b }}
 }
 
 // SecondIOp is the positional multiplicative operator named per GxB: for
@@ -258,12 +244,6 @@ func AnyMonoid[T Value]() Monoid[T] {
 	return Monoid[T]{Name: "any", F: func(a, _ T) T { return a }, IsAny: true}
 }
 
-// LorMonoid is (or, false) with true terminal.
-func LorMonoid() Monoid[bool] {
-	t := true
-	return Monoid[bool]{Name: "lor", F: func(a, b bool) bool { return a || b }, Identity: false, Terminal: &t}
-}
-
 // LandMonoid is (and, true) with false terminal.
 func LandMonoid() Monoid[bool] {
 	f := false
@@ -311,22 +291,6 @@ func PlusPair[TA, TB Value, TC Number]() Semiring[TA, TB, TC] {
 // (FastSV hooking).
 func MinSecond[TA Value, TB Number]() Semiring[TA, TB, TB] {
 	return Semiring[TA, TB, TB]{Name: "min.second", Add: MinMonoid[TB](), Mul: Second[TA, TB](), pull: pullMinSecond}
-}
-
-// MinFirst propagates the left operand's value and keeps the minimum.
-func MinFirst[TA Number, TB Value]() Semiring[TA, TB, TA] {
-	return Semiring[TA, TB, TA]{Name: "min.first", Add: MinMonoid[TA](), Mul: First[TA, TB]()}
-}
-
-// AnyPair is the reachability semiring: 1 if any path exists. Used for the
-// level (non-parent) BFS.
-func AnyPair[TA, TB Value, TC Number]() Semiring[TA, TB, TC] {
-	return Semiring[TA, TB, TC]{Name: "any.pair", Add: AnyMonoid[TC](), Mul: Pair[TA, TB, TC]()}
-}
-
-// LorLand is boolean reachability.
-func LorLand() Semiring[bool, bool, bool] {
-	return Semiring[bool, bool, bool]{Name: "lor.land", Add: LorMonoid(), Mul: LandOp()}
 }
 
 // ---------------------------------------------------------------------------
@@ -395,9 +359,4 @@ func One[TIn Value, TOut Number]() UnaryOp[TIn, TOut] {
 // RowIndexOp maps an entry to its row index plus thunk-free offset 0.
 func RowIndexOp[TIn Value, TOut Number]() UnaryOp[TIn, TOut] {
 	return UnaryOp[TIn, TOut]{Name: "rowindex", PosF: func(_ TIn, i, _ int) TOut { return TOut(i) }}
-}
-
-// ColIndexOp maps an entry to its column index.
-func ColIndexOp[TIn Value, TOut Number]() UnaryOp[TIn, TOut] {
-	return UnaryOp[TIn, TOut]{Name: "colindex", PosF: func(_ TIn, _, j int) TOut { return TOut(j) }}
 }

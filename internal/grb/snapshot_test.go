@@ -88,26 +88,13 @@ func TestSnapshotDeleteThenReinsertDropsBaseValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// With a combining dup, a plain upsert merges with the base value, but
-	// a delete severs the position: the re-inserted value must stand alone.
-	snap.SetPendingDup(func(old, new float64) float64 { return old + new })
+	// A delete severs the position from its base value: the re-inserted
+	// value stands alone.
 	snap.RemoveElement(0, 1) // base holds 1
 	snap.SetElement(10, 0, 1)
 	snap.Wait()
 	if x, _ := snap.ExtractElement(0, 1); x != 10 {
-		t.Fatalf("delete+reinsert = %v, want 10 (base value must not combine)", x)
-	}
-
-	// Control: without the delete the same dup combines with the base.
-	snap2, err := base.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap2.SetPendingDup(func(old, new float64) float64 { return old + new })
-	snap2.SetElement(10, 0, 1)
-	snap2.Wait()
-	if x, _ := snap2.ExtractElement(0, 1); x != 11 {
-		t.Fatalf("upsert onto base = %v, want 11", x)
+		t.Fatalf("delete+reinsert = %v, want 10 (base value must not survive)", x)
 	}
 }
 
@@ -172,47 +159,7 @@ func TestSnapshotRequiresFinishedSparse(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// pending-tuple duplicate semantics (non-snapshot): SetPendingDup combining
-// across finalize, and MatrixFromTuples dup handling with self-loops.
-
-func TestSetPendingDupCombinesAcrossFinalize(t *testing.T) {
-	m := MustMatrix[int64](3, 3)
-	m.SetPendingDup(func(old, new int64) int64 { return old + new })
-
-	// Round 1: two pending tuples on the same position combine.
-	m.SetElement(1, 0, 2)
-	m.SetElement(2, 0, 2)
-	m.Wait()
-	if x, _ := m.ExtractElement(0, 2); x != 3 {
-		t.Fatalf("after first finalize: %d, want 3", x)
-	}
-
-	// Round 2: a fresh pending tuple lands on the assembled entry. The
-	// non-frozen fast path updates in place (last write wins, as
-	// SetElement on an existing entry is an assignment, not a dup)...
-	m.SetElement(10, 0, 2)
-	m.Wait()
-	if x, _ := m.ExtractElement(0, 2); x != 10 {
-		t.Fatalf("in-place overwrite: %d, want 10", x)
-	}
-
-	// ...but pending tuples minted while other pending work exists still
-	// combine with the existing entry through dup at the next finalize.
-	m.SetElement(5, 1, 1) // unrelated pending tuple
-	m.SetElement(4, 0, 2) // (0,2) exists: in-place assignment
-	m.SetElement(6, 2, 0) // new pending
-	m.SetElement(8, 2, 0) // duplicate pending: combines to 14
-	m.Wait()
-	if x, _ := m.ExtractElement(0, 2); x != 4 {
-		t.Fatalf("existing-entry assignment: %d, want 4", x)
-	}
-	if x, _ := m.ExtractElement(2, 0); x != 14 {
-		t.Fatalf("pending dup across finalize: %d, want 14", x)
-	}
-	if x, _ := m.ExtractElement(1, 1); x != 5 {
-		t.Fatalf("unrelated tuple: %d, want 5", x)
-	}
-}
+// MatrixFromTuples dup handling with self-loops.
 
 func TestMatrixFromTuplesDupWithSelfLoops(t *testing.T) {
 	// Three copies of the self-loop (1,1), two of (0,2), one plain entry.
@@ -253,15 +200,10 @@ func TestMatrixFromTuplesDupWithSelfLoops(t *testing.T) {
 // onto a Snapshot and compares the assembled matrix, array for array, with
 // one rebuilt from a map model of the same calls: duplicates in call
 // order, delete-then-reinsert, insert-then-delete, tombstones on absent
-// entries, with and without a duplicate operator, rows left untouched at
-// the start, middle and end, empty rows, and logs from one operation to
-// several per row. The shared base must come out unchanged.
+// entries, rows left untouched at the start, middle and end, empty rows,
+// and logs from one operation to several per row. The last operation on a
+// position wins. The shared base must come out unchanged.
 func TestQuickAssemblePendingAgainstRebuild(t *testing.T) {
-	dups := []func(float64, float64) float64{
-		nil, // last insert wins
-		func(old, x float64) float64 { return old + x },
-		func(old, _ float64) float64 { return old }, // first wins: order-sensitive the other way
-	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := []int{1, 2, 7, 40, 200}[rng.Intn(5)]
@@ -281,10 +223,6 @@ func TestQuickAssemblePendingAgainstRebuild(t *testing.T) {
 		snap, err := base.Snapshot()
 		if err != nil {
 			t.Fatal(err)
-		}
-		dup := dups[rng.Intn(len(dups))]
-		if dup != nil {
-			snap.SetPendingDup(dup)
 		}
 		// Operations land in up to two row windows, so whole runs of rows
 		// before, between and after them stay untouched.
@@ -313,9 +251,6 @@ func TestQuickAssemblePendingAgainstRebuild(t *testing.T) {
 			x := float64(1 + rng.Intn(9))
 			if err := snap.SetElement(x, pos[0], pos[1]); err != nil {
 				t.Fatal(err)
-			}
-			if old, ok := model[pos]; ok && dup != nil {
-				x = dup(old, x)
 			}
 			model[pos] = x
 		}

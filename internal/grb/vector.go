@@ -18,10 +18,9 @@ type Vector[T Value] struct {
 	b      []int8
 	nvalsB int
 
-	jumbled    bool
-	nzombies   int
-	pend       []pending[T]
-	pendingDup func(T, T) T
+	jumbled  bool
+	nzombies int
+	pend     []pending[T] // assembled in call order: the last tuple on an index wins
 }
 
 // NewVector returns an empty sparse vector of length n.
@@ -87,9 +86,6 @@ func (v *Vector[T]) Dup() *Vector[T] {
 	c.b = append([]int8(nil), v.b...)
 	return c
 }
-
-// SetPendingDup sets the duplicate-combining operator used during Wait.
-func (v *Vector[T]) SetPendingDup(f func(old, new T) T) { v.pendingDup = f }
 
 // SetElement stores w(i) = x.
 func (v *Vector[T]) SetElement(x T, i int) error {
@@ -211,17 +207,13 @@ func (v *Vector[T]) Wait() {
 		v.jumbled = false
 	}
 	if len(v.pend) > 0 {
-		dup := v.pendingDup
-		if dup == nil {
-			dup = func(_, n T) T { return n }
-		}
 		pend := v.pend
 		v.pend = nil
 		sort.SliceStable(pend, func(a, b int) bool { return pend[a].i < pend[b].i })
 		w := 0
 		for r := 0; r < len(pend); r++ {
 			if w > 0 && pend[w-1].i == pend[r].i {
-				pend[w-1].x = dup(pend[w-1].x, pend[r].x)
+				pend[w-1].x = pend[r].x
 			} else {
 				pend[w] = pend[r]
 				w++
@@ -235,11 +227,8 @@ func (v *Vector[T]) Wait() {
 		idx := make([]int, 0, len(v.idx)+len(pend))
 		val := make([]T, 0, len(v.val)+len(pend))
 		unionWalk(v.idx, pidx, func(i, p, q int) {
-			x, ok := entryAt(v.val, p)
-			switch {
-			case ok && q >= 0:
-				x = dup(x, pend[q].x)
-			case q >= 0:
+			x, _ := entryAt(v.val, p)
+			if q >= 0 {
 				x = pend[q].x
 			}
 			idx, val = append(idx, i), append(val, x)

@@ -62,7 +62,7 @@ func BetweennessCentralityAdvanced[T grb.Value](ctx context.Context, g *Graph[T]
 	// P(k, sources[k]) = 1 — number of shortest paths found so far.
 	P := grb.MustMatrix[float64](ns, n)
 	for k, s := range sources {
-		lagTry(P.SetElement(1, k, s))
+		Must(P.SetElement(1, k, s))
 	}
 	// First frontier: F⟨¬s(P)⟩ = P plus.first A (line 5).
 	semiring := grb.PlusFirst[float64, T]()

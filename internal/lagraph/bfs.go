@@ -80,8 +80,8 @@ func BFSParentPushOnly[T grb.Value](ctx context.Context, g *Graph[T], src int) (
 	n := g.NumNodes()
 	p := grb.MustVector[int64](n)
 	q := grb.MustVector[int64](n)
-	lagTry(p.SetElement(int64(src), src))
-	lagTry(q.SetElement(int64(src), src))
+	Must(p.SetElement(int64(src), src))
+	Must(q.SetElement(int64(src), src))
 	for level := 1; level < n && q.NVals() > 0; level++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -106,13 +106,13 @@ func bfsDirOpt[T grb.Value](ctx context.Context, g *Graph[T], at *grb.Matrix[T],
 	// The visited set is the parent vector when parents are wanted,
 	// otherwise a dedicated reachability vector.
 	p = grb.MustVector[int64](n)
-	lagTry(p.SetElement(int64(src), src))
+	Must(p.SetElement(int64(src), src))
 	if wantLevel {
 		l = grb.MustVector[int32](n)
-		lagTry(l.SetElement(0, src))
+		Must(l.SetElement(0, src))
 	}
 	q := grb.MustVector[int64](n)
-	lagTry(q.SetElement(int64(src), src))
+	Must(q.SetElement(int64(src), src))
 
 	semiringPull := grb.AnySecondI[T, int64, int64]()
 
@@ -220,12 +220,4 @@ func validateSource[T grb.Value](g *Graph[T], src int, op string) error {
 		return errf(StatusInvalidValue, "%s: source %d outside [0,%d)", op, src, g.NumNodes())
 	}
 	return nil
-}
-
-// lagTry panics on impossible internal errors (index ranges already
-// validated); it keeps construction code readable.
-func lagTry(err error) {
-	if err != nil {
-		panic(err)
-	}
 }

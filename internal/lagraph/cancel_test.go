@@ -37,8 +37,8 @@ func warmGraph(t *testing.T, scale int) *Graph[float64] {
 }
 
 // TestAllAlgorithmsObservePreCancelledContext covers every ctx-taking
-// entry of the surface (BFSStep, the loop-free sixteenth, takes none); the
-// experimental kernels have the same table in their own package.
+// entry of the surface (BFSStep, the loop-free sixteenth, takes none); a
+// new kernel gets a row here when it enters the catalog.
 func TestAllAlgorithmsObservePreCancelledContext(t *testing.T) {
 	g := warmGraph(t, 7)
 	ctx := cancelledCtx()

@@ -33,7 +33,8 @@
 // (outputs..., error); the error wraps a Status and a message retrievable
 // with StatusOf and MessageOf. Warnings are represented as a *Warning that
 // satisfies error but compares true with IsWarning. The LAGraph_TRY /
-// GrB_TRY macros map onto Try (panic on error) and Catch (recover into an
-// error variable), giving the same "write the happy path, free resources
-// in one place" structure the paper describes.
+// GrB_TRY macros become Go's explicit "if err != nil { return … }": the
+// garbage collector frees what the C macros' single exit had to. Must,
+// which panics, is reserved for errors that cannot happen (an index the
+// caller has already validated).
 package lagraph

@@ -296,35 +296,6 @@ func TestStatusConventions(t *testing.T) {
 	}
 }
 
-func TestTryCatch(t *testing.T) {
-	run := func(fail bool) (err error) {
-		defer Catch(&err)
-		Try(nil)
-		Try(&Warning{Status: WarnGraphUnchanged}) // warnings pass through
-		if fail {
-			Try(errf(StatusInvalidValue, "inner failure"))
-		}
-		return nil
-	}
-	if err := run(false); err != nil {
-		t.Fatalf("clean run: %v", err)
-	}
-	if err := run(true); StatusOf(err) != StatusInvalidValue {
-		t.Fatalf("caught: %v", err)
-	}
-	// Foreign panics propagate.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("foreign panic swallowed")
-			}
-		}()
-		var err error
-		defer Catch(&err)
-		panic("not a Try panic")
-	}()
-}
-
 func TestIsEqualAndIsAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	A := randDigraph(rng, 6, 0.4)
@@ -349,40 +320,6 @@ func TestIsEqualAndIsAll(t *testing.T) {
 	eq, err = IsEqual(A, D)
 	if err != nil || eq {
 		t.Fatalf("dim mismatch: %v %v", eq, err)
-	}
-}
-
-func TestSort123(t *testing.T) {
-	a := []int64{3, 1, 2}
-	Sort1(a)
-	if a[0] != 1 || a[2] != 3 {
-		t.Fatalf("Sort1: %v", a)
-	}
-	x := []int64{2, 1, 2, 1}
-	y := []int64{9, 8, 3, 7}
-	if err := Sort2(x, y); err != nil {
-		t.Fatal(err)
-	}
-	if x[0] != 1 || y[0] != 7 || x[3] != 2 || y[3] != 9 {
-		t.Fatalf("Sort2: %v %v", x, y)
-	}
-	p := []int64{1, 1, 1}
-	q := []int64{2, 2, 1}
-	r := []int64{5, 4, 9}
-	if err := Sort3(p, q, r); err != nil {
-		t.Fatal(err)
-	}
-	if r[0] != 9 || r[1] != 4 || r[2] != 5 {
-		t.Fatalf("Sort3: %v", r)
-	}
-	if err := Sort2([]int64{1}, []int64{1, 2}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
-func TestTypeName(t *testing.T) {
-	if TypeName[float64]() != "GrB_FP64" || TypeName[bool]() != "GrB_BOOL" || TypeName[int64]() != "GrB_INT64" {
-		t.Fatal("type names")
 	}
 }
 

@@ -51,9 +51,7 @@ func lccMap(t *testing.T, g *Graph[float64]) map[int]float64 {
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
 
 func TestLCCTriangle(t *testing.T) {
-	// K3: every vertex has degree 2 and sits in one triangle → lcc = 1
-	// (also the case the experimental tier's TestLCCTriangleIsOne pinned
-	// before its duplicate implementation was removed).
+	// K3: every vertex has degree 2 and sits in one triangle → lcc = 1.
 	g := undirectedFromEdges(t, 3, [][2]int{{0, 1}, {1, 2}, {0, 2}}, nil)
 	got := lccMap(t, g)
 	if len(got) != 3 {
@@ -113,9 +111,8 @@ func TestLCCIgnoresSelfLoops(t *testing.T) {
 }
 
 // TestLCCMatchesReference compares against a brute-force count on random
-// undirected graphs (moved here from the experimental tier with its
-// duplicate implementation). The output is sparse: a vertex is stored iff
-// its coefficient is non-zero.
+// undirected graphs. The output is sparse: a vertex is stored iff its
+// coefficient is non-zero.
 func TestLCCMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 8; trial++ {

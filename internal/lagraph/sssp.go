@@ -84,7 +84,7 @@ func SSSPDeltaStepping[T grb.Number](ctx context.Context, g *Graph[T], src int, 
 
 	// t(:) = ∞ ; t(s) = 0 (lines 4-5).
 	t := grb.DenseVector(n, inf)
-	lagTry(t.SetElement(zero, src))
+	Must(t.SetElement(zero, src))
 
 	minPlus := grb.MinPlus[T]()
 	minOp := grb.MinOp[T]()

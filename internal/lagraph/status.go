@@ -142,44 +142,10 @@ func IsWarning(err error) bool {
 	return errors.As(err, &w)
 }
 
-// ErrInvalid builds a StatusInvalidValue error with the given message; it
-// is the lightweight constructor the experimental tier uses.
-func ErrInvalid(msg string) error { return errf(StatusInvalidValue, "%s", msg) }
-
 // Must panics on impossible internal errors (indices already validated by
 // the caller); it keeps construction code readable.
 func Must(err error) {
 	if err != nil {
 		panic(err)
-	}
-}
-
-// tryPanic wraps an error thrown by Try so Catch can tell it apart from
-// unrelated panics.
-type tryPanic struct{ err error }
-
-// Try is LAGraph_TRY: it panics on a non-nil, non-warning error. Pair it
-// with a deferred Catch to get the C macros' single-exit error handling:
-//
-//	func algorithm() (err error) {
-//	    defer lagraph.Catch(&err)
-//	    lagraph.Try(step1())
-//	    lagraph.Try(step2())
-//	    return nil
-//	}
-func Try(err error) {
-	if err != nil && !IsWarning(err) {
-		panic(tryPanic{err})
-	}
-}
-
-// Catch recovers a Try panic into *err; other panics propagate.
-func Catch(err *error) {
-	if r := recover(); r != nil {
-		tp, ok := r.(tryPanic)
-		if !ok {
-			panic(r)
-		}
-		*err = tp.err
 	}
 }

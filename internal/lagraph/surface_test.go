@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -73,6 +74,46 @@ func TestKernelSurface(t *testing.T) {
 	sort.Strings(documented)
 	if got, want := strings.Join(kernels, " "), strings.Join(documented, " "); got != want {
 		t.Errorf("exported kernels differ from the README table\n package: %s\n README:  %s", got, want)
+	}
+}
+
+// TestRetiredLibrarySurface keeps the retired experimental tier and the
+// utilities nothing called from coming back: no Go package lives under
+// internal/lagraph, and package lagraph exports none of the retired names.
+// A new algorithm enters through algo.Register with a golden file instead.
+func TestRetiredLibrarySurface(t *testing.T) {
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if !d.IsDir() && filepath.Dir(path) != "." && strings.HasSuffix(path, ".go") {
+			t.Errorf("%s: internal/lagraph holds no sub-packages", path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	retired := map[string]bool{"ErrInvalid": true, "Try": true, "Catch": true,
+		"Sort1": true, "Sort2": true, "Sort3": true, "TypeName": true}
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range exportedNames(file) {
+			if retired[name] {
+				t.Errorf("%s exports retired name %s", path, name)
+			}
+		}
 	}
 }
 

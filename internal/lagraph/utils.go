@@ -1,7 +1,6 @@
 package lagraph
 
 import (
-	"sort"
 	"time"
 
 	"lagraph/internal/grb"
@@ -74,38 +73,6 @@ func VectorIsEqual[T grb.Value](u, v *grb.Vector[T]) (bool, error) {
 	return grb.ReduceVectorToScalar(grb.LandMonoid(), c), nil
 }
 
-// TypeName returns a string with the name of the matrix element type
-// (paper §V: LAGraph_TypeName).
-func TypeName[T grb.Value]() string {
-	var z T
-	switch any(z).(type) {
-	case bool:
-		return "GrB_BOOL"
-	case int8:
-		return "GrB_INT8"
-	case int16:
-		return "GrB_INT16"
-	case int32:
-		return "GrB_INT32"
-	case int64:
-		return "GrB_INT64"
-	case uint8:
-		return "GrB_UINT8"
-	case uint16:
-		return "GrB_UINT16"
-	case uint32:
-		return "GrB_UINT32"
-	case uint64:
-		return "GrB_UINT64"
-	case float32:
-		return "GrB_FP32"
-	case float64:
-		return "GrB_FP64"
-	default:
-		return "user-defined"
-	}
-}
-
 // ---------------------------------------------------------------------------
 // portable timer (paper §V: Tic/Toc)
 
@@ -121,64 +88,3 @@ func (t *Timer) Toc() float64 { return time.Since(t.start).Seconds() }
 // Tic returns a started timer; the package-level form of the C API's
 // LAGraph_Tic.
 func Tic() Timer { return Timer{start: time.Now()} }
-
-// ---------------------------------------------------------------------------
-// integer array sorts (paper §V: Sort1, Sort2, Sort3)
-
-// Sort1 sorts one integer array ascending in place.
-func Sort1(a []int64) {
-	sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
-}
-
-// Sort2 sorts (a, b) pairs by a, then b.
-func Sort2(a, b []int64) error {
-	if len(a) != len(b) {
-		return errf(StatusInvalidValue, "Sort2: length mismatch %d vs %d", len(a), len(b))
-	}
-	idx := sortedIndex(len(a), func(x, y int) bool {
-		if a[x] != a[y] {
-			return a[x] < a[y]
-		}
-		return b[x] < b[y]
-	})
-	permute(a, idx)
-	permute(b, idx)
-	return nil
-}
-
-// Sort3 sorts (a, b, c) triples by a, then b, then c.
-func Sort3(a, b, c []int64) error {
-	if len(a) != len(b) || len(a) != len(c) {
-		return errf(StatusInvalidValue, "Sort3: length mismatch")
-	}
-	idx := sortedIndex(len(a), func(x, y int) bool {
-		if a[x] != a[y] {
-			return a[x] < a[y]
-		}
-		if b[x] != b[y] {
-			return b[x] < b[y]
-		}
-		return c[x] < c[y]
-	})
-	permute(a, idx)
-	permute(b, idx)
-	permute(c, idx)
-	return nil
-}
-
-func sortedIndex(n int, less func(i, j int) bool) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(i, j int) bool { return less(idx[i], idx[j]) })
-	return idx
-}
-
-func permute[T any](a []T, idx []int) {
-	out := make([]T, len(a))
-	for i, p := range idx {
-		out[i] = a[p]
-	}
-	copy(a, out)
-}
