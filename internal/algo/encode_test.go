@@ -128,11 +128,11 @@ func TestAppendResponseFloats(t *testing.T) {
 
 func TestAppendResponseShapes(t *testing.T) {
 	converged := true
-	rep := &RunReport{
-		Algorithm: "x<y>", Iterations: 3, Converged: &converged, Method: "a&b",
+	rep := &RunReport{Algorithm: "x<y>", ProbeSnapshot: lagraph.ProbeSnapshot{
+		Iterations: 3, Converged: &converged, Method: "a&b",
 		Iters:    []lagraph.IterStat{{Iter: 1, Frontier: 4, Work: 9, Direction: "push"}, {Iter: 2, Residual: 1e-9}},
 		Counters: map[string]int64{"relaxations": 12, "nnz": 7},
-	}
+	}}
 	for name, res := range map[string]Result{
 		"nil result":    nil,
 		"empty result":  {},

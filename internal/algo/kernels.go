@@ -60,7 +60,7 @@ func staticProps(ps ...registry.Property) func(*Graph) []registry.Property {
 // and tests that run catalog kernels without a registry.
 func EnsureProperties(d *Descriptor, g *Graph) error {
 	for _, p := range d.RequiredProperties(g) {
-		if err := registry.Materialize(g, p); err != nil {
+		if _, err := registry.Materialize(g, p); err != nil {
 			return err
 		}
 	}
@@ -134,28 +134,13 @@ func registerPageRank(c *Catalog) {
 	c.MustRegister(Descriptor{
 		Name: "pagerank",
 		Tier: TierBasic,
-		Doc: "PageRank (paper §IV-C, Algorithm 4) on the plus.second semiring over the cached transpose. " +
-			"The gap variant reproduces the GAP benchmark's pr.cc (sinks leak rank); " +
-			"gx is the LDBC Graphalytics variant that redistributes sink rank every iteration.",
-		Params: append(pagerankParams(),
-			Spec{Name: "variant", Type: TString, Default: "gap", Enum: []string{"gap", "gx"},
-				Doc: "formulation: gap (GAP pr.cc) or gx (Graphalytics, dangling-safe)"},
-			limitSpec(),
-		),
+		Doc: "PageRank (paper §IV-C, Algorithm 4) on the plus.second semiring over the cached transpose, " +
+			"as the GAP benchmark's pr.cc computes it (sinks leak rank). " +
+			"pagerank.gx is the LDBC Graphalytics formulation, which redistributes sink rank every iteration.",
+		Params:     append(pagerankParams(), limitSpec()),
 		Properties: staticProps(registry.PropAT, registry.PropRowDegree),
 		Run: func(ctx context.Context, g *Graph, p Params) (Result, error) {
-			var (
-				ranks *grb.Vector[float64]
-				iters int
-				err   error
-			)
-			damping, tol, maxIter := p.Float("damping"), p.Float("tol"), p.Int("max_iter")
-			switch p.String("variant") {
-			case "gx":
-				ranks, iters, err = lagraph.PageRankGX(ctx, g, damping, tol, maxIter)
-			default:
-				ranks, iters, err = lagraph.PageRankGAP(ctx, g, damping, tol, maxIter)
-			}
+			ranks, iters, err := lagraph.PageRankGAP(ctx, g, p.Float("damping"), p.Float("tol"), p.Int("max_iter"))
 			if err = warnOK(err); err != nil {
 				return nil, err
 			}

@@ -39,7 +39,7 @@ func TestValidateAppliesDefaults(t *testing.T) {
 	if p.Float("damping") != 0.85 || p.Float("tol") != 1e-4 || p.Int("max_iter") != 100 {
 		t.Fatalf("defaults not applied: %+v", p.m)
 	}
-	if p.String("variant") != "gap" || p.Int("limit") != 32 {
+	if p.Int("limit") != 32 {
 		t.Fatalf("defaults not applied: %+v", p.m)
 	}
 }
@@ -98,7 +98,7 @@ func TestValidateErrors(t *testing.T) {
 		{"pagerank", `{"damping": 0}`, "damping"},        // exclusive min
 		{"pagerank", `{"damping": 1}`, "damping"},        // exclusive max
 		{"pagerank", `{"max_iter": 0}`, "max_iter"},      // below min
-		{"pagerank", `{"variant": "fast"}`, "variant"},   // enum miss
+		{"tc.advanced", `{"method": "Cohen"}`, "method"}, // enum miss: case matters
 		{"sssp", `{"delta": 0}`, "delta"},                // exclusive min
 		{"bc", `{"sources": [0, -2]}`, "sources"},        // negative item
 		{"bc", `{"sources": "0,1"}`, "sources"},          // not an array

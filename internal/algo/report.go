@@ -14,20 +14,10 @@ import (
 type RunReport struct {
 	// Algorithm is the catalog name the report describes.
 	Algorithm string `json:"algorithm"`
-	// Iterations counts every kernel iteration, including any beyond the
-	// probe's retention bound.
-	Iterations int `json:"iterations"`
-	// Converged reports whether an iterative kernel met its convergence
-	// criterion; absent for kernels where the notion does not apply.
-	Converged *bool `json:"converged,omitempty"`
-	// Method is the formulation the kernel chose (tc's "sandia-lut").
-	Method string `json:"method,omitempty"`
-	// Iters is the retained per-iteration trace.
-	Iters []lagraph.IterStat `json:"iters,omitempty"`
-	// ItersDropped counts events beyond the retention bound.
-	ItersDropped int `json:"iters_dropped,omitempty"`
-	// Counters are the kernel's named work totals (relaxations, nnz).
-	Counters map[string]int64 `json:"counters,omitempty"`
+	// ProbeSnapshot is the kernel's own record: iteration count (including
+	// any beyond the probe's retention bound), convergence, the method it
+	// chose, the retained per-iteration trace and its named work counters.
+	lagraph.ProbeSnapshot
 	// PropertySeconds is the wall time spent materializing cached graph
 	// properties before the kernel ran (0 when everything was cached).
 	PropertySeconds float64 `json:"property_seconds"`
@@ -38,15 +28,9 @@ type RunReport struct {
 // NewReport assembles a report from a finished run's probe (nil-safe) and
 // the caller's timings.
 func NewReport(algorithm string, p *lagraph.Probe, propertySeconds, kernelSeconds float64) *RunReport {
-	snap := p.Snapshot()
 	return &RunReport{
 		Algorithm:       algorithm,
-		Iterations:      snap.Iterations,
-		Converged:       snap.Converged,
-		Method:          snap.Method,
-		Iters:           snap.Iters,
-		ItersDropped:    snap.Dropped,
-		Counters:        snap.Counters,
+		ProbeSnapshot:   p.Snapshot(),
 		PropertySeconds: propertySeconds,
 		KernelSeconds:   kernelSeconds,
 	}

@@ -101,26 +101,25 @@ func TestRunReportNonEmpty(t *testing.T) {
 	if (&RunReport{KernelSeconds: 1.5}).NonEmpty() {
 		t.Error("wall time alone should not make a report non-empty")
 	}
-	if !(&RunReport{Iterations: 1}).NonEmpty() {
+	if !(&RunReport{ProbeSnapshot: lagraph.ProbeSnapshot{Iterations: 1}}).NonEmpty() {
 		t.Error("iterations should make a report non-empty")
 	}
-	if !(&RunReport{Method: "sandia-lut"}).NonEmpty() {
+	if !(&RunReport{ProbeSnapshot: lagraph.ProbeSnapshot{Method: "sandia-lut"}}).NonEmpty() {
 		t.Error("method should make a report non-empty")
 	}
-	if !(&RunReport{Counters: map[string]int64{"nnz": 3}}).NonEmpty() {
+	if !(&RunReport{ProbeSnapshot: lagraph.ProbeSnapshot{Counters: map[string]int64{"nnz": 3}}}).NonEmpty() {
 		t.Error("counters should make a report non-empty")
 	}
 }
 
 func TestRunReportSpanEvents(t *testing.T) {
 	conv := true
-	rep := &RunReport{
-		Algorithm:  "bfs",
+	rep := &RunReport{Algorithm: "bfs", ProbeSnapshot: lagraph.ProbeSnapshot{
 		Iterations: 130,
 		Converged:  &conv,
 		Method:     "diropt",
 		Counters:   map[string]int64{"relaxations": 9, "nnz": 4},
-	}
+	}}
 	for i := 1; i <= 130; i++ {
 		dir := "push"
 		if i%2 == 0 {

@@ -227,72 +227,6 @@ func AssignMatrixScalar[T Value](C *Matrix[T], mask Mask, accum func(T, T) T,
 	return nil
 }
 
-// AssignMatrix computes C⟨M⟩(rows, cols)⊙= A, with A(r,c) landing at
-// (rows[r], cols[c]). Entries that a repeated column index lands on one
-// position are combined by the accumulator in column order (without one the
-// last wins); of a repeated row index the last occurrence is assigned.
-func AssignMatrix[T Value](C *Matrix[T], mask Mask, accum func(T, T) T,
-	A *Matrix[T], rows, cols []int, desc *Descriptor) error {
-
-	nr, nc := C.Dims()
-	regR, regC := len(rows), len(cols)
-	if isAll(rows) {
-		regR = nr
-	}
-	if isAll(cols) {
-		regC = nc
-	}
-	if ar, ac := A.Dims(); ar != regR || ac != regC {
-		return dimErr("AssignMatrix", "A "+itoa(ar)+"x"+itoa(ac), "region "+itoa(regR)+"x"+itoa(regC))
-	}
-	region, err := checkRegion(nr, nc, mask, rows, cols, "AssignMatrix")
-	if err != nil {
-		return err
-	}
-	A.Wait()
-	// Output row -> the row of A assigned to it.
-	rowOf := make([]int, nr)
-	for i := range rowOf {
-		rowOf[i] = i
-	}
-	for r, i := range rows {
-		rowOf[i] = r
-	}
-	denseMaskSrc := !mask.Exists() || mask.src.maskIsDense()
-	t := buildCSRParallelScoped(nr, nc, func(scope *rowAllowScope) func(i int, emit func(j int, x T)) {
-		// One row of A staged onto its output columns.
-		staged := getSPA[T](nc)
-		scope.atEnd = func() { putSPA(staged) }
-		return func(i int, emit func(j int, x T)) {
-			if region.inRow[i] == 0 {
-				return
-			}
-			scope.load(mask, i, nc, denseMaskSrc)
-			staged.reset()
-			aRowIter(A, rowOf[i], func(c int, x T) {
-				if !isAll(cols) {
-					c = cols[c]
-				}
-				switch {
-				case !staged.has(c):
-					staged.put(c, x)
-				case accum != nil:
-					staged.val[c] = accum(staged.val[c], x)
-				default:
-					staged.val[c] = x
-				}
-			})
-			for _, j := range staged.touched {
-				if scope.ok(mask, i, j) {
-					emit(j, staged.val[j])
-				}
-			}
-		}
-	})
-	maskAccumMatrix(C, mask, accum, t, descOf(desc).Replace, true, region.fn)
-	return nil
-}
-
 // matrixRegion is the rows × cols region of a matrix assign: membership per
 // row and per column, the columns ascending without repeats, and the
 // position predicate maskAccumMatrix takes — nil when the region is all of C.

@@ -92,13 +92,11 @@ func unionAndIntersection(a, b map[coord]float64) (add, mult map[coord]float64) 
 }
 
 // assignRegion is one (rows, cols) region of an n×n assign with its position
-// set: nr×nc is the shape of the source an AssignMatrix takes for it.
+// set; nil rows or cols is the whole range.
 type assignRegion struct {
-	name             string
-	rows, cols       []int
-	nr, nc           int
-	dupRows, dupCols bool
-	set              map[coord]bool
+	name       string
+	rows, cols []int
+	set        map[coord]bool
 }
 
 // at maps source position (r, c) to the output position it lands on.
@@ -122,16 +120,6 @@ func (reg assignRegion) scalarT(s float64) map[coord]float64 {
 	return out
 }
 
-// matrixT is the T of C(rows, cols) += src: entries that land on one
-// position through a duplicated column are summed.
-func (reg assignRegion) matrixT(src *Matrix[float64]) map[coord]float64 {
-	out := map[coord]float64{}
-	for p, x := range denseOf(src) {
-		out[reg.at(p.i, p.j)] += x
-	}
-	return out
-}
-
 // assignRegions draws a sub-region in list order, the whole matrix, and two
 // regions with a repeated column and a repeated row index.
 func assignRegions(rng *rand.Rand, n int) []assignRegion {
@@ -140,20 +128,21 @@ func assignRegions(rng *rand.Rand, n int) []assignRegion {
 	regions := []assignRegion{
 		{name: "sub", rows: sub(), cols: sub()},
 		{name: "all"},
-		{name: "dup cols", rows: sub(), cols: dup(), dupCols: true},
-		{name: "dup rows", rows: dup(), dupRows: true},
+		{name: "dup cols", rows: sub(), cols: dup()},
+		{name: "dup rows", rows: dup()},
 	}
 	for k := range regions {
 		reg := &regions[k]
-		reg.nr, reg.nc, reg.set = len(reg.rows), len(reg.cols), map[coord]bool{}
+		nr, nc := len(reg.rows), len(reg.cols)
 		if reg.rows == nil {
-			reg.nr = n
+			nr = n
 		}
 		if reg.cols == nil {
-			reg.nc = n
+			nc = n
 		}
-		for r := 0; r < reg.nr; r++ {
-			for c := 0; c < reg.nc; c++ {
+		reg.set = map[coord]bool{}
+		for r := 0; r < nr; r++ {
+			for c := 0; c < nc; c++ {
 				reg.set[reg.at(r, c)] = true
 			}
 		}
@@ -264,16 +253,6 @@ func TestMaskSemanticsMatrixAllVariants(t *testing.T) {
 							}
 							matricesEqual(t, C, modelMaskAccum(c0Map, reg.scalarT(3), mSet, mExists,
 								comp, structural, replace, withAccum, reg.set), "assign scalar "+reg.name+label[3:])
-							if reg.dupRows || reg.dupCols && !withAccum {
-								continue // AssignMatrix combines duplicates only through an accumulator
-							}
-							src := randMatrix(rng, reg.nr, reg.nc, 0.5)
-							C = c0.Dup()
-							if err := AssignMatrix(C, mask, acc, src, reg.rows, reg.cols, desc); err != nil {
-								t.Fatal(err)
-							}
-							matricesEqual(t, C, modelMaskAccum(c0Map, reg.matrixT(src), mSet, mExists,
-								comp, structural, replace, withAccum, reg.set), "assign matrix "+reg.name+label[3:])
 						}
 					}
 				}

@@ -510,25 +510,6 @@ func TestAssignMatrixScalarAllMakesFull(t *testing.T) {
 	}
 }
 
-func TestAssignMatrixSubmatrix(t *testing.T) {
-	C := MustMatrix[int64](4, 4)
-	A := mustFromTuples(t, 2, 2, []int{0, 1}, []int{0, 1}, []int64{7, 8})
-	if err := AssignMatrix(C, NoMask, nil, A, []int{1, 3}, []int{0, 2}, nil); err != nil {
-		t.Fatal(err)
-	}
-	matricesEqual(t, C, map[coord]int64{{1, 0}: 7, {3, 2}: 8}, "submatrix assign")
-}
-
-func TestAssignMatrixNoAccumDeletesInRegion(t *testing.T) {
-	// Assigning an empty A over a region wipes that region.
-	C := mustFromTuples(t, 3, 3, []int{0, 1, 2}, []int{0, 1, 2}, []int64{1, 2, 3})
-	A := MustMatrix[int64](2, 2)
-	if err := AssignMatrix(C, NoMask, nil, A, []int{0, 1}, []int{0, 1}, nil); err != nil {
-		t.Fatal(err)
-	}
-	matricesEqual(t, C, map[coord]int64{{2, 2}: 3}, "region deletion")
-}
-
 func TestAccumulatorOnVectorOps(t *testing.T) {
 	w, _ := VectorFromTuples(3, []int{0}, []float64{10}, nil)
 	u, _ := VectorFromTuples(3, []int{0, 1}, []float64{1, 2}, nil)

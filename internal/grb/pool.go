@@ -13,10 +13,9 @@ import (
 // pool." This file implements that future-work feature for everything a
 // call needs that is sized by a vector length but is not its result:
 //
-//   - sparse accumulators (push VxM, every block of the saxpy MxM, the row
-//     an AssignMatrix stages, and the values of the bitmap view a pull MxV
-//     reads a sparse u through) — the generation counter makes reuse free
-//     of clearing;
+//   - sparse accumulators (push VxM, every block of the saxpy MxM, and the
+//     values of the bitmap view a pull MxV reads a sparse u through) — the
+//     generation counter makes reuse free of clearing;
 //   - byte slabs: the mask row a rowAllowScope scatters for O(1) lookups,
 //     and the VMask.denseAllow array of the calls whose input is itself
 //     dense. A slab is borrowed all-zero and must be returned all-zero.

@@ -123,11 +123,10 @@ type Options struct {
 	// MaxJobs bounds retained job records; the oldest terminal jobs are
 	// pruned beyond it. <= 0 means 1024.
 	MaxJobs int
-	// Obs is the metrics registry the engine's counters live in — the
-	// same instruments back both StatsSnapshot (the /stats JSON) and the
-	// Prometheus /metrics exposition, so every counter is defined exactly
-	// once. Nil selects a private registry (the instruments still work;
-	// they are simply not scraped).
+	// Obs is the metrics registry the engine's counters live in; each is
+	// defined once there, and /metrics (and /stats, its JSON view) read
+	// them from it. Nil selects a private registry (the instruments still
+	// work; they are simply not scraped).
 	Obs *obs.Registry
 }
 
@@ -262,24 +261,6 @@ func (j *Job) infoLocked() Info {
 	return in
 }
 
-// Stats is the engine-wide counter snapshot for /stats.
-type Stats struct {
-	Workers    int `json:"workers"`
-	QueueDepth int `json:"queue_depth"`
-
-	Queued  int `json:"queued"`
-	Running int `json:"running"`
-
-	Submitted int64 `json:"submitted"`
-	Completed int64 `json:"completed"`
-	Failed    int64 `json:"failed"`
-	Cancelled int64 `json:"cancelled"`
-	DedupHits int64 `json:"dedup_hits"`
-	CacheHits int64 `json:"cache_hits"`
-
-	CachedResults int `json:"cached_results"`
-}
-
 // drainRingSize bounds the dequeue-timestamp ring behind RetryAfterHint.
 const drainRingSize = 64
 
@@ -308,9 +289,9 @@ type Engine struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	// Engine telemetry: obs instruments shared by StatsSnapshot and the
-	// Prometheus exposition. Gauges are mutated only under e.mu (they
-	// mirror queue occupancy); counters are hot-path atomics.
+	// Engine telemetry, exported through Options.Obs. Gauges are mutated
+	// only under e.mu (they mirror queue occupancy); counters are hot-path
+	// atomics.
 	queuedG   *obs.Gauge
 	runningG  *obs.Gauge
 	submitted *obs.Counter
@@ -345,7 +326,7 @@ func NewEngine(opts Options) *Engine {
 		failed:    o.Counter("jobs_failed_total", "Jobs that finished with an error."),
 		cancelled: o.Counter("jobs_cancelled_total", "Jobs cancelled before completion."),
 		dedupHits: o.Counter("jobs_dedup_hits_total", "Submissions attached to an identical in-flight job."),
-		cacheHits: o.Counter("jobs_result_cache_hits_total", "Submissions served from the versioned result cache."),
+		cacheHits: o.Counter("jobs_cache_hits_total", "Submissions served from the versioned result cache."),
 		runSecs: o.HistogramVec("jobs_run_seconds",
 			"Algorithm run duration on a worker, by algorithm.", nil, "algorithm"),
 		waitSecs: o.Histogram("jobs_wait_seconds",
@@ -774,23 +755,4 @@ func (e *Engine) RetryAfterHint() int {
 		return retryAfterCeil
 	}
 	return secs
-}
-
-// StatsSnapshot returns the engine counters. The values are read from
-// the same obs instruments the Prometheus exposition renders — one
-// definition, two read paths.
-func (e *Engine) StatsSnapshot() Stats {
-	return Stats{
-		Workers:       e.opts.Workers,
-		QueueDepth:    e.opts.QueueDepth,
-		Queued:        int(e.queuedG.Int()),
-		Running:       int(e.runningG.Int()),
-		Submitted:     e.submitted.Int(),
-		Completed:     e.completed.Int(),
-		Failed:        e.failed.Int(),
-		Cancelled:     e.cancelled.Int(),
-		DedupHits:     e.dedupHits.Int(),
-		CacheHits:     e.cacheHits.Int(),
-		CachedResults: e.cache.len(),
-	}
 }

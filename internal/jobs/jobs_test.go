@@ -107,8 +107,8 @@ func TestCancelRunningJobReleasesOnDone(t *testing.T) {
 	if !released.Load() {
 		t.Fatal("OnDone not called on cancellation")
 	}
-	if s := e.StatsSnapshot(); s.Cancelled != 1 {
-		t.Fatalf("cancelled counter = %d", s.Cancelled)
+	if n := e.cancelled.Int(); n != 1 {
+		t.Fatalf("cancelled counter = %d", n)
 	}
 }
 
@@ -204,8 +204,8 @@ func TestDedupSingleFlight(t *testing.T) {
 	if n := runs.Load(); n != 1 {
 		t.Fatalf("runs = %d, want 1", n)
 	}
-	if s := e.StatsSnapshot(); s.DedupHits != 1 {
-		t.Fatalf("dedup_hits = %d", s.DedupHits)
+	if n := e.dedupHits.Int(); n != 1 {
+		t.Fatalf("dedup_hits = %d", n)
 	}
 
 	// After completion the same key is a cache hit: no new computation,
@@ -224,8 +224,8 @@ func TestDedupSingleFlight(t *testing.T) {
 	if n := runs.Load(); n != 1 {
 		t.Fatalf("runs after cache hit = %d, want 1", n)
 	}
-	if s := e.StatsSnapshot(); s.CacheHits != 1 {
-		t.Fatalf("cache_hits = %d", s.CacheHits)
+	if n := e.cacheHits.Int(); n != 1 {
+		t.Fatalf("cache_hits = %d", n)
 	}
 
 	// A different version of the same graph misses.
@@ -296,7 +296,7 @@ func TestQueueFull(t *testing.T) {
 	// Wait until the worker picked up the first job so the single queue
 	// slot is deterministically free for the second.
 	deadline := time.Now().Add(5 * time.Second)
-	for e.StatsSnapshot().Running != 1 && time.Now().Before(deadline) {
+	for e.runningG.Int() != 1 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if _, _, err := e.Submit(Request{Key: testKey("g", 1, "b", ""), Run: slow}); err != nil {
@@ -551,9 +551,8 @@ func TestConcurrentSubmitters(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	s := e.StatsSnapshot()
-	if s.Submitted != 8*50 {
-		t.Fatalf("submitted = %d", s.Submitted)
+	if n := e.submitted.Int(); n != 8*50 {
+		t.Fatalf("submitted = %d", n)
 	}
 }
 
@@ -631,8 +630,7 @@ func TestVersionInterplayRekeysCacheAndDedup(t *testing.T) {
 	if got := computes.Load(); got != 2 {
 		t.Fatalf("computes = %d, want 2 (one per version)", got)
 	}
-	st := e.StatsSnapshot()
-	if st.CacheHits != 3 || st.DedupHits != 0 {
-		t.Fatalf("cache hits %d (want 3), dedup hits %d (want 0)", st.CacheHits, st.DedupHits)
+	if hits, dedup := e.cacheHits.Int(), e.dedupHits.Int(); hits != 3 || dedup != 0 {
+		t.Fatalf("cache hits %d (want 3), dedup hits %d (want 0)", hits, dedup)
 	}
 }

@@ -33,7 +33,7 @@ func gatedEngine(t *testing.T) (*Engine, func()) {
 	}
 	// Wait until the worker is occupied so staged submissions queue.
 	deadline := time.Now().Add(5 * time.Second)
-	for e.StatsSnapshot().Running != 1 {
+	for e.runningG.Int() != 1 {
 		if time.Now().After(deadline) {
 			t.Fatalf("gate job never started")
 		}

@@ -10,7 +10,7 @@
 // atomics on the hot path. Func variants (CounterFunc, GaugeFunc) collect
 // a value at scrape time, bridging subsystems that already maintain their
 // own counters — the value is still defined exactly once, in the
-// subsystem, and both /stats and /metrics read it.
+// subsystem, and read at scrape time (/stats is a JSON view of a scrape).
 //
 // Registration is idempotent: asking for a family that already exists
 // with the same type and label names returns the existing one, so two
@@ -72,7 +72,7 @@ func (c *Counter) Add(v float64) {
 func (c *Counter) Value() float64 { return c.v.Load() }
 
 // Int returns the current count truncated to int64 (the subsystems count
-// integral events; /stats snapshots read them back through this).
+// integral events; their in-process snapshots read them back through this).
 func (c *Counter) Int() int64 { return int64(c.v.Load()) }
 
 // Gauge is a value that can go up and down.

@@ -69,7 +69,7 @@ type flight struct {
 	err  error
 }
 
-// Entry is one resident graph. All counters are atomics so /stats can
+// Entry is one resident graph. Its mutable fields are atomics so Info can
 // snapshot them without taking the registry lock.
 type Entry struct {
 	name    string
@@ -102,17 +102,8 @@ type Entry struct {
 
 	flights [numProperties]flight
 
-	// propRequests counts every EnsureProperties demand; propComputes
-	// counts the demands that actually ran a computation. Their difference
-	// is the number of requests served from the cache — the signal the
-	// /stats endpoint exposes to prove cached-property reuse.
-	propRequests atomic.Int64
-	propComputes atomic.Int64
-	algRuns      atomic.Int64
-
-	// reg points back at the owning registry so the per-entry counters
-	// above can also feed the registry-lifetime aggregates: entries die
-	// (eviction, swap) but the exported totals must stay monotone.
+	// reg points back at the owning registry, whose counters outlive the
+	// entry (eviction, swap), so the exported totals stay monotone.
 	reg *Registry
 
 	elem *list.Element // position in the registry's LRU list
@@ -136,12 +127,7 @@ func (e *Entry) Bytes() int64 { return e.bytes }
 func (e *Entry) Version() uint64 { return e.version }
 
 // CountAlgRun records one algorithm invocation against this graph.
-func (e *Entry) CountAlgRun() {
-	e.algRuns.Add(1)
-	if e.reg != nil {
-		e.reg.aggAlgRuns.Add(1)
-	}
-}
+func (e *Entry) CountAlgRun() { e.reg.algorithmRuns.Add(1) }
 
 // PendingDeltaOps returns the number of unassembled delta-log operations
 // this snapshot was published with.
@@ -160,8 +146,10 @@ func (e *Entry) EnsureFinalized() {
 
 // EnsureProperties materializes the requested properties, sharing one
 // computation among concurrent callers (single flight per graph per
-// property). Requests that find the property already materialized are
-// cache hits; both totals are exported through Stats.
+// property). Every demand counts as a property request; only a demand that
+// ran a computation counts as a property compute — not one that found the
+// value already on the graph (a snapshot seeded by the stream engine, or a
+// compaction republishing the same graph).
 //
 // The entry is finalized first: property computations read the adjacency
 // matrix, and two properties have independent single-flight slots, so
@@ -173,19 +161,14 @@ func (e *Entry) EnsureProperties(props ...Property) error {
 		if p < 0 || p >= numProperties {
 			return fmt.Errorf("registry: unknown property %d", int(p))
 		}
-		e.propRequests.Add(1)
-		if e.reg != nil {
-			e.reg.aggPropRequests.Add(1)
-		}
+		e.reg.propertyRequests.Add(1)
 		f := &e.flights[p]
 		f.once.Do(func() {
-			e.propComputes.Add(1)
-			if e.reg != nil {
-				e.reg.aggPropComputes.Add(1)
+			computed, err := Materialize(e.graph, p)
+			if computed {
+				e.reg.propertyComputes.Add(1)
 			}
-			if err := Materialize(e.graph, p); err != nil {
-				f.err = err
-			}
+			f.err = err
 		})
 		if f.err != nil {
 			return f.err
@@ -194,12 +177,12 @@ func (e *Entry) EnsureProperties(props ...Property) error {
 	return nil
 }
 
-// Materialize computes one cacheable property directly on a graph,
-// swallowing the already-cached warning. Entry.EnsureProperties wraps it
-// in the per-entry single flight; library-mode callers (the benchmark
-// harness, tests) use it straight.
-func Materialize(g *lagraph.Graph[float64], p Property) error {
-	var err error
+// Materialize computes one cacheable property directly on a graph and
+// reports whether it computed (the Property* call returned nil) or found
+// the value already cached (the call's warning, swallowed).
+// Entry.EnsureProperties wraps it in the per-entry single flight;
+// library-mode callers (the benchmark harness, tests) use it straight.
+func Materialize(g *lagraph.Graph[float64], p Property) (computed bool, err error) {
 	switch p {
 	case PropAT:
 		err = g.PropertyAT()
@@ -212,12 +195,12 @@ func Materialize(g *lagraph.Graph[float64], p Property) error {
 	case PropNDiag:
 		err = g.PropertyNDiag()
 	default:
-		return fmt.Errorf("registry: unknown property %d", int(p))
+		return false, fmt.Errorf("registry: unknown property %d", int(p))
 	}
-	if err != nil && !lagraph.IsWarning(err) {
-		return err
+	if lagraph.IsWarning(err) {
+		return false, nil
 	}
-	return nil
+	return err == nil, err
 }
 
 // Lease is a ref-counted handle on a resident graph. Release must be
@@ -268,12 +251,11 @@ type Registry struct {
 	loads     atomic.Int64
 	swaps     atomic.Int64
 
-	// Registry-lifetime aggregates of the per-entry counters (see
-	// Entry.reg); these survive eviction and replacement, so they are the
-	// monotone series the Prometheus exposition exports.
-	aggPropRequests atomic.Int64
-	aggPropComputes atomic.Int64
-	aggAlgRuns      atomic.Int64
+	// Fed by the entries (see Entry.reg), so they survive eviction and
+	// replacement.
+	propertyRequests atomic.Int64
+	propertyComputes atomic.Int64
+	algorithmRuns    atomic.Int64
 }
 
 // New creates a registry with the given memory budget in bytes. A budget
@@ -598,21 +580,6 @@ type GraphInfo struct {
 	// layered over this snapshot's base CSR (0 once compacted or for
 	// graphs loaded whole).
 	PendingDeltaOps int64 `json:"pending_delta_ops"`
-
-	PropertyRequests int64 `json:"property_requests"`
-	PropertyComputes int64 `json:"property_computes"`
-	PropertyHits     int64 `json:"property_hits"`
-	AlgRuns          int64 `json:"algorithm_runs"`
-}
-
-// Stats is the registry-wide stats snapshot.
-type Stats struct {
-	Graphs    []GraphInfo `json:"graphs"`
-	CurBytes  int64       `json:"bytes_in_use"`
-	MaxBytes  int64       `json:"bytes_budget"`
-	Evictions int64       `json:"evictions"`
-	Loads     int64       `json:"loads"`
-	Swaps     int64       `json:"swaps"`
 }
 
 // Info snapshots this entry's statistics. It reads only atomics and the
@@ -649,8 +616,6 @@ func infoOf(e *Entry) GraphInfo {
 	if g.CachedNDiag() >= 0 {
 		cached = append(cached, PropNDiag.String())
 	}
-	req := e.propRequests.Load()
-	comp := e.propComputes.Load()
 	return GraphInfo{
 		Name:    e.name,
 		Version: e.version,
@@ -658,17 +623,13 @@ func infoOf(e *Entry) GraphInfo {
 		// Stored counts, not g.NumNodes()/g.NumEdges(): counting a
 		// streamed snapshot's entries would finalize its pending deltas
 		// outside the EnsureFinalized single flight.
-		Nodes:            e.nodes,
-		Edges:            e.edges,
-		Bytes:            e.bytes,
-		Refs:             e.refs.Load(),
-		LoadedAt:         e.loadedAt.UTC().Format(time.RFC3339),
-		CachedProp:       cached,
-		PendingDeltaOps:  e.pendingOps,
-		PropertyRequests: req,
-		PropertyComputes: comp,
-		PropertyHits:     req - comp,
-		AlgRuns:          e.algRuns.Load(),
+		Nodes:           e.nodes,
+		Edges:           e.edges,
+		Bytes:           e.bytes,
+		Refs:            e.refs.Load(),
+		LoadedAt:        e.loadedAt.UTC().Format(time.RFC3339),
+		CachedProp:      cached,
+		PendingDeltaOps: e.pendingOps,
 	}
 }
 
@@ -690,7 +651,7 @@ func (r *Registry) List() []GraphInfo {
 
 // Instrument registers the registry's Prometheus series on o as Func
 // instruments: the values stay defined once, in the registry's own
-// counters, and both /stats and /metrics read them.
+// counters, and are read at scrape time.
 func (r *Registry) Instrument(o *obs.Registry) {
 	o.GaugeFunc("registry_resident_bytes", "Estimated bytes of resident graphs (CSR + properties).",
 		func() float64 {
@@ -732,25 +693,9 @@ func (r *Registry) Instrument(o *obs.Registry) {
 	o.CounterFunc("registry_swaps_total", "Snapshot swaps published by the stream engine.",
 		func() float64 { return float64(r.swaps.Load()) })
 	o.CounterFunc("registry_property_requests_total", "Property demands from algorithm runs (cache hits included).",
-		func() float64 { return float64(r.aggPropRequests.Load()) })
+		func() float64 { return float64(r.propertyRequests.Load()) })
 	o.CounterFunc("registry_property_computes_total", "Property demands that ran a computation (misses).",
-		func() float64 { return float64(r.aggPropComputes.Load()) })
+		func() float64 { return float64(r.propertyComputes.Load()) })
 	o.CounterFunc("registry_algorithm_runs_total", "Algorithm invocations against resident graphs.",
-		func() float64 { return float64(r.aggAlgRuns.Load()) })
-}
-
-// StatsSnapshot returns the full registry statistics.
-func (r *Registry) StatsSnapshot() Stats {
-	graphs := r.List()
-	r.mu.Lock()
-	s := Stats{
-		Graphs:    graphs,
-		CurBytes:  r.curBytes,
-		MaxBytes:  r.maxBytes,
-		Evictions: r.evictions.Load(),
-		Loads:     r.loads.Load(),
-		Swaps:     r.swaps.Load(),
-	}
-	r.mu.Unlock()
-	return s
+		func() float64 { return float64(r.algorithmRuns.Load()) })
 }

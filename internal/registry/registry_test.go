@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"lagraph/internal/gen"
 	"lagraph/internal/grb"
 	"lagraph/internal/lagraph"
+	"lagraph/internal/obs"
 )
 
 // loadGraph builds a small synthetic graph through the same path the
@@ -34,6 +36,27 @@ func loadGraph(t *testing.T, name string, scale int, directed bool) *lagraph.Gra
 		t.Fatalf("New: %v", err)
 	}
 	return g
+}
+
+// scrape reads r's series the way /metrics does: through Instrument, one
+// rendered exposition, parsed back by name.
+func scrape(t *testing.T, r *Registry) map[string]float64 {
+	t.Helper()
+	o := obs.NewRegistry()
+	r.Instrument(o)
+	var buf bytes.Buffer
+	if err := o.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	exp, err := obs.ParseExposition(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	for _, s := range exp.Samples {
+		out[s.Name] = s.Value
+	}
+	return out
 }
 
 func TestAddAcquireRemove(t *testing.T) {
@@ -99,8 +122,8 @@ func TestLRUEvictionRespectsLeases(t *testing.T) {
 		t.Fatalf("a should have survived: %v", err)
 	}
 	la2.Release()
-	if got := r.StatsSnapshot().Evictions; got != 1 {
-		t.Fatalf("evictions = %d, want 1", got)
+	if got := scrape(t, r)["registry_evictions_total"]; got != 1 {
+		t.Fatalf("evictions = %v, want 1", got)
 	}
 
 	// Pin both residents: the next Add must fail rather than evict.
@@ -162,19 +185,19 @@ func TestSingleFlightPropertyMaterialization(t *testing.T) {
 	if e.Graph().CachedAT() == nil || e.Graph().CachedRowDegree() == nil {
 		t.Fatal("properties not materialized")
 	}
-	info := r.List()[0]
-	if info.PropertyComputes != 2 {
-		t.Fatalf("property computes = %d, want 2 (one per property, shared by %d callers)", info.PropertyComputes, callers)
+	m := scrape(t, r)
+	if got := m["registry_property_computes_total"]; got != 2 {
+		t.Fatalf("property computes = %v, want 2 (one per property, shared by %d callers)", got, callers)
 	}
-	if info.PropertyRequests != 2*callers {
-		t.Fatalf("property requests = %d, want %d", info.PropertyRequests, 2*callers)
-	}
-	if info.PropertyHits != 2*callers-2 {
-		t.Fatalf("property hits = %d, want %d", info.PropertyHits, 2*callers-2)
+	if got := m["registry_property_requests_total"]; got != 2*callers {
+		t.Fatalf("property requests = %v, want %d", got, 2*callers)
 	}
 }
 
-func TestStatsSnapshot(t *testing.T) {
+// TestInstrumentExportsCounters: a graph's info and the registry-wide
+// series agree, and a property found already on the graph (an undirected
+// graph is symmetric by construction) is a request but not a compute.
+func TestInstrumentExportsCounters(t *testing.T) {
 	r := New(0)
 	e, err := r.Add("und", loadGraph(t, "und", 5, false))
 	if err != nil {
@@ -184,22 +207,29 @@ func TestStatsSnapshot(t *testing.T) {
 		t.Fatalf("EnsureProperties: %v", err)
 	}
 	e.CountAlgRun()
-	s := r.StatsSnapshot()
-	if len(s.Graphs) != 1 {
-		t.Fatalf("graphs = %d, want 1", len(s.Graphs))
+	graphs := r.List()
+	if len(graphs) != 1 {
+		t.Fatalf("graphs = %d, want 1", len(graphs))
 	}
-	gi := s.Graphs[0]
+	gi := graphs[0]
 	if gi.Kind != "undirected" || gi.Nodes == 0 || gi.Edges == 0 {
 		t.Fatalf("bad graph info: %+v", gi)
 	}
 	if len(gi.CachedProp) != 5 {
 		t.Fatalf("cached properties = %v, want all 5", gi.CachedProp)
 	}
-	if gi.AlgRuns != 1 {
-		t.Fatalf("alg runs = %d, want 1", gi.AlgRuns)
-	}
-	if s.CurBytes != gi.Bytes {
-		t.Fatalf("bytes in use %d != entry bytes %d", s.CurBytes, gi.Bytes)
+	m := scrape(t, r)
+	for name, want := range map[string]float64{
+		"registry_graphs":                  1,
+		"registry_resident_bytes":          float64(gi.Bytes),
+		"registry_loads_total":             1,
+		"registry_algorithm_runs_total":    1,
+		"registry_property_requests_total": 5,
+		"registry_property_computes_total": 4,
+	} {
+		if m[name] != want {
+			t.Errorf("%s = %v, want %v", name, m[name], want)
+		}
 	}
 }
 

@@ -51,8 +51,8 @@ func TestSwapBumpsVersionAndIsolatesLeases(t *testing.T) {
 	lease.Release()
 	l2.Release()
 
-	if got := r.StatsSnapshot().Swaps; got != 1 {
-		t.Fatalf("swaps counter = %d, want 1", got)
+	if got := scrape(t, r)["registry_swaps_total"]; got != 1 {
+		t.Fatalf("swaps counter = %v, want 1", got)
 	}
 }
 
@@ -123,13 +123,13 @@ func TestSwapMissingAndBudget(t *testing.T) {
 	l.Release()
 
 	// Accounting: a successful swap replaces the old footprint.
-	before := small.StatsSnapshot().CurBytes
+	before := int64(scrape(t, small)["registry_resident_bytes"])
 	if _, err := small.Swap("g", snap, SwapStats{
 		Bytes: before + 32, Nodes: g.NumNodes(), Edges: g.NumEdges(),
 	}); err != nil {
 		t.Fatalf("fitting swap: %v", err)
 	}
-	if got := small.StatsSnapshot().CurBytes; got != before+32 {
+	if got := int64(scrape(t, small)["registry_resident_bytes"]); got != before+32 {
 		t.Fatalf("bytes after swap = %d, want %d", got, before+32)
 	}
 }
@@ -170,7 +170,7 @@ func TestFailedSwapEvictsNothing(t *testing.T) {
 	if _, ok := r.Info("a"); !ok {
 		t.Fatal("failed swap lost the swapped graph")
 	}
-	if got := r.StatsSnapshot().Evictions; got != 0 {
-		t.Fatalf("evictions = %d, want 0", got)
+	if got := scrape(t, r)["registry_evictions_total"]; got != 0 {
+		t.Fatalf("evictions = %v, want 0", got)
 	}
 }

@@ -112,7 +112,7 @@ func TestValidationErrorsNameTheField(t *testing.T) {
 		{"bfs", map[string]any{"source": -2}, "source"},            // schema range
 		{"bfs", map[string]any{"source": 1 << 30}, "source"},       // kernel-side bounds
 		{"pagerank", map[string]any{"damping": 1.5}, "damping"},    // schema range
-		{"pagerank", map[string]any{"variant": "x"}, "variant"},    // enum
+		{"tc.advanced", map[string]any{"method": "x"}, "method"},   // enum
 		{"sssp", map[string]any{"delta": -1}, "delta"},             // exclusive min
 		{"bc", map[string]any{"sources": []int{0, 99}}, "sources"}, // kernel-side bounds
 		{"bfs", map[string]any{"limit": 0}, "limit"},               // schema range

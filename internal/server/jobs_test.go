@@ -43,13 +43,16 @@ func pollJob(t *testing.T, base, id string, want func(state string) bool) map[st
 	return nil
 }
 
-func jobsStats(t *testing.T, base string) map[string]any {
+func jobsStats(t *testing.T, base string) map[string]any { return statsSection(t, base, "jobs") }
+
+// statsSection reads one section of GET /stats.
+func statsSection(t *testing.T, base, section string) map[string]any {
 	t.Helper()
 	code, stats := doJSON(t, "GET", base+"/stats", nil)
 	if code != 200 {
 		t.Fatalf("stats: %d", code)
 	}
-	return stats["jobs"].(map[string]any)
+	return stats[section].(map[string]any)
 }
 
 func TestAsyncJobLifecycle(t *testing.T) {
@@ -233,7 +236,7 @@ func TestSyncDisconnectCancelsComputation(t *testing.T) {
 // concurrent submissions against one graph version produce exactly one
 // computation, and a later identical request is a cache hit.
 func TestDedupAndResultCache(t *testing.T) {
-	ts, reg := newTestServer(t, 0)
+	ts, _ := newTestServer(t, 0)
 	loadSyntheticGraph(t, ts.URL, "g", "kron", 9)
 
 	// tol < 0 forces the full 400 sweeps, so the burst reliably overlaps.
@@ -275,8 +278,8 @@ func TestDedupAndResultCache(t *testing.T) {
 	if shared != burst-1 {
 		t.Fatalf("dedup+cache hits = %v, want %d", shared, burst-1)
 	}
-	if info, _ := reg.Info("g"); info.AlgRuns != 1 {
-		t.Fatalf("registry algorithm_runs = %d, want 1", info.AlgRuns)
+	if runs := statsSection(t, ts.URL, "registry")["algorithm_runs"]; runs != 1.0 {
+		t.Fatalf("registry algorithm_runs = %v, want 1", runs)
 	}
 
 	// After completion: one more identical request is a pure cache hit.
@@ -328,8 +331,8 @@ func TestJobDeadline(t *testing.T) {
 	}
 }
 
-// TestJobsStatsExposed: /stats carries the engine counters and the
-// per-graph registry version.
+// TestJobsStatsExposed: /stats carries the engine counters, and the
+// graph's info its registry version.
 func TestJobsStatsExposed(t *testing.T) {
 	ts, _ := newTestServer(t, 0)
 	loadSyntheticGraph(t, ts.URL, "g", "kron", 7)
@@ -345,7 +348,7 @@ func TestJobsStatsExposed(t *testing.T) {
 	if !ok {
 		t.Fatalf("stats missing jobs block: %v", stats)
 	}
-	for _, field := range []string{"workers", "queue_depth", "queued", "running",
+	for _, field := range []string{"queued", "running",
 		"submitted", "completed", "failed", "cancelled", "dedup_hits", "cache_hits", "cached_results"} {
 		if _, ok := js[field]; !ok {
 			t.Errorf("jobs stats missing %q: %v", field, js)
@@ -354,9 +357,8 @@ func TestJobsStatsExposed(t *testing.T) {
 	if js["submitted"].(float64) != 1 || js["completed"].(float64) != 1 {
 		t.Fatalf("jobs counters: %v", js)
 	}
-	gi := stats["registry"].(map[string]any)["graphs"].([]any)[0].(map[string]any)
-	if gi["version"].(float64) != 1 {
-		t.Fatalf("graph version in stats: %v", gi)
+	if _, gi := doJSON(t, "GET", ts.URL+"/graphs/g", nil); gi["version"] != 1.0 {
+		t.Fatalf("graph version: %v", gi)
 	}
 }
 

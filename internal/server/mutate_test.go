@@ -103,6 +103,62 @@ func TestGraphInfoExposesVersionAndDeltaState(t *testing.T) {
 	}
 }
 
+// TestPropertyComputeCountedOnlyWhenOneRan: registry_property_computes_total
+// moves only when a property was computed. After a batch the snapshot
+// already carries the stream engine's degree vectors, so PageRank builds
+// the transpose alone; republishing the same graph under its version (what
+// compaction does) computes nothing.
+func TestPropertyComputeCountedOnlyWhenOneRan(t *testing.T) {
+	ts, reg, _ := newMutationServer(t, Options{Stream: stream.Options{CompactRatio: 1000}})
+	loadPathGraph(t, ts.URL, "g")
+	computes := func() float64 {
+		for _, s := range scrapeMetrics(t, ts.URL).Samples {
+			if s.Name == "registry_property_computes_total" {
+				return s.Value
+			}
+		}
+		t.Fatal("registry_property_computes_total not scraped")
+		return 0
+	}
+	step := func(what string, want float64, do func()) {
+		t.Helper()
+		before := computes()
+		do()
+		if got := computes() - before; got != want {
+			t.Fatalf("%s: property computes moved by %v, want %v", what, got, want)
+		}
+	}
+	pagerank := func() {
+		if code, body := doJSON(t, "POST", ts.URL+"/graphs/g/algorithms/pagerank", map[string]any{}); code != 200 {
+			t.Fatalf("pagerank: %d %v", code, body)
+		}
+	}
+
+	step("PageRank on the loaded graph (AT, RowDegree)", 2, pagerank)
+	if code, res := mutate(t, ts.URL, "g", []map[string]any{{"op": "upsert", "src": 2, "dst": 3}}); code != 200 {
+		t.Fatalf("mutate: %d %v", code, res)
+	}
+	step("PageRank after a batch (AT; RowDegree seeded)", 1, pagerank)
+
+	lease, err := reg.Acquire("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lease.Release()
+	info := lease.Entry().Info()
+	e, err := reg.Swap("g", lease.Graph(), registry.SwapStats{
+		Nodes: info.Nodes, Edges: info.Edges, KeepVersion: true, Prev: lease.Entry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	step("EnsureProperties after a KeepVersion swap of the same graph", 0, func() {
+		if err := e.EnsureProperties(registry.PropAT, registry.PropRowDegree); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 func containsStr(list any, want string) bool {
 	items, ok := list.([]any)
 	if !ok {
@@ -122,7 +178,7 @@ func containsStr(list any, want string) bool {
 // batch lands; a submission after the batch sees the new version; and an
 // identical post-mutation resubmission hits the re-keyed result cache.
 func TestHTTPSnapshotIsolationAndCacheRekey(t *testing.T) {
-	ts, _, srv := newMutationServer(t, Options{})
+	ts, _, _ := newMutationServer(t, Options{})
 	loadPathGraph(t, ts.URL, "g")
 
 	// Async job against v1.
@@ -184,7 +240,7 @@ func TestHTTPSnapshotIsolationAndCacheRekey(t *testing.T) {
 
 	// An identical post-mutation submission is a pure cache hit on the
 	// re-keyed (graph, v2, bfs, params) entry.
-	hitsBefore := srv.Jobs().StatsSnapshot().CacheHits
+	hitsBefore := jobsStats(t, ts.URL)["cache_hits"].(float64)
 	code, again := doJSON(t, "POST", ts.URL+"/graphs/g/jobs", map[string]any{
 		"algorithm": "bfs", "params": map[string]any{"source": 0},
 	})
@@ -197,8 +253,8 @@ func TestHTTPSnapshotIsolationAndCacheRekey(t *testing.T) {
 	if again["graph_version"].(float64) != 2 {
 		t.Fatalf("resubmission keyed to %v, want 2", again["graph_version"])
 	}
-	if got := srv.Jobs().StatsSnapshot().CacheHits; got != hitsBefore+1 {
-		t.Fatalf("cache hits %d -> %d, want +1", hitsBefore, got)
+	if got := jobsStats(t, ts.URL)["cache_hits"].(float64); got != hitsBefore+1 {
+		t.Fatalf("cache hits %v -> %v, want +1", hitsBefore, got)
 	}
 }
 

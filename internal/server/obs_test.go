@@ -265,46 +265,95 @@ func TestWaitAndEncodeSpans(t *testing.T) {
 	}
 }
 
-// TestStatsReadsObsInstruments asserts /stats and /metrics agree: the
-// counters are defined once and both endpoints read the same instruments.
-func TestStatsReadsObsInstruments(t *testing.T) {
-	reg := registry.New(0)
-	srv := New(reg, Options{})
-	ts := newHTTPServer(t, srv)
-
-	loadSyntheticGraph(t, ts, "g", "kron", 5)
-	if code, _ := doJSON(t, "POST", ts+"/graphs/g/algorithms/pagerank", map[string]any{}); code != http.StatusOK {
-		t.Fatalf("pagerank: %d", code)
-	}
-
-	code, stats := doJSON(t, "GET", ts+"/stats", nil)
-	if code != http.StatusOK {
-		t.Fatalf("/stats: %d", code)
-	}
-	jobsStats, _ := stats["jobs"].(map[string]any)
-	if jobsStats["completed"] != 1.0 {
-		t.Fatalf("stats jobs.completed = %v, want 1", jobsStats["completed"])
-	}
-	if srv.Jobs().StatsSnapshot().Completed != 1 {
-		t.Fatal("engine snapshot disagrees with /stats")
-	}
-
-	resp, err := http.Get(ts + "/metrics")
+// scrapeMetrics fetches and strictly validates one /metrics scrape.
+func scrapeMetrics(t *testing.T, base string) *obs.Exposition {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	exp, err := obs.ValidateExposition(resp.Body)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("/metrics: %v", err)
 	}
-	for _, s := range exp.Samples {
-		if s.Name == "jobs_completed_total" {
-			if s.Value != 1 {
-				t.Fatalf("jobs_completed_total = %v, want 1 (same instrument as /stats)", s.Value)
-			}
-			return
+	return exp
+}
+
+// TestStatsIsProjectionOfMetrics: GET /stats is one /metrics scrape as
+// JSON. Every unlabelled counter and gauge appears once, with the same
+// value, at the path the projection rule gives it — trailing _total
+// dropped, a jobs_/registry_/stream_/store_ prefix turned into a section —
+// and /stats holds nothing else.
+func TestStatsIsProjectionOfMetrics(t *testing.T) {
+	ts, srv := newDurableServer(t, t.TempDir())
+	t.Cleanup(ts.Close)
+	t.Cleanup(srv.Close)
+	loadSyntheticGraph(t, ts.URL, "g", "kron", 6)
+	for _, params := range []map[string]any{{"max_iter": 10}, {"max_iter": 11}} {
+		if code, body := doJSON(t, "POST", ts.URL+"/graphs/g/algorithms/pagerank", params); code != http.StatusOK {
+			t.Fatalf("pagerank: %d %v", code, body)
 		}
 	}
-	t.Fatal("jobs_completed_total not scraped")
+	if code, body := doJSON(t, "POST", ts.URL+"/graphs/g/edges", map[string]any{
+		"ops": []map[string]any{{"op": "upsert", "src": 0, "dst": 5, "weight": 2}},
+	}); code != http.StatusOK {
+		t.Fatalf("mutate: %d %v", code, body)
+	}
+
+	exp := scrapeMetrics(t, ts.URL)
+	code, stats := doJSON(t, "GET", ts.URL+"/stats", nil)
+	if code != http.StatusOK {
+		t.Fatalf("/stats: %d", code)
+	}
+	got := map[string]any{} // /stats flattened to section.key paths
+	for k, v := range stats {
+		if section, ok := v.(map[string]any); ok {
+			for kk, vv := range section {
+				got[k+"."+kk] = vv
+			}
+		} else {
+			got[k] = v
+		}
+	}
+	for _, s := range exp.Samples {
+		if kind := exp.Types[s.Name]; len(s.Labels) > 0 || kind != "counter" && kind != "gauge" {
+			continue
+		}
+		path := strings.TrimSuffix(s.Name, "_total")
+		for _, section := range []string{"jobs", "registry", "stream", "store"} {
+			if rest, ok := strings.CutPrefix(path, section+"_"); ok {
+				path = section + "." + rest
+				break
+			}
+		}
+		v, ok := got[path]
+		delete(got, path)
+		switch {
+		case !ok:
+			t.Errorf("%s has no /stats key %s", s.Name, path)
+		case path == "uptime_seconds" || strings.HasPrefix(path, "go_"):
+			// Sampled afresh by each read; presence is the contract.
+		case v != s.Value:
+			t.Errorf("/stats %s = %v, /metrics %s = %v", path, v, s.Name, s.Value)
+		}
+	}
+	if len(got) > 0 {
+		t.Errorf("/stats keys with no /metrics family: %v", got)
+	}
+	// What the benchmark's counts check reads, after the traffic above.
+	for path, want := range map[string]float64{
+		"jobs.completed": 2, "jobs.cache_hits": 0, "jobs.dedup_hits": 0, "jobs.failed": 0,
+		"algorithm_errors": 0, "stream.batches": 1, "stream.compactions": 0,
+		"registry.property_computes": 2, "store.wal_appends": 1,
+	} {
+		v := stats[path]
+		if section, key, ok := strings.Cut(path, "."); ok {
+			m, _ := stats[section].(map[string]any)
+			v = m[key]
+		}
+		if v != want {
+			t.Errorf("/stats %s = %v, want %v", path, v, want)
+		}
+	}
 }

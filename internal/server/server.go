@@ -17,7 +17,7 @@
 //	GET    /jobs/{id}/report                the run's introspection report
 //	DELETE /jobs/{id}                       cancel a job
 //	GET    /healthz                         component-level readiness probe
-//	GET    /stats                           registry + jobs + server counters
+//	GET    /stats                           the /metrics counters and gauges as JSON
 //	GET    /metrics                         Prometheus exposition
 //	GET    /debug/traces                    recent request traces
 //	GET    /debug/traces/{id}               one trace's span tree
@@ -25,7 +25,7 @@
 // Requests against the same graph share its cached properties: the first
 // PageRank materializes the transpose and degree vector once (single
 // flight), every later call reuses them — visible in /stats as
-// property_hits climbing while property_computes stays flat.
+// registry.property_requests climbing past registry.property_computes.
 //
 // All algorithm execution — synchronous and asynchronous — flows through
 // one jobs engine (internal/jobs): a worker pool of cancellable jobs with
@@ -41,10 +41,12 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"log/slog"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"lagraph/internal/algo"
@@ -88,8 +90,8 @@ type Options struct {
 	Catalog *algo.Catalog
 	// Obs is the metrics registry GET /metrics scrapes. Every subsystem's
 	// instruments — server, jobs, stream, registry, and (via AddSource)
-	// the store's — register here, and /stats reads the same instruments.
-	// Nil selects a private registry.
+	// the store's — register here, and GET /stats is a JSON view of one
+	// scrape of it. Nil selects a private registry.
 	Obs *obs.Registry
 	// Logger receives the structured access log (one record per request,
 	// keyed by trace id) and the slow-query log. Nil disables logging.
@@ -120,7 +122,6 @@ type Server struct {
 	health []healthComponent
 	readyG *obs.GaugeVec
 
-	started   time.Time
 	requests  *obs.Counter // API requests admitted through the limiter
 	rejected  *obs.Counter // API requests abandoned while queued
 	algErrors *obs.Counter
@@ -167,7 +168,6 @@ func New(reg *registry.Registry, opts Options) *Server {
 		mux:     http.NewServeMux(),
 		sem:     make(chan struct{}, opts.MaxInFlight),
 		opts:    opts,
-		started: time.Now(),
 
 		obs: o,
 		tracer: obs.NewTracer(obs.TracerOptions{
@@ -189,8 +189,9 @@ func New(reg *registry.Registry, opts Options) *Server {
 	}
 	o.GaugeFunc("http_in_flight", "Requests currently holding a limiter slot.",
 		func() float64 { return float64(len(s.sem)) })
+	started := time.Now()
 	o.GaugeFunc("uptime_seconds", "Seconds since the server was built.",
-		func() float64 { return time.Since(s.started).Seconds() })
+		func() float64 { return time.Since(started).Seconds() })
 	reg.Instrument(o)
 	if s.store != nil {
 		// Order matters: recovery replays the WAL through the stream
@@ -287,38 +288,36 @@ func (s *Server) limited(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// serverStats is the /stats payload.
-type serverStats struct {
-	UptimeSeconds float64        `json:"uptime_seconds"`
-	MaxInFlight   int            `json:"max_in_flight"`
-	InFlight      int            `json:"in_flight"`
-	Requests      int64          `json:"requests"`
-	Rejected      int64          `json:"rejected"`
-	AlgErrors     int64          `json:"algorithm_errors"`
-	Jobs          jobs.Stats     `json:"jobs"`
-	Registry      registry.Stats `json:"registry"`
-	Stream        stream.Stats   `json:"stream"`
-	Store         *store.Stats   `json:"store,omitempty"` // absent when memory-only
-}
+// statsSections name the /stats sections, by a family's first word.
+var statsSections = map[string]bool{"jobs": true, "registry": true, "stream": true, "store": true}
 
+// handleStats serves one /metrics scrape as JSON: each unlabelled counter
+// and gauge, any trailing _total dropped, under its section (first word
+// removed) or at the top level; histograms and labelled families stay out.
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	var storeStats *store.Stats
-	if s.store != nil {
-		st := s.store.StatsSnapshot()
-		storeStats = &st
+	var scrape bytes.Buffer
+	_ = s.obs.WritePrometheus(&scrape) // a bytes.Buffer write cannot fail
+	exp, err := obs.ParseExposition(&scrape)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "parse metrics: "+err.Error())
+		return
 	}
-	writeJSON(w, http.StatusOK, serverStats{
-		Store:         storeStats,
-		UptimeSeconds: time.Since(s.started).Seconds(),
-		MaxInFlight:   s.opts.MaxInFlight,
-		InFlight:      len(s.sem),
-		Requests:      s.requests.Int(),
-		Rejected:      s.rejected.Int(),
-		AlgErrors:     s.algErrors.Int(),
-		Jobs:          s.jobs.StatsSnapshot(),
-		Registry:      s.reg.StatsSnapshot(),
-		Stream:        s.stream.StatsSnapshot(),
-	})
+	out := map[string]any{}
+	for _, smp := range exp.Samples {
+		if kind := exp.Types[smp.Name]; len(smp.Labels) > 0 || kind != "counter" && kind != "gauge" {
+			continue
+		}
+		dst, key := out, strings.TrimSuffix(smp.Name, "_total")
+		if section, rest, ok := strings.Cut(key, "_"); ok && statsSections[section] {
+			if dst, ok = out[section].(map[string]any); !ok {
+				dst = map[string]any{}
+				out[section] = dst
+			}
+			key = rest
+		}
+		dst[key] = smp.Value
+	}
+	writeJSON(w, http.StatusOK, out)
 }
 
 // errorBody is the JSON error envelope. Field names the offending

@@ -82,18 +82,10 @@ func TestDurableServerSurvivesRestart(t *testing.T) {
 			code, res["version"], wantVersion+1)
 	}
 
-	// /stats exposes the store section with the recovery report.
-	code, stats := doJSON(t, "GET", ts2.URL+"/stats", nil)
-	if code != 200 {
-		t.Fatalf("stats: HTTP %d", code)
-	}
-	storeSec, ok := stats["store"].(map[string]any)
-	if !ok {
-		t.Fatalf("stats has no store section: %v", stats["store"])
-	}
-	rec, ok := storeSec["recovery"].(map[string]any)
-	if !ok || rec["graphs_recovered"].(float64) != 1 || rec["batches_replayed"].(float64) != 2 {
-		t.Fatalf("recovery report = %v, want 1 graph / 2 batches", storeSec["recovery"])
+	// /stats exposes the store section with the recovery gauges.
+	sto := statsSection(t, ts2.URL, "store")
+	if sto["recovered_graphs"] != 1.0 || sto["recovery_replayed_batches"] != 2.0 {
+		t.Fatalf("store stats = %v, want 1 graph / 2 batches recovered", sto)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 	"lagraph/internal/stream"
 )
 
-// RecoveryReport summarizes one boot-time recovery for /stats and logs.
+// RecoveryReport summarizes one boot-time recovery for the boot log.
 type RecoveryReport struct {
 	GraphsRecovered int      `json:"graphs_recovered"`
 	BatchesReplayed int      `json:"batches_replayed"`

@@ -129,12 +129,12 @@ type Store struct {
 	appendSecs  *obs.Histogram
 	ckptSecs    *obs.Histogram
 
-	// last recovery outcome, for /stats.
+	// last recovery outcome, for the boot log and the recovery gauges.
 	recMu    sync.Mutex
 	recovery *RecoveryReport
 }
 
-// Stats is the store's /stats section.
+// Stats is the store's counter snapshot, for the boot log and benchmarks.
 type Stats struct {
 	Dir   string `json:"dir"`
 	Fsync bool   `json:"fsync"`

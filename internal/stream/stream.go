@@ -90,8 +90,8 @@ type Options struct {
 	// MaxBatchOps bounds one Apply call. <= 0 means 65536.
 	MaxBatchOps int
 	// Obs is the metrics registry the engine's counters live in; the same
-	// instruments back StatsSnapshot and the Prometheus exposition. Nil
-	// selects a private registry.
+	// instruments back the engine's Stats and the Prometheus exposition.
+	// Nil selects a private registry.
 	Obs *obs.Registry
 }
 
@@ -169,7 +169,7 @@ type Result struct {
 	CompactionScheduled bool `json:"compaction_scheduled"`
 }
 
-// Stats is the engine-wide counter snapshot for /stats.
+// Stats is the engine-wide counter snapshot, for tests and benchmarks.
 type Stats struct {
 	GraphsTracked int `json:"graphs_tracked"`
 
@@ -202,8 +202,8 @@ type Engine struct {
 	// /healthz can tell a healthy-but-busy compactor from a dead one.
 	compactorBeat atomic.Int64
 
-	// Engine telemetry: obs instruments shared by StatsSnapshot and the
-	// Prometheus exposition.
+	// Engine telemetry: obs instruments shared by Stats and the Prometheus
+	// exposition.
 	batches      *obs.Counter
 	opsApplied   *obs.Counter
 	upserts      *obs.Counter
