@@ -156,9 +156,11 @@ func TestQuickMxMAgainstDenseReference(t *testing.T) {
 }
 
 // TestQuickMxVFastPathsAgainstDenseReference compares the pull kernel —
-// which silently dispatches to the monomorphized plus.second fast path
-// whenever u is dense — against a dense dot-per-row loop, on both dense u
-// (fast path) and sparse u (generic path).
+// which silently dispatches to the monomorphized plus.second and
+// plus.pair fast paths whenever u is dense — against a dense dot-per-row
+// loop, on both dense u (fast path) and sparse u (generic path). plus.pair
+// also runs over a bitmap u with holes (the counted branch) and
+// accumulates into a bitmap w (the in-place branch).
 func TestQuickMxVFastPathsAgainstDenseReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng, n, m, _, density := quickDims(seed)
@@ -208,6 +210,74 @@ func TestQuickMxVFastPathsAgainstDenseReference(t *testing.T) {
 							seed, sc.s.Name, i, gv, ok, want[i], has[i])
 						return false
 					}
+				}
+			}
+		}
+
+		// plus.pair: w(i) = |A(i,:) ∩ u| on a sparse A, u's values unread.
+		As := A.Dup()
+		As.ConvertTo(FormatSparse)
+		in := make([]bool, m)
+		uBitmap, uHoles := MustVector[float64](m), MustVector[float64](m)
+		for j := range in {
+			if in[j] = rng.Intn(3) > 0; in[j] {
+				uBitmap.SetElement(uVals[j], j)
+				uHoles.SetElement(uVals[j], j)
+			}
+		}
+		uBitmap.Wait()
+		uBitmap.ConvertTo(FormatBitmap)
+		uHoles.Wait()
+		uHoles.ConvertTo(FormatSparse)
+		wOld := make(map[int]int64)
+		for i := 0; i < n; i++ {
+			if rng.Intn(2) == 0 {
+				wOld[i] = int64(100 + i)
+			}
+		}
+		plus := func(a, b int64) int64 { return a + b }
+		for _, pc := range []struct {
+			name    string
+			u       *Vector[float64]
+			uFormat Format
+			accum   func(a, b int64) int64
+		}{
+			{"full u", uFull, FormatFull, nil},
+			{"bitmap u", uBitmap, FormatBitmap, nil},
+			{"sparse u", uHoles, FormatSparse, nil},
+			{"bitmap u into bitmap w", uBitmap, FormatBitmap, plus},
+		} {
+			w := MustVector[int64](n)
+			if pc.accum != nil {
+				for i, x := range wOld {
+					w.SetElement(x, i)
+				}
+				w.Wait()
+				w.ConvertTo(FormatBitmap)
+			}
+			if pc.u.Format() != pc.uFormat || pc.accum != nil && w.Format() == FormatSparse {
+				t.Logf("seed %d plus.pair %s: operands in the wrong format", seed, pc.name)
+				return false
+			}
+			if err := MxV(w, NoVMask, pc.accum, PlusPair[float64, float64, int64](), As, pc.u, nil); err != nil {
+				t.Logf("plus.pair %s: %v", pc.name, err)
+				return false
+			}
+			got := vdenseOf(w)
+			for i := 0; i < n; i++ {
+				var count int64
+				for j := 0; j < m; j++ {
+					if da.has[i][j] && (pc.uFormat == FormatFull || in[j]) {
+						count++
+					}
+				}
+				want, has := count, count > 0
+				if old, ok := wOld[i]; ok && pc.accum != nil {
+					want, has = old+count, true
+				}
+				if gv, ok := got[i]; ok != has || ok && gv != want {
+					t.Logf("seed %d plus.pair %s: w[%d] = %v/%v, want %v/%v", seed, pc.name, i, gv, ok, want, has)
+					return false
 				}
 			}
 		}

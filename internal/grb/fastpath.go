@@ -15,13 +15,14 @@ import (
 // generic path (tests compare them) and exist purely for the Table III
 // shape.
 
-// tryPullFast recognises the hot semirings of w ⊙= A ⊕.second u over a
-// sparse A, a bitmap/full u and no mask, and runs the row reductions as a
-// tight concrete-typed loop; second ignores A's values, so A may hold any
-// type. Under the dense-output rule (an accumulator, a bitmap/full w that
-// is not u) each row's reduction is folded straight into w; otherwise it
-// lands in a fresh bitmap that is merged as usual. It reports false,
-// having done nothing, when the call is any other shape.
+// tryPullFast recognises the hot semirings of w ⊙= A ⊕.⊗ u (plus.second,
+// min.second, plus.pair) over a sparse A, a bitmap/full u and no mask, and
+// runs the row reductions as a tight concrete-typed loop; second and pair
+// ignore A's values, so A may hold any type. Under the dense-output rule
+// (an accumulator, a bitmap/full w that is not u) each row's reduction is
+// folded straight into w; otherwise it lands in a fresh bitmap that is
+// merged as usual. It reports false, having done nothing, when the call is
+// any other shape.
 func tryPullFast[TA, TB, TC Value](w *Vector[TC], mask VMask, accum func(TC, TC) TC,
 	s Semiring[TA, TB, TC], A *Matrix[TA], u *Vector[TB]) bool {
 
@@ -45,6 +46,13 @@ func tryPullFast[TA, TB, TC Value](w *Vector[TC], mask VMask, accum func(TC, TC)
 		}
 		reduce = func(dst *Vector[TC], acc func(TC, TC) TC) {
 			minSecondPull(A, ui, any(dst).(*Vector[int64]), any(acc).(func(int64, int64) int64))
+		}
+	case pullPlusPair: // the degree A·1: pair reads neither operand's values
+		if _, ok := any(w).(*Vector[int64]); !ok {
+			return false
+		}
+		reduce = func(dst *Vector[TC], acc func(TC, TC) TC) {
+			plusPairPull(A, u.b, any(dst).(*Vector[int64]), any(acc).(func(int64, int64) int64))
 		}
 	default:
 		return false
@@ -85,6 +93,38 @@ func plusSecondPull[TA Value](A *Matrix[TA], u, w *Vector[float64], accum func(f
 			}
 			switch {
 			case !hit:
+			case wb == nil || wb[i] != 0:
+				wv[i] = accum(wv[i], acc)
+			default:
+				wb[i], wv[i] = 1, acc
+				count++
+			}
+		}
+		return count
+	}, func(a, b int) int { return a + b })
+	w.nvalsB += added
+	w.conform()
+}
+
+// plusPairPull folds |A(i,:) ∩ u| into the bitmap/full w at every row i
+// that has a hit. Over a full u (ub nil) the count is the row's length;
+// over a bitmap u it is the number of the row's columns that u holds.
+func plusPairPull[TA Value](A *Matrix[TA], ub []int8, w *Vector[int64], accum func(int64, int64) int64) {
+	added := parallel.Reduce(A.nr, 0, func(lo, hi int) int {
+		ptr, idx, wb, wv := A.ptr, A.idx, w.b, w.val
+		count := 0
+		for i := lo; i < hi; i++ {
+			acc := int64(ptr[i+1] - ptr[i])
+			if ub != nil {
+				acc = 0
+				for _, k := range idx[ptr[i]:ptr[i+1]] {
+					if ub[k] != 0 {
+						acc++
+					}
+				}
+			}
+			switch {
+			case acc == 0:
 			case wb == nil || wb[i] != 0:
 				wv[i] = accum(wv[i], acc)
 			default:

@@ -61,6 +61,7 @@ const (
 	pullGeneric pullLoop = iota
 	pullPlusSecond
 	pullMinSecond
+	pullPlusPair
 )
 
 // ---------------------------------------------------------------------------
@@ -282,9 +283,10 @@ func PlusSecond[TA Value, TB Number]() Semiring[TA, TB, TB] {
 	return Semiring[TA, TB, TB]{Name: "plus.second", Add: PlusMonoid[TB](), Mul: Second[TA, TB](), pull: pullPlusSecond}
 }
 
-// PlusPair counts structural intersections (triangle counting).
+// PlusPair counts structural intersections (triangle counting, and the
+// degree A·1).
 func PlusPair[TA, TB Value, TC Number]() Semiring[TA, TB, TC] {
-	return Semiring[TA, TB, TC]{Name: "plus.pair", Add: PlusMonoid[TC](), Mul: Pair[TA, TB, TC]()}
+	return Semiring[TA, TB, TC]{Name: "plus.pair", Add: PlusMonoid[TC](), Mul: Pair[TA, TB, TC](), pull: pullPlusPair}
 }
 
 // MinSecond propagates the right operand's value and keeps the minimum
@@ -349,11 +351,6 @@ func AbsOp[T Number]() UnaryOp[T, T] {
 // AInvOp returns -x.
 func AInvOp[T Number]() UnaryOp[T, T] {
 	return UnaryOp[T, T]{Name: "ainv", F: func(x T) T { return -x }}
-}
-
-// One maps every entry to 1 (pattern extraction).
-func One[TIn Value, TOut Number]() UnaryOp[TIn, TOut] {
-	return UnaryOp[TIn, TOut]{Name: "one", F: func(TIn) TOut { return 1 }}
 }
 
 // RowIndexOp maps an entry to its row index plus thunk-free offset 0.

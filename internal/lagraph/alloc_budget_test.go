@@ -218,6 +218,75 @@ func TestRoadKernelAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestDegreesAllocateByN: the degree properties are counted from A's
+// structure in place, so on a directed graph with 32 entries a row both
+// RowDegree and ColDegree (no AT cached) allocate O(n) bytes — under 4 B
+// per stored entry, where a valued copy of A costs 16 — and both equal
+// the row and column counts of A's tuples.
+func TestDegreesAllocateByN(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	const n, perRow = 1 << 12, 32
+	rng := rand.New(rand.NewSource(31))
+	rows, cols, vals := make([]int, 0, n*perRow), make([]int, 0, n*perRow), make([]float64, 0, n*perRow)
+	for i := 0; i < n; i++ {
+		for k := 0; k < perRow; k++ {
+			rows, cols, vals = append(rows, i), append(cols, rng.Intn(n)), append(vals, 1)
+		}
+	}
+	A, err := grb.MatrixFromTuples(n, n, rows, cols, vals, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := New(&A, AdjacencyDirected)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRow, wantCol := make([]int64, n), make([]int64, n)
+	r, c, _ := g.A.ExtractTuples()
+	for k := range r {
+		wantRow[r[k]]++
+		wantCol[c[k]]++
+	}
+	for _, p := range []struct {
+		name    string
+		compute func() error
+		cached  func() *grb.Vector[int64]
+		want    []int64
+	}{
+		{"RowDegree", g.PropertyRowDegree, g.CachedRowDegree, wantRow},
+		{"ColDegree", g.PropertyColDegree, g.CachedColDegree, wantCol},
+	} {
+		var bytes uint64
+		for run := 0; run < 2; run++ { // the second run meets warm pools
+			g.DeleteProperties()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := p.compute(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			bytes = after.TotalAlloc - before.TotalAlloc
+		}
+		if g.CachedAT() != nil {
+			t.Fatalf("%s cached AT", p.name)
+		}
+		got := make([]int64, n)
+		p.cached().Iterate(func(i int, d int64) { got[i] = d })
+		for i := range got {
+			if got[i] != p.want[i] {
+				t.Fatalf("%s[%d] = %d, want %d", p.name, i, got[i], p.want[i])
+			}
+		}
+		perEntry := float64(bytes) / float64(g.NumEdges())
+		t.Logf("%s allocated %d B: %.2f B per stored entry, %.1f B per vertex", p.name, bytes, perEntry, float64(bytes)/n)
+		if perEntry >= 4 {
+			t.Errorf("%s allocated %d B, %.2f B per stored entry: want O(n), under 4", p.name, bytes, perEntry)
+		}
+	}
+}
+
 // samePartition fails unless labels and the oracle's components map one to
 // one.
 func samePartition(t *testing.T, labels *grb.Vector[int64], want []int32) {

@@ -157,10 +157,11 @@ func (g *Graph[T]) DeleteProperties() {
 // Cached properties are invalidated on the clone, with two exceptions the
 // mutation layer can maintain more cheaply than a recompute: an
 // undirected clone keeps ASymmetricPattern = true by construction
-// (mirrored mutations preserve it), and the caller may re-seed the degree
-// vectors and NDiag from incremental bookkeeping by assigning the fields
-// before the clone is shared. A must be finished; Snapshot does not call
-// Wait because the receiver may be concurrently read.
+// (mirrored mutations preserve it), and the caller may re-seed NDiag from
+// its incremental self-loop count by assigning the field before the clone
+// is shared. Degrees and AT are recomputed by whichever reader needs them.
+// A must be finished; Snapshot does not call Wait because the receiver may
+// be concurrently read.
 func (g *Graph[T]) Snapshot() (*Graph[T], error) {
 	if g == nil || g.A == nil {
 		return nil, errf(StatusInvalidGraph, "Snapshot: graph has no matrix")
@@ -227,11 +228,10 @@ func (g *Graph[T]) propertyRowDegreeLocked() error {
 	if g.RowDegree != nil {
 		return &Warning{Status: WarnGraphUnchanged, Msg: "RowDegree already cached"}
 	}
-	deg, err := degreeOf(g.A)
+	deg, err := degreeOf(g.A, nil)
 	if err != nil {
 		return err
 	}
-	deg.Wait()
 	g.RowDegree = deg
 	return nil
 }
@@ -256,35 +256,34 @@ func (g *Graph[T]) PropertyColDegree() error {
 		g.ColDegree = g.RowDegree
 		return nil
 	}
+	// Without a cached AT, the in-degrees are the column counts of A itself.
+	A, desc := g.A, grb.DescT0
 	if g.AT != nil {
-		deg, err := degreeOf(g.AT)
-		if err != nil {
-			return err
-		}
-		deg.Wait()
-		g.ColDegree = deg
-		return nil
+		A, desc = g.AT, nil
 	}
-	at := grb.NewTranspose(g.A)
-	deg, err := degreeOf(at)
+	deg, err := degreeOf(A, desc)
 	if err != nil {
 		return err
 	}
-	deg.Wait()
 	g.ColDegree = deg
 	return nil
 }
 
-// degreeOf reduces the pattern of each row to a count.
-func degreeOf[T grb.Value](A *grb.Matrix[T]) (*grb.Vector[int64], error) {
-	ones := grb.MustMatrix[int64](A.NRows(), A.NCols())
-	if err := grb.Apply(ones, grb.NoMask, nil, grb.One[T, int64](), A, nil); err != nil {
-		return nil, wrap(StatusInvalidValue, err, "degree pattern")
+// degreeOf counts the entries of each row of op(A), op per desc.TranA:
+// deg = op(A)·x over a full x, LAGraph_Cached_OutDegree's mxv on the
+// plus-one semiring (plus.pair here). Its pull over a full x reads only
+// A's row pointers. Rows with no entry stay absent.
+func degreeOf[T grb.Value](A *grb.Matrix[T], desc *grb.Descriptor) (*grb.Vector[int64], error) {
+	nr, nc := A.Dims()
+	if desc != nil && desc.TranA {
+		nr, nc = nc, nr
 	}
-	deg := grb.MustVector[int64](A.NRows())
-	if err := grb.ReduceMatrixToVector(deg, grb.NoVMask, nil, grb.PlusMonoid[int64](), ones, nil); err != nil {
-		return nil, wrap(StatusInvalidValue, err, "degree reduce")
+	deg := grb.MustVector[int64](nr)
+	ones := grb.DenseVector(nc, true)
+	if err := grb.MxV(deg, grb.NoVMask, nil, grb.PlusPair[T, bool, int64](), A, ones, desc); err != nil {
+		return nil, wrap(StatusInvalidValue, err, "degree")
 	}
+	deg.Wait()
 	return deg, nil
 }
 

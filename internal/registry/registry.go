@@ -148,8 +148,8 @@ func (e *Entry) EnsureFinalized() {
 // computation among concurrent callers (single flight per graph per
 // property). Every demand counts as a property request; only a demand that
 // ran a computation counts as a property compute — not one that found the
-// value already on the graph (a snapshot seeded by the stream engine, or a
-// compaction republishing the same graph).
+// value already on the graph (the NDiag the stream engine carries onto a
+// mutated snapshot, or a compaction republishing the same graph).
 //
 // The entry is finalized first: property computations read the adjacency
 // matrix, and two properties have independent single-flight slots, so

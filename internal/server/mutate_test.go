@@ -72,8 +72,9 @@ func TestGraphInfoExposesVersionAndDeltaState(t *testing.T) {
 		t.Fatalf("cached properties after bfs: %v", info["cached_properties"])
 	}
 
-	// A mutation bumps the version, reports the delta log, and carries the
-	// degree vectors (incrementally updated) plus NDiag to the snapshot.
+	// A mutation bumps the version, reports the delta log, and carries only
+	// NDiag (the stream engine's incremental self-loop count) to the
+	// snapshot: degrees and AT are recomputed by the next reader.
 	code, res := mutate(t, ts.URL, "g", []map[string]any{
 		{"op": "upsert", "src": 2, "dst": 3},
 	})
@@ -94,20 +95,16 @@ func TestGraphInfoExposesVersionAndDeltaState(t *testing.T) {
 	if info["edges"].(float64) != 3 {
 		t.Fatalf("edges after mutate: %v", info["edges"])
 	}
-	if !containsStr(info["cached_properties"], "RowDegree") ||
-		!containsStr(info["cached_properties"], "NDiag") {
-		t.Fatalf("carried properties: %v", info["cached_properties"])
-	}
-	if containsStr(info["cached_properties"], "AT") {
-		t.Fatalf("AT must be invalidated by mutation: %v", info["cached_properties"])
+	if props, _ := info["cached_properties"].([]any); len(props) != 1 || props[0] != "NDiag" {
+		t.Fatalf("carried properties: %v, want [NDiag]", info["cached_properties"])
 	}
 }
 
 // TestPropertyComputeCountedOnlyWhenOneRan: registry_property_computes_total
 // moves only when a property was computed. After a batch the snapshot
-// already carries the stream engine's degree vectors, so PageRank builds
-// the transpose alone; republishing the same graph under its version (what
-// compaction does) computes nothing.
+// carries only NDiag, so PageRank computes the transpose and the degrees
+// again; republishing the same graph under its version (what compaction
+// does) computes nothing.
 func TestPropertyComputeCountedOnlyWhenOneRan(t *testing.T) {
 	ts, reg, _ := newMutationServer(t, Options{Stream: stream.Options{CompactRatio: 1000}})
 	loadPathGraph(t, ts.URL, "g")
@@ -138,7 +135,7 @@ func TestPropertyComputeCountedOnlyWhenOneRan(t *testing.T) {
 	if code, res := mutate(t, ts.URL, "g", []map[string]any{{"op": "upsert", "src": 2, "dst": 3}}); code != 200 {
 		t.Fatalf("mutate: %d %v", code, res)
 	}
-	step("PageRank after a batch (AT; RowDegree seeded)", 1, pagerank)
+	step("PageRank after a batch (AT, RowDegree)", 2, pagerank)
 
 	lease, err := reg.Acquire("g")
 	if err != nil {

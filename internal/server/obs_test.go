@@ -341,11 +341,12 @@ func TestStatsIsProjectionOfMetrics(t *testing.T) {
 	if len(got) > 0 {
 		t.Errorf("/stats keys with no /metrics family: %v", got)
 	}
-	// What the benchmark's counts check reads, after the traffic above.
+	// What the benchmark's counts check reads, after the traffic above:
+	// PageRank's AT and RowDegree, then the first mutation's NDiag.
 	for path, want := range map[string]float64{
 		"jobs.completed": 2, "jobs.cache_hits": 0, "jobs.dedup_hits": 0, "jobs.failed": 0,
 		"algorithm_errors": 0, "stream.batches": 1, "stream.compactions": 0,
-		"registry.property_computes": 2, "store.wal_appends": 1,
+		"registry.property_computes": 3, "store.wal_appends": 1,
 	} {
 		v := stats[path]
 		if section, key, ok := strings.Cut(path, "."); ok {

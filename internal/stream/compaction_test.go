@@ -1,12 +1,15 @@
 package stream
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
 
+	"lagraph/internal/gap"
 	"lagraph/internal/grb"
 	"lagraph/internal/lagraph"
 	"lagraph/internal/registry"
@@ -107,9 +110,11 @@ func randomBatch(rng *rand.Rand, n int, m edgeModel) []Op {
 // TestMutationDifferentialWithCompaction drives seeded random batches
 // through Apply while the compactor runs between them (threshold 8, so
 // it races the next batch) and checks, after every batch, the finalized
-// snapshot, Result.Edges, the incremental degrees and NDiag against a map
-// model; at the end, every checkpoint plus the journaled batches above
-// its version must reproduce the model too.
+// snapshot, Result.Edges, the degrees its readers compute and the carried
+// NDiag against a map model. Every 25th batch, BFS, PageRank, CC and (for
+// the undirected kind) TC on the published version must agree with
+// internal/gap on the model's edges. At the end, every checkpoint plus
+// the journaled batches above its version must reproduce the model too.
 func TestMutationDifferentialWithCompaction(t *testing.T) {
 	for _, kind := range []lagraph.Kind{lagraph.AdjacencyDirected, lagraph.AdjacencyUndirected} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -136,9 +141,6 @@ func mutationDifferential(t *testing.T, kind lagraph.Kind, seed int64) {
 	j := &fakeJournal{}
 	e.SetJournal(j)
 
-	// Degrees materialized once are seeded into every later snapshot from
-	// the incremental counts; checking the seeded vectors checks those.
-	materializeDegrees(t, reg)
 	for b := 0; b < 200; b++ {
 		ops := randomBatch(rng, n, want)
 		want.apply(kind, ops)
@@ -151,7 +153,9 @@ func mutationDifferential(t *testing.T, kind lagraph.Kind, seed int64) {
 		}
 		checkPublished(t, reg, res.Version, want)
 		checkBookkeeping(t, e, want)
-		materializeDegrees(t, reg)
+		if b%25 == 24 {
+			checkKernels(t, reg, kind, want)
+		}
 	}
 
 	// Close drains every scheduled compaction, checkpoints included.
@@ -183,22 +187,9 @@ func mutationDifferential(t *testing.T, kind lagraph.Kind, seed int64) {
 	}
 }
 
-// materializeDegrees computes the degree properties on the current entry
-// (a cache hit when the snapshot was seeded with them).
-func materializeDegrees(t *testing.T, reg *registry.Registry) {
-	t.Helper()
-	l, err := reg.Acquire("d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Release()
-	if err := l.Entry().EnsureProperties(registry.PropRowDegree, registry.PropColDegree); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // checkPublished leases the current entry the way a job does and compares
-// its content, seeded degree vectors and NDiag with the model.
+// its content, carried NDiag, and the degrees EnsureProperties computes,
+// with the model.
 func checkPublished(t *testing.T, reg *registry.Registry, version uint64, want edgeModel) {
 	t.Helper()
 	l, err := reg.Acquire("d")
@@ -216,22 +207,22 @@ func checkPublished(t *testing.T, reg *registry.Registry, version uint64, want e
 	}
 	n := g.NumNodes()
 	row, col, ndiag := modelDegrees(n, want)
+	if got := g.CachedNDiag(); got != ndiag {
+		t.Fatalf("v%d: NDiag %d, model %d", version, got, ndiag)
+	}
+	if err := l.Entry().EnsureProperties(registry.PropRowDegree, registry.PropColDegree); err != nil {
+		t.Fatal(err)
+	}
 	for _, d := range []struct {
 		name string
 		vec  *grb.Vector[int64]
 		want []int64
 	}{{"row", g.CachedRowDegree(), row}, {"col", g.CachedColDegree(), col}} {
-		if d.vec == nil {
-			t.Fatalf("v%d: %s degree not seeded", version, d.name)
-		}
 		got := make([]int64, n)
 		d.vec.Iterate(func(i int, x int64) { got[i] = x })
 		if !slices.Equal(got, d.want) {
 			t.Fatalf("v%d: %s degrees %v, model %v", version, d.name, got, d.want)
 		}
-	}
-	if got := g.CachedNDiag(); got != ndiag {
-		t.Fatalf("v%d: NDiag %d, model %d", version, got, ndiag)
 	}
 }
 
@@ -243,10 +234,82 @@ func checkBookkeeping(t *testing.T, e *Engine, want edgeModel) {
 	e.mu.Unlock()
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	row, col, ndiag := modelDegrees(st.n, want)
-	if st.edges != len(want) || st.ndiag != ndiag || !slices.Equal(st.rowDeg, row) || !slices.Equal(st.colDeg, col) {
-		t.Fatalf("bookkeeping edges=%d ndiag=%d rowDeg=%v colDeg=%v; model edges=%d ndiag=%d rowDeg=%v colDeg=%v",
-			st.edges, st.ndiag, st.rowDeg, st.colDeg, len(want), ndiag, row, col)
+	_, _, ndiag := modelDegrees(st.n, want)
+	if st.edges != len(want) || st.ndiag != ndiag {
+		t.Fatalf("bookkeeping edges=%d ndiag=%d; model edges=%d ndiag=%d", st.edges, st.ndiag, len(want), ndiag)
+	}
+}
+
+// checkKernels leases the published version the way a job does and runs
+// BFS (which reads RowDegree), PageRank, CC and, on an undirected graph,
+// TC, each against internal/gap on the model's edges.
+func checkKernels(t *testing.T, reg *registry.Registry, kind lagraph.Kind, want edgeModel) {
+	t.Helper()
+	l, err := reg.Acquire("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Release()
+	if err := l.Entry().EnsureProperties(registry.PropAT, registry.PropRowDegree); err != nil {
+		t.Fatal(err)
+	}
+	ctx, g := context.Background(), l.Graph()
+	n := g.NumNodes()
+	var src, dst []int32
+	for _, c := range want.sorted() {
+		src, dst = append(src, int32(c.i)), append(dst, int32(c.j))
+	}
+	oracle := gap.Build(n, src, dst, nil, kind == lagraph.AdjacencyDirected)
+
+	_, level, err := lagraph.BreadthFirstSearchAdvanced(ctx, g, 0, false, true)
+	if err != nil {
+		t.Fatalf("bfs: %v", err)
+	}
+	for i, w := range gap.BFSLevels(oracle, 0) {
+		got, err := level.ExtractElement(i)
+		if reached := err == nil; reached != (w >= 0) || reached && got != w {
+			t.Fatalf("bfs level(%d) = %d (reached %v), gap %d", i, got, reached, w)
+		}
+	}
+
+	rank, iters, err := lagraph.PageRankGAP(ctx, g, 0.85, 1e-4, 20)
+	if err != nil {
+		t.Fatalf("pagerank: %v", err)
+	}
+	wantRank, wantIters := gap.PageRank(oracle, 0.85, 1e-4, 20)
+	dist := 0.0
+	rank.Iterate(func(i int, x float64) { dist += math.Abs(x - wantRank[i]) })
+	if iters != wantIters || dist > 1e-9 || rank.NVals() != n {
+		t.Fatalf("pagerank: %d iterations, %d ranks, L1 distance %g from gap's %d iterations", iters, rank.NVals(), dist, wantIters)
+	}
+
+	labels, err := lagraph.ConnectedComponents(ctx, g)
+	if err != nil && !lagraph.IsWarning(err) {
+		t.Fatalf("cc: %v", err)
+	}
+	comp := gap.ConnectedComponents(oracle)
+	to, from := map[int64]int32{}, map[int32]int64{}
+	labels.Iterate(func(i int, x int64) {
+		if c, ok := to[x]; ok && c != comp[i] {
+			t.Fatalf("cc: label %d spans gap components %d and %d", x, c, comp[i])
+		}
+		if y, ok := from[comp[i]]; ok && y != x {
+			t.Fatalf("cc: gap component %d carries labels %d and %d", comp[i], y, x)
+		}
+		to[x], from[comp[i]] = comp[i], x
+	})
+	if labels.NVals() != n {
+		t.Fatalf("cc: %d labels for %d vertices", labels.NVals(), n)
+	}
+
+	if kind == lagraph.AdjacencyUndirected {
+		got, err := lagraph.TriangleCount(ctx, g)
+		if err != nil && !lagraph.IsWarning(err) {
+			t.Fatalf("tc: %v", err)
+		}
+		if w := gap.TriangleCount(oracle); got != w {
+			t.Fatalf("tc: %d triangles, gap %d", got, w)
+		}
 	}
 }
 

@@ -18,9 +18,9 @@
 // each version once, often for a reader that got there first — as the
 // new base and checkpoints it; when no batch raced it, the same graph is
 // republished under the *same* version with no pending delta (content is
-// unchanged, so cached results stay valid). Degree vectors and the
-// self-loop count are maintained incrementally across batches; other
-// properties are recomputed on demand.
+// unchanged, so cached results stay valid). The edge and self-loop counts
+// are maintained incrementally across batches; degrees and every other
+// property are recomputed on demand, as for a freshly loaded graph.
 package stream
 
 import (
@@ -144,10 +144,8 @@ type graphState struct {
 	overlay map[coord]bool // live (true) or deleted in the delta; absent → ask base
 
 	// Incremental bookkeeping, exact at all times.
-	edges  int
-	rowDeg []int64
-	colDeg []int64
-	ndiag  int64
+	edges int
+	ndiag int64
 
 	compactScheduled bool
 }
@@ -218,7 +216,7 @@ type Engine struct {
 // NewEngine builds an engine over reg and starts its background
 // compactor. The engine registers itself as the registry's removal
 // listener so a deleted or LRU-evicted graph's delta state (which pins
-// the base CSR and degree arrays) is dropped with it.
+// the base CSR) is dropped with it.
 func NewEngine(reg *registry.Registry, opts Options) *Engine {
 	opts.fill()
 	o := opts.Obs
@@ -435,7 +433,7 @@ func (e *Engine) ApplyCtx(ctx context.Context, name string, ops []Op) (res Resul
 		}
 	}
 
-	g, err := st.snapshot(entry.Graph())
+	g, err := st.snapshot()
 	if err != nil {
 		if journal != nil {
 			journal.RevertBatch(name, nextVersion)
@@ -477,8 +475,6 @@ func (st *graphState) upsert(i, j int, w float64) int {
 		return 0
 	}
 	st.edges++
-	st.rowDeg[i]++
-	st.colDeg[j]++
 	if i == j {
 		st.ndiag++
 	}
@@ -493,8 +489,6 @@ func (st *graphState) delete(i, j int) int {
 	}
 	st.record(logOp{i: i, j: j, del: true})
 	st.edges--
-	st.rowDeg[i]--
-	st.colDeg[j]--
 	if i == j {
 		st.ndiag--
 	}
@@ -517,49 +511,30 @@ func (st *graphState) has(i, j int) bool {
 }
 
 // resetFrom rebuilds the state from the registry's current incarnation:
-// base CSR, exact edge count, incremental degree vectors and self-loop
-// count. Costs one O(n + nnz) pass, paid once per incarnation.
+// base CSR, edge count and self-loop count. The latter is the graph's own
+// NDiag property, so a reset costs at most one property computation per
+// incarnation.
 func (st *graphState) resetFrom(entry *registry.Entry) error {
 	entry.EnsureFinalized()
 	g := entry.Graph()
-	base := g.A
-	if base.Format() != grb.FormatSparse {
+	if g.A.Format() != grb.FormatSparse {
 		return fmt.Errorf("%w: graph is not CSR-backed", ErrBadBatch)
 	}
-	ptr, idx, _ := base.ExportCSR() // finished: shared, read-only
-	n := base.NRows()
-
-	st.entry = entry
-	st.kind = g.Kind
-	st.n = n
-	st.base = base
-	st.baseGraph = g
-	st.baseNNZ = len(idx)
-	st.log = nil
-	st.overlay = make(map[coord]bool)
-	st.edges = len(idx)
-	st.rowDeg = make([]int64, n)
-	st.colDeg = make([]int64, n)
-	st.ndiag = 0
-	for i := 0; i < n; i++ {
-		st.rowDeg[i] = int64(ptr[i+1] - ptr[i])
-		for p := ptr[i]; p < ptr[i+1]; p++ {
-			st.colDeg[idx[p]]++
-			if idx[p] == i {
-				st.ndiag++
-			}
-		}
+	if err := entry.EnsureProperties(registry.PropNDiag); err != nil {
+		return err
 	}
+	st.entry, st.kind, st.n = entry, g.Kind, g.NumNodes()
+	st.base, st.baseGraph, st.baseNNZ = g.A, g, g.A.NVals()
+	st.log, st.overlay = nil, make(map[coord]bool)
+	st.edges, st.ndiag = st.baseNNZ, g.CachedNDiag()
 	return nil
 }
 
 // snapshot builds the publishable copy-on-write graph
 // (lagraph.Graph.Snapshot): shared base CSR plus the delta log replayed
-// as pending tuples and tombstones. Degree vectors are seeded from the
-// incremental bookkeeping when the previous incarnation had them
-// materialized (someone is using them); NDiag is always exact;
-// everything else is recomputed on demand.
-func (st *graphState) snapshot(prev *lagraph.Graph[float64]) (*lagraph.Graph[float64], error) {
+// as pending tuples and tombstones, carrying the exact NDiag. Degrees and
+// every other property are recomputed by the readers that need them.
+func (st *graphState) snapshot() (*lagraph.Graph[float64], error) {
 	g, err := st.baseGraph.Snapshot()
 	for k := 0; k < len(st.log) && err == nil; k++ {
 		if op := st.log[k]; op.del {
@@ -572,22 +547,6 @@ func (st *graphState) snapshot(prev *lagraph.Graph[float64]) (*lagraph.Graph[flo
 		return nil, err
 	}
 	g.NDiag = st.ndiag
-	if prev.CachedRowDegree() != nil || prev.CachedColDegree() != nil {
-		rd, err := degreeVector(st.rowDeg)
-		if err != nil {
-			return nil, err
-		}
-		g.RowDegree = rd
-		if st.kind == lagraph.AdjacencyUndirected {
-			g.ColDegree = rd
-		} else {
-			cd, err := degreeVector(st.colDeg)
-			if err != nil {
-				return nil, err
-			}
-			g.ColDegree = cd
-		}
-	}
 	return g, nil
 }
 
@@ -596,20 +555,6 @@ func (st *graphState) snapshot(prev *lagraph.Graph[float64]) (*lagraph.Graph[flo
 func (st *graphState) estimateBytes() int64 {
 	return registry.EstimateBytesFor(st.n, st.edges, st.kind == lagraph.AdjacencyDirected) +
 		int64(len(st.log))*logOpBytes
-}
-
-// degreeVector builds the sparse degree vector (entries only where > 0,
-// matching lagraph's PropertyRowDegree convention) from dense counts.
-func degreeVector(deg []int64) (*grb.Vector[int64], error) {
-	var idx []int
-	var vals []int64
-	for i, d := range deg {
-		if d > 0 {
-			idx = append(idx, i)
-			vals = append(vals, d)
-		}
-	}
-	return grb.VectorFromTuples(len(deg), idx, vals, nil)
 }
 
 // maybeScheduleCompact enqueues a background compaction when the delta

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -166,20 +168,24 @@ func TestApplyUndirectedMirrorsOps(t *testing.T) {
 	}
 }
 
+// TestIncrementalDegreesAndNDiag: the self-loop count is carried across
+// a batch, while degrees are not — even when the previous version had
+// them — and EnsureProperties recomputes the right ones.
 func TestIncrementalDegreesAndNDiag(t *testing.T) {
 	g0 := makeGraph(t, 5, lagraph.AdjacencyDirected, [][2]int{{0, 1}, {0, 2}, {1, 1}, {3, 0}})
 	reg, e := setup(t, "d", g0, Options{})
-
-	// Materialize degrees on the current incarnation so the stream engine
-	// seeds them incrementally on the next snapshot.
-	l, err := reg.Acquire("d")
-	if err != nil {
-		t.Fatal(err)
+	ensure := func(props ...registry.Property) {
+		t.Helper()
+		l, err := reg.Acquire("d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Release()
+		if err := l.Entry().EnsureProperties(props...); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := l.Entry().EnsureProperties(registry.PropRowDegree, registry.PropColDegree); err != nil {
-		t.Fatal(err)
-	}
-	l.Release()
+	ensure(registry.PropRowDegree, registry.PropColDegree)
 
 	res, err := e.Apply("d", []Op{
 		upsert(0, 3),                   // out-degree 0: 2→3, in-degree 3: 0→1
@@ -190,16 +196,19 @@ func TestIncrementalDegreesAndNDiag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.EdgesAdded != 2 || res.EdgesRemoved != 1 {
+	if res.EdgesAdded != 2 || res.EdgesRemoved != 1 || res.Edges != 5 {
 		t.Fatalf("result = %+v", res)
 	}
 
 	_, _, g := readEdges(t, reg, "d")
-	// Degrees were seeded incrementally — cached without recomputation.
-	rd := g.CachedRowDegree()
-	if rd == nil {
-		t.Fatal("RowDegree not carried to the snapshot")
+	if g.CachedNDiag() != 1 {
+		t.Fatalf("NDiag = %d, want 1", g.CachedNDiag())
 	}
+	if g.CachedRowDegree() != nil || g.CachedColDegree() != nil {
+		t.Fatal("the published snapshot carries a degree vector")
+	}
+	ensure(registry.PropRowDegree, registry.PropColDegree)
+	rd := g.CachedRowDegree()
 	wantRow := map[int]int64{0: 3, 3: 1, 4: 1}
 	for i, want := range wantRow {
 		got, err := rd.ExtractElement(i)
@@ -210,29 +219,71 @@ func TestIncrementalDegreesAndNDiag(t *testing.T) {
 	if _, err := rd.ExtractElement(1); err == nil {
 		t.Fatal("rowdeg[1] should be absent (degree 0 after self-loop delete)")
 	}
-	cd := g.CachedColDegree()
-	if cd == nil {
-		t.Fatal("ColDegree not carried")
-	}
-	if got, _ := cd.ExtractElement(3); got != 1 {
+	if got, _ := g.CachedColDegree().ExtractElement(3); got != 1 {
 		t.Fatalf("coldeg[3] = %d, want 1", got)
 	}
-	if g.CachedNDiag() != 1 {
-		t.Fatalf("NDiag = %d, want 1", g.CachedNDiag())
-	}
 
-	// Cross-check the incremental degree vector against a recompute.
+	// The mutated version's degrees equal a freshly loaded graph's.
 	fresh := makeGraph(t, 5, lagraph.AdjacencyDirected,
 		[][2]int{{0, 1}, {0, 2}, {0, 3}, {3, 0}, {4, 4}})
 	if err := fresh.PropertyRowDegree(); err != nil && !lagraph.IsWarning(err) {
 		t.Fatal(err)
 	}
+	if rd.NVals() != fresh.CachedRowDegree().NVals() {
+		t.Fatalf("rowdeg has %d entries, recompute %d", rd.NVals(), fresh.CachedRowDegree().NVals())
+	}
 	fresh.CachedRowDegree().Iterate(func(i int, d int64) {
 		got, err := rd.ExtractElement(i)
 		if err != nil || got != d {
-			t.Fatalf("incremental rowdeg[%d] = %d (%v), recompute says %d", i, got, err, d)
+			t.Fatalf("mutated rowdeg[%d] = %d (%v), fresh graph says %d", i, got, err, d)
 		}
 	})
+}
+
+// TestApplyAllocatesByBatch pins what a batch costs on a graph whose
+// degrees are cached: publishing a version allocates for its operations,
+// not for its vertices, so a 4-op batch on 2^16 vertices allocates within
+// 2× of the same batch on 2^10.
+func TestApplyAllocatesByBatch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	applyBytes := func(n int) uint64 {
+		ring := make([][2]int, n)
+		for i := range ring {
+			ring[i] = [2]int{i, (i + 1) % n}
+		}
+		reg, e := setup(t, "r", makeGraph(t, n, lagraph.AdjacencyDirected, ring),
+			Options{CompactThreshold: 1 << 30, CompactRatio: 1e9})
+		best := uint64(math.MaxUint64)
+		for k := 0; k < 4; k++ {
+			l, err := reg.Acquire("r")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Entry().EnsureProperties(registry.PropRowDegree, registry.PropColDegree); err != nil {
+				t.Fatal(err)
+			}
+			l.Release()
+			ops := []Op{upsert(k, 2*k+5), upsert(3*k+7, k), del(k, k+1), upsert(9, 9+k)}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := e.Apply("r", ops); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			// The first batch resets the engine's state from the graph.
+			if k > 0 {
+				best = min(best, after.TotalAlloc-before.TotalAlloc)
+			}
+		}
+		return best
+	}
+	small, large := applyBytes(1<<10), applyBytes(1<<16)
+	t.Logf("a 4-op batch allocated %d B on 2^10 vertices, %d B on 2^16", small, large)
+	if large > 2*small {
+		t.Fatalf("a 4-op batch allocated %d B on 2^16 vertices, more than 2× the %d B on 2^10", large, small)
+	}
 }
 
 func TestCompactionMergesLogAndKeepsVersion(t *testing.T) {
