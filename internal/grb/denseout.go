@@ -15,7 +15,7 @@ package grb
 //     gather, the merge of a dense t) reads what it reads at position i
 //     before it writes position i, so w may be an operand; the mask is
 //     copied to a byte array before the first write, so w may be its own
-//     mask; pending tuples and zombies of w are assembled first. What it
+//     mask; the pending operations of w are assembled first. What it
 //     may not do is read w at some other position: with an operand that
 //     is gathered through an index list and is w, the result goes to a
 //     temporary, as does a thin result (sparse mask) for a sparse w.

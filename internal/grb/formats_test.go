@@ -612,8 +612,8 @@ func TestDenseMaskSources(t *testing.T) {
 }
 
 func TestPendingWorkFlushedBeforeKernels(t *testing.T) {
-	// A matrix with pending tuples, zombies AND jumbled rows must behave
-	// identically to its finished copy in every operation.
+	// A matrix with pending tuples, a tombstone AND jumbled rows must
+	// behave identically to its finished copy in every operation.
 	rng := rand.New(rand.NewSource(107))
 	n := 10
 	base := randMatrix(rng, n, n, 0.3)
@@ -622,7 +622,7 @@ func TestPendingWorkFlushedBeforeKernels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Make it dirty: add pending, delete one entry (zombie), jumble rows.
+	// Make it dirty: add pending, delete one entry (tombstone), jumble rows.
 	dirty.SetElement(42, 0, n-1)
 	rows, cols, _ := base.ExtractTuples()
 	if len(rows) > 0 {

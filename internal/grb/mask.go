@@ -224,7 +224,7 @@ func (m *Matrix[T]) maskHas(i, j int) (bool, bool) {
 		}
 		return true, truthy(m.val[p])
 	default:
-		if p, ok := m.findSparse(i, j); ok && !isZombie(m.idx[p]) {
+		if p, ok := m.findSparse(i, j); ok {
 			return true, truthy(m.val[p])
 		}
 		return false, false

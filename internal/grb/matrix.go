@@ -13,16 +13,15 @@ import (
 // to stay honest about cost, but algorithm code should treat it through the
 // package's operations.
 //
-// A Matrix may carry three kinds of pending work, assembled by Wait:
-// pending tuples (entries inserted but not yet part of the CSR structure),
-// zombies (entries deleted in place but still occupying slots), and jumbled
-// rows (column indices within a row not yet sorted — the lazy sort).
+// A Matrix may carry two kinds of pending work, assembled by Wait: pending
+// operations (insertions and tombstones not yet part of the CSR structure)
+// and jumbled rows (column indices within a row not yet sorted — the lazy
+// sort).
 type Matrix[T Value] struct {
 	nr, nc int
 	format Format
 
 	// sparse (CSR): ptr has nr+1 entries; idx/val hold ptr[nr] entries.
-	// A negative idx entry is a zombie (see zombieFlip).
 	ptr []int
 	idx []int
 	val []T // also the dense value array for bitmap/full (len nr*nc)
@@ -31,15 +30,12 @@ type Matrix[T Value] struct {
 	b      []int8
 	nvalsB int
 
-	jumbled  bool
-	nzombies int
-	pend     []pending[T] // assembled in call order: the last operation on a position wins
-	ndel     int          // tombstones among pend (pending deletions)
+	jumbled bool
+	pend    []pending[T] // assembled in call order: the last operation on a position wins
 
 	// frozen marks a copy-on-write snapshot (see Snapshot): the CSR arrays
 	// are shared with other matrices and must never be mutated in place.
-	// Mutations buffer as pending tuples and tombstones; the first Wait
-	// assembles fresh private arrays and clears the flag.
+	// The first Wait assembles fresh private arrays and clears the flag.
 	frozen bool
 }
 
@@ -80,16 +76,9 @@ func (m *Matrix[T]) Jumbled() bool { return m.jumbled }
 // plus tombstones).
 func (m *Matrix[T]) PendingTuples() int { return len(m.pend) }
 
-// PendingDeletes reports how many of the pending operations are
-// tombstones (buffered deletions on a copy-on-write snapshot).
-func (m *Matrix[T]) PendingDeletes() int { return m.ndel }
-
 // Frozen reports whether the matrix is a copy-on-write snapshot whose CSR
 // arrays are still shared with its source.
 func (m *Matrix[T]) Frozen() bool { return m.frozen }
-
-// Zombies reports the number of lazily deleted entries.
-func (m *Matrix[T]) Zombies() int { return m.nzombies }
 
 // NVals returns the number of stored entries, finishing pending work first
 // (as GrB_Matrix_nvals does).
@@ -109,7 +98,7 @@ func (m *Matrix[T]) NVals() int {
 func (m *Matrix[T]) nvalsUpper() int {
 	switch m.format {
 	case FormatSparse:
-		return m.ptr[m.nr] - m.nzombies + len(m.pend)
+		return m.ptr[m.nr] + len(m.pend)
 	case FormatBitmap:
 		return m.nvalsB
 	default:
@@ -122,10 +111,9 @@ func (m *Matrix[T]) Clear() {
 	m.format = FormatSparse
 	m.ptr = make([]int, m.nr+1)
 	m.idx, m.val, m.b = nil, nil, nil
-	m.nvalsB, m.nzombies = 0, 0
+	m.nvalsB = 0
 	m.jumbled = false
 	m.pend = nil
-	m.ndel = 0
 	m.frozen = false
 }
 
@@ -149,17 +137,16 @@ func (m *Matrix[T]) Dup() *Matrix[T] {
 // Wait on the clone merges the buffered delta into fresh private arrays,
 // after which the clone behaves like any other matrix.
 //
-// The receiver must be finished (no zombies, pending tuples, or jumbled
-// rows) and sparse; Snapshot does not call Wait itself because the
-// receiver may be concurrently read by other goroutines.
+// The receiver must be finished (no pending operations or jumbled rows)
+// and sparse; Snapshot does not call Wait itself because the receiver may
+// be concurrently read by other goroutines.
 func (m *Matrix[T]) Snapshot() (*Matrix[T], error) {
 	if m.format != FormatSparse {
 		return nil, errf(InvalidValue, "Snapshot: matrix is not sparse")
 	}
-	if m.nzombies > 0 || m.jumbled || len(m.pend) > 0 {
+	if m.jumbled || len(m.pend) > 0 {
 		return nil, errf(InvalidValue,
-			"Snapshot: matrix has unfinished work (%d zombies, %d pending, jumbled=%v)",
-			m.nzombies, len(m.pend), m.jumbled)
+			"Snapshot: matrix has unfinished work (%d pending, jumbled=%v)", len(m.pend), m.jumbled)
 	}
 	return &Matrix[T]{
 		nr: m.nr, nc: m.nc, format: FormatSparse,
@@ -168,8 +155,10 @@ func (m *Matrix[T]) Snapshot() (*Matrix[T], error) {
 	}, nil
 }
 
-// SetElement stores A(i,j) = x. On sparse matrices an entry that is not
-// already present becomes a pending tuple (non-blocking mode).
+// SetElement stores A(i,j) = x. On a sparse matrix an entry already present
+// is updated in place only while nothing is pending and the arrays are
+// private; otherwise the store becomes a pending tuple (non-blocking mode),
+// so it can never overtake a pending tombstone on the same position.
 func (m *Matrix[T]) SetElement(x T, i, j int) error {
 	if i < 0 || i >= m.nr || j < 0 || j >= m.nc {
 		return errf(InvalidIndex, "SetElement: (%d,%d) outside %dx%d", i, j, m.nr, m.nc)
@@ -185,24 +174,21 @@ func (m *Matrix[T]) SetElement(x T, i, j int) error {
 		}
 		m.val[p] = x
 	default:
-		if !m.frozen {
+		if !m.frozen && len(m.pend) == 0 {
 			if p, ok := m.findSparse(i, j); ok {
-				if isZombie(m.idx[p]) {
-					m.idx[p] = zombieFlip(m.idx[p])
-					m.nzombies--
-				}
 				m.val[p] = x
 				return nil
 			}
 		}
-		// Frozen snapshots never update in place — the arrays are shared.
 		m.pend = append(m.pend, pending[T]{i: i, j: j, x: x})
 	}
 	return nil
 }
 
-// RemoveElement deletes A(i,j) if present. On sparse matrices the entry
-// becomes a zombie.
+// RemoveElement deletes A(i,j) if present. On a sparse matrix the deletion
+// becomes a tombstone among the pending operations: the CSR arrays are
+// never touched (a snapshot shares them), and Wait resolves the tombstone
+// against the operations before and after it on the same position.
 func (m *Matrix[T]) RemoveElement(i, j int) error {
 	if i < 0 || i >= m.nr || j < 0 || j >= m.nc {
 		return errf(InvalidIndex, "RemoveElement: (%d,%d) outside %dx%d", i, j, m.nr, m.nc)
@@ -221,21 +207,7 @@ func (m *Matrix[T]) RemoveElement(i, j int) error {
 			m.nvalsB--
 		}
 	default:
-		if m.frozen {
-			// Tombstone: the shared arrays cannot take a zombie flip, and
-			// assembly resolves the order of this delete against pending
-			// inserts on the same position.
-			m.pend = append(m.pend, pending[T]{i: i, j: j, del: true})
-			m.ndel++
-			return nil
-		}
-		if len(m.pend) > 0 {
-			m.Wait() // a pending tuple may target (i,j); assemble first
-		}
-		if p, ok := m.findSparse(i, j); ok && !isZombie(m.idx[p]) {
-			m.idx[p] = zombieFlip(m.idx[p])
-			m.nzombies++
-		}
+		m.pend = append(m.pend, pending[T]{i: i, j: j, del: true})
 	}
 	return nil
 }
@@ -259,46 +231,34 @@ func (m *Matrix[T]) ExtractElement(i, j int) (T, error) {
 		if len(m.pend) > 0 {
 			m.Wait()
 		}
-		if p, ok := m.findSparse(i, j); ok && !isZombie(m.idx[p]) {
+		if p, ok := m.findSparse(i, j); ok {
 			return m.val[p], nil
 		}
 		return zero, ErrNoValue
 	}
 }
 
-// findSparse locates entry (i,j) in the CSR structure (zombie or live),
-// returning its position. Binary search when the row is sorted, linear
-// when jumbled.
+// findSparse locates entry (i,j) in the CSR structure, returning its
+// position. Binary search when the row is sorted, linear when jumbled.
 func (m *Matrix[T]) findSparse(i, j int) (int, bool) {
 	lo, hi := m.ptr[i], m.ptr[i+1]
-	if !m.jumbled && m.nzombies == 0 {
-		p := lo + sort.SearchInts(m.idx[lo:hi], j)
-		if p < hi && m.idx[p] == j {
-			return p, true
-		}
-		return 0, false
+	if m.jumbled {
+		p := slices.Index(m.idx[lo:hi], j)
+		return lo + p, p >= 0
 	}
-	for p := lo; p < hi; p++ {
-		c := m.idx[p]
-		if c == j || (isZombie(c) && zombieFlip(c) == j) {
-			return p, true
-		}
-	}
-	return 0, false
+	p, ok := slices.BinarySearch(m.idx[lo:hi], j)
+	return lo + p, ok
 }
 
 // ---------------------------------------------------------------------------
-// Wait: assemble pending work (zombies, lazy sort, pending tuples)
+// Wait: assemble pending work (lazy sort, pending operations)
 
-// Wait brings the matrix to a finished state: zombies are compacted,
-// jumbled rows are sorted, and pending tuples are merged into the CSR
-// structure. It is idempotent and cheap when nothing is pending.
+// Wait brings the matrix to a finished state: jumbled rows are sorted, and
+// the pending operations are merged into the CSR structure. It is
+// idempotent and cheap when nothing is pending.
 func (m *Matrix[T]) Wait() {
 	if m.format != FormatSparse {
 		return
-	}
-	if m.nzombies > 0 {
-		m.compactZombies()
 	}
 	if m.jumbled {
 		m.sortRows()
@@ -306,26 +266,6 @@ func (m *Matrix[T]) Wait() {
 	if len(m.pend) > 0 {
 		m.assemblePending()
 	}
-}
-
-func (m *Matrix[T]) compactZombies() {
-	w := 0
-	newPtr := make([]int, m.nr+1)
-	for i := 0; i < m.nr; i++ {
-		newPtr[i] = w
-		for p := m.ptr[i]; p < m.ptr[i+1]; p++ {
-			if !isZombie(m.idx[p]) {
-				m.idx[w] = m.idx[p]
-				m.val[w] = m.val[p]
-				w++
-			}
-		}
-	}
-	newPtr[m.nr] = w
-	m.ptr = newPtr
-	m.idx = m.idx[:w]
-	m.val = m.val[:w]
-	m.nzombies = 0
 }
 
 func (m *Matrix[T]) sortRows() {
@@ -338,10 +278,12 @@ func (m *Matrix[T]) sortRows() {
 	m.jumbled = false
 }
 
+// assemblePending merges the pending operations into fresh CSR arrays. A
+// sparse vector's pending operations are assembled here too, on its
+// one-row view (Vector.Wait).
 func (m *Matrix[T]) assemblePending() {
 	log := m.pend
 	m.pend = nil
-	m.ndel = 0
 	// Order the log by position, keeping call order within one: a stable
 	// bucket by row (count, prefix sum, scatter), then a stable sort by
 	// column inside each row's short run.

@@ -76,22 +76,22 @@ func TestSetElementUpdatesExistingInPlace(t *testing.T) {
 	}
 }
 
-func TestRemoveElementCreatesZombie(t *testing.T) {
+func TestRemoveElementCreatesTombstone(t *testing.T) {
 	m := mustFromTuples(t, 3, 3, []int{0, 0, 1}, []int{0, 1, 2}, []int64{1, 2, 3})
 	if err := m.RemoveElement(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if m.Zombies() != 1 {
-		t.Fatalf("zombies = %d, want 1", m.Zombies())
+	if m.PendingTuples() != 1 {
+		t.Fatalf("pending = %d, want 1 tombstone", m.PendingTuples())
 	}
 	if _, err := m.ExtractElement(0, 1); !IsNoValue(err) {
-		t.Fatalf("zombie still visible: %v", err)
+		t.Fatalf("deleted entry still visible: %v", err)
 	}
 	if n := m.NVals(); n != 2 {
 		t.Fatalf("nvals = %d, want 2", n)
 	}
-	if m.Zombies() != 0 {
-		t.Fatal("zombies not compacted by Wait")
+	if m.PendingTuples() != 0 {
+		t.Fatal("tombstone not assembled by Wait")
 	}
 	// Removing a missing entry is a no-op.
 	if err := m.RemoveElement(2, 2); err != nil {
@@ -102,12 +102,12 @@ func TestRemoveElementCreatesZombie(t *testing.T) {
 	}
 }
 
-func TestZombieReviveViaSetElement(t *testing.T) {
+func TestTombstoneReviveViaSetElement(t *testing.T) {
 	m := mustFromTuples(t, 2, 2, []int{0}, []int{1}, []int64{5})
 	m.RemoveElement(0, 1)
 	m.SetElement(6, 0, 1)
-	if m.Zombies() != 0 {
-		t.Fatal("revive did not clear the zombie")
+	if m.PendingTuples() != 2 {
+		t.Fatalf("pending = %d, want the tombstone and the store behind it", m.PendingTuples())
 	}
 	got, _ := m.ExtractElement(0, 1)
 	if got != 6 {
@@ -338,7 +338,7 @@ func mustFromTuples[T Value](t *testing.T, nr, nc int, rows, cols []int, vals []
 // ---------------------------------------------------------------------------
 // Vector core behaviour
 
-func TestVectorPendingZombiesWait(t *testing.T) {
+func TestVectorPendingTombstonesWait(t *testing.T) {
 	v := MustVector[int64](6)
 	v.SetElement(1, 3)
 	v.SetElement(2, 1)
@@ -349,8 +349,8 @@ func TestVectorPendingZombiesWait(t *testing.T) {
 		t.Fatalf("nvals = %d", v.NVals())
 	}
 	v.RemoveElement(3)
-	if v.Zombies() == 0 {
-		t.Fatal("remove did not create a zombie")
+	if v.PendingTuples() != 1 {
+		t.Fatal("remove did not create a tombstone")
 	}
 	if v.NVals() != 1 {
 		t.Fatalf("nvals = %d", v.NVals())

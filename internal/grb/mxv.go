@@ -77,9 +77,10 @@ func swapSemiring[TA, TB, TC Value](s Semiring[TA, TB, TC]) Semiring[TB, TA, TC]
 	return out
 }
 
-// asRow views a finished vector as the 1×n matrix that shares its arrays —
-// the form in which the product kernels take a vector operand. ptr is the
-// caller's row pointer, so that the view costs no allocation.
+// asRow views a vector's sorted arrays as the 1×n matrix that shares them —
+// the form in which the product kernels take a vector operand and Wait
+// assembles its pending operations. ptr is the caller's row pointer, so
+// that the view costs no allocation.
 func (v *Vector[T]) asRow(ptr *[2]int) Matrix[T] {
 	ptr[1] = len(v.idx)
 	return Matrix[T]{nr: 1, nc: v.n, format: v.format, ptr: ptr[:], idx: v.idx, val: v.val, b: v.b, nvalsB: v.nvalsB}

@@ -11,10 +11,7 @@ func (m *Matrix[T]) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%dx%d GrB Matrix, %s format", m.nr, m.nc, m.format)
 	if m.format == FormatSparse {
-		fmt.Fprintf(&sb, ", %d entries", m.ptr[m.nr]-m.nzombies)
-		if m.nzombies > 0 {
-			fmt.Fprintf(&sb, ", %d zombies", m.nzombies)
-		}
+		fmt.Fprintf(&sb, ", %d entries", m.ptr[m.nr])
 		if len(m.pend) > 0 {
 			fmt.Fprintf(&sb, ", %d pending", len(m.pend))
 		}
@@ -46,10 +43,7 @@ func (v *Vector[T]) String() string {
 	fmt.Fprintf(&sb, "length-%d GrB Vector, %s format", v.n, v.format)
 	switch v.format {
 	case FormatSparse:
-		fmt.Fprintf(&sb, ", %d entries", len(v.idx)-v.nzombies)
-		if v.nzombies > 0 {
-			fmt.Fprintf(&sb, ", %d zombies", v.nzombies)
-		}
+		fmt.Fprintf(&sb, ", %d entries", len(v.idx))
 		if len(v.pend) > 0 {
 			fmt.Fprintf(&sb, ", %d pending", len(v.pend))
 		}

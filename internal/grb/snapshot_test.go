@@ -50,11 +50,10 @@ func TestSnapshotIsCopyOnWrite(t *testing.T) {
 	if err := snap.RemoveElement(1, 2); err != nil {
 		t.Fatal(err)
 	}
-	if snap.PendingTuples() != 3 || snap.PendingDeletes() != 1 {
-		t.Fatalf("pending = %d (deletes %d), want 3 (1)",
-			snap.PendingTuples(), snap.PendingDeletes())
+	if snap.PendingTuples() != 3 {
+		t.Fatalf("pending = %d, want 3", snap.PendingTuples())
 	}
-	if base.PendingTuples() != 0 || base.Zombies() != 0 {
+	if base.PendingTuples() != 0 {
 		t.Fatal("mutating the snapshot dirtied the base")
 	}
 
@@ -197,14 +196,26 @@ func TestMatrixFromTuplesDupWithSelfLoops(t *testing.T) {
 }
 
 // TestQuickAssemblePendingAgainstRebuild replays random operation logs
-// onto a Snapshot and compares the assembled matrix, array for array, with
-// one rebuilt from a map model of the same calls: duplicates in call
-// order, delete-then-reinsert, insert-then-delete, tombstones on absent
-// entries, rows left untouched at the start, middle and end, empty rows,
-// and logs from one operation to several per row. The last operation on a
-// position wins. The shared base must come out unchanged.
+// onto a receiver and compares the assembled arrays with ones rebuilt from
+// a map model of the same calls: duplicates in call order,
+// delete-then-reinsert, insert-then-delete, tombstones on absent entries,
+// rows left untouched at the start, middle and end, empty rows, and logs
+// from one operation to several per row. The last operation on a position
+// wins. The receiver is one more input:
+//   - a frozen Snapshot, which buffers every call; its shared base must
+//     come out unchanged;
+//   - the private base matrix itself, which updates a present entry in
+//     place while nothing is pending and buffers every call after that;
+//   - a Vector holding one row of the model, which takes that row's
+//     operations under the same rule as the base.
 func TestQuickAssemblePendingAgainstRebuild(t *testing.T) {
-	f := func(seed int64) bool {
+	const (
+		snapshotReceiver = iota
+		baseReceiver
+		vectorReceiver
+	)
+	f := func(seed int64, receiver uint8) bool {
+		kind := int(receiver % 3)
 		rng := rand.New(rand.NewSource(seed))
 		n := []int{1, 2, 7, 40, 200}[rng.Intn(5)]
 		nc := 1 + rng.Intn(2*n)
@@ -220,12 +231,9 @@ func TestQuickAssemblePendingAgainstRebuild(t *testing.T) {
 		base := matrixFromModel(t, n, nc, model)
 		basePtr, baseIdx, baseVal := slices.Clone(base.ptr), slices.Clone(base.idx), slices.Clone(base.val)
 
-		snap, err := base.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
 		// Operations land in up to two row windows, so whole runs of rows
-		// before, between and after them stay untouched.
+		// before, between and after them stay untouched; a vector's land in
+		// its one row.
 		var rows []int
 		for w := 1 + rng.Intn(2); w > 0; w-- {
 			lo := rng.Intn(n)
@@ -233,8 +241,33 @@ func TestQuickAssemblePendingAgainstRebuild(t *testing.T) {
 				rows = append(rows, i)
 			}
 		}
+		recv, vec := base, (*Vector[float64])(nil)
+		switch kind {
+		case snapshotReceiver:
+			snap, err := base.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			recv = snap
+		case vectorReceiver:
+			rows = rows[:1]
+			lo, hi := base.ptr[rows[0]], base.ptr[rows[0]+1]
+			v, err := VectorFromTuples(nc, base.idx[lo:hi], base.val[lo:hi], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vec = v
+		}
+		set, remove, pendingOps := recv.SetElement, recv.RemoveElement, recv.PendingTuples
+		if vec != nil {
+			set = func(x float64, _, j int) error { return vec.SetElement(x, j) }
+			remove = func(_, j int) error { return vec.RemoveElement(j) }
+			pendingOps = vec.PendingTuples
+		}
+
 		nops := []int{1, 3, 48, max(1, n/16), n/16 + 1, 4 * n}[rng.Intn(6)]
 		hot := [][2]int{} // positions revisited, so one position folds several calls
+		buffered := 0     // an in-place update is the only call that does not buffer
 		for k := 0; k < nops; k++ {
 			pos := [2]int{rows[rng.Intn(len(rows))], rng.Intn(nc)}
 			if len(hot) > 0 && rng.Intn(3) == 0 {
@@ -242,34 +275,48 @@ func TestQuickAssemblePendingAgainstRebuild(t *testing.T) {
 			}
 			hot = append(hot, pos)
 			if rng.Intn(3) == 0 {
-				if err := snap.RemoveElement(pos[0], pos[1]); err != nil {
+				if err := remove(pos[0], pos[1]); err != nil {
 					t.Fatal(err)
 				}
 				delete(model, pos)
+				buffered++
 				continue
 			}
 			x := float64(1 + rng.Intn(9))
-			if err := snap.SetElement(x, pos[0], pos[1]); err != nil {
+			if err := set(x, pos[0], pos[1]); err != nil {
 				t.Fatal(err)
+			}
+			if _, present := model[pos]; !present || buffered > 0 || kind == snapshotReceiver {
+				buffered++
 			}
 			model[pos] = x
 		}
-		if snap.PendingTuples() != nops {
-			t.Fatalf("seed %d: %d operations buffered, want %d", seed, snap.PendingTuples(), nops)
+		if got := pendingOps(); got != buffered {
+			t.Fatalf("seed %d receiver %d: %d operations buffered, want %d", seed, kind, got, buffered)
 		}
-		snap.Wait()
 
 		want := matrixFromModel(t, n, nc, model)
-		if !slices.Equal(snap.ptr, want.ptr) || !slices.Equal(snap.idx, want.idx) || !slices.Equal(snap.val, want.val) {
-			t.Errorf("seed %d (%dx%d, %d ops): assembled\n ptr %v\n idx %v\n val %v\nrebuilt\n ptr %v\n idx %v\n val %v",
-				seed, n, nc, nops, snap.ptr, snap.idx, snap.val, want.ptr, want.idx, want.val)
+		if vec != nil {
+			vec.Wait()
+			lo, hi := want.ptr[rows[0]], want.ptr[rows[0]+1]
+			if !slices.Equal(vec.idx, want.idx[lo:hi]) || !slices.Equal(vec.val, want.val[lo:hi]) || vec.PendingTuples() != 0 {
+				t.Errorf("seed %d (length %d, %d ops): assembled vector\n idx %v\n val %v\nrebuilt row %d\n idx %v\n val %v",
+					seed, nc, nops, vec.idx, vec.val, rows[0], want.idx[lo:hi], want.val[lo:hi])
+				return false
+			}
+			return true
+		}
+		recv.Wait()
+		if !slices.Equal(recv.ptr, want.ptr) || !slices.Equal(recv.idx, want.idx) || !slices.Equal(recv.val, want.val) {
+			t.Errorf("seed %d receiver %d (%dx%d, %d ops): assembled\n ptr %v\n idx %v\n val %v\nrebuilt\n ptr %v\n idx %v\n val %v",
+				seed, kind, n, nc, nops, recv.ptr, recv.idx, recv.val, want.ptr, want.idx, want.val)
 			return false
 		}
-		if snap.Frozen() || snap.PendingTuples() != 0 || snap.PendingDeletes() != 0 {
-			t.Errorf("seed %d: assembled snapshot still frozen or pending", seed)
+		if recv.Frozen() || recv.PendingTuples() != 0 {
+			t.Errorf("seed %d receiver %d: assembled matrix still frozen or pending", seed, kind)
 			return false
 		}
-		if !slices.Equal(base.ptr, basePtr) || !slices.Equal(base.idx, baseIdx) || !slices.Equal(base.val, baseVal) {
+		if kind == snapshotReceiver && (!slices.Equal(base.ptr, basePtr) || !slices.Equal(base.idx, baseIdx) || !slices.Equal(base.val, baseVal)) {
 			t.Errorf("seed %d: assembling the snapshot changed its base", seed)
 			return false
 		}

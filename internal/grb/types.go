@@ -10,9 +10,9 @@
 //   - three storage formats — sparse (CSR), bitmap, and full — with
 //     automatic, hysteretic switching by density (§VI-A of the paper credits
 //     the bitmap format for the push/pull BFS and BC results);
-//   - non-blocking-mode internals: pending tuples (unassembled insertions),
-//     zombies (lazily deleted entries), and the lazy sort (jumbled rows),
-//     all assembled on demand by Wait;
+//   - non-blocking-mode internals: pending operations (unassembled
+//     insertions, and tombstones, the one form a sparse deletion takes)
+//     and the lazy sort (jumbled rows), both assembled on demand by Wait;
 //   - positional semirings such as any.secondi, where the multiplicative
 //     operator returns an index of the pair rather than a value, and the
 //     "any" monoid, which may pick an arbitrary reduction witness and
@@ -37,8 +37,10 @@
 // (finalize.go), which the list merges, the CSR row merge, the dense output
 // and the assigns with their region all call; a bitmap/full output is
 // updated at T's entries by foldAt; two ascending index lists are walked by
-// unionWalk; and a vector operand reaches the two product kernels as a
-// one-row matrix view of its own arrays (Vector.asRow).
+// unionWalk; a vector operand reaches the two product kernels as a
+// one-row matrix view of its own arrays (Vector.asRow); and a sparse
+// vector's pending operations are assembled on that view by the one
+// assembler, Matrix.assemblePending.
 //
 // Matrices are held by row. There is no separate CSC format: computations
 // that need the reverse orientation take an explicitly transposed matrix,
@@ -120,23 +122,15 @@ var All []int
 // isAll reports whether an index list means the whole range [0, n).
 func isAll(idx []int) bool { return idx == nil }
 
-// pending is one unassembled (row, col, value) operation. del marks a
-// tombstone: a deletion buffered out-of-structure, the complement of a
-// pending insertion. Tombstones are used by copy-on-write snapshots
-// (Matrix.Snapshot), where the zombie mechanism is unavailable because it
-// would mutate the shared CSR arrays in place.
+// pending is one unassembled (row, col, value) operation; a vector's are a
+// one-row matrix's, row 0 and the index in j. del marks a tombstone: a
+// deletion buffered out of the structure, the complement of a pending
+// insertion, and the only form a sparse deletion takes.
 type pending[T Value] struct {
 	i, j int
 	x    T
 	del  bool
 }
-
-// zombieFlip encodes a column index as a zombie (lazily deleted entry).
-// It is its own inverse on the encoded domain: zombieFlip(j) = -j-1.
-func zombieFlip(j int) int { return -j - 1 }
-
-// isZombie reports whether an encoded column index marks a deleted entry.
-func isZombie(j int) bool { return j < 0 }
 
 // truthy reports whether a stored value is "true" under the valued-mask
 // convention: any value other than the zero value of its type.

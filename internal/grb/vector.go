@@ -1,26 +1,25 @@
 package grb
 
-import "sort"
+import "slices"
 
 // Vector is a generic GraphBLAS vector of length n. Like Matrix it may be
-// sparse (sorted index/value lists), bitmap, or full, and sparse vectors
-// carry pending tuples and zombies assembled by Wait. The sparse form is
-// the natural "frontier as list" representation for the push direction; the
-// bitmap form is the "frontier as bitmap" the pull direction needs
-// (paper §VI-A).
+// sparse (sorted index/value lists), bitmap, or full, and a sparse vector
+// carries the pending work of a one-row matrix: pending operations and a
+// jumbled list, assembled by Wait. The sparse form is the natural "frontier
+// as list" representation for the push direction; the bitmap form is the
+// "frontier as bitmap" the pull direction needs (paper §VI-A).
 type Vector[T Value] struct {
 	n      int
 	format Format
 
-	idx []int // sparse: sorted entry indices (negative = zombie)
+	idx []int // sparse: sorted entry indices
 	val []T   // sparse: len(idx); bitmap/full: len n
 
 	b      []int8
 	nvalsB int
 
-	jumbled  bool
-	nzombies int
-	pend     []pending[T] // assembled in call order: the last tuple on an index wins
+	jumbled bool
+	pend    []pending[T] // a one-row matrix's: the index in j, the last operation on an index wins
 }
 
 // NewVector returns an empty sparse vector of length n.
@@ -49,11 +48,9 @@ func (v *Vector[T]) Format() Format { return v.format }
 // Jumbled reports whether the entry list may be unsorted (lazy sort).
 func (v *Vector[T]) Jumbled() bool { return v.jumbled }
 
-// PendingTuples reports the number of unassembled insertions.
+// PendingTuples reports the number of unassembled operations (insertions
+// plus tombstones).
 func (v *Vector[T]) PendingTuples() int { return len(v.pend) }
-
-// Zombies reports the number of lazily deleted entries.
-func (v *Vector[T]) Zombies() int { return v.nzombies }
 
 // NVals returns the number of stored entries, finishing pending work first.
 func (v *Vector[T]) NVals() int {
@@ -72,7 +69,7 @@ func (v *Vector[T]) NVals() int {
 func (v *Vector[T]) Clear() {
 	v.format = FormatSparse
 	v.idx, v.val, v.b = nil, nil, nil
-	v.nvalsB, v.nzombies = 0, 0
+	v.nvalsB = 0
 	v.jumbled = false
 	v.pend = nil
 }
@@ -87,7 +84,9 @@ func (v *Vector[T]) Dup() *Vector[T] {
 	return c
 }
 
-// SetElement stores w(i) = x.
+// SetElement stores w(i) = x. As on a matrix, a sparse vector updates a
+// present entry in place only while nothing is pending; otherwise the
+// store becomes a pending tuple.
 func (v *Vector[T]) SetElement(x T, i int) error {
 	if i < 0 || i >= v.n {
 		return errf(InvalidIndex, "SetElement: %d outside length %d", i, v.n)
@@ -102,20 +101,19 @@ func (v *Vector[T]) SetElement(x T, i int) error {
 		}
 		v.val[i] = x
 	default:
-		if p, ok := v.findSparse(i); ok {
-			if isZombie(v.idx[p]) {
-				v.idx[p] = zombieFlip(v.idx[p])
-				v.nzombies--
+		if len(v.pend) == 0 {
+			if p, ok := v.findSparse(i); ok {
+				v.val[p] = x
+				return nil
 			}
-			v.val[p] = x
-			return nil
 		}
-		v.pend = append(v.pend, pending[T]{i: i, x: x})
+		v.pend = append(v.pend, pending[T]{j: i, x: x})
 	}
 	return nil
 }
 
-// RemoveElement deletes w(i) if present.
+// RemoveElement deletes w(i) if present. On a sparse vector the deletion
+// becomes a pending tombstone.
 func (v *Vector[T]) RemoveElement(i int) error {
 	if i < 0 || i >= v.n {
 		return errf(InvalidIndex, "RemoveElement: %d outside length %d", i, v.n)
@@ -132,13 +130,7 @@ func (v *Vector[T]) RemoveElement(i int) error {
 			v.nvalsB--
 		}
 	default:
-		if len(v.pend) > 0 {
-			v.Wait()
-		}
-		if p, ok := v.findSparse(i); ok && !isZombie(v.idx[p]) {
-			v.idx[p] = zombieFlip(v.idx[p])
-			v.nzombies++
-		}
+		v.pend = append(v.pend, pending[T]{j: i, del: true})
 	}
 	return nil
 }
@@ -161,7 +153,7 @@ func (v *Vector[T]) ExtractElement(i int) (T, error) {
 		if len(v.pend) > 0 {
 			v.Wait()
 		}
-		if p, ok := v.findSparse(i); ok && !isZombie(v.idx[p]) {
+		if p, ok := v.findSparse(i); ok {
 			return v.val[p], nil
 		}
 		return zero, ErrNoValue
@@ -169,71 +161,32 @@ func (v *Vector[T]) ExtractElement(i int) (T, error) {
 }
 
 func (v *Vector[T]) findSparse(i int) (int, bool) {
-	if !v.jumbled && v.nzombies == 0 {
-		p := sort.SearchInts(v.idx, i)
-		if p < len(v.idx) && v.idx[p] == i {
-			return p, true
-		}
-		return 0, false
+	if v.jumbled {
+		p := slices.Index(v.idx, i)
+		return p, p >= 0
 	}
-	for p, c := range v.idx {
-		if c == i || (isZombie(c) && zombieFlip(c) == i) {
-			return p, true
-		}
-	}
-	return 0, false
+	return slices.BinarySearch(v.idx, i)
 }
 
-// Wait assembles zombies, the lazy sort, and pending tuples.
+// Wait sorts a jumbled list and assembles the pending operations. A vector
+// has no assembler of its own: its pending operations are a one-row
+// matrix's, merged by assemblePending on the asRow view.
 func (v *Vector[T]) Wait() {
 	if v.format != FormatSparse {
 		return
 	}
-	if v.nzombies > 0 {
-		w := 0
-		for p := range v.idx {
-			if !isZombie(v.idx[p]) {
-				v.idx[w], v.val[w] = v.idx[p], v.val[p]
-				w++
-			}
-		}
-		v.idx, v.val = v.idx[:w], v.val[:w]
-		v.nzombies = 0
-	}
 	if v.jumbled {
-		if !sort.IntsAreSorted(v.idx) {
+		if !slices.IsSorted(v.idx) {
 			pairSort(v.idx, v.val)
 		}
 		v.jumbled = false
 	}
 	if len(v.pend) > 0 {
-		pend := v.pend
-		v.pend = nil
-		sort.SliceStable(pend, func(a, b int) bool { return pend[a].i < pend[b].i })
-		w := 0
-		for r := 0; r < len(pend); r++ {
-			if w > 0 && pend[w-1].i == pend[r].i {
-				pend[w-1].x = pend[r].x
-			} else {
-				pend[w] = pend[r]
-				w++
-			}
-		}
-		pend = pend[:w]
-		pidx := make([]int, len(pend))
-		for q := range pend {
-			pidx[q] = pend[q].i
-		}
-		idx := make([]int, 0, len(v.idx)+len(pend))
-		val := make([]T, 0, len(v.val)+len(pend))
-		unionWalk(v.idx, pidx, func(i, p, q int) {
-			x, _ := entryAt(v.val, p)
-			if q >= 0 {
-				x = pend[q].x
-			}
-			idx, val = append(idx, i), append(val, x)
-		})
-		v.idx, v.val = idx, val
+		var ptr [2]int
+		row := v.asRow(&ptr)
+		row.pend, v.pend = v.pend, nil
+		row.assemblePending()
+		v.idx, v.val = row.idx, row.val
 	}
 }
 
@@ -322,8 +275,7 @@ func (v *Vector[T]) conform() {
 	size := int64(v.n)
 	switch v.format {
 	case FormatSparse:
-		nv := len(v.idx) - v.nzombies + len(v.pend)
-		if wantBitmap(nv, size, true) {
+		if wantBitmap(len(v.idx)+len(v.pend), size, true) {
 			v.Wait()
 			if len(v.idx) == v.n && v.n > 0 {
 				v.ConvertTo(FormatFull)
@@ -439,14 +391,10 @@ func (v *Vector[T]) Iterate(f func(i int, x T)) {
 // binary search for sparse; the value is meaningful only where present. The
 // vector must be finished.
 func (v *Vector[T]) get(i int) (x T, ok bool) {
-	if v.format == FormatSparse {
-		return v.getSparse(i)
+	if v.format != FormatSparse {
+		return v.val[i], v.b == nil || v.b[i] != 0
 	}
-	return v.val[i], v.b == nil || v.b[i] != 0
-}
-
-func (v *Vector[T]) getSparse(i int) (x T, ok bool) {
-	if p := sort.SearchInts(v.idx, i); p < len(v.idx) && v.idx[p] == i {
+	if p, ok := v.findSparse(i); ok {
 		return v.val[p], true
 	}
 	return x, false

@@ -109,12 +109,14 @@ func randomBatch(rng *rand.Rand, n int, m edgeModel) []Op {
 
 // TestMutationDifferentialWithCompaction drives seeded random batches
 // through Apply while the compactor runs between them (threshold 8, so
-// it races the next batch) and checks, after every batch, the finalized
+// it races the next batch), and after about one batch in eight also
+// compacts synchronously. After every batch it checks the finalized
 // snapshot, Result.Edges, the degrees its readers compute and the carried
-// NDiag against a map model. Every 25th batch, BFS, PageRank, CC and (for
-// the undirected kind) TC on the published version must agree with
-// internal/gap on the model's edges. At the end, every checkpoint plus
-// the journaled batches above its version must reproduce the model too.
+// NDiag against a map model. Every 25th batch, BFS, PageRank, CC, SSSP,
+// BC and (for the undirected kind) TC on the published version must agree
+// with internal/gap on the model's weighted edges. At the end, every
+// checkpoint plus the journaled batches above its version must reproduce
+// the model too.
 func TestMutationDifferentialWithCompaction(t *testing.T) {
 	for _, kind := range []lagraph.Kind{lagraph.AdjacencyDirected, lagraph.AdjacencyUndirected} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -150,6 +152,9 @@ func mutationDifferential(t *testing.T, kind lagraph.Kind, seed int64) {
 		}
 		if res.Edges != len(want) {
 			t.Fatalf("batch %d: Result.Edges = %d, model has %d", b, res.Edges, len(want))
+		}
+		if rng.Intn(8) == 0 {
+			e.compactOne("d")
 		}
 		checkPublished(t, reg, res.Version, want)
 		checkBookkeeping(t, e, want)
@@ -241,8 +246,10 @@ func checkBookkeeping(t *testing.T, e *Engine, want edgeModel) {
 }
 
 // checkKernels leases the published version the way a job does and runs
-// BFS (which reads RowDegree), PageRank, CC and, on an undirected graph,
-// TC, each against internal/gap on the model's edges.
+// BFS (which reads RowDegree), PageRank, CC, SSSP from vertex 0, BC from
+// four sources and, on an undirected graph, TC, each against internal/gap
+// on the model's weighted edges, within the tolerances of the lagraph
+// package's cross-validation tests.
 func checkKernels(t *testing.T, reg *registry.Registry, kind lagraph.Kind, want edgeModel) {
 	t.Helper()
 	l, err := reg.Acquire("d")
@@ -256,10 +263,11 @@ func checkKernels(t *testing.T, reg *registry.Registry, kind lagraph.Kind, want 
 	ctx, g := context.Background(), l.Graph()
 	n := g.NumNodes()
 	var src, dst []int32
+	var w []float64
 	for _, c := range want.sorted() {
-		src, dst = append(src, int32(c.i)), append(dst, int32(c.j))
+		src, dst, w = append(src, int32(c.i)), append(dst, int32(c.j)), append(w, want[c])
 	}
-	oracle := gap.Build(n, src, dst, nil, kind == lagraph.AdjacencyDirected)
+	oracle := gap.Build(n, src, dst, w, kind == lagraph.AdjacencyDirected)
 
 	_, level, err := lagraph.BreadthFirstSearchAdvanced(ctx, g, 0, false, true)
 	if err != nil {
@@ -301,6 +309,29 @@ func checkKernels(t *testing.T, reg *registry.Registry, kind lagraph.Kind, want 
 	if labels.NVals() != n {
 		t.Fatalf("cc: %d labels for %d vertices", labels.NVals(), n)
 	}
+
+	const delta = 4.0
+	paths, err := lagraph.SSSPDeltaStepping(ctx, g, 0, delta)
+	if err != nil {
+		t.Fatalf("sssp: %v", err)
+	}
+	wantDist := gap.SSSPDelta(oracle, 0, delta)
+	paths.Iterate(func(i int, x float64) {
+		if w := float64(wantDist[i]); math.IsInf(w, 1) != math.IsInf(x, 1) || !math.IsInf(w, 1) && math.Abs(x-w) > 1e-3 {
+			t.Fatalf("sssp: dist(%d) = %v, gap %v", i, x, w)
+		}
+	})
+
+	bc, err := lagraph.BetweennessCentralityAdvanced(ctx, g, []int{0, 3, 5, 7})
+	if err != nil {
+		t.Fatalf("bc: %v", err)
+	}
+	wantBC := gap.BC(oracle, []int32{0, 3, 5, 7})
+	bc.Iterate(func(i int, x float64) {
+		if math.Abs(x-wantBC[i]) > 1e-6*(1+math.Abs(wantBC[i])) {
+			t.Fatalf("bc(%d) = %v, gap %v", i, x, wantBC[i])
+		}
+	})
 
 	if kind == lagraph.AdjacencyUndirected {
 		got, err := lagraph.TriangleCount(ctx, g)

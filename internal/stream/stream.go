@@ -194,6 +194,7 @@ type Engine struct {
 
 	compactCh     chan string
 	compactorDone chan struct{} // closed when the compactor goroutine exits
+	compactMu     sync.Mutex    // one compaction at a time: checkpoints reach the journal in version order
 
 	// compactorBeat is the unixnano of the compactor goroutine's last
 	// liveness beat — ticked while idle, stamped around each merge — so
@@ -434,26 +435,22 @@ func (e *Engine) ApplyCtx(ctx context.Context, name string, ops []Op) (res Resul
 	}
 
 	g, err := st.snapshot()
-	if err != nil {
-		if journal != nil {
-			journal.RevertBatch(name, nextVersion)
-		}
-		st.base = nil
-		return Result{}, err
+	var newEntry *registry.Entry
+	if err == nil {
+		newEntry, err = e.reg.Swap(name, g, registry.SwapStats{
+			Bytes:      st.estimateBytes(),
+			Nodes:      st.n,
+			Edges:      st.edges,
+			PendingOps: int64(len(st.log)),
+			Prev:       entry,
+		})
 	}
-	newEntry, err := e.reg.Swap(name, g, registry.SwapStats{
-		Bytes:      st.estimateBytes(),
-		Nodes:      st.n,
-		Edges:      st.edges,
-		PendingOps: int64(len(st.log)),
-		Prev:       entry,
-	})
 	if err != nil {
-		// The swap failed (budget, concurrent delete): roll nothing back
-		// in memory — the log faithfully describes the mutations — but
-		// resync on the next Apply by clearing the published-version
-		// marker, and take the unacknowledged batch back off the journal
-		// so it can never replay.
+		// The snapshot or the swap failed (budget, concurrent delete): roll
+		// nothing back in memory — the log faithfully describes the
+		// mutations — but resync on the next Apply by clearing the
+		// published-version marker, and take the unacknowledged batch back
+		// off the journal so it can never replay.
 		if journal != nil {
 			journal.RevertBatch(name, nextVersion)
 		}
@@ -639,6 +636,8 @@ func (e *Engine) compactor() {
 // only if the base the log was recorded against is still the live one;
 // batches that arrived meanwhile stay in the (now much shorter) delta log.
 func (e *Engine) compactOne(name string) {
+	e.compactMu.Lock()
+	defer e.compactMu.Unlock()
 	e.mu.Lock()
 	st := e.states[name]
 	e.mu.Unlock()
