@@ -32,11 +32,6 @@ type Matrix[T Value] struct {
 
 	jumbled bool
 	pend    []pending[T] // assembled in call order: the last operation on a position wins
-
-	// frozen marks a copy-on-write snapshot (see Snapshot): the CSR arrays
-	// are shared with other matrices and must never be mutated in place.
-	// The first Wait assembles fresh private arrays and clears the flag.
-	frozen bool
 }
 
 // NewMatrix returns an empty sparse nr-by-nc matrix.
@@ -76,10 +71,6 @@ func (m *Matrix[T]) Jumbled() bool { return m.jumbled }
 // plus tombstones).
 func (m *Matrix[T]) PendingTuples() int { return len(m.pend) }
 
-// Frozen reports whether the matrix is a copy-on-write snapshot whose CSR
-// arrays are still shared with its source.
-func (m *Matrix[T]) Frozen() bool { return m.frozen }
-
 // NVals returns the number of stored entries, finishing pending work first
 // (as GrB_Matrix_nvals does).
 func (m *Matrix[T]) NVals() int {
@@ -114,7 +105,6 @@ func (m *Matrix[T]) Clear() {
 	m.nvalsB = 0
 	m.jumbled = false
 	m.pend = nil
-	m.frozen = false
 }
 
 // Dup returns a deep copy. Pending work is finished first so the copy is
@@ -129,36 +119,50 @@ func (m *Matrix[T]) Dup() *Matrix[T] {
 	return c
 }
 
-// Snapshot returns a copy-on-write clone of a finished sparse matrix. The
-// clone shares the receiver's CSR arrays without copying; mutations on the
-// clone buffer as pending tuples (SetElement) and tombstones
-// (RemoveElement) and never touch the shared arrays, so the receiver — and
-// every other snapshot of it — keeps reading a stable structure. The first
-// Wait on the clone merges the buffered delta into fresh private arrays,
-// after which the clone behaves like any other matrix.
+// Snapshot returns a copy-on-write clone of a sparse matrix. The clone
+// shares the receiver's CSR arrays and pending operations without copying;
+// the shared list is capacity-clipped, so an operation either side buffers
+// later (SetElement and RemoveElement never write a sparse matrix's arrays)
+// can never land in the other's list, and the receiver — and every other
+// snapshot of it — keeps reading a stable structure. The first Wait on the
+// clone merges both into fresh private arrays.
 //
-// The receiver must be finished (no pending operations or jumbled rows)
-// and sparse; Snapshot does not call Wait itself because the receiver may
-// be concurrently read by other goroutines.
+// The receiver must be sparse and must not be jumbled; its pending
+// operations are shared. Snapshot does not call Wait itself because the
+// receiver may be concurrently read by other goroutines.
 func (m *Matrix[T]) Snapshot() (*Matrix[T], error) {
-	if m.format != FormatSparse {
-		return nil, errf(InvalidValue, "Snapshot: matrix is not sparse")
+	if m.format != FormatSparse || m.jumbled {
+		return nil, errf(InvalidValue, "Snapshot: matrix is not sparse, or jumbled (format %v)", m.format)
 	}
-	if m.jumbled || len(m.pend) > 0 {
-		return nil, errf(InvalidValue,
-			"Snapshot: matrix has unfinished work (%d pending, jumbled=%v)", len(m.pend), m.jumbled)
-	}
+	n := len(m.pend)
 	return &Matrix[T]{
 		nr: m.nr, nc: m.nc, format: FormatSparse,
 		ptr: m.ptr, idx: m.idx, val: m.val,
-		frozen: true,
+		pend: m.pend[:n:n],
 	}, nil
 }
 
-// SetElement stores A(i,j) = x. On a sparse matrix an entry already present
-// is updated in place only while nothing is pending and the arrays are
-// private; otherwise the store becomes a pending tuple (non-blocking mode),
-// so it can never overtake a pending tombstone on the same position.
+// Advance moves a snapshot's base past a prefix of its pending operations:
+// done must be the finished assembly of the receiver's arrays and its first
+// k pending operations (a Wait on an earlier Snapshot of it, say). The
+// receiver shares done's arrays and keeps operations k… pending, so what it
+// assembles to is unchanged.
+func (m *Matrix[T]) Advance(done *Matrix[T], k int) error {
+	if m.format != FormatSparse || done.format != FormatSparse || done.jumbled || len(done.pend) > 0 || done.nr != m.nr || done.nc != m.nc {
+		return errf(InvalidValue, "Advance: needs a sparse receiver and a finished sparse %dx%d base", m.nr, m.nc)
+	}
+	if k < 0 || k > len(m.pend) {
+		return errf(InvalidIndex, "Advance: prefix %d outside %d pending operations", k, len(m.pend))
+	}
+	m.ptr, m.idx, m.val = done.ptr, done.idx, done.val
+	m.pend = m.pend[k:]
+	return nil
+}
+
+// SetElement stores A(i,j) = x. On a sparse matrix the store is a pending
+// tuple (non-blocking mode) that Wait assembles, so the CSR arrays are never
+// written in place and a store can never overtake a pending tombstone on
+// the same position.
 func (m *Matrix[T]) SetElement(x T, i, j int) error {
 	if i < 0 || i >= m.nr || j < 0 || j >= m.nc {
 		return errf(InvalidIndex, "SetElement: (%d,%d) outside %dx%d", i, j, m.nr, m.nc)
@@ -174,12 +178,6 @@ func (m *Matrix[T]) SetElement(x T, i, j int) error {
 		}
 		m.val[p] = x
 	default:
-		if !m.frozen && len(m.pend) == 0 {
-			if p, ok := m.findSparse(i, j); ok {
-				m.val[p] = x
-				return nil
-			}
-		}
 		m.pend = append(m.pend, pending[T]{i: i, j: j, x: x})
 	}
 	return nil
@@ -316,7 +314,7 @@ func (m *Matrix[T]) assemblePending() {
 		fold = append(fold, op)
 	}
 	// Merge the folded operations into fresh arrays (never in place: a
-	// frozen snapshot shares its arrays with its source). CSR rows are
+	// snapshot shares its arrays with its source). CSR rows are
 	// contiguous, so whatever lies between two operations — the rest of a
 	// row, a run of untouched rows — is copied in one piece, and a row's
 	// new start is its old one shifted by the entries gained so far.
@@ -359,7 +357,6 @@ func (m *Matrix[T]) assemblePending() {
 		newPtr[row] = m.ptr[row] + gained
 	}
 	m.ptr, m.idx, m.val = newPtr, newIdx, newVal
-	m.frozen = false // the arrays above are private now
 }
 
 // markJumbled flags the matrix rows as possibly unsorted; if the lazy sort

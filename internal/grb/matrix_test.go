@@ -62,17 +62,21 @@ func TestSetElementDuplicatePendingLastWins(t *testing.T) {
 	}
 }
 
-func TestSetElementUpdatesExistingInPlace(t *testing.T) {
+func TestSetElementBuffersUpdateOfExisting(t *testing.T) {
 	m := mustFromTuples(t, 3, 3, []int{0, 1}, []int{1, 2}, []int64{10, 20})
+	idx, val := m.idx, m.val
 	if err := m.SetElement(99, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if m.PendingTuples() != 0 {
-		t.Fatal("in-place update created a pending tuple")
+	if m.PendingTuples() != 1 || val[0] != 10 {
+		t.Fatalf("update of a present entry: %d pending, stored value %d; want 1 pending, 10 untouched", m.PendingTuples(), val[0])
 	}
 	got, _ := m.ExtractElement(0, 1)
 	if got != 99 {
 		t.Fatalf("got %d, want 99", got)
+	}
+	if &m.idx[0] == &idx[0] {
+		t.Fatal("assembly reused the arrays a snapshot may share")
 	}
 }
 

@@ -35,9 +35,6 @@ func TestSnapshotIsCopyOnWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !snap.Frozen() {
-		t.Fatal("snapshot not frozen")
-	}
 
 	// Mutate the snapshot: update an existing entry, insert a new one,
 	// delete an existing one. None of it may touch the base.
@@ -60,9 +57,6 @@ func TestSnapshotIsCopyOnWrite(t *testing.T) {
 	// Assemble the snapshot and check the delta applied.
 	if n := snap.NVals(); n != 5 { // 5 - 1 delete + 1 insert
 		t.Fatalf("snapshot nvals = %d, want 5", n)
-	}
-	if snap.Frozen() {
-		t.Fatal("snapshot still frozen after Wait")
 	}
 	if x, err := snap.ExtractElement(0, 1); err != nil || x != 9 {
 		t.Fatalf("snap(0,1) = %v, %v; want 9", x, err)
@@ -141,19 +135,53 @@ func TestSnapshotOfSnapshotChains(t *testing.T) {
 	}
 }
 
-func TestSnapshotRequiresFinishedSparse(t *testing.T) {
+func TestSnapshotSharesPendingRejectsJumbledAndBitmap(t *testing.T) {
 	m := MustMatrix[float64](2, 2)
 	m.SetElement(1, 0, 0)
-	if _, err := m.Snapshot(); err == nil {
-		t.Fatal("snapshot of a matrix with pending tuples accepted")
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatalf("snapshot of a matrix with pending tuples rejected: %v", err)
+	}
+	if snap.PendingTuples() != 1 {
+		t.Fatalf("snapshot holds %d pending operations, want the source's 1", snap.PendingTuples())
 	}
 	m.Wait()
-	if _, err := m.Snapshot(); err != nil {
-		t.Fatalf("snapshot of finished matrix rejected: %v", err)
+	m.jumbled = true
+	if _, err := m.Snapshot(); err == nil {
+		t.Fatal("snapshot of a jumbled matrix accepted")
 	}
+	m.Wait()
 	m.ConvertTo(FormatBitmap)
 	if _, err := m.Snapshot(); err == nil {
 		t.Fatal("snapshot of a bitmap matrix accepted")
+	}
+}
+
+func TestAdvanceRejectsBadBaseOrPrefix(t *testing.T) {
+	m := buildSnapshotBase(t)
+	head, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	head.SetElement(6, 1, 1)
+	done, err := head.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := head.Advance(done, 1); err == nil {
+		t.Fatal("advance onto an unassembled base accepted")
+	}
+	done.Wait()
+	if err := head.Advance(MustMatrix[float64](4, 5), 0); err == nil {
+		t.Fatal("advance onto a base of another shape accepted")
+	}
+	for _, k := range []int{-1, 2} {
+		if err := head.Advance(done, k); err == nil {
+			t.Fatalf("advance by %d of 1 pending operation accepted", k)
+		}
+	}
+	if err := head.Advance(done, 1); err != nil || head.PendingTuples() != 0 {
+		t.Fatalf("advance by the whole log: %v, %d left pending", err, head.PendingTuples())
 	}
 }
 
@@ -201,21 +229,28 @@ func TestMatrixFromTuplesDupWithSelfLoops(t *testing.T) {
 // delete-then-reinsert, insert-then-delete, tombstones on absent entries,
 // rows left untouched at the start, middle and end, empty rows, and logs
 // from one operation to several per row. The last operation on a position
-// wins. The receiver is one more input:
-//   - a frozen Snapshot, which buffers every call; its shared base must
-//     come out unchanged;
-//   - the private base matrix itself, which updates a present entry in
-//     place while nothing is pending and buffers every call after that;
+// wins, and every call buffers. The receiver is one more input:
+//   - a Snapshot of the finished base, whose shared arrays must come out
+//     unchanged;
+//   - the private base matrix itself;
 //   - a Vector holding one row of the model, which takes that row's
-//     operations under the same rule as the base.
+//     operations;
+//   - a Snapshot taken mid-log of a base holding pending operations: the
+//     log's tail goes to the clone while operations outside the model
+//     interleave on the source, whose arrays and pending list must come out
+//     unchanged;
+//   - a Snapshot advanced mid-log onto the assembly of a random prefix of
+//     its operations, which must drop its pending count by the prefix.
 func TestQuickAssemblePendingAgainstRebuild(t *testing.T) {
 	const (
 		snapshotReceiver = iota
 		baseReceiver
 		vectorReceiver
+		pendingSnapshotReceiver
+		advancedReceiver
 	)
 	f := func(seed int64, receiver uint8) bool {
-		kind := int(receiver % 3)
+		kind := int(receiver % 5)
 		rng := rand.New(rand.NewSource(seed))
 		n := []int{1, 2, 7, 40, 200}[rng.Intn(5)]
 		nc := 1 + rng.Intn(2*n)
@@ -243,7 +278,7 @@ func TestQuickAssemblePendingAgainstRebuild(t *testing.T) {
 		}
 		recv, vec := base, (*Vector[float64])(nil)
 		switch kind {
-		case snapshotReceiver:
+		case snapshotReceiver, advancedReceiver:
 			snap, err := base.Snapshot()
 			if err != nil {
 				t.Fatal(err)
@@ -258,7 +293,9 @@ func TestQuickAssemblePendingAgainstRebuild(t *testing.T) {
 			}
 			vec = v
 		}
-		set, remove, pendingOps := recv.SetElement, recv.RemoveElement, recv.PendingTuples
+		set := func(x float64, i, j int) error { return recv.SetElement(x, i, j) }
+		remove := func(i, j int) error { return recv.RemoveElement(i, j) }
+		pendingOps := func() int { return recv.PendingTuples() }
 		if vec != nil {
 			set = func(x float64, _, j int) error { return vec.SetElement(x, j) }
 			remove = func(_, j int) error { return vec.RemoveElement(j) }
@@ -266,9 +303,47 @@ func TestQuickAssemblePendingAgainstRebuild(t *testing.T) {
 		}
 
 		nops := []int{1, 3, 48, max(1, n/16), n/16 + 1, 4 * n}[rng.Intn(6)]
-		hot := [][2]int{} // positions revisited, so one position folds several calls
-		buffered := 0     // an in-place update is the only call that does not buffer
-		for k := 0; k < nops; k++ {
+		split := rng.Intn(nops + 1) // where the clone is taken, or the receiver advanced
+		prefix := rng.Intn(split + 1)
+		var early *Matrix[float64]     // the advanced receiver after its first prefix operations
+		var srcPend []pending[float64] // the clone's source's pending list, as it must stay
+		hot := [][2]int{}              // positions revisited, so one position folds several calls
+		for k := 0; k <= nops; k++ {
+			if kind == advancedReceiver && k == prefix {
+				early, _ = recv.Snapshot()
+			}
+			if kind == advancedReceiver && k == split {
+				early.Wait()
+				before := recv.PendingTuples()
+				if err := recv.Advance(early, prefix); err != nil {
+					t.Fatal(err)
+				}
+				if got := recv.PendingTuples(); got != before-prefix {
+					t.Errorf("seed %d: advancing by %d left %d of %d pending", seed, prefix, got, before)
+					return false
+				}
+			}
+			if kind == pendingSnapshotReceiver && k == split {
+				clone, err := base.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				recv, srcPend = clone, slices.Clone(base.pend)
+			}
+			if k == nops {
+				break
+			}
+			if kind == pendingSnapshotReceiver && k >= split && rng.Intn(2) == 0 {
+				// An operation on the source the clone must never see.
+				op := pending[float64]{i: rng.Intn(n), j: rng.Intn(nc), x: float64(100 + k), del: rng.Intn(3) == 0}
+				if op.del {
+					base.RemoveElement(op.i, op.j)
+					op.x = 0
+				} else {
+					base.SetElement(op.x, op.i, op.j)
+				}
+				srcPend = append(srcPend, op)
+			}
 			pos := [2]int{rows[rng.Intn(len(rows))], rng.Intn(nc)}
 			if len(hot) > 0 && rng.Intn(3) == 0 {
 				pos = hot[rng.Intn(len(hot))]
@@ -279,17 +354,17 @@ func TestQuickAssemblePendingAgainstRebuild(t *testing.T) {
 					t.Fatal(err)
 				}
 				delete(model, pos)
-				buffered++
 				continue
 			}
 			x := float64(1 + rng.Intn(9))
 			if err := set(x, pos[0], pos[1]); err != nil {
 				t.Fatal(err)
 			}
-			if _, present := model[pos]; !present || buffered > 0 || kind == snapshotReceiver {
-				buffered++
-			}
 			model[pos] = x
+		}
+		buffered := nops
+		if kind == advancedReceiver {
+			buffered -= prefix
 		}
 		if got := pendingOps(); got != buffered {
 			t.Fatalf("seed %d receiver %d: %d operations buffered, want %d", seed, kind, got, buffered)
@@ -312,12 +387,16 @@ func TestQuickAssemblePendingAgainstRebuild(t *testing.T) {
 				seed, kind, n, nc, nops, recv.ptr, recv.idx, recv.val, want.ptr, want.idx, want.val)
 			return false
 		}
-		if recv.Frozen() || recv.PendingTuples() != 0 {
-			t.Errorf("seed %d receiver %d: assembled matrix still frozen or pending", seed, kind)
+		if recv.PendingTuples() != 0 {
+			t.Errorf("seed %d receiver %d: assembled matrix still pending", seed, kind)
 			return false
 		}
-		if kind == snapshotReceiver && (!slices.Equal(base.ptr, basePtr) || !slices.Equal(base.idx, baseIdx) || !slices.Equal(base.val, baseVal)) {
-			t.Errorf("seed %d: assembling the snapshot changed its base", seed)
+		if kind != baseReceiver && (!slices.Equal(base.ptr, basePtr) || !slices.Equal(base.idx, baseIdx) || !slices.Equal(base.val, baseVal)) {
+			t.Errorf("seed %d receiver %d: assembling the snapshot changed its base", seed, kind)
+			return false
+		}
+		if kind == pendingSnapshotReceiver && !slices.Equal(base.pend, srcPend) {
+			t.Errorf("seed %d: the clone's operations leaked into its source's pending list", seed)
 			return false
 		}
 		return true

@@ -84,9 +84,8 @@ func (v *Vector[T]) Dup() *Vector[T] {
 	return c
 }
 
-// SetElement stores w(i) = x. As on a matrix, a sparse vector updates a
-// present entry in place only while nothing is pending; otherwise the
-// store becomes a pending tuple.
+// SetElement stores w(i) = x. As on a matrix, on a sparse vector the store
+// becomes a pending tuple.
 func (v *Vector[T]) SetElement(x T, i int) error {
 	if i < 0 || i >= v.n {
 		return errf(InvalidIndex, "SetElement: %d outside length %d", i, v.n)
@@ -101,12 +100,6 @@ func (v *Vector[T]) SetElement(x T, i int) error {
 		}
 		v.val[i] = x
 	default:
-		if len(v.pend) == 0 {
-			if p, ok := v.findSparse(i); ok {
-				v.val[p] = x
-				return nil
-			}
-		}
 		v.pend = append(v.pend, pending[T]{j: i, x: x})
 	}
 	return nil

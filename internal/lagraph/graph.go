@@ -149,10 +149,10 @@ func (g *Graph[T]) DeleteProperties() {
 }
 
 // Snapshot returns a copy-on-write clone of the graph for streaming
-// mutation: the clone's adjacency matrix shares A's finished CSR arrays
-// (grb.Matrix.Snapshot), buffering edge upserts and deletions as pending
-// tuples and tombstones that never touch the shared structure — so the
-// receiver, and every algorithm still reading it, keeps its view.
+// mutation: the clone's adjacency matrix shares A's CSR arrays and pending
+// operations (grb.Matrix.Snapshot), buffering edge upserts and deletions as
+// pending tuples and tombstones that never touch the shared structure — so
+// the receiver, and every algorithm still reading it, keeps its view.
 //
 // Cached properties are invalidated on the clone, with two exceptions the
 // mutation layer can maintain more cheaply than a recompute: an
@@ -160,8 +160,8 @@ func (g *Graph[T]) DeleteProperties() {
 // (mirrored mutations preserve it), and the caller may re-seed NDiag from
 // its incremental self-loop count by assigning the field before the clone
 // is shared. Degrees and AT are recomputed by whichever reader needs them.
-// A must be finished; Snapshot does not call Wait because the receiver may
-// be concurrently read.
+// A must not be jumbled; its pending operations are shared. Snapshot does
+// not call Wait because the receiver may be concurrently read.
 func (g *Graph[T]) Snapshot() (*Graph[T], error) {
 	if g == nil || g.A == nil {
 		return nil, errf(StatusInvalidGraph, "Snapshot: graph has no matrix")

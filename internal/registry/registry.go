@@ -84,9 +84,8 @@ type Entry struct {
 	// EnsureFinalized single flight.
 	nodes int
 	edges int
-	// pendingOps is the number of delta-log operations layered over the
-	// snapshot's shared base CSR (0 for directly loaded graphs and for
-	// freshly compacted snapshots).
+	// pendingOps counts the pending operations the snapshot was published
+	// with (0 for loaded graphs and freshly compacted snapshots).
 	pendingOps int64
 
 	refs     atomic.Int64 // outstanding leases
@@ -129,8 +128,8 @@ func (e *Entry) Version() uint64 { return e.version }
 // CountAlgRun records one algorithm invocation against this graph.
 func (e *Entry) CountAlgRun() { e.reg.algorithmRuns.Add(1) }
 
-// PendingDeltaOps returns the number of unassembled delta-log operations
-// this snapshot was published with.
+// PendingDeltaOps returns the number of pending operations its matrix held
+// when Swap published this snapshot (grb.Matrix.PendingTuples).
 func (e *Entry) PendingDeltaOps() int64 { return e.pendingOps }
 
 // EnsureFinalized assembles any pending delta operations in the graph's
@@ -278,9 +277,9 @@ func EstimateBytes(g *lagraph.Graph[float64]) int64 {
 	return EstimateBytesFor(g.NumNodes(), g.NumEdges(), g.Kind == lagraph.AdjacencyDirected)
 }
 
-// EstimateBytesFor is EstimateBytes from raw counts, for callers — the
-// streaming-mutation engine — that track node/edge counts themselves and
-// must not touch a shared matrix to obtain them.
+// EstimateBytesFor is EstimateBytes from raw counts, for Swap: a streamed
+// snapshot's counts come from its publisher, since counting its entries
+// would assemble its pending operations.
 func EstimateBytesFor(nodes, edges int, directed bool) int64 {
 	n := int64(nodes)
 	nnz := int64(edges)
@@ -472,14 +471,15 @@ func (r *Registry) Restore(name string, g *lagraph.Graph[float64], version uint6
 	return e, nil
 }
 
-// SwapStats describes the snapshot being published by Swap. Bytes should
-// include the footprint of any pending delta operations layered over the
-// snapshot's shared base (<= 0 falls back to EstimateBytesFor).
+// pendingOpBytes estimates the resident cost of one pending operation a
+// snapshot carries: the operation itself plus its publisher's index slot.
+const pendingOpBytes = 96
+
+// SwapStats describes the snapshot g being published by Swap, which charges
+// pendingOpBytes per g.A.PendingTuples() on top of EstimateBytesFor.
 type SwapStats struct {
-	Bytes      int64
-	Nodes      int
-	Edges      int   // exact edge count of the snapshot, delta applied
-	PendingOps int64 // unassembled delta-log operations it carries
+	Nodes int
+	Edges int // exact edge count of the snapshot, pending operations applied
 
 	// KeepVersion publishes the snapshot under the replaced entry's
 	// version instead of bumping it. Compaction uses this: it republishes
@@ -504,9 +504,9 @@ type SwapStats struct {
 // unleased LRU entries, Swap fails with ErrNoCapacity and the registry is
 // unchanged.
 func (r *Registry) Swap(name string, g *lagraph.Graph[float64], st SwapStats) (*Entry, error) {
-	if st.Bytes <= 0 {
-		st.Bytes = EstimateBytesFor(st.Nodes, st.Edges, g.Kind == lagraph.AdjacencyDirected)
-	}
+	// g is unshared or already finished, so nothing writes its pending list.
+	pending := int64(g.A.PendingTuples())
+	bytes := EstimateBytesFor(st.Nodes, st.Edges, g.Kind == lagraph.AdjacencyDirected) + pending*pendingOpBytes
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -519,20 +519,20 @@ func (r *Registry) Swap(name string, g *lagraph.Graph[float64], st SwapStats) (*
 	if st.Prev != nil && st.Prev != old {
 		return nil, fmt.Errorf("%w: %q", ErrConflict, name)
 	}
-	if r.maxBytes > 0 && st.Bytes > r.maxBytes {
-		return nil, fmt.Errorf("%w: %q needs %d bytes, budget is %d", ErrNoCapacity, name, st.Bytes, r.maxBytes)
+	if r.maxBytes > 0 && bytes > r.maxBytes {
+		return nil, fmt.Errorf("%w: %q needs %d bytes, budget is %d", ErrNoCapacity, name, bytes, r.maxBytes)
 	}
 	// Detach the old entry (leases keep its graph alive), then make room.
 	delete(r.entries, name)
 	r.lru.Remove(old.elem)
 	r.curBytes -= old.bytes
 	if r.maxBytes > 0 {
-		if err := r.evictLocked(r.maxBytes - st.Bytes); err != nil {
+		if err := r.evictLocked(r.maxBytes - bytes); err != nil {
 			// Could not fit: restore the old entry, registry unchanged.
 			old.elem = r.lru.PushFront(old)
 			r.entries[name] = old
 			r.curBytes += old.bytes
-			return nil, fmt.Errorf("%w: %q needs %d bytes, %d in use and pinned", ErrNoCapacity, name, st.Bytes, r.curBytes)
+			return nil, fmt.Errorf("%w: %q needs %d bytes, %d in use and pinned", ErrNoCapacity, name, bytes, r.curBytes)
 		}
 	}
 	version := old.version
@@ -541,15 +541,15 @@ func (r *Registry) Swap(name string, g *lagraph.Graph[float64], st SwapStats) (*
 		r.versions[name] = version
 	}
 	e := &Entry{
-		name: name, graph: g, bytes: st.Bytes, version: version,
-		nodes: st.Nodes, edges: st.Edges, pendingOps: st.PendingOps,
+		name: name, graph: g, bytes: bytes, version: version,
+		nodes: st.Nodes, edges: st.Edges, pendingOps: pending,
 		loadedAt: time.Now(),
 		reg:      r,
 	}
 	e.lastUsed.Store(time.Now().UnixNano())
 	e.elem = r.lru.PushFront(e)
 	r.entries[name] = e
-	r.curBytes += st.Bytes
+	r.curBytes += bytes
 	r.swaps.Add(1)
 	return e, nil
 }

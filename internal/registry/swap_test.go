@@ -24,9 +24,11 @@ func TestSwapBumpsVersionAndIsolatesLeases(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
-	e2, err := r.Swap("g", g2, SwapStats{
-		Nodes: g1.NumNodes(), Edges: g1.NumEdges() + 1, PendingOps: 1,
-	})
+	// One pending operation: Swap reads it off the matrix and charges it.
+	if err := g2.A.SetElement(1, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	e2, err := r.Swap("g", g2, SwapStats{Nodes: g1.NumNodes(), Edges: g1.NumEdges() + 1})
 	if err != nil {
 		t.Fatalf("Swap: %v", err)
 	}
@@ -35,6 +37,9 @@ func TestSwapBumpsVersionAndIsolatesLeases(t *testing.T) {
 	}
 	if e2.PendingDeltaOps() != 1 {
 		t.Fatalf("pending ops = %d, want 1", e2.PendingDeltaOps())
+	}
+	if want := EstimateBytesFor(g1.NumNodes(), g1.NumEdges()+1, true) + pendingOpBytes; e2.Bytes() != want {
+		t.Fatalf("bytes = %d, want %d (the estimate plus one pending operation)", e2.Bytes(), want)
 	}
 
 	// The old lease still reads the old graph; a new acquire gets the new.
@@ -107,9 +112,7 @@ func TestSwapMissingAndBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
-	_, err = small.Swap("g", snap, SwapStats{
-		Bytes: EstimateBytes(g) * 10, Nodes: g.NumNodes(), Edges: g.NumEdges(),
-	})
+	_, err = small.Swap("g", snap, SwapStats{Nodes: g.NumNodes(), Edges: 10 * g.NumEdges()})
 	if !errors.Is(err, ErrNoCapacity) {
 		t.Fatalf("oversize swap: %v, want ErrNoCapacity", err)
 	}
@@ -123,14 +126,12 @@ func TestSwapMissingAndBudget(t *testing.T) {
 	l.Release()
 
 	// Accounting: a successful swap replaces the old footprint.
-	before := int64(scrape(t, small)["registry_resident_bytes"])
-	if _, err := small.Swap("g", snap, SwapStats{
-		Bytes: before + 32, Nodes: g.NumNodes(), Edges: g.NumEdges(),
-	}); err != nil {
+	want := EstimateBytesFor(g.NumNodes(), g.NumEdges()+2, false)
+	if _, err := small.Swap("g", snap, SwapStats{Nodes: g.NumNodes(), Edges: g.NumEdges() + 2}); err != nil {
 		t.Fatalf("fitting swap: %v", err)
 	}
-	if got := int64(scrape(t, small)["registry_resident_bytes"]); got != before+32 {
-		t.Fatalf("bytes after swap = %d, want %d", got, before+32)
+	if got := int64(scrape(t, small)["registry_resident_bytes"]); got != want {
+		t.Fatalf("bytes after swap = %d, want %d", got, want)
 	}
 }
 
@@ -155,12 +156,14 @@ func TestFailedSwapEvictsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The swap can never fit (bigger than the whole budget): it must fail
-	// without evicting the innocent, unleased "b".
-	_, err = r.Swap("a", snap, SwapStats{
-		Bytes: EstimateBytes(a) + EstimateBytes(b) + 1024,
-		Nodes: a.NumNodes(), Edges: a.NumEdges(),
-	})
+	// The swap can never fit (its pending operations alone outweigh the
+	// whole budget): it must fail without evicting the innocent, unleased "b".
+	for k := int64(0); k*pendingOpBytes <= EstimateBytes(a)+EstimateBytes(b); k++ {
+		if err := snap.A.RemoveElement(0, int(k)%a.NumNodes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err = r.Swap("a", snap, SwapStats{Nodes: a.NumNodes(), Edges: a.NumEdges()})
 	if !errors.Is(err, ErrNoCapacity) {
 		t.Fatalf("oversize swap: %v, want ErrNoCapacity", err)
 	}

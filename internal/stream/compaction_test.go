@@ -231,7 +231,8 @@ func checkPublished(t *testing.T, reg *registry.Registry, version uint64, want e
 	}
 }
 
-// checkBookkeeping compares the engine's incremental counts with the model.
+// checkBookkeeping compares the engine's incremental counts with the model
+// and checks the overlay is bounded by the delta log it indexes.
 func checkBookkeeping(t *testing.T, e *Engine, want edgeModel) {
 	t.Helper()
 	e.mu.Lock()
@@ -242,6 +243,9 @@ func checkBookkeeping(t *testing.T, e *Engine, want edgeModel) {
 	_, _, ndiag := modelDegrees(st.n, want)
 	if st.edges != len(want) || st.ndiag != ndiag {
 		t.Fatalf("bookkeeping edges=%d ndiag=%d; model edges=%d ndiag=%d", st.edges, st.ndiag, len(want), ndiag)
+	}
+	if len(st.overlay) > st.pending() {
+		t.Fatalf("overlay holds %d positions over a delta log of %d", len(st.overlay), st.pending())
 	}
 }
 

@@ -3,20 +3,21 @@
 // of full re-uploads, the way SuiteSparse:GraphBLAS's non-blocking mode
 // absorbs updates as pending tuples between analytic passes.
 //
-// Each mutated graph is backed by a per-name state: an immutable base CSR
-// plus a delta log of applied operations. Applying a batch appends to the
-// log and publishes a fresh copy-on-write snapshot to the registry — the
-// snapshot shares the base arrays and carries the log as pending
-// tuples/tombstones (grb.Matrix.Snapshot), assembled lazily by the first
-// reader. Publication goes through registry.Swap, which bumps the
-// per-graph version: in-flight jobs keep the incarnation they leased
-// (snapshot isolation), the jobs result cache re-keys automatically, and
-// new submissions see the new graph.
+// Each mutated graph is backed by a per-name state around a private head
+// graph: an immutable base CSR whose delta log is the head matrix's own
+// pending tuples and tombstones. Applying a batch buffers its operations on
+// the head and publishes an O(1) copy-on-write snapshot of it to the
+// registry — the snapshot shares the base arrays and the log so far
+// (grb.Matrix.Snapshot), assembled lazily by its first reader. Publication
+// goes through registry.Swap, which bumps the per-graph version: in-flight
+// jobs keep the incarnation they leased (snapshot isolation), the jobs
+// result cache re-keys automatically, and new submissions see the new
+// graph.
 //
 // Once the log crosses a size or ratio threshold, a background compactor
-// adopts the current version's assembled CSR — the registry finalizes
-// each version once, often for a reader that got there first — as the
-// new base and checkpoints it; when no batch raced it, the same graph is
+// advances the head onto the current version's assembled CSR — the
+// registry finalizes each version once, often for a reader that got there
+// first — and checkpoints it; when no batch raced it, the same graph is
 // republished under the *same* version with no pending delta (content is
 // unchanged, so cached results stay valid). The edge and self-loop counts
 // are maintained incrementally across batches; degrees and every other
@@ -110,38 +111,32 @@ func (o *Options) fill() {
 	}
 }
 
-// logOp is one applied operation in a graph's delta log (already
-// mirrored for undirected graphs).
-type logOp struct {
-	i, j int
-	w    float64
-	del  bool
-}
-
-// logOpBytes estimates the resident cost of one delta-log operation:
-// the log entry itself plus its overlay-map slot.
-const logOpBytes = 96
-
 // coord keys the existence overlay.
 type coord struct{ i, j int }
 
 // graphState is the per-name mutation state. mu serializes mutation and
 // compaction for the graph; different graphs proceed in parallel.
+//
+// The delta log is head.A's pending operations (already mirrored for
+// undirected graphs) over base's arrays, which head shares; every published
+// version is a snapshot of head. A state that never reset has no head.
 type graphState struct {
 	mu sync.Mutex
 
 	// entry is the registry entry the state last published (or was reset
-	// from): its version is the state's, and its graph is base plus log.
+	// from): its version is the state's, and its graph is a snapshot of head.
 	entry *registry.Entry
 	kind  lagraph.Kind
 	n     int
 
-	base      *grb.Matrix[float64]    // finished CSR shared by every snapshot
-	baseGraph *lagraph.Graph[float64] // wraps base; source of COW snapshots
-	baseNNZ   int
+	base    *grb.Matrix[float64]    // finished CSR shared by head and every snapshot
+	head    *lagraph.Graph[float64] // private: base plus the delta log, never assembled
+	baseNNZ int
 
-	log     []logOp
-	overlay map[coord]bool // live (true) or deleted in the delta; absent → ask base
+	// overlay indexes the log for has: live (true) or deleted for each
+	// position the log touched (compaction prunes what the new base
+	// answers), so len(overlay) <= pending(); absent → ask base.
+	overlay map[coord]bool
 
 	// Incremental bookkeeping, exact at all times.
 	edges int
@@ -385,7 +380,7 @@ func (e *Engine) ApplyCtx(ctx context.Context, name string, ops []Op) (res Resul
 	}
 
 	res = Result{Graph: name, Applied: len(ops)}
-	logBefore := len(st.log)
+	pendingBefore := st.pending()
 	for _, op := range ops {
 		switch op.Op {
 		case OpUpsert:
@@ -407,11 +402,11 @@ func (e *Engine) ApplyCtx(ctx context.Context, name string, ops []Op) (res Resul
 		}
 	}
 
-	if len(st.log) == logBefore {
+	if st.pending() == pendingBefore {
 		// Nothing was logged (every delete targeted an absent edge): the
 		// graph is content-identical, so don't publish — a version bump
 		// would wipe the result cache for an unchanged graph.
-		res.Version, res.Edges, res.PendingOps = st.entry.Version(), st.edges, len(st.log)
+		res.Version, res.Edges, res.PendingOps = st.entry.Version(), st.edges, pendingBefore
 		return res, nil
 	}
 
@@ -437,13 +432,7 @@ func (e *Engine) ApplyCtx(ctx context.Context, name string, ops []Op) (res Resul
 	g, err := st.snapshot()
 	var newEntry *registry.Entry
 	if err == nil {
-		newEntry, err = e.reg.Swap(name, g, registry.SwapStats{
-			Bytes:      st.estimateBytes(),
-			Nodes:      st.n,
-			Edges:      st.edges,
-			PendingOps: int64(len(st.log)),
-			Prev:       entry,
-		})
+		newEntry, err = e.reg.Swap(name, g, registry.SwapStats{Nodes: st.n, Edges: st.edges, Prev: entry})
 	}
 	if err != nil {
 		// The snapshot or the swap failed (budget, concurrent delete): roll
@@ -458,16 +447,18 @@ func (e *Engine) ApplyCtx(ctx context.Context, name string, ops []Op) (res Resul
 		return Result{}, err
 	}
 	st.entry = newEntry
-	res.Version, res.Edges, res.PendingOps = newEntry.Version(), st.edges, len(st.log)
+	res.Version, res.Edges, res.PendingOps = newEntry.Version(), st.edges, st.pending()
 	res.CompactionScheduled = e.maybeScheduleCompact(name, st)
 	return res, nil
 }
 
 // upsert applies one insert/update to the bookkeeping and delta log,
-// returning 1 when a new edge came into existence.
+// returning 1 when a new edge came into existence. Apply validated (i,j),
+// so buffering it on head cannot fail; the same holds for delete.
 func (st *graphState) upsert(i, j int, w float64) int {
 	existed := st.has(i, j)
-	st.record(logOp{i: i, j: j, w: w})
+	st.overlay[coord{i, j}] = true
+	_ = st.head.A.SetElement(w, i, j)
 	if existed {
 		return 0
 	}
@@ -484,7 +475,8 @@ func (st *graphState) delete(i, j int) int {
 	if !st.has(i, j) {
 		return 0
 	}
-	st.record(logOp{i: i, j: j, del: true})
+	st.overlay[coord{i, j}] = false
+	_ = st.head.A.RemoveElement(i, j)
 	st.edges--
 	if i == j {
 		st.ndiag--
@@ -492,13 +484,12 @@ func (st *graphState) delete(i, j int) int {
 	return 1
 }
 
-// record appends op to the delta log and marks its position in the overlay.
-func (st *graphState) record(op logOp) {
-	st.overlay[coord{op.i, op.j}] = !op.del
-	st.log = append(st.log, op)
-}
+// pending is the delta log's length: head's pending operations.
+func (st *graphState) pending() int { return st.head.A.PendingTuples() }
 
 // has reports whether edge (i,j) is live: the overlay overrides the base.
+// It is not a lookup on head: a point lookup through an unindexed pending
+// list costs O(pending) per operation.
 func (st *graphState) has(i, j int) bool {
 	if live, ok := st.overlay[coord{i, j}]; ok {
 		return live
@@ -508,9 +499,9 @@ func (st *graphState) has(i, j int) bool {
 }
 
 // resetFrom rebuilds the state from the registry's current incarnation:
-// base CSR, edge count and self-loop count. The latter is the graph's own
-// NDiag property, so a reset costs at most one property computation per
-// incarnation.
+// base CSR, a head with an empty log and overlay, edge count and self-loop
+// count. The latter is the graph's own NDiag property, so a reset costs at
+// most one property computation per incarnation.
 func (st *graphState) resetFrom(entry *registry.Entry) error {
 	entry.EnsureFinalized()
 	g := entry.Graph()
@@ -520,38 +511,28 @@ func (st *graphState) resetFrom(entry *registry.Entry) error {
 	if err := entry.EnsureProperties(registry.PropNDiag); err != nil {
 		return err
 	}
+	head, err := g.Snapshot()
+	if err != nil {
+		return err
+	}
 	st.entry, st.kind, st.n = entry, g.Kind, g.NumNodes()
-	st.base, st.baseGraph, st.baseNNZ = g.A, g, g.A.NVals()
-	st.log, st.overlay = nil, make(map[coord]bool)
+	st.base, st.head, st.baseNNZ = g.A, head, g.A.NVals()
+	st.overlay = make(map[coord]bool)
 	st.edges, st.ndiag = st.baseNNZ, g.CachedNDiag()
 	return nil
 }
 
-// snapshot builds the publishable copy-on-write graph
-// (lagraph.Graph.Snapshot): shared base CSR plus the delta log replayed
-// as pending tuples and tombstones, carrying the exact NDiag. Degrees and
-// every other property are recomputed by the readers that need them.
+// snapshot builds the publishable copy-on-write graph in O(1): a
+// lagraph.Graph.Snapshot of head, sharing the base CSR and the delta log
+// so far, carrying the exact NDiag. Degrees and every other property are
+// recomputed by the readers that need them.
 func (st *graphState) snapshot() (*lagraph.Graph[float64], error) {
-	g, err := st.baseGraph.Snapshot()
-	for k := 0; k < len(st.log) && err == nil; k++ {
-		if op := st.log[k]; op.del {
-			err = g.A.RemoveElement(op.i, op.j)
-		} else {
-			err = g.A.SetElement(op.w, op.i, op.j)
-		}
-	}
+	g, err := st.head.Snapshot()
 	if err != nil {
 		return nil, err
 	}
 	g.NDiag = st.ndiag
 	return g, nil
-}
-
-// estimateBytes is the snapshot's resident footprint: the base-and-
-// properties estimate plus the delta log's overhead.
-func (st *graphState) estimateBytes() int64 {
-	return registry.EstimateBytesFor(st.n, st.edges, st.kind == lagraph.AdjacencyDirected) +
-		int64(len(st.log))*logOpBytes
 }
 
 // maybeScheduleCompact enqueues a background compaction when the delta
@@ -560,8 +541,8 @@ func (e *Engine) maybeScheduleCompact(name string, st *graphState) bool {
 	if st.compactScheduled {
 		return true
 	}
-	over := len(st.log) >= e.opts.CompactThreshold ||
-		(st.baseNNZ > 0 && float64(len(st.log)) >= e.opts.CompactRatio*float64(st.baseNNZ))
+	over := st.pending() >= e.opts.CompactThreshold ||
+		(st.baseNNZ > 0 && float64(st.pending()) >= e.opts.CompactRatio*float64(st.baseNNZ))
 	if !over {
 		return false
 	}
@@ -626,15 +607,16 @@ func (e *Engine) compactor() {
 	}
 }
 
-// compactOne folds a graph's delta log into its base by adopting the
-// current version's assembled CSR. The registry assembles each published
-// version at most once (Entry.EnsureFinalized, the single flight every
-// reader shares), so a version a reader already finalized compacts for the
-// cost of the bookkeeping, and any other pays the assembly its first
-// reader would have. That O(nnz) step runs *outside* st.mu — mutation
-// batches keep landing while it works — and is adopted under the lock
-// only if the base the log was recorded against is still the live one;
-// batches that arrived meanwhile stay in the (now much shorter) delta log.
+// compactOne folds a graph's delta log into its base by advancing head
+// onto the current version's assembled CSR (grb.Matrix.Advance). The
+// registry assembles each published version at most once
+// (Entry.EnsureFinalized, the single flight every reader shares), so a
+// version a reader already finalized compacts for the cost of the
+// bookkeeping, and any other pays the assembly its first reader would
+// have. That O(nnz) step runs *outside* st.mu — mutation batches keep
+// landing while it works — and is adopted under the lock only if the base
+// the log was recorded against is still the live one; batches that
+// arrived meanwhile stay head's (now much shorter) pending tail.
 func (e *Engine) compactOne(name string) {
 	e.compactMu.Lock()
 	defer e.compactMu.Unlock()
@@ -653,11 +635,11 @@ func (e *Engine) compactOne(name string) {
 	// state is dropped by the removal listener anyway.
 	st.mu.Lock()
 	st.compactScheduled = false
-	if len(st.log) == 0 || st.base == nil {
+	if st.base == nil || st.pending() == 0 {
 		st.mu.Unlock()
 		return
 	}
-	entry, base, merged := st.entry, st.base, len(st.log)
+	entry, base, merged := st.entry, st.base, st.pending()
 	st.mu.Unlock()
 
 	entry.EnsureFinalized()
@@ -667,28 +649,25 @@ func (e *Engine) compactOne(name string) {
 	// out st.base), so an unchanged base proves the first merged ops of the
 	// log are exactly what g assembled.
 	st.mu.Lock()
-	if st.base != base {
+	if st.base != base || st.head.A.Advance(g.A, merged) != nil {
 		st.mu.Unlock()
 		return // resynced mid-merge; nothing to adopt
 	}
-	tail := st.log[merged:]
-	st.base, st.baseGraph, st.baseNNZ = g.A, g, g.A.NVals()
-	st.log, st.overlay = nil, make(map[coord]bool)
-	for _, op := range tail {
-		st.record(op)
+	st.base, st.baseNNZ = g.A, g.A.NVals()
+	// Prune what the new base answers: a survivor was touched by the tail.
+	for c, live := range st.overlay {
+		if _, err := g.A.ExtractElement(c.i, c.j); (err == nil) == live {
+			delete(st.overlay, c)
+		}
 	}
 	e.compactions.Inc()
 	e.compactedOps.Add(float64(merged))
-	if len(tail) == 0 {
+	if st.pending() == 0 {
 		// Republish the same graph under the same version so the entry
 		// reports no pending delta. Best-effort: on failure the adopted
 		// base still serves every future snapshot.
 		if republished, err := e.reg.Swap(name, g, registry.SwapStats{
-			Bytes:       st.estimateBytes(),
-			Nodes:       st.n,
-			Edges:       st.edges,
-			KeepVersion: true,
-			Prev:        entry,
+			Nodes: st.n, Edges: st.edges, KeepVersion: true, Prev: entry,
 		}); err == nil {
 			st.entry = republished
 		}
@@ -705,7 +684,8 @@ func (e *Engine) compactOne(name string) {
 	}
 }
 
-// pendingOps sums the per-graph delta-log lengths.
+// pendingOps sums the per-graph delta-log lengths; a state that never
+// reset has no head and no log.
 func (e *Engine) pendingOps() int64 {
 	e.mu.Lock()
 	states := make([]*graphState, 0, len(e.states))
@@ -717,7 +697,9 @@ func (e *Engine) pendingOps() int64 {
 	var pending int64
 	for _, st := range states {
 		st.mu.Lock()
-		pending += int64(len(st.log))
+		if st.head != nil {
+			pending += int64(st.pending())
+		}
 		st.mu.Unlock()
 	}
 	return pending

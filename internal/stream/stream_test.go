@@ -242,19 +242,29 @@ func TestIncrementalDegreesAndNDiag(t *testing.T) {
 
 // TestApplyAllocatesByBatch pins what a batch costs on a graph whose
 // degrees are cached: publishing a version allocates for its operations,
-// not for its vertices, so a 4-op batch on 2^16 vertices allocates within
-// 2× of the same batch on 2^10.
+// not for its vertices nor for the delta log under it, so a 4-op batch on
+// 2^16 vertices allocates within 2× of the same batch on 2^10, and one on
+// a log of about 4000 pending operations within 2× of one on a log of 4.
 func TestApplyAllocatesByBatch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
-	applyBytes := func(n int) uint64 {
+	applyBytes := func(n, logLen int) uint64 {
 		ring := make([][2]int, n)
 		for i := range ring {
 			ring[i] = [2]int{i, (i + 1) % n}
 		}
 		reg, e := setup(t, "r", makeGraph(t, n, lagraph.AdjacencyDirected, ring),
 			Options{CompactThreshold: 1 << 30, CompactRatio: 1e9})
+		// The preload resets the engine's state from the graph and leaves
+		// logLen operations pending.
+		preload := make([]Op, logLen)
+		for i := range preload {
+			preload[i] = upsert(i, (i+2)%n)
+		}
+		if _, err := e.Apply("r", preload); err != nil {
+			t.Fatal(err)
+		}
 		best := uint64(math.MaxUint64)
 		for k := 0; k < 4; k++ {
 			l, err := reg.Acquire("r")
@@ -272,17 +282,19 @@ func TestApplyAllocatesByBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&after)
-			// The first batch resets the engine's state from the graph.
-			if k > 0 {
-				best = min(best, after.TotalAlloc-before.TotalAlloc)
-			}
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
 		}
 		return best
 	}
-	small, large := applyBytes(1<<10), applyBytes(1<<16)
+	small, large := applyBytes(1<<10, 4), applyBytes(1<<16, 4)
 	t.Logf("a 4-op batch allocated %d B on 2^10 vertices, %d B on 2^16", small, large)
 	if large > 2*small {
 		t.Fatalf("a 4-op batch allocated %d B on 2^16 vertices, more than 2× the %d B on 2^10", large, small)
+	}
+	short, long := applyBytes(1<<12, 4), applyBytes(1<<12, 4000)
+	t.Logf("a 4-op batch allocated %d B over 4 pending operations, %d B over 4000", short, long)
+	if long > 2*short {
+		t.Fatalf("a 4-op batch allocated %d B over 4000 pending operations, more than 2× the %d B over 4", long, short)
 	}
 }
 
@@ -322,8 +334,8 @@ func TestCompactionMergesLogAndKeepsVersion(t *testing.T) {
 		t.Fatalf("compactions = %d, want >= 1", got)
 	}
 
-	// Content survived the merge, and the next mutation replays an empty
-	// log on the compacted base.
+	// Content survived the merge, and the next mutation is the only pending
+	// operation over the compacted base.
 	n, _, g := readEdges(t, reg, "c")
 	if _, err := g.A.ExtractElement(0, 2); err != nil {
 		t.Fatal("compacted graph lost an upserted edge")
