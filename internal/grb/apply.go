@@ -20,7 +20,7 @@ func Apply[TIn, TOut Value](C *Matrix[TOut], mask Mask, accum func(TOut, TOut) T
 	}
 	A.Wait()
 	denseMaskSrc := !mask.Exists() || mask.src.maskIsDense()
-	t := buildCSRParallelScoped(ar, ac, func(scope *rowAllowScope) func(i int, emit func(j int, x TOut)) {
+	t := buildCSRParallelScoped(ar, ac, A.rowPtr(), func(scope *rowAllowScope) func(i int, emit func(j int, x TOut)) {
 		return func(i int, emit func(j int, x TOut)) {
 			scope.load(mask, i, ac, denseMaskSrc)
 			aRowIter(A, i, func(j int, x TIn) {
@@ -56,7 +56,7 @@ func Select[T Value](C *Matrix[T], mask Mask, accum func(T, T) T,
 	}
 	A.Wait()
 	denseMaskSrc := !mask.Exists() || mask.src.maskIsDense()
-	t := buildCSRParallelScoped(ar, ac, func(scope *rowAllowScope) func(i int, emit func(j int, x T)) {
+	t := buildCSRParallelScoped(ar, ac, A.rowPtr(), func(scope *rowAllowScope) func(i int, emit func(j int, x T)) {
 		return func(i int, emit func(j int, x T)) {
 			scope.load(mask, i, ac, denseMaskSrc)
 			aRowIter(A, i, func(j int, x T) {

@@ -209,7 +209,7 @@ func AssignMatrixScalar[T Value](C *Matrix[T], mask Mask, accum func(T, T) T,
 		}
 	} else {
 		denseMaskSrc := !mask.Exists() || mask.src.maskIsDense()
-		t = buildCSRParallelScoped(nr, nc, func(scope *rowAllowScope) func(i int, emit func(j int, x T)) {
+		t = buildCSRParallelScoped(nr, nc, nil, func(scope *rowAllowScope) func(i int, emit func(j int, x T)) {
 			return func(i int, emit func(j int, x T)) {
 				if region.inRow[i] == 0 {
 					return

@@ -14,7 +14,7 @@ func buildVectorByIndex[T Value](n int, entryFn func(i int) (T, bool)) *Vector[T
 		idx []int
 		val []T
 	}
-	blocks := parallel.Blocks(n, func(lo, hi int) block {
+	blocks := parallel.Blocks(n, nil, func(lo, hi int) block {
 		var blk block
 		for i := lo; i < hi; i++ {
 			if x, ok := entryFn(i); ok {

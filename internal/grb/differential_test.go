@@ -148,6 +148,55 @@ func TestQuickMxMAgainstDenseReference(t *testing.T) {
 			t.Logf("seed %d: masked dot diverges from dense reference", seed)
 			return false
 		}
+
+		// The dot's overlap trim, on TC's shape: a tril-shaped A against a
+		// triu-shaped Bᵀ held by row, so row pairs are disjoint (i < j),
+		// touch at one column (i = j) or nest, unmasked and under M.
+		L, U := MustMatrix[float64](n, k), MustMatrix[float64](m, k)
+		if err := Select(L, NoMask, nil, Tril[float64](), A, 0, nil); err != nil {
+			t.Logf("tril: %v", err)
+			return false
+		}
+		if err := Select(U, NoMask, nil, Triu[float64](), BT, 0, nil); err != nil {
+			t.Logf("triu: %v", err)
+			return false
+		}
+		UT := MustMatrix[float64](k, m)
+		if err := Transpose(UT, NoMask, nil, U, nil); err != nil {
+			t.Logf("transpose: %v", err)
+			return false
+		}
+		wantLU := naiveDenseMxM(L, UT)
+		for _, mask := range []Mask{NoMask, StructMaskOf(M)} {
+			C4 := MustMatrix[float64](n, m)
+			if err := MxM(C4, mask, nil, PlusTimes[float64](), L, U, DescT1); err != nil {
+				t.Logf("tril·triuᵀ dot: %v", err)
+				return false
+			}
+			// ANY stops at the first shared column: present exactly where
+			// the sum is, holding a column both rows share.
+			C5 := MustMatrix[float64](n, m)
+			if err := MxM(C5, mask, nil, AnySecondI[float64, float64, float64](), L, U, DescT1); err != nil {
+				t.Logf("tril·triuᵀ any.secondi dot: %v", err)
+				return false
+			}
+			dl, du, d4, d5 := denseFrom(L), denseFrom(U), denseFrom(C4), denseFrom(C5)
+			for i := 0; i < n; i++ {
+				for j := 0; j < m; j++ {
+					want, has := wantLU.val[i][j], wantLU.has[i][j]
+					if mask.Exists() && !dm.has[i][j] {
+						want, has = 0, false
+					}
+					kk := int(d5.val[i][j])
+					if d4.has[i][j] != has || d4.val[i][j] != want || d5.has[i][j] != has ||
+						has && !(dl.has[i][kk] && du.has[j][kk]) {
+						t.Logf("seed %d: tril·triuᵀ dot at (%d,%d): plus.times %v/%v, any.secondi %v/%v, want %v/%v",
+							seed, i, j, d4.has[i][j], d4.val[i][j], d5.has[i][j], kk, has, want)
+						return false
+					}
+				}
+			}
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

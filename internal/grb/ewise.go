@@ -113,7 +113,7 @@ func ewiseMatrix[TA, TB, TC Value](
 	aS, bS := A.format == FormatSparse, B.format == FormatSparse
 	denseMaskSrc := !mask.Exists() || mask.src.maskIsDense()
 	walkMask := !union && !aS && !bS && mask.enumerable() && !denseMaskSrc
-	return buildCSRParallelScoped(nr, nc, func(scope *rowAllowScope) func(i int, emit func(j int, x TC)) {
+	return buildCSRParallelScoped(nr, nc, nil, func(scope *rowAllowScope) func(i int, emit func(j int, x TC)) {
 		return func(i int, emit func(j int, x TC)) {
 			base := i * nc
 			if walkMask {

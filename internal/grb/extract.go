@@ -49,8 +49,16 @@ func ExtractSubmatrix[T Value](C *Matrix[T], mask Mask, accum func(T, T) T,
 			head[cols[oc]] = int32(oc)
 		}
 	}
+	// Rows are cut into blocks by the entries they gather.
+	weight := A.rowPtr()
+	if weight != nil && !isAll(rows) {
+		weight = make([]int, outR+1)
+		for oi, si := range rows {
+			weight[oi+1] = weight[oi] + A.ptr[si+1] - A.ptr[si]
+		}
+	}
 	denseMaskSrc := !mask.Exists() || mask.src.maskIsDense()
-	t := buildCSRParallelScoped(outR, outC, func(scope *rowAllowScope) func(i int, emit func(j int, x T)) {
+	t := buildCSRParallelScoped(outR, outC, weight, func(scope *rowAllowScope) func(i int, emit func(j int, x T)) {
 		return func(oi int, emit func(j int, x T)) {
 			scope.load(mask, oi, outC, denseMaskSrc)
 			si := oi

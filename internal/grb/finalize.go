@@ -156,8 +156,11 @@ func mergeByPosition[T Value](w *Vector[T], mk VMask, accum func(T, T) T, t *Vec
 func maskAccumMatrix[T Value](C *Matrix[T], mk Mask, accum func(T, T) T, t *Matrix[T],
 	replace, tMasked bool, region func(i, j int) bool) {
 
-	// No accumulator and nothing of C survives outside t: C becomes t.
-	if accum == nil && region == nil && (!mk.Exists() || replace && tMasked) {
+	// No accumulator and nothing of C survives outside t: C becomes t. That
+	// holds without a mask, and for a pre-masked t when C's entries outside
+	// the mask go (replace) or there are none, pending included (TC's
+	// C⟨s(L)⟩ = L·Uᵀ into a new C).
+	if accum == nil && region == nil && (!mk.Exists() || tMasked && (replace || C.nvalsUpper() == 0)) {
 		*C = *t
 		C.conform()
 		return
@@ -181,7 +184,7 @@ func maskAccumMatrix[T Value](C *Matrix[T], mk Mask, accum func(T, T) T, t *Matr
 	t.ConvertTo(FormatSparse)
 	nr, nc := C.nr, C.nc
 	denseMaskSrc := !mk.Exists() || mk.src.maskIsDense()
-	out := buildCSRParallelScoped(nr, nc, func(scope *rowAllowScope) func(i int, emit func(j int, x T)) {
+	out := buildCSRParallelScoped(nr, nc, nil, func(scope *rowAllowScope) func(i int, emit func(j int, x T)) {
 		return func(i int, emit func(j int, x T)) {
 			scope.load(mk, i, nc, denseMaskSrc)
 			cIdx, cVal := C.idx[C.ptr[i]:C.ptr[i+1]], C.val[C.ptr[i]:C.ptr[i+1]]
@@ -212,6 +215,7 @@ type rowAllowScope struct {
 	touched []int
 	row     int
 	direct  bool // dense mask source (or no mask): query mk.allowed directly
+	mark    func(j int, truthyVal bool)
 	atEnd   func()
 }
 
@@ -243,12 +247,17 @@ func (s *rowAllowScope) load(mk Mask, i, nc int, denseSrc bool) {
 		s.scratch[j] = 0
 	}
 	s.touched = s.touched[:0]
-	mk.src.maskRowIter(i, func(j int, tv bool) {
-		if mk.selects(tv) {
-			s.scratch[j] = 1
-			s.touched = append(s.touched, j)
+	if s.mark == nil {
+		// One row visitor per scope, which serves one call and so one mask:
+		// made per row, it would cost a heap object a row.
+		s.mark = func(j int, tv bool) {
+			if mk.selects(tv) {
+				s.scratch[j] = 1
+				s.touched = append(s.touched, j)
+			}
 		}
-	})
+	}
+	mk.src.maskRowIter(i, s.mark)
 }
 
 func (s *rowAllowScope) ok(mk Mask, i, j int) bool {
@@ -263,13 +272,15 @@ func (s *rowAllowScope) ok(mk Mask, i, j int) bool {
 }
 
 // buildCSRParallelScoped constructs a sparse matrix row by row. Rows are
-// processed in parallel across contiguous blocks; every block calls
-// makeRowFn once with a private rowAllowScope (dense per-row mask scratch),
-// so a kernel keeps its scratch state per goroutine, and then calls the
-// returned rowFn once per row with an emit function. Emitted columns need
-// not be sorted: the builder detects disorder per row and leaves the result
-// jumbled (lazy sort) when any row is unsorted.
-func buildCSRParallelScoped[T Value](nr, nc int, makeRowFn func(*rowAllowScope) func(i int, emit func(j int, x T))) *Matrix[T] {
+// processed in parallel across contiguous blocks, cut by parallel.Blocks at
+// equal weight (weight: a row pointer whose row lengths track each row's
+// work, or nil for equal-length blocks); every block calls makeRowFn once
+// with a private rowAllowScope (dense per-row mask scratch), so a kernel
+// keeps its scratch state per block, and then calls the returned rowFn once
+// per row with an emit function. Emitted columns need not be sorted: the
+// builder detects disorder per row and leaves the result jumbled (lazy
+// sort) when any row is unsorted.
+func buildCSRParallelScoped[T Value](nr, nc int, weight []int, makeRowFn func(*rowAllowScope) func(i int, emit func(j int, x T))) *Matrix[T] {
 	m := MustMatrix[T](nr, nc)
 	if nr == 0 {
 		return m
@@ -281,13 +292,18 @@ func buildCSRParallelScoped[T Value](nr, nc int, makeRowFn func(*rowAllowScope) 
 		jumbled bool
 	}
 	rowLen := make([]int, nr+1)
-	blocks := parallel.Blocks(nr, func(lo, hi int) block {
+	blocks := parallel.Blocks(nr, weight, func(lo, hi int) block {
 		scope := &rowAllowScope{row: -1}
 		defer scope.release()
 		rowFn := makeRowFn(scope)
 		// One emit closure per block, its row state reset per row: created
 		// inside the row loop it would cost three heap objects a row.
 		blk := block{lo: lo}
+		if weight != nil {
+			// The weight bounds the block's entries (a gather with repeated
+			// columns may emit more, and append grows past it).
+			blk.idx, blk.val = make([]int, 0, weight[hi]-weight[lo]), make([]T, 0, weight[hi]-weight[lo])
+		}
 		last, rowSorted := -1, true
 		emit := func(j int, x T) {
 			blk.idx = append(blk.idx, j)

@@ -15,6 +15,7 @@ type matrixMaskSource interface {
 	maskRowIter(i int, f func(j int, truthyVal bool))
 	finishMask()
 	maskIsDense() bool
+	rowPtr() []int
 }
 
 // vectorMaskSource is implemented by *Vector[T] for every T.

@@ -1,6 +1,7 @@
 package grb
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -225,6 +226,24 @@ func TestMaskSemanticsMatrixAllVariants(t *testing.T) {
 							label += " accum"
 						}
 						matricesEqual(t, C, want, label)
+
+						// An empty C, where C becomes t for either replace
+						// value; one holding only a pending insert is not
+						// empty.
+						for _, pend := range []bool{false, true} {
+							C, c0 := MustMatrix[float64](n, n), map[coord]float64{}
+							if pend {
+								if err := C.SetElement(5, 0, n-1); err != nil {
+									t.Fatal(err)
+								}
+								c0[coord{0, n - 1}] = 5
+							}
+							if err := MxM(C, mask, acc, PlusTimes[float64](), A, B, desc); err != nil {
+								t.Fatal(err)
+							}
+							matricesEqual(t, C, modelMaskAccum(c0, tMap, mSet, mExists,
+								comp, structural, replace, withAccum, nil), label+" into empty C, pending "+fmt.Sprint(pend))
+						}
 
 						C = inFormat(cInit, allFormats[(trial+1)%3])
 						if err := EWiseAdd(C, mask, acc, AddOp(PlusOp[float64]()), Af, Bf, desc); err != nil {

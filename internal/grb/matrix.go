@@ -85,6 +85,15 @@ func (m *Matrix[T]) NVals() int {
 	}
 }
 
+// rowPtr is a sparse matrix's row pointer, nil for bitmap/full: the weight
+// that cuts a row-parallel build over m's rows into blocks of equal entries.
+func (m *Matrix[T]) rowPtr() []int {
+	if m.format != FormatSparse {
+		return nil
+	}
+	return m.ptr
+}
+
 // nvalsUpper bounds NVals without assembling pending work.
 func (m *Matrix[T]) nvalsUpper() int {
 	switch m.format {
@@ -267,11 +276,18 @@ func (m *Matrix[T]) Wait() {
 }
 
 func (m *Matrix[T]) sortRows() {
-	parallel.Guided(m.nr, 32, func(i int) {
-		lo, hi := m.ptr[i], m.ptr[i+1]
-		if hi-lo > 1 && !sort.IntsAreSorted(m.idx[lo:hi]) {
-			pairSort(m.idx[lo:hi], m.val[lo:hi])
+	parallel.Blocks(m.nr, m.ptr, func(lo, hi int) struct{} {
+		// One sorter per block: sort.Sort takes an interface, so a sorter
+		// made per row would cost a heap object a row.
+		s := &pairSorter[T]{}
+		for i := lo; i < hi; i++ {
+			a, b := m.ptr[i], m.ptr[i+1]
+			if b-a > 1 && !sort.IntsAreSorted(m.idx[a:b]) {
+				s.idx, s.val = m.idx[a:b], m.val[a:b]
+				sort.Sort(s)
+			}
 		}
+		return struct{}{}
 	})
 	m.jumbled = false
 }

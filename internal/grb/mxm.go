@@ -1,5 +1,7 @@
 package grb
 
+import "slices"
+
 // MxM computes C⟨M⟩⊙= A ⊕.⊗ B (paper Table I, first row).
 //
 // Kernel selection mirrors SuiteSparse:GraphBLAS:
@@ -51,7 +53,7 @@ func MxM[TA, TB, TC Value](C *Matrix[TC], mask Mask, accum func(TC, TC) TC,
 func saxpyKernel[TA, TB, TC Value](s Semiring[TA, TB, TC], A *Matrix[TA], B *Matrix[TB], mask Mask) *Matrix[TC] {
 	nr, nc := A.NRows(), B.NCols()
 	denseMaskSrc := !mask.Exists() || mask.src.maskIsDense()
-	return buildCSRParallelScoped(nr, nc, func(scope *rowAllowScope) func(i int, emit func(j int, x TC)) {
+	return buildCSRParallelScoped(nr, nc, nil, func(scope *rowAllowScope) func(i int, emit func(j int, x TC)) {
 		acc := getSPA[TC](nc)
 		scope.atEnd = func() { putSPA(acc) }
 		var allowed func(j int) bool
@@ -113,20 +115,35 @@ func saxpyRow[TA, TB, TC Value](s *Semiring[TA, TB, TC], A *Matrix[TA], i int, B
 
 // dotKernel computes t = A·Bᵀ with both operands held by row:
 // t(i,j) = ⊕ over the sorted intersection of A(i,:) and B(j,:). With an
-// enumerable mask only mask positions are evaluated; otherwise every (i,j)
-// the mask allows is evaluated — the pull-direction shape used by BC.
+// enumerable mask only mask positions are evaluated — SuiteSparse's dot3
+// method — and the rows are cut into blocks of equal mask entries, since a
+// row's work grows with its mask row (after TC's degree sort, nearly all of
+// it sits in the last rows); otherwise every (i,j) the mask allows is
+// evaluated — the pull-direction shape used by BC.
 func dotKernel[TA, TB, TC Value](s Semiring[TA, TB, TC], A *Matrix[TA], B *Matrix[TB], mask Mask) *Matrix[TC] {
 	nr, nc := A.NRows(), B.NRows()
 	denseMaskSrc := !mask.Exists() || mask.src.maskIsDense()
 	enumerable := mask.enumerable()
-	return buildCSRParallelScoped(nr, nc, func(scope *rowAllowScope) func(i int, emit func(j int, x TC)) {
+	var weight []int
+	if enumerable {
+		weight = mask.src.rowPtr()
+	}
+	return buildCSRParallelScoped(nr, nc, weight, func(scope *rowAllowScope) func(i int, emit func(j int, x TC)) {
+		// One mask-row visitor per block, pointed at the current row: made
+		// per row, it would cost a heap object a row.
+		row, rowEmit := 0, (func(j int, x TC))(nil)
+		visit := func(j int, tv bool) {
+			if !mask.selects(tv) {
+				return
+			}
+			if x, ok := dotRow(&s, A, B, row, j); ok {
+				rowEmit(j, x)
+			}
+		}
 		return func(i int, emit func(j int, x TC)) {
 			if enumerable {
-				mask.rowIterAllowed(i, func(j int) {
-					if x, ok := dotRow(&s, A, B, i, j); ok {
-						emit(j, x)
-					}
-				})
+				row, rowEmit = i, emit
+				mask.src.maskRowIter(i, visit)
 				return
 			}
 			scope.load(mask, i, nc, denseMaskSrc)
@@ -143,6 +160,13 @@ func dotKernel[TA, TB, TC Value](s Semiring[TA, TB, TC], A *Matrix[TA], B *Matri
 }
 
 // dotRow reduces the intersection of A(i,:) with B(j,:) on the semiring.
+// Two sparse rows are first trimmed to the overlap of their column ranges,
+// by a binary search for the first and last column they can share, as
+// SuiteSparse's dot3 does: TC's L(i,:) lies below i and U(j,:) above j, so
+// only (j, i) can meet, and the merge no longer walks L(i,:) below j. The
+// trim drops only columns that cannot match, so every semiring — early-exit
+// monoids and positional multipliers included — sees the same pairs in the
+// same order.
 func dotRow[TA, TB, TC Value](s *Semiring[TA, TB, TC], A *Matrix[TA], B *Matrix[TB], i, j int) (TC, bool) {
 	var acc TC
 	got := false
@@ -174,6 +198,15 @@ func dotRow[TA, TB, TC Value](s *Semiring[TA, TB, TC], A *Matrix[TA], B *Matrix[
 	case aS && bS:
 		p, pe := A.ptr[i], A.ptr[i+1]
 		q, qe := B.ptr[j], B.ptr[j+1]
+		if p == pe || q == qe {
+			return acc, got
+		}
+		lo, hi := max(A.idx[p], B.idx[q]), min(A.idx[pe-1], B.idx[qe-1])
+		if lo > hi {
+			return acc, got
+		}
+		p, pe = trimRange(A.idx, p, pe, lo, hi)
+		q, qe = trimRange(B.idx, q, qe, lo, hi)
 		for p < pe && q < qe {
 			ka, kb := A.idx[p], B.idx[q]
 			switch {
@@ -221,6 +254,19 @@ func dotRow[TA, TB, TC Value](s *Semiring[TA, TB, TC], A *Matrix[TA], B *Matrix[
 		}
 	}
 	return acc, got
+}
+
+// trimRange narrows the sorted list idx[p:pe] to its columns in [lo, hi].
+func trimRange(idx []int, p, pe, lo, hi int) (int, int) {
+	if idx[p] < lo {
+		k, _ := slices.BinarySearch(idx[p:pe], lo)
+		p += k
+	}
+	if idx[pe-1] > hi {
+		k, _ := slices.BinarySearch(idx[p:pe], hi+1)
+		pe = p + k
+	}
+	return p, pe
 }
 
 // aRowIter visits the live entries of row i of A in storage order.

@@ -62,7 +62,7 @@ func ReduceMatrixToScalar[T Value](mon Monoid[T], A *Matrix[T]) T {
 		}
 		return partial{mon.F(p.acc, x), true}
 	}
-	parts := parallel.Blocks(nr, func(lo, hi int) partial {
+	parts := parallel.Blocks(nr, nil, func(lo, hi int) partial {
 		p := partial{acc: mon.Identity}
 		for i := lo; i < hi; i++ {
 			if x, ok := reduceRow(mon, A, i); ok {
@@ -103,7 +103,7 @@ func parallelFold[T Value](mon Monoid[T], xs []T) T {
 	if len(xs) == 0 {
 		return mon.Identity
 	}
-	parts := parallel.Blocks(len(xs), func(lo, hi int) T {
+	parts := parallel.Blocks(len(xs), nil, func(lo, hi int) T {
 		acc := xs[lo]
 		for _, x := range xs[lo+1 : hi] {
 			acc = mon.F(acc, x)

@@ -10,6 +10,7 @@ import (
 	"lagraph/internal/gap"
 	"lagraph/internal/gen"
 	"lagraph/internal/grb"
+	"lagraph/internal/parallel"
 )
 
 // TestRoadKernelAllocationBudget pins the two kernels the paper's Road row
@@ -215,6 +216,42 @@ func TestRoadKernelAllocationBudget(t *testing.T) {
 	}
 	if n := base.NumEdges(); n != len(e.Src) {
 		t.Fatalf("the snapshot's base moved: %d edges, want %d", n, len(e.Src))
+	}
+}
+
+// TestTriangleCountAllocationBudget: TC on Kron graphs, which it presorts
+// by degree, allocates per block of each row build, not per row — at scale
+// 12 and at scale 14, four times the rows, under four workers, within 3 000
+// allocations a run (a mask-row visitor and dot callback a row, a row
+// sorter an unsorted row and a general merge into the empty C cost 15 000
+// and 50 000) — and counts what the GAP oracle counts.
+func TestTriangleCountAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	prev := parallel.SetMaxThreads(4)
+	defer parallel.SetMaxThreads(prev)
+	for _, scale := range []int{12, 14} {
+		e := gen.Kron(scale, 8, 1)
+		g := graphFromEdges(t, e)
+		want := gap.TriangleCount(gap.Build(e.N, e.Src, e.Dst, nil, false))
+		var mallocs uint64
+		for run := 0; run < 2; run++ { // the second run meets warm pools and cached properties
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			got, err := TriangleCount(bg, g)
+			runtime.ReadMemStats(&after)
+			if err != nil && !IsWarning(err) {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("scale %d: %d triangles, gap %d", scale, got, want)
+			}
+			mallocs = after.Mallocs - before.Mallocs
+		}
+		if mallocs > 3000 {
+			t.Errorf("TC on Kron scale %d (%d rows) made %d allocations, budget 3000", scale, e.N, mallocs)
+		}
 	}
 }
 

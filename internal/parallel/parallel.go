@@ -7,6 +7,7 @@ package parallel
 
 import (
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -48,29 +49,66 @@ func Threads(n int) int {
 	return t
 }
 
-// Blocks is the one fan-out primitive: it splits [0, n) into at most
-// Threads(n) contiguous blocks, runs body(lo, hi) on each concurrently and
-// returns the per-block results in block order, for the caller to combine.
-// A single block runs inline on the caller's goroutine. body must be safe
-// to call concurrently on disjoint ranges.
-func Blocks[S any](n int, body func(lo, hi int) S) []S {
+// weightedPieces is how many blocks a weighted cut makes per worker. A
+// weight counts entries, not the work done on them (a masked dot's row
+// costs its mask entries times the rows they meet), so equal weight is
+// only roughly equal work; the spare pieces, taken from a shared counter,
+// absorb the rest.
+const weightedPieces = 8
+
+// Blocks is the one fan-out primitive: it splits [0, n) into contiguous
+// blocks, runs body(lo, hi) on each concurrently and returns the per-block
+// results in block order, for the caller to combine. A single block runs
+// inline on the caller's goroutine. body must be safe to call concurrently
+// on disjoint ranges.
+//
+// The cut is by weight. With weight nil every index weighs the same, and
+// [0, n) is cut into Threads(n) blocks of equal length. Otherwise weight is
+// cumulative, of length n+1 from weight[0] = 0 — a CSR row pointer, so
+// index i weighs its row's entries, plus one for the row itself — and
+// [0, n) is cut into weightedPieces·Threads(n) blocks (at most n) of equal
+// weight, which Threads(n) workers take in turn: skewed rows, such as a
+// degree-sorted graph's, no longer leave one block with most of the work.
+func Blocks[S any](n int, weight []int, body func(lo, hi int) S) []S {
 	if n <= 0 {
 		return nil
 	}
 	t := Threads(n)
-	chunk := (n + t - 1) / t
-	out := make([]S, (n+chunk-1)/chunk)
-	if len(out) == 1 {
-		out[0] = body(0, n)
-		return out
+	if t == 1 {
+		return []S{body(0, n)}
 	}
+	var pieces int
+	var start func(b int) int
+	if weight == nil {
+		chunk := (n + t - 1) / t
+		pieces = (n + chunk - 1) / chunk
+		start = func(b int) int { return min(b*chunk, n) }
+	} else {
+		// Cut where W(i) = weight[i] + i first reaches each share of the
+		// total; a row heavier than a share swallows the cuts that fall
+		// inside it, so no block is empty.
+		want := min(weightedPieces*t, n)
+		total := weight[n] + n
+		cuts := make([]int, 1, want+1)
+		for b := 1; b <= want; b++ {
+			target := total * b / want
+			if c := sort.Search(n, func(i int) bool { return weight[i]+i >= target }); c > cuts[len(cuts)-1] {
+				cuts = append(cuts, c)
+			}
+		}
+		pieces = len(cuts) - 1
+		start = func(b int) int { return cuts[b] }
+	}
+	out := make([]S, pieces)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for b := range out {
-		wg.Add(1)
+	wg.Add(min(t, pieces))
+	for range min(t, pieces) {
 		go func() {
 			defer wg.Done()
-			lo := b * chunk
-			out[b] = body(lo, min(lo+chunk, n))
+			for b := int(next.Add(1)) - 1; b < pieces; b = int(next.Add(1)) - 1 {
+				out[b] = body(start(b), start(b+1))
+			}
 		}()
 	}
 	wg.Wait()
@@ -88,7 +126,7 @@ func For(n int, body func(lo, hi int)) {
 		}
 		return
 	}
-	Blocks(n, func(lo, hi int) struct{} {
+	Blocks(n, nil, func(lo, hi int) struct{} {
 		body(lo, hi)
 		return struct{}{}
 	})
@@ -151,7 +189,7 @@ func Reduce[T any](n int, identity T, body func(lo, hi int) T, comb func(a, b T)
 		return comb(identity, body(0, n)) // no per-block slice on the tiny path
 	}
 	acc := identity
-	for _, part := range Blocks(n, body) {
+	for _, part := range Blocks(n, nil, body) {
 		acc = comb(acc, part)
 	}
 	return acc

@@ -51,7 +51,7 @@ func TestForCoversRangeExactlyOnce(t *testing.T) {
 func TestBlocksCoverRangeInBlockOrder(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 3000, 10000} {
 		next := 0
-		for _, blk := range Blocks(n, func(lo, hi int) [2]int { return [2]int{lo, hi} }) {
+		for _, blk := range Blocks(n, nil, func(lo, hi int) [2]int { return [2]int{lo, hi} }) {
 			if blk[0] != next || blk[1] <= blk[0] {
 				t.Fatalf("n=%d: block [%d,%d) after %d", n, blk[0], blk[1], next)
 			}
@@ -59,6 +59,78 @@ func TestBlocksCoverRangeInBlockOrder(t *testing.T) {
 		}
 		if next != n {
 			t.Fatalf("n=%d: blocks cover [0,%d)", n, next)
+		}
+	}
+}
+
+// TestBlocksCutByWeight: with a weight, the blocks still cover [0, n)
+// exactly once, in order and none empty, and are cut at equal weight —
+// W(i) = weight[i] + i, each row counted as its entries plus one — into
+// weightedPieces·Threads(n) blocks; a row heavier than a share ends its
+// block, and a nil weight cuts as an unweighted call always has: Threads(n)
+// blocks of equal length.
+func TestBlocksCutByWeight(t *testing.T) {
+	prev := SetMaxThreads(4)
+	defer SetMaxThreads(prev)
+	const n, heavy = 10000, 3333
+	cumulative := func(rowWeight func(i int) int) []int {
+		w := make([]int, n+1)
+		for i := 0; i < n; i++ {
+			w[i+1] = w[i] + rowWeight(i)
+		}
+		return w
+	}
+	ramp := cumulative(func(i int) int { return i }) // a degree-sorted graph's shape
+	oneRow := cumulative(func(i int) int {
+		if i == heavy {
+			return 1 << 20
+		}
+		return 0
+	})
+	zero := make([]int, n+1)
+	pieces := weightedPieces * Threads(n)
+	for _, c := range []struct {
+		name   string
+		weight []int
+		want   func(blocks [][2]int) bool
+	}{
+		{"nil", nil, func(b [][2]int) bool {
+			return len(b) == 4 && b[0] == [2]int{0, 2500} && b[3] == [2]int{7500, n}
+		}},
+		{"zero total", zero, func(b [][2]int) bool {
+			for _, blk := range b {
+				if l := blk[1] - blk[0]; l != n/pieces && l != n/pieces+1 {
+					return false
+				}
+			}
+			return len(b) == pieces
+		}},
+		{"all in one row", oneRow, func(b [][2]int) bool {
+			return len(b) == 2 && b[0][1] == heavy+1
+		}},
+		{"ramp", ramp, func(b [][2]int) bool {
+			share := (ramp[n] + n) / pieces
+			for _, blk := range b {
+				if w := ramp[blk[1]] + blk[1] - ramp[blk[0]] - blk[0]; w > share+n {
+					return false
+				}
+			}
+			return len(b) == pieces
+		}},
+	} {
+		blocks := Blocks(n, c.weight, func(lo, hi int) [2]int { return [2]int{lo, hi} })
+		next := 0
+		for _, blk := range blocks {
+			if blk[0] != next || blk[1] <= blk[0] {
+				t.Fatalf("%s: block [%d,%d) after %d", c.name, blk[0], blk[1], next)
+			}
+			next = blk[1]
+		}
+		if next != n {
+			t.Fatalf("%s: blocks cover [0,%d)", c.name, next)
+		}
+		if !c.want(blocks) {
+			t.Errorf("%s: cut %v", c.name, blocks)
 		}
 	}
 }
