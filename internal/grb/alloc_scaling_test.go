@@ -278,3 +278,69 @@ func TestDenseVectorCallsDoNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// TestVectorStorageCallsDoNotAllocate pins that a vector reaches the storage
+// bodies it shares with Matrix without building anything per call: element
+// access on every format, NVals, Wait on a finished vector and a conform
+// that keeps the format allocate nothing.
+func TestVectorStorageCallsDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	const n = 1 << 10
+	sparse, err := VectorFromTuples(n, []int{3, 70, 500}, []float64{1, 2, 3}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitmap, full := DenseVector(n, 1.0), DenseVector(n, 2.0)
+	if err := bitmap.RemoveElement(0); err != nil {
+		t.Fatal(err)
+	}
+	vectors := []*Vector[float64]{sparse, bitmap, full}
+	formats := []Format{FormatSparse, FormatBitmap, FormatFull}
+	extract := func(v *Vector[float64], i int) func() {
+		return func() {
+			if _, err := v.ExtractElement(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	set := func(v *Vector[float64]) func() {
+		return func() {
+			if err := v.SetElement(4, 5); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	calls := []struct {
+		name string
+		call func()
+	}{
+		{"ExtractElement on a sparse vector", extract(sparse, 70)},
+		{"ExtractElement on a bitmap vector", extract(bitmap, 5)},
+		{"ExtractElement on a full vector", extract(full, 5)},
+		{"SetElement on a bitmap vector", set(bitmap)},
+		{"SetElement on a full vector", set(full)},
+		{"NVals", func() {
+			for _, v := range vectors {
+				v.NVals()
+			}
+		}},
+		{"Wait on a finished vector", sparse.Wait},
+		{"conform keeping the format", func() {
+			for _, v := range vectors {
+				v.conform()
+			}
+		}},
+	}
+	for _, c := range calls {
+		if a := testing.AllocsPerRun(100, c.call); a != 0 {
+			t.Errorf("%s: %.1f allocations a call", c.name, a)
+		}
+	}
+	for k, v := range vectors {
+		if v.Format() != formats[k] {
+			t.Errorf("vector %d left %v, want %v", k, v.Format(), formats[k])
+		}
+	}
+}

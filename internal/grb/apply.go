@@ -89,8 +89,8 @@ func ApplyV[TIn, TOut Value](w *Vector[TOut], mask VMask, accum func(TOut, TOut)
 		return f.F(x)
 	}
 	if u.format == FormatSparse {
-		allow := mask.allowFor(u.n, false)
-		t := MustVector[TOut](u.n)
+		allow := mask.allowFor(u.nc, false)
+		t := MustVector[TOut](u.nc)
 		for p, i := range u.idx {
 			if allow.ok(i) {
 				t.idx = append(t.idx, i)
@@ -137,9 +137,9 @@ func SelectV[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 	// out of a full t) is the common case: it is collected as a list unless
 	// it lands in a w that is already bitmap/full.
 	if u.format == FormatSparse || w.format == FormatSparse {
-		allow := mask.allowFor(u.n, u.format != FormatSparse)
+		allow := mask.allowFor(u.nc, u.format != FormatSparse)
 		defer allow.release()
-		t := MustVector[T](u.n)
+		t := MustVector[T](u.nc)
 		u.Iterate(func(i int, x T) {
 			if allow.ok(i) && f.F(x, i, 0, thunk) {
 				t.idx = append(t.idx, i)

@@ -74,7 +74,7 @@ func AssignVector[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 	regVal := make([]T, n)
 	for k, i := range indices {
 		reg[i] = 1
-		x, ok := u.get(k)
+		x, ok := u.get(0, k)
 		if !ok {
 			continue
 		}
@@ -106,9 +106,9 @@ func AssignVectorScalar[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 	// that lists its allowed positions — BFS's level stamp and SSSP's
 	// settled set. Only those positions change, and each receives the
 	// scalar, so they are folded into w where they land.
-	if isAll(indices) && !d.Replace && mask.Exists() && !mask.Comp && !mask.src.maskIsDenseV() {
+	if isAll(indices) && !d.Replace && mask.Exists() && !mask.Comp && !mask.src.maskIsDense() {
 		u := MustVector[T](n)
-		mask.src.maskIterV(func(i int, tv bool) {
+		mask.src.maskRowIter(0, func(i int, tv bool) {
 			if mask.selects(tv) {
 				u.idx = append(u.idx, i)
 				u.val = append(u.val, s)
@@ -164,7 +164,7 @@ func assignStaged[T Value](w *Vector[T], mask VMask, accum func(T, T) T, replace
 }
 
 // sameVectorSource reports whether the mask's source is the vector u.
-func sameVectorSource[T Value](src vectorMaskSource, u *Vector[T]) bool {
+func sameVectorSource[T Value](src maskSource, u *Vector[T]) bool {
 	v, ok := src.(*Vector[T])
 	return ok && v == u
 }
@@ -201,7 +201,7 @@ func AssignMatrixScalar[T Value](C *Matrix[T], mask Mask, accum func(T, T) T,
 	var t *Matrix[T]
 	if region.fn == nil && !mask.Exists() {
 		// C(:) ⊙= s: t holds the scalar everywhere (BC's B(:) = 1).
-		t = &Matrix[T]{nr: nr, nc: nc, format: FormatFull, val: make([]T, nr*nc)}
+		t = &Matrix[T]{store[T]{nr: nr, nc: nc, format: FormatFull, val: make([]T, nr*nc)}}
 		if truthy(s) {
 			for p := range t.val {
 				t.val[p] = s

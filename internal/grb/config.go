@@ -23,9 +23,10 @@ const (
 	// bitmapSwitchDen: a sparse result converts to bitmap once at least
 	// 1/bitmapSwitchDen of its positions hold an entry.
 	bitmapSwitchDen = 8
-	// maxDenseEntries caps nrows*ncols for bitmap/full allocation of
-	// matrices, so a huge sparse adjacency matrix is never densified.
-	// Vectors are always small enough and are not subject to it.
+	// maxDenseEntries caps nrows*ncols for bitmap/full allocation of a
+	// store of more than one row, so a huge sparse adjacency matrix is
+	// never densified. A store of one row — a vector — is as long as a
+	// graph has vertices, and is not subject to it.
 	maxDenseEntries = 1 << 24
 )
 
@@ -53,13 +54,12 @@ func SetLazySortEnabled(on bool) bool {
 // LazySortEnabled reports whether results may be left jumbled.
 func LazySortEnabled() bool { return global.lazySortEnabled.Load() }
 
-// wantBitmap reports whether a structure of the given size/occupancy should
-// be stored as bitmap.
-func wantBitmap(nvals int, size int64, isVector bool) bool {
-	if !BitmapEnabled() || size <= 0 {
-		return false
-	}
-	if !isVector && size > maxDenseEntries {
+// wantBitmap reports whether a sparse nr-by-nc store holding nvals entries
+// should be stored as bitmap. Past maxDenseEntries only a store of one row
+// (a vector) may be.
+func wantBitmap(nvals, nr, nc int) bool {
+	size := int64(nr) * int64(nc)
+	if !BitmapEnabled() || size <= 0 || nr > 1 && size > maxDenseEntries {
 		return false
 	}
 	return int64(nvals)*bitmapSwitchDen >= size

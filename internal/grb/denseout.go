@@ -41,7 +41,7 @@ func inPlace[T Value](w *Vector[T], mask VMask, accum func(T, T) T, everyPositio
 
 // dense reports whether the allowed positions are as many as the vector
 // is long, more or less: no mask, a complemented one, a bitmap/full source.
-func (mk VMask) dense() bool { return !mk.Exists() || mk.Comp || mk.src.maskIsDenseV() }
+func (mk VMask) dense() bool { return !mk.Exists() || mk.Comp || mk.src.maskIsDense() }
 
 // denseDst is the destination of a call that visits every position:
 // put(i, x) where the call's result holds an entry, none(i) where it does
@@ -65,14 +65,14 @@ type denseDst[T Value] struct {
 func denseOutput[T Value](w *Vector[T], mask VMask, accum func(T, T) T, replace bool, reads ...any) denseDst[T] {
 	w.Wait()
 	// The mask is read now, before w — which may be its source — changes.
-	d := denseDst[T]{w: w, allow: mask.allowFor(w.n, true), accum: accum, replace: replace}
+	d := denseDst[T]{w: w, allow: mask.allowFor(w.nc, true), accum: accum, replace: replace}
 	switch {
 	case !inPlace(w, mask, accum, true, reads...):
-		d.t = MustVector[T](w.n)
+		d.t = MustVector[T](w.nc)
 		return d
 	case w.format != FormatSparse:
 	case len(w.idx) == 0:
-		w.idx, w.val, w.b = nil, make([]T, w.n), make([]int8, w.n)
+		w.idx, w.val, w.b = nil, make([]T, w.nc), make([]int8, w.nc)
 		w.nvalsB, w.format = 0, FormatBitmap
 	default:
 		w.sparseToBitmap()
@@ -134,7 +134,7 @@ func (d *denseDst[T]) visit(i int, x T, tok, inRegion bool) {
 func (d *denseDst[T]) remove(i int) {
 	if d.b == nil {
 		d.w.fullToBitmap()
-		d.b, d.nvals, d.plain = d.w.b, d.w.n, false
+		d.b, d.nvals, d.plain = d.w.b, d.w.nc, false
 	}
 	var zero T
 	d.b[i], d.val[i] = 0, zero

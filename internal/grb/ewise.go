@@ -227,7 +227,7 @@ func EWiseAddV[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 	// A bitmap/full operand makes the union as dense: by position, into w.
 	dst := denseOutput(w, mask, accum, d.Replace)
 	uc, vc := cursorOf(u), cursorOf(v)
-	for i := 0; i < w.n; i++ {
+	for i := 0; i < w.nc; i++ {
 		ux, uok := uc.at(i)
 		vx, vok := vc.at(i)
 		switch {
@@ -342,13 +342,13 @@ func ewiseMultVector[TA, TB, TC Value](op BinaryOp[TA, TB, TC], u *Vector[TA], v
 		}
 	case u.format == FormatSparse:
 		for p, i := range u.idx {
-			if vx, ok := v.get(i); ok {
+			if vx, ok := v.get(0, i); ok {
 				emit(i, u.val[p], vx)
 			}
 		}
 	default:
 		for q, i := range v.idx {
-			if ux, ok := u.get(i); ok {
+			if ux, ok := u.get(0, i); ok {
 				emit(i, ux, v.val[q])
 			}
 		}

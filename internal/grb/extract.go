@@ -162,7 +162,7 @@ func ExtractSubvector[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 		if !all {
 			si = indices[k]
 		}
-		if x, ok := u.get(si); ok {
+		if x, ok := u.get(0, si); ok {
 			dst.put(k, x)
 		} else {
 			dst.none(k)

@@ -119,7 +119,7 @@ func maskAccumVector[T Value](w *Vector[T], mk VMask, accum func(T, T) T, t *Vec
 		return
 	}
 	// The sorted merge of two lists, the mask probed per entry.
-	allow := mk.allowFor(w.n, false)
+	allow := mk.allowFor(w.nc, false)
 	outI := make([]int, 0, len(w.idx)+len(t.idx))
 	outV := make([]T, 0, len(w.idx)+len(t.idx))
 	unionWalk(w.idx, t.idx, func(i, p, q int) {
@@ -141,7 +141,7 @@ func maskAccumVector[T Value](w *Vector[T], mk VMask, accum func(T, T) T, t *Vec
 func mergeByPosition[T Value](w *Vector[T], mk VMask, accum func(T, T) T, t *Vector[T], replace bool) {
 	dst := denseOutput(w, mk, accum, replace)
 	tc := cursorOf(t)
-	for i := 0; i < w.n; i++ {
+	for i := 0; i < w.nc; i++ {
 		if x, ok := tc.at(i); ok {
 			dst.put(i, x)
 		} else {

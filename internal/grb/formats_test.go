@@ -684,29 +684,72 @@ func TestLazySortObservableOnKernelOutputs(t *testing.T) {
 	}
 }
 
+// shapedStore builds a finished store of the given shape — a vector when
+// vector is set — holding nvals cells scattered over it (cell 7k mod size
+// for k < nvals, so size must be prime to 7), in format f (ConvertTo,
+// which applies no policy), and returns the store the type shares.
+func shapedStore(t *testing.T, nr, nc int, vector bool, nvals int, f Format) *store[float64] {
+	t.Helper()
+	var s *store[float64]
+	if vector {
+		s = &MustVector[float64](nc).store
+	} else {
+		s = &MustMatrix[float64](nr, nc).store
+	}
+	for k := 0; k < nvals; k++ {
+		p := 7 * k % (nr * nc)
+		if err := s.SetElement(float64(p+1), p/nc, p%nc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.ConvertTo(f)
+	if s.Format() != f || s.NVals() != nvals {
+		t.Fatalf("built %v with %d entries, want %v with %d", s.Format(), s.NVals(), f, nvals)
+	}
+	return s
+}
+
+// TestConformSwitchesFormats pins the automatic format policy on the three
+// shapes it serves, a vector, a 1×n matrix and an m×n one, all of 256 cells:
+// a sparse result turns bitmap at 1/8 of its cells, and full when it holds
+// all of them; a bitmap turns full when complete and goes back to sparse
+// only below 1/16 (the ×2 hysteresis); with the bitmap format disabled
+// every result ends sparse.
 func TestConformSwitchesFormats(t *testing.T) {
-	prevBM := SetBitmapEnabled(true)
-	defer SetBitmapEnabled(prevBM)
-	// A dense-ish vector result should become bitmap/full automatically.
-	n := 4096
-	v := MustVector[float64](n)
-	for i := 0; i < n; i++ {
-		v.SetElement(1, i)
+	defer SetBitmapEnabled(SetBitmapEnabled(true))
+	const size = 256
+	shapes := []struct {
+		name   string
+		nr, nc int
+		vector bool
+	}{{"vector", 1, size, true}, {"1xn matrix", 1, size, false}, {"mxn matrix", 16, 16, false}}
+	cases := []struct {
+		from   Format
+		nvals  int
+		bitmap bool // SetBitmapEnabled
+		want   Format
+	}{
+		{FormatSparse, size/8 - 1, true, FormatSparse},
+		{FormatSparse, size / 8, true, FormatBitmap},
+		{FormatSparse, size - 1, true, FormatBitmap},
+		{FormatSparse, size, true, FormatFull},
+		{FormatBitmap, size / 8, true, FormatBitmap},
+		{FormatBitmap, size / 16, true, FormatBitmap},
+		{FormatBitmap, size/16 - 1, true, FormatSparse},
+		{FormatBitmap, size, true, FormatFull},
+		{FormatSparse, size, false, FormatSparse},
+		{FormatBitmap, size / 2, false, FormatSparse},
 	}
-	v.Wait()
-	v.conform()
-	if v.Format() == FormatSparse {
-		t.Fatalf("dense vector stayed sparse")
-	}
-	// With bitmap disabled, conform keeps sparse.
-	SetBitmapEnabled(false)
-	u := MustVector[float64](n)
-	for i := 0; i < n; i++ {
-		u.SetElement(1, i)
-	}
-	u.Wait()
-	u.conform()
-	if u.Format() != FormatSparse {
-		t.Fatalf("bitmap disabled but format is %v", u.Format())
+	for _, sh := range shapes {
+		for _, c := range cases {
+			SetBitmapEnabled(true)
+			s := shapedStore(t, sh.nr, sh.nc, sh.vector, c.nvals, c.from)
+			SetBitmapEnabled(c.bitmap)
+			s.conform()
+			if s.Format() != c.want || s.NVals() != c.nvals {
+				t.Errorf("%s: %v with %d entries, bitmap enabled %v: conform gave %v with %d entries, want %v",
+					sh.name, c.from, c.nvals, c.bitmap, s.Format(), s.NVals(), c.want)
+			}
+		}
 	}
 }

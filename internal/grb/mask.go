@@ -8,29 +8,21 @@ package grb
 // Masks are type-erased: a bool matrix can mask an int64 result without
 // extra type parameters at the call site.
 
-// matrixMaskSource is implemented by *Matrix[T] for every T.
-type matrixMaskSource interface {
-	Dims() (int, int)
+// maskSource is implemented by every Matrix and Vector, of any T: the
+// store's methods, a vector's mask being its one row.
+type maskSource interface {
+	shape() (int, int)
+	Wait()
 	maskHas(i, j int) (exists, truthyVal bool)
 	maskRowIter(i int, f func(j int, truthyVal bool))
-	finishMask()
 	maskIsDense() bool
 	rowPtr() []int
-}
-
-// vectorMaskSource is implemented by *Vector[T] for every T.
-type vectorMaskSource interface {
-	Size() int
-	maskHasV(i int) (exists, truthyVal bool)
-	maskIterV(f func(i int, truthyVal bool))
-	finishMaskV()
-	maskIsDenseV() bool
 }
 
 // Mask is a matrix mask specification: ⟨M⟩, ⟨¬M⟩, ⟨s(M)⟩ or ⟨¬s(M)⟩.
 // The zero value means "no mask".
 type Mask struct {
-	src        matrixMaskSource
+	src        maskSource
 	Comp       bool
 	Structural bool
 }
@@ -63,11 +55,11 @@ func (mk Mask) check(nr, nc int, op string) error {
 	if !mk.Exists() {
 		return nil
 	}
-	mr, mc := mk.src.Dims()
+	mr, mc := mk.src.shape()
 	if mr != nr || mc != nc {
 		return errf(DimensionMismatch, "%s: mask is %dx%d, output is %dx%d", op, mr, mc, nr, nc)
 	}
-	mk.src.finishMask()
+	mk.src.Wait()
 	return nil
 }
 
@@ -105,7 +97,7 @@ func (mk Mask) allowed(i, j int) bool {
 
 // VMask is the vector analogue of Mask.
 type VMask struct {
-	src        vectorMaskSource
+	src        maskSource
 	Comp       bool
 	Structural bool
 }
@@ -137,10 +129,10 @@ func (mk VMask) check(n int, op string) error {
 	if !mk.Exists() {
 		return nil
 	}
-	if mk.src.Size() != n {
-		return errf(DimensionMismatch, "%s: mask length %d, output length %d", op, mk.src.Size(), n)
+	if _, mn := mk.src.shape(); mn != n {
+		return errf(DimensionMismatch, "%s: mask length %d, output length %d", op, mn, n)
 	}
-	mk.src.finishMaskV()
+	mk.src.Wait()
 	return nil
 }
 
@@ -150,7 +142,7 @@ func (mk VMask) allowed(i int) bool {
 	if !mk.Exists() {
 		return true
 	}
-	ex, tv := mk.src.maskHasV(i)
+	ex, tv := mk.src.maskHas(0, i)
 	sel := ex && mk.selects(tv)
 	if mk.Comp {
 		return !sel
@@ -188,7 +180,7 @@ func (mk VMask) allowFor(n int, denseInput bool) vAllow {
 	if !mk.Comp {
 		sel = 1
 	}
-	mk.src.maskIterV(func(i int, tv bool) {
+	mk.src.maskRowIter(0, func(i int, tv bool) {
 		if mk.selects(tv) {
 			a.dense[i] = sel
 		}
@@ -212,58 +204,34 @@ func (a *vAllow) release() {
 }
 
 // ---------------------------------------------------------------------------
-// Matrix implements matrixMaskSource.
+// store implements maskSource.
 
-func (m *Matrix[T]) maskHas(i, j int) (bool, bool) {
-	switch m.format {
-	case FormatFull:
-		return true, truthy(m.val[i*m.nc+j])
-	case FormatBitmap:
-		p := i*m.nc + j
-		if m.b[p] == 0 {
-			return false, false
-		}
-		return true, truthy(m.val[p])
-	default:
-		if p, ok := m.findSparse(i, j); ok {
-			return true, truthy(m.val[p])
-		}
-		return false, false
+// maskHas is get by hand, a call shorter: a mask is probed once per entry.
+func (s *store[T]) maskHas(i, j int) (bool, bool) {
+	if s.format != FormatSparse {
+		p := i*s.nc + j
+		return s.denseHas(p), s.denseHas(p) && truthy(s.val[p])
 	}
+	if p, ok := s.findSparse(i, j); ok {
+		return true, truthy(s.val[p])
+	}
+	return false, false
 }
 
-func (m *Matrix[T]) maskRowIter(i int, f func(j int, truthyVal bool)) {
-	switch m.format {
+func (s *store[T]) maskRowIter(i int, f func(j int, truthyVal bool)) {
+	switch s.format {
 	case FormatSparse:
-		for p := m.ptr[i]; p < m.ptr[i+1]; p++ {
-			f(m.idx[p], truthy(m.val[p]))
+		for p := s.ptr[i]; p < s.ptr[i+1]; p++ {
+			f(s.idx[p], truthy(s.val[p]))
 		}
 	default:
-		base := i * m.nc
-		for j := 0; j < m.nc; j++ {
-			if m.format == FormatFull || m.b[base+j] != 0 {
-				f(j, truthy(m.val[base+j]))
+		base := i * s.nc
+		for j := 0; j < s.nc; j++ {
+			if s.denseHas(base + j) {
+				f(j, truthy(s.val[base+j]))
 			}
 		}
 	}
 }
 
-func (m *Matrix[T]) finishMask() { m.Wait() }
-
-func (m *Matrix[T]) maskIsDense() bool { return m.format != FormatSparse }
-
-// ---------------------------------------------------------------------------
-// Vector implements vectorMaskSource.
-
-func (v *Vector[T]) maskHasV(i int) (bool, bool) {
-	x, ok := v.get(i)
-	return ok, ok && truthy(x)
-}
-
-func (v *Vector[T]) maskIterV(f func(i int, truthyVal bool)) {
-	v.Iterate(func(i int, x T) { f(i, truthy(x)) })
-}
-
-func (v *Vector[T]) finishMaskV() { v.Wait() }
-
-func (v *Vector[T]) maskIsDenseV() bool { return v.format != FormatSparse }
+func (s *store[T]) maskIsDense() bool { return s.format != FormatSparse }

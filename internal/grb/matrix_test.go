@@ -199,43 +199,57 @@ func TestBuildExtractRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestFormatConversionsRoundTrip converts a matrix and a vector, each with
+// holes and complete, from every format to every format: the entries never
+// change, and the format becomes the one asked for, except that
+// ConvertTo(FormatFull) is refused while there are holes. A full store that
+// loses an entry through RemoveElement turns bitmap.
 func TestFormatConversionsRoundTrip(t *testing.T) {
-	m := mustFromTuples(t, 3, 4,
-		[]int{0, 0, 1, 2, 2}, []int{0, 3, 1, 0, 2}, []int64{1, 2, 3, 4, 5})
-	orig, origC, origV := m.ExtractTuples()
-
-	m.ConvertTo(FormatBitmap)
-	if m.Format() != FormatBitmap {
-		t.Fatalf("format = %v", m.Format())
-	}
-	r, c, v := m.ExtractTuples()
-	if !reflect.DeepEqual(r, orig) || !reflect.DeepEqual(c, origC) || !reflect.DeepEqual(v, origV) {
-		t.Fatal("bitmap conversion changed contents")
-	}
-	m.ConvertTo(FormatSparse)
-	if m.Format() != FormatSparse {
-		t.Fatalf("format = %v", m.Format())
-	}
-	r, c, v = m.ExtractTuples()
-	if !reflect.DeepEqual(r, orig) || !reflect.DeepEqual(c, origC) || !reflect.DeepEqual(v, origV) {
-		t.Fatal("sparse round trip changed contents")
-	}
-}
-
-func TestConvertToFullRequiresAllEntries(t *testing.T) {
-	m := mustFromTuples(t, 2, 2, []int{0}, []int{0}, []int64{1})
-	m.ConvertTo(FormatFull)
-	if m.Format() == FormatFull {
-		t.Fatal("partial matrix converted to full")
-	}
-	full := mustFromTuples(t, 2, 2, []int{0, 0, 1, 1}, []int{0, 1, 0, 1}, []int64{1, 2, 3, 4})
-	full.ConvertTo(FormatFull)
-	if full.Format() != FormatFull {
-		t.Fatalf("complete matrix not converted: %v", full.Format())
-	}
-	got, _ := full.ExtractElement(1, 0)
-	if got != 3 {
-		t.Fatalf("full A(1,0) = %d", got)
+	formats := []Format{FormatSparse, FormatBitmap, FormatFull}
+	for _, in := range []struct {
+		name   string
+		nr, nc int
+		vector bool
+	}{{"matrix", 3, 4, false}, {"vector", 1, 6, true}} {
+		size := in.nr * in.nc
+		cells := func(s *store[float64]) []float64 { // every cell's value, -1 for none
+			out := make([]float64, size)
+			for p := range out {
+				x, err := s.ExtractElement(p/in.nc, p%in.nc)
+				if err != nil {
+					x = -1
+				}
+				out[p] = x
+			}
+			return out
+		}
+		for _, nvals := range []int{size - 2, size} {
+			for _, from := range formats {
+				for _, to := range formats {
+					if from == FormatFull && nvals < size {
+						continue
+					}
+					s := shapedStore(t, in.nr, in.nc, in.vector, nvals, from)
+					want := cells(s)
+					s.ConvertTo(to)
+					wantF := to
+					if to == FormatFull && nvals < size {
+						wantF = from
+					}
+					if got := cells(s); s.Format() != wantF || !reflect.DeepEqual(got, want) {
+						t.Errorf("%s with %d of %d entries, %v → %v: %v holding %v, want %v holding %v",
+							in.name, nvals, size, from, to, s.Format(), got, wantF, want)
+					}
+				}
+			}
+		}
+		s := shapedStore(t, in.nr, in.nc, in.vector, size, FormatFull)
+		if err := s.RemoveElement(0, 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.ExtractElement(0, 1); s.Format() != FormatBitmap || s.NVals() != size-1 || err != ErrNoValue {
+			t.Errorf("%s: full after RemoveElement is %v with %d entries (%v at the removed one)", in.name, s.Format(), s.NVals(), err)
+		}
 	}
 }
 
@@ -341,6 +355,23 @@ func mustFromTuples[T Value](t *testing.T, nr, nc int, rows, cols []int, vals []
 
 // ---------------------------------------------------------------------------
 // Vector core behaviour
+
+func TestConvertToFullRequiresAllEntries(t *testing.T) {
+	m := mustFromTuples(t, 2, 2, []int{0}, []int{0}, []int64{1})
+	m.ConvertTo(FormatFull)
+	if m.Format() == FormatFull {
+		t.Fatal("partial matrix converted to full")
+	}
+	full := mustFromTuples(t, 2, 2, []int{0, 0, 1, 1}, []int{0, 1, 0, 1}, []int64{1, 2, 3, 4})
+	full.ConvertTo(FormatFull)
+	if full.Format() != FormatFull {
+		t.Fatalf("complete matrix not converted: %v", full.Format())
+	}
+	got, _ := full.ExtractElement(1, 0)
+	if got != 3 {
+		t.Fatalf("full A(1,0) = %d", got)
+	}
+}
 
 func TestVectorPendingTombstonesWait(t *testing.T) {
 	v := MustVector[int64](6)

@@ -77,15 +77,6 @@ func swapSemiring[TA, TB, TC Value](s Semiring[TA, TB, TC]) Semiring[TB, TA, TC]
 	return out
 }
 
-// asRow views a vector's sorted arrays as the 1×n matrix that shares them —
-// the form in which the product kernels take a vector operand and Wait
-// assembles its pending operations. ptr is the caller's row pointer, so
-// that the view costs no allocation.
-func (v *Vector[T]) asRow(ptr *[2]int) Matrix[T] {
-	ptr[1] = len(v.idx)
-	return Matrix[T]{nr: 1, nc: v.n, format: v.format, ptr: ptr[:], idx: v.idx, val: v.val, b: v.b, nvalsB: v.nvalsB}
-}
-
 // pushKernel: t(j) = ⊕ over entries u(k) with A(k,j) present of u(k)⊗A(k,j),
 // the saxpy row of u as a one-row matrix. The mask pre-restricts which t(j)
 // are computed. Sequential scatter: the push direction is used with small
@@ -100,9 +91,7 @@ func pushKernel[TA, TB, TC Value](s Semiring[TA, TB, TC], u *Vector[TA], A *Matr
 	}
 	acc := getSPA[TC](n)
 	defer putSPA(acc)
-	var ptr [2]int
-	row := u.asRow(&ptr)
-	saxpyRow(&s, &row, 0, A, allowed, acc)
+	saxpyRow(&s, u.asRow(), 0, A, allowed, acc)
 	t := MustVector[TC](n)
 	t.idx = append([]int(nil), acc.touched...)
 	t.val = make([]TC, len(t.idx))
@@ -125,12 +114,11 @@ func pullKernel[TA, TB, TC Value](s Semiring[TA, TB, TC], A *Matrix[TA], u *Vect
 	n := A.NRows()
 	allow := mask.allowFor(n, true)
 	defer allow.release()
-	var ptr [2]int
-	row := u.asRow(&ptr)
+	row := u.asRow()
 	if u.format == FormatSparse {
 		// Pull visits every row anyway: a sparse u is read through a bitmap
 		// view scattered into pooled arrays.
-		vals, has := getSPA[TB](u.n), getSlab(u.n)
+		vals, has := getSPA[TB](u.nc), getSlab(u.nc)
 		defer func() {
 			for _, k := range u.idx {
 				(*has)[k] = 0
@@ -141,14 +129,14 @@ func pullKernel[TA, TB, TC Value](s Semiring[TA, TB, TC], A *Matrix[TA], u *Vect
 		for p, k := range u.idx {
 			(*has)[k], vals.val[k] = 1, u.val[p]
 		}
-		row = Matrix[TB]{nr: 1, nc: u.n, format: FormatBitmap, val: vals.val, b: *has}
+		row = &Matrix[TB]{store[TB]{nr: 1, nc: u.nc, format: FormatBitmap, val: vals.val, b: *has}}
 	}
 	return buildVectorByIndex(n, func(i int) (TC, bool) {
 		if !allow.ok(i) {
 			var zero TC
 			return zero, false
 		}
-		return dotRow(&s, A, &row, i, 0)
+		return dotRow(&s, A, row, i, 0)
 	})
 }
 

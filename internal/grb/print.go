@@ -40,7 +40,7 @@ func (m *Matrix[T]) Sprint() string {
 // String renders a compact vector summary.
 func (v *Vector[T]) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "length-%d GrB Vector, %s format", v.n, v.format)
+	fmt.Fprintf(&sb, "length-%d GrB Vector, %s format", v.nc, v.format)
 	switch v.format {
 	case FormatSparse:
 		fmt.Fprintf(&sb, ", %d entries", len(v.idx))
@@ -53,7 +53,7 @@ func (v *Vector[T]) String() string {
 	case FormatBitmap:
 		fmt.Fprintf(&sb, ", %d entries", v.nvalsB)
 	default:
-		fmt.Fprintf(&sb, ", %d entries", v.n)
+		fmt.Fprintf(&sb, ", %d entries", v.nc)
 	}
 	return sb.String()
 }

@@ -37,10 +37,10 @@
 // (finalize.go), which the list merges, the CSR row merge, the dense output
 // and the assigns with their region all call; a bitmap/full output is
 // updated at T's entries by foldAt; two ascending index lists are walked by
-// unionWalk; a vector operand reaches the two product kernels as a
-// one-row matrix view of its own arrays (Vector.asRow); and a sparse
-// vector's pending operations are assembled on that view by the one
-// assembler, Matrix.assemblePending.
+// unionWalk. A Vector is a store of one row (store.go), so the format
+// conversions, the format policy, pending work and element access have one
+// body for both types, and a vector operand reaches the two product kernels
+// as the one-row matrix it is stored as (Vector.asRow).
 //
 // Matrices are held by row. There is no separate CSC format: computations
 // that need the reverse orientation take an explicitly transposed matrix,
@@ -66,7 +66,7 @@ type Format int8
 
 const (
 	// FormatSparse stores a matrix as CSR (row pointer, column index and
-	// value arrays) and a vector as sorted index/value lists.
+	// value arrays); a vector's one row is its sorted index/value lists.
 	FormatSparse Format = iota
 	// FormatBitmap stores an m-by-n presence byte plus a value per cell.
 	FormatBitmap
@@ -122,10 +122,10 @@ var All []int
 // isAll reports whether an index list means the whole range [0, n).
 func isAll(idx []int) bool { return idx == nil }
 
-// pending is one unassembled (row, col, value) operation; a vector's are a
-// one-row matrix's, row 0 and the index in j. del marks a tombstone: a
-// deletion buffered out of the structure, the complement of a pending
-// insertion, and the only form a sparse deletion takes.
+// pending is one unassembled (row, col, value) operation; a vector's are
+// in row 0, the index in j. del marks a tombstone: a deletion buffered out
+// of the structure, the complement of a pending insertion, and the only
+// form a sparse deletion takes.
 type pending[T Value] struct {
 	i, j int
 	x    T
