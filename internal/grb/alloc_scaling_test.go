@@ -279,6 +279,72 @@ func TestDenseVectorCallsDoNotAllocate(t *testing.T) {
 	}
 }
 
+// denseLevel holds BC's four-row operands (paper Alg. 6) from its second
+// level on, when they are bitmap or full: B full, W and P bitmap with a
+// hole each, F a bitmap frontier on the odd columns but one.
+type denseLevel struct {
+	B, W, P, F *Matrix[float64]
+}
+
+func newDenseLevel(t *testing.T, n int) *denseLevel {
+	t.Helper()
+	const ns = 4
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	lv := &denseLevel{B: MustMatrix[float64](ns, n), W: MustMatrix[float64](ns, n), P: MustMatrix[float64](ns, n), F: MustMatrix[float64](ns, n)}
+	must(AssignMatrixScalar(lv.B, NoMask, nil, 1.0, All, All, nil))
+	must(AssignMatrixScalar(lv.W, NoMask, nil, -2.0, All, All, nil))
+	must(lv.W.RemoveElement(0, 0))
+	for _, m := range []*Matrix[float64]{lv.P, lv.F} {
+		m.ConvertTo(FormatBitmap)
+	}
+	for i := 0; i < ns; i++ {
+		for j := 0; j < n; j += 2 {
+			must(lv.P.SetElement(1, i, j))
+			if j+3 < n {
+				must(lv.F.SetElement(1, i, j+3))
+			}
+		}
+	}
+	return lv
+}
+
+// TestDenseMatrixCallsDoNotAllocate is TestDenseVectorCallsDoNotAllocate
+// for matrices: on warm bitmap/full operands each of BC's four-row calls
+// writes into its output's own arrays — under 1 KiB a call on 2¹⁰ columns
+// and on 2¹⁶ alike, where one temporary of the output's size would be 40
+// KiB to 2.5 MiB.
+func TestDenseMatrixCallsDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	defer parallel.SetMaxThreads(parallel.SetMaxThreads(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	plus := func(a, b float64) float64 { return a + b }
+	for _, n := range []int{1 << 10, 1 << 16} {
+		lv := newDenseLevel(t, n)
+		for _, c := range []namedCall{
+			{"bc: B(:) = 1", func() error { return AssignMatrixScalar(lv.B, NoMask, nil, 1.0, All, All, nil) }},
+			{"bc: B += W ×∩ P", func() error { return EWiseMult(lv.B, NoMask, plus, TimesOp[float64](), lv.W, lv.P, nil) }},
+			{"bc: P = P +∪ F", func() error { return EWiseAdd(lv.P, NoMask, nil, AddOp(PlusOp[float64]()), lv.P, lv.F, nil) }},
+			{"bc: W = |W|", func() error { return Apply(lv.W, NoMask, nil, AbsOp[float64](), lv.W, nil) }},
+		} {
+			if b := bytesPerCall(t, c.call); b >= 1<<10 {
+				t.Errorf("%s: %.0f B/call at n=%d", c.name, b, n)
+			}
+		}
+		for name, m := range map[string]*Matrix[float64]{"B": lv.B, "W": lv.W, "P": lv.P, "F": lv.F} {
+			if m.Format() == FormatSparse {
+				t.Errorf("%s turned sparse at n=%d", name, n)
+			}
+		}
+	}
+}
+
 // TestVectorStorageCallsDoNotAllocate pins that a vector reaches the storage
 // bodies it shares with Matrix without building anything per call: element
 // access on every format, NVals, Wait on a finished vector and a conform

@@ -1,41 +1,64 @@
 package grb
 
+import "cmp"
+
 // Apply and select (paper Table I): apply evaluates a unary operator on
 // every entry; select keeps only entries whose predicate holds, using the
-// entry's value and position plus a scalar thunk.
+// entry's value and position plus a scalar thunk. The vector forms are
+// the same bodies on the one row a vector is stored as; col tells a
+// positional operator that it sees a vector, whose entry j lies at (j, 0).
 
 // Apply computes C⟨M⟩⊙= f(A, k).
 func Apply[TIn, TOut Value](C *Matrix[TOut], mask Mask, accum func(TOut, TOut) TOut,
 	f UnaryOp[TIn, TOut], A *Matrix[TIn], desc *Descriptor) error {
 
 	d := descOf(desc)
-	A = oriented(A, d.TranA)
-	ar, ac := A.Dims()
-	cr, cc := C.Dims()
-	if cr != ar || cc != ac {
-		return dimErr("Apply", "C "+itoa(cr)+"x"+itoa(cc), itoa(ar)+"x"+itoa(ac))
-	}
-	if err := mask.check(cr, cc, "Apply"); err != nil {
+	return apply(C, mask, accum, f, oriented(A, d.TranA), d.Replace, false, "Apply")
+}
+
+// ApplyV computes w⟨m⟩⊙= f(u, k).
+func ApplyV[TIn, TOut Value](w *Vector[TOut], mask VMask, accum func(TOut, TOut) TOut,
+	f UnaryOp[TIn, TOut], u *Vector[TIn], desc *Descriptor) error {
+
+	return apply(w.asRow(), mask, accum, f, u.asRow(), descOf(desc).Replace, true, "ApplyV")
+}
+
+func apply[TIn, TOut Value](C *Matrix[TOut], mask Mask, accum func(TOut, TOut) TOut,
+	f UnaryOp[TIn, TOut], A *Matrix[TIn], replace, col bool, op string) error {
+
+	if err := cmp.Or(sameShape(op, C.nr, C.nc, A.nr, A.nc), mask.check(C.nr, C.nc, op)); err != nil {
 		return err
 	}
 	A.Wait()
-	denseMaskSrc := !mask.Exists() || mask.src.maskIsDense()
-	t := buildCSRParallelScoped(ar, ac, A.rowPtr(), func(scope *rowAllowScope) func(i int, emit func(j int, x TOut)) {
-		return func(i int, emit func(j int, x TOut)) {
-			scope.load(mask, i, ac, denseMaskSrc)
-			aRowIter(A, i, func(j int, x TIn) {
-				if !scope.ok(mask, i, j) {
-					return
-				}
-				if f.PosF != nil {
-					emit(j, f.PosF(x, i, j))
-				} else {
-					emit(j, f.F(x))
-				}
-			})
+	// A structural mask that is A itself allows exactly A's entries: T
+	// covers it (BFS's p⟨s(q)⟩ = q), and A's entries need no lookup.
+	covers := mask.Structural && !mask.Comp && isSource(mask, &A.store)
+	walk := A.format != FormatSparse && mask.walkable() && !covers
+	wb := C.output(mask, accum, replace, nil, tShape{dense: A.format != FormatSparse && !walk && !covers, full: A.format == FormatFull, covers: covers})
+	if wb.plain && A.format == FormatFull && f.PosF == nil {
+		cv, g := C.val, f.F
+		for p, x := range A.val {
+			cv[p] = g(x)
 		}
-	})
-	maskAccumMatrix(C, mask, accum, t, d.Replace, true, nil)
+	} else {
+		masked := mask.Exists() && !covers
+		run(wb, A.rowPtr(), sparseNVals(&A.store), func(lo, hi int, o *sink[TOut]) {
+			for i := lo; i < hi; i++ {
+				o.open(i)
+				A.entries(i, mask, walk, func(j int, x TIn) {
+					switch {
+					case masked && !o.ok(j):
+					case f.PosF != nil:
+						pi, pj := at(i, j, col)
+						o.emit(j, f.PosF(x, pi, pj))
+					default:
+						o.emit(j, f.F(x))
+					}
+				})
+			}
+		})
+	}
+	wb.commit()
 	return nil
 }
 
@@ -45,120 +68,76 @@ func Select[T Value](C *Matrix[T], mask Mask, accum func(T, T) T,
 	f IndexUnaryOp[T], A *Matrix[T], thunk T, desc *Descriptor) error {
 
 	d := descOf(desc)
-	A = oriented(A, d.TranA)
-	ar, ac := A.Dims()
-	cr, cc := C.Dims()
-	if cr != ar || cc != ac {
-		return dimErr("Select", "C "+itoa(cr)+"x"+itoa(cc), itoa(ar)+"x"+itoa(ac))
-	}
-	if err := mask.check(cr, cc, "Select"); err != nil {
-		return err
-	}
-	A.Wait()
-	denseMaskSrc := !mask.Exists() || mask.src.maskIsDense()
-	t := buildCSRParallelScoped(ar, ac, A.rowPtr(), func(scope *rowAllowScope) func(i int, emit func(j int, x T)) {
-		return func(i int, emit func(j int, x T)) {
-			scope.load(mask, i, ac, denseMaskSrc)
-			aRowIter(A, i, func(j int, x T) {
-				if scope.ok(mask, i, j) && f.F(x, i, j, thunk) {
-					emit(j, x)
-				}
-			})
-		}
-	})
-	maskAccumMatrix(C, mask, accum, t, d.Replace, true, nil)
-	return nil
-}
-
-// ApplyV computes w⟨m⟩⊙= f(u, k).
-func ApplyV[TIn, TOut Value](w *Vector[TOut], mask VMask, accum func(TOut, TOut) TOut,
-	f UnaryOp[TIn, TOut], u *Vector[TIn], desc *Descriptor) error {
-
-	if w.Size() != u.Size() {
-		return dimErr("ApplyV", "w length "+itoa(w.Size()), "u length "+itoa(u.Size()))
-	}
-	if err := mask.check(w.Size(), "ApplyV"); err != nil {
-		return err
-	}
-	d := descOf(desc)
-	u.Wait()
-	apply := func(i int, x TIn) TOut {
-		if f.PosF != nil {
-			return f.PosF(x, i, 0)
-		}
-		return f.F(x)
-	}
-	if u.format == FormatSparse {
-		allow := mask.allowFor(u.nc, false)
-		t := MustVector[TOut](u.nc)
-		for p, i := range u.idx {
-			if allow.ok(i) {
-				t.idx = append(t.idx, i)
-				t.val = append(t.val, apply(i, u.val[p]))
-			}
-		}
-		t.conform()
-		maskAccumVector(w, mask, accum, t, d.Replace, true)
-		return nil
-	}
-	dst := denseOutput(w, mask, accum, d.Replace)
-	uv, ub := u.val, u.b
-	if dst.plain && ub == nil && f.PosF == nil {
-		for i, x := range uv {
-			dst.val[i] = f.F(x)
-		}
-		dst.commit()
-		return nil
-	}
-	for i, x := range uv {
-		if ub != nil && ub[i] == 0 {
-			dst.none(i)
-		} else {
-			dst.put(i, apply(i, x))
-		}
-	}
-	dst.commit()
-	return nil
+	return selectRows(C, mask, accum, f, oriented(A, d.TranA), thunk, d.Replace, false, "Select")
 }
 
 // SelectV computes w⟨m⟩⊙= u⟨f(u, k)⟩.
 func SelectV[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 	f IndexUnaryOp[T], u *Vector[T], thunk T, desc *Descriptor) error {
 
-	if w.Size() != u.Size() {
-		return dimErr("SelectV", "w length "+itoa(w.Size()), "u length "+itoa(u.Size()))
-	}
-	if err := mask.check(w.Size(), "SelectV"); err != nil {
+	return selectRows(w.asRow(), mask, accum, f, u.asRow(), thunk, descOf(desc).Replace, true, "SelectV")
+}
+
+func selectRows[T Value](C *Matrix[T], mask Mask, accum func(T, T) T,
+	f IndexUnaryOp[T], A *Matrix[T], thunk T, replace, col bool, op string) error {
+
+	if err := cmp.Or(sameShape(op, C.nr, C.nc, A.nr, A.nc), mask.check(C.nr, C.nc, op)); err != nil {
 		return err
 	}
-	d := descOf(desc)
-	u.Wait()
-	// A selection is at most as dense as u, and a thin one (SSSP's bucket
+	A.Wait()
+	// A selection is at most as dense as A, and a thin one (SSSP's bucket
 	// out of a full t) is the common case: it is collected as a list unless
-	// it lands in a w that is already bitmap/full.
-	if u.format == FormatSparse || w.format == FormatSparse {
-		allow := mask.allowFor(u.nc, u.format != FormatSparse)
-		defer allow.release()
-		t := MustVector[T](u.nc)
-		u.Iterate(func(i int, x T) {
-			if allow.ok(i) && f.F(x, i, 0, thunk) {
-				t.idx = append(t.idx, i)
-				t.val = append(t.val, x)
-			}
-		})
-		t.conform()
-		maskAccumVector(w, mask, accum, t, d.Replace, true)
-		return nil
-	}
-	dst := denseOutput(w, mask, accum, d.Replace)
-	uv, ub := u.val, u.b
-	for i, x := range uv {
-		if (ub == nil || ub[i] != 0) && f.F(x, i, 0, thunk) {
-			dst.put(i, x)
-		} else {
-			dst.none(i)
+	// it lands in a C that is already bitmap/full.
+	walk := A.format != FormatSparse && mask.walkable()
+	wb := C.output(mask, accum, replace, nil, tShape{dense: A.format != FormatSparse && C.format != FormatSparse && !walk})
+	masked := mask.Exists()
+	run(wb, A.rowPtr(), sparseNVals(&A.store), func(lo, hi int, o *sink[T]) {
+		for i := lo; i < hi; i++ {
+			o.open(i)
+			A.entries(i, mask, walk, func(j int, x T) {
+				if pi, pj := at(i, j, col); (!masked || o.ok(j)) && f.F(x, pi, pj, thunk) {
+					o.emit(j, x)
+				}
+			})
 		}
-	}
-	dst.commit()
+	})
+	wb.commit()
 	return nil
+}
+
+// at is the position an operator sees for entry (i, j) of a store: a
+// vector's entry j, of its one row, lies at (j, 0).
+func at(i, j int, col bool) (int, int) {
+	if col {
+		return j, i
+	}
+	return i, j
+}
+
+// isSource reports whether s is the mask's source.
+func isSource[T Value](mk Mask, s *store[T]) bool {
+	switch m := mk.src.(type) {
+	case *Matrix[T]:
+		return &m.store == s
+	case *Vector[T]:
+		return &m.store == s
+	}
+	return false
+}
+
+// sameShape reports an output of another shape than the operation's.
+func sameShape(op string, cr, cc, ar, ac int) error {
+	if cr != ar || cc != ac {
+		return dimErr(op, "C "+itoa(cr)+"x"+itoa(cc), itoa(ar)+"x"+itoa(ac))
+	}
+	return nil
+}
+
+// sparseNVals is a sparse store's entry count, the bound of a result
+// built from its entries; 0 for bitmap/full, whose result may be thin.
+func sparseNVals[T Value](s *store[T]) int {
+	if s.format != FormatSparse {
+		return 0
+	}
+	return s.ptr[s.nr]
 }

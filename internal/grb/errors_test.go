@@ -104,6 +104,9 @@ func TestErrorPathsExtractAssign(t *testing.T) {
 	if err := ExtractColumn(w, NoVMask, nil, A, All, 7, nil); InfoOf(err) != InvalidIndex {
 		t.Fatalf("extract col idx: %v", err)
 	}
+	if err := ExtractColumn(MustVector[float64](2), NoVMask, nil, A, []int{0, 7}, 1, nil); InfoOf(err) != IndexOutOfBounds {
+		t.Fatalf("extract column row oob: %v", err)
+	}
 	u := MustVector[float64](4)
 	if err := ExtractSubvector(w, NoVMask, nil, u, []int{0, 9, 1}, nil); InfoOf(err) != IndexOutOfBounds {
 		t.Fatalf("gather oob: %v", err)

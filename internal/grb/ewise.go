@@ -1,7 +1,10 @@
 package grb
 
+import "cmp"
+
 // Element-wise operations (paper Table I): eWiseAdd applies op on the set
-// union of the input structures; eWiseMult on the set intersection.
+// union of the input structures; eWiseMult on the set intersection. The
+// vector forms are the same body on the one row a vector is stored as.
 
 // EWiseAdd computes C⟨M⟩⊙= A op∪ B. Where only one operand has an entry,
 // that entry passes through unchanged (the "add" structure semantics).
@@ -9,32 +12,7 @@ func EWiseAdd[TA, TB, TC Value](C *Matrix[TC], mask Mask, accum func(TC, TC) TC,
 	op addOpPair[TA, TB, TC], A *Matrix[TA], B *Matrix[TB], desc *Descriptor) error {
 
 	d := descOf(desc)
-	A = oriented(A, d.TranA)
-	B = oriented(B, d.TranB)
-	ar, ac := A.Dims()
-	br, bc := B.Dims()
-	if ar != br || ac != bc {
-		return dimErr("EWiseAdd", "A "+itoa(ar)+"x"+itoa(ac), "B "+itoa(br)+"x"+itoa(bc))
-	}
-	cr, cc := C.Dims()
-	if cr != ar || cc != ac {
-		return dimErr("EWiseAdd", "C "+itoa(cr)+"x"+itoa(cc), itoa(ar)+"x"+itoa(ac))
-	}
-	if err := mask.check(cr, cc, "EWiseAdd"); err != nil {
-		return err
-	}
-	A.Wait()
-	B.Wait()
-	// C = C op∪ B with a sparse B (so B is not C) into a bitmap/full C, no
-	// mask, no accumulator: C op= B, folded in at B's entries.
-	if f, ok := any(op.f).(func(TC, TC) TC); ok && f != nil && any(A) == any(C) && !mask.Exists() &&
-		accum == nil && C.format != FormatSparse && B.format == FormatSparse {
-		maskAccumMatrix(C, NoMask, f, any(B).(*Matrix[TC]), false, false, nil)
-		return nil
-	}
-	t := ewiseMatrix(op.both, op.left, op.right, A, B, mask)
-	maskAccumMatrix(C, mask, accum, t, d.Replace, true, nil)
-	return nil
+	return ewise(C, mask, accum, op, oriented(A, d.TranA), oriented(B, d.TranB), d.Replace, false, "EWiseAdd")
 }
 
 // EWiseMult computes C⟨M⟩⊙= A op∩ B: entries present in both inputs.
@@ -42,59 +20,56 @@ func EWiseMult[TA, TB, TC Value](C *Matrix[TC], mask Mask, accum func(TC, TC) TC
 	op BinaryOp[TA, TB, TC], A *Matrix[TA], B *Matrix[TB], desc *Descriptor) error {
 
 	d := descOf(desc)
-	A = oriented(A, d.TranA)
-	B = oriented(B, d.TranB)
-	ar, ac := A.Dims()
-	br, bc := B.Dims()
-	if ar != br || ac != bc {
-		return dimErr("EWiseMult", "A "+itoa(ar)+"x"+itoa(ac), "B "+itoa(br)+"x"+itoa(bc))
-	}
-	cr, cc := C.Dims()
-	if cr != ar || cc != ac {
-		return dimErr("EWiseMult", "C "+itoa(cr)+"x"+itoa(cc), itoa(ar)+"x"+itoa(ac))
-	}
-	if err := mask.check(cr, cc, "EWiseMult"); err != nil {
-		return err
-	}
-	A.Wait()
-	B.Wait()
-	t := ewiseMatrix(bothOf(op), nil, nil, A, B, mask)
-	maskAccumMatrix(C, mask, accum, t, d.Replace, true, nil)
-	return nil
+	return ewise(C, mask, accum, addOpPair[TA, TB, TC]{op: op}, oriented(A, d.TranA), oriented(B, d.TranB), d.Replace, false, "EWiseMult")
 }
 
-// addOpPair wraps a same-domain binary op for eWiseAdd, where pass-through
-// of single-sided entries requires TA, TB and TC to be inter-assignable.
-// AddOp builds it for the common TA=TB=TC case of the C API.
+// EWiseAddV computes w⟨m⟩⊙= u op∪ v.
+func EWiseAddV[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
+	op BinaryOp[T, T, T], u, v *Vector[T], desc *Descriptor) error {
+
+	return ewise(w.asRow(), mask, accum, AddOp(op), u.asRow(), v.asRow(), descOf(desc).Replace, true, "EWiseAddV")
+}
+
+// EWiseMultV computes w⟨m⟩⊙= u op∩ v.
+func EWiseMultV[TA, TB, TC Value](w *Vector[TC], mask VMask, accum func(TC, TC) TC,
+	op BinaryOp[TA, TB, TC], u *Vector[TA], v *Vector[TB], desc *Descriptor) error {
+
+	return ewise(w.asRow(), mask, accum, addOpPair[TA, TB, TC]{op: op}, u.asRow(), v.asRow(), descOf(desc).Replace, true, "EWiseMultV")
+}
+
+// addOpPair is the operator of an element-wise call: the binary op, and
+// whether it runs on the union, where a single-sided entry passes through
+// — which requires TA, TB and TC to be one type. AddOp builds it for that
+// case, the C API's; every union pair is AddOp's.
 type addOpPair[TA, TB, TC Value] struct {
-	both  func(i, j int, ax TA, bx TB) TC
-	left  func(i, j int, ax TA) TC
-	right func(i, j int, bx TB) TC
-	f     func(TA, TB) TC // both without the position; nil for a positional operator
+	op    BinaryOp[TA, TB, TC]
+	union bool
 }
 
 // AddOp adapts a same-typed binary operator for use with EWiseAdd.
 func AddOp[T Value](op BinaryOp[T, T, T]) addOpPair[T, T, T] {
-	return addOpPair[T, T, T]{
-		both:  bothOf(op),
-		left:  func(_, _ int, a T) T { return a },
-		right: func(_, _ int, b T) T { return b },
-		f:     op.F,
-	}
+	return addOpPair[T, T, T]{op: op, union: true}
 }
 
-// bothOf evaluates op where both operands hold an entry.
-func bothOf[TA, TB, TC Value](op BinaryOp[TA, TB, TC]) func(i, j int, ax TA, bx TB) TC {
-	if op.PosF != nil {
-		return func(i, j int, _ TA, _ TB) TC { return op.PosF(i, 0, j) }
-	}
-	return func(_, _ int, ax TA, bx TB) TC { return op.F(ax, bx) }
+// pass is a single-sided entry of a union, where TA and TC are one type.
+func pass[TA, TC Value](x TA) (y TC) {
+	*any(&y).(*TA) = x
+	return y
 }
 
-// ewiseMatrix combines A and B row by row: an intersection when left and
-// right are nil, otherwise a union with pass-through. Positions the mask
-// disallows are skipped (mask pre-restriction). Each row is driven by its
-// sparsest participant:
+// both evaluates the op where both operands hold an entry; col as in apply.
+func (pr addOpPair[TA, TB, TC]) both(i, j int, ax TA, bx TB, col bool) TC {
+	if pr.op.PosF == nil {
+		return pr.op.F(ax, bx)
+	}
+	pi, pj := at(i, j, col)
+	return pr.op.PosF(pi, 0, pj)
+}
+
+// ewise combines A and B row by row: an intersection, or a union with
+// pass-through. Positions the mask disallows are
+// skipped (mask pre-restriction). Each row is driven by its sparsest
+// participant:
 //
 //	sparse ∘ sparse                      two-pointer merge of the sorted rows
 //	sparse ∩ bitmap/full                 walk the sparse row, probe the other
@@ -102,29 +77,64 @@ func bothOf[TA, TB, TC Value](op BinaryOp[TA, TB, TC]) func(i, j int, ax TA, bx 
 //	  sparse non-complemented mask
 //	anything else (a union with a dense  one pass over the row's positions
 //	  side, dense ∩ dense)
-func ewiseMatrix[TA, TB, TC Value](
-	both func(i, j int, ax TA, bx TB) TC,
-	left func(i, j int, ax TA) TC,
-	right func(i, j int, bx TB) TC,
-	A *Matrix[TA], B *Matrix[TB], mask Mask) *Matrix[TC] {
+func ewise[TA, TB, TC Value](C *Matrix[TC], mask Mask, accum func(TC, TC) TC,
+	op addOpPair[TA, TB, TC], A *Matrix[TA], B *Matrix[TB], replace, col bool, name string) error {
 
-	nr, nc := A.Dims()
-	union := left != nil
-	aS, bS := A.format == FormatSparse, B.format == FormatSparse
-	denseMaskSrc := !mask.Exists() || mask.src.maskIsDense()
-	walkMask := !union && !aS && !bS && mask.enumerable() && !denseMaskSrc
-	return buildCSRParallelScoped(nr, nc, nil, func(scope *rowAllowScope) func(i int, emit func(j int, x TC)) {
-		return func(i int, emit func(j int, x TC)) {
+	if A.nr != B.nr || A.nc != B.nc {
+		return dimErr(name, "A "+itoa(A.nr)+"x"+itoa(A.nc), "B "+itoa(B.nr)+"x"+itoa(B.nc))
+	}
+	if err := cmp.Or(sameShape(name, C.nr, C.nc, A.nr, A.nc), mask.check(C.nr, C.nc, name)); err != nil {
+		return err
+	}
+	A.Wait()
+	B.Wait()
+	union := op.union
+	// C = C op∪ B with a sparse B (so B is not C) into a bitmap/full C, no
+	// mask, no accumulator: C op= B, folded in at B's entries.
+	if f, ok := any(op.op.F).(func(TC, TC) TC); ok && f != nil && union && any(A) == any(C) && !mask.Exists() &&
+		accum == nil && C.format != FormatSparse && B.format == FormatSparse {
+		return apply(C, NoMask, f, Identity[TC](), any(B).(*Matrix[TC]), false, col, name)
+	}
+	aS, bS, aF, bF := A.format == FormatSparse, B.format == FormatSparse, A.format == FormatFull, B.format == FormatFull
+	walkMask := !union && !aS && !bS && mask.walkable()
+	hint := 0
+	switch {
+	case aS && bS && union:
+		hint = A.ptr[A.nr] + B.ptr[B.nr]
+	case aS && bS:
+		hint = min(A.ptr[A.nr], B.ptr[B.nr])
+	case aS && !union:
+		hint = A.ptr[A.nr]
+	case bS && !union:
+		hint = B.ptr[B.nr]
+	}
+	wb := C.output(mask, accum, replace, nil, tShape{
+		dense: !walkMask && (union && !(aS && bS) || !aS && !bS),
+		full:  union && (aF || bF) || aF && bF,
+	})
+	if wb.plain && A.format == FormatFull && B.format == FormatFull && op.op.PosF == nil {
+		cv, av, bv, f := C.val, A.val, B.val, op.op.F
+		for p := range cv {
+			cv[p] = f(av[p], bv[p])
+		}
+		wb.commit()
+		return nil
+	}
+	// C may be an operand, and turned bitmap: read the formats again.
+	aS, bS = A.format == FormatSparse, B.format == FormatSparse
+	nc, masked := C.nc, mask.Exists()
+	run(wb, nil, hint, func(lo, hi int, o *sink[TC]) {
+		for i := lo; i < hi; i++ {
+			o.open(i)
 			base := i * nc
 			if walkMask {
-				mask.rowIterAllowed(i, func(j int) {
+				mask.walk(i, func(j int) {
 					if p := base + j; A.denseHas(p) && B.denseHas(p) {
-						emit(j, both(i, j, A.val[p], B.val[p]))
+						o.emit(j, op.both(i, j, A.val[p], B.val[p], col))
 					}
 				})
-				return
+				continue
 			}
-			scope.load(mask, i, nc, denseMaskSrc)
 			var p, pe, q, qe int
 			if aS {
 				p, pe = A.ptr[i], A.ptr[i+1]
@@ -137,25 +147,25 @@ func ewiseMatrix[TA, TB, TC Value](
 				av, bv := A.val[p:pe], B.val[q:qe]
 				unionWalk(A.idx[p:pe], B.idx[q:qe], func(j, pa, qb int) {
 					switch {
-					case (pa < 0 || qb < 0) && !union || !scope.ok(mask, i, j):
+					case (pa < 0 || qb < 0) && !union || masked && !o.ok(j):
 					case qb < 0:
-						emit(j, left(i, j, av[pa]))
+						o.emit(j, pass[TA, TC](av[pa]))
 					case pa < 0:
-						emit(j, right(i, j, bv[qb]))
+						o.emit(j, pass[TB, TC](bv[qb]))
 					default:
-						emit(j, both(i, j, av[pa], bv[qb]))
+						o.emit(j, op.both(i, j, av[pa], bv[qb], col))
 					}
 				})
 			case aS && !union:
 				for ; p < pe; p++ {
-					if j := A.idx[p]; B.denseHas(base+j) && scope.ok(mask, i, j) {
-						emit(j, both(i, j, A.val[p], B.val[base+j]))
+					if j := A.idx[p]; B.denseHas(base+j) && (!masked || o.ok(j)) {
+						o.emit(j, op.both(i, j, A.val[p], B.val[base+j], col))
 					}
 				}
 			case bS && !union:
 				for ; q < qe; q++ {
-					if j := B.idx[q]; A.denseHas(base+j) && scope.ok(mask, i, j) {
-						emit(j, both(i, j, A.val[base+j], B.val[q]))
+					if j := B.idx[q]; A.denseHas(base+j) && (!masked || o.ok(j)) {
+						o.emit(j, op.both(i, j, A.val[base+j], B.val[q], col))
 					}
 				}
 			default:
@@ -179,180 +189,23 @@ func ewiseMatrix[TA, TB, TC Value](
 					} else if B.denseHas(base + j) {
 						bx, bok = B.val[base+j], true
 					}
-					if emits := aok && bok || union && (aok || bok); !emits || !scope.ok(mask, i, j) {
+					if emits := aok && bok || union && (aok || bok); !emits || masked && !o.ok(j) {
 						continue
 					}
 					switch {
+					case aok && bok && op.op.PosF == nil:
+						o.emit(j, op.op.F(ax, bx))
 					case aok && bok:
-						emit(j, both(i, j, ax, bx))
+						o.emit(j, op.both(i, j, ax, bx, col))
 					case aok:
-						emit(j, left(i, j, ax))
+						o.emit(j, pass[TA, TC](ax))
 					default:
-						emit(j, right(i, j, bx))
+						o.emit(j, pass[TB, TC](bx))
 					}
 				}
 			}
 		}
 	})
-}
-
-// ---------------------------------------------------------------------------
-// vector element-wise operations
-
-// EWiseAddV computes w⟨m⟩⊙= u op∪ v.
-func EWiseAddV[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
-	op BinaryOp[T, T, T], u, v *Vector[T], desc *Descriptor) error {
-
-	if u.Size() != v.Size() || w.Size() != u.Size() {
-		return dimErr("EWiseAddV", "lengths "+itoa(w.Size())+","+itoa(u.Size())+","+itoa(v.Size()), "equal lengths")
-	}
-	if err := mask.check(w.Size(), "EWiseAddV"); err != nil {
-		return err
-	}
-	d := descOf(desc)
-	u.Wait()
-	v.Wait()
-	// w = w op∪ v with a sparse v (so v is not w) is w op= v at v's entries.
-	if w == u && accum == nil && op.PosF == nil && v.format == FormatSparse && inPlace(w, mask, op.F, false) {
-		scatterEntries(w, v, op.F)
-		return nil
-	}
-	if u.format == FormatSparse && v.format == FormatSparse {
-		maskAccumVector(w, mask, accum, mergeSparseVectors(op, u, v, mask), d.Replace, true)
-		return nil
-	}
-	if u.format == FormatFull && v.format == FormatFull {
-		return EWiseMultV(w, mask, accum, op, u, v, desc) // the union is the intersection
-	}
-	// A bitmap/full operand makes the union as dense: by position, into w.
-	dst := denseOutput(w, mask, accum, d.Replace)
-	uc, vc := cursorOf(u), cursorOf(v)
-	for i := 0; i < w.nc; i++ {
-		ux, uok := uc.at(i)
-		vx, vok := vc.at(i)
-		switch {
-		case uok && vok && op.PosF != nil:
-			dst.put(i, op.PosF(i, 0, 0))
-		case uok && vok:
-			dst.put(i, op.F(ux, vx))
-		case uok:
-			dst.put(i, ux)
-		case vok:
-			dst.put(i, vx)
-		default:
-			dst.none(i)
-		}
-	}
-	dst.commit()
+	wb.commit()
 	return nil
-}
-
-// EWiseMultV computes w⟨m⟩⊙= u op∩ v.
-func EWiseMultV[TA, TB, TC Value](w *Vector[TC], mask VMask, accum func(TC, TC) TC,
-	op BinaryOp[TA, TB, TC], u *Vector[TA], v *Vector[TB], desc *Descriptor) error {
-
-	if u.Size() != v.Size() || w.Size() != u.Size() {
-		return dimErr("EWiseMultV", "lengths "+itoa(w.Size())+","+itoa(u.Size())+","+itoa(v.Size()), "equal lengths")
-	}
-	if err := mask.check(w.Size(), "EWiseMultV"); err != nil {
-		return err
-	}
-	d := descOf(desc)
-	u.Wait()
-	v.Wait()
-	if u.format == FormatSparse || v.format == FormatSparse {
-		maskAccumVector(w, mask, accum, ewiseMultVector(op, u, v, mask), d.Replace, true)
-		return nil
-	}
-	dst := denseOutput(w, mask, accum, d.Replace)
-	uv, ub, vv, vb := u.val, u.b, v.val, v.b
-	if dst.plain && ub == nil && vb == nil && op.PosF == nil {
-		for i := range dst.val {
-			dst.val[i] = op.F(uv[i], vv[i])
-		}
-		dst.commit()
-		return nil
-	}
-	for i := range uv {
-		switch {
-		case ub != nil && ub[i] == 0 || vb != nil && vb[i] == 0:
-			dst.none(i)
-		case op.PosF != nil:
-			dst.put(i, op.PosF(i, 0, 0))
-		default:
-			dst.put(i, op.F(uv[i], vv[i]))
-		}
-	}
-	dst.commit()
-	return nil
-}
-
-// mergeSparseVectors is the union u op∪ v of two sparse vectors restricted
-// to the mask: the sorted merge.
-func mergeSparseVectors[T Value](op BinaryOp[T, T, T], u, v *Vector[T], mask VMask) *Vector[T] {
-	t := MustVector[T](u.Size())
-	both := bothOf(op)
-	allow := mask.allowFor(u.Size(), false)
-	unionWalk(u.idx, v.idx, func(i, p, q int) {
-		if !allow.ok(i) {
-			return
-		}
-		ux, uok := entryAt(u.val, p)
-		vx, vok := entryAt(v.val, q)
-		switch {
-		case uok && vok:
-			ux = both(i, 0, ux, vx)
-		case vok:
-			ux = vx
-		}
-		t.idx, t.val = append(t.idx, i), append(t.val, ux)
-	})
-	t.conform()
-	return t
-}
-
-// ewiseMultVector is the intersection u op∩ v restricted to the mask when
-// an operand is sparse: it is walked, and the other operand and the mask
-// are probed at its entries.
-func ewiseMultVector[TA, TB, TC Value](op BinaryOp[TA, TB, TC], u *Vector[TA], v *Vector[TB], mask VMask) *Vector[TC] {
-	n := u.Size()
-	t := MustVector[TC](n)
-	both := bothOf(op)
-	allow := mask.allowFor(n, false)
-	emit := func(i int, ux TA, vx TB) {
-		if allow.ok(i) {
-			t.idx = append(t.idx, i)
-			t.val = append(t.val, both(i, 0, ux, vx))
-		}
-	}
-	switch {
-	case u.format == FormatSparse && v.format == FormatSparse:
-		p, q := 0, 0
-		for p < len(u.idx) && q < len(v.idx) {
-			switch {
-			case u.idx[p] < v.idx[q]:
-				p++
-			case v.idx[q] < u.idx[p]:
-				q++
-			default:
-				emit(u.idx[p], u.val[p], v.val[q])
-				p++
-				q++
-			}
-		}
-	case u.format == FormatSparse:
-		for p, i := range u.idx {
-			if vx, ok := v.get(0, i); ok {
-				emit(i, u.val[p], vx)
-			}
-		}
-	default:
-		for q, i := range v.idx {
-			if ux, ok := u.get(0, i); ok {
-				emit(i, ux, v.val[q])
-			}
-		}
-	}
-	t.conform()
-	return t
 }

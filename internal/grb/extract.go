@@ -14,7 +14,20 @@ func ExtractSubmatrix[T Value](C *Matrix[T], mask Mask, accum func(T, T) T,
 	A *Matrix[T], rows, cols []int, desc *Descriptor) error {
 
 	d := descOf(desc)
-	A = oriented(A, d.TranA)
+	return extract(C, mask, accum, oriented(A, d.TranA), rows, cols, d.Replace, "ExtractSubmatrix")
+}
+
+// ExtractSubvector computes w⟨m⟩⊙= u(indices): a gather. Duplicate
+// indices are allowed (FastSV's grandparent step gf = f(f) relies on it).
+func ExtractSubvector[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
+	u *Vector[T], indices []int, desc *Descriptor) error {
+
+	return extract(w.asRow(), mask, accum, u.asRow(), All, indices, descOf(desc).Replace, "ExtractSubvector")
+}
+
+func extract[T Value](C *Matrix[T], mask Mask, accum func(T, T) T,
+	A *Matrix[T], rows, cols []int, replace bool, op string) error {
+
 	ar, ac := A.Dims()
 	outR, outC := len(rows), len(cols)
 	if isAll(rows) {
@@ -23,22 +36,17 @@ func ExtractSubmatrix[T Value](C *Matrix[T], mask Mask, accum func(T, T) T,
 	if isAll(cols) {
 		outC = ac
 	}
-	cr, cc := C.Dims()
-	if cr != outR || cc != outC {
-		return dimErr("ExtractSubmatrix", "C "+itoa(cr)+"x"+itoa(cc), itoa(outR)+"x"+itoa(outC))
-	}
-	if err := cmp.Or(checkIndices("ExtractSubmatrix", "row", rows, ar), checkIndices("ExtractSubmatrix", "col", cols, ac)); err != nil {
-		return err
-	}
-	if err := mask.check(cr, cc, "ExtractSubmatrix"); err != nil {
+	if err := cmp.Or(sameShape(op, C.nr, C.nc, outR, outC), checkIndices(op, "row", rows, ar),
+		checkIndices(op, "col", cols, ac), mask.check(C.nr, C.nc, op)); err != nil {
 		return err
 	}
 	A.Wait()
-
-	// Column gather map: source column -> chain of output columns.
+	dense := A.format != FormatSparse
+	// Column gather map for a sparse source: source column -> chain of
+	// output columns. Its output is jumbled, so it is built as a list.
 	var head []int32 // per source col, first output position (or -1)
 	var next []int32 // chain through output positions
-	if !isAll(cols) {
+	if !dense && !isAll(cols) {
 		head = make([]int32, ac)
 		for i := range head {
 			head[i] = -1
@@ -57,30 +65,63 @@ func ExtractSubmatrix[T Value](C *Matrix[T], mask Mask, accum func(T, T) T,
 			weight[oi+1] = weight[oi] + A.ptr[si+1] - A.ptr[si]
 		}
 	}
-	denseMaskSrc := !mask.Exists() || mask.src.maskIsDense()
-	t := buildCSRParallelScoped(outR, outC, weight, func(scope *rowAllowScope) func(i int, emit func(j int, x T)) {
-		return func(oi int, emit func(j int, x T)) {
-			scope.load(mask, oi, outC, denseMaskSrc)
+	// A gather visits every position of C but reads A at another: when A is
+	// C, T goes to a temporary.
+	wb := C.output(mask, accum, replace, nil, tShape{dense: dense, full: A.format == FormatFull, alias: A == C || head != nil})
+	if wb.plain && A.format == FormatFull {
+		// Every source cell is present: the gather is a copy.
+		for oi := 0; oi < outR; oi++ {
 			si := oi
 			if !isAll(rows) {
 				si = rows[oi]
 			}
-			aRowIter(A, si, func(j int, x T) {
-				if head == nil {
-					if scope.ok(mask, oi, j) {
-						emit(j, x)
+			for oc, sc := range cols {
+				C.val[oi*outC+oc] = A.val[si*ac+sc]
+			}
+			if isAll(cols) {
+				copy(C.val[oi*outC:(oi+1)*outC], A.val[si*ac:])
+			}
+		}
+		wb.commit()
+		return nil
+	}
+	masked := mask.Exists()
+	run(wb, weight, sparseNVals(&A.store), func(lo, hi int, o *sink[T]) {
+		for oi := lo; oi < hi; oi++ {
+			o.open(oi)
+			si := oi
+			if !isAll(rows) {
+				si = rows[oi]
+			}
+			switch {
+			case dense: // a dense source row is read by position
+				for oc := 0; oc < outC; oc++ {
+					sc := oc
+					if !isAll(cols) {
+						sc = cols[oc]
 					}
-					return
-				}
-				for oc := head[j]; oc >= 0; oc = next[oc] {
-					if scope.ok(mask, oi, int(oc)) {
-						emit(int(oc), x)
+					if x, ok := A.get(si, sc); ok && (!masked || o.ok(oc)) {
+						o.emit(oc, x)
 					}
 				}
-			})
+			case head == nil:
+				A.rowIter(si, func(j int, x T) {
+					if !masked || o.ok(j) {
+						o.emit(j, x)
+					}
+				})
+			default:
+				A.rowIter(si, func(j int, x T) {
+					for oc := head[j]; oc >= 0; oc = next[oc] {
+						if !masked || o.ok(int(oc)) {
+							o.emit(int(oc), x)
+						}
+					}
+				})
+			}
 		}
 	})
-	maskAccumMatrix(C, mask, accum, t, d.Replace, true, nil)
+	wb.commit()
 	return nil
 }
 
@@ -102,72 +143,24 @@ func ExtractColumn[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 	if w.Size() != outN {
 		return dimErr("ExtractColumn", "w length "+itoa(w.Size()), itoa(outN))
 	}
-	if err := mask.check(outN, "ExtractColumn"); err != nil {
+	if err := cmp.Or(checkIndices("ExtractColumn", "row", rows, ar), mask.check(1, outN, "ExtractColumn")); err != nil {
 		return err
 	}
 	A.Wait()
-	allow := mask.allowFor(outN, true)
-	defer allow.release()
+	a := mask.allowFor(outN, true)
+	a.load(0)
+	defer a.release()
 	t := buildVectorByIndex(outN, func(k int) (T, bool) {
-		var zero T
-		if !allow.ok(k) {
-			return zero, false
-		}
 		si := k
 		if !isAll(rows) {
 			si = rows[k]
 		}
-		if si < 0 || si >= ar {
+		if !a.ok(0, k) {
+			var zero T
 			return zero, false
 		}
-		if ex, _ := A.maskHas(si, j); !ex {
-			return zero, false
-		}
-		x, err := A.ExtractElement(si, j)
-		if err != nil {
-			return zero, false
-		}
-		return x, true
+		return A.get(si, j)
 	})
-	maskAccumVector(w, mask, accum, t, d.Replace, true)
-	return nil
-}
-
-// ExtractSubvector computes w⟨m⟩⊙= u(indices): a gather. Duplicate
-// indices are allowed (FastSV's grandparent step gf = f(f) relies on it).
-func ExtractSubvector[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
-	u *Vector[T], indices []int, desc *Descriptor) error {
-
-	un := u.Size()
-	outN := len(indices)
-	if isAll(indices) {
-		outN = un
-	}
-	if w.Size() != outN {
-		return dimErr("ExtractSubvector", "w length "+itoa(w.Size()), itoa(outN))
-	}
-	if err := checkIndices("ExtractSubvector", "index", indices, un); err != nil {
-		return err
-	}
-	if err := mask.check(outN, "ExtractSubvector"); err != nil {
-		return err
-	}
-	d := descOf(desc)
-	u.Wait()
-	// A gather visits every position of w but reads u at another.
-	dst := denseOutput(w, mask, accum, d.Replace, u)
-	all := isAll(indices)
-	for k := 0; k < outN; k++ {
-		si := k
-		if !all {
-			si = indices[k]
-		}
-		if x, ok := u.get(0, si); ok {
-			dst.put(k, x)
-		} else {
-			dst.none(k)
-		}
-	}
-	dst.commit()
+	w.maskAccum(mask, accum, &t.store, d.Replace, true, nil)
 	return nil
 }

@@ -23,7 +23,7 @@ import (
 // folded straight into w; otherwise it lands in a fresh bitmap that is
 // merged as usual. It reports false, having done nothing, when the call is
 // any other shape.
-func tryPullFast[TA, TB, TC Value](w *Vector[TC], mask VMask, accum func(TC, TC) TC,
+func tryPullFast[TA, TB, TC Value](w *Vector[TC], mask Mask, accum func(TC, TC) TC,
 	s Semiring[TA, TB, TC], A *Matrix[TA], u *Vector[TB]) bool {
 
 	if mask.Exists() || A.format != FormatSparse || u.format == FormatSparse {
@@ -57,14 +57,14 @@ func tryPullFast[TA, TB, TC Value](w *Vector[TC], mask VMask, accum func(TC, TC)
 	default:
 		return false
 	}
-	if inPlace(w, mask, accum, false, u) {
+	if w.format != FormatSparse && accum != nil && any(u) != any(w) {
 		reduce(w, accum)
 		return true
 	}
 	t := MustVector[TC](A.nr)
 	t.format, t.b, t.val = FormatBitmap, make([]int8, A.nr), make([]TC, A.nr)
 	reduce(t, nil)
-	maskAccumVector(w, mask, accum, t, false, true)
+	w.maskAccum(mask, accum, &t.store, false, true, nil)
 	return true
 }
 

@@ -6,29 +6,39 @@ package grb
 // live on the Descriptor, not the mask itself, matching the C API.
 //
 // Masks are type-erased: a bool matrix can mask an int64 result without
-// extra type parameters at the call site.
+// extra type parameters at the call site. A vector's mask is the one row
+// of the store it is, so one Mask serves both shapes.
 
 // maskSource is implemented by every Matrix and Vector, of any T: the
-// store's methods, a vector's mask being its one row.
+// store's methods.
 type maskSource interface {
 	shape() (int, int)
 	Wait()
 	maskHas(i, j int) (exists, truthyVal bool)
 	maskRowIter(i int, f func(j int, truthyVal bool))
+	maskRow(i int) (idx []int, at int)
+	maskTruthy(p int) bool
 	maskIsDense() bool
 	rowPtr() []int
 }
 
-// Mask is a matrix mask specification: ⟨M⟩, ⟨¬M⟩, ⟨s(M)⟩ or ⟨¬s(M)⟩.
-// The zero value means "no mask".
+// Mask is a mask specification: ⟨M⟩, ⟨¬M⟩, ⟨s(M)⟩ or ⟨¬s(M)⟩. The zero
+// value means "no mask".
 type Mask struct {
 	src        maskSource
 	Comp       bool
 	Structural bool
 }
 
-// NoMask is the absent matrix mask.
+// VMask is the mask of a vector operation: a Mask whose source is a
+// vector.
+type VMask = Mask
+
+// NoMask is the absent mask.
 var NoMask = Mask{}
+
+// NoVMask is the absent mask, named for vector calls.
+var NoVMask = NoMask
 
 // MaskOf builds a valued mask ⟨M⟩ from a matrix.
 func MaskOf[T Value](m *Matrix[T]) Mask {
@@ -39,7 +49,18 @@ func MaskOf[T Value](m *Matrix[T]) Mask {
 }
 
 // StructMaskOf builds a structural mask ⟨s(M)⟩.
-func StructMaskOf[T Value](m *Matrix[T]) Mask { mk := MaskOf(m); mk.Structural = true; return mk }
+func StructMaskOf[T Value](m *Matrix[T]) Mask { return MaskOf(m).Structure() }
+
+// VMaskOf builds a valued vector mask ⟨m⟩.
+func VMaskOf[T Value](v *Vector[T]) VMask {
+	if v == nil {
+		return Mask{}
+	}
+	return Mask{src: v}
+}
+
+// StructVMaskOf builds ⟨s(m)⟩.
+func StructVMaskOf[T Value](v *Vector[T]) VMask { return VMaskOf(v).Structure() }
 
 // Not complements the mask: ⟨¬M⟩ / ⟨¬s(M)⟩.
 func (mk Mask) Not() Mask { mk.Comp = !mk.Comp; return mk }
@@ -71,14 +92,23 @@ func (mk Mask) selects(truthyVal bool) bool { return mk.Structural || truthyVal 
 // directly from the mask's entries (non-complemented masks only).
 func (mk Mask) enumerable() bool { return mk.Exists() && !mk.Comp }
 
-// rowIterAllowed calls f(j) for every allowed column of row i, ascending.
-// Only valid when enumerable().
-func (mk Mask) rowIterAllowed(i int, f func(j int)) {
-	mk.src.maskRowIter(i, func(j int, tv bool) {
-		if mk.selects(tv) {
+// dense reports whether the allowed positions are as many as the output
+// holds, more or less: no mask, a complemented one, a bitmap/full source.
+func (mk Mask) dense() bool { return !mk.Exists() || mk.Comp || mk.src.maskIsDense() }
+
+// walkable reports whether the allowed positions are a sparse list, which a
+// call over bitmap/full operands walks instead of every position.
+func (mk Mask) walkable() bool { return mk.enumerable() && !mk.src.maskIsDense() }
+
+// walk calls f(j) for every allowed column of row i, ascending. Only
+// valid when walkable().
+func (mk Mask) walk(i int, f func(j int)) {
+	idx, at := mk.src.maskRow(i)
+	for k, j := range idx {
+		if mk.Structural || mk.src.maskTruthy(at+k) {
 			f(j)
 		}
-	})
+	}
 }
 
 // allowed reports whether position (i,j) may be written. The mask source
@@ -88,118 +118,84 @@ func (mk Mask) allowed(i, j int) bool {
 		return true
 	}
 	ex, tv := mk.src.maskHas(i, j)
-	sel := ex && mk.selects(tv)
-	if mk.Comp {
-		return !sel
-	}
-	return sel
+	return (ex && mk.selects(tv)) != mk.Comp
 }
 
-// VMask is the vector analogue of Mask.
-type VMask struct {
-	src        maskSource
-	Comp       bool
-	Structural bool
+// allow answers "may (i, j) be written?" for one block of rows of one call,
+// in one of two modes chosen per call from the input's format. A call
+// driven by a sparse input probes the mask per entry — O(1) on a
+// bitmap/full source, a search of the row on a sparse one — so it never
+// touches a row's full width. A call that visits every position of a row
+// anyway (its input is bitmap or full) scatters the mask's row once into a
+// pooled byte slab.
+type allow struct {
+	mk      Mask
+	slab    *[]int8 // nil: probe
+	bytes   []int8  // *slab
+	touched []int   // the slab bytes set, for a sparse source; nil: clear all
+	mark    func(j int, truthyVal bool)
 }
 
-// NoVMask is the absent vector mask.
-var NoVMask = VMask{}
-
-// VMaskOf builds a valued vector mask ⟨m⟩.
-func VMaskOf[T Value](v *Vector[T]) VMask {
-	if v == nil {
-		return VMask{}
+// allowFor prepares the lookup for rows nc wide, scattering each row when
+// scatter is set (and a mask is present). Call release when done.
+func (mk Mask) allowFor(nc int, scatter bool) allow {
+	a := allow{mk: mk}
+	if scatter && mk.Exists() {
+		a.slab = getSlab(nc)
+		a.bytes = *a.slab
 	}
-	return VMask{src: v}
-}
-
-// StructVMaskOf builds ⟨s(m)⟩.
-func StructVMaskOf[T Value](v *Vector[T]) VMask { mk := VMaskOf(v); mk.Structural = true; return mk }
-
-// Not complements the vector mask.
-func (mk VMask) Not() VMask { mk.Comp = !mk.Comp; return mk }
-
-// Structure makes the vector mask structural.
-func (mk VMask) Structure() VMask { mk.Structural = true; return mk }
-
-// Exists reports whether a mask is present.
-func (mk VMask) Exists() bool { return mk.src != nil }
-
-func (mk VMask) check(n int, op string) error {
-	if !mk.Exists() {
-		return nil
-	}
-	if _, mn := mk.src.shape(); mn != n {
-		return errf(DimensionMismatch, "%s: mask length %d, output length %d", op, mn, n)
-	}
-	mk.src.Wait()
-	return nil
-}
-
-func (mk VMask) selects(truthyVal bool) bool { return mk.Structural || truthyVal }
-
-func (mk VMask) allowed(i int) bool {
-	if !mk.Exists() {
-		return true
-	}
-	ex, tv := mk.src.maskHas(0, i)
-	sel := ex && mk.selects(tv)
-	if mk.Comp {
-		return !sel
-	}
-	return sel
-}
-
-// vAllow answers "may position i be written?" for one vector call. A call
-// that visits all n positions anyway (its input is bitmap or full) reads a
-// pooled byte array filled once from the mask; a call driven by a sparse
-// input probes the mask per entry instead — O(1) on a dense mask source,
-// O(log nnz) on a sparse one — so it never touches n.
-type vAllow struct {
-	mk    VMask
-	slab  *[]int8
-	dense []int8
-}
-
-// allowFor builds the lookup; denseInput selects the array form. The mask
-// is read while the call computes its result, before the output (which
-// may be the mask's own source) is written. Call release when done.
-func (mk VMask) allowFor(n int, denseInput bool) vAllow {
-	a := vAllow{mk: mk}
-	if !mk.Exists() || !denseInput {
-		return a
-	}
-	a.slab = getSlab(n)
-	a.dense = *a.slab
-	if mk.Comp {
-		for i := range a.dense {
-			a.dense[i] = 1
-		}
-	}
-	var sel int8
-	if !mk.Comp {
-		sel = 1
-	}
-	mk.src.maskRowIter(0, func(i int, tv bool) {
-		if mk.selects(tv) {
-			a.dense[i] = sel
-		}
-	})
 	return a
 }
 
-func (a *vAllow) ok(i int) bool {
-	if a.dense != nil {
-		return a.dense[i] != 0
+// load prepares row i.
+func (a *allow) load(i int) {
+	if a.slab == nil {
+		return
 	}
-	return a.mk.src == nil || a.mk.allowed(i)
+	if a.mark == nil {
+		if !a.mk.src.maskIsDense() {
+			a.touched = make([]int, 0, 16)
+		}
+		// One row visitor per block: made per row, it would cost a heap
+		// object a row.
+		a.mark = func(j int, tv bool) {
+			if a.mk.selects(tv) {
+				a.bytes[j] = 1
+				if a.touched != nil {
+					a.touched = append(a.touched, j)
+				}
+			}
+		}
+	} else {
+		a.clear()
+	}
+	a.mk.src.maskRowIter(i, a.mark)
 }
 
-func (a *vAllow) release() {
+func (a *allow) ok(i, j int) bool {
+	if a.bytes != nil {
+		return (a.bytes[j] != 0) != a.mk.Comp
+	}
+	return a.mk.allowed(i, j)
+}
+
+// clear zeroes the slab bytes set.
+func (a *allow) clear() {
+	if a.touched == nil {
+		clear(a.bytes)
+		return
+	}
+	for _, j := range a.touched {
+		a.bytes[j] = 0
+	}
+	a.touched = a.touched[:0]
+}
+
+func (a *allow) release() {
 	if a.slab != nil {
-		clear(a.dense)
+		a.clear()
 		putSlab(a.slab)
-		a.slab, a.dense = nil, nil
+		a.slab, a.bytes = nil, nil
 	}
 }
 
@@ -233,5 +229,11 @@ func (s *store[T]) maskRowIter(i int, f func(j int, truthyVal bool)) {
 		}
 	}
 }
+
+// maskRow is row i of a sparse store: its columns, and where the first
+// lies in val.
+func (s *store[T]) maskRow(i int) ([]int, int) { return s.idx[s.ptr[i]:s.ptr[i+1]], s.ptr[i] }
+
+func (s *store[T]) maskTruthy(p int) bool { return truthy(s.val[p]) }
 
 func (s *store[T]) maskIsDense() bool { return s.format != FormatSparse }

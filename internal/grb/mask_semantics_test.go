@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"lagraph/internal/parallel"
 )
 
 // Systematic mask-semantics tests: for every combination of
@@ -167,6 +169,7 @@ func TestMaskSemanticsMatrixAllVariants(t *testing.T) {
 			}
 		}
 		M, _ = MatrixFromTuples(n, n, mr, mc, mv, nil)
+		M = maskIn(M, allFormats[trial%3])
 		mSet := denseOf(M)
 		mExists := func(p coord) bool { _, ok := mSet[p]; return ok }
 
@@ -186,6 +189,25 @@ func TestMaskSemanticsMatrixAllVariants(t *testing.T) {
 		addMap, multMap := unionAndIntersection(denseOf(A), denseOf(B))
 		regions := assignRegions(rng, n)
 		cDense := inFormat(randMatrix(rng, n, n, 1), FormatFull)
+		// Apply, select, a gather with a repeated column and the dot
+		// product: their T, unmasked.
+		negMap, geMap, gatherMap := map[coord]float64{}, map[coord]float64{}, map[coord]float64{}
+		for p, x := range denseOf(A) {
+			negMap[p] = -x
+			if x >= 5 {
+				geMap[p] = x
+			}
+		}
+		cols := rng.Perm(n)
+		cols[n-1] = cols[0]
+		for p, x := range denseOf(A) {
+			for oc, sc := range cols {
+				if sc == p.j {
+					gatherMap[coord{p.i, oc}] = x
+				}
+			}
+		}
+		dotMap := naiveMxM(A, NewTranspose(B))
 
 		for _, comp := range []bool{false, true} {
 			for _, structural := range []bool{false, true} {
@@ -273,6 +295,24 @@ func TestMaskSemanticsMatrixAllVariants(t *testing.T) {
 							matricesEqual(t, C, modelMaskAccum(c0Map, reg.scalarT(3), mSet, mExists,
 								comp, structural, replace, withAccum, reg.set), "assign scalar "+reg.name+label[3:])
 						}
+
+						dotDesc := &Descriptor{Replace: replace, TranB: true}
+						for name, c := range map[string]struct {
+							t   map[coord]float64
+							run func(C *Matrix[float64]) error
+						}{
+							"apply":   {negMap, func(C *Matrix[float64]) error { return Apply(C, mask, acc, AInvOp[float64](), Af, desc) }},
+							"select":  {geMap, func(C *Matrix[float64]) error { return Select(C, mask, acc, ValueGE[float64](), Af, 5, desc) }},
+							"extract": {gatherMap, func(C *Matrix[float64]) error { return ExtractSubmatrix(C, mask, acc, Af, All, cols, desc) }},
+							"dot mxm": {dotMap, func(C *Matrix[float64]) error { return MxM(C, mask, acc, PlusTimes[float64](), Af, Bf, dotDesc) }},
+						} {
+							C = inFormat(cInit, allFormats[(trial+1)%3])
+							if err := c.run(C); err != nil {
+								t.Fatal(err)
+							}
+							matricesEqual(t, C, modelMaskAccum(cMap, c.t, mSet, mExists,
+								comp, structural, replace, withAccum, nil), name+label[3:])
+						}
 					}
 				}
 			}
@@ -295,6 +335,7 @@ func TestMaskSemanticsVectorAllVariants(t *testing.T) {
 			}
 		}
 		m, _ = VectorFromTuples(n, mi, mv, nil)
+		m = (*Vector[float64])(maskIn(m.asRow(), allFormats[trial%3]))
 		mSet := vdenseOf(m)
 		mExists := func(p coord) bool { _, ok := mSet[p.i]; return ok }
 
@@ -316,6 +357,44 @@ func TestMaskSemanticsVectorAllVariants(t *testing.T) {
 			return out
 		}
 		mCoord := asCoord(mSet)
+		// The T of the product by A from the left, the row sums, and of
+		// the assigns and the gather through a list with a repeat.
+		uMap, aMap := vdenseOf(u), denseOf(A)
+		vxmMap, sumMap := map[coord]float64{}, map[coord]float64{}
+		for p, x := range aMap {
+			if y, ok := uMap[p.i]; ok {
+				vxmMap[coord{p.j, 0}] += y * x
+			}
+			sumMap[coord{p.i, 0}] += x
+		}
+		idx := rng.Perm(n)
+		idx[n-1] = idx[0]
+		idxSet, scalarAll, scalarIdx, gather := map[coord]bool{}, map[coord]float64{}, map[coord]float64{}, map[coord]float64{}
+		for k, i := range idx {
+			idxSet[coord{i, 0}], scalarIdx[coord{i, 0}] = true, 3
+			if x, ok := uMap[i]; ok {
+				gather[coord{k, 0}] = x
+			}
+		}
+		for i := 0; i < n; i++ {
+			scalarAll[coord{i, 0}] = 3
+		}
+		// u(k) lands at idx[k]; at the repeated index the accumulator
+		// combines the two, or the later one wins.
+		scatter := func(accum bool) map[coord]float64 {
+			out := map[coord]float64{}
+			for k, i := range idx {
+				x, ok := uMap[k]
+				if !ok {
+					continue
+				}
+				if y, seen := out[coord{i, 0}]; seen && accum {
+					x += y
+				}
+				out[coord{i, 0}] = x
+			}
+			return out
+		}
 
 		for _, comp := range []bool{false, true} {
 			for _, structural := range []bool{false, true} {
@@ -373,20 +452,34 @@ func TestMaskSemanticsVectorAllVariants(t *testing.T) {
 							}
 						}
 						for name, c := range map[string]struct {
-							t   map[coord]float64
-							run func(w *Vector[float64]) error
+							t      map[coord]float64
+							run    func(w *Vector[float64]) error
+							region map[coord]bool
 						}{
-							"eWiseAddV":  {addMap, func(w *Vector[float64]) error { return EWiseAddV(w, mask, acc, PlusOp[float64](), uf, vf, desc) }},
-							"eWiseMultV": {multMap, func(w *Vector[float64]) error { return EWiseMultV(w, mask, acc, TimesOp[float64](), uf, vf, desc) }},
-							"applyV":     {negMap, func(w *Vector[float64]) error { return ApplyV(w, mask, acc, AInvOp[float64](), uf, desc) }},
-							"selectV":    {geMap, func(w *Vector[float64]) error { return SelectV(w, mask, acc, ValueGE[float64](), uf, 5, desc) }},
+							"eWiseAddV":  {addMap, func(w *Vector[float64]) error { return EWiseAddV(w, mask, acc, PlusOp[float64](), uf, vf, desc) }, nil},
+							"eWiseMultV": {multMap, func(w *Vector[float64]) error { return EWiseMultV(w, mask, acc, TimesOp[float64](), uf, vf, desc) }, nil},
+							"applyV":     {negMap, func(w *Vector[float64]) error { return ApplyV(w, mask, acc, AInvOp[float64](), uf, desc) }, nil},
+							"selectV":    {geMap, func(w *Vector[float64]) error { return SelectV(w, mask, acc, ValueGE[float64](), uf, 5, desc) }, nil},
+							"vxm":        {vxmMap, func(w *Vector[float64]) error { return VxM(w, mask, acc, PlusTimes[float64](), uf, A, desc) }, nil},
+							"assign all": {asCoord(uMap), func(w *Vector[float64]) error { return AssignVector(w, mask, acc, uf, All, desc) }, nil},
+							"assign dup": {scatter(withAccum), func(w *Vector[float64]) error { return AssignVector(w, mask, acc, uf, idx, desc) }, idxSet},
+							"assign scalar all": {scalarAll, func(w *Vector[float64]) error {
+								return AssignVectorScalar(w, mask, acc, 3, All, desc)
+							}, nil},
+							"assign scalar dup": {scalarIdx, func(w *Vector[float64]) error {
+								return AssignVectorScalar(w, mask, acc, 3, idx, desc)
+							}, idxSet},
+							"extract dup": {gather, func(w *Vector[float64]) error { return ExtractSubvector(w, mask, acc, uf, idx, desc) }, nil},
+							"reduce": {sumMap, func(w *Vector[float64]) error {
+								return ReduceMatrixToVector(w, mask, acc, PlusMonoid[float64](), A, desc)
+							}, nil},
 						} {
 							w := vecInFormat(wInit, allFormats[(trial+1)%3])
 							if err := c.run(w); err != nil {
 								t.Fatal(err)
 							}
 							want := map[int]float64{}
-							for p, x := range modelMaskAccum(asCoord(wMap), c.t, mCoord, mExists, comp, structural, replace, withAccum, nil) {
+							for p, x := range modelMaskAccum(asCoord(wMap), c.t, mCoord, mExists, comp, structural, replace, withAccum, c.region) {
 								want[p.i] = x
 							}
 							vectorsEqual(t, w, want, name+label[3:])
@@ -396,6 +489,27 @@ func TestMaskSemanticsVectorAllVariants(t *testing.T) {
 			}
 		}
 	}
+}
+
+// maskIn returns the mask source m in format f; toward full, the positions
+// m lacks are filled with explicit zeros, which a valued mask skips and a
+// structural one takes.
+func maskIn(m *Matrix[float64], f Format) *Matrix[float64] {
+	c := m.Dup()
+	if f == FormatFull {
+		nr, nc := c.Dims()
+		for i := 0; i < nr; i++ {
+			for j := 0; j < nc; j++ {
+				if _, err := c.ExtractElement(i, j); err != nil {
+					if err := c.SetElement(0, i, j); err != nil {
+						panic(err)
+					}
+				}
+			}
+		}
+	}
+	c.ConvertTo(f)
+	return c
 }
 
 func TestMaskPartitionProperty(t *testing.T) {
@@ -461,5 +575,96 @@ func TestEmptyMaskMeansNothingComputed(t *testing.T) {
 	}
 	if C.NVals() != 0 {
 		t.Fatalf("empty mask replace left %d entries", C.NVals())
+	}
+}
+
+// TestMaskSemanticsParallelMerge checks the write-back where it fans out:
+// every case above has fewer rows than parallel.Threads splits, so only
+// the serial merge meets the model there. A matrix of 4096 rows (C sparse,
+// so T is merged as lists, and bitmap, so it is updated in place) and a
+// pull product into a vector of length 4096 run under one worker and
+// under four.
+func TestMaskSemanticsParallelMerge(t *testing.T) {
+	defer parallel.SetMaxThreads(parallel.SetMaxThreads(1))
+	rng := rand.New(rand.NewSource(205))
+	const n, nc = 4096, 4
+	plus := func(a, b float64) float64 { return a + b }
+	A, B, cInit := randMatrix(rng, n, nc, 0.4), randMatrix(rng, n, nc, 0.4), randMatrix(rng, n, nc, 0.3)
+	M := randMatrix(rng, n, nc, 0.4)
+	mr, mc, mv := M.ExtractTuples()
+	for k := range mv {
+		if rng.Float64() < 0.3 {
+			mv[k] = 0
+		}
+	}
+	M, _ = MatrixFromTuples(n, nc, mr, mc, mv, nil)
+	mSet := denseOf(M)
+	mExists := func(p coord) bool { _, ok := mSet[p]; return ok }
+	addMap, _ := unionAndIntersection(denseOf(A), denseOf(B))
+	cMap := denseOf(cInit)
+
+	// w = A plus.times u, one entry of w a row of A.
+	u := randVector(rng, nc, 0.7)
+	// Its mask is M's first column.
+	mRow := map[coord]float64{}
+	for p, x := range mSet {
+		if p.j == 0 {
+			mRow[coord{p.i, 0}] = x
+		}
+	}
+	var mi2 []int
+	var mv2 []float64
+	for p, x := range mRow {
+		mi2, mv2 = append(mi2, p.i), append(mv2, x)
+	}
+	m, _ := VectorFromTuples(n, mi2, mv2, nil)
+	mRowExists := func(p coord) bool { _, ok := mRow[p]; return ok }
+	tPull := map[coord]float64{}
+	for p, x := range denseOf(A) {
+		if y, ok := vdenseOf(u)[p.j]; ok {
+			tPull[coord{p.i, 0}] += x * y
+		}
+	}
+	w0 := randVector(rng, n, 0.3)
+	w0Map := map[coord]float64{}
+	for i, x := range vdenseOf(w0) {
+		w0Map[coord{i, 0}] = x
+	}
+
+	for _, threads := range []int{1, 4} {
+		parallel.SetMaxThreads(threads)
+		for k := 0; k < 16; k++ {
+			comp, structural, replace, withAccum := k&1 != 0, k&2 != 0, k&4 != 0, k&8 != 0
+			mask, vmask := MaskOf(M), VMaskOf(m)
+			if structural {
+				mask, vmask = mask.Structure(), vmask.Structure()
+			}
+			if comp {
+				mask, vmask = mask.Not(), vmask.Not()
+			}
+			desc := &Descriptor{Replace: replace}
+			var acc func(float64, float64) float64
+			if withAccum {
+				acc = plus
+			}
+			label := fmt.Sprintf("threads %d comp %v struct %v replace %v accum %v", threads, comp, structural, replace, withAccum)
+			for _, f := range []Format{FormatSparse, FormatBitmap} {
+				C := inFormat(cInit, f)
+				if err := EWiseAdd(C, mask, acc, AddOp(PlusOp[float64]()), inFormat(A, f), B, desc); err != nil {
+					t.Fatal(err)
+				}
+				matricesEqual(t, C, modelMaskAccum(cMap, addMap, mSet, mExists, comp, structural, replace, withAccum, nil),
+					fmt.Sprintf("eWiseAdd into %v, %s", f, label))
+			}
+			w := w0.Dup()
+			if err := MxV(w, vmask, acc, PlusTimes[float64](), A, u, desc); err != nil {
+				t.Fatal(err)
+			}
+			want := map[int]float64{}
+			for p, x := range modelMaskAccum(w0Map, tPull, mRow, mRowExists, comp, structural, replace, withAccum, nil) {
+				want[p.i] = x
+			}
+			vectorsEqual(t, w, want, "mxv, "+label)
+		}
 	}
 }

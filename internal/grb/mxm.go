@@ -37,37 +37,37 @@ func MxM[TA, TB, TC Value](C *Matrix[TC], mask Mask, accum func(TC, TC) TC,
 	}
 	A.Wait()
 	B.Wait()
-	var t *Matrix[TC]
+	// T is a temporary: a row of the product reads rows of B, which may be C.
 	if d.TranB {
-		t = dotKernel(s, A, B, mask)
+		dotKernel(C.output(mask, accum, d.Replace, nil, tShape{dense: !mask.enumerable(), alias: true}), s, A, B)
 	} else {
-		t = saxpyKernel(s, A, B, mask)
+		// A row's candidates are many: a sparse mask row is scattered.
+		saxpyKernel(C.output(mask, accum, d.Replace, nil, tShape{dense: mask.Exists() && !mask.src.maskIsDense(), alias: true}), s, A, B)
 	}
-	maskAccumMatrix(C, mask, accum, t, d.Replace, true, nil)
 	return nil
 }
 
 // saxpyKernel computes t = A·B row by row: t(i,:) = ⊕_k A(i,k)·B(k,:),
 // restricted to mask-allowed positions. Each block of rows borrows a pooled
 // sparse accumulator sized to B's column count.
-func saxpyKernel[TA, TB, TC Value](s Semiring[TA, TB, TC], A *Matrix[TA], B *Matrix[TB], mask Mask) *Matrix[TC] {
-	nr, nc := A.NRows(), B.NCols()
-	denseMaskSrc := !mask.Exists() || mask.src.maskIsDense()
-	return buildCSRParallelScoped(nr, nc, nil, func(scope *rowAllowScope) func(i int, emit func(j int, x TC)) {
+func saxpyKernel[TA, TB, TC Value](wb *writeBack[TC], s Semiring[TA, TB, TC], A *Matrix[TA], B *Matrix[TB]) {
+	nc := B.NCols()
+	run(wb, nil, 0, func(lo, hi int, o *sink[TC]) {
 		acc := getSPA[TC](nc)
-		scope.atEnd = func() { putSPA(acc) }
+		defer putSPA(acc)
 		var allowed func(j int) bool
-		if mask.Exists() {
-			allowed = func(j int) bool { return scope.ok(mask, scope.row, j) }
+		if wb.mk.Exists() {
+			allowed = o.ok
 		}
-		return func(i int, emit func(j int, x TC)) {
-			scope.load(mask, i, nc, denseMaskSrc)
+		for i := lo; i < hi; i++ {
+			o.open(i)
 			saxpyRow(&s, A, i, B, allowed, acc)
 			for _, j := range acc.touched {
-				emit(j, acc.val[j])
+				o.emit(j, acc.val[j])
 			}
 		}
 	})
+	wb.commit()
 }
 
 // saxpyRow leaves ⊕_k A(i,k)·B(k,:) in acc, at the columns allowed lets
@@ -78,7 +78,7 @@ func saxpyRow[TA, TB, TC Value](s *Semiring[TA, TB, TC], A *Matrix[TA], i int, B
 
 	acc.reset()
 	addF, isAny, mul := s.Add.F, s.Add.IsAny, s.Mul
-	aRowIter(A, i, func(k int, ax TA) {
+	A.rowIter(i, func(k int, ax TA) {
 		contribute := func(j int, bx TB) {
 			if allowed != nil && !allowed(j) {
 				return
@@ -120,43 +120,43 @@ func saxpyRow[TA, TB, TC Value](s *Semiring[TA, TB, TC], A *Matrix[TA], i int, B
 // row's work grows with its mask row (after TC's degree sort, nearly all of
 // it sits in the last rows); otherwise every (i,j) the mask allows is
 // evaluated — the pull-direction shape used by BC.
-func dotKernel[TA, TB, TC Value](s Semiring[TA, TB, TC], A *Matrix[TA], B *Matrix[TB], mask Mask) *Matrix[TC] {
-	nr, nc := A.NRows(), B.NRows()
-	denseMaskSrc := !mask.Exists() || mask.src.maskIsDense()
+func dotKernel[TA, TB, TC Value](wb *writeBack[TC], s Semiring[TA, TB, TC], A *Matrix[TA], B *Matrix[TB]) {
+	mask, nc := wb.mk, B.NRows()
 	enumerable := mask.enumerable()
 	var weight []int
 	if enumerable {
 		weight = mask.src.rowPtr()
 	}
-	return buildCSRParallelScoped(nr, nc, weight, func(scope *rowAllowScope) func(i int, emit func(j int, x TC)) {
+	run(wb, weight, 0, func(lo, hi int, o *sink[TC]) {
 		// One mask-row visitor per block, pointed at the current row: made
 		// per row, it would cost a heap object a row.
-		row, rowEmit := 0, (func(j int, x TC))(nil)
+		row := 0
 		visit := func(j int, tv bool) {
 			if !mask.selects(tv) {
 				return
 			}
 			if x, ok := dotRow(&s, A, B, row, j); ok {
-				rowEmit(j, x)
+				o.emit(j, x)
 			}
 		}
-		return func(i int, emit func(j int, x TC)) {
+		for i := lo; i < hi; i++ {
+			o.open(i)
 			if enumerable {
-				row, rowEmit = i, emit
+				row = i
 				mask.src.maskRowIter(i, visit)
-				return
+				continue
 			}
-			scope.load(mask, i, nc, denseMaskSrc)
 			for j := 0; j < nc; j++ {
-				if !scope.ok(mask, i, j) {
+				if !o.ok(j) {
 					continue
 				}
 				if x, ok := dotRow(&s, A, B, i, j); ok {
-					emit(j, x)
+					o.emit(j, x)
 				}
 			}
 		}
 	})
+	wb.commit()
 }
 
 // dotRow reduces the intersection of A(i,:) with B(j,:) on the semiring.
@@ -269,18 +269,32 @@ func trimRange(idx []int, p, pe, lo, hi int) (int, int) {
 	return p, pe
 }
 
-// aRowIter visits the live entries of row i of A in storage order.
-func aRowIter[T Value](A *Matrix[T], i int, f func(k int, x T)) {
-	if A.format == FormatSparse {
-		for p := A.ptr[i]; p < A.ptr[i+1]; p++ {
-			f(A.idx[p], A.val[p])
+// entries visits the entries of row i, or — walk — those at the mask's
+// allowed positions, probed.
+func (s *store[T]) entries(i int, mk Mask, walk bool, f func(k int, x T)) {
+	if !walk {
+		s.rowIter(i, f)
+		return
+	}
+	mk.walk(i, func(j int) {
+		if x, ok := s.get(i, j); ok {
+			f(j, x)
+		}
+	})
+}
+
+// rowIter visits the live entries of row i in storage order.
+func (s *store[T]) rowIter(i int, f func(k int, x T)) {
+	if s.format == FormatSparse {
+		for p := s.ptr[i]; p < s.ptr[i+1]; p++ {
+			f(s.idx[p], s.val[p])
 		}
 		return
 	}
-	base := i * A.nc
-	for k := 0; k < A.nc; k++ {
-		if A.format == FormatFull || A.b[base+k] != 0 {
-			f(k, A.val[base+k])
+	base := i * s.nc
+	for k := 0; k < s.nc; k++ {
+		if s.format == FormatFull || s.b[base+k] != 0 {
+			f(k, s.val[base+k])
 		}
 	}
 }

@@ -21,13 +21,12 @@ func VxM[TA, TB, TC Value](w *Vector[TC], mask VMask, accum func(TC, TC) TC,
 	if w.Size() != ac {
 		return dimErr("VxM", "w length "+itoa(w.Size()), "A cols "+itoa(ac))
 	}
-	if err := mask.check(ac, "VxM"); err != nil {
+	if err := mask.check(1, ac, "VxM"); err != nil {
 		return err
 	}
 	u.Wait()
 	A.Wait()
-	t := pushKernel(s, u, A, mask)
-	maskAccumVector(w, mask, accum, t, d.Replace, true)
+	w.maskAccum(mask, accum, &pushKernel(s, u, A, mask).store, d.Replace, true, nil)
 	return nil
 }
 
@@ -50,13 +49,13 @@ func MxV[TA, TB, TC Value](w *Vector[TC], mask VMask, accum func(TC, TC) TC,
 	if w.Size() != ar {
 		return dimErr("MxV", "w length "+itoa(w.Size()), "A rows "+itoa(ar))
 	}
-	if err := mask.check(ar, "MxV"); err != nil {
+	if err := mask.check(1, ar, "MxV"); err != nil {
 		return err
 	}
 	u.Wait()
 	A.Wait()
 	if !tryPullFast(w, mask, accum, s, A, u) {
-		maskAccumVector(w, mask, accum, pullKernel(s, A, u, mask), d.Replace, true)
+		w.maskAccum(mask, accum, &pullKernel(s, A, u, mask).store, d.Replace, true, nil)
 	}
 	return nil
 }
@@ -81,13 +80,14 @@ func swapSemiring[TA, TB, TC Value](s Semiring[TA, TB, TC]) Semiring[TB, TA, TC]
 // the saxpy row of u as a one-row matrix. The mask pre-restricts which t(j)
 // are computed. Sequential scatter: the push direction is used with small
 // frontiers, where fork cost dominates.
-func pushKernel[TA, TB, TC Value](s Semiring[TA, TB, TC], u *Vector[TA], A *Matrix[TB], mask VMask) *Vector[TC] {
+func pushKernel[TA, TB, TC Value](s Semiring[TA, TB, TC], u *Vector[TA], A *Matrix[TB], mask Mask) *Vector[TC] {
 	n := A.NCols()
-	allow := mask.allowFor(n, u.format != FormatSparse)
-	defer allow.release()
 	var allowed func(j int) bool
 	if mask.Exists() {
-		allowed = allow.ok
+		a := mask.allowFor(n, u.format != FormatSparse)
+		a.load(0)
+		defer a.release()
+		allowed = func(j int) bool { return a.ok(0, j) }
 	}
 	acc := getSPA[TC](n)
 	defer putSPA(acc)
@@ -110,10 +110,11 @@ func pushKernel[TA, TB, TC Value](s Semiring[TA, TB, TC], u *Vector[TA], A *Matr
 // independent, so the kernel is row-parallel. The any monoid exits a row at
 // the first hit — the linear-algebra form of GAP's early-exit bottom-up BFS
 // step.
-func pullKernel[TA, TB, TC Value](s Semiring[TA, TB, TC], A *Matrix[TA], u *Vector[TB], mask VMask) *Vector[TC] {
+func pullKernel[TA, TB, TC Value](s Semiring[TA, TB, TC], A *Matrix[TA], u *Vector[TB], mask Mask) *Vector[TC] {
 	n := A.NRows()
-	allow := mask.allowFor(n, true)
-	defer allow.release()
+	a := mask.allowFor(n, true)
+	a.load(0)
+	defer a.release()
 	row := u.asRow()
 	if u.format == FormatSparse {
 		// Pull visits every row anyway: a sparse u is read through a bitmap
@@ -132,7 +133,7 @@ func pullKernel[TA, TB, TC Value](s Semiring[TA, TB, TC], A *Matrix[TA], u *Vect
 		row = &Matrix[TB]{store[TB]{nr: 1, nc: u.nc, format: FormatBitmap, val: vals.val, b: *has}}
 	}
 	return buildVectorByIndex(n, func(i int) (TC, bool) {
-		if !allow.ok(i) {
+		if !a.ok(0, i) {
 			var zero TC
 			return zero, false
 		}

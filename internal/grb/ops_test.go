@@ -82,6 +82,62 @@ func TestPositionalOperatorConventions(t *testing.T) {
 	if SecondIOp[bool, bool, int64]().PosF(3, 5, 7) != 5 {
 		t.Fatal("secondi")
 	}
+	// A vector is a column: its entry i lies at (i, 0), whatever its
+	// format, for apply, select and the element-wise operations.
+	const n = 6
+	at := BinaryOp[float64, float64, float64]{Name: "at", PosF: func(i, k, j int) float64 { return float64(100*i + 10*k + j) }}
+	for _, f := range allFormats {
+		u := vecInFormat(DenseVector(n, 1.0), f)
+		if f == FormatSparse {
+			u, _ = VectorFromTuples(n, []int{0, 2, 5}, []float64{1, 1, 1}, nil)
+		}
+		present := vdenseOf(u)
+		w := MustVector[float64](n)
+		if err := ApplyV(w, NoVMask, nil, RowIndexOp[float64, float64](), u, nil); err != nil {
+			t.Fatal(err)
+		}
+		want := map[int]float64{}
+		for i := range present {
+			want[i] = float64(i)
+		}
+		vectorsEqual(t, w, want, "ApplyV rowindex on "+f.String())
+		for _, c := range []struct {
+			op   IndexUnaryOp[float64]
+			keep func(i int) bool
+		}{
+			{Tril[float64](), func(i int) bool { return true }},
+			{Triu[float64](), func(i int) bool { return i == 0 }},
+			{Diag[float64](), func(i int) bool { return i == 0 }},
+			{Offdiag[float64](), func(i int) bool { return i != 0 }},
+		} {
+			w := MustVector[float64](n)
+			if err := SelectV(w, NoVMask, nil, c.op, u, 3, nil); err != nil {
+				t.Fatal(err)
+			}
+			want := map[int]float64{}
+			for i, x := range present {
+				if c.keep(i) {
+					want[i] = x
+				}
+			}
+			vectorsEqual(t, w, want, "SelectV "+c.op.Name+" on "+f.String())
+		}
+		v := vecInFormat(DenseVector(n, 2.0), f)
+		w = MustVector[float64](n)
+		if err := EWiseMultV(w, NoVMask, nil, at, u, v, nil); err != nil {
+			t.Fatal(err)
+		}
+		want = map[int]float64{}
+		for i := range present {
+			want[i] = float64(100 * i)
+		}
+		vectorsEqual(t, w, want, "EWiseMultV positional on "+f.String())
+		w = MustVector[float64](n)
+		if err := EWiseAddV(w, NoVMask, nil, at, u, u, nil); err != nil {
+			t.Fatal(err)
+		}
+		vectorsEqual(t, w, want, "EWiseAddV positional on "+f.String())
+	}
 }
 
 func TestMaxMinOfLimits(t *testing.T) {
@@ -520,4 +576,23 @@ func TestAccumulatorOnVectorOps(t *testing.T) {
 	}
 	// t = {0:3, 1:8}; w(0) = 10+3, w(1) = 8.
 	vectorsEqual(t, w, map[int]float64{0: 13, 1: 8}, "vector accum")
+}
+
+// TestResultOutlivesItsWriteBack pins that a vector result built as a list
+// does not point into the call's write-back, which the next call reuses.
+func TestResultOutlivesItsWriteBack(t *testing.T) {
+	u, _ := VectorFromTuples(64, []int{1, 5}, []float64{1, 5}, nil)
+	v, _ := VectorFromTuples(64, []int{2}, []float64{2}, nil)
+	w := MustVector[float64](64)
+	if err := ApplyV(w, NoVMask, nil, Identity[float64](), u, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := ApplyV(MustVector[float64](64), NoVMask, nil, Identity[float64](), v, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if x, err := w.ExtractElement(5); err != nil || x != 5 {
+		t.Fatalf("w(5) = %v, %v after later calls", x, err)
+	}
 }

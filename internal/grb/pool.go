@@ -16,9 +16,9 @@ import (
 //   - sparse accumulators (push VxM, every block of the saxpy MxM, and the
 //     values of the bitmap view a pull MxV reads a sparse u through) — the
 //     generation counter makes reuse free of clearing;
-//   - byte slabs: the mask row a rowAllowScope scatters for O(1) lookups,
-//     and the VMask.denseAllow array of the calls whose input is itself
-//     dense. A slab is borrowed all-zero and must be returned all-zero.
+//   - byte slabs: the mask row an allow scatters for O(1) lookups. A slab
+//     is borrowed all-zero and must be returned all-zero;
+//   - the write-back of a call (writeback.go), its sinks included.
 //
 // Not pooled: results (index/value arrays, bitmap cells, the row builder's
 // per-block buffers and row counts) and view headers — those wait for the
@@ -42,8 +42,19 @@ func SetPoolEnabled(on bool) bool {
 // PoolEnabled reports whether kernel scratch space is recycled.
 func PoolEnabled() bool { return poolEnabled.Load() }
 
-// spaPools holds one sync.Pool per element type (reflect.Type of *spa[T]).
-var spaPools sync.Map
+// pools holds one sync.Pool per pooled type, keyed by the reflect.Type of
+// a pointer to it.
+var pools sync.Map
+
+// poolOf returns the pool of *P.
+func poolOf[P any]() *sync.Pool {
+	rt := reflect.TypeOf((*P)(nil))
+	if pi, ok := pools.Load(rt); ok {
+		return pi.(*sync.Pool)
+	}
+	pi, _ := pools.LoadOrStore(rt, &sync.Pool{})
+	return pi.(*sync.Pool)
+}
 
 // getSPA returns a sparse accumulator of at least size n, recycled when the
 // pool is enabled. The generation counter in spa makes a recycled
@@ -52,10 +63,7 @@ func getSPA[T Value](n int) *spa[T] {
 	if !PoolEnabled() {
 		return newSPA[T](n)
 	}
-	rt := reflect.TypeOf((*spa[T])(nil))
-	pi, _ := spaPools.LoadOrStore(rt, &sync.Pool{})
-	pool := pi.(*sync.Pool)
-	if v := pool.Get(); v != nil {
+	if v := poolOf[spa[T]]().Get(); v != nil {
 		s := v.(*spa[T])
 		if cap(s.mark) >= n {
 			s.mark = s.mark[:n]
@@ -68,12 +76,27 @@ func getSPA[T Value](n int) *spa[T] {
 
 // putSPA returns an accumulator to the pool.
 func putSPA[T Value](s *spa[T]) {
-	if s == nil || !PoolEnabled() {
-		return
+	if s != nil && PoolEnabled() {
+		poolOf[spa[T]]().Put(s)
 	}
-	rt := reflect.TypeOf((*spa[T])(nil))
-	pi, _ := spaPools.LoadOrStore(rt, &sync.Pool{})
-	pi.(*sync.Pool).Put(s)
+}
+
+// getWriteBack returns a zero write-back, recycled when the pool is
+// enabled; putWriteBack clears it, so that the pool holds no result.
+func getWriteBack[T Value]() *writeBack[T] {
+	if PoolEnabled() {
+		if v := poolOf[writeBack[T]]().Get(); v != nil {
+			return v.(*writeBack[T])
+		}
+	}
+	return new(writeBack[T])
+}
+
+func putWriteBack[T Value](wb *writeBack[T]) {
+	*wb = writeBack[T]{}
+	if PoolEnabled() {
+		poolOf[writeBack[T]]().Put(wb)
+	}
 }
 
 // slabPool recycles the byte slabs. It holds pointers so that Put does not

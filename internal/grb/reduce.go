@@ -15,20 +15,21 @@ func ReduceMatrixToVector[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 	if w.Size() != A.NRows() {
 		return dimErr("ReduceMatrixToVector", "w length "+itoa(w.Size()), "A rows "+itoa(A.NRows()))
 	}
-	if err := mask.check(w.Size(), "ReduceMatrixToVector"); err != nil {
+	if err := mask.check(1, w.Size(), "ReduceMatrixToVector"); err != nil {
 		return err
 	}
 	A.Wait()
-	allow := mask.allowFor(A.NRows(), true)
-	defer allow.release()
+	a := mask.allowFor(A.nr, true)
+	a.load(0)
+	defer a.release()
 	t := buildVectorByIndex(A.NRows(), func(i int) (T, bool) {
-		if !allow.ok(i) {
+		if !a.ok(0, i) {
 			var zero T
 			return zero, false
 		}
 		return reduceRow(mon, A, i)
 	})
-	maskAccumVector(w, mask, accum, t, d.Replace, true)
+	w.maskAccum(mask, accum, &t.store, d.Replace, true, nil)
 	return nil
 }
 
@@ -36,7 +37,7 @@ func ReduceMatrixToVector[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 func reduceRow[T Value](mon Monoid[T], A *Matrix[T], i int) (T, bool) {
 	var acc T
 	got := false
-	aRowIter(A, i, func(_ int, x T) {
+	A.rowIter(i, func(_ int, x T) {
 		if !got {
 			acc, got = x, true
 		} else {

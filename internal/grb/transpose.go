@@ -24,7 +24,7 @@ func Transpose[T Value](C *Matrix[T], mask Mask, accum func(T, T) T, A *Matrix[T
 	} else {
 		t = transposeWork(A)
 	}
-	maskAccumMatrix(C, mask, accum, t, d.Replace, false, nil)
+	C.maskAccum(mask, accum, &t.store, d.Replace, false, nil)
 	return nil
 }
 

@@ -22,25 +22,29 @@
 // from what the call can see — formats, entry counts, output aliasing:
 //
 //	sparse ∩ bitmap/full                          walk the sparse side, probe the other and the mask
-//	bitmap/full ∩ bitmap/full, sparse mask ⟨M⟩    walk the mask's row, probe both operands
+//	bitmap/full operands, sparse mask ⟨M⟩         walk the mask's row, probe the operands
 //	C ⊙= sparse T, C = C ∪ sparse B, C bitmap/full, no mask    update C in place at the sparse entries
-//	vector op with a sparse input, any mask       probe the mask per entry (no length-n allow array)
-//	vector op into a bitmap/full w, or a dense    one pass by position into w's own arrays, w free to
-//	  result into an empty one                      alias an operand (the dense-output rule, denseout.go)
+//	a sparse input, any mask                      probe the mask per entry (no row-wide allow array)
+//	into a bitmap/full C, or a dense result       one pass by position into C's own arrays, C free to
+//	  into an empty one                             alias an operand (the dense-output rule, writeback.go)
 //	sparse ∘ sparse                               the one sorted merge (unionWalk)
 //	MxM, push VxM (u a one-row A)                 saxpyRow: scatter A(i,:)·B into a pooled accumulator
 //	MxM by Bᵀ, pull MxV (u a one-row B)           dotRow: reduce A(i,:) ∩ B(j,:), early exit on any / terminal
 //	pull MxV, PlusSecond() / MinSecond(), no      the monomorphic loops of fastpath.go, chosen by the
 //	  mask, bitmap/full u                           constructor's identity, never by Semiring.Name
 //
-// Each rule has one body. What C⟨M, r⟩ ⊙= T leaves at a position is settle
-// (finalize.go), which the list merges, the CSR row merge, the dense output
-// and the assigns with their region all call; a bitmap/full output is
-// updated at T's entries by foldAt; two ascending index lists are walked by
-// unionWalk. A Vector is a store of one row (store.go), so the format
-// conversions, the format policy, pending work and element access have one
-// body for both types, and a vector operand reaches the two product kernels
-// as the one-row matrix it is stored as (Vector.asRow).
+// Each rule has one body, for a matrix and a vector alike. A Vector is a
+// store of one row (store.go), so the format conversions, the format
+// policy, pending work and element access have one body for both types;
+// a vector's mask is a Mask (VMask is the same type); and every result is
+// written back by one engine (writeback.go): what C⟨M, r⟩ ⊙= T leaves at a
+// position is settle, a bitmap/full output is updated at T's entries by
+// foldAt, two ascending index lists are walked by unionWalk, and a T
+// computed apart is merged by the store's maskAccum. ApplyV, SelectV,
+// EWiseAddV, EWiseMultV, AssignVectorScalar and ExtractSubvector are their
+// matrix operations called on the one row a vector is (Vector.asRow); a
+// positional operator still sees a vector as a column, its entry i at
+// (i, 0).
 //
 // Matrices are held by row. There is no separate CSC format: computations
 // that need the reverse orientation take an explicitly transposed matrix,
