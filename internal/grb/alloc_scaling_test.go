@@ -263,18 +263,35 @@ func (it *denseIteration) calls() []namedCall {
 // kernels see it: on warm bitmap/full operands each call of a PageRank
 // sweep and of a FastSV round writes into its output's own arrays, so it
 // allocates a few headers — under 1 KiB, on 2¹⁰ vertices and on 2¹⁶
-// alike — where one temporary of length n would be 8 to 512 KiB.
+// alike — where one temporary of length n would be 8 to 512 KiB. So do a
+// generic pull, a row reduce and a masked pull loop accumulated into a
+// full w: each emits its entries into w where they land.
 func TestDenseVectorCallsDoNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
 	defer parallel.SetMaxThreads(parallel.SetMaxThreads(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	plus := func(a, b float64) float64 { return a + b }
 	for _, n := range []int{1 << 10, 1 << 16} {
-		for _, c := range newDenseIteration(t, n).calls() {
+		it, w := newDenseIteration(t, n), DenseVector(n, 0.0)
+		calls := append(it.calls(),
+			namedCall{"w += A plus.times t", func() error {
+				return MxV(w, NoVMask, plus, PlusTimes[float64](), it.adj, it.t, nil)
+			}},
+			namedCall{"w += Σⱼ A(:, j)", func() error {
+				return ReduceMatrixToVector(w, NoVMask, plus, PlusMonoid[float64](), it.adj, nil)
+			}},
+			namedCall{"w⟨d⟩ += A plus.second t", func() error {
+				return MxV(w, VMaskOf(it.d), plus, PlusSecond[float64, float64](), it.adj, it.t, nil)
+			}})
+		for _, c := range calls {
 			if b := bytesPerCall(t, c.call); b >= 1<<10 {
 				t.Errorf("%s: %.0f B/call at n=%d", c.name, b, n)
 			}
+		}
+		if w.Format() != FormatFull {
+			t.Errorf("w turned %v at n=%d", w.Format(), n)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package grb
 
-import "cmp"
+import (
+	"cmp"
+	"strconv"
+)
 
 // Apply and select (paper Table I): apply evaluates a unary operator on
 // every entry; select keeps only entries whose predicate holds, using the
@@ -128,7 +131,7 @@ func isSource[T Value](mk Mask, s *store[T]) bool {
 // sameShape reports an output of another shape than the operation's.
 func sameShape(op string, cr, cc, ar, ac int) error {
 	if cr != ar || cc != ac {
-		return dimErr(op, "C "+itoa(cr)+"x"+itoa(cc), itoa(ar)+"x"+itoa(ac))
+		return dimErr(op, "C "+strconv.Itoa(cr)+"x"+strconv.Itoa(cc), strconv.Itoa(ar)+"x"+strconv.Itoa(ac))
 	}
 	return nil
 }

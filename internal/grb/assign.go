@@ -1,6 +1,9 @@
 package grb
 
-import "cmp"
+import (
+	"cmp"
+	"strconv"
+)
 
 // Assign operations (paper Table I): project values into a region of the
 // output selected by index arrays, under mask/accumulator control. The
@@ -24,7 +27,7 @@ func AssignVector[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 		regionN = n
 	}
 	if u.Size() != regionN {
-		return dimErr("AssignVector", "u length "+itoa(u.Size()), "region size "+itoa(regionN))
+		return dimErr("AssignVector", "u length "+strconv.Itoa(u.Size()), "region size "+strconv.Itoa(regionN))
 	}
 	if err := cmp.Or(checkIndices("AssignVector", "index", indices, n), mask.check(1, n, "AssignVector")); err != nil {
 		return err

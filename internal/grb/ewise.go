@@ -1,6 +1,9 @@
 package grb
 
-import "cmp"
+import (
+	"cmp"
+	"strconv"
+)
 
 // Element-wise operations (paper Table I): eWiseAdd applies op on the set
 // union of the input structures; eWiseMult on the set intersection. The
@@ -81,7 +84,7 @@ func ewise[TA, TB, TC Value](C *Matrix[TC], mask Mask, accum func(TC, TC) TC,
 	op addOpPair[TA, TB, TC], A *Matrix[TA], B *Matrix[TB], replace, col bool, name string) error {
 
 	if A.nr != B.nr || A.nc != B.nc {
-		return dimErr(name, "A "+itoa(A.nr)+"x"+itoa(A.nc), "B "+itoa(B.nr)+"x"+itoa(B.nc))
+		return dimErr(name, "A "+strconv.Itoa(A.nr)+"x"+strconv.Itoa(A.nc), "B "+strconv.Itoa(B.nr)+"x"+strconv.Itoa(B.nc))
 	}
 	if err := cmp.Or(sameShape(name, C.nr, C.nc, A.nr, A.nc), mask.check(C.nr, C.nc, name)); err != nil {
 		return err

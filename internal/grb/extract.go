@@ -1,6 +1,9 @@
 package grb
 
-import "cmp"
+import (
+	"cmp"
+	"strconv"
+)
 
 // Extract operations (paper Table I): C⟨M⟩⊙= A(i,j), w⟨m⟩⊙= A(:,j) and
 // w⟨m⟩⊙= u(i). Index arrays may contain duplicates (gather semantics);
@@ -141,26 +144,28 @@ func ExtractColumn[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 		outN = ar
 	}
 	if w.Size() != outN {
-		return dimErr("ExtractColumn", "w length "+itoa(w.Size()), itoa(outN))
+		return dimErr("ExtractColumn", "w length "+strconv.Itoa(w.Size()), strconv.Itoa(outN))
 	}
 	if err := cmp.Or(checkIndices("ExtractColumn", "row", rows, ar), mask.check(1, outN, "ExtractColumn")); err != nil {
 		return err
 	}
 	A.Wait()
-	a := mask.allowFor(outN, true)
-	a.load(0)
-	defer a.release()
-	t := buildVectorByIndex(outN, func(k int) (T, bool) {
-		si := k
-		if !isAll(rows) {
-			si = rows[k]
+	wb := w.output(mask, accum, d.Replace, nil, tShape{list: true, cut: true})
+	masked := mask.Exists()
+	run(wb, nil, 0, func(lo, hi int, o *sink[T]) {
+		for k := lo; k < hi; k++ {
+			si := k
+			if !isAll(rows) {
+				si = rows[k]
+			}
+			if masked && !o.ok(k) {
+				continue
+			}
+			if x, ok := A.get(si, j); ok {
+				o.emit(k, x)
+			}
 		}
-		if !a.ok(0, k) {
-			var zero T
-			return zero, false
-		}
-		return A.get(si, j)
 	})
-	w.maskAccum(mask, accum, &t.store, d.Replace, true, nil)
+	wb.commit()
 	return nil
 }

@@ -15,7 +15,7 @@ type maskSource interface {
 	shape() (int, int)
 	Wait()
 	maskHas(i, j int) (exists, truthyVal bool)
-	maskRowIter(i int, f func(j int, truthyVal bool))
+	maskRowIter(i, lo, hi int, f func(j int, truthyVal bool))
 	maskRow(i int) (idx []int, at int)
 	maskTruthy(p int) bool
 	maskIsDense() bool
@@ -147,8 +147,8 @@ func (mk Mask) allowFor(nc int, scatter bool) allow {
 	return a
 }
 
-// load prepares row i.
-func (a *allow) load(i int) {
+// load prepares columns [lo, hi) of row i.
+func (a *allow) load(i, lo, hi int) {
 	if a.slab == nil {
 		return
 	}
@@ -169,7 +169,7 @@ func (a *allow) load(i int) {
 	} else {
 		a.clear()
 	}
-	a.mk.src.maskRowIter(i, a.mark)
+	a.mk.src.maskRowIter(i, lo, hi, a.mark)
 }
 
 func (a *allow) ok(i, j int) bool {
@@ -214,19 +214,23 @@ func (s *store[T]) maskHas(i, j int) (bool, bool) {
 	return false, false
 }
 
-func (s *store[T]) maskRowIter(i int, f func(j int, truthyVal bool)) {
-	switch s.format {
-	case FormatSparse:
-		for p := s.ptr[i]; p < s.ptr[i+1]; p++ {
-			f(s.idx[p], truthy(s.val[p]))
-		}
-	default:
+// maskRowIter visits the entries of row i in columns [lo, hi).
+func (s *store[T]) maskRowIter(i, lo, hi int, f func(j int, truthyVal bool)) {
+	if s.format != FormatSparse {
 		base := i * s.nc
-		for j := 0; j < s.nc; j++ {
+		for j := lo; j < hi; j++ {
 			if s.denseHas(base + j) {
 				f(j, truthy(s.val[base+j]))
 			}
 		}
+		return
+	}
+	p, pe := s.ptr[i], s.ptr[i+1]
+	if p == pe || lo >= hi {
+		return
+	}
+	for p, pe = trimRange(s.idx, p, pe, lo, hi-1); p < pe; p++ {
+		f(s.idx[p], truthy(s.val[p]))
 	}
 }
 

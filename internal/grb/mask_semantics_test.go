@@ -3,6 +3,7 @@ package grb
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"lagraph/internal/parallel"
@@ -379,6 +380,35 @@ func TestMaskSemanticsVectorAllVariants(t *testing.T) {
 		for i := 0; i < n; i++ {
 			scalarAll[coord{i, 0}] = 3
 		}
+		// The T of the column gather through the list, and of the three
+		// pull loops of fastpath.go over a bitmap or a full u.
+		j0, colMap := trial%n, map[coord]float64{}
+		for k, i := range idx {
+			if x, ok := aMap[coord{i, j0}]; ok {
+				colMap[coord{k, 0}] = x
+			}
+		}
+		uFast := vecInFormat(u, FormatBitmap)
+		if trial%2 == 1 {
+			uFast = DenseVector(n, 1.0)
+			for i, x := range uMap {
+				if err := uFast.SetElement(x, i); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		uFastMap, uFastI := vdenseOf(uFast), castVector[int64](uFast)
+		plusSecondMap, minSecondMap, pairMap := map[coord]float64{}, map[coord]float64{}, map[coord]float64{}
+		for p := range aMap {
+			if y, ok := uFastMap[p.j]; ok {
+				c := coord{p.i, 0}
+				plusSecondMap[c] += y
+				pairMap[c]++
+				if x, seen := minSecondMap[c]; !seen || y < x {
+					minSecondMap[c] = y
+				}
+			}
+		}
 		// u(k) lands at idx[k]; at the repeated index the accumulator
 		// combines the two, or the later one wins.
 		scatter := func(accum bool) map[coord]float64 {
@@ -412,8 +442,9 @@ func TestMaskSemanticsVectorAllVariants(t *testing.T) {
 							desc = DescR
 						}
 						var acc func(float64, float64) float64
+						var accI func(int64, int64) int64
 						if withAccum {
-							acc = plus
+							acc, accI = plus, func(a, b int64) int64 { return a + b }
 						}
 						w := wInit.Dup()
 						if err := MxV(w, mask, acc, PlusTimes[float64](), A, u, desc); err != nil {
@@ -473,6 +504,18 @@ func TestMaskSemanticsVectorAllVariants(t *testing.T) {
 							"reduce": {sumMap, func(w *Vector[float64]) error {
 								return ReduceMatrixToVector(w, mask, acc, PlusMonoid[float64](), A, desc)
 							}, nil},
+							"extract column": {colMap, func(w *Vector[float64]) error { return ExtractColumn(w, mask, acc, A, idx, j0, desc) }, nil},
+							"pull plus.second": {plusSecondMap, func(w *Vector[float64]) error {
+								return MxV(w, mask, acc, PlusSecond[float64, float64](), A, uFast, desc)
+							}, nil},
+							"pull min.second": {minSecondMap, func(w *Vector[float64]) error {
+								return intInto(w, func(w *Vector[int64]) error { return MxV(w, mask, accI, MinSecond[float64, int64](), A, uFastI, desc) })
+							}, nil},
+							"pull plus.pair": {pairMap, func(w *Vector[float64]) error {
+								return intInto(w, func(w *Vector[int64]) error {
+									return MxV(w, mask, accI, PlusPair[float64, int64, int64](), A, uFastI, desc)
+								})
+							}, nil},
 						} {
 							w := vecInFormat(wInit, allFormats[(trial+1)%3])
 							if err := c.run(w); err != nil {
@@ -489,6 +532,32 @@ func TestMaskSemanticsVectorAllVariants(t *testing.T) {
 			}
 		}
 	}
+}
+
+// castVector converts a vector of small integers between float64 and
+// int64, keeping its format, so that a test's float64 operands can feed
+// the int64 pull loops.
+func castVector[TO, FROM int64 | float64](v *Vector[FROM]) *Vector[TO] {
+	idx, vals := v.ExtractTuples()
+	out := make([]TO, len(vals))
+	for k, x := range vals {
+		out[k] = TO(x)
+	}
+	c, err := VectorFromTuples(v.Size(), idx, out, nil)
+	if err != nil {
+		panic(err)
+	}
+	c.ConvertTo(v.Format())
+	return c
+}
+
+// intInto runs an int64 call on an int64 copy of w and leaves its result
+// in w.
+func intInto(w *Vector[float64], call func(w *Vector[int64]) error) error {
+	wi := castVector[int64](w)
+	err := call(wi)
+	*w = *castVector[float64](wi)
+	return err
 }
 
 // maskIn returns the mask source m in format f; toward full, the positions
@@ -665,6 +734,167 @@ func TestMaskSemanticsParallelMerge(t *testing.T) {
 				want[p.i] = x
 			}
 			vectorsEqual(t, w, want, "mxv, "+label)
+		}
+	}
+	t.Run("one row cut by columns", oneRowCut)
+}
+
+// oneRowCut runs the kernels whose one-row result run cuts by columns —
+// the generic pull, the three pull loops of fastpath.go, the row reduce,
+// the column gather — and the push, which it never cuts, into a sparse and
+// a bitmap w of length 4096, with mask, operand and output entries on each
+// side of every piece boundary. Under one worker and four, each result
+// must match the model, and the two must build identical index and value
+// arrays.
+func oneRowCut(t *testing.T) {
+	defer parallel.SetMaxThreads(parallel.SetMaxThreads(1))
+	rng := rand.New(rand.NewSource(206))
+	const n, pieces, j0 = 4096, 4, 7
+	plus := func(a, b float64) float64 { return a + b }
+	plusI := func(a, b int64) int64 { return a + b }
+	edge := map[int]bool{} // the two sides of every boundary of four pieces
+	for b := 0; b <= n; b += n / pieces {
+		edge[max(b-1, 0)], edge[min(b, n-1)] = true, true
+	}
+	vec := func(density float64, value func(i int) float64) *Vector[float64] {
+		var idx []int
+		var vals []float64
+		for i := 0; i < n; i++ {
+			if edge[i] || rng.Float64() < density {
+				idx, vals = append(idx, i), append(vals, value(i))
+			}
+		}
+		v, err := VectorFromTuples(n, idx, vals, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	digit := func(int) float64 { return float64(1 + rng.Intn(9)) }
+	u, w0 := vec(0.5, digit), vec(0.3, digit)
+	m := vec(0.4, func(i int) float64 { return float64(rng.Intn(3) % 2) }) // a third explicit zeros
+	// S: four random entries a row, and column j0 and the columns on each
+	// side of the boundaries in the boundary rows and every third row.
+	var sr, sc []int
+	var sv []float64
+	for i := 0; i < n; i++ {
+		cols := []int{rng.Intn(n), rng.Intn(n), rng.Intn(n), rng.Intn(n)}
+		if edge[i] || i%3 == 0 {
+			cols = append(cols, j0, n-1-i, (i+n/pieces)%n)
+		}
+		for _, j := range cols {
+			sr, sc, sv = append(sr, i), append(sc, j), append(sv, digit(0))
+		}
+	}
+	S, err := MatrixFromTuples(n, n, sr, sc, sv, plus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uB := vecInFormat(u, FormatBitmap)
+	uBI := castVector[int64](uB)
+	uMap, sMap := vdenseOf(u), denseOf(S)
+	tPull, tPush, tSum, tCol := map[coord]float64{}, map[coord]float64{}, map[coord]float64{}, map[coord]float64{}
+	tPlusSecond, tMinSecond, tPair := map[coord]float64{}, map[coord]float64{}, map[coord]float64{}
+	for p, x := range sMap {
+		r := coord{p.i, 0}
+		tSum[r] += x
+		if p.j == j0 {
+			tCol[r] = x
+		}
+		if y, ok := uMap[p.i]; ok {
+			tPush[coord{p.j, 0}] += y * x
+		}
+		if y, ok := uMap[p.j]; ok {
+			tPull[r] += x * y
+			tPlusSecond[r] += y
+			tPair[r]++
+			if z, seen := tMinSecond[r]; !seen || y < z {
+				tMinSecond[r] = y
+			}
+		}
+	}
+	mMap, w0Map := map[coord]float64{}, map[coord]float64{}
+	for i, x := range vdenseOf(m) {
+		mMap[coord{i, 0}] = x
+	}
+	for i, x := range vdenseOf(w0) {
+		w0Map[coord{i, 0}] = x
+	}
+	mExists := func(p coord) bool { _, ok := mMap[p]; return ok }
+
+	type result struct {
+		idx  []int
+		vals []float64
+	}
+	serial, wants := map[string]result{}, map[string]map[int]float64{}
+	for _, threads := range []int{1, pieces} {
+		parallel.SetMaxThreads(threads)
+		if got := parallel.Threads(n); got != threads {
+			t.Fatalf("Threads(%d) = %d under SetMaxThreads(%d)", n, got, threads)
+		}
+		for k := 0; k < 16; k++ {
+			comp, structural, replace, withAccum := k&1 != 0, k&2 != 0, k&4 != 0, k&8 != 0
+			mask := VMaskOf(m)
+			if structural {
+				mask = mask.Structure()
+			}
+			if comp {
+				mask = mask.Not()
+			}
+			desc := &Descriptor{Replace: replace}
+			var acc func(float64, float64) float64
+			var accI func(int64, int64) int64
+			if withAccum {
+				acc, accI = plus, plusI
+			}
+			label := fmt.Sprintf("comp %v struct %v replace %v accum %v", comp, structural, replace, withAccum)
+			calls := []struct {
+				name string
+				t    map[coord]float64
+				run  func(w *Vector[float64]) error
+			}{
+				{"pull plus.second", tPlusSecond, func(w *Vector[float64]) error {
+					return MxV(w, mask, acc, PlusSecond[float64, float64](), S, uB, desc)
+				}},
+				{"pull min.second", tMinSecond, func(w *Vector[float64]) error {
+					return intInto(w, func(w *Vector[int64]) error { return MxV(w, mask, accI, MinSecond[float64, int64](), S, uBI, desc) })
+				}},
+				{"pull plus.pair", tPair, func(w *Vector[float64]) error {
+					return intInto(w, func(w *Vector[int64]) error {
+						return MxV(w, mask, accI, PlusPair[float64, int64, int64](), S, uBI, desc)
+					})
+				}},
+				{"pull plus.times", tPull, func(w *Vector[float64]) error { return MxV(w, mask, acc, PlusTimes[float64](), S, u, desc) }},
+				{"push plus.times", tPush, func(w *Vector[float64]) error { return VxM(w, mask, acc, PlusTimes[float64](), u, S, desc) }},
+				{"row reduce", tSum, func(w *Vector[float64]) error {
+					return ReduceMatrixToVector(w, mask, acc, PlusMonoid[float64](), S, desc)
+				}},
+				{"column gather", tCol, func(w *Vector[float64]) error { return ExtractColumn(w, mask, acc, S, All, j0, desc) }},
+			}
+			for _, c := range calls {
+				want := wants[c.name+label]
+				if want == nil {
+					want = map[int]float64{}
+					for p, x := range modelMaskAccum(w0Map, c.t, mMap, mExists, comp, structural, replace, withAccum, nil) {
+						want[p.i] = x
+					}
+					wants[c.name+label] = want
+				}
+				for _, f := range []Format{FormatSparse, FormatBitmap} {
+					name := fmt.Sprintf("%s into %v, %s", c.name, f, label)
+					w := vecInFormat(w0, f)
+					if err := c.run(w); err != nil {
+						t.Fatal(err)
+					}
+					vectorsEqual(t, w, want, fmt.Sprintf("threads %d: %s", threads, name))
+					idx, vals := w.ExtractTuples()
+					if threads == 1 {
+						serial[name] = result{idx, vals}
+					} else if one := serial[name]; !slices.Equal(one.idx, idx) || !slices.Equal(one.vals, vals) {
+						t.Errorf("%s: one worker and four built different arrays", name)
+					}
+				}
+			}
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package grb
 
-import "slices"
+import (
+	"slices"
+	"strconv"
+)
 
 // MxM computes C⟨M⟩⊙= A ⊕.⊗ B (paper Table I, first row).
 //
@@ -26,11 +29,11 @@ func MxM[TA, TB, TC Value](C *Matrix[TC], mask Mask, accum func(TC, TC) TC,
 		br, bc = bc, br
 	}
 	if ac != br {
-		return dimErr("MxM", "A cols "+itoa(ac), "B rows "+itoa(br))
+		return dimErr("MxM", "A cols "+strconv.Itoa(ac), "B rows "+strconv.Itoa(br))
 	}
 	cr, cc := C.Dims()
 	if cr != ar || cc != bc {
-		return dimErr("MxM", "C "+itoa(cr)+"x"+itoa(cc), itoa(ar)+"x"+itoa(bc))
+		return dimErr("MxM", "C "+strconv.Itoa(cr)+"x"+strconv.Itoa(cc), strconv.Itoa(ar)+"x"+strconv.Itoa(bc))
 	}
 	if err := mask.check(cr, cc, "MxM"); err != nil {
 		return err
@@ -53,7 +56,7 @@ func MxM[TA, TB, TC Value](C *Matrix[TC], mask Mask, accum func(TC, TC) TC,
 func saxpyKernel[TA, TB, TC Value](wb *writeBack[TC], s Semiring[TA, TB, TC], A *Matrix[TA], B *Matrix[TB]) {
 	nc := B.NCols()
 	run(wb, nil, 0, func(lo, hi int, o *sink[TC]) {
-		acc := getSPA[TC](nc)
+		s, acc := s, getSPA[TC](nc) // s copied: the closure holds it by value, not on the heap
 		defer putSPA(acc)
 		var allowed func(j int) bool
 		if wb.mk.Exists() {
@@ -62,6 +65,7 @@ func saxpyKernel[TA, TB, TC Value](wb *writeBack[TC], s Semiring[TA, TB, TC], A 
 		for i := lo; i < hi; i++ {
 			o.open(i)
 			saxpyRow(&s, A, i, B, allowed, acc)
+			o.reserve(len(acc.touched))
 			for _, j := range acc.touched {
 				o.emit(j, acc.val[j])
 			}
@@ -143,7 +147,7 @@ func dotKernel[TA, TB, TC Value](wb *writeBack[TC], s Semiring[TA, TB, TC], A *M
 			o.open(i)
 			if enumerable {
 				row = i
-				mask.src.maskRowIter(i, visit)
+				mask.src.maskRowIter(i, 0, nc, visit)
 				continue
 			}
 			for j := 0; j < nc; j++ {
@@ -297,4 +301,40 @@ func (s *store[T]) rowIter(i int, f func(k int, x T)) {
 			f(k, s.val[base+k])
 		}
 	}
+}
+
+// spa is a sparse accumulator: dense value/flag arrays plus a touched list
+// for O(nnz) reset. One per worker in saxpy-style kernels.
+type spa[T Value] struct {
+	mark    []int32
+	val     []T
+	gen     int32
+	touched []int
+}
+
+func newSPA[T Value](n int) *spa[T] {
+	return &spa[T]{mark: make([]int32, n), val: make([]T, n), gen: 0}
+}
+
+// reset prepares the accumulator for a new row.
+func (s *spa[T]) reset() {
+	if s.gen == 1<<31-1 {
+		// Generation counter wrap (possible only with pooling): clear.
+		for i := range s.mark {
+			s.mark[i] = 0
+		}
+		s.gen = 0
+	}
+	s.gen++
+	s.touched = s.touched[:0]
+}
+
+// has reports whether index j holds a value for the current row.
+func (s *spa[T]) has(j int) bool { return s.mark[j] == s.gen }
+
+// put stores the first value for index j.
+func (s *spa[T]) put(j int, x T) {
+	s.mark[j] = s.gen
+	s.val[j] = x
+	s.touched = append(s.touched, j)
 }

@@ -1,9 +1,12 @@
 package grb
 
+import "strconv"
+
 // VxM computes w⟨m⟩⊙= uᵀ ⊕.⊗ A — the push direction (paper §IV-A): it
 // starts from the entries of u (the frontier held as a list) and scatters
-// along the rows of A. desc.TranA multiplies by Aᵀ instead, which is
-// executed as the pull kernel on the transposed orientation.
+// along the rows of A, the saxpy row of u as a one-row matrix. desc.TranA
+// multiplies by Aᵀ instead, which is executed as the pull kernel on the
+// transposed orientation.
 func VxM[TA, TB, TC Value](w *Vector[TC], mask VMask, accum func(TC, TC) TC,
 	s Semiring[TA, TB, TC], u *Vector[TA], A *Matrix[TB], desc *Descriptor) error {
 
@@ -16,23 +19,28 @@ func VxM[TA, TB, TC Value](w *Vector[TC], mask VMask, accum func(TC, TC) TC,
 	}
 	an, ac := A.Dims()
 	if u.Size() != an {
-		return dimErr("VxM", "u length "+itoa(u.Size()), "A rows "+itoa(an))
+		return dimErr("VxM", "u length "+strconv.Itoa(u.Size()), "A rows "+strconv.Itoa(an))
 	}
 	if w.Size() != ac {
-		return dimErr("VxM", "w length "+itoa(w.Size()), "A cols "+itoa(ac))
+		return dimErr("VxM", "w length "+strconv.Itoa(w.Size()), "A cols "+strconv.Itoa(ac))
 	}
 	if err := mask.check(1, ac, "VxM"); err != nil {
 		return err
 	}
 	u.Wait()
 	A.Wait()
-	w.maskAccum(mask, accum, &pushKernel(s, u, A, mask).store, d.Replace, true, nil)
+	// The scatter is MxM's on a one-row A: its entries come out jumbled, so
+	// T goes to a temporary; a dense u scatters the mask row.
+	saxpyKernel(w.output(mask, accum, d.Replace, nil, tShape{dense: u.format != FormatSparse, alias: true}), s, u.asRow(), A)
 	return nil
 }
 
 // MxV computes w⟨m⟩⊙= A ⊕.⊗ u — the pull direction: each output element
-// w(i) reduces the intersection of row i of A with u, which is held in a
-// dense (bitmap/full) view. desc.TranA multiplies by Aᵀ, executed as push.
+// w(i) is the dot of row i of A with u as a one-row matrix, held in a dense
+// (bitmap/full) view. Positions are independent, so w is computed in
+// pieces of columns in parallel. The any monoid exits a row at the first
+// hit — the linear-algebra form of GAP's early-exit bottom-up BFS step.
+// desc.TranA multiplies by Aᵀ, executed as push.
 func MxV[TA, TB, TC Value](w *Vector[TC], mask VMask, accum func(TC, TC) TC,
 	s Semiring[TA, TB, TC], A *Matrix[TA], u *Vector[TB], desc *Descriptor) error {
 
@@ -44,19 +52,55 @@ func MxV[TA, TB, TC Value](w *Vector[TC], mask VMask, accum func(TC, TC) TC,
 	}
 	ar, ac := A.Dims()
 	if u.Size() != ac {
-		return dimErr("MxV", "u length "+itoa(u.Size()), "A cols "+itoa(ac))
+		return dimErr("MxV", "u length "+strconv.Itoa(u.Size()), "A cols "+strconv.Itoa(ac))
 	}
 	if w.Size() != ar {
-		return dimErr("MxV", "w length "+itoa(w.Size()), "A rows "+itoa(ar))
+		return dimErr("MxV", "w length "+strconv.Itoa(w.Size()), "A rows "+strconv.Itoa(ar))
 	}
 	if err := mask.check(1, ar, "MxV"); err != nil {
 		return err
 	}
 	u.Wait()
 	A.Wait()
-	if !tryPullFast(w, mask, accum, s, A, u) {
-		w.maskAccum(mask, accum, &pullKernel(s, A, u, mask).store, d.Replace, true, nil)
+	// A loop of fastpath.go emits a dense T, dotRow a list; a u that is w
+	// (BFS's q⟨¬s(p), r⟩ = Aᵀ any.secondi q) goes through a temporary.
+	fast := pullsFast(s, A, u)
+	wb := w.output(mask, accum, d.Replace, nil, tShape{dense: fast, list: !fast, cut: true, alias: any(u) == any(w)})
+	row := u.asRow()
+	if u.format == FormatSparse {
+		// Pull visits every row anyway: a sparse u is read through a bitmap
+		// view scattered into pooled arrays (cleared by u's list as it is
+		// now: a u that is w is w's old list).
+		vals, has, uIdx := getSPA[TB](u.nc), getSlab(u.nc), u.idx
+		defer func() {
+			for _, k := range uIdx {
+				(*has)[k] = 0
+			}
+			putSlab(has)
+			putSPA(vals)
+		}()
+		for p, k := range u.idx {
+			(*has)[k], vals.val[k] = 1, u.val[p]
+		}
+		row = &Matrix[TB]{store[TB]{nr: 1, nc: u.nc, format: FormatBitmap, val: vals.val, b: *has}}
 	}
+	masked := mask.Exists()
+	run(wb, nil, 0, func(lo, hi int, o *sink[TC]) {
+		if fast {
+			pullFast(s.pull, A, u, lo, hi, o)
+			return
+		}
+		s := s // copied: the closure holds it by value, not on the heap
+		for i := lo; i < hi; i++ {
+			if masked && !o.ok(i) {
+				continue
+			}
+			if x, ok := dotRow(&s, A, row, i, 0); ok {
+				o.emit(i, x)
+			}
+		}
+	})
+	wb.commit()
 	return nil
 }
 
@@ -74,92 +118,4 @@ func swapSemiring[TA, TB, TC Value](s Semiring[TA, TB, TC]) Semiring[TB, TA, TC]
 		out.Mul.F = func(b TB, a TA) TC { return mul.F(a, b) }
 	}
 	return out
-}
-
-// pushKernel: t(j) = ⊕ over entries u(k) with A(k,j) present of u(k)⊗A(k,j),
-// the saxpy row of u as a one-row matrix. The mask pre-restricts which t(j)
-// are computed. Sequential scatter: the push direction is used with small
-// frontiers, where fork cost dominates.
-func pushKernel[TA, TB, TC Value](s Semiring[TA, TB, TC], u *Vector[TA], A *Matrix[TB], mask Mask) *Vector[TC] {
-	n := A.NCols()
-	var allowed func(j int) bool
-	if mask.Exists() {
-		a := mask.allowFor(n, u.format != FormatSparse)
-		a.load(0)
-		defer a.release()
-		allowed = func(j int) bool { return a.ok(0, j) }
-	}
-	acc := getSPA[TC](n)
-	defer putSPA(acc)
-	saxpyRow(&s, u.asRow(), 0, A, allowed, acc)
-	t := MustVector[TC](n)
-	t.idx = append([]int(nil), acc.touched...)
-	t.val = make([]TC, len(t.idx))
-	for p, j := range t.idx {
-		t.val[p] = acc.val[j]
-	}
-	if len(t.idx) > 1 {
-		t.markJumbled()
-	}
-	t.conform()
-	return t
-}
-
-// pullKernel: t(i) = ⊕ over k in row i of A with u(k) present of
-// A(i,k)⊗u(k) — the dot of row i with u as a one-row matrix. Rows are
-// independent, so the kernel is row-parallel. The any monoid exits a row at
-// the first hit — the linear-algebra form of GAP's early-exit bottom-up BFS
-// step.
-func pullKernel[TA, TB, TC Value](s Semiring[TA, TB, TC], A *Matrix[TA], u *Vector[TB], mask Mask) *Vector[TC] {
-	n := A.NRows()
-	a := mask.allowFor(n, true)
-	a.load(0)
-	defer a.release()
-	row := u.asRow()
-	if u.format == FormatSparse {
-		// Pull visits every row anyway: a sparse u is read through a bitmap
-		// view scattered into pooled arrays.
-		vals, has := getSPA[TB](u.nc), getSlab(u.nc)
-		defer func() {
-			for _, k := range u.idx {
-				(*has)[k] = 0
-			}
-			putSlab(has)
-			putSPA(vals)
-		}()
-		for p, k := range u.idx {
-			(*has)[k], vals.val[k] = 1, u.val[p]
-		}
-		row = &Matrix[TB]{store[TB]{nr: 1, nc: u.nc, format: FormatBitmap, val: vals.val, b: *has}}
-	}
-	return buildVectorByIndex(n, func(i int) (TC, bool) {
-		if !a.ok(0, i) {
-			var zero TC
-			return zero, false
-		}
-		return dotRow(&s, A, row, i, 0)
-	})
-}
-
-// itoa is a tiny strconv.Itoa stand-in keeping error paths allocation-lean.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [20]byte
-	p := len(buf)
-	for n > 0 {
-		p--
-		buf[p] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		p--
-		buf[p] = '-'
-	}
-	return string(buf[p:])
 }

@@ -13,9 +13,9 @@ import (
 // pool." This file implements that future-work feature for everything a
 // call needs that is sized by a vector length but is not its result:
 //
-//   - sparse accumulators (push VxM, every block of the saxpy MxM, and the
-//     values of the bitmap view a pull MxV reads a sparse u through) — the
-//     generation counter makes reuse free of clearing;
+//   - sparse accumulators (each block of the saxpy MxM or push VxM, and
+//     the values of the bitmap view a pull MxV reads a sparse u through)
+//     — the generation counter makes reuse free of clearing;
 //   - byte slabs: the mask row an allow scatters for O(1) lookups. A slab
 //     is borrowed all-zero and must be returned all-zero;
 //   - the write-back of a call (writeback.go), its sinks included.

@@ -1,6 +1,10 @@
 package grb
 
-import "lagraph/internal/parallel"
+import (
+	"strconv"
+
+	"lagraph/internal/parallel"
+)
 
 // Reductions (paper Table I): row-wise matrix→vector, matrix→scalar and
 // vector→scalar, each on a monoid.
@@ -13,23 +17,25 @@ func ReduceMatrixToVector[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 	d := descOf(desc)
 	A = oriented(A, d.TranA)
 	if w.Size() != A.NRows() {
-		return dimErr("ReduceMatrixToVector", "w length "+itoa(w.Size()), "A rows "+itoa(A.NRows()))
+		return dimErr("ReduceMatrixToVector", "w length "+strconv.Itoa(w.Size()), "A rows "+strconv.Itoa(A.NRows()))
 	}
 	if err := mask.check(1, w.Size(), "ReduceMatrixToVector"); err != nil {
 		return err
 	}
 	A.Wait()
-	a := mask.allowFor(A.nr, true)
-	a.load(0)
-	defer a.release()
-	t := buildVectorByIndex(A.NRows(), func(i int) (T, bool) {
-		if !a.ok(0, i) {
-			var zero T
-			return zero, false
+	wb := w.output(mask, accum, d.Replace, nil, tShape{list: true, cut: true})
+	masked := mask.Exists()
+	run(wb, nil, 0, func(lo, hi int, o *sink[T]) {
+		for i := lo; i < hi; i++ {
+			if masked && !o.ok(i) {
+				continue
+			}
+			if x, ok := reduceRow(mon, A, i); ok {
+				o.emit(i, x)
+			}
 		}
-		return reduceRow(mon, A, i)
 	})
-	w.maskAccum(mask, accum, &t.store, d.Replace, true, nil)
+	wb.commit()
 	return nil
 }
 
@@ -87,16 +93,10 @@ func ReduceVectorToScalar[T Value](mon Monoid[T], u *Vector[T]) T {
 	if u.format == FormatFull {
 		return parallelFold(mon, u.val)
 	}
-	acc := mon.Identity
-	got := false
-	u.Iterate(func(_ int, x T) {
-		if !got {
-			acc, got = x, true
-		} else {
-			acc = mon.F(acc, x)
-		}
-	})
-	return acc
+	if x, ok := reduceRow(mon, u.asRow(), 0); ok {
+		return x
+	}
+	return mon.Identity
 }
 
 // parallelFold reduces a dense slice on the monoid.

@@ -1,6 +1,10 @@
 package grb
 
-import "lagraph/internal/parallel"
+import (
+	"strconv"
+
+	"lagraph/internal/parallel"
+)
 
 // Transpose computes C⟨M⟩⊙= Aᵀ. With desc.TranA the transposes cancel and
 // the operation degenerates to a masked copy of A (as in the C API).
@@ -12,7 +16,7 @@ func Transpose[T Value](C *Matrix[T], mask Mask, accum func(T, T) T, A *Matrix[T
 	}
 	cr, cc := C.Dims()
 	if cr != ac || cc != ar {
-		return dimErr("Transpose", "C "+itoa(cr)+"x"+itoa(cc), itoa(ac)+"x"+itoa(ar))
+		return dimErr("Transpose", "C "+strconv.Itoa(cr)+"x"+strconv.Itoa(cc), strconv.Itoa(ac)+"x"+strconv.Itoa(ar))
 	}
 	if err := mask.check(cr, cc, "Transpose"); err != nil {
 		return err

@@ -28,10 +28,11 @@
 //	into a bitmap/full C, or a dense result       one pass by position into C's own arrays, C free to
 //	  into an empty one                             alias an operand (the dense-output rule, writeback.go)
 //	sparse ∘ sparse                               the one sorted merge (unionWalk)
-//	MxM, push VxM (u a one-row A)                 saxpyRow: scatter A(i,:)·B into a pooled accumulator
+//	MxM, push VxM (u a one-row A)                 saxpyKernel: scatter A(i,:)·B into a pooled accumulator
 //	MxM by Bᵀ, pull MxV (u a one-row B)           dotRow: reduce A(i,:) ∩ B(j,:), early exit on any / terminal
-//	pull MxV, PlusSecond() / MinSecond(), no      the monomorphic loops of fastpath.go, chosen by the
-//	  mask, bitmap/full u                           constructor's identity, never by Semiring.Name
+//	pull MxV, the row reduce, the column gather   w(i) each on its own: run cuts w's one row by columns
+//	pull MxV, PlusSecond / MinSecond / PlusPair,  the monomorphic loops of fastpath.go, chosen by the
+//	  any mask, bitmap/full u                       constructor's identity, never by Semiring.Name
 //
 // Each rule has one body, for a matrix and a vector alike. A Vector is a
 // store of one row (store.go), so the format conversions, the format

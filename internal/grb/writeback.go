@@ -1,6 +1,10 @@
 package grb
 
-import "lagraph/internal/parallel"
+import (
+	"slices"
+
+	"lagraph/internal/parallel"
+)
 
 // The one write-back engine: C⟨M, r⟩ ⊙= T, for a matrix and a vector (a
 // store of one row) alike. T is the freshly computed result; the rule at one
@@ -117,6 +121,8 @@ type tShape struct {
 	full   bool // T holds an entry at every position
 	covers bool // T holds one at every allowed position of the region (an assign's scalar)
 	alias  bool // it reads C at positions other than the one it writes
+	list   bool // T goes where maskAccum puts a list: C adopts it where nothing of C survives, else a bitmap/full C takes it in place
+	cut    bool // it computes each position of a one-row C on its own: run cuts the row by columns, and a sparse mask is scattered
 }
 
 // writeBack is one call's C⟨M, r⟩ ⊙= T.
@@ -129,7 +135,8 @@ type writeBack[T Value] struct {
 	mode     int8
 	plain    bool       // in place into a full C, unmasked, no accumulator: a store
 	bare     bool       // no mask, no region: T's entry is folded in as it is
-	dense    bool       // tShape.dense: the allow mode
+	dense    bool       // the allow mode: scatter the mask row
+	cut      bool       // tShape.cut
 	t        store[T]   // toList: T
 	rowLen   []int      // toList, more than one row: T's row lengths
 	one      [1]sink[T] // the sink of a call run as one block
@@ -138,9 +145,15 @@ type writeBack[T Value] struct {
 // output prepares C as the destination of a call whose T has shape sh,
 // choosing the sink mode by the dense-output rule (see above).
 func (C *store[T]) output(mk Mask, accum func(T, T) T, replace bool, inRegion func(i, j int) bool, sh tShape) *writeBack[T] {
-	wb := getWriteBack[T]()
-	wb.C, wb.mk, wb.accum, wb.replace, wb.inRegion, wb.dense = C, mk, accum, replace, inRegion, sh.dense
 	denseC := C.format != FormatSparse
+	if sh.list {
+		sh.dense = denseC && (accum != nil || mk.Exists() && !replace && C.nvalsUpper() > 0)
+	}
+	wb := getWriteBack[T]()
+	wb.C, wb.mk, wb.accum, wb.replace, wb.inRegion, wb.dense, wb.cut = C, mk, accum, replace, inRegion, sh.dense, sh.cut
+	if sh.cut {
+		wb.dense = mk.Exists() && !mk.src.maskIsDense()
+	}
 	switch {
 	case sh.alias:
 	case denseC && (!mk.Exists() || !replace) && (accum != nil || sh.covers):
@@ -181,6 +194,7 @@ type sink[T Value] struct {
 	cb      []int8
 	accum   func(T, T) T
 	a       allow
+	lo, hi  int // the columns it settles: a piece of a cut row, else all
 	i       int // the open row, -1 before the first
 	base    int // i·nc
 	next    int // toPlace: the first column of row i not yet settled
@@ -195,8 +209,8 @@ type sink[T Value] struct {
 // open starts row i, finishing the one before.
 func (o *sink[T]) open(i int) {
 	o.shut()
-	o.i, o.base, o.next, o.start, o.last = i, i*o.wb.C.nc, 0, len(o.idx), -1
-	o.a.load(i)
+	o.i, o.base, o.next, o.start, o.last = i, i*o.wb.C.nc, o.lo, len(o.idx), -1
+	o.a.load(i, o.lo, o.hi)
 }
 
 // ok reports whether the mask allows column j of the open row.
@@ -236,7 +250,7 @@ func (o *sink[T]) shut() {
 			o.wb.rowLen[o.i] = len(o.idx) - o.start
 		}
 	case o.mode == toPlace:
-		o.settleTo(o.wb.C.nc)
+		o.settleTo(o.hi)
 	}
 }
 
@@ -276,19 +290,28 @@ func (o *sink[T]) put(j int, x T, tok bool) {
 // sinks put it. weight cuts the blocks (see parallel.Blocks); hint bounds
 // T's entries for a single block, the one-row case, so its list is sized
 // once.
+//
+// A one-row C whose kernel computes each position on its own (tShape.cut)
+// is cut by columns instead: rows(lo, hi, o) gets columns [lo, hi) of row
+// 0, already open. The pieces of the row run concurrently, so a piece
+// settles only its own columns and loads only those of a scattered mask,
+// and what the pieces gained or listed is summed after they return.
 func run[T Value](wb *writeBack[T], weight []int, hint int, rows func(lo, hi int, o *sink[T])) {
-	nr := wb.C.nr
+	n := wb.C.nr
+	if wb.cut {
+		n = wb.C.nc
+	}
 	blocks := wb.one[:]
-	if parallel.Threads(nr) == 1 {
-		wb.sink(&blocks[0], hint)
-		if nr > 0 {
-			rows(0, nr, &blocks[0])
+	if parallel.Threads(n) == 1 {
+		wb.sink(&blocks[0], 0, n, hint)
+		if n > 0 {
+			rows(0, n, &blocks[0])
 		}
 		blocks[0].done()
 	} else {
-		blocks = parallel.Blocks(nr, weight, func(lo, hi int) sink[T] {
+		blocks = parallel.Blocks(n, weight, func(lo, hi int) sink[T] {
 			var o sink[T]
-			wb.sink(&o, 0)
+			wb.sink(&o, lo, hi, 0)
 			if weight != nil && wb.mode == toList {
 				o.idx, o.val = make([]int, 0, weight[hi]-weight[lo]), make([]T, 0, weight[hi]-weight[lo])
 			}
@@ -328,15 +351,27 @@ func run[T Value](wb *writeBack[T], weight []int, hint int, rows func(lo, hi int
 	}
 }
 
-// sink prepares o, zero, as a sink of the call; hint sizes a list.
-func (wb *writeBack[T]) sink(o *sink[T], hint int) {
-	o.wb, o.i, o.a = wb, -1, wb.mk.allowFor(wb.C.nc, wb.dense)
+// sink prepares o, zero, as the sink of rows [lo, hi) of the call, or —
+// cut — of columns [lo, hi) of its row, opened; hint sizes a list.
+func (wb *writeBack[T]) sink(o *sink[T], lo, hi, hint int) {
+	o.wb, o.i, o.a, o.lo, o.hi = wb, -1, wb.mk.allowFor(wb.C.nc, wb.dense), 0, wb.C.nc
 	o.mode, o.bare, o.cv, o.cb, o.accum = wb.mode, wb.bare, wb.C.val, wb.C.b, wb.accum
 	if wb.plain {
 		o.mode = toStore
 	}
 	if wb.mode == toList && hint > 0 {
 		o.idx, o.val = make([]int, 0, hint), make([]T, 0, hint)
+	}
+	if wb.cut {
+		o.lo, o.hi = lo, hi
+		o.open(0)
+	}
+}
+
+// reserve makes room in a list for n more entries of the open row.
+func (o *sink[T]) reserve(n int) {
+	if o.mode == toList {
+		o.idx, o.val = slices.Grow(o.idx, n), slices.Grow(o.val, n)
 	}
 }
 
