@@ -427,3 +427,22 @@ func TestVectorStorageCallsDoNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildAllocatesByTuple pins the cost of the one build: MatrixFromTuples
+// buckets 2²⁰ random tuples on 2¹⁶×2¹⁶ straight from the caller's arrays
+// into the result's own two, so it allocates at most 24 B a tuple — 16 for
+// those arrays, where a copy of the tuples as a pending log would add 32.
+func TestBuildAllocatesByTuple(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	const n, nt = 1 << 16, 1 << 20
+	rows, cols, vals := randomTuples(n, n, nt, 1)
+	b := bytesPerCall(t, func() error {
+		_, err := MatrixFromTuples(n, n, rows, cols, vals, nil)
+		return err
+	})
+	if b/nt > 24 {
+		t.Errorf("MatrixFromTuples: %.1f B a tuple, want at most 24", b/nt)
+	}
+}

@@ -12,12 +12,14 @@ import (
 // untouched by the assignment itself, and replace semantics delete every
 // entry outside the mask.
 //
-// Duplicate indices are permitted when an accumulator is supplied and are
-// combined in index order — this is what FastSV's "hooking" scatter
-// f(x) min= mngf needs; with min the result is order-independent.
+// Duplicate indices are permitted. They fold in index order, after w's own
+// entry, whatever w's format: with an accumulator, u(k₁) and u(k₂) landing
+// on one position leave (w ⊙ u(k₁)) ⊙ u(k₂) there, and without one the
+// later wins. FastSV's "hooking" scatter f(x) min= mngf relies on it.
 
 // AssignVector computes w⟨m⟩(indices)⊙= u, where u(k) lands at
-// indices[k] (u's length must equal the region size).
+// indices[k] (u's length must equal the region size). Duplicate indices
+// fold in index order, after w's own entry, whatever w's format.
 func AssignVector[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 	u *Vector[T], indices []int, desc *Descriptor) error {
 
@@ -49,31 +51,22 @@ func AssignVector[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 		w.conform()
 		return nil
 	}
-	// Otherwise the region is staged densely — reg[i] = 1 if i is in it —
-	// with the value arriving at each position (duplicates combined), and
-	// merged as T.
-	reg := make([]int8, n)
-	regHas := make([]int8, n)
-	regVal := make([]T, n)
-	for k, i := range indices {
-		reg[i] = 1
-		x, ok := u.get(0, k)
-		if !ok {
-			continue
+	// Otherwise T is assembled from u(k) at indices[k], behind w's own
+	// entries in the region when an accumulator folds them, so T holds what
+	// the region's positions become and is written back without one.
+	in, region := members(indices, n)
+	cols, vals := []int(nil), []T(nil)
+	if accum != nil {
+		for _, j := range region {
+			if x, ok := w.get(0, j); ok {
+				cols, vals = append(cols, j), append(vals, x)
+			}
 		}
-		if regHas[i] != 0 && accum != nil {
-			x = accum(regVal[i], x)
-		}
-		regHas[i], regVal[i] = 1, x
 	}
+	u.rowIter(0, func(k int, x T) { cols, vals = append(cols, indices[k]), append(vals, x) })
 	t := MustVector[T](n)
-	for i, has := range regHas {
-		if has != 0 {
-			t.idx, t.val = append(t.idx, i), append(t.val, regVal[i])
-		}
-	}
-	t.syncRow()
-	w.maskAccum(mask, accum, &t.store, d.Replace, false, func(_, j int) bool { return reg[j] != 0 })
+	t.assemble(tuples[T]{cols: cols, vals: vals}, accum)
+	w.maskAccum(mask, nil, &t.store, d.Replace, false, func(_, j int) bool { return in[j] != 0 })
 	return nil
 }
 

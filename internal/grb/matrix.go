@@ -1,10 +1,6 @@
 package grb
 
-import (
-	"cmp"
-
-	"lagraph/internal/parallel"
-)
+import "cmp"
 
 // Matrix is a generic GraphBLAS matrix held by row. Unlike the opaque
 // GrB_Matrix, its accessors expose enough structure for the LAGraph layer
@@ -101,49 +97,7 @@ func MatrixFromTuples[T Value](nr, nc int, rows, cols []int, vals []T, dup func(
 	if err := cmp.Or(checkIndices("MatrixFromTuples", "row", rows, nr), checkIndices("MatrixFromTuples", "col", cols, nc)); err != nil {
 		return nil, err
 	}
-	// Counting sort by row, then sort each row segment by column.
-	counts := make([]int, nr+1)
-	for _, i := range rows {
-		counts[i]++
-	}
-	parallel.ExclusiveScan(counts)
-	idx := make([]int, len(rows))
-	val := make([]T, len(rows))
-	next := append([]int(nil), counts[:nr]...)
-	for k := range rows {
-		p := next[rows[k]]
-		next[rows[k]]++
-		idx[p] = cols[k]
-		val[p] = vals[k]
-	}
-	m.ptr, m.idx, m.val = counts, idx, val
-	parallel.Guided(nr, 32, func(i int) {
-		lo, hi := m.ptr[i], m.ptr[i+1]
-		if hi-lo > 1 {
-			pairSortStable(m.idx[lo:hi], m.val[lo:hi])
-		}
-	})
-	// Combine duplicates.
-	if dup == nil {
-		dup = func(_, n T) T { return n }
-	}
-	w := 0
-	for i := 0; i < nr; i++ {
-		lo, hi := m.ptr[i], m.ptr[i+1]
-		m.ptr[i] = w
-		for p := lo; p < hi; p++ {
-			if w > m.ptr[i] && m.idx[w-1] == m.idx[p] {
-				m.val[w-1] = dup(m.val[w-1], m.val[p])
-			} else {
-				m.idx[w] = m.idx[p]
-				m.val[w] = m.val[p]
-				w++
-			}
-		}
-	}
-	m.ptr[nr] = w
-	m.idx = m.idx[:w]
-	m.val = m.val[:w]
+	m.assemble(tuples[T]{rows: rows, cols: cols, vals: vals}, dup)
 	return m, nil
 }
 
@@ -163,15 +117,10 @@ func (m *Matrix[T]) ExtractTuples() (rows, cols []int, vals []T) {
 			}
 		}
 	default:
+		n := m.nvalsUpper()
+		rows, cols, vals = make([]int, 0, n), make([]int, 0, n), make([]T, 0, n)
 		for i := 0; i < m.nr; i++ {
-			base := i * m.nc
-			for j := 0; j < m.nc; j++ {
-				if m.format == FormatFull || m.b[base+j] != 0 {
-					rows = append(rows, i)
-					cols = append(cols, j)
-					vals = append(vals, m.val[base+j])
-				}
-			}
+			m.rowIter(i, func(j int, x T) { rows, cols, vals = append(rows, i), append(cols, j), append(vals, x) })
 		}
 	}
 	return rows, cols, vals

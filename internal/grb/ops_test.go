@@ -1,6 +1,7 @@
 package grb
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -524,6 +525,28 @@ func TestAssignVectorScatterWithAccumAndDuplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	vectorsEqual(t, f, map[int]int64{0: 5, 1: 10, 2: 3, 3: 10}, "scatter min accum")
+
+	// A non-associative accumulator: u(0) and u(1) both land on w(1) and
+	// fold in index order after w's own entry, (10 − 3) − 2, whatever w's
+	// format, with or without a mask; without an accumulator the later
+	// wins.
+	u2, _ := VectorFromTuples(2, []int{0, 1}, []int64{3, 2}, nil)
+	m, _ := VectorFromTuples(4, []int{1, 3}, []bool{true, true}, nil)
+	for _, c := range []struct {
+		accum func(a, b int64) int64
+		want  int64
+	}{{func(a, b int64) int64 { return a - b }, 5}, {nil, 2}} {
+		for _, format := range allFormats {
+			for _, mask := range []VMask{NoVMask, VMaskOf(m)} {
+				w := vecInFormat(DenseVector(4, int64(10)), format)
+				if err := AssignVector(w, mask, c.accum, u2, []int{1, 1}, nil); err != nil {
+					t.Fatal(err)
+				}
+				vectorsEqual(t, w, map[int]int64{0: 10, 1: c.want, 2: 10, 3: 10},
+					fmt.Sprintf("scatter into %v w, masked %v, accumulated %v", format, mask.Exists(), c.accum != nil))
+			}
+		}
+	}
 }
 
 func TestAssignVectorMaskedIdentityFastPath(t *testing.T) {

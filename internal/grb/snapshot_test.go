@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -240,7 +241,14 @@ func TestMatrixFromTuplesDupWithSelfLoops(t *testing.T) {
 //     interleave on the source, whose arrays and pending list must come out
 //     unchanged;
 //   - a Snapshot advanced mid-log onto the assembly of a random prefix of
-//     its operations, which must drop its pending count by the prefix.
+//     its operations, which must drop its pending count by the prefix;
+//   - a Snapshot assembling its log with a summing dup, after an insert, a
+//     tombstone and an insert on a position its base holds: a run of
+//     inserts sums, a tombstone restarts it, and the run replaces the
+//     base's entry, so that position holds the last insert alone.
+//
+// The builders share the assembly, so two more inputs build from random
+// tuples, duplicates included (checkBuild).
 func TestQuickAssemblePendingAgainstRebuild(t *testing.T) {
 	const (
 		snapshotReceiver = iota
@@ -248,10 +256,16 @@ func TestQuickAssemblePendingAgainstRebuild(t *testing.T) {
 		vectorReceiver
 		pendingSnapshotReceiver
 		advancedReceiver
+		summingReceiver
+		matrixBuild
+		vectorBuild
 	)
 	f := func(seed int64, receiver uint8) bool {
-		kind := int(receiver % 5)
+		kind := int(receiver % 8)
 		rng := rand.New(rand.NewSource(seed))
+		if kind == matrixBuild || kind == vectorBuild {
+			return checkBuild(t, rng, seed, kind == vectorBuild)
+		}
 		n := []int{1, 2, 7, 40, 200}[rng.Intn(5)]
 		nc := 1 + rng.Intn(2*n)
 		model := map[[2]int]float64{}
@@ -278,7 +292,7 @@ func TestQuickAssemblePendingAgainstRebuild(t *testing.T) {
 		}
 		recv, vec := base, (*Vector[float64])(nil)
 		switch kind {
-		case snapshotReceiver, advancedReceiver:
+		case snapshotReceiver, advancedReceiver, summingReceiver:
 			snap, err := base.Snapshot()
 			if err != nil {
 				t.Fatal(err)
@@ -308,6 +322,15 @@ func TestQuickAssemblePendingAgainstRebuild(t *testing.T) {
 		var early *Matrix[float64]     // the advanced receiver after its first prefix operations
 		var srcPend []pending[float64] // the clone's source's pending list, as it must stay
 		hot := [][2]int{}              // positions revisited, so one position folds several calls
+		run := map[[2]int]float64{}    // summingReceiver: what each position's run of inserts sums to
+		summing, lead := kind == summingReceiver, 0
+		if summing && len(base.idx) > 0 {
+			pos := [2]int{sort.SearchInts(base.ptr, 1) - 1, base.idx[0]}
+			set(5, pos[0], pos[1])
+			remove(pos[0], pos[1])
+			set(7, pos[0], pos[1])
+			model[pos], run[pos], hot, lead = 7, 7, append(hot, pos), 3
+		}
 		for k := 0; k <= nops; k++ {
 			if kind == advancedReceiver && k == prefix {
 				early, _ = recv.Snapshot()
@@ -354,15 +377,19 @@ func TestQuickAssemblePendingAgainstRebuild(t *testing.T) {
 					t.Fatal(err)
 				}
 				delete(model, pos)
+				delete(run, pos)
 				continue
 			}
 			x := float64(1 + rng.Intn(9))
 			if err := set(x, pos[0], pos[1]); err != nil {
 				t.Fatal(err)
 			}
-			model[pos] = x
+			if y, ok := run[pos]; ok && summing {
+				x += y
+			}
+			model[pos], run[pos] = x, x
 		}
-		buffered := nops
+		buffered := nops + lead
 		if kind == advancedReceiver {
 			buffered -= prefix
 		}
@@ -380,6 +407,11 @@ func TestQuickAssemblePendingAgainstRebuild(t *testing.T) {
 				return false
 			}
 			return true
+		}
+		if summing {
+			log := recv.pend
+			recv.pend = nil
+			recv.assemble(tuples[float64]{log: log}, func(a, b float64) float64 { return a + b })
 		}
 		recv.Wait()
 		if !slices.Equal(recv.ptr, want.ptr) || !slices.Equal(recv.idx, want.idx) || !slices.Equal(recv.val, want.val) {
@@ -401,9 +433,46 @@ func TestQuickAssemblePendingAgainstRebuild(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400, Rand: rand.New(rand.NewSource(21))}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 640, Rand: rand.New(rand.NewSource(21))}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// checkBuild is the builders' input to TestQuickAssemblePendingAgainstRebuild:
+// random tuples, duplicates and empty rows included, built with a summing
+// dup by MatrixFromTuples, against the map model — or, for a vector, by
+// VectorFromTuples, against MatrixFromTuples on one row.
+func checkBuild(t *testing.T, rng *rand.Rand, seed int64, vector bool) bool {
+	nr, nc := []int{1, 2, 7, 40}[rng.Intn(4)], 1+rng.Intn(60)
+	if vector {
+		nr = 1
+	}
+	nt := rng.Intn(4 * nr * nc)
+	rows, cols, vals := make([]int, nt), make([]int, nt), make([]float64, nt)
+	model := map[[2]int]float64{}
+	for k := range rows {
+		rows[k], cols[k], vals[k] = rng.Intn(nr), rng.Intn(nc), float64(1+rng.Intn(9))
+		model[[2]int{rows[k], cols[k]}] += vals[k]
+	}
+	sum := func(a, b float64) float64 { return a + b }
+	got, err := MatrixFromTuples(nr, nc, rows, cols, vals, sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := matrixFromModel(t, nr, nc, model)
+	if vector {
+		v, err := VectorFromTuples(nc, cols, vals, sum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, got = got, &Matrix[float64]{v.store}
+	}
+	if !slices.Equal(got.ptr, want.ptr) || !slices.Equal(got.idx, want.idx) || !slices.Equal(got.val, want.val) {
+		t.Errorf("seed %d (%dx%d, %d tuples, vector %v): built\n ptr %v\n idx %v\n val %v\nwant\n ptr %v\n idx %v\n val %v",
+			seed, nr, nc, nt, vector, got.ptr, got.idx, got.val, want.ptr, want.idx, want.val)
+		return false
+	}
+	return true
 }
 
 // matrixFromModel builds a finished sparse matrix holding exactly the

@@ -33,6 +33,8 @@
 //	pull MxV, the row reduce, the column gather   w(i) each on its own: run cuts w's one row by columns
 //	pull MxV, PlusSecond / MinSecond / PlusPair,  the monomorphic loops of fastpath.go, chosen by the
 //	  any mask, bitmap/full u                       constructor's identity, never by Semiring.Name
+//	tuples into a store: the builders, Wait,      assemble: bucket by row, sort each row's run stably, fold a
+//	  AssignVector's index list                     position's run in input order by dup, merge into the base
 //
 // Each rule has one body, for a matrix and a vector alike. A Vector is a
 // store of one row (store.go), so the format conversions, the format

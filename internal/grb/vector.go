@@ -66,23 +66,7 @@ func VectorFromTuples[T Value](n int, indices []int, vals []T, dup func(T, T) T)
 	if err := checkIndices("VectorFromTuples", "index", indices, n); err != nil {
 		return nil, err
 	}
-	idx := append([]int(nil), indices...)
-	val := append([]T(nil), vals...)
-	pairSortStable(idx, val)
-	if dup == nil {
-		dup = func(_, n T) T { return n }
-	}
-	w := 0
-	for p := range idx {
-		if w > 0 && idx[w-1] == idx[p] {
-			val[w-1] = dup(val[w-1], val[p])
-		} else {
-			idx[w], val[w] = idx[p], val[p]
-			w++
-		}
-	}
-	v.idx, v.val = idx[:w], val[:w]
-	v.syncRow()
+	v.assemble(tuples[T]{cols: indices, vals: vals}, dup)
 	return v, nil
 }
 
@@ -102,45 +86,14 @@ func DenseVector[T Value](n int, x T) *Vector[T] {
 // ExtractTuples returns the stored entries as (indices, values) in
 // ascending index order: {i, x} ↤ u.
 func (v *Vector[T]) ExtractTuples() (indices []int, vals []T) {
-	v.Wait()
-	switch v.format {
-	case FormatSparse:
-		return append([]int(nil), v.idx...), append([]T(nil), v.val...)
-	case FormatBitmap:
-		for i := 0; i < v.nc; i++ {
-			if v.b[i] != 0 {
-				indices = append(indices, i)
-				vals = append(vals, v.val[i])
-			}
-		}
-		return indices, vals
-	default:
-		indices = make([]int, v.nc)
-		for i := range indices {
-			indices[i] = i
-		}
-		return indices, append([]T(nil), v.val...)
-	}
+	indices, vals = make([]int, 0, v.NVals()), make([]T, 0, v.NVals())
+	v.Iterate(func(i int, x T) { indices, vals = append(indices, i), append(vals, x) })
+	return indices, vals
 }
 
 // Iterate calls f for every stored entry in ascending index order on the
 // finished vector. Used by kernels and the LAGraph layer.
 func (v *Vector[T]) Iterate(f func(i int, x T)) {
 	v.Wait()
-	switch v.format {
-	case FormatSparse:
-		for p, i := range v.idx {
-			f(i, v.val[p])
-		}
-	case FormatBitmap:
-		for i := 0; i < v.nc; i++ {
-			if v.b[i] != 0 {
-				f(i, v.val[i])
-			}
-		}
-	default:
-		for i := 0; i < v.nc; i++ {
-			f(i, v.val[i])
-		}
-	}
+	v.rowIter(0, f)
 }
