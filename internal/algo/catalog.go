@@ -28,7 +28,6 @@ import (
 	"sync"
 
 	"lagraph/internal/lagraph"
-	"lagraph/internal/registry"
 )
 
 // Tier is the paper's two-level API split.
@@ -69,17 +68,17 @@ type Descriptor struct {
 	// Params is the typed parameter schema.
 	Params []Spec
 	// Properties declares the cached graph properties the kernel reads,
-	// so the registry can materialize them once (single-flight) before
-	// Run. It may be called with a nil graph for introspection, in which
-	// case it must return the full (superset) list. Nil means none.
-	Properties func(g *Graph) []registry.Property
+	// so its caller (the registry or EnsureProperties) materializes them
+	// before Run. It may be called with a nil graph for introspection,
+	// and must then return the full (superset) list. Nil means none.
+	Properties func(g *Graph) []lagraph.Property
 	// Run is the kernel closure.
 	Run RunFunc
 }
 
 // RequiredProperties returns the properties to materialize for g
 // (nil-safe).
-func (d *Descriptor) RequiredProperties(g *Graph) []registry.Property {
+func (d *Descriptor) RequiredProperties(g *Graph) []lagraph.Property {
 	if d.Properties == nil {
 		return nil
 	}

@@ -6,7 +6,6 @@ import (
 
 	"lagraph/internal/grb"
 	"lagraph/internal/lagraph"
-	"lagraph/internal/registry"
 )
 
 // Builtin returns a fresh catalog with every built-in kernel registered:
@@ -50,17 +49,17 @@ func sourceSpec() Spec {
 }
 
 // staticProps builds a graph-independent Properties function.
-func staticProps(ps ...registry.Property) func(*Graph) []registry.Property {
-	return func(*Graph) []registry.Property { return ps }
+func staticProps(ps ...lagraph.Property) func(*Graph) []lagraph.Property {
+	return func(*Graph) []lagraph.Property { return ps }
 }
 
 // EnsureProperties materializes a descriptor's required properties
-// directly on a graph — the library-mode analogue of the registry
-// entry's single-flight EnsureProperties, used by the benchmark harness
-// and tests that run catalog kernels without a registry.
+// directly on a graph — the library-mode analogue of the registry entry's
+// EnsureProperties, used by the benchmark harness and tests that run
+// catalog kernels without a registry.
 func EnsureProperties(d *Descriptor, g *Graph) error {
 	for _, p := range d.RequiredProperties(g) {
-		if _, err := registry.Materialize(g, p); err != nil {
+		if _, err := g.Ensure(p); err != nil {
 			return err
 		}
 	}
@@ -97,7 +96,7 @@ func registerBFS(c *Catalog) {
 			{Name: "level", Type: TBool, Default: false, Doc: "also return BFS levels (hop distances)"},
 			limitSpec(),
 		},
-		Properties: staticProps(registry.PropAT, registry.PropRowDegree),
+		Properties: staticProps(lagraph.PropAT, lagraph.PropRowDegree),
 		Run: func(ctx context.Context, g *Graph, p Params) (Result, error) {
 			src := p.Int("source")
 			if err := checkSource(g, src, "source"); err != nil {
@@ -138,7 +137,7 @@ func registerPageRank(c *Catalog) {
 			"as the GAP benchmark's pr.cc computes it (sinks leak rank). " +
 			"pagerank.gx is the LDBC Graphalytics formulation, which redistributes sink rank every iteration.",
 		Params:     append(pagerankParams(), limitSpec()),
-		Properties: staticProps(registry.PropAT, registry.PropRowDegree),
+		Properties: staticProps(lagraph.PropAT, lagraph.PropRowDegree),
 		Run: func(ctx context.Context, g *Graph, p Params) (Result, error) {
 			ranks, iters, err := lagraph.PageRankGAP(ctx, g, p.Float("damping"), p.Float("tol"), p.Int("max_iter"))
 			if err = warnOK(err); err != nil {
@@ -159,13 +158,13 @@ func registerCC(c *Catalog) {
 		Doc: "Connected components via FastSV (paper §IV-F, Algorithm 7). " +
 			"Directed graphs are handled as weak components on the symmetrised pattern A ∪ Aᵀ.",
 		Params: []Spec{limitSpec()},
-		Properties: func(g *Graph) []registry.Property {
+		Properties: func(g *Graph) []lagraph.Property {
 			// The symmetrised pattern needs the transpose, and knowing the
 			// pattern is already symmetric skips the union entirely. For
 			// undirected graphs nothing is required. A nil graph is the
 			// introspection probe: report the superset.
 			if g == nil || g.Kind == lagraph.AdjacencyDirected {
-				return []registry.Property{registry.PropAT, registry.PropSymmetry}
+				return []lagraph.Property{lagraph.PropAT, lagraph.PropSymmetry}
 			}
 			return nil
 		},
@@ -219,7 +218,7 @@ func registerTC(c *Catalog) {
 		Doc: "Triangle count (paper §IV-E, Algorithm 6): C⟨s(L)⟩ = L plus.pair Uᵀ with the " +
 			"degree-sort heuristic. Self-edges are stripped on a temporary copy.",
 		Undirected: true,
-		Properties: staticProps(registry.PropNDiag, registry.PropRowDegree),
+		Properties: staticProps(lagraph.PropNDiag, lagraph.PropRowDegree),
 		Run: func(ctx context.Context, g *Graph, _ Params) (Result, error) {
 			count, err := lagraph.TriangleCount(ctx, g)
 			if err = warnOK(err); err != nil {
@@ -242,7 +241,7 @@ func registerBC(c *Catalog) {
 				Doc: "source batch (defaults to [source]; the GAP convention is 4)"},
 			limitSpec(),
 		},
-		Properties: staticProps(registry.PropAT),
+		Properties: staticProps(lagraph.PropAT),
 		Run: func(ctx context.Context, g *Graph, p Params) (Result, error) {
 			sources := p.Ints("sources")
 			if len(sources) == 0 {
@@ -273,7 +272,7 @@ func registerBFSLevel(c *Catalog) {
 			"skipping the parent vector entirely. The kernel computes nothing itself; its declared " +
 			"AT and RowDegree properties are materialized before it runs.",
 		Params:     []Spec{sourceSpec(), limitSpec()},
-		Properties: staticProps(registry.PropAT, registry.PropRowDegree),
+		Properties: staticProps(lagraph.PropAT, lagraph.PropRowDegree),
 		Run: func(ctx context.Context, g *Graph, p Params) (Result, error) {
 			src := p.Int("source")
 			if err := checkSource(g, src, "source"); err != nil {
@@ -299,7 +298,7 @@ func registerPageRankGX(c *Catalog) {
 			"and redistributed every iteration, keeping the ranks a probability distribution. " +
 			"Reads the declared AT and RowDegree properties, materialized before it runs.",
 		Params:     append(pagerankParams(), limitSpec()),
-		Properties: staticProps(registry.PropAT, registry.PropRowDegree),
+		Properties: staticProps(lagraph.PropAT, lagraph.PropRowDegree),
 		Run: func(ctx context.Context, g *Graph, p Params) (Result, error) {
 			ranks, iters, err := lagraph.PageRankGX(ctx, g, p.Float("damping"), p.Float("tol"), p.Int("max_iter"))
 			if err = warnOK(err); err != nil {
@@ -321,9 +320,9 @@ func registerCCAdvanced(c *Catalog) {
 			"(undirected graph, or ASymmetricPattern cached true — a directed graph whose " +
 			"pattern is not symmetric is rejected).",
 		Params: []Spec{limitSpec()},
-		Properties: func(g *Graph) []registry.Property {
+		Properties: func(g *Graph) []lagraph.Property {
 			if g == nil || g.Kind == lagraph.AdjacencyDirected {
-				return []registry.Property{registry.PropSymmetry}
+				return []lagraph.Property{lagraph.PropSymmetry}
 			}
 			return nil
 		},
@@ -364,7 +363,7 @@ func registerTCAdvanced(c *Catalog) {
 			{Name: "presort", Type: TBool, Default: false,
 				Doc: "permute the graph by ascending degree before counting"},
 		},
-		Properties: staticProps(registry.PropRowDegree),
+		Properties: staticProps(lagraph.PropRowDegree),
 		Run: func(ctx context.Context, g *Graph, p Params) (Result, error) {
 			if g.Kind != lagraph.AdjacencyUndirected {
 				return nil, fmt.Errorf("tc.advanced: requires an undirected graph")
@@ -389,7 +388,7 @@ func registerLCC(c *Catalog) {
 			"triangle are omitted (coefficient 0).",
 		Undirected: true,
 		Params:     []Spec{limitSpec()},
-		Properties: staticProps(registry.PropNDiag, registry.PropRowDegree),
+		Properties: staticProps(lagraph.PropNDiag, lagraph.PropRowDegree),
 		Run: func(ctx context.Context, g *Graph, p Params) (Result, error) {
 			lcc, err := lagraph.LocalClusteringCoefficient(ctx, g)
 			if err = warnOK(err); err != nil {

@@ -26,7 +26,7 @@ func (c *Catalog) Markdown() string {
 		blurb string
 	}{
 		{TierBasic, "Basic tier", "Sane defaults; required graph properties are materialized (once, cached) for you."},
-		{TierAdvanced, "Advanced tier", "Expert knobs. The kernels themselves compute and cache nothing; their declared properties are materialized up front by the caller — the service does this automatically (single-flight, cached), library users call `algo.EnsureProperties`."},
+		{TierAdvanced, "Advanced tier", "Expert knobs. The kernels themselves compute and cache nothing; their declared properties are materialized up front by the caller — the service does this automatically (each computed once per graph, cached), library users call `algo.EnsureProperties`."},
 	}
 	for _, t := range tiers {
 		fmt.Fprintf(&b, "### %s\n\n%s\n\n", t.title, t.blurb)

@@ -24,7 +24,7 @@ func BetweennessCentrality[T grb.Value](ctx context.Context, g *Graph[T], source
 	if err := validateGraph(g, "BetweennessCentrality"); err != nil {
 		return nil, err
 	}
-	computed, err := ensureCached(ctx, g.PropertyAT)
+	computed, err := ensureCached(ctx, g, PropAT)
 	if err != nil {
 		return nil, err
 	}

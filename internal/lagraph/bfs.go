@@ -37,7 +37,7 @@ func BreadthFirstSearch[T grb.Value](ctx context.Context, g *Graph[T], src int, 
 	if err := validateSource(g, src, "BreadthFirstSearch"); err != nil {
 		return nil, nil, err
 	}
-	computed, err := ensureCached(ctx, g.PropertyAT, g.PropertyRowDegree)
+	computed, err := ensureCached(ctx, g, PropAT, PropRowDegree)
 	if err != nil {
 		return nil, nil, err
 	}

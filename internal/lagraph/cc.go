@@ -27,7 +27,7 @@ func ConnectedComponents[T grb.Value](ctx context.Context, g *Graph[T]) (*grb.Ve
 	if symmetricPattern(g) {
 		return fastSV(ctx, g.A)
 	}
-	computed, err := ensureCached(ctx, g.PropertyAT)
+	computed, err := ensureCached(ctx, g, PropAT)
 	if err != nil {
 		return nil, err
 	}

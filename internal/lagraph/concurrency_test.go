@@ -2,15 +2,16 @@ package lagraph
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"lagraph/internal/grb"
 )
 
-// randomDigraph builds a small deterministic directed graph for the
-// concurrency tests: n vertices, ~n*deg edges from a multiplicative
-// congruential stream.
-func randomDigraph(t *testing.T, n, deg int) *Graph[float64] {
+// randomGraph builds a small deterministic graph of the given kind for
+// the concurrency tests: n vertices, ~n*deg edges from a multiplicative
+// congruential stream, each mirrored when the graph is undirected.
+func randomGraph(t *testing.T, n, deg int, kind Kind) *Graph[float64] {
 	t.Helper()
 	var rows, cols []int
 	var vals []float64
@@ -28,78 +29,120 @@ func randomDigraph(t *testing.T, n, deg int) *Graph[float64] {
 			rows = append(rows, i)
 			cols = append(cols, j)
 			vals = append(vals, float64(k+1))
+			if kind == AdjacencyUndirected {
+				rows = append(rows, j)
+				cols = append(cols, i)
+				vals = append(vals, float64(k+1))
+			}
 		}
 	}
 	A, err := grb.MatrixFromTuples(n, n, rows, cols, vals, func(a, b float64) float64 { return a })
 	if err != nil {
 		t.Fatalf("MatrixFromTuples: %v", err)
 	}
-	g, err := New(&A, AdjacencyDirected)
+	g, err := New(&A, kind)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	return g
 }
 
-// TestConcurrentPropertyMemoization hammers one graph's property
-// memoization from many goroutines: every Property* method, every Cached*
-// accessor, and CheckGraph race against each other. Run under -race this
-// verifies the mutex-guarded cache (the seed implementation was racy by
-// construction).
+// TestConcurrentPropertyMemoization hammers one graph's property cache
+// from many goroutines: half the workers demand every property through the
+// Property* methods, half through Ensure, while Cached, the Cached*
+// accessors and CheckGraph race against them. Over both routes each
+// property is computed once: one nil return or computed == true in all.
+// An undirected graph is symmetric from the start, so there nothing
+// computes ASymmetricPattern, and its AT and ColDegree alias A and
+// RowDegree. Run under -race this verifies the mutex-guarded cache (the
+// seed implementation was racy by construction).
 func TestConcurrentPropertyMemoization(t *testing.T) {
-	g := randomDigraph(t, 300, 8)
+	for _, kind := range []Kind{AdjacencyDirected, AdjacencyUndirected} {
+		t.Run(KindName(kind), func(t *testing.T) {
+			g := randomGraph(t, 300, 8, kind)
+			methods := [NumProperties]func() error{
+				g.PropertyAT,
+				g.PropertyRowDegree,
+				g.PropertyColDegree,
+				g.PropertyASymmetricPattern,
+				g.PropertyNDiag,
+			}
 
-	const workers = 16
-	var wg sync.WaitGroup
-	// Sized for the worst case (every call in every iteration failing) so
-	// a regression reports instead of deadlocking on a full channel.
-	errs := make(chan error, workers*4*6)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for it := 0; it < 4; it++ {
-				for _, f := range []func() error{
-					g.PropertyAT,
-					g.PropertyRowDegree,
-					g.PropertyColDegree,
-					g.PropertyASymmetricPattern,
-					g.PropertyNDiag,
-				} {
-					if err := f(); err != nil && !IsWarning(err) {
-						errs <- err
+			const workers = 16
+			var computes [NumProperties]atomic.Int64
+			var wg sync.WaitGroup
+			// Sized for the worst case (every call in every iteration
+			// failing) so a regression reports instead of deadlocking on a
+			// full channel.
+			errs := make(chan error, workers*4*(NumProperties+1))
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for it := 0; it < 4; it++ {
+						for p, method := range methods {
+							var computed bool
+							var err error
+							if w%2 == 0 {
+								err = method()
+								computed = err == nil
+								if IsWarning(err) {
+									err = nil
+								}
+							} else {
+								computed, err = g.Ensure(Property(p))
+							}
+							if err != nil {
+								errs <- err
+							}
+							if computed {
+								computes[p].Add(1)
+							}
+							_ = g.Cached(Property(p))
+						}
+						_ = g.CachedAT()
+						_ = g.CachedRowDegree()
+						_ = g.CachedColDegree()
+						_ = g.CachedSymmetry()
+						_ = g.CachedNDiag()
+						if err := g.CheckGraph(); err != nil {
+							errs <- err
+						}
 					}
+				}(w)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Errorf("concurrent property call failed: %v", err)
+			}
+
+			for p := Property(0); p < NumProperties; p++ {
+				want := int64(1)
+				if kind == AdjacencyUndirected && p == PropSymmetry {
+					want = 0
 				}
-				_ = g.CachedAT()
-				_ = g.CachedRowDegree()
-				_ = g.CachedColDegree()
-				_ = g.CachedSymmetry()
-				_ = g.CachedNDiag()
-				if err := g.CheckGraph(); err != nil {
-					errs <- err
+				if got := computes[p].Load(); got != want {
+					t.Errorf("%s computed %d times, want %d", p, got, want)
+				}
+				if !g.Cached(p) {
+					t.Errorf("%s not cached after hammer", p)
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Errorf("concurrent property call failed: %v", err)
-	}
-
-	if g.CachedAT() == nil || g.CachedRowDegree() == nil || g.CachedColDegree() == nil {
-		t.Fatal("properties not materialized after hammer")
-	}
-	if g.CachedNDiag() < 0 {
-		t.Fatal("NDiag not materialized after hammer")
-	}
-	want := grb.NewTranspose(g.A)
-	eq, err := IsEqual(g.CachedAT(), want)
-	if err != nil {
-		t.Fatalf("IsEqual: %v", err)
-	}
-	if !eq {
-		t.Fatal("cached AT does not equal the transpose of A")
+			if kind == AdjacencyUndirected {
+				if g.CachedAT() != g.A || g.CachedColDegree() != g.CachedRowDegree() {
+					t.Fatal("undirected AT and ColDegree must alias A and RowDegree")
+				}
+				return
+			}
+			eq, err := IsEqual(g.CachedAT(), grb.NewTranspose(g.A))
+			if err != nil {
+				t.Fatalf("IsEqual: %v", err)
+			}
+			if !eq {
+				t.Fatal("cached AT does not equal the transpose of A")
+			}
+		})
 	}
 }
 
@@ -108,10 +151,10 @@ func TestConcurrentPropertyMemoization(t *testing.T) {
 // graph. The algorithms must agree with a sequential run on an identical
 // graph, and the property cache must come out consistent.
 func TestConcurrentAlgorithmsShareProperties(t *testing.T) {
-	g := randomDigraph(t, 300, 8)
+	g := randomGraph(t, 300, 8, AdjacencyDirected)
 
 	// Sequential reference on an identical graph.
-	ref := randomDigraph(t, 300, 8)
+	ref := randomGraph(t, 300, 8, AdjacencyDirected)
 	refRank, _, err := PageRank(bg, ref, 0.85, 1e-6, 50)
 	if err != nil && !IsWarning(err) {
 		t.Fatalf("reference PageRank: %v", err)

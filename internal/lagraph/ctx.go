@@ -28,23 +28,20 @@ import (
 // caller owns, is the one kernel function without a ctx.
 
 // ensureCached is the Basic-mode contract, stated once: it materialises
-// the given properties (Property* method values, each of which returns nil
-// when it computed its property and a warning when the value was already
-// cached), polling ctx before each, and reports whether anything was
-// computed. A Basic entry passes that to cacheWarning on success, so it
-// returns WarnCacheNotComputed iff the call cached something on the
-// caller's graph.
-func ensureCached(ctx context.Context, props ...func() error) (computed bool, err error) {
-	for _, property := range props {
+// the given properties on g through Ensure, polling ctx before each, and
+// reports whether anything was computed. A Basic entry passes that to
+// cacheWarning on success, so it returns WarnCacheNotComputed iff the call
+// cached something on the caller's graph.
+func ensureCached[T grb.Value](ctx context.Context, g *Graph[T], props ...Property) (computed bool, err error) {
+	for _, p := range props {
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
-		switch err := property(); {
-		case err == nil:
-			computed = true
-		case !IsWarning(err):
+		c, err := g.Ensure(p)
+		if err != nil {
 			return false, err
 		}
+		computed = computed || c
 	}
 	return computed, nil
 }

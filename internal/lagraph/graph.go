@@ -67,17 +67,42 @@ func (b BoolProp) String() string {
 	}
 }
 
+// Property names one of the cached properties of a Graph.
+type Property int
+
+const (
+	PropAT Property = iota
+	PropRowDegree
+	PropColDegree
+	PropSymmetry
+	PropNDiag
+	// NumProperties counts the properties above, for loops over all of them.
+	NumProperties
+)
+
+var propertyNames = [NumProperties]string{"AT", "RowDegree", "ColDegree", "ASymmetricPattern", "NDiag"}
+
+func (p Property) String() string {
+	if p < 0 || p >= NumProperties {
+		return fmt.Sprintf("Property(%d)", int(p))
+	}
+	return propertyNames[p]
+}
+
 // Graph is the LAGraph_Graph of paper Listing 1: primary components (A,
 // Kind) plus cached properties. It is intentionally not opaque — any field
 // may be read or assigned, and code that mutates A is responsible for
 // keeping the cached properties consistent (or calling DeleteProperties).
 //
-// Concurrency: the Property* methods and DeleteProperties are safe to call
-// from multiple goroutines (a mutex guards the cached-property fields, and
-// each property is computed at most once). Concurrent readers must use the
-// Cached* accessors rather than reading the fields directly; direct field
-// access remains valid only for single-goroutine use. A itself is treated
-// as immutable while the graph is shared.
+// Ensure computes a property unless Cached reports it cached, once for
+// every caller (Basic mode's contract); the Property* methods wrap it.
+//
+// Concurrency: Ensure, the Property* methods and DeleteProperties are safe
+// to call from multiple goroutines (a mutex guards the cached-property
+// fields and is held through each computation). Concurrent readers must
+// use Cached and the Cached* accessors rather than reading the fields
+// directly; direct field access remains valid only for single-goroutine
+// use. A itself is treated as immutable while the graph is shared.
 type Graph[T grb.Value] struct {
 	// primary components
 	A    *grb.Matrix[T]
@@ -105,13 +130,9 @@ func New[T grb.Value](A **grb.Matrix[T], kind Kind) (*Graph[T], error) {
 	if kind != AdjacencyUndirected && kind != AdjacencyDirected {
 		return nil, errf(StatusInvalidKind, "New: unknown kind %d", kind)
 	}
-	g := &Graph[T]{A: *A, Kind: kind, NDiag: -1}
+	g := &Graph[T]{A: *A, Kind: kind}
 	*A = nil
-	if kind == AdjacencyUndirected {
-		// By definition the pattern is symmetric (the caller asserts it;
-		// CheckGraph verifies).
-		g.ASymmetricPattern = BoolTrue
-	}
+	g.resetProperties()
 	return g, nil
 }
 
@@ -137,14 +158,17 @@ func FromEdgeList(e *gen.EdgeList) (*Graph[float64], error) {
 func (g *Graph[T]) DeleteProperties() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.AT = nil
-	g.RowDegree = nil
-	g.ColDegree = nil
-	g.NDiag = -1
+	g.resetProperties()
+}
+
+// resetProperties sets every cached property to unknown, except that an
+// undirected graph's pattern is symmetric by definition (the caller
+// asserts it; CheckGraph verifies).
+func (g *Graph[T]) resetProperties() {
+	g.AT, g.RowDegree, g.ColDegree, g.NDiag = nil, nil, nil, -1
+	g.ASymmetricPattern = BoolUnknown
 	if g.Kind == AdjacencyUndirected {
 		g.ASymmetricPattern = BoolTrue
-	} else {
-		g.ASymmetricPattern = BoolUnknown
 	}
 }
 
@@ -170,10 +194,8 @@ func (g *Graph[T]) Snapshot() (*Graph[T], error) {
 	if err != nil {
 		return nil, wrap(StatusInvalidGraph, err, "Snapshot")
 	}
-	ng := &Graph[T]{A: a, Kind: g.Kind, NDiag: -1}
-	if g.Kind == AdjacencyUndirected {
-		ng.ASymmetricPattern = BoolTrue
-	}
+	ng := &Graph[T]{A: a, Kind: g.Kind}
+	ng.resetProperties()
 	return ng, nil
 }
 
@@ -186,88 +208,115 @@ func (g *Graph[T]) NumEdges() int { return g.A.NVals() }
 // ---------------------------------------------------------------------------
 // property computation (LAGraph_Property_* of paper §V)
 
-// PropertyAT computes and caches the transpose of G.A. For undirected
-// graphs AT aliases A (the pattern is symmetric; SS:GrB does the same
-// optimisation conceptually by noting A == Aᵀ).
-func (g *Graph[T]) PropertyAT() error {
+// Ensure computes property p and caches it on the graph unless it is
+// already cached, and reports whether it computed. It is the one
+// materialization: the Property* methods, the Basic-mode kernels and the
+// service's registry all call it. The graph mutex is held through the
+// computation, so however many goroutines demand p at once, one computes
+// it and the rest find it cached.
+func (g *Graph[T]) Ensure(p Property) (computed bool, err error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.propertyATLocked()
+	if g.A == nil {
+		return false, errf(StatusInvalidGraph, "Ensure(%s): graph has no matrix", p)
+	}
+	if g.cached(p) {
+		return false, nil
+	}
+	err = g.compute(p)
+	return err == nil, err
 }
 
-func (g *Graph[T]) propertyATLocked() error {
-	if g.A == nil {
-		return errf(StatusInvalidGraph, "PropertyAT: graph has no matrix")
-	}
-	if g.AT != nil {
-		return &Warning{Status: WarnGraphUnchanged, Msg: "AT already cached"}
-	}
-	if g.Kind == AdjacencyUndirected {
-		g.AT = g.A
+// compute computes property p unless it is cached, with g.mu held.
+func (g *Graph[T]) compute(p Property) error {
+	if g.cached(p) {
 		return nil
 	}
-	at := grb.NewTranspose(g.A)
-	at.Wait() // publish a finished matrix so readers never mutate it
-	g.AT = at
-	return nil
-}
-
-// PropertyRowDegree computes and caches the out-degree vector. Entries are
-// present only for vertices with degree > 0, which is what the GAP-variant
-// PageRank needs to skip sinks.
-func (g *Graph[T]) PropertyRowDegree() error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.propertyRowDegreeLocked()
-}
-
-func (g *Graph[T]) propertyRowDegreeLocked() error {
-	if g.A == nil {
-		return errf(StatusInvalidGraph, "PropertyRowDegree: graph has no matrix")
-	}
-	if g.RowDegree != nil {
-		return &Warning{Status: WarnGraphUnchanged, Msg: "RowDegree already cached"}
-	}
-	deg, err := degreeOf(g.A, nil)
-	if err != nil {
-		return err
-	}
-	g.RowDegree = deg
-	return nil
-}
-
-// PropertyColDegree computes and caches the in-degree vector. For
-// undirected graphs it aliases RowDegree.
-func (g *Graph[T]) PropertyColDegree() error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.A == nil {
-		return errf(StatusInvalidGraph, "PropertyColDegree: graph has no matrix")
-	}
-	if g.ColDegree != nil {
-		return &Warning{Status: WarnGraphUnchanged, Msg: "ColDegree already cached"}
-	}
-	if g.Kind == AdjacencyUndirected {
-		if g.RowDegree == nil {
-			if err := g.propertyRowDegreeLocked(); err != nil && !IsWarning(err) {
+	switch p {
+	case PropAT:
+		// For undirected graphs AT aliases A (the pattern is symmetric).
+		if g.Kind == AdjacencyUndirected {
+			g.AT = g.A
+			return nil
+		}
+		at := grb.NewTranspose(g.A)
+		at.Wait() // publish a finished matrix so readers never mutate it
+		g.AT = at
+	case PropRowDegree:
+		deg, err := degreeOf(g.A, nil)
+		if err != nil {
+			return err
+		}
+		g.RowDegree = deg
+	case PropColDegree:
+		if g.Kind == AdjacencyUndirected {
+			err := g.compute(PropRowDegree)
+			g.ColDegree = g.RowDegree // nil, still unknown, on error
+			return err
+		}
+		// Without a cached AT, the in-degrees are the column counts of A.
+		A, desc := g.A, grb.DescT0
+		if g.AT != nil {
+			A, desc = g.AT, nil
+		}
+		deg, err := degreeOf(A, desc)
+		if err != nil {
+			return err
+		}
+		g.ColDegree = deg
+	case PropSymmetry:
+		eq := g.A.NRows() == g.A.NCols()
+		if eq {
+			if err := g.compute(PropAT); err != nil {
+				return err
+			}
+			var err error
+			if eq, err = samePattern(g.A, g.AT); err != nil {
 				return err
 			}
 		}
-		g.ColDegree = g.RowDegree
-		return nil
+		g.ASymmetricPattern = BoolFalse
+		if eq {
+			g.ASymmetricPattern = BoolTrue
+		}
+	case PropNDiag:
+		var zero T
+		d := grb.MustMatrix[T](g.A.NRows(), g.A.NCols())
+		if err := grb.Select(d, grb.NoMask, nil, grb.Diag[T](), g.A, zero, nil); err != nil {
+			return wrap(StatusInvalidValue, err, "NDiag")
+		}
+		g.NDiag = int64(d.NVals())
+	default:
+		return errf(StatusInvalidValue, "Ensure: unknown property %d", int(p))
 	}
-	// Without a cached AT, the in-degrees are the column counts of A itself.
-	A, desc := g.A, grb.DescT0
-	if g.AT != nil {
-		A, desc = g.AT, nil
-	}
-	deg, err := degreeOf(A, desc)
-	if err != nil {
-		return err
-	}
-	g.ColDegree = deg
 	return nil
 }
+
+// property is the Property* methods' contract: nil when p was computed,
+// a WarnGraphUnchanged warning when it was already cached.
+func (g *Graph[T]) property(p Property) error {
+	computed, err := g.Ensure(p)
+	if err == nil && !computed {
+		return &Warning{Status: WarnGraphUnchanged, Msg: p.String() + " already cached"}
+	}
+	return err
+}
+
+// PropertyAT computes and caches the transpose of G.A.
+func (g *Graph[T]) PropertyAT() error { return g.property(PropAT) }
+
+// PropertyRowDegree computes and caches the out-degree vector.
+func (g *Graph[T]) PropertyRowDegree() error { return g.property(PropRowDegree) }
+
+// PropertyColDegree computes and caches the in-degree vector.
+func (g *Graph[T]) PropertyColDegree() error { return g.property(PropColDegree) }
+
+// PropertyASymmetricPattern determines whether pattern(A) == pattern(Aᵀ)
+// and caches the answer.
+func (g *Graph[T]) PropertyASymmetricPattern() error { return g.property(PropSymmetry) }
+
+// PropertyNDiag counts self-edges and caches the count.
+func (g *Graph[T]) PropertyNDiag() error { return g.property(PropNDiag) }
 
 // degreeOf counts the entries of each row of op(A), op per desc.TranA:
 // deg = op(A)·x over a full x, LAGraph_Cached_OutDegree's mxv on the
@@ -287,73 +336,36 @@ func degreeOf[T grb.Value](A *grb.Matrix[T], desc *grb.Descriptor) (*grb.Vector[
 	return deg, nil
 }
 
-// PropertyASymmetricPattern determines whether pattern(A) == pattern(Aᵀ)
-// and caches the answer.
-func (g *Graph[T]) PropertyASymmetricPattern() error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.A == nil {
-		return errf(StatusInvalidGraph, "PropertyASymmetricPattern: graph has no matrix")
-	}
-	if g.ASymmetricPattern != BoolUnknown {
-		return &Warning{Status: WarnGraphUnchanged, Msg: "symmetry already known"}
-	}
-	if g.A.NRows() != g.A.NCols() {
-		g.ASymmetricPattern = BoolFalse
-		return nil
-	}
-	if g.AT == nil {
-		if err := g.propertyATLocked(); err != nil && !IsWarning(err) {
-			return err
-		}
-	}
-	pA, err := Pattern(g.A)
-	if err != nil {
-		return err
-	}
-	pAT, err := Pattern(g.AT)
-	if err != nil {
-		return err
-	}
-	eq, err := IsEqual(pA, pAT)
-	if err != nil {
-		return err
-	}
-	if eq {
-		g.ASymmetricPattern = BoolTrue
-	} else {
-		g.ASymmetricPattern = BoolFalse
-	}
-	return nil
-}
-
-// PropertyNDiag counts self-edges and caches the count.
-func (g *Graph[T]) PropertyNDiag() error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.A == nil {
-		return errf(StatusInvalidGraph, "PropertyNDiag: graph has no matrix")
-	}
-	if g.NDiag >= 0 {
-		return &Warning{Status: WarnGraphUnchanged, Msg: "NDiag already cached"}
-	}
-	var zero T
-	d := grb.MustMatrix[T](g.A.NRows(), g.A.NCols())
-	if err := grb.Select(d, grb.NoMask, nil, grb.Diag[T](), g.A, zero, nil); err != nil {
-		return wrap(StatusInvalidValue, err, "PropertyNDiag")
-	}
-	g.NDiag = int64(d.NVals())
-	return nil
+// samePattern reports whether A and B store entries at the same positions.
+func samePattern[T grb.Value](A, B *grb.Matrix[T]) (bool, error) {
+	return IsAll(A, B, func(T, T) bool { return true })
 }
 
 // ---------------------------------------------------------------------------
 // concurrency-safe property accessors
 //
-// The Cached* accessors read the cached-property fields under the graph
-// mutex, so they are safe to call while another goroutine is inside a
-// Property* method. They return the current cache state without computing
-// anything (nil / BoolUnknown / -1 when not cached). Algorithms in this
-// package read properties exclusively through these accessors.
+// Cached and the Cached* accessors read the cached-property fields under
+// the graph mutex, so they are safe to call while another goroutine is
+// inside Ensure. They compute nothing (nil / BoolUnknown / -1 when not
+// cached). Algorithms in this package read properties only through them.
+
+// Cached reports whether property p is cached on the graph.
+func (g *Graph[T]) Cached(p Property) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.cached(p)
+}
+
+func (g *Graph[T]) cached(p Property) bool {
+	known := [NumProperties]bool{
+		PropAT:        g.AT != nil,
+		PropRowDegree: g.RowDegree != nil,
+		PropColDegree: g.ColDegree != nil,
+		PropSymmetry:  g.ASymmetricPattern != BoolUnknown,
+		PropNDiag:     g.NDiag >= 0,
+	}
+	return p >= 0 && p < NumProperties && known[p]
+}
 
 // CachedAT returns the cached transpose, or nil if not cached.
 func (g *Graph[T]) CachedAT() *grb.Matrix[T] {
@@ -405,21 +417,11 @@ func (g *Graph[T]) CheckGraph() error {
 		return errf(StatusInvalidKind, "CheckGraph: invalid kind %d", g.Kind)
 	}
 	nr, nc := g.A.Dims()
-	if g.Kind == AdjacencyUndirected || g.Kind == AdjacencyDirected {
-		if nr != nc {
-			return errf(StatusInvalidGraph, "CheckGraph: adjacency matrix is %dx%d, not square", nr, nc)
-		}
+	if nr != nc {
+		return errf(StatusInvalidGraph, "CheckGraph: adjacency matrix is %dx%d, not square", nr, nc)
 	}
 	if g.Kind == AdjacencyUndirected {
-		pA, err := Pattern(g.A)
-		if err != nil {
-			return err
-		}
-		pAT, err := Pattern(grb.NewTranspose(g.A))
-		if err != nil {
-			return err
-		}
-		eq, err := IsEqual(pA, pAT)
+		eq, err := samePattern(g.A, grb.NewTranspose(g.A))
 		if err != nil {
 			return err
 		}
@@ -428,8 +430,7 @@ func (g *Graph[T]) CheckGraph() error {
 		}
 	}
 	if at := g.CachedAT(); at != nil {
-		tr, tc := at.Dims()
-		if tr != nc || tc != nr {
+		if tr, tc := at.Dims(); tr != nc || tc != nr {
 			return errf(StatusInvalidGraph, "CheckGraph: cached AT is %dx%d, want %dx%d", tr, tc, nc, nr)
 		}
 	}

@@ -37,7 +37,7 @@ func PageRank[T grb.Value](ctx context.Context, g *Graph[T], damping, tol float6
 	if err := validateGraph(g, "PageRank"); err != nil {
 		return nil, 0, err
 	}
-	computed, err := ensureCached(ctx, g.PropertyAT, g.PropertyRowDegree)
+	computed, err := ensureCached(ctx, g, PropAT, PropRowDegree)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -79,7 +79,7 @@ func withoutSelfEdges[T grb.Value](ctx context.Context, g *Graph[T], op string) 
 	if g.Kind != AdjacencyUndirected {
 		return nil, false, errf(StatusInvalidGraph, "%s: requires an undirected graph", op)
 	}
-	if computed, err = ensureCached(ctx, g.PropertyNDiag); err != nil {
+	if computed, err = ensureCached(ctx, g, PropNDiag); err != nil {
 		return nil, false, err
 	}
 	work = g
@@ -93,7 +93,7 @@ func withoutSelfEdges[T grb.Value](ctx context.Context, g *Graph[T], op string) 
 			return nil, false, err
 		}
 	}
-	degreeComputed, err := ensureCached(ctx, work.PropertyRowDegree)
+	degreeComputed, err := ensureCached(ctx, work, PropRowDegree)
 	if err != nil {
 		return nil, false, err
 	}

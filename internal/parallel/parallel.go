@@ -132,15 +132,6 @@ func For(n int, body func(lo, hi int)) {
 	})
 }
 
-// ForEach runs body(i) for every i in [0, n) with static chunking.
-func ForEach(n int, body func(i int)) {
-	For(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-	})
-}
-
 // Guided runs body(i) for every i in [0, n), handing out small blocks from a
 // shared counter so imbalanced work (e.g. skewed sparse rows) stays balanced.
 // grain is the block size handed to a worker at a time; pass 0 for a default.

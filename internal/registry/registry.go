@@ -1,9 +1,9 @@
 // Package registry is the named-graph store behind the lagraphd service:
 // a thread-safe map from names to resident LAGraph graphs, with
-// ref-counting leases, LRU eviction by estimated memory footprint, and
-// per-graph single-flight property materialization so concurrent requests
-// against the same graph share one PropertyAT / PropertyRowDegree
-// computation instead of racing to duplicate it.
+// ref-counting leases and LRU eviction by estimated memory footprint.
+// Concurrent requests against one graph share its cached properties: the
+// graph computes each property once (lagraph.Graph.Ensure), and the
+// registry counts the demands and the computes.
 //
 // The paper's LAGraph_Graph caches derived properties precisely so that
 // repeated algorithm invocations on the same graph amortize setup cost;
@@ -24,34 +24,17 @@ import (
 	"lagraph/internal/obs"
 )
 
-// Property names one of the cacheable LAGraph_Graph properties.
-type Property int
+// Property is lagraph.Property, under the names the registry's callers
+// use when they demand properties of an entry.
+type Property = lagraph.Property
 
 const (
-	PropAT Property = iota
-	PropRowDegree
-	PropColDegree
-	PropSymmetry
-	PropNDiag
-	numProperties
+	PropAT        = lagraph.PropAT
+	PropRowDegree = lagraph.PropRowDegree
+	PropColDegree = lagraph.PropColDegree
+	PropSymmetry  = lagraph.PropSymmetry
+	PropNDiag     = lagraph.PropNDiag
 )
-
-func (p Property) String() string {
-	switch p {
-	case PropAT:
-		return "AT"
-	case PropRowDegree:
-		return "RowDegree"
-	case PropColDegree:
-		return "ColDegree"
-	case PropSymmetry:
-		return "ASymmetricPattern"
-	case PropNDiag:
-		return "NDiag"
-	default:
-		return fmt.Sprintf("Property(%d)", int(p))
-	}
-}
 
 // Registry errors, distinguishable by errors.Is.
 var (
@@ -62,12 +45,6 @@ var (
 	ErrInvalidName = errors.New("registry: invalid graph name")
 	ErrConflict    = errors.New("registry: entry replaced concurrently")
 )
-
-// flight is the single-flight slot for one property of one graph.
-type flight struct {
-	once sync.Once
-	err  error
-}
 
 // Entry is one resident graph. Its mutable fields are atomics so Info can
 // snapshot them without taking the registry lock.
@@ -98,8 +75,6 @@ type Entry struct {
 	// EnsureFinalized before touching the matrix, so the assembly
 	// happens-before any concurrent kernel read.
 	finalizeOnce sync.Once
-
-	flights [numProperties]flight
 
 	// reg points back at the owning registry, whose counters outlive the
 	// entry (eviction, swap), so the exported totals stay monotone.
@@ -143,63 +118,30 @@ func (e *Entry) EnsureFinalized() {
 	})
 }
 
-// EnsureProperties materializes the requested properties, sharing one
-// computation among concurrent callers (single flight per graph per
-// property). Every demand counts as a property request; only a demand that
-// ran a computation counts as a property compute — not one that found the
-// value already on the graph (the NDiag the stream engine carries onto a
-// mutated snapshot, or a compaction republishing the same graph).
+// EnsureProperties materializes the requested properties on the graph,
+// which computes each once however many callers demand it
+// (lagraph.Graph.Ensure). Every demand counts as a property request; only
+// a demand that ran a computation counts as a property compute — not one
+// that found the value already on the graph (the NDiag the stream engine
+// carries onto a mutated snapshot, or a compaction republishing the same
+// graph).
 //
 // The entry is finalized first: property computations read the adjacency
-// matrix, and two properties have independent single-flight slots, so
-// without the up-front EnsureFinalized they could race to assemble a
-// streamed snapshot's pending deltas.
+// matrix, and only EnsureFinalized's single flight may assemble a streamed
+// snapshot's pending deltas.
 func (e *Entry) EnsureProperties(props ...Property) error {
 	e.EnsureFinalized()
 	for _, p := range props {
-		if p < 0 || p >= numProperties {
-			return fmt.Errorf("registry: unknown property %d", int(p))
-		}
 		e.reg.propertyRequests.Add(1)
-		f := &e.flights[p]
-		f.once.Do(func() {
-			computed, err := Materialize(e.graph, p)
-			if computed {
-				e.reg.propertyComputes.Add(1)
-			}
-			f.err = err
-		})
-		if f.err != nil {
-			return f.err
+		computed, err := e.graph.Ensure(p)
+		if err != nil {
+			return err
+		}
+		if computed {
+			e.reg.propertyComputes.Add(1)
 		}
 	}
 	return nil
-}
-
-// Materialize computes one cacheable property directly on a graph and
-// reports whether it computed (the Property* call returned nil) or found
-// the value already cached (the call's warning, swallowed).
-// Entry.EnsureProperties wraps it in the per-entry single flight;
-// library-mode callers (the benchmark harness, tests) use it straight.
-func Materialize(g *lagraph.Graph[float64], p Property) (computed bool, err error) {
-	switch p {
-	case PropAT:
-		err = g.PropertyAT()
-	case PropRowDegree:
-		err = g.PropertyRowDegree()
-	case PropColDegree:
-		err = g.PropertyColDegree()
-	case PropSymmetry:
-		err = g.PropertyASymmetricPattern()
-	case PropNDiag:
-		err = g.PropertyNDiag()
-	default:
-		return false, fmt.Errorf("registry: unknown property %d", int(p))
-	}
-	if lagraph.IsWarning(err) {
-		return false, nil
-	}
-	return err == nil, err
 }
 
 // Lease is a ref-counted handle on a resident graph. Release must be
@@ -301,48 +243,64 @@ func (r *Registry) Add(name string, g *lagraph.Graph[float64]) (*Entry, error) {
 	if name == "" {
 		return nil, ErrInvalidName
 	}
-	bytes := EstimateBytes(g)
+	e := loadedEntry(name, g)
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, err := r.insertLocked(name, g, bytes, r.versions[name]+1)
-	if err != nil {
+	e.version = r.versions[name] + 1
+	if err := r.insertLocked(e); err != nil {
 		return nil, err
 	}
 	r.versions[name] = e.version
+	r.loads.Add(1)
 	return e, nil
 }
 
-// insertLocked is the shared insertion body behind Add and Restore:
-// capacity check, eviction to fit, entry construction and bookkeeping.
-// The caller owns the version bookkeeping; on error the registry is
-// unchanged. Called with r.mu held.
-func (r *Registry) insertLocked(name string, g *lagraph.Graph[float64], bytes int64, version uint64) (*Entry, error) {
+// loadedEntry is Add and Restore's entry for a whole graph, without its
+// version.
+func loadedEntry(name string, g *lagraph.Graph[float64]) *Entry {
+	return &Entry{name: name, graph: g, bytes: EstimateBytes(g), nodes: g.NumNodes(), edges: g.NumEdges()}
+}
+
+// insertLocked is the one insertion body behind Add, Restore and Swap:
+// capacity check, eviction to fit, and the LRU and memory bookkeeping of
+// the caller's entry e. The caller owns the version map and the counters;
+// on error the registry is unchanged. Called with r.mu held.
+func (r *Registry) insertLocked(e *Entry) error {
 	if r.closed {
-		return nil, ErrClosed
+		return ErrClosed
 	}
-	if _, ok := r.entries[name]; ok {
-		return nil, fmt.Errorf("%w: %q", ErrExists, name)
+	if _, ok := r.entries[e.name]; ok {
+		return fmt.Errorf("%w: %q", ErrExists, e.name)
 	}
-	if r.maxBytes > 0 && bytes > r.maxBytes {
-		return nil, fmt.Errorf("%w: %q needs %d bytes, budget is %d", ErrNoCapacity, name, bytes, r.maxBytes)
+	if r.maxBytes > 0 && e.bytes > r.maxBytes {
+		return fmt.Errorf("%w: %q needs %d bytes, budget is %d", ErrNoCapacity, e.name, e.bytes, r.maxBytes)
 	}
 	if r.maxBytes > 0 {
-		if err := r.evictLocked(r.maxBytes - bytes); err != nil {
-			return nil, fmt.Errorf("%w: %q needs %d bytes, %d in use and pinned", ErrNoCapacity, name, bytes, r.curBytes)
+		if err := r.evictLocked(r.maxBytes - e.bytes); err != nil {
+			return fmt.Errorf("%w: %q needs %d bytes, %d in use and pinned", ErrNoCapacity, e.name, e.bytes, r.curBytes)
 		}
 	}
-	e := &Entry{
-		name: name, graph: g, bytes: bytes, version: version,
-		nodes: g.NumNodes(), edges: g.NumEdges(), loadedAt: time.Now(),
-		reg: r,
-	}
-	e.lastUsed.Store(time.Now().UnixNano())
+	e.reg = r
+	e.loadedAt = time.Now()
+	e.lastUsed.Store(e.loadedAt.UnixNano())
+	r.linkLocked(e)
+	return nil
+}
+
+// linkLocked makes e resolve under its name, most recently used, and
+// charges its bytes. Called with r.mu held.
+func (r *Registry) linkLocked(e *Entry) {
 	e.elem = r.lru.PushFront(e)
-	r.entries[name] = e
-	r.curBytes += bytes
-	r.loads.Add(1)
-	return e, nil
+	r.entries[e.name] = e
+	r.curBytes += e.bytes
+}
+
+// unlinkLocked undoes linkLocked. Called with r.mu held.
+func (r *Registry) unlinkLocked(e *Entry) {
+	delete(r.entries, e.name)
+	r.lru.Remove(e.elem)
+	r.curBytes -= e.bytes
 }
 
 // evictLocked removes least-recently-used entries with no outstanding
@@ -383,9 +341,7 @@ func (r *Registry) evictLocked(budget int64) error {
 }
 
 func (r *Registry) removeLocked(e *Entry, reason RemoveReason) {
-	delete(r.entries, e.name)
-	r.lru.Remove(e.elem)
-	r.curBytes -= e.bytes
+	r.unlinkLocked(e)
 	// Deletion retires the version: any still-cached result for it is
 	// unreachable from a future Acquire of the same name.
 	r.versions[e.name]++
@@ -457,17 +413,16 @@ func (r *Registry) Restore(name string, g *lagraph.Graph[float64], version uint6
 	if version == 0 {
 		return nil, fmt.Errorf("registry: Restore %q: version must be >= 1", name)
 	}
-	bytes := EstimateBytes(g)
+	e := loadedEntry(name, g)
+	e.version = version
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, err := r.insertLocked(name, g, bytes, version)
-	if err != nil {
+	if err := r.insertLocked(e); err != nil {
 		return nil, err
 	}
-	if r.versions[name] < version {
-		r.versions[name] = version
-	}
+	r.versions[name] = max(r.versions[name], version)
+	r.loads.Add(1)
 	return e, nil
 }
 
@@ -519,37 +474,21 @@ func (r *Registry) Swap(name string, g *lagraph.Graph[float64], st SwapStats) (*
 	if st.Prev != nil && st.Prev != old {
 		return nil, fmt.Errorf("%w: %q", ErrConflict, name)
 	}
-	if r.maxBytes > 0 && bytes > r.maxBytes {
-		return nil, fmt.Errorf("%w: %q needs %d bytes, budget is %d", ErrNoCapacity, name, bytes, r.maxBytes)
-	}
-	// Detach the old entry (leases keep its graph alive), then make room.
-	delete(r.entries, name)
-	r.lru.Remove(old.elem)
-	r.curBytes -= old.bytes
-	if r.maxBytes > 0 {
-		if err := r.evictLocked(r.maxBytes - bytes); err != nil {
-			// Could not fit: restore the old entry, registry unchanged.
-			old.elem = r.lru.PushFront(old)
-			r.entries[name] = old
-			r.curBytes += old.bytes
-			return nil, fmt.Errorf("%w: %q needs %d bytes, %d in use and pinned", ErrNoCapacity, name, bytes, r.curBytes)
-		}
-	}
-	version := old.version
-	if !st.KeepVersion {
-		version++
-		r.versions[name] = version
-	}
 	e := &Entry{
-		name: name, graph: g, bytes: bytes, version: version,
+		name: name, graph: g, bytes: bytes, version: old.version,
 		nodes: st.Nodes, edges: st.Edges, pendingOps: pending,
-		loadedAt: time.Now(),
-		reg:      r,
 	}
-	e.lastUsed.Store(time.Now().UnixNano())
-	e.elem = r.lru.PushFront(e)
-	r.entries[name] = e
-	r.curBytes += bytes
+	if !st.KeepVersion {
+		e.version++
+	}
+	// Detach the old entry (leases keep its graph alive), then insert.
+	r.unlinkLocked(old)
+	if err := r.insertLocked(e); err != nil {
+		// Could not fit: put the old entry back, registry unchanged.
+		r.linkLocked(old)
+		return nil, err
+	}
+	r.versions[name] = max(r.versions[name], e.version)
 	r.swaps.Add(1)
 	return e, nil
 }
@@ -601,20 +540,10 @@ func (r *Registry) Info(name string) (GraphInfo, bool) {
 func infoOf(e *Entry) GraphInfo {
 	g := e.graph
 	var cached []string
-	if g.CachedAT() != nil {
-		cached = append(cached, PropAT.String())
-	}
-	if g.CachedRowDegree() != nil {
-		cached = append(cached, PropRowDegree.String())
-	}
-	if g.CachedColDegree() != nil {
-		cached = append(cached, PropColDegree.String())
-	}
-	if g.CachedSymmetry() != lagraph.BoolUnknown {
-		cached = append(cached, PropSymmetry.String())
-	}
-	if g.CachedNDiag() >= 0 {
-		cached = append(cached, PropNDiag.String())
+	for p := Property(0); p < lagraph.NumProperties; p++ {
+		if g.Cached(p) {
+			cached = append(cached, p.String())
+		}
 	}
 	return GraphInfo{
 		Name:    e.name,

@@ -20,7 +20,7 @@ import (
 // routed by name into the catalog, its JSON params are validated against
 // the descriptor's typed schema (failures are 400 with the offending
 // field named), the descriptor's declared properties are materialized
-// through the registry's single flight, and the kernel closure runs on
+// once per graph through the registry, and the kernel closure runs on
 // the jobs engine keyed by the schema-normalized canonical params.
 //
 //	GET /algorithms          every registered descriptor with its schema
