@@ -344,8 +344,10 @@ func BenchmarkAblation_BFS_Unfused_Road(b *testing.B) {
 
 // BenchmarkAblation_Pool_{On,Off}: §VI-B's internal memory pool future
 // work — scratch reuse across the thousands of small GraphBLAS calls a
-// Road traversal makes. SSSP is the Road kernel whose every step is a
-// push vxm, the one operation that borrows from the pool.
+// Road traversal makes. Every relaxation of Road SSSP is the fused
+// min.plus push step, which borrows its sparse accumulator (the spa that
+// deduplicates the targets) from the pool; with the pool off each step
+// allocates one of length n.
 func poolAblation(b *testing.B, on bool) {
 	w := load(b, "Road")
 	prev := grb.SetPoolEnabled(on)

@@ -5,6 +5,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"lagraph/internal/gen"
 	"lagraph/internal/parallel"
 )
 
@@ -444,5 +445,48 @@ func TestBuildAllocatesByTuple(t *testing.T) {
 	})
 	if b/nt > 24 {
 		t.Errorf("MatrixFromTuples: %.1f B a tuple, want at most 24", b/nt)
+	}
+}
+
+// TestFusedMinPlusPushStepAllocates: one warm SSSP relaxation over a
+// 4-vertex frontier on a Road grid makes at most 3 allocations — the
+// lowered entries' two arrays, and a sorter when the lazy sort is off —
+// on 96×96 and on 384×384 alike, where the unfused VxM + EWiseAddV pair
+// scanned all of t.
+func TestFusedMinPlusPushStepAllocates(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, dim := range []int{96, 384} {
+		e := gen.Road(dim, 1)
+		e.AddUniformWeights(7, 1, 255)
+		ptr, idx, w := e.CSR()
+		A, err := ImportCSR(e.N, e.N, ptr, idx, w, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		front := []int{e.N/2 - dim, e.N/2 - 1, e.N / 2, e.N/2 + dim}
+		vals := []float64{10, 20, 30, 40}
+		d := DenseVector(e.N, MaxOf[float64]())
+		f := MustVector[float64](e.N)
+		allocs := testing.AllocsPerRun(50, func() {
+			for k, i := range front {
+				d.val[i] = vals[k]
+			}
+			f.Clear()
+			f.idx, f.val = front, vals
+			reached, err := FusedMinPlusPushStep(d, f, A)
+			if err != nil || reached == 0 || len(f.idx) == 0 {
+				t.Fatalf("step: %v, reached %d, lowered %d", err, reached, len(f.idx))
+			}
+			for _, i := range f.idx {
+				d.val[i] = MaxOf[float64]()
+			}
+		})
+		t.Logf("Road %d×%d: %.1f allocations a step", dim, dim, allocs)
+		if allocs > 3 {
+			t.Errorf("a 4-vertex step on Road %d×%d made %.1f allocations, budget 3", dim, dim, allocs)
+		}
 	}
 }

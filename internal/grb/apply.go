@@ -89,8 +89,8 @@ func selectRows[T Value](C *Matrix[T], mask Mask, accum func(T, T) T,
 	}
 	A.Wait()
 	// A selection is at most as dense as A, and a thin one (SSSP's bucket
-	// out of a full t) is the common case: it is collected as a list unless
-	// it lands in a C that is already bitmap/full.
+	// out of its pending set) is the common case: it is collected as a list
+	// unless it lands in a C that is already bitmap/full.
 	walk := A.format != FormatSparse && mask.walkable()
 	wb := C.output(mask, accum, replace, nil, tShape{dense: A.format != FormatSparse && C.format != FormatSparse && !walk})
 	masked := mask.Exists()

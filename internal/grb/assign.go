@@ -97,8 +97,8 @@ func assignScalar[T Value](C *Matrix[T], mask Mask, accum func(T, T) T,
 		return err
 	}
 	// C⟨M⟩ ⊙= s over the whole range with a sparse mask that lists its
-	// allowed positions (BFS's level stamp, SSSP's settled set): T is the
-	// mask's pattern, walked.
+	// allowed positions (BFS's level stamp): T is the mask's pattern,
+	// walked.
 	walkMask := reg.fn == nil && mask.walkable()
 	wb := C.output(mask, accum, replace, reg.fn, tShape{dense: reg.fn == nil && !walkMask, full: reg.fn == nil, covers: true})
 	if wb.plain && reg.fn == nil {

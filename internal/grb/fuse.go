@@ -10,6 +10,15 @@ package grb
 // fusion; every push level of lagraph's BFS (bfsDirOpt, BFSStep) runs it.
 // The generic VxM + AssignVector pair remains the reference its tests and
 // the §VI-B ablation benchmark compare against.
+//
+// The same section names delta-stepping SSSP on the Road class, where each
+// bucket's tiny frontier pays the vertex count on every call. Its
+// relaxation fuses the same way: FusedMinPlusPushStep writes the min.plus
+// push straight into the distance vector and hands back only what it
+// lowered, so lagraph's SSSPDeltaStepping touches the members of a bucket
+// and never all of t. The generic VxM + EWiseAddV pair (Algorithm 5 as
+// written) stays the reference in its tests and the BenchmarkSSSPRoad
+// ablation.
 
 // FusedBFSPushStep performs, in a single pass over the frontier's edges,
 //
@@ -76,4 +85,83 @@ func FusedBFSPushStep[T Value](p, q *Vector[int64], A *Matrix[T]) error {
 	}
 	q.conform()
 	return nil
+}
+
+// FusedMinPlusPushStep performs, in a single pass over the frontier's
+// edges,
+//
+//	tReqᵀ = fᵀ min.plus A      (the relaxation)
+//	t     = t min∪ tReq        (the merge)
+//
+// in place in t, which must be full. It then replaces f with the entries
+// of t it lowered, carrying their new values, and may leave f jumbled. It
+// returns nvals(tReq): the number of distinct vertices the frontier's
+// edges reach. The pass reads each frontier value from f, never from t, so
+// an edge between two frontier vertices relaxes from the value the
+// frontier had, as the unfused VxM does.
+func FusedMinPlusPushStep[T Number](t, f *Vector[T], A *Matrix[T]) (reached int, err error) {
+	n := A.NRows()
+	if A.NCols() != n {
+		return 0, errf(DimensionMismatch, "FusedMinPlusPushStep: A must be square")
+	}
+	if t.Size() != n || f.Size() != n {
+		return 0, dimErr("FusedMinPlusPushStep", "vector length", "A dimension")
+	}
+	if t.format != FormatFull {
+		return 0, errf(InvalidObject, "FusedMinPlusPushStep: t must be full")
+	}
+	A.Wait()
+	if len(f.pend) > 0 {
+		f.Wait()
+	}
+	f.syncRow()
+	// The accumulator deduplicates the targets: its mark is "reached", its
+	// value the t(j) the step found, so lowered means t(j) < s.val[j] after
+	// the pass.
+	s := getSPA[T](n)
+	s.reset()
+	dist := t.val
+	relax := func(j int, d T) {
+		if !s.has(j) {
+			s.put(j, dist[j])
+		}
+		if d < dist[j] {
+			dist[j] = d
+		}
+	}
+	f.rowIter(0, func(k int, fk T) {
+		if A.format == FormatSparse {
+			for p := A.ptr[k]; p < A.ptr[k+1]; p++ {
+				relax(A.idx[p], fk+A.val[p])
+			}
+			return
+		}
+		base := k * A.nc
+		for j := 0; j < A.nc; j++ {
+			if A.format == FormatFull || A.b[base+j] != 0 {
+				relax(j, fk+A.val[base+j])
+			}
+		}
+	})
+	lowered := 0
+	for _, j := range s.touched {
+		if dist[j] < s.val[j] {
+			lowered++
+		}
+	}
+	nextIdx, nextVal := make([]int, 0, lowered), make([]T, 0, lowered)
+	for _, j := range s.touched {
+		if dist[j] < s.val[j] {
+			nextIdx, nextVal = append(nextIdx, j), append(nextVal, dist[j])
+		}
+	}
+	reached = len(s.touched)
+	putSPA(s)
+	f.Clear()
+	f.idx, f.val = nextIdx, nextVal
+	if len(nextIdx) > 1 {
+		f.markJumbled()
+	}
+	f.conform()
+	return reached, nil
 }

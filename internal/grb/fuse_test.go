@@ -1,6 +1,7 @@
 package grb
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -243,3 +244,138 @@ func TestMinSecondFastPathMatchesGeneric(t *testing.T) {
 		}
 	}
 }
+
+// TestFusedMinPlusPushStep: the fused step leaves in t what VxM(min.plus)
+// then EWiseAddV(min) leave, turns f into exactly the entries of t that
+// dropped below their old values, at the new values, and returns
+// nvals(tReq) — for a sparse, bitmap, full and pending A (weights 0 … 9),
+// a sorted, jumbled and bitmap f, with the pool on and off.
+func TestFusedMinPlusPushStep(t *testing.T) {
+	defer SetPoolEnabled(SetPoolEnabled(true))
+	rng := rand.New(rand.NewSource(13))
+	inf := MaxOf[float64]()
+	less := BinaryOp[float64, float64, bool]{Name: "lt", F: func(a, b float64) bool { return a < b }}
+	randA := func(n int, form string) *Matrix[float64] {
+		density := 0.2
+		if form == "full" {
+			density = 1
+		}
+		var rows, cols []int
+		var vals []float64
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if rng.Float64() < density {
+					rows, cols, vals = append(rows, i), append(cols, j), append(vals, float64(rng.Intn(10)))
+				}
+			}
+		}
+		A, err := MatrixFromTuples(n, n, rows, cols, vals, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch form {
+		case "bitmap":
+			A.ConvertTo(FormatBitmap)
+		case "full":
+			A.ConvertTo(FormatFull)
+		case "pending":
+			for k := 0; k < n; k++ {
+				if i, j := rng.Intn(n), rng.Intn(n); k%3 == 0 {
+					A.RemoveElement(i, j)
+				} else {
+					A.SetElement(float64(rng.Intn(10)), i, j)
+				}
+			}
+		}
+		if want := map[string]Format{"bitmap": FormatBitmap, "full": FormatFull}[form]; A.Format() != want || (form == "pending") != (A.PendingTuples() > 0) {
+			t.Fatalf("A is %s with %d pending, want %s", A.Format(), A.PendingTuples(), form)
+		}
+		return A
+	}
+	for trial := 0; trial < 60; trial++ {
+		n := 5 + rng.Intn(40)
+		aForm := []string{"sparse", "bitmap", "full", "pending"}[trial%4]
+		fForm := []string{"sorted", "jumbled", "bitmap"}[trial%3]
+		pool := trial%2 == 0
+		label := fmt.Sprintf("trial %d: A %s, f %s, pool %v", trial, aForm, fForm, pool)
+		SetPoolEnabled(pool)
+
+		A := randA(n, aForm)
+		d := DenseVector(n, inf)
+		for i := 0; i < n; i++ {
+			if rng.Intn(3) > 0 {
+				d.SetElement(float64(rng.Intn(40)), i)
+			}
+		}
+		var fIdx []int
+		var fVal []float64
+		for _, i := range rng.Perm(n)[:1+rng.Intn(n/2)] {
+			fIdx, fVal = append(fIdx, i), append(fVal, float64(rng.Intn(20)))
+		}
+		f, err := VectorFromTuples(n, fIdx, fVal, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch fForm {
+		case "jumbled":
+			rng.Shuffle(len(f.idx), func(a, b int) {
+				f.idx[a], f.idx[b] = f.idx[b], f.idx[a]
+				f.val[a], f.val[b] = f.val[b], f.val[a]
+			})
+			f.jumbled = true
+		case "bitmap":
+			f.ConvertTo(FormatBitmap)
+		}
+		fRef, dRef := f.Dup(), d.Dup()
+
+		reached, err := FusedMinPlusPushStep(d, f, A)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+
+		// The unfused reference (A's pending work is now assembled).
+		tReq := MustVector[float64](n)
+		if err := VxM(tReq, NoVMask, nil, MinPlus[float64](), fRef, A, nil); err != nil {
+			t.Fatal(err)
+		}
+		tless := MustVector[bool](n)
+		if err := EWiseMultV(tless, NoVMask, nil, less, tReq, dRef, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := EWiseAddV(dRef, NoVMask, nil, MinOp[float64](), dRef, tReq, nil); err != nil {
+			t.Fatal(err)
+		}
+		lowered := MustVector[float64](n)
+		if err := ApplyV(lowered, VMaskOf(tless), nil, Identity[float64](), tReq, nil); err != nil {
+			t.Fatal(err)
+		}
+		if d.Format() != FormatFull {
+			t.Fatalf("%s: t left %s", label, d.Format())
+		}
+		vectorsEqual(t, d, vdenseOf(dRef), label+": t")
+		vectorsEqual(t, f, vdenseOf(lowered), label+": lowered")
+		if reached != tReq.NVals() {
+			t.Fatalf("%s: reached %d, nvals(tReq) %d", label, reached, tReq.NVals())
+		}
+	}
+
+	// Errors: a non-square A, a vector of the wrong length, a t not full.
+	f := MustVector[float64](3)
+	if err := firstErr(FusedMinPlusPushStep(DenseVector(3, inf), f, MustMatrix[float64](3, 4))); InfoOf(err) != DimensionMismatch {
+		t.Fatalf("non-square A: %v", err)
+	}
+	if err := firstErr(FusedMinPlusPushStep(DenseVector(2, inf), f, MustMatrix[float64](3, 3))); InfoOf(err) != DimensionMismatch {
+		t.Fatalf("short t: %v", err)
+	}
+	if err := firstErr(FusedMinPlusPushStep(DenseVector(3, inf), MustVector[float64](4), MustMatrix[float64](3, 3))); InfoOf(err) != DimensionMismatch {
+		t.Fatalf("long f: %v", err)
+	}
+	sparseT := DenseVector(3, inf)
+	sparseT.RemoveElement(1)
+	if err := firstErr(FusedMinPlusPushStep(sparseT, f, MustMatrix[float64](3, 3))); InfoOf(err) != InvalidObject {
+		t.Fatalf("t with a hole: %v", err)
+	}
+}
+
+// firstErr drops a call's first result.
+func firstErr(_ int, err error) error { return err }

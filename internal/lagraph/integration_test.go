@@ -6,7 +6,6 @@ import (
 
 	"lagraph/internal/gap"
 	"lagraph/internal/gen"
-	"lagraph/internal/grb"
 )
 
 // Integration tests: the LAGraph (linear-algebra) implementations and the
@@ -16,20 +15,7 @@ import (
 // graphFromEdges builds the LAGraph Graph from a generator edge list.
 func graphFromEdges(t testing.TB, e *gen.EdgeList) *Graph[float64] {
 	t.Helper()
-	ptr, idx, vals := e.CSR()
-	A, err := grb.ImportCSR(e.N, e.N, ptr, idx, vals, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kind := AdjacencyUndirected
-	if e.Directed {
-		kind = AdjacencyDirected
-	}
-	g, err := New(&A, kind)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
+	return weightedGraph[float64](t, e)
 }
 
 func benchmarkGraphs(scale int) []*gen.EdgeList {

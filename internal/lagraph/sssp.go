@@ -11,6 +11,17 @@ import (
 // into light (weight ≤ Δ) and heavy (> Δ); vertices are settled bucket by
 // bucket, with light edges relaxed to a fixed point inside the bucket and
 // heavy edges relaxed once when the bucket closes.
+//
+// Algorithm 5 finds each bucket by selecting it out of the full distance
+// vector t, and merges each relaxation into t with whole-vector calls, so
+// every bucket costs O(n) — the Road pathology of §VI-B. Here a sparse
+// pending vector holds the unsettled vertices with a finite distance, at
+// their values in t; buckets are selected out of it, and each relaxation
+// is grb.FusedMinPlusPushStep, which lowers t in place and returns only
+// what it lowered. A bucket then costs what its members and their edges
+// cost. Algorithm 5 as written stays in sssp_reference_test.go, the
+// reference the kernel's distances and per-bucket probe events are
+// checked against.
 
 // SingleSourceShortestPath is the Basic-mode entry point. A non-positive
 // delta selects a heuristic bucket width from the graph's mean degree.
@@ -51,12 +62,13 @@ func defaultDelta[T grb.Number](g *Graph[T]) T {
 	return d
 }
 
-// SSSPDeltaStepping is Algorithm 5 (Advanced mode): it reads only G.A and
-// requires delta > 0. Distances to unreachable vertices are +inf for
-// floating-point weight types (callers on integer graphs should use
-// Reachable to interpret the result: unreached entries hold MaxOf[T]).
-// ctx is polled at every bucket epoch and every inner light-edge
-// relaxation round, returning ctx.Err() once it is done.
+// SSSPDeltaStepping is Algorithm 5 (Advanced mode) over a pending set: it
+// reads only G.A and requires delta > 0. Edge weights must be
+// non-negative; a zero-weight edge is light. Distances to unreachable
+// vertices are +inf for floating-point weight types (callers on integer
+// graphs should use Reachable to interpret the result: unreached entries
+// hold MaxOf[T]). ctx is polled at every bucket epoch and every inner
+// light-edge relaxation round, returning ctx.Err() once it is done.
 func SSSPDeltaStepping[T grb.Number](ctx context.Context, g *Graph[T], src int, delta T) (*grb.Vector[T], error) {
 	if err := validateSource(g, src, "SSSPDeltaStepping"); err != nil {
 		return nil, err
@@ -69,50 +81,53 @@ func SSSPDeltaStepping[T grb.Number](ctx context.Context, g *Graph[T], src int, 
 	inf := grb.MaxOf[T]()
 	var zero T
 
-	// AL = A⟨0 < A ≤ Δ⟩ ; AH = A⟨Δ < A⟩ (Algorithm 5 lines 2-3).
+	// AL = A⟨A ≤ Δ⟩ ; AH = A⟨Δ < A⟩ (Algorithm 5 lines 2-3).
 	AL := grb.MustMatrix[T](n, n)
 	if err := grb.Select(AL, grb.NoMask, nil, grb.ValueLE[T](), g.A, delta, nil); err != nil {
 		return nil, wrap(StatusInvalidValue, err, "sssp AL")
-	}
-	if err := grb.Select(AL, grb.NoMask, nil, grb.ValueGT[T](), AL, zero, nil); err != nil {
-		return nil, wrap(StatusInvalidValue, err, "sssp AL positive")
 	}
 	AH := grb.MustMatrix[T](n, n)
 	if err := grb.Select(AH, grb.NoMask, nil, grb.ValueGT[T](), g.A, delta, nil); err != nil {
 		return nil, wrap(StatusInvalidValue, err, "sssp AH")
 	}
 
-	// t(:) = ∞ ; t(s) = 0 (lines 4-5).
+	// t(:) = ∞ ; t(s) = 0 (lines 4-5); the source is the one pending vertex.
 	t := grb.DenseVector(n, inf)
 	Must(t.SetElement(zero, src))
+	pending := grb.MustVector[T](n)
+	Must(pending.SetElement(zero, src))
 
-	minPlus := grb.MinPlus[T]()
 	minOp := grb.MinOp[T]()
-	less := grb.BinaryOp[T, T, bool]{Name: "lt", F: func(a, b T) bool { return a < b }}
-
-	// bucketOf extracts v's entries with lo ≤ v < hi in one pass, through a
-	// user-defined select operator (the C API's GrB_IndexUnaryOp_new).
-	bucketOf := func(v *grb.Vector[T], lo, hi T) (*grb.Vector[T], error) {
-		inRange := grb.IndexUnaryOp[T]{Name: "range", F: func(x T, _, _ int, upper T) bool { return lo <= x && x < upper }}
+	// inBucket keeps lo ≤ x < hi, hi the thunk: a user-defined select
+	// operator (the C API's GrB_IndexUnaryOp_new) over the bucket's lo.
+	var lo T
+	inBucket := grb.IndexUnaryOp[T]{Name: "range", F: func(x T, _, _ int, hi T) bool { return lo <= x && x < hi }}
+	bucketOf := func(v *grb.Vector[T], hi T) (*grb.Vector[T], error) {
 		b := grb.MustVector[T](n)
-		err := grb.SelectV(b, grb.NoVMask, nil, inRange, v, hi, nil)
+		err := grb.SelectV(b, grb.NoVMask, nil, inBucket, v, hi, nil)
 		return b, wrap(StatusInvalidValue, err, "sssp bucket")
+	}
+	// relax is tReq = ALᵀ min.plus f (or AH), t = t min∪ tReq, fused: f
+	// becomes what it lowered, and those join pending at their new values.
+	relax := func(f *grb.Vector[T], A *grb.Matrix[T]) (int, error) {
+		reached, err := grb.FusedMinPlusPushStep(t, f, A)
+		if err != nil {
+			return 0, wrap(StatusInvalidValue, err, "sssp relax")
+		}
+		return reached, wrap(StatusInvalidValue, grb.EWiseAddV(pending, grb.NoVMask, nil, minOp, pending, f, nil), "sssp pending")
 	}
 
 	for i := 0; ; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		lo := T(i) * delta
+		lo = T(i) * delta
 		hi := lo + delta
-		// tB = t⟨iΔ ≤ t < (i+1)Δ⟩ (line 8).
-		tB, err := bucketOf(t, lo, hi)
+		// tB = pending⟨iΔ ≤ x < (i+1)Δ⟩ (line 8).
+		tB, err := bucketOf(pending, hi)
 		if err != nil {
 			return nil, err
 		}
-		// e accumulates every vertex that was ever in bucket i (line 12's
-		// role): those get one heavy relaxation when the bucket closes.
-		e := grb.MustVector[bool](n)
 		var bucketFront int
 		var bucketWork int64
 		if prb.Enabled() {
@@ -122,72 +137,44 @@ func SSSPDeltaStepping[T grb.Number](ctx context.Context, g *Graph[T], src int, 
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			// e⟨s(tB)⟩ = true.
-			if err := grb.AssignVectorScalar(e, grb.StructVMaskOf(tB), nil, true, grb.All, nil); err != nil {
-				return nil, wrap(StatusInvalidValue, err, "sssp settled set")
-			}
-			// tReq = ALᵀ min.plus tB, expressed as the push tBᵀ·AL
-			// (line 10-11).
-			tReq := grb.MustVector[T](n)
-			if err := grb.VxM(tReq, grb.NoVMask, nil, minPlus, tB, AL, nil); err != nil {
-				return nil, wrap(StatusInvalidValue, err, "sssp light relax")
-			}
-			if prb.Enabled() {
-				bucketWork += int64(tReq.NVals())
-			}
-			// Improvements only: tless = tReq < t (line 14's guard).
-			tless := grb.MustVector[bool](n)
-			if err := grb.EWiseMultV(tless, grb.NoVMask, nil, less, tReq, t, nil); err != nil {
-				return nil, wrap(StatusInvalidValue, err, "sssp improvement test")
-			}
-			// t = t min∪ tReq (line 15).
-			if err := grb.EWiseAddV(t, grb.NoVMask, nil, minOp, t, tReq, nil); err != nil {
-				return nil, wrap(StatusInvalidValue, err, "sssp merge")
-			}
-			// Next inner frontier: improved vertices still in this bucket
-			// (lines 13-14).
-			improved := grb.MustVector[T](n)
-			if err := grb.ApplyV(improved, grb.VMaskOf(tless), nil, grb.Identity[T](), tReq, nil); err != nil {
-				return nil, wrap(StatusInvalidValue, err, "sssp improved gather")
-			}
-			tB, err = bucketOf(improved, lo, hi)
+			// Light relaxation (lines 10-15); the next inner frontier is
+			// what it lowered that is still in this bucket (lines 13-14).
+			reached, err := relax(tB, AL)
 			if err != nil {
 				return nil, err
 			}
+			bucketWork += int64(reached)
+			if err := grb.SelectV(tB, grb.NoVMask, nil, inBucket, tB, hi, nil); err != nil {
+				return nil, wrap(StatusInvalidValue, err, "sssp bucket")
+			}
 		}
-		// Heavy relaxation for the settled bucket (lines 16-17):
-		// tReq = AHᵀ min.plus (t ×∩ e); t = t min∪ tReq.
-		if e.NVals() > 0 {
-			te := grb.MustVector[T](n)
-			if err := grb.ApplyV(te, grb.StructVMaskOf(e), nil, grb.Identity[T](), t, nil); err != nil {
-				return nil, wrap(StatusInvalidValue, err, "sssp settled gather")
+		// At the fixed point, pending's entries in the bucket are exactly
+		// the vertices it settled, at their final distances: one heavy
+		// relaxation for them (lines 16-17).
+		te, err := bucketOf(pending, hi)
+		if err != nil {
+			return nil, err
+		}
+		if te.NVals() > 0 {
+			reached, err := relax(te, AH)
+			if err != nil {
+				return nil, err
 			}
-			tReq := grb.MustVector[T](n)
-			if err := grb.VxM(tReq, grb.NoVMask, nil, minPlus, te, AH, nil); err != nil {
-				return nil, wrap(StatusInvalidValue, err, "sssp heavy relax")
-			}
-			if prb.Enabled() {
-				bucketWork += int64(tReq.NVals())
-			}
-			if err := grb.EWiseAddV(t, grb.NoVMask, nil, minOp, t, tReq, nil); err != nil {
-				return nil, wrap(StatusInvalidValue, err, "sssp heavy merge")
-			}
+			bucketWork += int64(reached)
 		}
 		if prb.Enabled() {
 			prb.Iter(IterStat{Iter: i, Frontier: bucketFront, Work: bucketWork})
 			prb.Add("relaxations", bucketWork)
 		}
-		// Terminate when no finite tentative distance ≥ (i+1)Δ remains
-		// (line 6's condition); otherwise skip straight to the next
-		// non-empty bucket.
-		remain, err := bucketOf(t, hi, inf)
-		if err != nil {
-			return nil, err
+		// Retire the bucket. Terminate when nothing is pending (line 6's
+		// condition); otherwise skip straight to the next non-empty bucket.
+		if err := grb.SelectV(pending, grb.NoVMask, nil, grb.ValueGE[T](), pending, hi, nil); err != nil {
+			return nil, wrap(StatusInvalidValue, err, "sssp retire")
 		}
-		if remain.NVals() == 0 {
+		if pending.NVals() == 0 {
 			break
 		}
-		nextMin := grb.ReduceVectorToScalar(grb.MinMonoid[T](), remain)
+		nextMin := grb.ReduceVectorToScalar(grb.MinMonoid[T](), pending)
 		if next := int(nextMin / delta); next > i {
 			i = next - 1 // the loop increment brings it to the bucket
 		}
