@@ -522,19 +522,24 @@ func TestTriangleCountMethodsAgreeWithBruteForce(t *testing.T) {
 		}
 		g.PropertyRowDegree()
 		for _, m := range []TCMethod{TCSandiaLUT, TCSandiaLL, TCBurkhardt, TCCohen} {
-			got, err := TriangleCountAdvanced(bg, g, m, false)
-			if err != nil {
-				t.Fatalf("method %d: %v", m, err)
-			}
-			if got != want {
-				t.Fatalf("method %d = %d, want %d", m, got, want)
+			for _, presort := range []bool{false, true} {
+				prb := NewProbe(0)
+				got, err := TriangleCountAdvanced(WithProbe(bg, prb), g, m, presort)
+				if err != nil {
+					t.Fatalf("%v, presort %v: %v", m, presort, err)
+				}
+				if got != want {
+					t.Fatalf("%v, presort %v = %d, want %d", m, presort, got, want)
+				}
+				if method := prb.Snapshot().Method; method != m.String() {
+					t.Fatalf("%v, presort %v: probe method %q", m, presort, method)
+				}
 			}
 		}
-		// Presorted variant must agree too.
-		got, err = TriangleCountAdvanced(bg, g, TCSandiaLUT, true)
-		if err != nil || got != want {
-			t.Fatalf("presorted = %d (%v), want %d", got, err, want)
-		}
+	}
+	g := mustGraph(t, randUndirected(rng, 8, 0.3, 1), AdjacencyUndirected)
+	if _, err := TriangleCountAdvanced(bg, g, TCCohen+1, true); StatusOf(err) != StatusInvalidValue {
+		t.Fatalf("unknown method: %v, want an invalid value before the presort's missing RowDegree", err)
 	}
 }
 
@@ -619,6 +624,30 @@ func TestConnectedComponentsDirectedWeak(t *testing.T) {
 	}
 	if c3 == c0 {
 		t.Fatal("isolated vertex merged")
+	}
+
+	// Random digraphs: the partition of A ∪ Aᵀ, labelled by its least vertex.
+	rng := rand.New(rand.NewSource(53))
+	for trial := 0; trial < 10; trial++ {
+		n := 5 + rng.Intn(60)
+		g := mustGraph(t, randDigraph(rng, n, 1.0/float64(n)), AdjacencyDirected)
+		f, err := ConnectedComponents(bg, g)
+		if err != nil && !IsWarning(err) {
+			t.Fatal(err)
+		}
+		want := refComponents(g.A) // it unions both ends of each edge: A ∪ Aᵀ
+		least := map[int]int64{}
+		for i := n - 1; i >= 0; i-- {
+			least[want[i]] = int64(i)
+		}
+		f.Iterate(func(i int, x int64) {
+			if x != least[want[i]] {
+				t.Fatalf("trial %d: label(%d) = %d, want the least vertex %d of its weak component", trial, i, x, least[want[i]])
+			}
+		})
+		if f.NVals() != n {
+			t.Fatalf("trial %d: %d labels for %d vertices", trial, f.NVals(), n)
+		}
 	}
 }
 

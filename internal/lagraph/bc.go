@@ -9,9 +9,13 @@ import (
 // Betweenness centrality (paper §IV-B, Algorithm 3): Brandes' algorithm
 // batched over ns source vertices. The forward (BFS) phase counts shortest
 // paths with plus.first over an ns×n frontier matrix; the backward phase
-// accumulates dependencies. Direction optimisation is the same push/pull
-// transformation as the BFS: the push multiplies by A, the pull by Bᵀ with
-// B = Aᵀ held explicitly (the cached G.AT), via the transpose descriptor.
+// accumulates dependencies. Each level's frontier is kept as it was
+// computed, S[d], and the backward phase reads it only as a structural
+// mask, so no level copies its pattern. Both phases multiply through one
+// step, bcStep, which makes the same push/pull choice as the BFS: the push
+// multiplies by X, the pull by XTᵀ with XT = Xᵀ held explicitly, via the
+// transpose descriptor. Forward, X is A and XT the cached G.AT; backward,
+// the two swap.
 
 // bcPullThreshold: switch the frontier multiply to the dot (pull) kernel
 // when the frontier matrix is denser than 1/bcPullThreshold.
@@ -65,16 +69,15 @@ func BetweennessCentralityAdvanced[T grb.Value](ctx context.Context, g *Graph[T]
 		Must(P.SetElement(1, k, s))
 	}
 	// First frontier: F⟨¬s(P)⟩ = P plus.first A (line 5).
-	semiring := grb.PlusFirst[float64, T]()
 	F := grb.MustMatrix[float64](ns, n)
-	lastPull, err := bcFrontierStep(F, P, P, g.A, at, semiring)
+	pulled, err := bcStep(F, grb.StructMaskOf(P).Not(), P, g.A, at)
 	if err != nil {
 		return nil, err
 	}
 
-	// BFS phase (lines 6-12): record the frontier pattern per level.
-	var S []*grb.Matrix[bool]
-	plus := func(a, b float64) float64 { return a + b }
+	// BFS phase (lines 6-12). S[d] is the level-d frontier itself: every
+	// level writes a fresh F, and S is only ever read as a structural mask.
+	var S []*grb.Matrix[float64]
 	for depth := 0; depth < n; depth++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -82,7 +85,7 @@ func BetweennessCentralityAdvanced[T grb.Value](ctx context.Context, g *Graph[T]
 		nf := F.NVals()
 		if prb.Enabled() {
 			dir := "push"
-			if lastPull {
+			if pulled {
 				dir = "pull"
 			}
 			prb.Iter(IterStat{Iter: depth + 1, Frontier: nf, Direction: dir})
@@ -90,19 +93,15 @@ func BetweennessCentralityAdvanced[T grb.Value](ctx context.Context, g *Graph[T]
 		if nf == 0 {
 			break
 		}
-		// S[d]⟨s(F)⟩ = 1: the pattern of F.
-		Sd, err := Pattern(F)
-		if err != nil {
-			return nil, err
-		}
-		S = append(S, Sd)
+		S = append(S, F)
 		// P += F (F is masked to unvisited positions, so the union-add is
 		// exactly the +=).
 		if err := grb.EWiseAdd(P, grb.NoMask, nil, grb.AddOp(grb.PlusOp[float64]()), P, F, nil); err != nil {
 			return nil, wrap(StatusInvalidValue, err, "BC path accumulate")
 		}
-		// F⟨¬s(P), r⟩ = F plus.first A (push) or F·(Aᵀ)ᵀ (pull).
-		if lastPull, err = bcFrontierStep(F, F, P, g.A, at, semiring); err != nil {
+		// F⟨¬s(P)⟩ = F plus.first A, into the next level's frontier.
+		F = grb.MustMatrix[float64](ns, n)
+		if pulled, err = bcStep(F, grb.StructMaskOf(P).Not(), S[depth], g.A, at); err != nil {
 			return nil, err
 		}
 	}
@@ -113,25 +112,19 @@ func BetweennessCentralityAdvanced[T grb.Value](ctx context.Context, g *Graph[T]
 	if err := grb.AssignMatrixScalar(B, grb.NoMask, nil, 1.0, grb.All, grb.All, nil); err != nil {
 		return nil, wrap(StatusInvalidValue, err, "BC init B")
 	}
-	backSemiring := grb.PlusFirst[float64, T]()
+	plus := func(a, b float64) float64 { return a + b }
+	W := grb.MustMatrix[float64](ns, n)
 	for i := len(S) - 1; i >= 1; i-- {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		// W⟨s(S[i]), r⟩ = B div∩ P.
-		W := grb.MustMatrix[float64](ns, n)
 		if err := grb.EWiseMult(W, grb.StructMaskOf(S[i]), nil, grb.DivOp[float64](), B, P, grb.DescR); err != nil {
 			return nil, wrap(StatusInvalidValue, err, "BC dependency ratio")
 		}
-		// W⟨s(S[i-1]), r⟩ = W plus.first Aᵀ — pull is W·A via descriptor.
-		if bcUsePull(W, ns, n) {
-			if err := grb.MxM(W, grb.StructMaskOf(S[i-1]), nil, backSemiring, W, g.A, grb.DescRT1); err != nil {
-				return nil, wrap(StatusInvalidValue, err, "BC backward pull")
-			}
-		} else {
-			if err := grb.MxM(W, grb.StructMaskOf(S[i-1]), nil, backSemiring, W, at, grb.DescR); err != nil {
-				return nil, wrap(StatusInvalidValue, err, "BC backward push")
-			}
+		// W⟨s(S[i-1]), r⟩ = W plus.first Aᵀ.
+		if _, err := bcStep(W, grb.StructMaskOf(S[i-1]), W, at, g.A); err != nil {
+			return nil, err
 		}
 		// B += W ×∩ P.
 		if err := grb.EWiseMult(B, grb.NoMask, plus, grb.TimesOp[float64](), W, P, nil); err != nil {
@@ -152,25 +145,17 @@ func BetweennessCentralityAdvanced[T grb.Value](ctx context.Context, g *Graph[T]
 	return centrality, nil
 }
 
-// bcFrontierStep computes out⟨¬s(P), r⟩ = in plus.first A, choosing push
-// (multiply by A) or pull (multiply by ATᵀ via the descriptor) from the
-// frontier density. A and at are the caller's snapshots of the adjacency
-// matrix and cached transpose. out and in may alias. The returned bool
-// reports whether the pull formulation was chosen.
-func bcFrontierStep[T grb.Value](out, in, P *grb.Matrix[float64], A, at *grb.Matrix[T], semiring grb.Semiring[float64, T, float64]) (bool, error) {
-	ns, n := out.Dims()
-	mask := grb.StructMaskOf(P).Not()
-	if bcUsePull(in, ns, n) {
-		// F = F·(Aᵀ)ᵀ: dot kernel against the cached transpose.
-		return true, wrap(StatusInvalidValue,
-			grb.MxM(out, mask, nil, semiring, in, at, grb.DescRT1), "BC pull step")
+// bcStep computes out⟨mask, r⟩ = in plus.first X, choosing push (multiply
+// by X) or, when in is denser than 1/bcPullThreshold (the simple heuristic
+// the paper alludes to in §IV-B), pull (the dot kernel against XT = Xᵀ via
+// the descriptor). The forward phase passes (A, Aᵀ), the backward phase
+// (Aᵀ, A). out and in may alias. It reports whether it pulled.
+func bcStep[T grb.Value](out *grb.Matrix[float64], mask grb.Mask, in *grb.Matrix[float64], X, XT *grb.Matrix[T]) (bool, error) {
+	ns, n := in.Dims()
+	pull := in.NVals()*bcPullThreshold > ns*n
+	Y, desc := X, grb.DescR
+	if pull {
+		Y, desc = XT, grb.DescRT1
 	}
-	return false, wrap(StatusInvalidValue,
-		grb.MxM(out, mask, nil, semiring, in, A, grb.DescR), "BC push step")
-}
-
-// bcUsePull decides push vs pull from the frontier density (the simple
-// heuristic the paper alludes to in §IV-B).
-func bcUsePull[T grb.Value](F *grb.Matrix[T], ns, n int) bool {
-	return F.NVals()*bcPullThreshold > ns*n
+	return pull, wrap(StatusInvalidValue, grb.MxM(out, mask, nil, grb.PlusFirst[float64, T](), in, Y, desc), "BC step")
 }

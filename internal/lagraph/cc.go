@@ -11,12 +11,13 @@ import (
 // stochastic hooking, aggressive hooking and shortcutting merge trees until
 // a fixed point. The linear-algebra kernels are an mxv on min.second (the
 // minimum neighbouring grandparent) and min-combining scatters/gathers.
+// min.second never reads the matrix's values, so a directed graph is
+// symmetrised as A ∪ Aᵀ in A's own type, with no pattern copy.
 
 // ConnectedComponents is the Basic-mode entry point. Directed graphs whose
-// pattern is not known to be symmetric are handled by operating on the
-// symmetrised pattern A ∪ Aᵀ (weak components), which caches the
-// transpose. ctx is polled once per hooking/shortcutting round, returning
-// ctx.Err() once it is done.
+// pattern is not known to be symmetric are handled by operating on
+// A ∪ Aᵀ (weak components), which caches the transpose. ctx is polled once
+// per hooking/shortcutting round, returning ctx.Err() once it is done.
 func ConnectedComponents[T grb.Value](ctx context.Context, g *Graph[T]) (*grb.Vector[int64], error) {
 	if err := validateGraph(g, "ConnectedComponents"); err != nil {
 		return nil, err
@@ -31,16 +32,9 @@ func ConnectedComponents[T grb.Value](ctx context.Context, g *Graph[T]) (*grb.Ve
 	if err != nil {
 		return nil, err
 	}
-	// S = pattern(A ∪ Aᵀ)
-	S, err := Pattern(g.A)
-	if err != nil {
-		return nil, err
-	}
-	pt, err := Pattern(g.CachedAT())
-	if err != nil {
-		return nil, err
-	}
-	if err := grb.EWiseAdd(S, grb.NoMask, nil, grb.AddOp(grb.LorOp()), S, pt, nil); err != nil {
+	// S = A ∪ Aᵀ in A's own type: min.second reads only its pattern.
+	S := grb.MustMatrix[T](g.A.NRows(), g.A.NCols())
+	if err := grb.EWiseAdd(S, grb.NoMask, nil, grb.AddOp(grb.First[T, T]()), g.A, g.CachedAT(), nil); err != nil {
 		return nil, wrap(StatusInvalidValue, err, "symmetrise")
 	}
 	labels, err := fastSV(ctx, S)

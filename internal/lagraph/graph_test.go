@@ -323,6 +323,33 @@ func TestIsEqualAndIsAll(t *testing.T) {
 	}
 }
 
+// TestPattern: Pattern (paper §V) returns a bool matrix of A's shape that
+// is true at exactly A's stored entries, a stored zero included, and
+// leaves A as it was.
+func TestPattern(t *testing.T) {
+	A := randUndirected(rand.New(rand.NewSource(9)), 12, 0.3, 9)
+	if err := A.SetElement(0, 3, 3); err != nil {
+		t.Fatal(err)
+	}
+	before := A.Dup()
+	P, err := Pattern(A)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, c := P.Dims(); r != 12 || c != 12 || P.NVals() != A.NVals() {
+		t.Fatalf("pattern is %d×%d with %d entries, A 12×12 with %d", r, c, P.NVals(), A.NVals())
+	}
+	rows, cols, _ := A.ExtractTuples()
+	for k := range rows {
+		if x, err := P.ExtractElement(rows[k], cols[k]); err != nil || !x {
+			t.Fatalf("pattern(%d,%d) = %v (%v), want true", rows[k], cols[k], x, err)
+		}
+	}
+	if eq, err := IsEqual(A, before); err != nil || !eq {
+		t.Fatalf("Pattern changed A (%v)", err)
+	}
+}
+
 func TestTicToc(t *testing.T) {
 	tm := Tic()
 	if tm.Toc() < 0 {

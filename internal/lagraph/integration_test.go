@@ -1,6 +1,7 @@
 package lagraph
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -224,5 +225,73 @@ func TestCrossValidationBC(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// TestBCProbeMatchesBFSLevels: BC's forward phase is a batched BFS whose
+// level-d frontier is the set of (source, vertex) pairs at hop distance d.
+// So the probe's Frontier at level d equals Σₖ |{v : depthₖ(v) = d}| from
+// gap's BFS, up to the empty level that ends the phase; each level's
+// Direction is "pull" exactly when the frontier it was computed from (the
+// source batch, for level 1) is denser than 1/bcPullThreshold; and
+// backtrack_levels is one less than the number of non-empty levels. Kron
+// and Road, batches of 1, 4 and 8.
+func TestBCProbeMatchesBFSLevels(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range []*gen.EdgeList{gen.Kron(10, 8, 1), gen.Road(32, 1)} {
+		lg := graphFromEdges(t, e)
+		if err := lg.PropertyAT(); err != nil && !IsWarning(err) {
+			t.Fatal(err)
+		}
+		gg := gap.Build(e.N, e.Src, e.Dst, nil, e.Directed)
+		for _, ns := range []int{1, 4, 8} {
+			sources := make([]int, ns)
+			var perLevel []int // perLevel[d] = Σₖ |{v : depthₖ(v) = d}|
+			for k := range sources {
+				sources[k] = (2*k + 1) * e.N / (2 * ns)
+				for _, d := range gap.BFSLevels(gg, int32(sources[k])) {
+					if d < 0 {
+						continue
+					}
+					for len(perLevel) <= int(d) {
+						perLevel = append(perLevel, 0)
+					}
+					perLevel[d]++
+				}
+			}
+			prb := NewProbe(1 << 20)
+			if _, err := BetweennessCentralityAdvanced(WithProbe(bg, prb), lg, sources); err != nil {
+				t.Fatal(err)
+			}
+			snap := prb.Snapshot()
+			levels := len(perLevel) - 1
+			what := fmt.Sprintf("%s, %d sources", e.Name, ns)
+			if len(snap.Iters) != levels+1 {
+				t.Fatalf("%s: %d level events, want %d non-empty levels and the empty one", what, len(snap.Iters), levels)
+			}
+			in := ns // the first step multiplies the batch itself
+			for k, it := range snap.Iters {
+				d := k + 1
+				want := 0
+				if d <= levels {
+					want = perLevel[d]
+				}
+				dir := "push"
+				if in*bcPullThreshold > ns*e.N {
+					dir = "pull"
+				}
+				if it.Iter != d || it.Frontier != want || it.Direction != dir {
+					t.Fatalf("%s: level event %+v, want level %d frontier %d by %s", what, it, d, want, dir)
+				}
+				seen[dir] = true
+				in = it.Frontier
+			}
+			if got := snap.Counters["backtrack_levels"]; got != int64(levels-1) {
+				t.Fatalf("%s: backtrack_levels %d, want %d", what, got, levels-1)
+			}
+		}
+	}
+	if !seen["push"] || !seen["pull"] {
+		t.Fatalf("directions taken: %v; the graphs should need both", seen)
 	}
 }

@@ -13,11 +13,12 @@ import (
 //	lcc(v) = 2·tri(v) / (deg(v)·(deg(v)−1))
 //
 // where tri(v) is the number of triangles containing v. In linear
-// algebra the whole computation is one masked plus.pair matrix multiply
-// and a row reduction: C⟨s(A)⟩ = A plus.pair A counts, for every edge
-// (v,w), the common neighbours of v and w — the triangles through that
-// edge — and the row sums of C give 2·tri(v) (each triangle at v is seen
-// by both of its v-incident edges).
+// algebra the whole computation is one masked plus.pair matrix multiply,
+// a row reduction and one divide: C⟨s(A)⟩ = A plus.pair A counts, for
+// every edge (v,w), the common neighbours of v and w — the triangles
+// through that edge — the row sums t of C give 2·tri(v) (each triangle at
+// v is seen by both of its v-incident edges), and an intersection of t
+// with the degree vector divides by deg(v)·(deg(v)−1).
 
 // LocalClusteringCoefficient is the Basic-mode entry: it verifies the
 // graph is undirected, strips self-edges (which are not triangles) on a
@@ -55,25 +56,14 @@ func LocalClusteringCoefficient[T grb.Value](ctx context.Context, g *Graph[T]) (
 	if err := grb.ReduceMatrixToVector(t, grb.NoVMask, nil, grb.PlusMonoid[int64](), C, nil); err != nil {
 		return nil, wrap(StatusInvalidValue, err, "LCC row reduce")
 	}
-	tf := grb.MustVector[float64](n)
-	if err := grb.ApplyV(tf, grb.NoVMask, nil, grb.UnaryOp[int64, float64]{
-		Name: "toFloat", F: func(x int64) float64 { return float64(x) },
-	}, t, nil); err != nil {
-		return nil, wrap(StatusInvalidValue, err, "LCC to float")
-	}
 
-	// denom(v) = deg(v)·(deg(v)−1). A vertex with a stored t entry is in a
-	// triangle, hence deg(v) >= 2 and its denominator is positive — the
-	// eWiseMult intersection below never divides by zero.
-	denom := grb.MustVector[float64](n)
-	if err := grb.ApplyV(denom, grb.NoVMask, nil, grb.UnaryOp[int64, float64]{
-		Name: "pairs", F: func(d int64) float64 { return float64(d) * float64(d-1) },
-	}, work.CachedRowDegree(), nil); err != nil {
-		return nil, wrap(StatusInvalidValue, err, "LCC denominator")
-	}
-
+	// lcc(v) = t(v) / (deg(v)·(deg(v)−1)). A vertex with a stored t entry
+	// is in a triangle, hence deg(v) >= 2 and its denominator is positive —
+	// the intersection never divides by zero.
 	lcc := grb.MustVector[float64](n)
-	if err := grb.EWiseMultV(lcc, grb.NoVMask, nil, grb.DivOp[float64](), tf, denom, nil); err != nil {
+	if err := grb.EWiseMultV(lcc, grb.NoVMask, nil, grb.BinaryOp[int64, int64, float64]{
+		Name: "lcc", F: func(t, d int64) float64 { return float64(t) / (float64(d) * float64(d-1)) },
+	}, t, work.CachedRowDegree(), nil); err != nil {
 		return nil, wrap(StatusInvalidValue, err, "LCC divide")
 	}
 	return lcc, cacheWarning("LocalClusteringCoefficient", computed)

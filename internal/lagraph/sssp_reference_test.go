@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"lagraph/internal/gap"
@@ -282,5 +283,80 @@ func BenchmarkSSSPRoad(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestSSSPDefaultDelta: a non-positive delta picks Δ as half the mean of
+// A's first 1024 stored weights, never below 1, reading them in place. On
+// Road 64×64 with weights in [1, 255], SingleSourceShortestPath with delta
+// 0 computes the distances and per-bucket probe events of
+// SSSPDeltaStepping at that Δ, for float64 and int64 weights, and picking
+// Δ allocates under one byte per stored entry, where copying A's tuples
+// cost 24. Unit weights and an edgeless graph get Δ = 1.
+func TestSSSPDefaultDelta(t *testing.T) {
+	e := gen.Road(64, 1)
+	e.AddUniformWeights(7, 1, 255)
+	t.Run("float64", func(t *testing.T) { defaultDeltaMatchesExplicit(t, weightedGraph[float64](t, e)) })
+	t.Run("int64", func(t *testing.T) { defaultDeltaMatchesExplicit(t, weightedGraph[int64](t, e)) })
+
+	unit := gen.Road(8, 1)
+	unit.AddUniformWeights(7, 1, 1)
+	if d := defaultDelta(weightedGraph[float64](t, unit)); d != 1 {
+		t.Errorf("unit weights: Δ = %v, want 1", d)
+	}
+	empty, err := grb.NewMatrix[int64](4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := defaultDelta(mustGraph(t, empty, AdjacencyDirected)); d != 1 {
+		t.Errorf("no edges: Δ = %v, want 1", d)
+	}
+}
+
+func defaultDeltaMatchesExplicit[T grb.Number](t *testing.T, g *Graph[T]) {
+	_, _, vals := g.A.ExtractTuples()
+	vals = vals[:min(len(vals), 1024)]
+	var sum float64
+	for _, v := range vals {
+		sum += float64(v)
+	}
+	want := max(T(sum/float64(len(vals))/2), 1)
+	if want <= 1 {
+		t.Fatalf("weights average %v: the test needs Δ > 1", sum/float64(len(vals)))
+	}
+	if got := defaultDelta(g); got != want {
+		t.Fatalf("Δ = %v, want %v", got, want)
+	}
+	if !raceEnabled {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		defaultDelta(g)
+		runtime.ReadMemStats(&after)
+		if bytes := after.TotalAlloc - before.TotalAlloc; bytes >= uint64(g.NumEdges()) {
+			t.Errorf("picking Δ allocated %d B for %d stored entries", bytes, g.NumEdges())
+		}
+	}
+	src := g.NumNodes() / 3
+	run := func(delta T) (*grb.Vector[T], ProbeSnapshot) {
+		prb := NewProbe(1 << 20)
+		d, err := SingleSourceShortestPath(WithProbe(bg, prb), g, src, delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, prb.Snapshot()
+	}
+	got, gotProbe := run(0)
+	ref, refProbe := run(want)
+	if same, err := VectorIsEqual(got, ref); err != nil || !same {
+		t.Fatalf("delta 0 and Δ = %v disagree on distances (%v)", want, err)
+	}
+	if len(gotProbe.Iters) != len(refProbe.Iters) || gotProbe.Counters["relaxations"] != refProbe.Counters["relaxations"] {
+		t.Fatalf("delta 0: %d buckets and %d relaxations; Δ = %v: %d and %d", len(gotProbe.Iters),
+			gotProbe.Counters["relaxations"], want, len(refProbe.Iters), refProbe.Counters["relaxations"])
+	}
+	for k, it := range gotProbe.Iters {
+		if it != refProbe.Iters[k] {
+			t.Fatalf("bucket event %d is %+v with delta 0, %+v with Δ = %v", k, it, refProbe.Iters[k], want)
+		}
 	}
 }

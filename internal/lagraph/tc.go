@@ -10,7 +10,9 @@ import (
 // an undirected graph. The paper's method masks a plus.pair matrix
 // multiply with the lower triangle and optionally presorts the graph by
 // ascending degree; SS:GrB executes the masked C⟨s(L)⟩ = L·Uᵀ with a dot
-// kernel, which this implementation reproduces.
+// kernel, which this implementation reproduces. The other three
+// formulations differ from it only in their operands, so all four are one
+// table row feeding the same masked multiply and reduce.
 
 // TCMethod selects the formulation (the experimental LAGraph repository
 // carries the same family).
@@ -105,10 +107,16 @@ func withoutSelfEdges[T grb.Value](ctx context.Context, g *Graph[T], op string) 
 
 // TriangleCountAdvanced runs a chosen method (Advanced mode: RowDegree
 // must be cached when presort is requested; nothing is computed or cached
-// on the graph), polling ctx between the formulation's phases.
+// on the graph), polling ctx between the formulation's phases. Every
+// method is one masked plus.pair multiply C⟨s(M)⟩ = X·Y and one reduce,
+// Σ C / divisor; they differ only in the operands (A or its triangles L
+// and U), whether Y is transposed, and how often each triangle is counted.
 func TriangleCountAdvanced[T grb.Value](ctx context.Context, g *Graph[T], method TCMethod, presort bool) (int64, error) {
 	if err := validateGraph(g, "TriangleCountAdvanced"); err != nil {
 		return 0, err
+	}
+	if method < TCSandiaLUT || method > TCCohen {
+		return 0, errf(StatusInvalidValue, "TriangleCountAdvanced: unknown method %d", method)
 	}
 	prb := ProbeFrom(ctx)
 	prb.SetMethod(method.String())
@@ -138,81 +146,43 @@ func TriangleCountAdvanced[T grb.Value](ctx context.Context, g *Graph[T], method
 		return 0, err
 	}
 	var zero T
-	tril := func() (*grb.Matrix[T], error) {
-		L := grb.MustMatrix[T](n, n)
-		if err := grb.Select(L, grb.NoMask, nil, grb.Tril[T](), A, zero, nil); err != nil {
-			return nil, wrap(StatusInvalidValue, err, "tril")
-		}
-		return L, nil
+	triangle := func(op grb.IndexUnaryOp[T]) (*grb.Matrix[T], error) {
+		X := grb.MustMatrix[T](n, n)
+		return X, wrap(StatusInvalidValue, grb.Select(X, grb.NoMask, nil, op, A, zero, nil), "TC triangle")
 	}
-	triu := func() (*grb.Matrix[T], error) {
-		U := grb.MustMatrix[T](n, n)
-		if err := grb.Select(U, grb.NoMask, nil, grb.Triu[T](), A, zero, nil); err != nil {
-			return nil, wrap(StatusInvalidValue, err, "triu")
+	var L, U *grb.Matrix[T]
+	var err error
+	if method != TCBurkhardt {
+		if L, err = triangle(grb.Tril[T]()); err != nil {
+			return 0, err
 		}
-		return U, nil
 	}
-	semiring := grb.PlusPair[T, T, int64]()
+	if method == TCSandiaLUT || method == TCCohen {
+		if U, err = triangle(grb.Triu[T]()); err != nil {
+			return 0, err
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	f := [...]struct {
+		mask, X, Y *grb.Matrix[T]
+		desc       *grb.Descriptor
+		divisor    int64
+	}{
+		// Algorithm 6: C⟨s(L)⟩ = L plus.pair Uᵀ. SS:GrB uses a dot product
+		// here because U is transposed via the descriptor (paper §IV-E).
+		TCSandiaLUT: {L, L, U, grb.DescT1, 1},
+		TCSandiaLL:  {L, L, L, nil, 1}, // the saxpy kernel
+		TCBurkhardt: {A, A, A, nil, 6}, // once per ordered pair of its vertices
+		TCCohen:     {A, L, U, nil, 2}, // twice, at the edge its least vertex faces
+	}[method]
 	C := grb.MustMatrix[int64](n, n)
-	switch method {
-	case TCSandiaLUT:
-		L, err := tril()
-		if err != nil {
-			return 0, err
-		}
-		U, err := triu()
-		if err != nil {
-			return 0, err
-		}
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		// C⟨s(L)⟩ = L plus.pair Uᵀ — SS:GrB uses a dot product here
-		// because U is transposed via the descriptor (paper §IV-E).
-		if err := grb.MxM(C, grb.StructMaskOf(L), nil, semiring, L, U, grb.DescT1); err != nil {
-			return 0, wrap(StatusInvalidValue, err, "TC masked dot")
-		}
-		if prb.Enabled() {
-			prb.Add("nnz_c", int64(C.NVals()))
-		}
-		return grb.ReduceMatrixToScalar(grb.PlusMonoid[int64](), C), nil
-	case TCSandiaLL:
-		L, err := tril()
-		if err != nil {
-			return 0, err
-		}
-		if err := grb.MxM(C, grb.StructMaskOf(L), nil, semiring, L, L, nil); err != nil {
-			return 0, wrap(StatusInvalidValue, err, "TC LL saxpy")
-		}
-		if prb.Enabled() {
-			prb.Add("nnz_c", int64(C.NVals()))
-		}
-		return grb.ReduceMatrixToScalar(grb.PlusMonoid[int64](), C), nil
-	case TCBurkhardt:
-		if err := grb.MxM(C, grb.StructMaskOf(A), nil, semiring, A, A, nil); err != nil {
-			return 0, wrap(StatusInvalidValue, err, "TC Burkhardt")
-		}
-		if prb.Enabled() {
-			prb.Add("nnz_c", int64(C.NVals()))
-		}
-		return grb.ReduceMatrixToScalar(grb.PlusMonoid[int64](), C) / 6, nil
-	case TCCohen:
-		L, err := tril()
-		if err != nil {
-			return 0, err
-		}
-		U, err := triu()
-		if err != nil {
-			return 0, err
-		}
-		if err := grb.MxM(C, grb.StructMaskOf(A), nil, semiring, L, U, nil); err != nil {
-			return 0, wrap(StatusInvalidValue, err, "TC Cohen")
-		}
-		if prb.Enabled() {
-			prb.Add("nnz_c", int64(C.NVals()))
-		}
-		return grb.ReduceMatrixToScalar(grb.PlusMonoid[int64](), C) / 2, nil
-	default:
-		return 0, errf(StatusInvalidValue, "TriangleCountAdvanced: unknown method %d", method)
+	if err := grb.MxM(C, grb.StructMaskOf(f.mask), nil, grb.PlusPair[T, T, int64](), f.X, f.Y, f.desc); err != nil {
+		return 0, wrap(StatusInvalidValue, err, "TC masked multiply")
 	}
+	if prb.Enabled() {
+		prb.Add("nnz_c", int64(C.NVals()))
+	}
+	return grb.ReduceMatrixToScalar(grb.PlusMonoid[int64](), C) / f.divisor, nil
 }
