@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"lagraph/internal/lagraph"
@@ -122,18 +123,7 @@ type ErrUnknown struct {
 }
 
 func (e *ErrUnknown) Error() string {
-	return fmt.Sprintf("unknown algorithm %q (known: %s)", e.Name, join(e.Known))
-}
-
-func join(names []string) string {
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += "|"
-		}
-		out += n
-	}
-	return out
+	return fmt.Sprintf("unknown algorithm %q (known: %s)", e.Name, strings.Join(e.Known, "|"))
 }
 
 // IsUnknown reports whether err is an unknown-algorithm error.

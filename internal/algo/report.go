@@ -2,6 +2,8 @@ package algo
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"lagraph/internal/lagraph"
 )
@@ -97,25 +99,9 @@ func (r *RunReport) SpanEvents() [][2]string {
 	if r.Converged != nil {
 		summary += fmt.Sprintf(" converged=%t", *r.Converged)
 	}
-	for _, k := range sortedCounterKeys(r.Counters) {
+	for _, k := range slices.Sorted(maps.Keys(r.Counters)) {
 		summary += fmt.Sprintf(" %s=%d", k, r.Counters[k])
 	}
 	out = append(out, [2]string{"report", summary})
 	return out
-}
-
-func sortedCounterKeys(m map[string]int64) []string {
-	if len(m) == 0 {
-		return nil
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
 }

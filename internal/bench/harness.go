@@ -13,7 +13,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -328,45 +327,23 @@ func TCWorkload(w *Workload) *Workload {
 	if !w.Edges.Directed {
 		return w
 	}
-	// Symmetrise: append reversed edges, dedupe via the generator helper.
-	// The derived workload inherits the source workload's seed, so the
-	// whole TC cell remains a pure function of the -seed flag.
-	sym := &gen.EdgeList{N: w.Edges.N, Name: w.Edges.Name, Directed: false}
-	sym.Src = append(append([]int32{}, w.Edges.Src...), w.Edges.Dst...)
-	sym.Dst = append(append([]int32{}, w.Edges.Dst...), w.Edges.Src...)
-	dedupe(sym)
+	// Symmetrise: drop self loops, add each edge both ways, and dedup
+	// through the generator's helper. The derived workload inherits the
+	// source workload's seed, so the whole TC cell remains a pure function
+	// of the -seed flag.
+	n := len(w.Edges.Src)
+	sym := &gen.EdgeList{N: w.Edges.N, Name: w.Edges.Name, Directed: false,
+		Src: make([]int32, 0, 2*n), Dst: make([]int32, 0, 2*n)}
+	for k, u := range w.Edges.Src {
+		if v := w.Edges.Dst[k]; u != v {
+			sym.Src = append(sym.Src, u, v)
+			sym.Dst = append(sym.Dst, v, u)
+		}
+	}
+	sym.Dedup()
 	symW, err := build(sym, w.Seed)
 	if err != nil {
 		return w
 	}
 	return symW
-}
-
-// dedupe removes duplicate directed edges and self loops in place.
-func dedupe(e *gen.EdgeList) {
-	type pair struct{ u, v int32 }
-	idx := make([]int, len(e.Src))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if e.Src[idx[a]] != e.Src[idx[b]] {
-			return e.Src[idx[a]] < e.Src[idx[b]]
-		}
-		return e.Dst[idx[a]] < e.Dst[idx[b]]
-	})
-	var outS, outD []int32
-	for _, i := range idx {
-		u, v := e.Src[i], e.Dst[i]
-		if u == v {
-			continue
-		}
-		if len(outS) > 0 && outS[len(outS)-1] == u && outD[len(outD)-1] == v {
-			continue
-		}
-		outS = append(outS, u)
-		outD = append(outD, v)
-	}
-	e.Src, e.Dst = outS, outD
-	e.W = nil
 }

@@ -134,7 +134,7 @@ func Kron(scale, edgeFactor int, seed uint64) *EdgeList {
 		dst = append(dst, v, u)
 	}
 	e := &EdgeList{N: n, Src: src, Dst: dst, Name: "Kron", Directed: false}
-	e.dedup()
+	e.Dedup()
 	return e
 }
 
@@ -156,7 +156,7 @@ func Urand(scale, edgeFactor int, seed uint64) *EdgeList {
 		dst = append(dst, v, u)
 	}
 	e := &EdgeList{N: n, Src: src, Dst: dst, Name: "Urand", Directed: false}
-	e.dedup()
+	e.Dedup()
 	return e
 }
 
@@ -180,7 +180,7 @@ func Twitter(scale, edgeFactor int, seed uint64) *EdgeList {
 		dst = append(dst, v)
 	}
 	e := &EdgeList{N: n, Src: src, Dst: dst, Name: "Twitter", Directed: true}
-	e.dedup()
+	e.Dedup()
 	return e
 }
 
@@ -202,7 +202,7 @@ func Web(scale, edgeFactor int, seed uint64) *EdgeList {
 		dst = append(dst, v)
 	}
 	e := &EdgeList{N: n, Src: src, Dst: dst, Name: "Web", Directed: true}
-	e.dedup()
+	e.Dedup()
 	return e
 }
 
@@ -234,7 +234,7 @@ func Road(dim int, seed uint64) *EdgeList {
 		}
 	}
 	e := &EdgeList{N: n, Src: src, Dst: dst, Name: "Road", Directed: true}
-	e.dedup()
+	e.Dedup()
 	return e
 }
 
@@ -261,9 +261,10 @@ func (e *EdgeList) AddUniformWeights(seed uint64, lo, hi int) {
 	}
 }
 
-// dedup removes duplicate directed edges (and keeps the list sorted by
-// (src, dst) for reproducible downstream builds).
-func (e *EdgeList) dedup() {
+// Dedup removes duplicate directed edges and leaves the list sorted by
+// (src, dst) for reproducible downstream builds. It ignores W: the
+// generators assign weights after deduplicating.
+func (e *EdgeList) Dedup() {
 	type pair struct{ u, v int32 }
 	idx := make([]int, len(e.Src))
 	for i := range idx {

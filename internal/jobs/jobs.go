@@ -1,6 +1,6 @@
 // Package jobs is the asynchronous execution engine behind lagraphd's
-// algorithm endpoints: a worker pool running cancellable jobs with a
-// versioned result cache.
+// algorithm endpoints: a worker pool running cancellable jobs whose
+// results are cached by graph version.
 //
 // A job moves queued → running → done | failed | cancelled. Each running
 // job gets its own context (derived from the engine's, with an optional
@@ -9,13 +9,15 @@
 // checks its context (the internal/lagraph iteration loops do, once per
 // iteration).
 //
-// Submissions are deduplicated single-flight by Key: while a job for
-// (graph, graph version, algorithm, params) is queued or running, an
-// identical submission attaches to it instead of spawning a second
-// computation. Completed results enter an in-memory cache bounded by TTL
-// and LRU entry count, keyed by the same tuple; because the key carries
-// the registry's per-graph version, replacing a graph under the same name
-// can never serve a stale result.
+// One table holds the newest job for each Key (graph, graph version,
+// algorithm, params). While that job is queued or running, an identical
+// submission attaches to it instead of spawning a second computation
+// (single flight); once it is done, an identical submission is a cache
+// hit until ResultTTL expires. Done jobs sit on one LRU list bounded by
+// MaxCachedResults. Failed and cancelled jobs leave the table, so the
+// next submission computes afresh. Because the key carries the
+// registry's per-graph version, replacing a graph under the same name can
+// never serve a stale result.
 //
 // New jobs wait in one FIFO queue and workers take them in submission
 // order; a dedup attach leaves the job where it is. Once QueueDepth jobs
@@ -25,6 +27,7 @@
 package jobs
 
 import (
+	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -115,10 +118,11 @@ type Options struct {
 	// ResultTTL is how long completed results stay cached. <= 0 means
 	// 5 minutes.
 	ResultTTL time.Duration
-	// MaxCachedResults bounds the result cache (LRU beyond it). <= 0
-	// means 256. The bound is an entry count, not bytes — results are
-	// opaque to the engine — so operators serving very large responses
-	// should size this (and ResultTTL) accordingly.
+	// MaxCachedResults bounds how many done jobs the key table keeps as
+	// cache entries (least recently used go first, after expired ones).
+	// <= 0 means 256. The bound is an entry count, not bytes — results
+	// are opaque to the engine — so operators serving very large
+	// responses should size this (and ResultTTL) accordingly.
 	MaxCachedResults int
 	// MaxJobs bounds retained job records; the oldest terminal jobs are
 	// pruned beyond it. <= 0 means 1024.
@@ -170,7 +174,8 @@ type Job struct {
 	timeout time.Duration
 	run     func(ctx context.Context) (any, error)
 	cancel  context.CancelFunc // set while running
-	onDone  []func()
+	onDone  func()
+	lru     *list.Element // set while the result is cached
 
 	pinned  bool
 	waiters int
@@ -271,9 +276,15 @@ type Engine struct {
 	mu     sync.Mutex
 	closed bool
 	jobs   map[string]*Job
-	order  []*Job       // submission order, for pruning
-	byKey  map[Key]*Job // queued/running jobs, for dedup
+	order  []*Job // submission order, for pruning
 	nextID int64
+
+	// byKey holds the newest job for each Key: queued or running (an
+	// identical submission attaches to it) or done with its result cached
+	// (a hit until ResultTTL expires). The done ones are on cached, front
+	// = most recently used, at most MaxCachedResults of them.
+	byKey  map[Key]*Job
+	cached *list.List
 
 	// queue holds the jobs waiting for a worker, oldest first; its length
 	// is the saturation bound. Workers park on cond while it is empty.
@@ -302,8 +313,6 @@ type Engine struct {
 	cacheHits *obs.Counter
 	runSecs   *obs.HistogramVec // per-algorithm kernel run duration
 	waitSecs  *obs.Histogram    // queue wait before a worker picks up
-
-	cache *resultCache
 }
 
 // NewEngine builds and starts an engine.
@@ -315,9 +324,9 @@ func NewEngine(opts Options) *Engine {
 		opts:       opts,
 		jobs:       make(map[string]*Job),
 		byKey:      make(map[Key]*Job),
+		cached:     list.New(),
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		cache:      newResultCache(opts.MaxCachedResults, opts.ResultTTL),
 
 		queuedG:   o.Gauge("jobs_queued", "Jobs waiting for a worker."),
 		runningG:  o.Gauge("jobs_running", "Jobs currently executing."),
@@ -334,7 +343,11 @@ func NewEngine(opts Options) *Engine {
 	}
 	e.cond = sync.NewCond(&e.mu)
 	o.GaugeFunc("jobs_cached_results", "Entries in the versioned result cache.",
-		func() float64 { return float64(e.cache.len()) })
+		func() float64 {
+			e.mu.Lock()
+			defer e.mu.Unlock()
+			return float64(e.cached.Len())
+		})
 	for i := 0; i < opts.Workers; i++ {
 		e.wg.Add(1)
 		go e.worker()
@@ -357,20 +370,21 @@ func (e *Engine) Close() {
 	var hooks []func()
 	for _, j := range e.queue {
 		e.dequeueAccountingLocked()
-		hooks = append(hooks, e.finishLocked(j, nil, context.Canceled)...)
+		hooks = append(hooks, e.finishLocked(j, nil, context.Canceled))
 	}
 	e.queue = nil
 	e.cond.Broadcast()
 	e.mu.Unlock()
-	runHooks(hooks)
+	runHooks(hooks...)
 	e.baseCancel()
 	e.wg.Wait()
 }
 
-// Submit enqueues a computation, deduplicating against in-flight jobs and
-// the result cache. isNew reports whether a new computation was scheduled;
-// when false the returned job is an existing in-flight job (dedup) or a
-// fresh already-done record carrying a cached result.
+// Submit looks the request's key up in the key table and attaches to a
+// queued or running job (dedup), answers from a done one (cache hit), or
+// enqueues a new computation. isNew reports whether a new computation was
+// scheduled; when false the returned job is an existing in-flight job or
+// a fresh already-done record carrying the cached result.
 func (e *Engine) Submit(req Request) (j *Job, isNew bool, err error) {
 	if req.Run == nil {
 		return nil, false, errors.New("jobs: nil Run")
@@ -386,11 +400,32 @@ func (e *Engine) Submit(req Request) (j *Job, isNew bool, err error) {
 		timeout = e.opts.DefaultTimeout
 	}
 
-	// Single flight: attach to an identical queued/running job.
-	if cur, ok := e.byKey[req.Key]; ok {
+	now := time.Now()
+	switch cur := e.byKey[req.Key]; {
+	case cur == nil:
+	case cur.state == StateDone && cur.finished.Before(now.Add(-e.opts.ResultTTL)):
+		e.uncacheLocked(cur) // reclaim it and compute afresh
+	case cur.state == StateDone:
+		// Cache hit: mint a completed job record so async clients get a
+		// pollable id with a uniform shape.
+		e.cached.MoveToFront(cur.lru)
+		e.submitted.Inc()
+		e.cacheHits.Inc()
+		j = &Job{
+			e: e, id: e.newIDLocked(), key: req.Key,
+			state: StateDone, result: cur.result, cacheHit: true,
+			submitted: now, finished: now,
+			done: make(chan struct{}),
+		}
+		close(j.done)
+		e.recordLocked(j)
+		e.mu.Unlock()
+		runHooks(req.OnDone)
+		return j, false, nil
+	default: // queued or running: single flight
 		if req.Pin {
 			cur.pinned = true
-		} else if !cur.state.Terminal() {
+		} else {
 			cur.waiters++ // balanced by the caller's WaitOrAbandon
 		}
 		// Widen a still-queued job's deadline to the most generous
@@ -402,31 +437,8 @@ func (e *Engine) Submit(req Request) (j *Job, isNew bool, err error) {
 		e.submitted.Inc()
 		e.dedupHits.Inc()
 		e.mu.Unlock()
-		if req.OnDone != nil {
-			req.OnDone()
-		}
+		runHooks(req.OnDone)
 		return cur, false, nil
-	}
-
-	// Result cache: materialize a completed job record so async clients
-	// get a pollable id with a uniform shape.
-	if v, ok := e.cache.get(req.Key, time.Now()); ok {
-		e.submitted.Inc()
-		e.cacheHits.Inc()
-		now := time.Now()
-		j := &Job{
-			e: e, id: e.newIDLocked(), key: req.Key,
-			state: StateDone, result: v, cacheHit: true,
-			submitted: now, finished: now,
-			done: make(chan struct{}),
-		}
-		close(j.done)
-		e.recordLocked(j)
-		e.mu.Unlock()
-		if req.OnDone != nil {
-			req.OnDone()
-		}
-		return j, false, nil
 	}
 
 	if len(e.queue) >= e.opts.QueueDepth {
@@ -437,17 +449,15 @@ func (e *Engine) Submit(req Request) (j *Job, isNew bool, err error) {
 	j = &Job{
 		e: e, id: e.newIDLocked(), key: req.Key,
 		state:     StateQueued,
-		submitted: time.Now(),
+		submitted: now,
 		timeout:   timeout,
 		run:       req.Run,
+		onDone:    req.OnDone,
 		pinned:    req.Pin,
 		done:      make(chan struct{}),
 	}
 	if !req.Pin {
 		j.waiters = 1 // the submitting caller; balanced by WaitOrAbandon
-	}
-	if req.OnDone != nil {
-		j.onDone = append(j.onDone, req.OnDone)
 	}
 	e.submitted.Inc()
 	e.recordLocked(j)
@@ -560,20 +570,17 @@ func (e *Engine) worker() {
 		e.mu.Lock()
 		j.cancel = nil
 		e.runningG.Dec()
-		hooks := e.finishLocked(j, v, err)
+		hook := e.finishLocked(j, v, err)
 		e.mu.Unlock()
-		runHooks(hooks)
+		runHooks(hook)
 	}
 }
 
-// finishLocked moves a job to its terminal state and feeds the result
-// cache. It returns the completion hooks for the caller to invoke after
-// releasing the engine mutex — a hook is free to call back into the
-// engine.
-func (e *Engine) finishLocked(j *Job, v any, err error) []func() {
-	if cur, ok := e.byKey[j.key]; ok && cur == j {
-		delete(e.byKey, j.key)
-	}
+// finishLocked moves a job to its terminal state: a done job stays in the
+// key table as a cache entry, a failed or cancelled one leaves it. It
+// returns the completion hook for the caller to invoke after releasing
+// the engine mutex — a hook is free to call back into the engine.
+func (e *Engine) finishLocked(j *Job, v any, err error) func() {
 	j.finished = time.Now()
 	if !j.started.IsZero() {
 		e.runSecs.With(j.key.Algorithm).Observe(j.finished.Sub(j.started).Seconds())
@@ -583,28 +590,58 @@ func (e *Engine) finishLocked(j *Job, v any, err error) []func() {
 		j.state = StateDone
 		j.result = v
 		e.completed.Inc()
-		e.cache.put(j.key, v, j.finished)
+		e.cacheLocked(j)
 	case errors.Is(err, context.Canceled):
 		j.state = StateCancelled
 		j.err = err
 		e.cancelled.Inc()
+		delete(e.byKey, j.key)
 	default:
 		j.state = StateFailed
 		j.err = err
 		e.failed.Inc()
+		delete(e.byKey, j.key)
 	}
 	// The run closure typically captures the graph; drop it so a retained
 	// terminal record cannot pin a deleted graph's memory.
 	j.run = nil
 	close(j.done)
-	hooks := j.onDone
+	hook := j.onDone
 	j.onDone = nil
-	return hooks
+	return hook
 }
 
-func runHooks(hooks []func()) {
+// cacheLocked pushes a done job on the LRU list, then trims the list to
+// MaxCachedResults: expired entries go first, then the least recently
+// used.
+func (e *Engine) cacheLocked(j *Job) {
+	j.lru = e.cached.PushFront(j)
+	cutoff := j.finished.Add(-e.opts.ResultTTL) // finished before it = expired
+	for el := e.cached.Back(); el != nil && e.cached.Len() > e.opts.MaxCachedResults; {
+		prev := el.Prev()
+		if old := el.Value.(*Job); old.finished.Before(cutoff) {
+			e.uncacheLocked(old)
+		}
+		el = prev
+	}
+	for e.cached.Len() > e.opts.MaxCachedResults {
+		e.uncacheLocked(e.cached.Back().Value.(*Job))
+	}
+}
+
+// uncacheLocked drops a done job from the key table and the LRU list.
+func (e *Engine) uncacheLocked(j *Job) {
+	delete(e.byKey, j.key)
+	e.cached.Remove(j.lru)
+	j.lru = nil
+}
+
+// runHooks calls each non-nil completion hook.
+func runHooks(hooks ...func()) {
 	for _, f := range hooks {
-		f()
+		if f != nil {
+			f()
+		}
 	}
 }
 
@@ -619,16 +656,16 @@ func (e *Engine) Cancel(id string) (*Job, error) {
 		e.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
-	hooks := e.cancelLocked(j)
+	hook := e.cancelLocked(j)
 	e.mu.Unlock()
-	runHooks(hooks)
+	runHooks(hook)
 	return j, nil
 }
 
-// cancelLocked requests cancellation; the returned hooks (non-empty only
+// cancelLocked requests cancellation; the returned hook (non-nil only
 // when a queued job was finalized on the spot) must be run after the
 // engine mutex is released.
-func (e *Engine) cancelLocked(j *Job) []func() {
+func (e *Engine) cancelLocked(j *Job) func() {
 	switch j.state {
 	case StateQueued:
 		e.removeQueuedLocked(j)
@@ -656,11 +693,7 @@ func (e *Engine) List() []Info {
 	defer e.mu.Unlock()
 	out := make([]Info, 0, len(e.order))
 	for i := len(e.order) - 1; i >= 0; i-- {
-		j := e.order[i]
-		if _, ok := e.jobs[j.id]; !ok {
-			continue
-		}
-		out = append(out, j.infoLocked())
+		out = append(out, e.order[i].infoLocked())
 	}
 	return out
 }
@@ -686,21 +719,33 @@ func (e *Engine) WaitOrAbandon(ctx context.Context, j *Job) bool {
 		if j.waiters > 0 {
 			j.waiters--
 		}
-		var hooks []func()
+		var hook func()
 		if j.waiters == 0 && !j.pinned && !j.state.Terminal() {
-			hooks = e.cancelLocked(j)
+			hook = e.cancelLocked(j)
 		}
 		e.mu.Unlock()
-		runHooks(hooks)
+		runHooks(hook)
 		return false
 	}
 }
 
-// InvalidateGraph drops cached results for a graph name (any version).
-// Correctness never depends on this — keys carry the graph version — but
-// dropping a deleted graph's results frees their memory immediately.
+// InvalidateGraph drops cached results for a graph name (any version)
+// and returns how many it dropped. Correctness never depends on this —
+// keys carry the graph version — but dropping a deleted or evicted
+// graph's results frees their memory immediately.
 func (e *Engine) InvalidateGraph(name string) int {
-	return e.cache.invalidateGraph(name)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	n := 0
+	for el := e.cached.Front(); el != nil; {
+		next := el.Next()
+		if j := el.Value.(*Job); j.key.Graph == name {
+			e.uncacheLocked(j)
+			n++
+		}
+		el = next
+	}
+	return n
 }
 
 // QueueHeadroom reports queued jobs against the queue bound — the

@@ -251,36 +251,57 @@ func TestResultTTLExpiry(t *testing.T) {
 	}
 }
 
+// compute submits key and waits for it to finish; want says whether the
+// submission must schedule a new computation (false: a cache hit).
+func compute(t *testing.T, e *Engine, key Key, want bool) {
+	t.Helper()
+	j, isNew, err := e.Submit(Request{Key: key, Pin: true, Run: func(context.Context) (any, error) { return key.Graph, nil }})
+	if err != nil || isNew != want {
+		t.Fatalf("%s: isNew=%v err=%v, want isNew=%v", key, isNew, err, want)
+	}
+	<-j.Done()
+}
+
+func cachedResults(e *Engine) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.cached.Len()
+}
+
 func TestCacheLRUBound(t *testing.T) {
-	c := newResultCache(2, time.Hour)
-	now := time.Now()
-	c.put(testKey("a", 1, "x", ""), 1, now)
-	c.put(testKey("b", 1, "x", ""), 2, now)
-	c.get(testKey("a", 1, "x", ""), now) // a is now MRU
-	c.put(testKey("c", 1, "x", ""), 3, now)
-	if _, ok := c.get(testKey("b", 1, "x", ""), now); ok {
-		t.Fatal("b should have been LRU-evicted")
+	e := NewEngine(Options{Workers: 1, MaxCachedResults: 2, ResultTTL: time.Hour})
+	defer e.Close()
+	a, b, c := testKey("a", 1, "x", ""), testKey("b", 1, "x", ""), testKey("c", 1, "x", "")
+	compute(t, e, a, true)
+	compute(t, e, b, true)
+	compute(t, e, a, false) // the hit makes a most recently used
+	compute(t, e, c, true)  // evicts b
+	if n := cachedResults(e); n != 2 {
+		t.Fatalf("cached results = %d, want 2", n)
 	}
-	if _, ok := c.get(testKey("a", 1, "x", ""), now); !ok {
-		t.Fatal("a should survive")
-	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d", c.len())
+	compute(t, e, a, false)
+	compute(t, e, b, true)
+	if n := e.cacheHits.Int(); n != 2 {
+		t.Fatalf("cache_hits = %d, want 2", n)
 	}
 }
 
 func TestInvalidateGraph(t *testing.T) {
-	c := newResultCache(8, time.Hour)
-	now := time.Now()
-	c.put(testKey("a", 1, "x", ""), 1, now)
-	c.put(testKey("a", 2, "y", ""), 2, now)
-	c.put(testKey("b", 1, "x", ""), 3, now)
-	if n := c.invalidateGraph("a"); n != 2 {
+	e := NewEngine(Options{Workers: 1, MaxCachedResults: 8, ResultTTL: time.Hour})
+	defer e.Close()
+	a1, a2, b1 := testKey("a", 1, "x", ""), testKey("a", 2, "y", ""), testKey("b", 1, "x", "")
+	for _, k := range []Key{a1, a2, b1} {
+		compute(t, e, k, true)
+	}
+	if n := e.InvalidateGraph("a"); n != 2 {
 		t.Fatalf("invalidated %d, want 2", n)
 	}
-	if _, ok := c.get(testKey("b", 1, "x", ""), now); !ok {
-		t.Fatal("b should survive invalidation of a")
+	if n := cachedResults(e); n != 1 {
+		t.Fatalf("cached results = %d, want 1", n)
 	}
+	compute(t, e, b1, false) // b survives invalidation of a
+	compute(t, e, a1, true)
+	compute(t, e, a2, true)
 }
 
 func TestQueueFull(t *testing.T) {

@@ -217,11 +217,9 @@ func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 		writeRegistryError(w, err)
 		return
 	}
-	// Version keys make the dead graph's cached results unreachable;
-	// dropping them eagerly returns their memory too. (The stream engine
-	// drops its delta state — and the durable store its on-disk state —
-	// through the registry's removal listeners.)
-	s.jobs.InvalidateGraph(name)
+	// The registry's removal listeners drop the graph's cached job
+	// results, its stream delta state and (on the durable store) its
+	// on-disk state.
 	writeJSON(w, http.StatusOK, map[string]string{"deleted": name})
 }
 

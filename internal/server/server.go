@@ -193,6 +193,12 @@ func New(reg *registry.Registry, opts Options) *Server {
 	o.GaugeFunc("uptime_seconds", "Seconds since the server was built.",
 		func() float64 { return time.Since(started).Seconds() })
 	reg.Instrument(o)
+	// Version keys make a removed graph's cached results unreachable;
+	// dropping them as it is deleted or evicted returns their memory too.
+	// The listener runs under the registry mutex and takes the engine's,
+	// which never waits on the registry: completion hooks (lease
+	// releases) run after the engine mutex is released.
+	reg.AddRemoveListener(func(name string, _ registry.RemoveReason) { s.jobs.InvalidateGraph(name) })
 	if s.store != nil {
 		// Order matters: recovery replays the WAL through the stream
 		// engine while no journal is attached (so the replayed batches are

@@ -312,7 +312,8 @@ func TestCachedPropertyReuse(t *testing.T) {
 }
 
 // TestEvictionOverHTTP drives the LRU through the API: a small budget
-// evicts the least-recently-used graph when a new one is loaded.
+// evicts the least-recently-used graph when a new one is loaded, and the
+// evicted graph's cached results go with it.
 func TestEvictionOverHTTP(t *testing.T) {
 	// Learn one graph's size from a probe registry, then budget for two.
 	probe := registry.New(0)
@@ -324,6 +325,9 @@ func TestEvictionOverHTTP(t *testing.T) {
 	ts2, _ := newTestServer(t, 2*per+per/2)
 	loadSyntheticGraph(t, ts2.URL, "a", "twitter", 6)
 	loadSyntheticGraph(t, ts2.URL, "b", "twitter", 6)
+	if code, _ := doJSON(t, "POST", ts2.URL+"/graphs/b/algorithms/cc", nil); code != 200 {
+		t.Fatalf("cc on b failed")
+	}
 	// Touch a so b is LRU.
 	if code, _ := doJSON(t, "POST", ts2.URL+"/graphs/a/algorithms/cc", nil); code != 200 {
 		t.Fatalf("cc on a failed")
@@ -335,6 +339,10 @@ func TestEvictionOverHTTP(t *testing.T) {
 	}
 	if code, _ := doJSON(t, "GET", ts2.URL+"/graphs/a", nil); code != 200 {
 		t.Fatalf("a should be resident, got %d", code)
+	}
+	_, stats := doJSON(t, "GET", ts2.URL+"/stats", nil)
+	if n := stats["jobs"].(map[string]any)["cached_results"]; n != 1.0 {
+		t.Fatalf("cached_results = %v, want 1 (b's cc result dropped with b)", n)
 	}
 }
 
