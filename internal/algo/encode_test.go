@@ -100,6 +100,7 @@ var floatEdges = []float64{
 	1e-6, 9.99e-7, 9.999999999999999e-7, 1e-7, -1e-7, 1.234e-9, 1e-10, 1e-100,
 	1e21, 9.99e20, 999999999999999868928, -1e21, 1e22, 1.5e300,
 	1 << 53, 1<<53 + 2, -(1 << 53), 1e15, 1e20,
+	1<<53 - 1, -(1<<53 - 1), 1<<53 - 2, 9007199254740993, 1e15 + 1,
 	5e-324, math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64,
 	math.Pi, 1.0 / 3.0, 2.2250738585072014e-308,
 }
@@ -213,9 +214,121 @@ func TestAppendResponseDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// bigVec is an n-entry vector mixing the kernels' value kinds: integers
+// (levels, parents, labels), small fractions (ranks) and large and tiny
+// magnitudes, so every block of a parallel cut prints each kind.
+func bigVec(n int) *VecSummary {
+	rng := rand.New(rand.NewSource(43))
+	s := &VecSummary{NVals: 2 * n, Entries: make([]VecEntry, n), Truncated: true}
+	for i := range s.Entries {
+		v := float64(rng.Intn(1 << 20))
+		switch i % 4 {
+		case 1:
+			v = rng.Float64() / 4096
+		case 2:
+			v = -v
+		case 3:
+			v = math.Float64frombits(rng.Uint64() &^ (1 << 62)) // finite
+		}
+		s.Entries[i] = VecEntry{I: 3 * i, V: v}
+	}
+	return s
+}
+
+// TestAppendResponseParallelBlocks: a vector far past the parallel cut,
+// rendered at several worker counts, is the stdlib's document; a
+// non-finite entry fails the response with the error and the partial
+// bytes of the serial path, the first failing entry's when there are two.
+func TestAppendResponseParallelBlocks(t *testing.T) {
+	const n = 40000
+	defer parallel.SetMaxThreads(parallel.MaxThreads())
+	for _, threads := range []int{1, 2, 4} {
+		parallel.SetMaxThreads(threads)
+		s := bigVec(n)
+		checkIdentity(t, "g", "bfs", 0.5, Result{"level": s, "iterations": 9}, nil)
+
+		for _, bad := range []map[int]float64{
+			{n - 1: math.NaN()},
+			{n/2 + 1: math.Inf(-1), n - 1: math.NaN()},
+		} {
+			s := bigVec(n)
+			for i, f := range bad {
+				s.Entries[i].V = f
+			}
+			res := Result{"level": s}
+			_, wantErr := stdlibResponse("g", "bfs", 0.5, res, nil)
+			got, err := AppendResponse([]byte("head"), "g", "bfs", 0.5, res, nil)
+			var want, have *json.UnsupportedValueError
+			if !errors.As(wantErr, &want) || !errors.As(err, &have) || have.Str != want.Str {
+				t.Fatalf("threads %d, %v: err %v, stdlib err %v", threads, bad, err, wantErr)
+			}
+			parallel.SetMaxThreads(1)
+			serial, _ := AppendResponse([]byte("head"), "g", "bfs", 0.5, res, nil)
+			parallel.SetMaxThreads(threads)
+			if !bytes.Equal(got, serial) {
+				t.Fatalf("threads %d, %v: partial output of %d bytes, serial path's %d", threads, bad, len(got), len(serial))
+			}
+		}
+	}
+}
+
+// TestAppendResponseParallelAllocatesByBlock: the parallel path costs a
+// few allocations per block (the fan-out and, until the pool holds
+// enough, a block buffer), however many entries the blocks hold.
+func TestAppendResponseParallelAllocatesByBlock(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const threads = 4
+	prev := parallel.SetMaxThreads(threads)
+	defer parallel.SetMaxThreads(prev)
+	for _, n := range []int{2 * encodeGrain, 8 * encodeGrain} {
+		res := Result{"ranks": bigVec(n)}
+		buf, err := AppendResponse(nil, "g", "pagerank", 0.0123, res, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			buf, _ = AppendResponse(buf[:0], "g", "pagerank", 0.0123, res, nil)
+		})
+		if allocs > 4*threads {
+			t.Errorf("%d entries on %d workers: %v allocs/run, want at most %d", n, threads, allocs, 4*threads)
+		}
+	}
+}
+
+var benchBuf []byte
+
+// BenchmarkAppendResponse renders the two vector kinds a cache hit
+// serves at scale: PageRank-like fractions and integer-valued entries
+// (BFS levels and parents, CC labels), 32 768 of each.
+func BenchmarkAppendResponse(b *testing.B) {
+	const n = 32768
+	rng := rand.New(rand.NewSource(1))
+	ranks := &VecSummary{NVals: n, Entries: make([]VecEntry, n)}
+	levels := &VecSummary{NVals: n, Entries: make([]VecEntry, n)}
+	for i := range n {
+		ranks.Entries[i] = VecEntry{I: i, V: rng.ExpFloat64() / n}
+		levels.Entries[i] = VecEntry{I: i, V: float64(rng.Intn(n))}
+	}
+	for name, res := range map[string]Result{"pagerank": {"ranks": ranks}, "bfs": {"parent": levels}} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				var err error
+				if benchBuf, err = AppendResponse(benchBuf[:0], "g", name, 0.01, res, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // FuzzAppendResponse holds AppendResponse to the stdlib encoder over
 // arbitrary float bit patterns, integers, strings (as graph name, key
-// and value) and entry counts.
+// and value) and entry counts. A count of 255 repeats the vector's
+// pattern 65 times, 16 575 entries, past the parallel cut at 2·encodeGrain
+// entries; only that count pays for rendering a vector that long twice.
 func FuzzAppendResponse(f *testing.F) {
 	f.Add(uint64(0), int64(0), "", uint8(0))
 	f.Add(math.Float64bits(1e-6), int64(-1), "g", uint8(1))
@@ -223,10 +336,16 @@ func FuzzAppendResponse(f *testing.F) {
 	f.Add(math.Float64bits(1e21), int64(math.MinInt64), "\xff\xfe", uint8(2))
 	f.Add(math.Float64bits(math.Copysign(0, -1)), int64(42), "seconds", uint8(0))
 	f.Add(math.Float64bits(math.NaN()), int64(7), "é ", uint8(5))
+	f.Add(math.Float64bits(0.37), int64(1), "ranks", uint8(255))
+	f.Add(math.Float64bits(1.8e304), int64(2), "overflow", uint8(255)) // +Inf from entry 9 987 on
 	f.Fuzz(func(t *testing.T, bits uint64, n int64, s string, count uint8) {
 		x := math.Float64frombits(bits)
+		entries := int(count)
+		if count == math.MaxUint8 {
+			entries *= 2*encodeGrain/math.MaxUint8 + 1
+		}
 		vec := &VecSummary{NVals: int(n), Entries: []VecEntry{}, Truncated: n%2 == 0}
-		for i := 0; i < int(count); i++ {
+		for i := 0; i < entries; i++ {
 			vec.Entries = append(vec.Entries, VecEntry{I: int(n) + i, V: x * float64(i+1)})
 		}
 		res := Result{s: s, "n": n, "i": int(n), "x": x, "vec": vec, "list": []any{x, s}}

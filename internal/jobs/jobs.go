@@ -176,6 +176,8 @@ type Job struct {
 	cancel  context.CancelFunc // set while running
 	onDone  func()
 	lru     *list.Element // set while the result is cached
+	stale   bool          // its graph was invalidated while it was in flight: never cached
+	seq     int64         // submission order; the number in id
 
 	pinned  bool
 	waiters int
@@ -276,8 +278,11 @@ type Engine struct {
 	mu     sync.Mutex
 	closed bool
 	jobs   map[string]*Job
-	order  []*Job // submission order, for pruning
 	nextID int64
+
+	// The retained records in submission order, for pruning: cache-hit
+	// records (always terminal, pruned first) and all others.
+	hitRecords, runRecords recordQueue
 
 	// byKey holds the newest job for each Key: queued or running (an
 	// identical submission attaches to it) or done with its result cached
@@ -412,11 +417,12 @@ func (e *Engine) Submit(req Request) (j *Job, isNew bool, err error) {
 		e.submitted.Inc()
 		e.cacheHits.Inc()
 		j = &Job{
-			e: e, id: e.newIDLocked(), key: req.Key,
+			e: e, key: req.Key,
 			state: StateDone, result: cur.result, cacheHit: true,
 			submitted: now, finished: now,
 			done: make(chan struct{}),
 		}
+		j.id, j.seq = e.newIDLocked()
 		close(j.done)
 		e.recordLocked(j)
 		e.mu.Unlock()
@@ -447,7 +453,7 @@ func (e *Engine) Submit(req Request) (j *Job, isNew bool, err error) {
 	}
 
 	j = &Job{
-		e: e, id: e.newIDLocked(), key: req.Key,
+		e: e, key: req.Key,
 		state:     StateQueued,
 		submitted: now,
 		timeout:   timeout,
@@ -456,6 +462,7 @@ func (e *Engine) Submit(req Request) (j *Job, isNew bool, err error) {
 		pinned:    req.Pin,
 		done:      make(chan struct{}),
 	}
+	j.id, j.seq = e.newIDLocked()
 	if !req.Pin {
 		j.waiters = 1 // the submitting caller; balanced by WaitOrAbandon
 	}
@@ -489,45 +496,68 @@ func (e *Engine) dequeueAccountingLocked() {
 	e.drainN++
 }
 
-// newIDLocked mints the next job id.
-func (e *Engine) newIDLocked() string {
+// newIDLocked mints the next job id and its sequence number.
+func (e *Engine) newIDLocked() (string, int64) {
 	e.nextID++
-	return fmt.Sprintf("j-%06d", e.nextID)
+	return fmt.Sprintf("j-%06d", e.nextID), e.nextID
 }
 
 // recordLocked registers a job and prunes records beyond the retention
 // bound: oldest cache-hit records first (each is a mere alias of a cached
 // result), then oldest other terminal records — so a polling client's
 // real computation is not evicted by a flood of identical resubmissions.
+// Each prune costs O(1) amortized: at most the queued and running records
+// (QueueDepth + Workers) stand before the oldest terminal one.
 func (e *Engine) recordLocked(j *Job) {
 	e.jobs[j.id] = j
-	e.order = append(e.order, j)
-	excess := len(e.jobs) - e.opts.MaxJobs
-	if excess <= 0 {
-		return
+	if j.cacheHit {
+		e.hitRecords.push(j)
+	} else {
+		e.runRecords.push(j)
 	}
-	prunable := func(old *Job, hitsOnly bool) bool {
-		if hitsOnly {
-			return old.cacheHit
+	for len(e.jobs) > e.opts.MaxJobs {
+		old := e.hitRecords.popTerminal()
+		if old == nil {
+			old = e.runRecords.popTerminal()
 		}
-		return old.state.Terminal()
-	}
-	for _, hitsOnly := range []bool{true, false} {
-		if excess <= 0 {
-			break
+		if old == nil {
+			return // every retained record is queued or running
 		}
-		kept := e.order[:0]
-		for _, old := range e.order {
-			if excess > 0 && prunable(old, hitsOnly) {
-				delete(e.jobs, old.id)
-				excess--
-				continue
-			}
-			kept = append(kept, old)
-		}
-		e.order = kept
+		delete(e.jobs, old.id)
 	}
 }
+
+// recordQueue is a FIFO of job records, oldest first from head.
+type recordQueue struct {
+	jobs []*Job
+	head int
+}
+
+func (q *recordQueue) push(j *Job) {
+	if q.head > 0 && q.head >= len(q.jobs)/2 { // reclaim the popped half
+		n := copy(q.jobs, q.jobs[q.head:])
+		clear(q.jobs[n:])
+		q.jobs, q.head = q.jobs[:n], 0
+	}
+	q.jobs = append(q.jobs, j)
+}
+
+// popTerminal removes and returns the oldest terminal record, nil if
+// there is none; the non-terminal records before it keep their order.
+func (q *recordQueue) popTerminal() *Job {
+	for i := q.head; i < len(q.jobs); i++ {
+		if j := q.jobs[i]; j.state.Terminal() {
+			copy(q.jobs[q.head+1:i+1], q.jobs[q.head:i])
+			q.jobs[q.head] = nil
+			q.head++
+			return j
+		}
+	}
+	return nil
+}
+
+// live returns the records still held, oldest first.
+func (q *recordQueue) live() []*Job { return q.jobs[q.head:] }
 
 // worker takes the oldest queued job and runs it, until the engine
 // closes. Workers park on the engine condvar while the queue is empty and
@@ -577,7 +607,8 @@ func (e *Engine) worker() {
 }
 
 // finishLocked moves a job to its terminal state: a done job stays in the
-// key table as a cache entry, a failed or cancelled one leaves it. It
+// key table as a cache entry, a failed or cancelled one leaves it, and so
+// does a done one whose graph was invalidated while it was in flight. It
 // returns the completion hook for the caller to invoke after releasing
 // the engine mutex — a hook is free to call back into the engine.
 func (e *Engine) finishLocked(j *Job, v any, err error) func() {
@@ -590,7 +621,11 @@ func (e *Engine) finishLocked(j *Job, v any, err error) func() {
 		j.state = StateDone
 		j.result = v
 		e.completed.Inc()
-		e.cacheLocked(j)
+		if j.stale {
+			delete(e.byKey, j.key)
+		} else {
+			e.cacheLocked(j)
+		}
 	case errors.Is(err, context.Canceled):
 		j.state = StateCancelled
 		j.err = err
@@ -691,9 +726,16 @@ func (e *Engine) Get(id string) (*Job, bool) {
 func (e *Engine) List() []Info {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]Info, 0, len(e.order))
-	for i := len(e.order) - 1; i >= 0; i-- {
-		out = append(out, e.order[i].infoLocked())
+	hits, runs := e.hitRecords.live(), e.runRecords.live()
+	out := make([]Info, 0, len(hits)+len(runs))
+	for len(hits) > 0 || len(runs) > 0 {
+		var j *Job
+		if len(runs) == 0 || len(hits) > 0 && hits[len(hits)-1].seq > runs[len(runs)-1].seq {
+			j, hits = hits[len(hits)-1], hits[:len(hits)-1]
+		} else {
+			j, runs = runs[len(runs)-1], runs[:len(runs)-1]
+		}
+		out = append(out, j.infoLocked())
 	}
 	return out
 }
@@ -730,20 +772,24 @@ func (e *Engine) WaitOrAbandon(ctx context.Context, j *Job) bool {
 }
 
 // InvalidateGraph drops cached results for a graph name (any version)
-// and returns how many it dropped. Correctness never depends on this —
-// keys carry the graph version — but dropping a deleted or evicted
-// graph's results frees their memory immediately.
+// and returns how many it dropped; a job on that graph still queued or
+// running will leave the key table when it finishes instead of caching
+// its result. Correctness never depends on this — keys carry the graph
+// version — but dropping a deleted or evicted graph's results frees their
+// memory immediately.
 func (e *Engine) InvalidateGraph(name string) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	n := 0
-	for el := e.cached.Front(); el != nil; {
-		next := el.Next()
-		if j := el.Value.(*Job); j.key.Graph == name {
+	for _, j := range e.byKey {
+		switch {
+		case j.key.Graph != name:
+		case j.state == StateDone:
 			e.uncacheLocked(j)
 			n++
+		default:
+			j.stale = true
 		}
-		el = next
 	}
 	return n
 }

@@ -304,6 +304,42 @@ func TestInvalidateGraph(t *testing.T) {
 	compute(t, e, a2, true)
 }
 
+// TestInvalidateGraphDropsInFlightResults: jobs on a graph that is
+// invalidated while one runs and one waits behind it finish without
+// caching their results, so nothing outlives the graph and a
+// resubmission computes afresh.
+func TestInvalidateGraphDropsInFlightResults(t *testing.T) {
+	e := NewEngine(Options{Workers: 1, ResultTTL: time.Hour})
+	defer e.Close()
+	release := make(chan struct{})
+	run := func(context.Context) (any, error) { <-release; return 1, nil }
+	running, queued := testKey("g", 1, "x", ""), testKey("g", 1, "y", "")
+	j1, _, err := e.Submit(Request{Key: running, Pin: true, Run: run})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, j1, StateRunning)
+	j2, _, err := e.Submit(Request{Key: queued, Pin: true, Run: run})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := e.InvalidateGraph("g"); n != 0 {
+		t.Fatalf("invalidated %d cached results, want 0", n)
+	}
+	close(release)
+	<-j1.Done()
+	<-j2.Done()
+	if j1.State() != StateDone || j2.State() != StateDone {
+		t.Fatalf("states %s, %s; want done", j1.State(), j2.State())
+	}
+	if n := cachedResults(e); n != 0 {
+		t.Fatalf("cached results = %d, want 0", n)
+	}
+	compute(t, e, running, true)
+	compute(t, e, queued, true)
+	compute(t, e, running, false) // a job started after the invalidation caches
+}
+
 func TestQueueFull(t *testing.T) {
 	e := NewEngine(Options{Workers: 1, QueueDepth: 1})
 	defer e.Close()
@@ -532,6 +568,48 @@ func TestJobRetentionPrunesTerminal(t *testing.T) {
 	}
 }
 
+// TestJobRetentionPruneOrder: beyond MaxJobs the oldest cache-hit record
+// goes first, then the oldest terminal record; a running job's record
+// stays, whatever its age, until it finishes.
+func TestJobRetentionPruneOrder(t *testing.T) {
+	e := NewEngine(Options{Workers: 2, MaxJobs: 4, ResultTTL: time.Hour})
+	defer e.Close()
+	release := make(chan struct{})
+	c, _, err := e.Submit(Request{Key: testKey("c", 1, "x", ""), Pin: true, Run: func(context.Context) (any, error) { <-release; return 1, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, c, StateRunning)
+	a, b, d, f, g := testKey("a", 1, "x", ""), testKey("b", 1, "x", ""), testKey("d", 1, "x", ""), testKey("f", 1, "x", ""), testKey("g", 1, "x", "")
+	records := func(want string) {
+		t.Helper()
+		var got []string
+		for _, in := range e.List() {
+			name := in.Graph
+			if in.CacheHit {
+				name = "hit:" + name
+			}
+			got = append(got, name)
+		}
+		if fmt.Sprint(got) != want {
+			t.Fatalf("records newest first %v, want %s", got, want)
+		}
+	}
+	compute(t, e, a, true)
+	compute(t, e, a, false)
+	compute(t, e, b, true)
+	records("[b hit:a a c]")
+	compute(t, e, b, false) // prunes hit:a
+	records("[hit:b b a c]")
+	compute(t, e, d, true) // prunes hit:b
+	compute(t, e, f, true) // no hit left: prunes a, the oldest terminal record
+	records("[f d b c]")
+	close(release)
+	<-c.Done()
+	compute(t, e, g, true) // c is terminal now, and the oldest
+	records("[g f d b]")
+}
+
 // TestConcurrentSubmitters hammers Submit/Cancel/WaitOrAbandon from many
 // goroutines; run under -race in CI.
 func TestConcurrentSubmitters(t *testing.T) {
@@ -653,5 +731,32 @@ func TestVersionInterplayRekeysCacheAndDedup(t *testing.T) {
 	}
 	if hits, dedup := e.cacheHits.Int(), e.dedupHits.Int(); hits != 3 || dedup != 0 {
 		t.Fatalf("cache hits %d (want 3), dedup hits %d (want 0)", hits, dedup)
+	}
+}
+
+// BenchmarkSubmitHitFullTable: a cache hit on an engine that already holds
+// MaxJobs records, so every submission prunes one; its cost must not grow
+// with MaxJobs.
+func BenchmarkSubmitHitFullTable(b *testing.B) {
+	for _, maxJobs := range []int{1024, 16384} {
+		b.Run(fmt.Sprintf("MaxJobs=%d", maxJobs), func(b *testing.B) {
+			e := NewEngine(Options{Workers: 1, MaxJobs: maxJobs, ResultTTL: time.Hour})
+			defer e.Close()
+			req := Request{Key: testKey("g", 1, "x", ""), Pin: true, Run: func(context.Context) (any, error) { return 1, nil }}
+			j, _, err := e.Submit(req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			<-j.Done()
+			for range maxJobs {
+				e.Submit(req)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, isNew, err := e.Submit(req); isNew || err != nil {
+					b.Fatalf("isNew=%v err=%v, want a cache hit", isNew, err)
+				}
+			}
+		})
 	}
 }
