@@ -22,7 +22,7 @@
 // slow-query logs are structured slog records (-log-level, -log-format,
 // -slow-query), and -pprof-addr exposes net/http/pprof on its own
 // listener. GET /healthz reports per-component readiness: store
-// writability, job-queue headroom, compactor liveness.
+// writability, job-queue headroom, compaction progress.
 //
 // Quickstart:
 //

@@ -3,6 +3,7 @@ package algo
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -107,20 +108,11 @@ func (p Params) Ints(name string) []int {
 // computation — `{}` vs `{"damping":0.85}`, or the same keys in any JSON
 // order — produce byte-identical canonical strings, so the jobs engine
 // dedups and caches them as one.
+//
+// Marshal cannot fail: coerce admits only finite numbers, and every value
+// is an int, float64, bool, string or []int.
 func (p Params) Canonical() string {
-	b, err := json.Marshal(p.m)
-	if err != nil { // unreachable: the map holds only JSON-native types
-		keys := make([]string, 0, len(p.m))
-		for k := range p.m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		var sb strings.Builder
-		for _, k := range keys {
-			fmt.Fprintf(&sb, "%s=%v;", k, p.m[k])
-		}
-		return sb.String()
-	}
+	b, _ := json.Marshal(p.m)
 	return string(b)
 }
 
@@ -193,6 +185,9 @@ func (s *Spec) coerce(v any) (any, error) {
 		f, ok := asFloat(v)
 		if !ok {
 			return nil, Paramf(s.Name, "want a number, got %s", jsonTypeName(v))
+		}
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return nil, Paramf(s.Name, "want a finite number, got %g", f)
 		}
 		if err := s.checkRange(f, fmt.Sprintf("%g", f)); err != nil {
 			return nil, err

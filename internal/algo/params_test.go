@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -163,5 +164,26 @@ func TestValidateRequired(t *testing.T) {
 	}
 	if _, err := d.Validate(map[string]any{"k": 5}); err != nil {
 		t.Fatalf("provided required: %v", err)
+	}
+}
+
+// TestValidateRejectsNonFiniteFloats: HTTP bodies cannot carry NaN or
+// ±Inf (the decoders use UseNumber), but Go callers can. Every comparison
+// with NaN is false, so a NaN damping would pass the (0,1) range check
+// and an infinite tol has no bound to fail; coercion must reject both by
+// name before any range check, as it does a wrong type.
+func TestValidateRejectsNonFiniteFloats(t *testing.T) {
+	for _, tc := range []struct{ alg, field string }{
+		{"pagerank", "damping"},
+		{"pagerank", "tol"},
+		{"sssp", "delta"},
+	} {
+		for _, x := range []any{math.NaN(), math.Inf(1), math.Inf(-1), json.Number("NaN")} {
+			_, err := mustLookup(t, tc.alg).Validate(map[string]any{tc.field: x})
+			var pe *ParamError
+			if !errors.As(err, &pe) || pe.Field != tc.field {
+				t.Errorf("%s %s=%v: err = %v, want a ParamError on %q", tc.alg, tc.field, x, err, tc.field)
+			}
+		}
 	}
 }

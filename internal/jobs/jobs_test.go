@@ -734,6 +734,46 @@ func TestVersionInterplayRekeysCacheAndDedup(t *testing.T) {
 	}
 }
 
+// TestSubmitCacheHitAllocationBudget pins what a cache hit allocates — a
+// sync request's Submit plus WaitOrAbandon on a cached key — with the
+// record table past MaxJobs, so every hit also prunes a record: the Job
+// record, its done channel and its id, and nothing that grows with the
+// table.
+func TestSubmitCacheHitAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocation counts")
+	}
+	const maxJobs = 64
+	e := NewEngine(Options{Workers: 1, MaxJobs: maxJobs, ResultTTL: time.Hour})
+	defer e.Close()
+	ctx := context.Background()
+	req := Request{Key: testKey("g", 1, "x", ""), Run: func(context.Context) (any, error) { return 1, nil }}
+	submit := func() bool {
+		j, isNew, err := e.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.WaitOrAbandon(ctx, j)
+		return isNew
+	}
+	for range 2 * maxJobs { // one computation, then hits past MaxJobs
+		submit()
+	}
+	const budget = 3
+	allocs := testing.AllocsPerRun(1000, func() {
+		if submit() {
+			t.Fatal("cached key recomputed")
+		}
+	})
+	t.Logf("a cache hit allocates %.1f times", allocs)
+	if allocs > budget {
+		t.Fatalf("a cache hit allocated %.1f times, budget %d", allocs, budget)
+	}
+	if n := len(e.List()); n != maxJobs {
+		t.Fatalf("%d job records retained, want %d", n, maxJobs)
+	}
+}
+
 // BenchmarkSubmitHitFullTable: a cache hit on an engine that already holds
 // MaxJobs records, so every submission prunes one; its cost must not grow
 // with MaxJobs.

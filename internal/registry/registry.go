@@ -304,37 +304,25 @@ func (r *Registry) unlinkLocked(e *Entry) {
 }
 
 // evictLocked removes least-recently-used entries with no outstanding
-// leases until curBytes <= budget. Returns an error when the budget cannot
-// be met because every remaining entry is leased. Feasibility is checked
-// before anything is evicted, so a failing call leaves the registry
-// untouched — an Add or Swap that cannot fit must not evict innocent
-// graphs on its way to failing.
+// leases until curBytes <= budget. One walk from the LRU tail collects
+// the victims before anything is evicted, so when the budget cannot be
+// met because too much is leased it returns ErrNoCapacity with the
+// registry untouched — an Add or Swap that cannot fit must not evict
+// innocent graphs on its way to failing.
 func (r *Registry) evictLocked(budget int64) error {
-	if budget < 0 {
-		budget = 0
-	}
-	reclaimable := int64(0)
-	for el := r.lru.Back(); el != nil; el = el.Prev() {
+	excess := r.curBytes - max(budget, 0)
+	var victims []*Entry
+	for el := r.lru.Back(); el != nil && excess > 0; el = el.Prev() {
 		if e := el.Value.(*Entry); e.refs.Load() == 0 {
-			reclaimable += e.bytes
+			victims = append(victims, e)
+			excess -= e.bytes
 		}
 	}
-	if r.curBytes-reclaimable > budget {
+	if excess > 0 {
 		return ErrNoCapacity
 	}
-	for r.curBytes > budget {
-		victim := (*Entry)(nil)
-		for el := r.lru.Back(); el != nil; el = el.Prev() {
-			e := el.Value.(*Entry)
-			if e.refs.Load() == 0 {
-				victim = e
-				break
-			}
-		}
-		if victim == nil {
-			return ErrNoCapacity
-		}
-		r.removeLocked(victim, RemoveEvicted)
+	for _, e := range victims {
+		r.removeLocked(e, RemoveEvicted)
 		r.evictions.Add(1)
 	}
 	return nil

@@ -149,6 +149,76 @@ func TestLRUEvictionRespectsLeases(t *testing.T) {
 	}
 }
 
+// TestEvictionSkipsLeasedTail: with two leased graphs at the LRU tail, an
+// insert that needs the room of two graphs evicts the two least recently
+// used unleased ones, in LRU order, and an insert that cannot fit evicts
+// nothing even though some graph is unleased.
+func TestEvictionSkipsLeasedTail(t *testing.T) {
+	per := EstimateBytes(loadGraph(t, "p", 5, true))
+	big := loadGraph(t, "big", 6, true)
+	if EstimateBytes(big) < per*3/2 {
+		t.Fatalf("a scale-6 graph (%d B) is under 1.5× a scale-5 one (%d B)", EstimateBytes(big), per)
+	}
+	// Five small graphs fit; the big one fits only after two of them go.
+	r := New(3*per + EstimateBytes(big) + per/2)
+	var evicted []string
+	r.AddRemoveListener(func(name string, reason RemoveReason) {
+		if reason == RemoveEvicted {
+			evicted = append(evicted, name)
+		}
+	})
+	for _, name := range []string{"a", "b", "c", "d", "e"} {
+		if _, err := r.Add(name, loadGraph(t, name, 5, true)); err != nil {
+			t.Fatalf("Add %s: %v", name, err)
+		}
+	}
+	// Lease a and b, then touch c, d and e in that order: from the LRU
+	// tail the registry reads a, b (both leased), c, d, e.
+	for _, name := range []string{"a", "b"} {
+		l, err := r.Acquire(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Release()
+	}
+	for _, name := range []string{"c", "d", "e"} {
+		l, err := r.Acquire(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Release()
+	}
+
+	if _, err := r.Add("big", big); err != nil {
+		t.Fatalf("Add big: %v", err)
+	}
+	if len(evicted) != 2 || evicted[0] != "c" || evicted[1] != "d" {
+		t.Fatalf("evicted %v, want [c d]", evicted)
+	}
+	for _, name := range []string{"a", "b", "e", "big"} {
+		if _, ok := r.Info(name); !ok {
+			t.Fatalf("%s should be resident", name)
+		}
+	}
+
+	// Pin big: only e is unleased now, and it is too small to make room
+	// for a second big graph, so the insert fails and e stays.
+	lbig, err := r.Acquire("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lbig.Release()
+	if _, err := r.Add("big2", loadGraph(t, "big2", 6, true)); !errors.Is(err, ErrNoCapacity) {
+		t.Fatalf("Add big2: %v, want ErrNoCapacity", err)
+	}
+	if _, ok := r.Info("e"); !ok || len(evicted) != 2 {
+		t.Fatalf("a failing insert evicted: resident e %v, evicted %v", ok, evicted)
+	}
+	if got := scrape(t, r)["registry_evictions_total"]; got != 2 {
+		t.Fatalf("evictions = %v, want 2", got)
+	}
+}
+
 func TestOversizeGraphRejected(t *testing.T) {
 	g := loadGraph(t, "g", 6, true)
 	r := New(EstimateBytes(g) - 1)

@@ -7,7 +7,7 @@ import (
 )
 
 // Component-level readiness: /healthz is not one boolean but a set of
-// probes — job-queue headroom, compactor liveness, durable-store
+// probes — job-queue headroom, compaction progress, durable-store
 // writability — each answering "could this subsystem serve the next
 // request". The same probes back the component_ready{component} gauge
 // family, so an operator's dashboard and a load balancer's health check
@@ -15,10 +15,11 @@ import (
 // failing component named in the body; the daemon keeps serving (a full
 // queue is back-pressure, not death), the caller decides what to do.
 
-// compactorStaleAfter is how long the stream compactor may go without a
-// liveness beat before /healthz calls it dead. The compactor beats every
-// second while idle and at merge boundaries, so 30s of silence means a
-// stuck merge or a lost goroutine, not load.
+// compactorStaleAfter is how long one stream compaction may hold the
+// engine's compaction lock before /healthz calls the compactor stuck. A
+// compaction is a finalize that readers often already paid plus one
+// checkpoint write, so 30s means a hung merge or checkpoint, not load;
+// an idle engine runs no compaction and is always live.
 const compactorStaleAfter = 30 * time.Second
 
 // healthComponent is one named readiness probe.

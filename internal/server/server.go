@@ -203,7 +203,7 @@ func New(reg *registry.Registry, opts Options) *Server {
 		// Order matters: recovery replays the WAL through the stream
 		// engine while no journal is attached (so the replayed batches are
 		// not re-appended), then the journal (which also receives the
-		// compactor's checkpoints) and the registry delete listener come
+		// compactions' checkpoints) and the registry delete listener come
 		// live.
 		s.store.RecoverInto(reg, s.stream)
 		s.stream.SetJournal(s.store)

@@ -213,24 +213,34 @@ func TestKillAndRecoverAfterCompactionCheckpoint(t *testing.T) {
 	h1.loadGraph(t, "g", lagraph.AdjacencyDirected, 16,
 		[][3]float64{{0, 1, 1}, {1, 2, 1}, {2, 3, 1}})
 	for i := 0; i < 6; i++ {
-		if _, err := h1.eng.Apply("g", []stream.Op{
+		res, err := h1.eng.Apply("g", []stream.Op{
 			{Op: stream.OpUpsert, Src: i, Dst: i + 4, Weight: fp(float64(i + 1))},
 			{Op: stream.OpUpsert, Src: i + 4, Dst: i, Weight: fp(float64(i + 2))},
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatalf("Apply %d: %v", i, err)
 		}
-	}
-	// Wait for the compactor's checkpoint (load checkpoint + compaction
-	// checkpoint ⇒ >= 2) to prove recovery also works from a
-	// mid-history checkpoint plus WAL tail.
-	deadline := time.Now().Add(5 * time.Second)
-	for h1.st.StatsSnapshot().Checkpoints < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("compaction checkpoint never happened")
+		if i != 3 {
+			continue
 		}
-		time.Sleep(5 * time.Millisecond)
+		// The fourth batch fills the log to the threshold. Wait for its
+		// compaction's checkpoint (load checkpoint + compaction checkpoint
+		// ⇒ >= 2) before the next batch, so the crash below finds the
+		// engine at rest: recovery starts from a mid-history checkpoint
+		// plus a WAL tail, and no compaction is still adopting a later
+		// version whose checkpoint the crash would lose.
+		if !res.CompactionScheduled {
+			t.Fatalf("batch %d reached the threshold without scheduling a compaction", i)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for h1.st.StatsSnapshot().Checkpoints < 2 {
+			if time.Now().After(deadline) {
+				t.Fatal("compaction checkpoint never happened")
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
 	}
-	// A couple more batches after the checkpoint form the WAL tail.
+	// A couple more batches form the rest of the WAL tail.
 	for i := 0; i < 2; i++ {
 		if _, err := h1.eng.Apply("g", []stream.Op{
 			{Op: stream.OpDelete, Src: i, Dst: i + 4},

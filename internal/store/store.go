@@ -17,7 +17,7 @@
 // appended (and optionally fsynced) to the WAL before the stream engine
 // publishes its snapshot, and a batch whose publication fails is taken
 // back off the log. Checkpoints — written when a graph is first loaded
-// and whenever the stream compactor folds a delta log into its base —
+// and whenever a stream compaction folds a delta log into its base —
 // land as checkpoint-<V>.bin via temp+rename, then meta.json flips to V,
 // then WAL records with version <= V are dropped. Compaction is what
 // bounds the WAL: every record since the last checkpoint is a logged
@@ -473,8 +473,11 @@ func (gf *graphFile) repairWALLocked(fsync bool) error {
 // record for version after a failed publication, by truncation when the
 // file has not moved underneath (the common case) and otherwise by
 // rewriting the WAL without any record at or past version. Best-effort:
-// if the revert itself fails, boot-time replay still discards the record
-// because its version can never join the acknowledged sequence.
+// if both fail, the record stays on disk and the handle is poisoned, so
+// the next append rebuilds the WAL without it. Until that append the
+// window is open: should the process die first, the record's version is
+// exactly one past the last acknowledged one, and boot-time replay
+// applies the rejected batch.
 func (s *Store) RevertBatch(name string, version uint64) {
 	gf := s.graph(name)
 	if gf == nil {
@@ -555,7 +558,7 @@ func (s *Store) Checkpoint(name string, kind lagraph.Kind, m *grb.Matrix[float64
 // records from a dead incarnation, possibly at *higher* versions after a
 // partial recovery — is wiped rather than merged, so an acknowledged
 // load is always exactly what lands on disk. Without fresh (the journal
-// path) checkpoints only move forward: a stale writer (the compactor's
+// path) checkpoints only move forward: a stale writer (a compaction's
 // checkpoint of a version SaveGraph has since replaced) is a no-op, because regressing meta would orphan the WAL
 // records the newer checkpoint already dropped.
 //

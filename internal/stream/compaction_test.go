@@ -7,7 +7,9 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"lagraph/internal/gap"
 	"lagraph/internal/grb"
@@ -397,5 +399,122 @@ func TestCompactionReusesFinalizedVersion(t *testing.T) {
 	}
 	if got := e.StatsSnapshot().Compactions; got != 1 {
 		t.Fatalf("compactions = %d, want 1", got)
+	}
+}
+
+// blockingJournal accepts every append and holds each Checkpoint until
+// release, signalling entered as the first one arrives: a hung checkpoint
+// write, as a stalled disk would produce.
+type blockingJournal struct {
+	entered  chan struct{}
+	released chan struct{}
+	once     sync.Once
+}
+
+func newBlockingJournal() *blockingJournal {
+	return &blockingJournal{entered: make(chan struct{}, 1), released: make(chan struct{})}
+}
+
+func (j *blockingJournal) release() { j.once.Do(func() { close(j.released) }) }
+
+func (j *blockingJournal) AppendBatch(string, uint64, []Op) error { return nil }
+func (j *blockingJournal) RevertBatch(string, uint64)             {}
+func (j *blockingJournal) Checkpoint(string, lagraph.Kind, *grb.Matrix[float64], uint64) error {
+	select {
+	case j.entered <- struct{}{}:
+	default:
+	}
+	<-j.released
+	return nil
+}
+
+// TestCompactionScheduledForEveryGraph: while one compaction's checkpoint
+// hangs, every other graph whose delta log crosses the threshold still
+// gets a compaction of its own — no queue bound leaves a graph waiting
+// for a next batch that may never come — and each of them runs once the
+// checkpoint returns.
+func TestCompactionScheduledForEveryGraph(t *testing.T) {
+	const graphs = 80
+	reg := registry.New(0)
+	for k := range graphs {
+		if _, err := reg.Add(fmt.Sprintf("g%d", k), makeGraph(t, 4, lagraph.AdjacencyDirected, [][2]int{{0, 1}})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := NewEngine(reg, Options{CompactThreshold: 1})
+	t.Cleanup(e.Close)
+	j := newBlockingJournal()
+	t.Cleanup(j.release) // cleanups run last-in first-out: before Close
+	e.SetJournal(j)
+
+	for k := range graphs {
+		res, err := e.Apply(fmt.Sprintf("g%d", k), []Op{upsert(1, 2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.CompactionScheduled {
+			t.Fatalf("graph %d of %d: compaction not scheduled", k, graphs)
+		}
+	}
+	select {
+	case <-j.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no compaction reached its checkpoint")
+	}
+	j.release()
+	e.Close() // waits for every scheduled compaction
+	if got := e.StatsSnapshot().Compactions; got != graphs {
+		t.Fatalf("compactions = %d, want %d", got, graphs)
+	}
+	for k := range graphs {
+		if info, _ := reg.Info(fmt.Sprintf("g%d", k)); info.PendingDeltaOps != 0 {
+			t.Fatalf("graph %d still has %d pending ops", k, info.PendingDeltaOps)
+		}
+	}
+}
+
+// TestCompactorLiveReportsHungCheckpoint: the compactor probe needs no
+// idle heartbeat — an idle engine stays live however long it waits — and
+// fails while one compaction holds the compaction lock past staleAfter,
+// recovering once that checkpoint returns.
+func TestCompactorLiveReportsHungCheckpoint(t *testing.T) {
+	const staleAfter = 10 * time.Millisecond
+	_, e := setup(t, "g", makeGraph(t, 4, lagraph.AdjacencyDirected, [][2]int{{0, 1}}), Options{CompactThreshold: 1})
+	j := newBlockingJournal()
+	t.Cleanup(j.release)
+	e.SetJournal(j)
+
+	time.Sleep(2 * staleAfter)
+	if ok, detail := e.CompactorLive(staleAfter); !ok {
+		t.Fatalf("idle engine not live: %s", detail)
+	}
+	if res, err := e.Apply("g", []Op{upsert(1, 2)}); err != nil || !res.CompactionScheduled {
+		t.Fatalf("apply: %+v, %v", res, err)
+	}
+	select {
+	case <-j.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("compaction never reached its checkpoint")
+	}
+	time.Sleep(2 * staleAfter)
+	if ok, detail := e.CompactorLive(staleAfter); ok || detail == "" {
+		t.Fatalf("hung checkpoint: live=%v detail=%q, want not live with a detail", ok, detail)
+	}
+
+	j.release()
+	deadline := time.Now().Add(5 * time.Second)
+	for ok, detail := e.CompactorLive(staleAfter); !ok; ok, detail = e.CompactorLive(staleAfter) {
+		if time.Now().After(deadline) {
+			t.Fatalf("released checkpoint: still not live (%s)", detail)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(2 * staleAfter)
+	if ok, detail := e.CompactorLive(staleAfter); !ok {
+		t.Fatalf("idle again after the checkpoint: not live (%s)", detail)
+	}
+	e.Close()
+	if ok, detail := e.CompactorLive(staleAfter); ok || detail == "" {
+		t.Fatalf("closed engine: live=%v detail=%q", ok, detail)
 	}
 }

@@ -14,14 +14,16 @@
 // result cache re-keys automatically, and new submissions see the new
 // graph.
 //
-// Once the log crosses a size or ratio threshold, a background compactor
-// advances the head onto the current version's assembled CSR — the
-// registry finalizes each version once, often for a reader that got there
-// first — and checkpoints it; when no batch raced it, the same graph is
-// republished under the *same* version with no pending delta (content is
-// unchanged, so cached results stay valid). The edge and self-loop counts
-// are maintained incrementally across batches; degrees and every other
-// property are recomputed on demand, as for a freshly loaded graph.
+// Once the log crosses a size or ratio threshold, the batch that crossed
+// it starts a compaction on a goroutine of its own (one runs at a time;
+// Close waits for them). The compaction advances the head onto the
+// current version's assembled CSR — the registry finalizes each version
+// once, often for a reader that got there first — and checkpoints it;
+// when no batch raced it, the same graph is republished under the *same*
+// version with no pending delta (content is unchanged, so cached results
+// stay valid). The edge and self-loop counts are maintained incrementally
+// across batches; degrees and every other property are recomputed on
+// demand, as for a freshly loaded graph.
 package stream
 
 import (
@@ -70,9 +72,10 @@ var (
 // publish itself failed, so an unacknowledged batch can never replay.
 // Checkpoint hands over a compacted base: the assembled matrix published
 // as version, every delta merged in. AppendBatch and RevertBatch for one
-// graph are serialized by the engine; Checkpoint runs on the compactor
-// goroutine and may overlap them, so implementations must do their own
-// per-graph file locking.
+// graph are serialized by the engine; Checkpoint runs on a compaction's
+// goroutine, one at a time engine-wide and so in version order per graph,
+// and may overlap them, so implementations must do their own per-graph
+// file locking.
 type Journal interface {
 	AppendBatch(graph string, version uint64, ops []Op) error
 	RevertBatch(graph string, version uint64)
@@ -187,14 +190,13 @@ type Engine struct {
 	closed  bool
 	journal Journal
 
-	compactCh     chan string
-	compactorDone chan struct{} // closed when the compactor goroutine exits
-	compactMu     sync.Mutex    // one compaction at a time: checkpoints reach the journal in version order
+	wg        sync.WaitGroup // scheduled compactions; Close waits for them
+	compactMu sync.Mutex     // one compaction at a time: checkpoints reach the journal in version order
 
-	// compactorBeat is the unixnano of the compactor goroutine's last
-	// liveness beat — ticked while idle, stamped around each merge — so
-	// /healthz can tell a healthy-but-busy compactor from a dead one.
-	compactorBeat atomic.Int64
+	// compactStart is the unixnano at which the compaction holding
+	// compactMu started, 0 while none runs, so /healthz can tell a hung
+	// checkpoint write from a busy engine.
+	compactStart atomic.Int64
 
 	// Engine telemetry: obs instruments shared by Stats and the Prometheus
 	// exposition.
@@ -209,19 +211,16 @@ type Engine struct {
 	compactSecs  *obs.Histogram
 }
 
-// NewEngine builds an engine over reg and starts its background
-// compactor. The engine registers itself as the registry's removal
-// listener so a deleted or LRU-evicted graph's delta state (which pins
-// the base CSR) is dropped with it.
+// NewEngine builds an engine over reg. The engine registers itself as
+// the registry's removal listener so a deleted or LRU-evicted graph's
+// delta state (which pins the base CSR) is dropped with it.
 func NewEngine(reg *registry.Registry, opts Options) *Engine {
 	opts.fill()
 	o := opts.Obs
 	e := &Engine{
-		reg:           reg,
-		opts:          opts,
-		states:        make(map[string]*graphState),
-		compactCh:     make(chan string, 64),
-		compactorDone: make(chan struct{}),
+		reg:    reg,
+		opts:   opts,
+		states: make(map[string]*graphState),
 
 		batches:      o.Counter("stream_batches_total", "Mutation batches applied (no-op batches included)."),
 		opsApplied:   o.Counter("stream_ops_applied_total", "Edge operations accepted across all batches."),
@@ -244,8 +243,6 @@ func NewEngine(reg *registry.Registry, opts Options) *Engine {
 			return float64(len(e.states))
 		})
 	reg.AddRemoveListener(func(name string, _ registry.RemoveReason) { e.Forget(name) })
-	e.beat()
-	go e.compactor()
 	return e
 }
 
@@ -266,18 +263,13 @@ func (e *Engine) journalFor() Journal {
 	return e.journal
 }
 
-// Close stops the background compactor. Pending compactions drain;
-// further Apply calls fail with ErrClosed.
+// Close waits for the scheduled compactions to finish and schedules no
+// more; further Apply calls fail with ErrClosed.
 func (e *Engine) Close() {
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
 	e.closed = true
-	close(e.compactCh)
 	e.mu.Unlock()
-	<-e.compactorDone
+	e.wg.Wait()
 }
 
 // Forget drops the per-graph mutation state (the graph was deleted).
@@ -535,8 +527,9 @@ func (st *graphState) snapshot() (*lagraph.Graph[float64], error) {
 	return g, nil
 }
 
-// maybeScheduleCompact enqueues a background compaction when the delta
-// log crossed the size or ratio threshold. Called with st.mu held.
+// maybeScheduleCompact starts a background compaction when the delta log
+// crossed the size or ratio threshold; a graph has at most one scheduled.
+// Called with st.mu held.
 func (e *Engine) maybeScheduleCompact(name string, st *graphState) bool {
 	if st.compactScheduled {
 		return true
@@ -551,27 +544,19 @@ func (e *Engine) maybeScheduleCompact(name string, st *graphState) bool {
 	if e.closed {
 		return false
 	}
-	select {
-	case e.compactCh <- name:
-		st.compactScheduled = true
-		return true
-	default:
-		// Queue full: the next batch will retrigger.
-		return false
-	}
+	st.compactScheduled = true
+	e.wg.Add(1)
+	go func() {
+		defer e.wg.Done()
+		e.compactOne(name)
+	}()
+	return true
 }
 
-// compactorBeatInterval paces the compactor's idle liveness beats.
-const compactorBeatInterval = time.Second
-
-// beat stamps the compactor-liveness heartbeat.
-func (e *Engine) beat() { e.compactorBeat.Store(time.Now().UnixNano()) }
-
-// CompactorLive reports whether the compactor goroutine has beaten its
-// heartbeat within staleAfter — the /healthz compactor-component probe.
-// A compactor mid-merge on a huge graph beats only at merge boundaries,
-// so probes should pass a staleAfter comfortably above expected merge
-// times.
+// CompactorLive is the /healthz compactor-component probe: it fails once
+// the engine is closed, or while the running compaction has held the
+// compaction lock for more than staleAfter (a hung checkpoint write).
+// Probes should pass a staleAfter comfortably above expected merge times.
 func (e *Engine) CompactorLive(staleAfter time.Duration) (bool, string) {
 	e.mu.Lock()
 	closed := e.closed
@@ -579,32 +564,12 @@ func (e *Engine) CompactorLive(staleAfter time.Duration) (bool, string) {
 	if closed {
 		return false, "stream engine closed"
 	}
-	age := time.Since(time.Unix(0, e.compactorBeat.Load()))
-	if age > staleAfter {
-		return false, fmt.Sprintf("no compactor heartbeat for %s", age.Round(time.Millisecond))
-	}
-	return true, ""
-}
-
-// compactor drains compaction requests until Close, beating the
-// liveness heartbeat while idle and around each merge.
-func (e *Engine) compactor() {
-	defer close(e.compactorDone)
-	tick := time.NewTicker(compactorBeatInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case name, ok := <-e.compactCh:
-			if !ok {
-				return
-			}
-			e.beat()
-			e.compactOne(name)
-			e.beat()
-		case <-tick.C:
-			e.beat()
+	if start := e.compactStart.Load(); start != 0 {
+		if age := time.Since(time.Unix(0, start)); age > staleAfter {
+			return false, fmt.Sprintf("compaction running for %s", age.Round(time.Millisecond))
 		}
 	}
+	return true, ""
 }
 
 // compactOne folds a graph's delta log into its base by advancing head
@@ -620,6 +585,8 @@ func (e *Engine) compactor() {
 func (e *Engine) compactOne(name string) {
 	e.compactMu.Lock()
 	defer e.compactMu.Unlock()
+	e.compactStart.Store(time.Now().UnixNano())
+	defer e.compactStart.Store(0)
 	e.mu.Lock()
 	st := e.states[name]
 	e.mu.Unlock()
