@@ -96,6 +96,10 @@ func assignScalar[T Value](C *Matrix[T], mask Mask, accum func(T, T) T,
 	if err != nil {
 		return err
 	}
+	if !mask.Exists() && accum == nil && reg.fn == nil && C.format != FormatFull {
+		// C(:,:) = s sets every position, so C is full whatever it held.
+		C.store = store[T]{nr: nr, nc: nc, format: FormatFull, val: make([]T, nr*nc)}
+	}
 	// C⟨M⟩ ⊙= s over the whole range with a sparse mask that lists its
 	// allowed positions (BFS's level stamp): T is the mask's pattern,
 	// walked.

@@ -2,9 +2,13 @@ package grb
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"lagraph/internal/parallel"
 )
 
 func TestFusedBFSPushStepEquivalence(t *testing.T) {
@@ -379,3 +383,244 @@ func TestFusedMinPlusPushStep(t *testing.T) {
 
 // firstErr drops a call's first result.
 func firstErr(_ int, err error) error { return err }
+
+// bcTraversal is one batched-BC forward state: the current frontier F, the
+// path counts P, the depths D, and the frontiers of the levels so far.
+type bcTraversal struct {
+	F, P   *Matrix[float64]
+	D      *Matrix[int32]
+	levels []*Matrix[float64]
+}
+
+// newBCTraversal starts a traversal at sources, one per row, at depth 0;
+// pending leaves F, P and D as pending tuples.
+func newBCTraversal(t *testing.T, n int, sources []int, pending bool) *bcTraversal {
+	ns := len(sources)
+	s := &bcTraversal{F: MustMatrix[float64](ns, n), P: MustMatrix[float64](ns, n), D: MustMatrix[int32](ns, n)}
+	for k, src := range sources {
+		s.F.SetElement(1, k, src)
+		s.P.SetElement(1, k, src)
+		s.D.SetElement(0, k, src)
+	}
+	if !pending {
+		s.F.Wait()
+		s.P.Wait()
+		s.D.Wait()
+	}
+	if (s.P.PendingTuples() > 0) != pending {
+		t.Fatalf("P has %d pending tuples", s.P.PendingTuples())
+	}
+	return s
+}
+
+// fusedLevel advances s by one FusedPlusFirstStep; genericLevel by its
+// generic formulation, C⟨¬s(P), r⟩ = F plus.first A (pull: by AT through
+// the transpose descriptor), P += C, D⟨s(C)⟩ = d + 1.
+func (s *bcTraversal) fusedLevel(A, AT *Matrix[float64], pull bool) (int, error) {
+	C := MustMatrix[float64](s.F.Dims())
+	nf, err := FusedPlusFirstStep(C, s.F, s.P, s.D, A, AT, pull)
+	s.F, s.levels = C, append(s.levels, C)
+	return nf, err
+}
+
+func (s *bcTraversal) genericLevel(A, AT *Matrix[float64], pull bool, d int32) (int, error) {
+	C := MustMatrix[float64](s.F.Dims())
+	X, desc := A, DescR
+	if pull {
+		X, desc = AT, DescRT1
+	}
+	if err := MxM(C, StructMaskOf(s.P).Not(), nil, PlusFirst[float64, float64](), s.F, X, desc); err != nil {
+		return 0, err
+	}
+	if err := EWiseAdd(s.P, NoMask, nil, AddOp(PlusOp[float64]()), s.P, C, nil); err != nil {
+		return 0, err
+	}
+	if err := AssignMatrixScalar(s.D, StructMaskOf(C), nil, d+1, All, All, nil); err != nil {
+		return 0, err
+	}
+	s.F, s.levels = C, append(s.levels, C)
+	return C.NVals(), nil
+}
+
+// backward runs the backward phase over s's levels, deepest first, into a
+// B of ones: fused by FusedPlusFirstBackStep, else as Algorithm 3 writes it,
+// W⟨s(level d+1), r⟩ = B ÷ P, W⟨s(level d), r⟩ = W plus.first AT,
+// B += W × P.
+func (s *bcTraversal) backward(A, AT *Matrix[float64], fused bool) (*Matrix[float64], error) {
+	B := MustMatrix[float64](s.P.Dims())
+	if err := AssignMatrixScalar(B, NoMask, nil, 1, All, All, nil); err != nil {
+		return nil, err
+	}
+	plus := func(a, b float64) float64 { return a + b }
+	for d := len(s.levels) - 2; d >= 1; d-- {
+		if fused {
+			if err := FusedPlusFirstBackStep(B, s.levels[d-1], s.P, s.D, A); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		W := MustMatrix[float64](s.P.Dims())
+		if err := EWiseMult(W, StructMaskOf(s.levels[d]), nil, DivOp[float64](), B, s.P, DescR); err != nil {
+			return nil, err
+		}
+		if err := MxM(W, StructMaskOf(s.levels[d-1]), nil, PlusFirst[float64, float64](), W, AT, DescR); err != nil {
+			return nil, err
+		}
+		if err := EWiseMult(B, NoMask, plus, TimesOp[float64](), W, s.P, nil); err != nil {
+			return nil, err
+		}
+	}
+	return B, nil
+}
+
+// randGraph is an n-vertex digraph of out-degree 0 … 2·deg, its transpose,
+// and, with pending, a few dozen insertions and deletions left pending.
+func randGraph(t *testing.T, rng *rand.Rand, n, deg int, pending bool) (*Matrix[float64], *Matrix[float64]) {
+	var rows, cols []int
+	for i := 0; i < n; i++ {
+		for range rng.Intn(2*deg + 1) {
+			rows, cols = append(rows, i), append(cols, rng.Intn(n))
+		}
+	}
+	A, err := MatrixFromTuples(n, n, rows, cols, make([]float64, len(rows)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	AT := NewTranspose(A)
+	if pending {
+		for k := 0; k < 40; k++ {
+			i, j := rng.Intn(n), rng.Intn(n)
+			if k%3 == 0 {
+				A.RemoveElement(i, j)
+				AT.RemoveElement(j, i)
+			} else {
+				A.SetElement(2, i, j)
+				AT.SetElement(2, j, i)
+			}
+		}
+	}
+	return A, AT
+}
+
+// TestFusedPlusFirstStep: level by level, FusedPlusFirstStep leaves the
+// frontier, path counts and depths its generic formulation leaves, push or
+// pull, from batches with a repeated source, over sparse, bitmap and
+// pending graphs and states with and without pending tuples; the backward
+// phase built on it leaves the B that Algorithm 3's W, masked multiply and
+// EWiseMults leave, bit for bit.
+func TestFusedPlusFirstStep(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 24; trial++ {
+		n := 20 + rng.Intn(300)
+		pending := trial%2 == 1
+		label := fmt.Sprintf("trial %d (n %d, pending %v)", trial, n, pending)
+		A, AT := randGraph(t, rng, n, 1+trial%4, pending)
+		if trial%4 == 2 {
+			A.ConvertTo(FormatBitmap)
+			AT.ConvertTo(FormatBitmap)
+		}
+		sources := make([]int, 1+rng.Intn(8))
+		for k := range sources {
+			sources[k] = rng.Intn(n)
+		}
+		sources = append(sources, sources[0])
+		fused, generic := newBCTraversal(t, n, sources, pending), newBCTraversal(t, n, sources, pending)
+		for d := int32(0); ; d++ {
+			pull := rng.Intn(2) == 0
+			nf, err := fused.fusedLevel(A, AT, pull)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			want, err := generic.genericLevel(A, AT, pull, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("%s, level %d, pull %v", label, d+1, pull)
+			if nf != want {
+				t.Fatalf("%s: frontier of %d, generic %d", what, nf, want)
+			}
+			matricesEqual(t, fused.F, denseOf(generic.F), what+": frontier")
+			matricesEqual(t, fused.P, denseOf(generic.P), what+": P")
+			matricesEqual(t, fused.D, denseOf(generic.D), what+": D")
+			if nf == 0 {
+				break
+			}
+		}
+		B, err := fused.backward(A, AT, true)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		want, err := generic.backward(A, AT, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matricesEqual(t, B, denseOf(want), label+": B")
+	}
+
+	// Errors: a non-square A, a P of other dimensions, a B not full.
+	s := newBCTraversal(t, 3, []int{0}, false)
+	if _, err := FusedPlusFirstStep(MustMatrix[float64](1, 3), s.F, s.P, s.D, MustMatrix[float64](3, 4), MustMatrix[float64](4, 3), false); InfoOf(err) != DimensionMismatch {
+		t.Fatalf("non-square A: %v", err)
+	}
+	A3 := MustMatrix[float64](3, 3)
+	if _, err := FusedPlusFirstStep(MustMatrix[float64](1, 3), s.F, MustMatrix[float64](2, 3), s.D, A3, A3, false); InfoOf(err) != DimensionMismatch {
+		t.Fatalf("P of two rows: %v", err)
+	}
+	if err := FusedPlusFirstBackStep(MustMatrix[float64](1, 3), s.F, s.P, s.D, A3); InfoOf(err) != InvalidObject {
+		t.Fatalf("empty B: %v", err)
+	}
+}
+
+// TestFusedPlusFirstStepWorkerCount: the pull step cuts by vertex and the
+// backward step by frontier entry, and neither result depends on where the
+// cuts fall: a traversal of 4 096 vertices whose middle levels hold
+// thousands of entries, pulled at every other level, leaves the same
+// frontiers, P, D and B, bit for bit, under one worker and under four.
+func TestFusedPlusFirstStepWorkerCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	A, AT := randGraph(t, rng, 4096, 4, false)
+	sources := []int{0, 1000, 2000, 3000, 1000}
+	run := func(workers int) (*bcTraversal, *Matrix[float64]) {
+		defer parallel.SetMaxThreads(parallel.SetMaxThreads(workers))
+		s := newBCTraversal(t, 4096, sources, false)
+		for d := int32(0); ; d++ {
+			nf, err := s.fusedLevel(A, AT, d%2 == 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if nf == 0 {
+				break
+			}
+		}
+		B, err := s.backward(A, AT, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, B
+	}
+	one, B1 := run(1)
+	four, B4 := run(4)
+	widest := 0
+	for _, c := range one.levels {
+		widest = max(widest, c.nvalsUpper())
+	}
+	if widest < 4*1024 { // where parallel.Threads hands four workers the cut
+		t.Fatalf("widest level holds %d entries: too few to cut", widest)
+	}
+	if len(one.levels) != len(four.levels) {
+		t.Fatalf("%d levels under one worker, %d under four", len(one.levels), len(four.levels))
+	}
+	for d, c := range one.levels {
+		if c4 := four.levels[d]; !slices.Equal(c.ptr, c4.ptr) || !slices.Equal(c.idx, c4.idx) || !slices.Equal(c.val, c4.val) {
+			t.Fatalf("level %d differs between one worker and four", d+1)
+		}
+	}
+	if !slices.Equal(one.P.val, four.P.val) || !slices.Equal(one.D.val, four.D.val) || !slices.Equal(one.P.b, four.P.b) {
+		t.Fatal("P or D differs between one worker and four")
+	}
+	for p, x := range B1.val {
+		if math.Float64bits(x) != math.Float64bits(B4.val[p]) {
+			t.Fatalf("B cell %d: %v under one worker, %v under four", p, x, B4.val[p])
+		}
+	}
+}

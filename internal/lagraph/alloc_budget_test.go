@@ -18,10 +18,13 @@ import (
 // deletes and upserts applied the way the service applies them (a
 // copy-on-write snapshot, then SetElement/RemoveElement): BC over four
 // sources and delta-stepping SSSP must equal the GAP oracle on the mutated
-// graph and stay inside an allocation budget per run — 24 and 16 MiB,
-// where allocating by n on every tiny-frontier call cost 1 286 and 440,
-// and for SSSP 10 000 allocations, where selecting each bucket out of the
-// full t made 12 700 (the pending set makes 3 600).
+// graph and stay inside an allocation budget per run — for BC 3.1 MiB and
+// 730 allocations under four workers, under 25 % above the 2.8 MiB and 630
+// its fused steps make, where Algorithm 3's calls as written made 7.1 MiB
+// and 4 180 and allocating by n on every tiny-frontier call 1 286 MiB; for
+// SSSP 16 MiB, where that cost 440, and 10 000 allocations, where
+// selecting each bucket out of the full t made 12 700 (the pending set
+// makes 3 600).
 // The two dense-iteration kernels run on an undirected snapshot that took
 // the same batch in both orientations (the service's graphs are
 // symmetrised) and still holds it as pending tuples, so FastSV and the
@@ -188,7 +191,8 @@ func TestRoadKernelAllocationBudget(t *testing.T) {
 		sources32[k] = int32(s)
 	}
 	wantBC := gap.BC(oracle, sources32)
-	mib, _ = allocated(func() {
+	prev = parallel.SetMaxThreads(4)
+	mib, mallocs = allocated(func() {
 		c, err := BetweennessCentralityAdvanced(bg, g, sources)
 		if err != nil {
 			t.Fatal(err)
@@ -199,8 +203,9 @@ func TestRoadKernelAllocationBudget(t *testing.T) {
 			}
 		})
 	})
-	if mib > 24 {
-		t.Errorf("BC on Road 96×96 allocated %.1f MiB, budget 24", mib)
+	parallel.SetMaxThreads(prev)
+	if mib > 3.1 || mallocs > 730 {
+		t.Errorf("BC on Road 96×96 allocated %.2f MiB in %d allocations under four workers, budget 3.1 MiB and 730", mib, mallocs)
 	}
 
 	const delta = 64

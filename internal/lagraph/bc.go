@@ -1,24 +1,27 @@
 package lagraph
 
 import (
+	"cmp"
 	"context"
 
 	"lagraph/internal/grb"
 )
 
 // Betweenness centrality (paper §IV-B, Algorithm 3): Brandes' algorithm
-// batched over ns source vertices. The forward (BFS) phase counts shortest
-// paths with plus.first over an ns×n frontier matrix; the backward phase
-// accumulates dependencies. Each level's frontier is kept as it was
-// computed, S[d], and the backward phase reads it only as a structural
-// mask, so no level copies its pattern. Both phases multiply through one
-// step, bcStep, which makes the same push/pull choice as the BFS: the push
-// multiplies by X, the pull by XTᵀ with XT = Xᵀ held explicitly, via the
-// transpose descriptor. Forward, X is A and XT the cached G.AT; backward,
-// the two swap.
+// batched over ns source vertices, each level one fused grb step, as GAP's
+// bc.cc runs it. The forward (BFS) phase counts shortest paths with
+// plus.first over an ns×n frontier, one entry list per source, and
+// grb.FusedPlusFirstStep adds each level into the path counts P and stamps
+// its depth into D in the same pass, making the same push/pull choice as
+// the BFS. Each level's frontier is kept, and the backward phase walks them
+// deepest first, as GAP walks its order array: grb.FusedPlusFirstBackStep
+// pulls each vertex's dependency from its successors one level deeper,
+// which D names, so no level is a mask and there is no W. Algorithm 3 as
+// written, with its EWiseAdd, masked MxMs and EWiseMults, is the reference
+// in bc_reference_test.go.
 
-// bcPullThreshold: switch the frontier multiply to the dot (pull) kernel
-// when the frontier matrix is denser than 1/bcPullThreshold.
+// bcPullThreshold: a forward step pulls (walks Aᵀ's rows for the unvisited
+// pairs) when the frontier is denser than 1/bcPullThreshold, else pushes.
 const bcPullThreshold = 10
 
 // BetweennessCentrality is the Basic-mode entry point: it caches AT if
@@ -63,29 +66,29 @@ func BetweennessCentralityAdvanced[T grb.Value](ctx context.Context, g *Graph[T]
 	}
 
 	prb := ProbeFrom(ctx)
-	// P(k, sources[k]) = 1 — number of shortest paths found so far.
-	P := grb.MustMatrix[float64](ns, n)
+	// P(k, sources[k]) = 1 — the number of shortest paths found so far —
+	// at depth D(k, sources[k]) = 0; the first frontier is the batch.
+	F, P, D := grb.MustMatrix[float64](ns, n), grb.MustMatrix[float64](ns, n), grb.MustMatrix[int32](ns, n)
 	for k, s := range sources {
-		Must(P.SetElement(1, k, s))
-	}
-	// First frontier: F⟨¬s(P)⟩ = P plus.first A (line 5).
-	F := grb.MustMatrix[float64](ns, n)
-	pulled, err := bcStep(F, grb.StructMaskOf(P).Not(), P, g.A, at)
-	if err != nil {
-		return nil, err
+		Must(cmp.Or(F.SetElement(1, k, s), P.SetElement(1, k, s), D.SetElement(0, k, s)))
 	}
 
-	// BFS phase (lines 6-12). S[d] is the level-d frontier itself: every
-	// level writes a fresh F, and S is only ever read as a structural mask.
-	var S []*grb.Matrix[float64]
-	for depth := 0; depth < n; depth++ {
+	// BFS phase (lines 5-12): F⟨¬s(P)⟩ = F plus.first A, P += F, one step
+	// a level. levels[d-1] is the level-d frontier.
+	var levels []*grb.Matrix[float64]
+	for nf, depth := ns, 0; depth < n; depth++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		nf := F.NVals()
+		pull := nf*bcPullThreshold > ns*n
+		next := grb.MustMatrix[float64](ns, n)
+		var err error
+		if nf, err = grb.FusedPlusFirstStep(next, F, P, D, g.A, at, pull); err != nil {
+			return nil, wrap(StatusInvalidValue, err, "BC step")
+		}
 		if prb.Enabled() {
 			dir := "push"
-			if pulled {
+			if pull {
 				dir = "pull"
 			}
 			prb.Iter(IterStat{Iter: depth + 1, Frontier: nf, Direction: dir})
@@ -93,42 +96,24 @@ func BetweennessCentralityAdvanced[T grb.Value](ctx context.Context, g *Graph[T]
 		if nf == 0 {
 			break
 		}
-		S = append(S, F)
-		// P += F (F is masked to unvisited positions, so the union-add is
-		// exactly the +=).
-		if err := grb.EWiseAdd(P, grb.NoMask, nil, grb.AddOp(grb.PlusOp[float64]()), P, F, nil); err != nil {
-			return nil, wrap(StatusInvalidValue, err, "BC path accumulate")
-		}
-		// F⟨¬s(P)⟩ = F plus.first A, into the next level's frontier.
-		F = grb.MustMatrix[float64](ns, n)
-		if pulled, err = bcStep(F, grb.StructMaskOf(P).Not(), S[depth], g.A, at); err != nil {
-			return nil, err
-		}
+		levels = append(levels, next)
+		F = next
 	}
-	prb.Add("backtrack_levels", int64(max(len(S)-1, 0)))
+	prb.Add("backtrack_levels", int64(max(len(levels)-1, 0)))
 
-	// Backtrack phase (lines 13-19).
+	// Backtrack phase (lines 13-19): B = 1, then for each level d, deepest
+	// first, B(k, v) += P(k, v) · Σ B(k, w) / P(k, w) over v's successors w
+	// at depth d+1.
 	B := grb.MustMatrix[float64](ns, n)
 	if err := grb.AssignMatrixScalar(B, grb.NoMask, nil, 1.0, grb.All, grb.All, nil); err != nil {
 		return nil, wrap(StatusInvalidValue, err, "BC init B")
 	}
-	plus := func(a, b float64) float64 { return a + b }
-	W := grb.MustMatrix[float64](ns, n)
-	for i := len(S) - 1; i >= 1; i-- {
+	for d := len(levels) - 1; d >= 1; d-- {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// W⟨s(S[i]), r⟩ = B div∩ P.
-		if err := grb.EWiseMult(W, grb.StructMaskOf(S[i]), nil, grb.DivOp[float64](), B, P, grb.DescR); err != nil {
-			return nil, wrap(StatusInvalidValue, err, "BC dependency ratio")
-		}
-		// W⟨s(S[i-1]), r⟩ = W plus.first Aᵀ.
-		if _, err := bcStep(W, grb.StructMaskOf(S[i-1]), W, at, g.A); err != nil {
-			return nil, err
-		}
-		// B += W ×∩ P.
-		if err := grb.EWiseMult(B, grb.NoMask, plus, grb.TimesOp[float64](), W, P, nil); err != nil {
-			return nil, wrap(StatusInvalidValue, err, "BC dependency accumulate")
+		if err := grb.FusedPlusFirstBackStep(B, levels[d-1], P, D, g.A); err != nil {
+			return nil, wrap(StatusInvalidValue, err, "BC dependency")
 		}
 	}
 
@@ -143,19 +128,4 @@ func BetweennessCentralityAdvanced[T grb.Value](ctx context.Context, g *Graph[T]
 		return nil, wrap(StatusInvalidValue, err, "BC shift")
 	}
 	return centrality, nil
-}
-
-// bcStep computes out⟨mask, r⟩ = in plus.first X, choosing push (multiply
-// by X) or, when in is denser than 1/bcPullThreshold (the simple heuristic
-// the paper alludes to in §IV-B), pull (the dot kernel against XT = Xᵀ via
-// the descriptor). The forward phase passes (A, Aᵀ), the backward phase
-// (Aᵀ, A). out and in may alias. It reports whether it pulled.
-func bcStep[T grb.Value](out *grb.Matrix[float64], mask grb.Mask, in *grb.Matrix[float64], X, XT *grb.Matrix[T]) (bool, error) {
-	ns, n := in.Dims()
-	pull := in.NVals()*bcPullThreshold > ns*n
-	Y, desc := X, grb.DescR
-	if pull {
-		Y, desc = XT, grb.DescRT1
-	}
-	return pull, wrap(StatusInvalidValue, grb.MxM(out, mask, nil, grb.PlusFirst[float64, T](), in, Y, desc), "BC step")
 }

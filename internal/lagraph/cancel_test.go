@@ -131,3 +131,48 @@ func TestPageRankCancelledMidIteration(t *testing.T) {
 		t.Fatal("expected at least one completed iteration before cancellation")
 	}
 }
+
+// pollCtx is a context whose Err starts returning context.Canceled at its
+// cancelAt-th poll (never, for 0), counting its polls.
+type pollCtx struct {
+	context.Context
+	polls, cancelAt int
+}
+
+func (c *pollCtx) Err() error {
+	c.polls++
+	if c.cancelAt > 0 && c.polls >= c.cancelAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestBCCancelsWithinOnePollPerLevel pins BC's cancellation latency: a run
+// to completion on Road 32×32 polls its context once per forward step (the
+// non-empty levels and the empty one that ends the phase) and once per
+// backward level, and a context that turns cancelled at its j-th poll, for
+// every j up to that count, makes BC return the raw context.Canceled at
+// that poll, with no step run after it.
+func TestBCCancelsWithinOnePollPerLevel(t *testing.T) {
+	g := graphFromEdges(t, gen.Road(32, 1))
+	if err := g.PropertyAT(); err != nil && !IsWarning(err) {
+		t.Fatal(err)
+	}
+	sources := []int{0, 300, 700, 1023}
+	prb := NewProbe(1 << 20)
+	full := &pollCtx{Context: WithProbe(bg, prb)}
+	if _, err := BetweennessCentralityAdvanced(full, g, sources); err != nil {
+		t.Fatal(err)
+	}
+	snap := prb.Snapshot()
+	levels := len(snap.Iters) + int(snap.Counters["backtrack_levels"])
+	if full.polls != levels || levels < 60 {
+		t.Fatalf("%d polls for %d forward steps and %d backward levels", full.polls, len(snap.Iters), snap.Counters["backtrack_levels"])
+	}
+	for j := 1; j <= levels; j++ {
+		ctx := &pollCtx{Context: bg, cancelAt: j}
+		if _, err := BetweennessCentralityAdvanced(ctx, g, sources); err != context.Canceled || ctx.polls != j {
+			t.Fatalf("cancelled at poll %d: err = %v after %d polls, want the raw context.Canceled after %d", j, err, ctx.polls, j)
+		}
+	}
+}

@@ -32,7 +32,12 @@ type harness struct {
 // crash abandons the harness the way SIGKILL would: nothing is flushed
 // or shut down, but the kernel closes the process's file descriptors —
 // which is what releases the data-dir flock for the next incarnation.
+// The stream engine is closed first: a dead process runs no compaction,
+// so none scheduled before the crash may write a checkpoint while the
+// next incarnation recovers. Close waits out one in flight and starts no
+// new one.
 func (h *harness) crash() {
+	h.eng.Close()
 	h.st.lock.Close()
 }
 
