@@ -12,10 +12,11 @@ import (
 // matrix-vector multiplication can write its result directly into the
 // parent vector p. This could be implemented in a future GraphBLAS
 // library, since the GraphBLAS API allows for a non-blocking mode … We
-// intend to exploit this in the future." This file implements that
-// fusion; every push level of lagraph's BFS (bfsDirOpt, BFSStep) runs it.
-// The generic VxM + AssignVector pair remains the reference its tests and
-// the §VI-B ablation benchmark compare against.
+// intend to exploit this in the future." FusedFrontierStep implements that
+// fusion in both directions over a k-row frontier, for BFS's any.secondi
+// (bfsDirOpt, BFSStep) and batched BC's plus.first (Algorithm 3's forward
+// phase). The generic VxM/MxV + AssignVector calls remain the reference
+// its tests and the §VI-B ablation benchmark compare against.
 //
 // The same section names delta-stepping SSSP on the Road class, where each
 // bucket's tiny frontier pays the vertex count on every call. Its
@@ -26,80 +27,10 @@ import (
 // written) stays the reference in its tests and the BenchmarkSSSPRoad
 // ablation.
 //
-// Batched BC (Algorithm 3) fuses the same way, as GAP's bc.cc runs it:
-// FusedPlusFirstStep is a forward level's masked plus.first multiply,
-// EWiseAdd into the path counts and depth stamp in one pass, and
-// FusedPlusFirstBackStep a backward level's two EWiseMults and masked
-// multiply in one pull, finding successors by depth instead of by mask.
-// Algorithm 3 as written is the reference in lagraph's
-// bc_reference_test.go.
-
-// FusedBFSPushStep performs, in a single pass over the frontier's edges,
-//
-//	qᵀ⟨¬s(pᵀ), r⟩ = qᵀ any.secondi A      (the push step)
-//	p⟨s(q)⟩       = q                      (the parent update)
-//
-// writing newly discovered parents directly into p. q is replaced by the
-// next frontier. p is densified to bitmap once (O(1) membership); the BFS
-// driver owns it for the whole traversal, so the cost amortises exactly as
-// in GAP's parent array.
-func FusedBFSPushStep[T Value](p, q *Vector[int64], A *Matrix[T]) error {
-	n := A.NRows()
-	if A.NCols() != n {
-		return errf(DimensionMismatch, "FusedBFSPushStep: A must be square")
-	}
-	if p.Size() != n || q.Size() != n {
-		return dimErr("FusedBFSPushStep", "vector length", "A dimension")
-	}
-	A.Wait()
-	q.Wait()
-	p.Wait()
-	if p.format == FormatSparse {
-		p.ConvertTo(FormatBitmap)
-	}
-	if p.format == FormatFull {
-		// A full parent vector means every vertex is visited: nothing to
-		// discover.
-		q.Clear()
-		return nil
-	}
-	nextIdx := make([]int, 0, q.NVals())
-	nextVal := make([]int64, 0, q.NVals())
-	q.Iterate(func(k int, _ int64) {
-		if A.format == FormatSparse {
-			for pos := A.ptr[k]; pos < A.ptr[k+1]; pos++ {
-				j := A.idx[pos]
-				if p.b[j] == 0 {
-					// Discover j with parent k: the fused mxv+assign.
-					p.b[j] = 1
-					p.val[j] = int64(k)
-					p.nvalsB++
-					nextIdx = append(nextIdx, j)
-					nextVal = append(nextVal, int64(k))
-				}
-			}
-			return
-		}
-		base := k * A.nc
-		for j := 0; j < A.nc; j++ {
-			if (A.format == FormatFull || A.b[base+j] != 0) && p.b[j] == 0 {
-				p.b[j] = 1
-				p.val[j] = int64(k)
-				p.nvalsB++
-				nextIdx = append(nextIdx, j)
-				nextVal = append(nextVal, int64(k))
-			}
-		}
-	})
-	q.Clear()
-	q.idx = nextIdx
-	q.val = nextVal
-	if len(nextIdx) > 1 {
-		q.markJumbled()
-	}
-	q.conform()
-	return nil
-}
+// BC's backward phase fuses as GAP's bc.cc runs it: FusedPlusFirstBackStep
+// is a level's two EWiseMults and masked multiply in one pull, finding
+// successors by depth instead of by mask. Algorithm 3 as written is the
+// reference in lagraph's bc_reference_test.go.
 
 // FusedMinPlusPushStep performs, in a single pass over the frontier's
 // edges,
@@ -180,54 +111,75 @@ func FusedMinPlusPushStep[T Number](t, f *Vector[T], A *Matrix[T]) (reached int,
 	return reached, nil
 }
 
-// FusedPlusFirstStep is one forward level of batched Brandes BC
-// (Algorithm 3's lines 7-9) as a single pass:
+// FusedFrontierStep is one forward level of a traversal over a k-row
+// frontier F, one row per source, as a single pass:
 //
-//	C⟨¬s(P), r⟩ = F plus.first A;  P += C;  D⟨s(C)⟩ = d + 1
+//	C⟨¬s(P), r⟩ = F ⊕.⊗ A;  P⟨s(C)⟩ ⊕= C;  D⟨s(C)⟩ = d + 1
 //
-// F is the level-d frontier: exactly the entries of P at depth d in D,
-// with P's values. P (float64) and D (int32) are k×n of one pattern, made
-// bitmap on the first call and held by the caller for the whole traversal,
-// as BFS holds its parent vector. Push walks A's rows from F's entries;
-// pull walks AT's rows for every unvisited (k, j), reading the frontier as
-// P's cells at depth d, cut by vertex and weighted by in-degree. C is a
-// k-row sparse matrix, one entry list per source, jumbled after a push.
-// The result does not depend on the worker count. It returns nvals(C).
-func FusedPlusFirstStep[T Value](C, F, P *Matrix[float64], D *Matrix[int32], A, AT *Matrix[T], pull bool) (int, error) {
+// F is the level-d frontier. P and D (int32 depths) are k×n of one
+// pattern, made bitmap on the first call and held by the caller for the
+// whole traversal. P's type picks the semiring: int64 is any.secondi (the
+// first hit wins and stores the frontier vertex's id, BFS's parent),
+// float64 is plus.first (every hit adds F's value, BC's path count).
+//
+// Push walks A's rows from F's entries in ascending order. Pull walks AT's
+// rows for every unvisited (k, j), reading the frontier as P's cells at
+// depth d, cut by vertex and weighted by in-degree; a parent stops at the
+// first hit, GAP's bottom-up early exit. Either way a parent is the least
+// frontier in-neighbour, whatever the worker count. A bitmap or full A is
+// read in place. C, which may be F, is a k-row sparse matrix, one entry
+// list per source, jumbled after a push. A push may pass a nil AT, and a
+// parents' push a nil D. It returns nvals(C).
+func FusedFrontierStep[T Value, V int64 | float64](C, F, P *Matrix[V], D *Matrix[int32], A, AT *Matrix[T], pull bool) (int, error) {
 	ns, n := F.Dims()
-	if A.nr != n || A.nc != n || AT.nr != n || AT.nc != n || C.nr != ns || C.nc != n || P.nr != ns || P.nc != n || D.nr != ns || D.nc != n {
-		return 0, errf(DimensionMismatch, "FusedPlusFirstStep: A and AT must be %dx%d, C, P and D %dx%d", n, n, ns, n)
+	if A.nr != n || A.nc != n || C.nr != ns || C.nc != n || P.nr != ns || P.nc != n ||
+		D != nil && (D.nr != ns || D.nc != n) || AT != nil && (AT.nr != n || AT.nc != n) {
+		return 0, errf(DimensionMismatch, "FusedFrontierStep: A and AT must be %dx%d, C, P and D %dx%d", n, n, ns, n)
+	}
+	_, parent := any(*new(V)).(int64)
+	if D == nil && (pull || !parent) || pull && AT == nil {
+		return 0, errf(NullPointer, "FusedFrontierStep: a pull needs AT and D, a path count D")
 	}
 	X := A
 	if pull {
 		X = AT
 	}
-	ptr, idx := sparsePattern(X)
-	if len(F.pend) > 0 || F.format != FormatSparse {
-		F.ConvertTo(FormatSparse)
+	ptr, idx, xb := patternOf(X)
+	if len(F.pend) > 0 || F.format != FormatSparse || parent && F.jumbled {
+		F.ConvertTo(FormatSparse) // and sorted, where the order picks parents
 	}
-	P.ConvertTo(FormatBitmap)
-	D.ConvertTo(FormatBitmap)
 	if F.ptr[ns] == 0 {
 		C.Clear()
 		return 0, nil
 	}
-	pb, pv, db, dv := P.b, P.val, D.b, D.val
-	k0 := sort.SearchInts(F.ptr, 1) - 1 // the row of F's first entry
-	d := dv[k0*n+F.idx[0]]              // the frontier's depth
+	P.ConvertTo(FormatBitmap)
+	pb, pv := P.b, P.val
+	var db []int8
+	var dv []int32
+	var d int32 // the frontier's depth
+	if D != nil {
+		D.ConvertTo(FormatBitmap)
+		db, dv = D.b, D.val
+		d = dv[(sort.SearchInts(F.ptr, 1)-1)*n+F.idx[0]]
+	}
 	if pull {
 		// Each piece sums its own vertices' cells of a fresh bitmap C,
 		// reading only P and D; P and D take C's entries once all have read.
-		C.store = store[float64]{nr: ns, nc: n, format: FormatBitmap, b: make([]int8, ns*n), val: make([]float64, ns*n)}
+		C.store = store[V]{nr: ns, nc: n, format: FormatBitmap, b: make([]int8, ns*n), val: make([]V, ns*n)}
+		cb, cv := C.b, C.val
 		parallel.Blocks(n, ptr, func(lo, hi int) struct{} {
 			for j := lo; j < hi; j++ {
 				for base := 0; base < ns*n; base += n {
 					if pb[base+j] != 0 {
 						continue
 					}
-					for _, i := range idx[ptr[j]:ptr[j+1]] {
-						if c := base + i; pb[c] != 0 && dv[c] == d {
-							C.b[base+j], C.val[base+j] = 1, C.val[base+j]+pv[c]
+					for _, i := range patternRow(ptr, idx, j) {
+						if c := base + i; pb[c] != 0 && dv[c] == d && patternHas(xb, n, j, i) {
+							if parent {
+								cb[base+j], cv[base+j] = 1, V(i)
+								break
+							}
+							cb[base+j], cv[base+j] = 1, cv[base+j]+pv[c]
 						}
 					}
 				}
@@ -235,44 +187,56 @@ func FusedPlusFirstStep[T Value](C, F, P *Matrix[float64], D *Matrix[int32], A, 
 			return struct{}{}
 		})
 		C.bitmapToSparse()
-		for k := 0; k < ns; k++ {
-			for p := C.ptr[k]; p < C.ptr[k+1]; p++ {
-				c := k*n + C.idx[p]
-				pb[c], pv[c], db[c], dv[c] = 1, C.val[p], 1, d+1
-			}
-		}
 	} else {
 		rows, found := make([]int, ns+1), make([]int, 0, F.ptr[ns])
 		for k := 0; k < ns; k++ {
-			pbk, pvk, dbk, dvk := pb[k*n:(k+1)*n], pv[k*n:(k+1)*n], db[k*n:(k+1)*n], dv[k*n:(k+1)*n]
+			base := k * n
 			for p := F.ptr[k]; p < F.ptr[k+1]; p++ {
-				i, x := F.idx[p], F.val[p]
-				for _, j := range idx[ptr[i]:ptr[i+1]] {
-					if pbk[j] == 0 {
-						pbk[j], pvk[j], dbk[j], dvk[j] = 1, x, 1, d+1
+				i, v := F.idx[p], F.val[p]
+				if parent {
+					v = V(i)
+				}
+				for _, j := range patternRow(ptr, idx, i) {
+					if c := base + j; pb[c] == 0 && patternHas(xb, n, i, j) {
+						pb[c], pv[c] = 1, v
+						if db != nil {
+							db[c], dv[c] = 1, d+1
+						}
 						found = append(found, j)
-					} else if dvk[j] == d+1 {
-						pvk[j] += x
+					} else if !parent && dv[c] == d+1 && patternHas(xb, n, i, j) {
+						pv[c] += v
 					}
 				}
 			}
 			rows[k+1] = len(found)
 		}
-		val := make([]float64, len(found))
-		for k := 0; k < ns; k++ {
-			for p := rows[k]; p < rows[k+1]; p++ {
-				val[p] = pv[k*n+found[p]]
-			}
-		}
-		C.store = store[float64]{nr: ns, nc: n, ptr: rows, idx: found, val: val}
-		if len(found) > 1 {
-			C.markJumbled()
-		}
+		C.store = store[V]{nr: ns, nc: n, ptr: rows, idx: found, val: make([]V, len(found))}
 	}
 	nf := C.ptr[ns]
+	for k := 0; k < ns; k++ {
+		for p := C.ptr[k]; p < C.ptr[k+1]; p++ {
+			if c := k*n + C.idx[p]; pull {
+				pb[c], pv[c], db[c], dv[c] = 1, C.val[p], 1, d+1
+			} else {
+				C.val[p] = pv[c]
+			}
+		}
+	}
 	P.nvalsB += nf
-	D.nvalsB += nf
+	if D != nil {
+		D.nvalsB += nf
+	}
+	if !pull && nf > 1 {
+		C.markJumbled()
+	}
 	return nf, nil
+}
+
+// FusedBFSStep is FusedFrontierStep at k = 1 on BFS's vectors, in place:
+// q is the frontier and becomes the next one, p holds the parents and d
+// the depths. It returns nvals(q).
+func FusedBFSStep[T Value](p, q *Vector[int64], d *Vector[int32], A, AT *Matrix[T], pull bool) (int, error) {
+	return FusedFrontierStep(q.asRow(), q.asRow(), p.asRow(), d.asRow(), A, AT, pull)
 }
 
 // FusedPlusFirstBackStep is one backward level of batched Brandes BC
@@ -281,7 +245,7 @@ func FusedPlusFirstStep[T Value](C, F, P *Matrix[float64], D *Matrix[int32], A, 
 //
 //	B(k, v) += P(k, v) · Σ_{w ∈ A(v,:), D(k, w) = d+1} B(k, w) / P(k, w)
 //
-// P and D are what FusedPlusFirstStep left, F one of its frontiers, and B
+// P and D are what FusedFrontierStep left, F one of its frontiers, and B
 // is full. It is cut by F's entries, weighted by out-degree; each writes
 // its own cell of B and reads cells one level deeper, so the result does
 // not depend on the worker count.
@@ -293,7 +257,7 @@ func FusedPlusFirstBackStep[T Value](B, F, P *Matrix[float64], D *Matrix[int32],
 	if B.format != FormatFull {
 		return errf(InvalidObject, "FusedPlusFirstBackStep: B must be full")
 	}
-	ptr, idx := sparsePattern(A)
+	ptr, idx, ab := patternOf(A)
 	if len(F.pend) > 0 || F.format != FormatSparse {
 		F.ConvertTo(FormatSparse)
 	}
@@ -310,8 +274,8 @@ func FusedPlusFirstBackStep[T Value](B, F, P *Matrix[float64], D *Matrix[int32],
 			base, v := k*n, F.idx[p]
 			next := dv[base+v] + 1
 			var sum float64
-			for _, w := range idx[ptr[v]:ptr[v+1]] {
-				if c := base + w; dv[c] == next && pb[c] != 0 {
+			for _, w := range patternRow(ptr, idx, v) {
+				if c := base + w; dv[c] == next && pb[c] != 0 && patternHas(ab, n, v, w) {
 					sum += bv[c] / pv[c]
 				}
 			}
@@ -325,19 +289,35 @@ func FusedPlusFirstBackStep[T Value](B, F, P *Matrix[float64], D *Matrix[int32],
 	}
 	weight := make([]int, nnz+1)
 	for p, v := range F.idx[:nnz] {
-		weight[p+1] = weight[p] + ptr[v+1] - ptr[v]
+		weight[p+1] = weight[p] + len(patternRow(ptr, idx, v))
 	}
 	parallel.Blocks(nnz, weight, step)
 	return nil
 }
 
-// sparsePattern is the CSR pattern of a finished A: its own arrays, or a
-// sparse copy's when A is bitmap or full.
-func sparsePattern[T Value](A *Matrix[T]) (ptr, idx []int) {
+// patternOf is a finished matrix's pattern, read in place: ptr and idx
+// are its CSR arrays, or, when it is bitmap or full, ptr is nil and idx
+// every column, which b then filters (nil when full).
+func patternOf[T Value](A *Matrix[T]) (ptr, idx []int, b []int8) {
 	A.Wait()
-	if A.format != FormatSparse {
-		A = A.Dup()
-		A.ConvertTo(FormatSparse)
+	if A.format == FormatSparse {
+		return A.ptr, A.idx, nil
 	}
-	return A.ptr, A.idx
+	idx = make([]int, A.nc)
+	for j := range idx {
+		idx[j] = j
+	}
+	return nil, idx, A.b
 }
+
+// patternRow is row i's candidate columns in a pattern; patternHas reports
+// whether column j of row i is stored, nc being the matrix's width. The
+// loops above ask it last, so a sparse matrix pays it only on a hit.
+func patternRow(ptr, idx []int, i int) []int {
+	if ptr == nil {
+		return idx
+	}
+	return idx[ptr[i]:ptr[i+1]]
+}
+
+func patternHas(b []int8, nc, i, j int) bool { return b == nil || b[i*nc+j] != 0 }

@@ -6,94 +6,196 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-	"testing/quick"
 
 	"lagraph/internal/parallel"
 )
 
-func TestFusedBFSPushStepEquivalence(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 5 + rng.Intn(25)
-		A := randMatrix(rng, n, n, 0.15)
-		src := rng.Intn(n)
-
-		// Unfused reference: one push step + parent assign.
-		pRef := MustVector[int64](n)
-		qRef := MustVector[int64](n)
-		pRef.SetElement(int64(src), src)
-		qRef.SetElement(int64(src), src)
-		s := AnySecondI[int64, float64, int64]()
-		if err := VxM(qRef, StructVMaskOf(pRef).Not(), nil, s, qRef, A, DescR); err != nil {
-			return false
-		}
-		if err := AssignVector(pRef, StructVMaskOf(qRef), nil, qRef, All, nil); err != nil {
-			return false
-		}
-
-		// Fused step.
-		p := MustVector[int64](n)
-		q := MustVector[int64](n)
-		p.SetElement(int64(src), src)
-		q.SetElement(int64(src), src)
-		if err := FusedBFSPushStep(p, q, A); err != nil {
-			return false
-		}
-
-		// Same frontier support and same visited set (parent values may
-		// differ under any semantics, but with a single-source frontier
-		// they cannot here).
-		if q.NVals() != qRef.NVals() || p.NVals() != pRef.NVals() {
-			return false
-		}
-		ok := true
-		qRef.Iterate(func(i int, _ int64) {
-			if _, err := q.ExtractElement(i); err != nil {
-				ok = false
-			}
-		})
-		return ok
+// bfsLevel advances one BFS by a level with the generic calls the fused
+// step replaces, its reference: q⟨¬s(p), r⟩ = qᵀ any.secondi A (pull:
+// Aᵀ any.secondi q), then p⟨s(q)⟩ = q and, unless d is nil,
+// d⟨s(q)⟩ = level.
+func bfsLevel(p, q *Vector[int64], d *Vector[int32], A, AT *Matrix[float64], pull bool, level int32) error {
+	var err error
+	if pull {
+		err = MxV(q, StructVMaskOf(p).Not(), nil, AnySecondI[float64, int64, int64](), AT, q, DescR)
+	} else {
+		err = VxM(q, StructVMaskOf(p).Not(), nil, AnySecondI[int64, float64, int64](), q, A, DescR)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
+	if err == nil {
+		err = AssignVector(p, StructVMaskOf(q), nil, q, All, nil)
 	}
+	if err == nil && d != nil {
+		err = AssignVectorScalar(d, StructVMaskOf(q), nil, level, All, nil)
+	}
+	return err
 }
 
-func TestFusedBFSFullTraversal(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	n := 40
-	A := randMatrix(rng, n, n, 0.1)
-	p := MustVector[int64](n)
-	q := MustVector[int64](n)
-	p.SetElement(0, 0)
-	q.SetElement(0, 0)
-	for q.NVals() > 0 {
-		if err := FusedBFSPushStep(p, q, A); err != nil {
+// bfsFused advances k BFSs, one a row of F, P and D, by one fused level:
+// through FusedBFSStep on the rows as vectors when k = 1.
+func bfsFused(F, P *Matrix[int64], D *Matrix[int32], A, AT *Matrix[float64], pull bool) (int, error) {
+	if F.nr == 1 {
+		return FusedBFSStep((*Vector[int64])(P), (*Vector[int64])(F), (*Vector[int32])(D), A, AT, pull)
+	}
+	return FusedFrontierStep(F, F, P, D, A, AT, pull)
+}
+
+// rowsOfVectors is the matrix whose row k is vs[k], as denseOf keys it.
+func rowsOfVectors[T Value](vs []*Vector[T]) map[coord]T {
+	out := map[coord]T{}
+	for k, v := range vs {
+		for j, x := range vdenseOf(v) {
+			out[coord{k, j}] = x
+		}
+	}
+	return out
+}
+
+// bfsGraph is an n-vertex digraph and its transpose, sparse, bitmap or
+// full (complete, over at most 32 vertices), with pending tuples if asked.
+func bfsGraph(t *testing.T, rng *rand.Rand, n int, format Format, pending bool) (*Matrix[float64], *Matrix[float64]) {
+	if format == FormatFull {
+		A := randMatrix(rng, n%32+1, n%32+1, 1)
+		AT := NewTranspose(A)
+		A.ConvertTo(FormatFull)
+		AT.ConvertTo(FormatFull)
+		return A, AT
+	}
+	A, AT := randGraph(t, rng, n, 1+rng.Intn(4), pending)
+	A.ConvertTo(format)
+	AT.ConvertTo(format)
+	return A, AT
+}
+
+// TestFusedBFSStep: level by level, FusedFrontierStep's any.secondi rule
+// leaves the frontier, parents and depths its generic formulation
+// (bfsLevel) leaves, push or pull, at k = 1 through FusedBFSStep and at
+// k > 1 row by row, over sparse, bitmap, full and pending graphs. Parents
+// are compared too: both take a vertex's least frontier in-neighbour. A
+// push with no D from a visited set and frontier no traversal reaches
+// (BFSStep's caller may edit them) matches as well.
+func TestFusedBFSStep(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for trial := 0; trial < 36; trial++ {
+		format := []Format{FormatSparse, FormatBitmap, FormatFull}[trial%3]
+		A, AT := bfsGraph(t, rng, 20+rng.Intn(300), format, trial%2 == 1 && format != FormatFull)
+		n := A.NRows()
+		ns := 1 + rng.Intn(4)
+		label := fmt.Sprintf("trial %d (n %d, %v, k %d)", trial, n, format, ns)
+		F, P, D := MustMatrix[int64](ns, n), MustMatrix[int64](ns, n), MustMatrix[int32](ns, n)
+		q, p, d := make([]*Vector[int64], ns), make([]*Vector[int64], ns), make([]*Vector[int32], ns)
+		for k := range ns {
+			src := rng.Intn(n)
+			F.SetElement(int64(src), k, src)
+			P.SetElement(int64(src), k, src)
+			D.SetElement(0, k, src)
+			q[k], p[k], d[k] = MustVector[int64](n), MustVector[int64](n), MustVector[int32](n)
+			q[k].SetElement(int64(src), src)
+			p[k].SetElement(int64(src), src)
+			d[k].SetElement(0, src)
+		}
+		for level := int32(1); ; level++ {
+			pull := rng.Intn(2) == 0
+			nf, err := bfsFused(F, P, D, A, AT, pull)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			want := 0
+			for k := range ns {
+				if err := bfsLevel(p[k], q[k], d[k], A, AT, pull, level); err != nil {
+					t.Fatal(err)
+				}
+				want += q[k].NVals()
+			}
+			what := fmt.Sprintf("%s, level %d, pull %v", label, level, pull)
+			if nf != want {
+				t.Fatalf("%s: frontier of %d, generic %d", what, nf, want)
+			}
+			matricesEqual(t, F, rowsOfVectors(q), what+": frontier")
+			matricesEqual(t, P, rowsOfVectors(p), what+": parents")
+			matricesEqual(t, D, rowsOfVectors(d), what+": depths")
+			if nf == 0 {
+				break
+			}
+		}
+
+		// BFSStep's push: any visited set, any frontier within it, no D.
+		pf, qf, pg, qg := MustVector[int64](n), MustVector[int64](n), MustVector[int64](n), MustVector[int64](n)
+		for i := range n {
+			if r := rng.Intn(3); r > 0 {
+				pf.SetElement(int64(i), i)
+				pg.SetElement(int64(i), i)
+				if r == 2 {
+					qf.SetElement(int64(i), i)
+					qg.SetElement(int64(i), i)
+				}
+			}
+		}
+		if _, err := FusedBFSStep(pf, qf, nil, A, nil, false); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if err := bfsLevel(pg, qg, nil, A, nil, false, 0); err != nil {
 			t.Fatal(err)
 		}
+		vectorsEqual(t, qf, vdenseOf(qg), label+": BFSStep frontier")
+		vectorsEqual(t, pf, vdenseOf(pg), label+": BFSStep parents")
 	}
-	// Every parent must be a real edge.
-	p.Iterate(func(i int, par int64) {
-		if i == 0 {
-			return
-		}
-		if _, err := A.ExtractElement(int(par), i); err != nil {
-			t.Fatalf("parent %d->%d not an edge", par, i)
-		}
-	})
 }
 
-func TestFusedBFSValidation(t *testing.T) {
-	A := MustMatrix[float64](3, 4)
-	p := MustVector[int64](3)
-	q := MustVector[int64](3)
-	if err := FusedBFSPushStep(p, q, A); err == nil {
-		t.Fatal("non-square matrix accepted")
+// TestFusedBFSFullTraversal: a push-only traversal on the fused step with
+// no D, as BFSParentPushOnly runs it but driven by the counts the step
+// returns, so no caller sorts the jumbled frontier between steps, leaves
+// the parents of the generic calls' traversal, whether A is sparse, bitmap
+// or full (read in place).
+func TestFusedBFSFullTraversal(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const n = 60
+	for _, density := range []float64{0.05, 1} {
+		A := randMatrix(rng, n, n, density)
+		for _, format := range []Format{FormatSparse, FormatBitmap, FormatFull} {
+			if format == FormatFull && density < 1 {
+				continue
+			}
+			X := A.Dup()
+			X.ConvertTo(format)
+			p, q, pg, qg := MustVector[int64](n), MustVector[int64](n), MustVector[int64](n), MustVector[int64](n)
+			for _, v := range []*Vector[int64]{p, q, pg, qg} {
+				v.SetElement(0, 0)
+			}
+			for nq := 1; nq > 0; {
+				var err error
+				if nq, err = FusedBFSStep(p, q, nil, X, nil, false); err != nil {
+					t.Fatal(err)
+				}
+				if err := bfsLevel(pg, qg, nil, A, nil, false, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			vectorsEqual(t, p, vdenseOf(pg), fmt.Sprintf("density %v, %v A", density, format))
+		}
 	}
+}
+
+// TestFusedBFSValidation: the step refuses a non-square A, a vector of
+// another length, a pull without AT or D and a path count without D.
+func TestFusedBFSValidation(t *testing.T) {
+	p, q, d := MustVector[int64](3), MustVector[int64](3), MustVector[int32](3)
+	q.SetElement(0, 0)
 	B := MustMatrix[float64](3, 3)
-	short := MustVector[int64](2)
-	if err := FusedBFSPushStep(short, q, B); err == nil {
-		t.Fatal("short vector accepted")
+	for _, c := range []struct {
+		what string
+		err  error
+		want Info
+	}{
+		{"non-square A", firstErr(FusedBFSStep(p, q, d, MustMatrix[float64](3, 4), nil, false)), DimensionMismatch},
+		{"short p", firstErr(FusedBFSStep(MustVector[int64](2), q, d, B, B, false)), DimensionMismatch},
+		{"short d", firstErr(FusedBFSStep(p, q, MustVector[int32](2), B, B, false)), DimensionMismatch},
+		{"pull without AT", firstErr(FusedBFSStep(p, q, d, B, nil, true)), NullPointer},
+		{"pull without D", firstErr(FusedBFSStep(p, q, nil, B, B, true)), NullPointer},
+		{"path count without D", firstErr(FusedFrontierStep(MustMatrix[float64](1, 3), MustMatrix[float64](1, 3), MustMatrix[float64](1, 3), nil, B, B, false)), NullPointer},
+	} {
+		if InfoOf(c.err) != c.want {
+			t.Errorf("%s: %v, want %v", c.what, c.err, c.want)
+		}
 	}
 }
 
@@ -413,12 +515,12 @@ func newBCTraversal(t *testing.T, n int, sources []int, pending bool) *bcTravers
 	return s
 }
 
-// fusedLevel advances s by one FusedPlusFirstStep; genericLevel by its
+// fusedLevel advances s by one FusedFrontierStep; genericLevel by its
 // generic formulation, C⟨¬s(P), r⟩ = F plus.first A (pull: by AT through
 // the transpose descriptor), P += C, D⟨s(C)⟩ = d + 1.
 func (s *bcTraversal) fusedLevel(A, AT *Matrix[float64], pull bool) (int, error) {
 	C := MustMatrix[float64](s.F.Dims())
-	nf, err := FusedPlusFirstStep(C, s.F, s.P, s.D, A, AT, pull)
+	nf, err := FusedFrontierStep(C, s.F, s.P, s.D, A, AT, pull)
 	s.F, s.levels = C, append(s.levels, C)
 	return nf, err
 }
@@ -502,7 +604,7 @@ func randGraph(t *testing.T, rng *rand.Rand, n, deg int, pending bool) (*Matrix[
 	return A, AT
 }
 
-// TestFusedPlusFirstStep: level by level, FusedPlusFirstStep leaves the
+// TestFusedPlusFirstStep: level by level, FusedFrontierStep leaves the
 // frontier, path counts and depths its generic formulation leaves, push or
 // pull, from batches with a repeated source, over sparse, bitmap and
 // pending graphs and states with and without pending tuples; the backward
@@ -559,11 +661,11 @@ func TestFusedPlusFirstStep(t *testing.T) {
 
 	// Errors: a non-square A, a P of other dimensions, a B not full.
 	s := newBCTraversal(t, 3, []int{0}, false)
-	if _, err := FusedPlusFirstStep(MustMatrix[float64](1, 3), s.F, s.P, s.D, MustMatrix[float64](3, 4), MustMatrix[float64](4, 3), false); InfoOf(err) != DimensionMismatch {
+	if _, err := FusedFrontierStep(MustMatrix[float64](1, 3), s.F, s.P, s.D, MustMatrix[float64](3, 4), MustMatrix[float64](4, 3), false); InfoOf(err) != DimensionMismatch {
 		t.Fatalf("non-square A: %v", err)
 	}
 	A3 := MustMatrix[float64](3, 3)
-	if _, err := FusedPlusFirstStep(MustMatrix[float64](1, 3), s.F, MustMatrix[float64](2, 3), s.D, A3, A3, false); InfoOf(err) != DimensionMismatch {
+	if _, err := FusedFrontierStep(MustMatrix[float64](1, 3), s.F, MustMatrix[float64](2, 3), s.D, A3, A3, false); InfoOf(err) != DimensionMismatch {
 		t.Fatalf("P of two rows: %v", err)
 	}
 	if err := FusedPlusFirstBackStep(MustMatrix[float64](1, 3), s.F, s.P, s.D, A3); InfoOf(err) != InvalidObject {

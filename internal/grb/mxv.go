@@ -63,7 +63,8 @@ func MxV[TA, TB, TC Value](w *Vector[TC], mask VMask, accum func(TC, TC) TC,
 	u.Wait()
 	A.Wait()
 	// A loop of fastpath.go emits a dense T, dotRow a list; a u that is w
-	// (BFS's q⟨¬s(p), r⟩ = Aᵀ any.secondi q) goes through a temporary.
+	// (q⟨¬s(p), r⟩ = Aᵀ any.secondi q, a BFS pull as the generic calls
+	// write it) goes through a temporary.
 	fast := pullsFast(s, A, u)
 	wb := w.output(mask, accum, d.Replace, nil, tShape{dense: fast, list: !fast, cut: true, alias: any(u) == any(w)})
 	row := u.asRow()

@@ -4,9 +4,11 @@ import (
 	"container/heap"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"lagraph/internal/grb"
+	"lagraph/internal/parallel"
 )
 
 // ---------------------------------------------------------------------------
@@ -360,6 +362,38 @@ func TestBFSStepBatchMode(t *testing.T) {
 		if steps != maxLev+1 {
 			t.Fatalf("took %d steps, eccentricity %d", steps, maxLev)
 		}
+	}
+}
+
+// TestBFSWorkerCount: a pull level is cut by vertex and each vertex's
+// parent is its first frontier in-neighbour in Aᵀ's row, so BFS's parents
+// and levels on Kron scale 13, whose widest levels pull, are the same
+// under one worker and under four.
+func TestBFSWorkerCount(t *testing.T) {
+	g := warmGraph(t, 13)
+	run := func(workers int) (p []int64, l []int32, pulls int) {
+		defer parallel.SetMaxThreads(parallel.SetMaxThreads(workers))
+		prb := NewProbe(1 << 10)
+		parents, levels, err := BreadthFirstSearchAdvanced(WithProbe(bg, prb), g, 0, true, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, it := range prb.Snapshot().Iters {
+			if it.Direction == "pull" && it.Frontier > 0 {
+				pulls++
+			}
+		}
+		_, p = parents.ExtractTuples()
+		_, l = levels.ExtractTuples()
+		return p, l, pulls
+	}
+	p1, l1, pulls := run(1)
+	p4, l4, _ := run(4)
+	if pulls == 0 || len(p1) < g.NumNodes()/2 {
+		t.Fatalf("%d pull levels reaching %d of %d vertices: nothing to cut", pulls, len(p1), g.NumNodes())
+	}
+	if !slices.Equal(p1, p4) || !slices.Equal(l1, l4) {
+		t.Fatal("parents or levels differ between one worker and four")
 	}
 }
 

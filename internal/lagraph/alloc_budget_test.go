@@ -1,6 +1,7 @@
 package lagraph
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"runtime"
@@ -330,6 +331,65 @@ func TestDegreesAllocateByN(t *testing.T) {
 		t.Logf("%s allocated %d B: %.2f B per stored entry, %.1f B per vertex", p.name, bytes, perEntry, float64(bytes)/n)
 		if perEntry >= 4 {
 			t.Errorf("%s allocated %d B, %.2f B per stored entry: want O(n), under 4", p.name, bytes, perEntry)
+		}
+	}
+}
+
+// TestBFSOnDenseMatrixAllocatesByN: the fused step reads a bitmap or full
+// A in place, so BFS over a full (complete) A of 1 024 vertices — a push
+// that reaches every vertex, then a pull that finds none left — allocates
+// under 64 B a vertex a level, where one sparse copy of A's pattern costs
+// 8 MiB; Algorithm 1's push-only loop likewise.
+func TestBFSOnDenseMatrixAllocatesByN(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	const n = 1024
+	A := grb.MustMatrix[float64](n, n)
+	if err := grb.AssignMatrixScalar(A, grb.NoMask, nil, 1.0, grb.All, grb.All, nil); err != nil {
+		t.Fatal(err)
+	}
+	g, err := New(&A, AdjacencyDirected)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, property := range []func() error{g.PropertyAT, g.PropertyRowDegree} {
+		if err := property(); err != nil && !IsWarning(err) {
+			t.Fatal(err)
+		}
+	}
+	if g.A.Format() != grb.FormatFull || g.CachedAT().Format() != grb.FormatFull {
+		t.Fatalf("A is %v and AT %v, want both full", g.A.Format(), g.CachedAT().Format())
+	}
+	for _, c := range []struct {
+		name string
+		bfs  func(ctx context.Context) (*grb.Vector[int64], error)
+	}{
+		{"BreadthFirstSearchAdvanced", func(ctx context.Context) (*grb.Vector[int64], error) {
+			p, _, err := BreadthFirstSearchAdvanced(ctx, g, 0, true, true)
+			return p, err
+		}},
+		{"BFSParentPushOnly", func(ctx context.Context) (*grb.Vector[int64], error) { return BFSParentPushOnly(ctx, g, 0) }},
+	} {
+		var bytes uint64
+		var levels int
+		for run := 0; run < 2; run++ { // the second run meets warm pools
+			ctx := &pollCtx{Context: bg}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			p, err := c.bfs(ctx)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.NVals() != n {
+				t.Fatalf("%s reached %d of %d vertices", c.name, p.NVals(), n)
+			}
+			bytes, levels = after.TotalAlloc-before.TotalAlloc, ctx.polls
+		}
+		t.Logf("%s: %d B over %d levels, %.1f B a vertex a level", c.name, bytes, levels, float64(bytes)/float64(levels*n))
+		if bytes > uint64(64*levels*n) {
+			t.Errorf("%s allocated %d B over %d levels: want under 64 B a vertex a level", c.name, bytes, levels)
 		}
 	}
 }

@@ -11,9 +11,9 @@ import (
 // batched over ns source vertices, each level one fused grb step, as GAP's
 // bc.cc runs it. The forward (BFS) phase counts shortest paths with
 // plus.first over an ns×n frontier, one entry list per source, and
-// grb.FusedPlusFirstStep adds each level into the path counts P and stamps
-// its depth into D in the same pass, making the same push/pull choice as
-// the BFS. Each level's frontier is kept, and the backward phase walks them
+// grb.FusedFrontierStep, the step BFS runs with the any.secondi rule, adds
+// each level into the path counts P and stamps its depth into D in the same
+// pass. Each level's frontier is kept, and the backward phase walks them
 // deepest first, as GAP walks its order array: grb.FusedPlusFirstBackStep
 // pulls each vertex's dependency from its successors one level deeper,
 // which D names, so no level is a mask and there is no W. Algorithm 3 as
@@ -83,7 +83,7 @@ func BetweennessCentralityAdvanced[T grb.Value](ctx context.Context, g *Graph[T]
 		pull := nf*bcPullThreshold > ns*n
 		next := grb.MustMatrix[float64](ns, n)
 		var err error
-		if nf, err = grb.FusedPlusFirstStep(next, F, P, D, g.A, at, pull); err != nil {
+		if nf, err = grb.FusedFrontierStep(next, F, P, D, g.A, at, pull); err != nil {
 			return nil, wrap(StatusInvalidValue, err, "BC step")
 		}
 		if prb.Enabled() {
@@ -117,15 +117,12 @@ func BetweennessCentralityAdvanced[T grb.Value](ctx context.Context, g *Graph[T]
 		}
 	}
 
-	// centrality(:) = -ns; centrality += [+i B(i,:)] (lines 20-21): column
-	// sums of B, shifted so each source's own unit contribution cancels.
+	// centrality(:) = -ns; centrality += onesᵀ plus.second B (lines 20-21):
+	// B's column sums, shifted so each source's own unit contribution
+	// cancels.
 	centrality := grb.DenseVector(n, float64(-ns))
-	colSum := grb.MustVector[float64](n)
-	if err := grb.ReduceMatrixToVector(colSum, grb.NoVMask, nil, grb.PlusMonoid[float64](), B, grb.DescT0); err != nil {
+	if err := grb.VxM(centrality, grb.NoVMask, grb.PlusOp[float64]().F, grb.PlusSecond[float64, float64](), grb.DenseVector(ns, 1.0), B, nil); err != nil {
 		return nil, wrap(StatusInvalidValue, err, "BC column sums")
-	}
-	if err := grb.EWiseAddV(centrality, grb.NoVMask, nil, grb.PlusOp[float64](), centrality, colSum, nil); err != nil {
-		return nil, wrap(StatusInvalidValue, err, "BC shift")
 	}
 	return centrality, nil
 }

@@ -1,6 +1,7 @@
 package lagraph
 
 import (
+	"cmp"
 	"context"
 
 	"lagraph/internal/grb"
@@ -15,9 +16,12 @@ import (
 //
 // where q is the frontier, p the parent vector and the complemented
 // structural mask selects the unvisited vertices. secondi yields the index
-// k of the multiplied pair — the parent id — and the any monoid keeps an
-// arbitrary one of them, the benign race of GAP's bfs.cc recast as a
-// monoid.
+// k of the multiplied pair — the parent id — and the any monoid keeps one
+// of them, the benign race of GAP's bfs.cc recast as a monoid. Each level
+// is one grb.FusedBFSStep, BC's forward step at k = 1 under any.secondi:
+// it writes p and the depth stamp (the level output) in the same pass, and
+// its pull stops at an unvisited vertex's first frontier in-neighbour,
+// GAP's bottom-up step.
 
 // bfsAlphaRatio and bfsBetaRatio are the GAP direction-optimisation
 // thresholds: switch to pull when the frontier's out-edges exceed the
@@ -78,10 +82,8 @@ func BFSParentPushOnly[T grb.Value](ctx context.Context, g *Graph[T], src int) (
 		return nil, err
 	}
 	n := g.NumNodes()
-	p := grb.MustVector[int64](n)
-	q := grb.MustVector[int64](n)
-	Must(p.SetElement(int64(src), src))
-	Must(q.SetElement(int64(src), src))
+	p, q := grb.MustVector[int64](n), grb.MustVector[int64](n)
+	Must(cmp.Or(p.SetElement(int64(src), src), q.SetElement(int64(src), src)))
 	for level := 1; level < n && q.NVals() > 0; level++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -101,26 +103,13 @@ func BFSParentPushOnly[T grb.Value](ctx context.Context, g *Graph[T], src int) (
 func bfsDirOpt[T grb.Value](ctx context.Context, g *Graph[T], at *grb.Matrix[T], rowDegree *grb.Vector[int64], src int, wantParent, wantLevel bool) (*grb.Vector[int64], *grb.Vector[int32], error) {
 	prb := ProbeFrom(ctx)
 	n := g.NumNodes()
-	var p *grb.Vector[int64]
-	var l *grb.Vector[int32]
-	// The visited set is the parent vector when parents are wanted,
-	// otherwise a dedicated reachability vector.
-	p = grb.MustVector[int64](n)
-	Must(p.SetElement(int64(src), src))
-	if wantLevel {
-		l = grb.MustVector[int32](n)
-		Must(l.SetElement(0, src))
-	}
-	q := grb.MustVector[int64](n)
-	Must(q.SetElement(int64(src), src))
+	// p holds the parents and d the depths, the level output; a pull reads
+	// the frontier as d's cells at the last level.
+	p, d, q := grb.MustVector[int64](n), grb.MustVector[int32](n), grb.MustVector[int64](n)
+	Must(cmp.Or(p.SetElement(int64(src), src), d.SetElement(0, src), q.SetElement(int64(src), src)))
 
-	semiringPull := grb.AnySecondI[T, int64, int64]()
-
-	nnzA := g.A.NVals()
-	edgesUnexplored := nnzA
-	doPush := true
-	nq := 1
-	for level := int32(1); level < int32(n); level++ {
+	edgesUnexplored, doPush, nq := g.A.NVals(), true, 1
+	for level := 1; level < n; level++ {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
@@ -135,44 +124,29 @@ func bfsDirOpt[T grb.Value](ctx context.Context, g *Graph[T], at *grb.Matrix[T],
 		} else if nq < n/bfsBetaRatio {
 			doPush = true
 		}
+		// q⟨¬s(p), r⟩ = q any.secondi A, p⟨s(q)⟩ = q, d⟨s(q)⟩ = level
 		var err error
-		if doPush {
-			// qᵀ⟨¬s(pᵀ), r⟩ = qᵀ any.secondi A and p⟨s(q)⟩ = q in one pass
-			err = grb.FusedBFSPushStep(p, q, g.A)
-		} else {
-			// q⟨¬s(p), r⟩ = Aᵀ any.secondi q
-			err = grb.MxV(q, grb.StructVMaskOf(p).Not(), nil, semiringPull, at, q, grb.DescR)
-		}
-		if err != nil {
+		if nq, err = grb.FusedBFSStep(p, q, d, g.A, at, !doPush); err != nil {
 			return nil, nil, wrap(StatusInvalidValue, err, "BFS step")
 		}
-		nq = q.NVals()
 		if prb.Enabled() {
 			dir := "pull"
 			if doPush {
 				dir = "push"
 			}
-			prb.Iter(IterStat{Iter: int(level), Frontier: nq, Direction: dir})
+			prb.Iter(IterStat{Iter: level, Frontier: nq, Direction: dir})
 		}
 		if nq == 0 {
 			break
-		}
-		if !doPush {
-			// p⟨s(q)⟩ = q (the fused push step has already written p)
-			if err := grb.AssignVector(p, grb.StructVMaskOf(q), nil, q, grb.All, nil); err != nil {
-				return nil, nil, wrap(StatusInvalidValue, err, "BFS parent update")
-			}
-		}
-		if wantLevel {
-			if err := grb.AssignVectorScalar(l, grb.StructVMaskOf(q), nil, level, grb.All, nil); err != nil {
-				return nil, nil, wrap(StatusInvalidValue, err, "BFS level update")
-			}
 		}
 	}
 	if !wantParent {
 		p = nil
 	}
-	return p, l, nil
+	if !wantLevel {
+		d = nil
+	}
+	return p, d, nil
 }
 
 // BFSStep advances a BFS by one level in place — the batch-mode,
@@ -190,7 +164,7 @@ func BFSStep[T grb.Value](g *Graph[T], p, q *grb.Vector[int64]) error {
 		return errf(StatusInvalidValue, "BFSStep: vector length mismatch")
 	}
 	// qᵀ⟨¬s(pᵀ), r⟩ = qᵀ any.secondi A and p⟨s(q)⟩ = q in one pass
-	if err := grb.FusedBFSPushStep(p, q, g.A); err != nil {
+	if _, err := grb.FusedBFSStep(p, q, nil, g.A, nil, false); err != nil {
 		return wrap(StatusInvalidValue, err, "BFSStep push")
 	}
 	return nil

@@ -176,3 +176,36 @@ func TestBCCancelsWithinOnePollPerLevel(t *testing.T) {
 		}
 	}
 }
+
+// TestBFSCancelsWithinOnePollPerLevel pins BFS's cancellation latency as
+// BC's is pinned: a run to completion on Road 32×32 polls its context once
+// per step (the non-empty levels and the empty one that ends it), and a
+// context that turns cancelled at its j-th poll, for every j up to that
+// count, makes BFS return the raw context.Canceled at that poll, with no
+// step run after it.
+func TestBFSCancelsWithinOnePollPerLevel(t *testing.T) {
+	g := graphFromEdges(t, gen.Road(32, 1))
+	for _, property := range []func() error{g.PropertyAT, g.PropertyRowDegree} {
+		if err := property(); err != nil && !IsWarning(err) {
+			t.Fatal(err)
+		}
+	}
+	run := func(cancelAt int) (*pollCtx, int, error) {
+		prb := NewProbe(1 << 20)
+		ctx := &pollCtx{Context: WithProbe(bg, prb), cancelAt: cancelAt}
+		_, _, err := BreadthFirstSearchAdvanced(ctx, g, 0, true, true)
+		return ctx, len(prb.Snapshot().Iters), err
+	}
+	full, steps, err := run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.polls != steps || steps < 50 {
+		t.Fatalf("%d polls for %d steps", full.polls, steps)
+	}
+	for j := 1; j <= steps; j++ {
+		if ctx, ran, err := run(j); err != context.Canceled || ctx.polls != j || ran != j-1 {
+			t.Fatalf("cancelled at poll %d: err = %v after %d polls and %d steps, want the raw context.Canceled after %d and %d", j, err, ctx.polls, ran, j, j-1)
+		}
+	}
+}
