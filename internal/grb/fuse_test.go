@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"testing/quick"
 
 	"lagraph/internal/parallel"
 )
@@ -138,6 +139,56 @@ func TestFusedBFSStep(t *testing.T) {
 		}
 		vectorsEqual(t, qf, vdenseOf(qg), label+": BFSStep frontier")
 		vectorsEqual(t, pf, vdenseOf(pg), label+": BFSStep parents")
+	}
+}
+
+// TestFusedBFSPushStepEquivalence: one push from a single source through
+// FusedBFSStep reaches the frontier and visited set of VxM + AssignVector.
+func TestFusedBFSPushStepEquivalence(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 5 + rng.Intn(25)
+		A := randMatrix(rng, n, n, 0.15)
+		src := rng.Intn(n)
+
+		// Unfused reference: one push step + parent assign.
+		pRef := MustVector[int64](n)
+		qRef := MustVector[int64](n)
+		pRef.SetElement(int64(src), src)
+		qRef.SetElement(int64(src), src)
+		s := AnySecondI[int64, float64, int64]()
+		if err := VxM(qRef, StructVMaskOf(pRef).Not(), nil, s, qRef, A, DescR); err != nil {
+			return false
+		}
+		if err := AssignVector(pRef, StructVMaskOf(qRef), nil, qRef, All, nil); err != nil {
+			return false
+		}
+
+		// Fused step: a push with no depth vector.
+		p := MustVector[int64](n)
+		q := MustVector[int64](n)
+		p.SetElement(int64(src), src)
+		q.SetElement(int64(src), src)
+		if _, err := FusedBFSStep(p, q, nil, A, nil, false); err != nil {
+			return false
+		}
+
+		// Same frontier support and same visited set (parent values may
+		// differ under any semantics, but with a single-source frontier
+		// they cannot here).
+		if q.NVals() != qRef.NVals() || p.NVals() != pRef.NVals() {
+			return false
+		}
+		ok := true
+		qRef.Iterate(func(i int, _ int64) {
+			if _, err := q.ExtractElement(i); err != nil {
+				ok = false
+			}
+		})
+		return ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
 	}
 }
 
