@@ -448,6 +448,53 @@ func TestBuildAllocatesByTuple(t *testing.T) {
 	}
 }
 
+// TestTinyFrontierPullLevelBorrowsItsBitmap: a warm BFS pull level on a
+// 2¹⁴-vertex ring, from the two vertices at depth 1 to the two at depth 2,
+// allocates fewer bytes than the ns×n bitmap it sums into has cells
+// (ns = 1): that bitmap is borrowed from the pool, where allocating it per
+// level cost 9 bytes a cell.
+func TestTinyFrontierPullLevelBorrowsItsBitmap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	defer parallel.SetMaxThreads(parallel.SetMaxThreads(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const n = 1 << 14
+	adj := newTinyFrontier(t, n).adj
+	p, err := VectorFromTuples(n, []int{0, 1, n - 1}, []int64{0, 0, 0}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := VectorFromTuples(n, []int{0, 1, n - 1}, []int32{0, 1, 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := VectorFromTuples(n, []int{1, n - 1}, []int64{0, 0}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := q.store
+	level := func() error {
+		q.store = front
+		nf, err := FusedBFSStep(p, q, d, adj, adj, true)
+		if err != nil {
+			return err
+		}
+		if nf != 2 || q.idx[0] != 2 || q.idx[1] != n-2 || p.val[2] != 1 || p.val[n-2] != n-1 || d.val[2] != 2 || d.val[n-2] != 2 {
+			t.Fatalf("level found %v, parents %d and %d, depths %d and %d", q.idx, p.val[2], p.val[n-2], d.val[2], d.val[n-2])
+		}
+		// Undo the level, so that every call runs the same one.
+		for _, j := range q.idx {
+			p.b[j], d.b[j] = 0, 0
+		}
+		p.nvalsB, d.nvalsB = p.nvalsB-nf, d.nvalsB-nf
+		return nil
+	}
+	if b := bytesPerCall(t, level); b >= n {
+		t.Errorf("a warm pull level allocated %.0f B, budget under ns·n = %d", b, n)
+	}
+}
+
 // TestFusedMinPlusPushStepAllocates: one warm SSSP relaxation over a
 // 4-vertex frontier on a Road grid makes at most 3 allocations — the
 // lowered entries' two arrays, and a sorter when the lazy sort is off —

@@ -162,26 +162,33 @@ func FusedFrontierStep[T Value, V int64 | float64](C, F, P *Matrix[V], D *Matrix
 		db, dv = D.b, D.val
 		d = dv[(sort.SearchInts(F.ptr, 1)-1)*n+F.idx[0]]
 	}
+	var cb []int8
 	if pull {
-		// Each piece sums its own vertices' cells of a fresh bitmap C,
-		// reading only P and D; P and D take C's entries once all have read.
-		C.store = store[V]{nr: ns, nc: n, format: FormatBitmap, b: make([]int8, ns*n), val: make([]V, ns*n)}
-		cb, cv := C.b, C.val
+		// Each piece sums its own vertices' cells of a bitmap C borrowed
+		// from the pool, reading only P and D; P and D take C's entries once
+		// all have read, and the borrowed cells are cleared as they do.
+		slab, vals := getSlab(ns*n), getSPA[V](ns*n)
+		defer func() { putSlab(slab); putSPA(vals) }()
+		C.store = store[V]{nr: ns, nc: n, format: FormatBitmap, b: *slab, val: vals.val}
+		cb = C.b
+		cv := C.val
 		parallel.Blocks(n, ptr, func(lo, hi int) struct{} {
 			for j := lo; j < hi; j++ {
 				for base := 0; base < ns*n; base += n {
 					if pb[base+j] != 0 {
 						continue
 					}
+					var sum V
 					for _, i := range patternRow(ptr, idx, j) {
 						if c := base + i; pb[c] != 0 && dv[c] == d && patternHas(xb, n, j, i) {
 							if parent {
-								cb[base+j], cv[base+j] = 1, V(i)
+								cb[base+j], sum = 1, V(i)
 								break
 							}
-							cb[base+j], cv[base+j] = 1, cv[base+j]+pv[c]
+							cb[base+j], sum = 1, sum+pv[c]
 						}
 					}
+					cv[base+j] = sum
 				}
 			}
 			return struct{}{}
@@ -217,6 +224,7 @@ func FusedFrontierStep[T Value, V int64 | float64](C, F, P *Matrix[V], D *Matrix
 		for p := C.ptr[k]; p < C.ptr[k+1]; p++ {
 			if c := k*n + C.idx[p]; pull {
 				pb[c], pv[c], db[c], dv[c] = 1, C.val[p], 1, d+1
+				cb[c] = 0
 			} else {
 				C.val[p] = pv[c]
 			}

@@ -123,7 +123,9 @@ func saxpyRow[TA, TB, TC Value](s *Semiring[TA, TB, TC], A *Matrix[TA], i int, B
 // method — and the rows are cut into blocks of equal mask entries, since a
 // row's work grows with its mask row (after TC's degree sort, nearly all of
 // it sits in the last rows); otherwise every (i,j) the mask allows is
-// evaluated — the pull-direction shape used by BC.
+// evaluated. When both are sparse, each worker scatters A(i,:) into a
+// pooled accumulator once for the row (if its mask row has entries), and
+// each B(j,:) probes it: TC's L(i,:) is read once, not once per mask entry.
 func dotKernel[TA, TB, TC Value](wb *writeBack[TC], s Semiring[TA, TB, TC], A *Matrix[TA], B *Matrix[TB]) {
 	mask, nc := wb.mk, B.NRows()
 	enumerable := mask.enumerable()
@@ -131,7 +133,13 @@ func dotKernel[TA, TB, TC Value](wb *writeBack[TC], s Semiring[TA, TB, TC], A *M
 	if enumerable {
 		weight = mask.src.rowPtr()
 	}
+	scatter := A.format == FormatSparse && B.format == FormatSparse
 	run(wb, weight, 0, func(lo, hi int, o *sink[TC]) {
+		var a *spa[TA]
+		if scatter {
+			a = getSPA[TA](A.nc)
+			defer putSPA(a)
+		}
 		// One mask-row visitor per block, pointed at the current row: made
 		// per row, it would cost a heap object a row.
 		row := 0
@@ -139,12 +147,18 @@ func dotKernel[TA, TB, TC Value](wb *writeBack[TC], s Semiring[TA, TB, TC], A *M
 			if !mask.selects(tv) {
 				return
 			}
-			if x, ok := dotRow(&s, A, B, row, j); ok {
+			if x, ok := dotRow(&s, A, B, row, j, a); ok {
 				o.emit(j, x)
 			}
 		}
 		for i := lo; i < hi; i++ {
 			o.open(i)
+			if a != nil && (weight == nil || weight[i] < weight[i+1]) {
+				a.reset()
+				for p := A.ptr[i]; p < A.ptr[i+1]; p++ {
+					a.mark[A.idx[p]], a.val[A.idx[p]] = a.gen, A.val[p]
+				}
+			}
 			if enumerable {
 				row = i
 				mask.src.maskRowIter(i, 0, nc, visit)
@@ -154,7 +168,7 @@ func dotKernel[TA, TB, TC Value](wb *writeBack[TC], s Semiring[TA, TB, TC], A *M
 				if !o.ok(j) {
 					continue
 				}
-				if x, ok := dotRow(&s, A, B, i, j); ok {
+				if x, ok := dotRow(&s, A, B, i, j, a); ok {
 					o.emit(j, x)
 				}
 			}
@@ -163,15 +177,16 @@ func dotKernel[TA, TB, TC Value](wb *writeBack[TC], s Semiring[TA, TB, TC], A *M
 	wb.commit()
 }
 
-// dotRow reduces the intersection of A(i,:) with B(j,:) on the semiring.
-// Two sparse rows are first trimmed to the overlap of their column ranges,
-// by a binary search for the first and last column they can share, as
+// dotRow reduces the intersection of A(i,:) with B(j,:) on the semiring, in
+// ascending k. A sparse B(j,:) is walked and A(i,:) probed: a dense A in
+// place, a sparse A through a, its row scattered by dotKernel. B(j,:) is
+// first trimmed to A(i,:)'s column range by a binary search, as
 // SuiteSparse's dot3 does: TC's L(i,:) lies below i and U(j,:) above j, so
-// only (j, i) can meet, and the merge no longer walks L(i,:) below j. The
-// trim drops only columns that cannot match, so every semiring — early-exit
-// monoids and positional multipliers included — sees the same pairs in the
-// same order.
-func dotRow[TA, TB, TC Value](s *Semiring[TA, TB, TC], A *Matrix[TA], B *Matrix[TB], i, j int) (TC, bool) {
+// the walk stops at L(i,:)'s last column. Only columns that cannot match
+// are dropped, so every semiring — early-exit monoids and positional
+// multipliers included — sees the pairs a merge of the two rows would, in
+// the same order. A sparse A with a dense B walks A(i,:) and probes B.
+func dotRow[TA, TB, TC Value](s *Semiring[TA, TB, TC], A *Matrix[TA], B *Matrix[TB], i, j int, a *spa[TA]) (TC, bool) {
 	var acc TC
 	got := false
 	mul := s.Mul
@@ -196,64 +211,34 @@ func dotRow[TA, TB, TC Value](s *Semiring[TA, TB, TC], A *Matrix[TA], B *Matrix[
 		}
 		return !(terminal != nil && acc == *terminal)
 	}
-	aS := A.format == FormatSparse
-	bS := B.format == FormatSparse
-	switch {
-	case aS && bS:
+	switch aS := A.format == FormatSparse; {
+	case B.format == FormatSparse && aS: // A(i,:) scattered into a
 		p, pe := A.ptr[i], A.ptr[i+1]
 		q, qe := B.ptr[j], B.ptr[j+1]
 		if p == pe || q == qe {
 			return acc, got
 		}
-		lo, hi := max(A.idx[p], B.idx[q]), min(A.idx[pe-1], B.idx[qe-1])
-		if lo > hi {
-			return acc, got
+		for q, qe = trimRange(B.idx, q, qe, A.idx[p], A.idx[pe-1]); q < qe; q++ {
+			if k := B.idx[q]; a.mark[k] == a.gen && !combine(k, a.val[k], B.val[q]) {
+				return acc, got
+			}
 		}
-		p, pe = trimRange(A.idx, p, pe, lo, hi)
-		q, qe = trimRange(B.idx, q, qe, lo, hi)
-		for p < pe && q < qe {
-			ka, kb := A.idx[p], B.idx[q]
-			switch {
-			case ka < kb:
-				p++
-			case kb < ka:
-				q++
-			default:
-				if !combine(ka, A.val[p], B.val[q]) {
-					return acc, got
-				}
-				p++
-				q++
+	case B.format == FormatSparse: // A dense
+		for q, base := B.ptr[j], i*A.nc; q < B.ptr[j+1]; q++ {
+			if k := B.idx[q]; A.denseHas(base+k) && !combine(k, A.val[base+k], B.val[q]) {
+				return acc, got
 			}
 		}
 	case aS: // B dense
-		base := j * B.nc
-		for p := A.ptr[i]; p < A.ptr[i+1]; p++ {
-			k := A.idx[p]
-			if B.format == FormatFull || B.b[base+k] != 0 {
-				if !combine(k, A.val[p], B.val[base+k]) {
-					return acc, got
-				}
-			}
-		}
-	case bS: // A dense
-		base := i * A.nc
-		for q := B.ptr[j]; q < B.ptr[j+1]; q++ {
-			k := B.idx[q]
-			if A.format == FormatFull || A.b[base+k] != 0 {
-				if !combine(k, A.val[base+k], B.val[q]) {
-					return acc, got
-				}
+		for p, base := A.ptr[i], j*B.nc; p < A.ptr[i+1]; p++ {
+			if k := A.idx[p]; B.denseHas(base+k) && !combine(k, A.val[p], B.val[base+k]) {
+				return acc, got
 			}
 		}
 	default: // both dense
-		aBase, bBase := i*A.nc, j*B.nc
-		for k := 0; k < A.nc; k++ {
-			if (A.format == FormatFull || A.b[aBase+k] != 0) &&
-				(B.format == FormatFull || B.b[bBase+k] != 0) {
-				if !combine(k, A.val[aBase+k], B.val[bBase+k]) {
-					return acc, got
-				}
+		for k, aBase, bBase := 0, i*A.nc, j*B.nc; k < A.nc; k++ {
+			if A.denseHas(aBase+k) && B.denseHas(bBase+k) && !combine(k, A.val[aBase+k], B.val[bBase+k]) {
+				return acc, got
 			}
 		}
 	}

@@ -96,7 +96,7 @@ func MxV[TA, TB, TC Value](w *Vector[TC], mask VMask, accum func(TC, TC) TC,
 			if masked && !o.ok(i) {
 				continue
 			}
-			if x, ok := dotRow(&s, A, row, i, 0); ok {
+			if x, ok := dotRow(&s, A, row, i, 0, nil); ok {
 				o.emit(i, x)
 			}
 		}

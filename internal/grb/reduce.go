@@ -15,14 +15,20 @@ func ReduceMatrixToVector[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 	mon Monoid[T], A *Matrix[T], desc *Descriptor) error {
 
 	d := descOf(desc)
-	A = oriented(A, d.TranA)
-	if w.Size() != A.NRows() {
-		return dimErr("ReduceMatrixToVector", "w length "+strconv.Itoa(w.Size()), "A rows "+strconv.Itoa(A.NRows()))
+	A.Wait()
+	// A bitmap or full A is reduced by columns where it lies, in row order.
+	byCol := d.TranA && A.format != FormatSparse
+	A = oriented(A, d.TranA && !byCol)
+	n := A.nr
+	if byCol {
+		n = A.nc
+	}
+	if w.Size() != n {
+		return dimErr("ReduceMatrixToVector", "w length "+strconv.Itoa(w.Size()), "A rows "+strconv.Itoa(n))
 	}
 	if err := mask.check(1, w.Size(), "ReduceMatrixToVector"); err != nil {
 		return err
 	}
-	A.Wait()
 	wb := w.output(mask, accum, d.Replace, nil, tShape{list: true, cut: true})
 	masked := mask.Exists()
 	run(wb, nil, 0, func(lo, hi int, o *sink[T]) {
@@ -30,7 +36,7 @@ func ReduceMatrixToVector[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 			if masked && !o.ok(i) {
 				continue
 			}
-			if x, ok := reduceRow(mon, A, i); ok {
+			if x, ok := reduceRow(mon, A, i, byCol); ok {
 				o.emit(i, x)
 			}
 		}
@@ -39,17 +45,27 @@ func ReduceMatrixToVector[T Value](w *Vector[T], mask VMask, accum func(T, T) T,
 	return nil
 }
 
-// reduceRow folds row i of A on the monoid; ok is false for an empty row.
-func reduceRow[T Value](mon Monoid[T], A *Matrix[T], i int) (T, bool) {
+// reduceRow folds row i of A — column i, in row order, when byCol — on the
+// monoid; ok is false for an empty one.
+func reduceRow[T Value](mon Monoid[T], A *Matrix[T], i int, byCol bool) (T, bool) {
 	var acc T
 	got := false
-	A.rowIter(i, func(_ int, x T) {
+	fold := func(_ int, x T) {
 		if !got {
 			acc, got = x, true
 		} else {
 			acc = mon.F(acc, x)
 		}
-	})
+	}
+	if !byCol {
+		A.rowIter(i, fold)
+		return acc, got
+	}
+	for p := i; p < A.nr*A.nc; p += A.nc {
+		if A.denseHas(p) {
+			fold(0, A.val[p])
+		}
+	}
 	return acc, got
 }
 
@@ -72,7 +88,7 @@ func ReduceMatrixToScalar[T Value](mon Monoid[T], A *Matrix[T]) T {
 	parts := parallel.Blocks(nr, nil, func(lo, hi int) partial {
 		p := partial{acc: mon.Identity}
 		for i := lo; i < hi; i++ {
-			if x, ok := reduceRow(mon, A, i); ok {
+			if x, ok := reduceRow(mon, A, i, false); ok {
 				p = fold(p, x)
 			}
 		}
@@ -93,7 +109,7 @@ func ReduceVectorToScalar[T Value](mon Monoid[T], u *Vector[T]) T {
 	if u.format == FormatFull {
 		return parallelFold(mon, u.val)
 	}
-	if x, ok := reduceRow(mon, u.asRow(), 0); ok {
+	if x, ok := reduceRow(mon, u.asRow(), 0, false); ok {
 		return x
 	}
 	return mon.Identity

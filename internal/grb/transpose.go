@@ -52,28 +52,18 @@ func oriented[T Value](A *Matrix[T], tran bool) *Matrix[T] {
 func transposeWork[T Value](A *Matrix[T]) *Matrix[T] {
 	nr, nc := A.Dims()
 	t := MustMatrix[T](nc, nr)
-	switch A.format {
-	case FormatFull:
-		t.format = FormatFull
-		t.val = make([]T, nr*nc)
+	if A.format != FormatSparse {
+		t.format, t.val = A.format, make([]T, nr*nc)
+		if A.format == FormatBitmap {
+			t.b, t.nvalsB = make([]int8, nr*nc), A.nvalsB
+		}
 		parallel.For(nc, func(lo, hi int) {
 			for j := lo; j < hi; j++ {
 				for i := 0; i < nr; i++ {
 					t.val[j*nr+i] = A.val[i*nc+j]
-				}
-			}
-		})
-		return t
-	case FormatBitmap:
-		t.format = FormatBitmap
-		t.val = make([]T, nr*nc)
-		t.b = make([]int8, nr*nc)
-		t.nvalsB = A.nvalsB
-		parallel.For(nc, func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				for i := 0; i < nr; i++ {
-					t.b[j*nr+i] = A.b[i*nc+j]
-					t.val[j*nr+i] = A.val[i*nc+j]
+					if t.b != nil {
+						t.b[j*nr+i] = A.b[i*nc+j]
+					}
 				}
 			}
 		})

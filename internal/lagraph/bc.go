@@ -118,10 +118,10 @@ func BetweennessCentralityAdvanced[T grb.Value](ctx context.Context, g *Graph[T]
 	}
 
 	// centrality(:) = -ns; centrality += onesᵀ plus.second B (lines 20-21):
-	// B's column sums, shifted so each source's own unit contribution
-	// cancels.
+	// B's column sums, read where they lie, shifted so each source's own
+	// unit contribution cancels.
 	centrality := grb.DenseVector(n, float64(-ns))
-	if err := grb.VxM(centrality, grb.NoVMask, grb.PlusOp[float64]().F, grb.PlusSecond[float64, float64](), grb.DenseVector(ns, 1.0), B, nil); err != nil {
+	if err := grb.ReduceMatrixToVector(centrality, grb.NoVMask, grb.PlusOp[float64]().F, grb.PlusMonoid[float64](), B, grb.DescT0); err != nil {
 		return nil, wrap(StatusInvalidValue, err, "BC column sums")
 	}
 	return centrality, nil

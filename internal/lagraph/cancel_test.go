@@ -209,3 +209,27 @@ func TestBFSCancelsWithinOnePollPerLevel(t *testing.T) {
 		}
 	}
 }
+
+// TestSSSPCancelsWithinOnePollPerBucket pins SSSP's cancellation latency:
+// a run to completion on Road 32×32 (weights in [1, 255], Δ = 64) polls
+// its context once per bucket epoch and once per light relaxation round,
+// and a context that turns cancelled at its j-th poll, for every j up to
+// that count, makes SSSP return the raw context.Canceled at that poll.
+func TestSSSPCancelsWithinOnePollPerBucket(t *testing.T) {
+	e := gen.Road(32, 1)
+	e.AddUniformWeights(7, 1, 255)
+	g := weightedGraph[float64](t, e)
+	full := &pollCtx{Context: bg}
+	if _, err := SSSPDeltaStepping(full, g, 0, 64); err != nil {
+		t.Fatal(err)
+	}
+	if full.polls < 50 {
+		t.Fatalf("%d polls: the run is too short to pin anything", full.polls)
+	}
+	for j := 1; j <= full.polls; j++ {
+		ctx := &pollCtx{Context: bg, cancelAt: j}
+		if _, err := SSSPDeltaStepping(ctx, g, 0, 64); err != context.Canceled || ctx.polls != j {
+			t.Fatalf("cancelled at poll %d: err = %v after %d polls, want the raw context.Canceled after %d", j, err, ctx.polls, j)
+		}
+	}
+}

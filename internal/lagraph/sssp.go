@@ -2,6 +2,7 @@ package lagraph
 
 import (
 	"context"
+	"math"
 
 	"lagraph/internal/grb"
 )
@@ -62,7 +63,9 @@ func defaultDelta[T grb.Number](g *Graph[T]) T {
 // vertices are +inf for floating-point weight types (callers on integer
 // graphs should use Reachable to interpret the result: unreached entries
 // hold MaxOf[T]). ctx is polled at every bucket epoch and every inner
-// light-edge relaxation round, returning ctx.Err() once it is done.
+// light-edge relaxation round, returning ctx.Err() once it is done. A
+// delta so small that a distance's bucket index passes the int range is
+// an InvalidValue error.
 func SSSPDeltaStepping[T grb.Number](ctx context.Context, g *Graph[T], src int, delta T) (*grb.Vector[T], error) {
 	if err := validateSource(g, src, "SSSPDeltaStepping"); err != nil {
 		return nil, err
@@ -168,7 +171,12 @@ func SSSPDeltaStepping[T grb.Number](ctx context.Context, g *Graph[T], src int, 
 		if pending.NVals() == 0 {
 			break
 		}
+		// The next bucket's index must fit an int: past it, the skip would
+		// never fire and the loop would step through empty buckets.
 		nextMin := grb.ReduceVectorToScalar(grb.MinMonoid[T](), pending)
+		if float64(nextMin/delta) >= math.MaxInt {
+			return nil, errf(StatusInvalidValue, "SSSPDeltaStepping: delta %v is too small: distance %v is bucket %v, past the int range", delta, nextMin, nextMin/delta)
+		}
 		if next := int(nextMin / delta); next > i {
 			i = next - 1 // the loop increment brings it to the bucket
 		}

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"lagraph/internal/gap"
 	"lagraph/internal/gen"
@@ -206,6 +208,29 @@ func TestSSSPZeroWeightEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameDistances(t, "Road int64", di, want)
+}
+
+// TestSSSPDeltaTooSmall: on Road 8×8 with weights in [1, 255], a Δ so
+// small that the distances' bucket indices pass the int range is an
+// InvalidValue error naming delta, returned at once rather than at the
+// context's deadline, while Δ = 1e-12, whose indices fit, still computes
+// gap's distances. Shortest distances do not depend on Δ, and gap's
+// bucket array is indexed by d/Δ, so the oracle runs at Δ = 64.
+func TestSSSPDeltaTooSmall(t *testing.T) {
+	e := gen.Road(8, 1)
+	e.AddUniformWeights(7, 1, 255)
+	g := weightedGraph[float64](t, e)
+	ctx, cancel := context.WithTimeout(bg, 5*time.Second)
+	defer cancel()
+	_, err := SSSPDeltaStepping(ctx, g, 0, 1e-300)
+	if StatusOf(err) != StatusInvalidValue || !strings.Contains(err.Error(), "delta") {
+		t.Fatalf("Δ = 1e-300: err = %v, want an InvalidValue error naming delta", err)
+	}
+	d, err := SSSPDeltaStepping(ctx, g, 0, 1e-12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameDistances(t, "Δ = 1e-12", d, gap.SSSPDelta(gap.Build(e.N, e.Src, e.Dst, e.W, e.Directed), 0, 64))
 }
 
 // TestSSSPMatchesAlgorithm5: the pending-set kernel computes exactly what
