@@ -460,6 +460,48 @@ func TestTinyFrontierPullLevelBorrowsItsBitmap(t *testing.T) {
 	defer parallel.SetMaxThreads(parallel.SetMaxThreads(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const n = 1 << 14
+	if b := bytesPerCall(t, ringPullLevel(t, n)); b >= n {
+		t.Errorf("a warm pull level allocated %.0f B, budget under ns·n = %d", b, n)
+	}
+}
+
+// TestTinyFrontierPullLevelColdBorrow: the same level on a 2¹⁶-vertex
+// ring, run once the pool is emptied, borrows its bitmap's cells and
+// values at 1 + 8 bytes a cell, and allocates at most 64 KiB besides (the
+// pools' per-P arrays among them, at one P), where borrowing the values
+// as a sparse accumulator brought its unread int32 marks along, 13 bytes
+// a cell.
+func TestTinyFrontierPullLevelColdBorrow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	defer parallel.SetMaxThreads(parallel.SetMaxThreads(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // the pools' per-P arrays
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const n, slack = 1 << 16, 64 << 10
+	level := ringPullLevel(t, n)
+	if err := level(); err != nil { // p and d become bitmaps
+		t.Fatal(err)
+	}
+	runtime.GC() // sync.Pool drops what two collections find idle
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := level(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	b := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a cold pull level allocated %d B, %.2f B a cell", b, float64(b)/n)
+	if b > (1+8)*n+slack {
+		t.Errorf("a cold pull level allocated %d B, budget (1+8)·ns·n + 64 KiB = %d", b, (1+8)*n+slack)
+	}
+}
+
+// ringPullLevel returns one BFS pull level on an n-vertex ring, from the
+// two vertices at depth 1 to the two at depth 2, which undoes itself so
+// that every call runs the same level.
+func ringPullLevel(t *testing.T, n int) func() error {
 	adj := newTinyFrontier(t, n).adj
 	p, err := VectorFromTuples(n, []int{0, 1, n - 1}, []int64{0, 0, 0}, nil)
 	if err != nil {
@@ -474,32 +516,28 @@ func TestTinyFrontierPullLevelBorrowsItsBitmap(t *testing.T) {
 		t.Fatal(err)
 	}
 	front := q.store
-	level := func() error {
+	return func() error {
 		q.store = front
 		nf, err := FusedBFSStep(p, q, d, adj, adj, true)
 		if err != nil {
 			return err
 		}
-		if nf != 2 || q.idx[0] != 2 || q.idx[1] != n-2 || p.val[2] != 1 || p.val[n-2] != n-1 || d.val[2] != 2 || d.val[n-2] != 2 {
+		if nf != 2 || q.idx[0] != 2 || q.idx[1] != n-2 || p.val[2] != 1 || p.val[n-2] != int64(n-1) || d.val[2] != 2 || d.val[n-2] != 2 {
 			t.Fatalf("level found %v, parents %d and %d, depths %d and %d", q.idx, p.val[2], p.val[n-2], d.val[2], d.val[n-2])
 		}
-		// Undo the level, so that every call runs the same one.
 		for _, j := range q.idx {
 			p.b[j], d.b[j] = 0, 0
 		}
 		p.nvalsB, d.nvalsB = p.nvalsB-nf, d.nvalsB-nf
 		return nil
 	}
-	if b := bytesPerCall(t, level); b >= n {
-		t.Errorf("a warm pull level allocated %.0f B, budget under ns·n = %d", b, n)
-	}
 }
 
 // TestFusedMinPlusPushStepAllocates: one warm SSSP relaxation over a
-// 4-vertex frontier on a Road grid makes at most 3 allocations — the
-// lowered entries' two arrays, and a sorter when the lazy sort is off —
-// on 96×96 and on 384×384 alike, where the unfused VxM + EWiseAddV pair
-// scanned all of t.
+// 4-vertex frontier on a Road grid, light and heavy half, makes no
+// allocation once its bins have lists to reuse, on 96×96 and on 384×384
+// alike, where the unfused VxM + EWiseAddV pair scanned all of t and the
+// step's earlier form allocated its lowered entries' two arrays.
 func TestFusedMinPlusPushStepAllocates(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -516,24 +554,39 @@ func TestFusedMinPlusPushStepAllocates(t *testing.T) {
 		front := []int{e.N/2 - dim, e.N/2 - 1, e.N / 2, e.N/2 + dim}
 		vals := []float64{10, 20, 30, 40}
 		d := DenseVector(e.N, MaxOf[float64]())
+		bins, err := NewBins(d, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
 		f := MustVector[float64](e.N)
 		allocs := testing.AllocsPerRun(50, func() {
 			for k, i := range front {
 				d.val[i] = vals[k]
 			}
-			f.Clear()
-			f.idx, f.val = front, vals
-			reached, err := FusedMinPlusPushStep(d, f, A)
-			if err != nil || reached == 0 || len(f.idx) == 0 {
-				t.Fatalf("step: %v, reached %d, lowered %d", err, reached, len(f.idx))
+			var reached int
+			for _, light := range []bool{true, false} {
+				f.Clear()
+				f.idx, f.val = front, vals
+				r, err := FusedMinPlusPushStep(bins, f, A, light)
+				if err != nil {
+					t.Fatalf("step: %v", err)
+				}
+				reached += r
 			}
-			for _, i := range f.idx {
+			if reached == 0 || len(bins.at) == 0 {
+				t.Fatalf("steps reached %d and filed into %d bins", reached, len(bins.at))
+			}
+			for i := range d.val { // undo the steps
 				d.val[i] = MaxOf[float64]()
 			}
+			for k := range bins.at {
+				bins.close(k)
+			}
+			bins.order = bins.order[:0]
 		})
-		t.Logf("Road %d×%d: %.1f allocations a step", dim, dim, allocs)
-		if allocs > 3 {
-			t.Errorf("a 4-vertex step on Road %d×%d made %.1f allocations, budget 3", dim, dim, allocs)
+		t.Logf("Road %d×%d: %.1f allocations a step pair", dim, dim, allocs)
+		if allocs > 0 {
+			t.Errorf("a 4-vertex step pair on Road %d×%d made %.1f allocations, budget 0", dim, dim, allocs)
 		}
 	}
 }

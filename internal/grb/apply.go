@@ -88,8 +88,8 @@ func selectRows[T Value](C *Matrix[T], mask Mask, accum func(T, T) T,
 		return err
 	}
 	A.Wait()
-	// A selection is at most as dense as A, and a thin one (SSSP's bucket
-	// out of its pending set) is the common case: it is collected as a list
+	// A selection is at most as dense as A, and a thin one (Algorithm 5's
+	// bucket out of t) is the common case: it is collected as a list
 	// unless it lands in a C that is already bitmap/full.
 	walk := A.format != FormatSparse && mask.walkable()
 	wb := C.output(mask, accum, replace, nil, tShape{dense: A.format != FormatSparse && C.format != FormatSparse && !walk})

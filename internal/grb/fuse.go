@@ -1,6 +1,9 @@
 package grb
 
 import (
+	"container/heap"
+	"math"
+	"slices"
 	"sort"
 
 	"lagraph/internal/parallel"
@@ -20,95 +23,195 @@ import (
 //
 // The same section names delta-stepping SSSP on the Road class, where each
 // bucket's tiny frontier pays the vertex count on every call. Its
-// relaxation fuses the same way: FusedMinPlusPushStep writes the min.plus
-// push straight into the distance vector and hands back only what it
-// lowered, so lagraph's SSSPDeltaStepping touches the members of a bucket
-// and never all of t. The generic VxM + EWiseAddV pair (Algorithm 5 as
-// written) stays the reference in its tests and the BenchmarkSSSPRoad
-// ablation.
+// relaxation fuses the same way: FusedMinPlusPushStep reads A's light or
+// heavy half in place, writes the min.plus push straight into t and files
+// what it lowers into bucket bins the caller holds (Bins, GAP's sssp.cc
+// layout kept by bin number), so lagraph's SSSPDeltaStepping touches the
+// members of a bucket and never all of t. Algorithm 5 as written stays the
+// reference in its tests and the BenchmarkSSSPRoad ablation.
 //
 // BC's backward phase fuses as GAP's bc.cc runs it: FusedPlusFirstBackStep
 // is a level's two EWiseMults and masked multiply in one pull, finding
 // successors by depth instead of by mask. Algorithm 3 as written is the
 // reference in lagraph's bc_reference_test.go.
 
-// FusedMinPlusPushStep performs, in a single pass over the frontier's
-// edges,
+// Bins holds delta-stepping's full distance vector t and its bucket bins
+// for a run, as BC's caller holds P and D: bin k lists each vertex filed at
+// a value x with ⌊x/Δ⌋ = k, live while t still holds x. A map and a heap
+// find bins by number, so memory is O(n + filed entries) for any Δ, where
+// GAP's slice indexed by bin number has max(t)/Δ slots.
+type Bins[T Number] struct {
+	t     []T
+	delta T
+	at    map[int]int     // bin number → its list; absent, lists[0]
+	lists [][]binEntry[T] // lists[0] stays empty
+	spare []int           // lists no bin holds, emptied
+	order binOrder        // the numbers in at
+	open  int             // the bin being settled; MaxInt once none is left
+	taken int             // how much of it Take has handed out
+	seen  []int32         // FusedMinPlusPushStep's reached stamps
+	stamp int32
+}
+
+type binEntry[T Number] struct {
+	v int
+	x T
+}
+
+// NewBins files t's entries below MaxOf[T] and holds t, which must be full,
+// for the run; delta must be positive.
+func NewBins[T Number](t *Vector[T], delta T) (*Bins[T], error) {
+	if t.format != FormatFull {
+		return nil, errf(InvalidObject, "NewBins: t must be full")
+	}
+	if !(delta > 0) {
+		return nil, errf(InvalidValue, "NewBins: delta %v is not positive", delta)
+	}
+	b := &Bins[T]{t: t.val, delta: delta, at: map[int]int{}, lists: make([][]binEntry[T], 1), open: math.MinInt, seen: make([]int32, len(t.val))}
+	inf := MaxOf[T]()
+	for v, x := range t.val {
+		if x < inf {
+			if err := b.file(v, x); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return b, nil
+}
+
+// file puts v, lowered to x, into bin ⌊x/Δ⌋.
+func (b *Bins[T]) file(v int, x T) error {
+	q := x / b.delta
+	if float64(q) >= math.MaxInt {
+		return errf(InvalidValue, "delta %v is too small: %v is bin %v, past the int range", b.delta, x, q)
+	}
+	l := b.at[int(q)]
+	if l == 0 {
+		if l = len(b.lists); len(b.spare) > 0 {
+			l, b.spare = b.spare[len(b.spare)-1], b.spare[:len(b.spare)-1]
+		} else {
+			b.lists = append(b.lists, nil)
+		}
+		b.at[int(q)] = l
+		b.order = append(b.order, int(q))
+		heap.Fix(&b.order, len(b.order)-1)
+	}
+	b.lists[l] = append(b.lists[l], binEntry[T]{v, x})
+	return nil
+}
+
+// Next closes the open bin and opens the lowest bin above it that holds a
+// live entry, returning its number; ok is false when there is none.
+func (b *Bins[T]) Next() (k int, ok bool) {
+	for b.close(b.open); len(b.order) > 0; b.close(k) {
+		k, b.order[0] = b.order[0], b.order[len(b.order)-1]
+		b.order = b.order[:len(b.order)-1]
+		heap.Fix(&b.order, 0)
+		if k > b.open && slices.ContainsFunc(b.lists[b.at[k]], b.live) {
+			b.open, b.taken = k, 0
+			return k, true
+		}
+	}
+	b.open, b.taken = math.MaxInt, 0
+	return 0, false
+}
+
+// close drops bin k, keeping its list for reuse.
+func (b *Bins[T]) close(k int) {
+	if l := b.at[k]; l != 0 {
+		b.lists[l] = b.lists[l][:0]
+		b.spare = append(b.spare, l)
+		delete(b.at, k)
+	}
+}
+
+func (b *Bins[T]) live(e binEntry[T]) bool { return b.t[e.v] == e.x }
+
+// Take sets f to the open bin's live entries at their values, jumbled:
+// those filed since the last Take, or all of them. It returns their number.
+func (b *Bins[T]) Take(f *Vector[T], all bool) int {
+	l := b.lists[b.at[b.open]]
+	if all {
+		b.taken = 0
+	}
+	idx, val := f.idx[:0], f.val[:0]
+	for _, e := range l[b.taken:] {
+		if b.live(e) {
+			idx, val = append(idx, e.v), append(val, e.x)
+		}
+	}
+	b.taken = len(l)
+	f.store = store[T]{nr: 1, nc: f.nc, idx: idx, val: val}
+	f.syncRow()
+	if len(idx) > 1 {
+		f.markJumbled()
+	}
+	return len(idx)
+}
+
+// binOrder is a min-heap of bin numbers, kept by heap.Fix without boxing.
+type binOrder []int
+
+func (h binOrder) Len() int           { return len(h) }
+func (h binOrder) Less(i, j int) bool { return h[i] < h[j] }
+func (h binOrder) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *binOrder) Push(x any)        { *h = append(*h, x.(int)) }
+func (h *binOrder) Pop() any          { x := (*h)[len(*h)-1]; *h = (*h)[:len(*h)-1]; return x }
+
+// FusedMinPlusPushStep performs, in one pass over the frontier's edges in
+// A's light half (A ≤ Δ, b's Δ) or heavy half (A > Δ), read in place,
 //
-//	tReqᵀ = fᵀ min.plus A      (the relaxation)
-//	t     = t min∪ tReq        (the merge)
+//	tReqᵀ = fᵀ min.plus A⟨half⟩;  t = t min∪ tReq
 //
-// in place in t, which must be full. It then replaces f with the entries
-// of t it lowered, carrying their new values, and may leave f jumbled. It
-// returns nvals(tReq): the number of distinct vertices the frontier's
-// edges reach. The pass reads each frontier value from f, never from t, so
-// an edge between two frontier vertices relaxes from the value the
-// frontier had, as the unfused VxM does.
-func FusedMinPlusPushStep[T Number](t, f *Vector[T], A *Matrix[T]) (reached int, err error) {
+// in b's t, filing every vertex it lowers into b. An edge is in a half
+// exactly when Select with ValueLE (ValueGT) and thunk Δ keeps it: a NaN
+// weight is in neither. It returns nvals(tReq). Frontier values are read
+// from f, never from t, as the unfused VxM reads them.
+func FusedMinPlusPushStep[T Number](b *Bins[T], f *Vector[T], A *Matrix[T], light bool) (reached int, err error) {
 	n := A.NRows()
 	if A.NCols() != n {
 		return 0, errf(DimensionMismatch, "FusedMinPlusPushStep: A must be square")
 	}
-	if t.Size() != n || f.Size() != n {
+	if len(b.t) != n || f.Size() != n {
 		return 0, dimErr("FusedMinPlusPushStep", "vector length", "A dimension")
 	}
-	if t.format != FormatFull {
-		return 0, errf(InvalidObject, "FusedMinPlusPushStep: t must be full")
-	}
 	A.Wait()
-	if len(f.pend) > 0 {
-		f.Wait()
+	if len(f.pend) > 0 || f.format != FormatSparse {
+		f.ConvertTo(FormatSparse)
 	}
-	f.syncRow()
-	// The accumulator deduplicates the targets: its mark is "reached", its
-	// value the t(j) the step found, so lowered means t(j) < s.val[j] after
-	// the pass.
-	s := getSPA[T](n)
-	s.reset()
-	dist := t.val
-	relax := func(j int, d T) {
-		if !s.has(j) {
-			s.put(j, dist[j])
-		}
-		if d < dist[j] {
-			dist[j] = d
-		}
+	if b.stamp++; b.stamp == math.MaxInt32 { // wrapped
+		clear(b.seen)
+		b.stamp = 1
 	}
-	f.rowIter(0, func(k int, fk T) {
-		if A.format == FormatSparse {
-			for p := A.ptr[k]; p < A.ptr[k+1]; p++ {
-				relax(A.idx[p], fk+A.val[p])
+	dist, seen, stamp, delta := b.t, b.seen, b.stamp, b.delta
+	sparse, bitmap := A.format == FormatSparse, A.format == FormatBitmap
+	for q, k := range f.idx {
+		lo, hi := k*n, (k+1)*n // A(k,:)'s positions
+		if sparse {
+			lo, hi = A.ptr[k], A.ptr[k+1]
+		}
+		for p := lo; p < hi; p++ {
+			j, w := p-lo, A.val[p]
+			if sparse {
+				j = A.idx[p]
+			} else if bitmap && A.b[p] == 0 {
+				continue
 			}
-			return
-		}
-		base := k * A.nc
-		for j := 0; j < A.nc; j++ {
-			if A.format == FormatFull || A.b[base+j] != 0 {
-				relax(j, fk+A.val[base+j])
+			if !(light && w <= delta || !light && w > delta) {
+				continue
+			}
+			if seen[j] != stamp {
+				seen[j], reached = stamp, reached+1
+			}
+			if d := f.val[q] + w; d < dist[j] {
+				dist[j] = d
+				if e := b.file(j, d); e != nil && err == nil {
+					err = e
+				}
 			}
 		}
-	})
-	lowered := 0
-	for _, j := range s.touched {
-		if dist[j] < s.val[j] {
-			lowered++
-		}
 	}
-	nextIdx, nextVal := make([]int, 0, lowered), make([]T, 0, lowered)
-	for _, j := range s.touched {
-		if dist[j] < s.val[j] {
-			nextIdx, nextVal = append(nextIdx, j), append(nextVal, dist[j])
-		}
-	}
-	reached = len(s.touched)
-	putSPA(s)
-	f.Clear()
-	f.idx, f.val = nextIdx, nextVal
-	if len(nextIdx) > 1 {
-		f.markJumbled()
-	}
-	f.conform()
-	return reached, nil
+	return reached, err
 }
 
 // FusedFrontierStep is one forward level of a traversal over a k-row
@@ -167,9 +270,9 @@ func FusedFrontierStep[T Value, V int64 | float64](C, F, P *Matrix[V], D *Matrix
 		// Each piece sums its own vertices' cells of a bitmap C borrowed
 		// from the pool, reading only P and D; P and D take C's entries once
 		// all have read, and the borrowed cells are cleared as they do.
-		slab, vals := getSlab(ns*n), getSPA[V](ns*n)
-		defer func() { putSlab(slab); putSPA(vals) }()
-		C.store = store[V]{nr: ns, nc: n, format: FormatBitmap, b: *slab, val: vals.val}
+		slab, vals := getSlice[int8](ns*n), getSlice[V](ns*n)
+		defer func() { putSlice(slab); putSlice(vals) }()
+		C.store = store[V]{nr: ns, nc: n, format: FormatBitmap, b: *slab, val: *vals}
 		cb = C.b
 		cv := C.val
 		parallel.Blocks(n, ptr, func(lo, hi int) struct{} {

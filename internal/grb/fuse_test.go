@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -402,16 +403,24 @@ func TestMinSecondFastPathMatchesGeneric(t *testing.T) {
 	}
 }
 
-// TestFusedMinPlusPushStep: the fused step leaves in t what VxM(min.plus)
-// then EWiseAddV(min) leave, turns f into exactly the entries of t that
-// dropped below their old values, at the new values, and returns
-// nvals(tReq) — for a sparse, bitmap, full and pending A (weights 0 … 9),
-// a sorted, jumbled and bitmap f, with the pool on and off.
+// TestFusedMinPlusPushStep: the fused step over A's light (w ≤ Δ) or
+// heavy (w > Δ) half leaves in t what VxM(min.plus) over Select(ValueLE)
+// or Select(ValueGT) of A then EWiseAddV(min) leave, files exactly the
+// entries of t that dropped below their old values, each live in bin
+// ⌊t/Δ⌋ and nowhere else, and returns nvals(tReq) — for a sparse, bitmap,
+// full and pending A (weights 0 … 9 and NaN, which neither half holds), a
+// sorted, jumbled and bitmap f, with the pool on and off.
 func TestFusedMinPlusPushStep(t *testing.T) {
 	defer SetPoolEnabled(SetPoolEnabled(true))
 	rng := rand.New(rand.NewSource(13))
 	inf := MaxOf[float64]()
 	less := BinaryOp[float64, float64, bool]{Name: "lt", F: func(a, b float64) bool { return a < b }}
+	weight := func() float64 {
+		if w := rng.Intn(11); w < 10 {
+			return float64(w)
+		}
+		return math.NaN()
+	}
 	randA := func(n int, form string) *Matrix[float64] {
 		density := 0.2
 		if form == "full" {
@@ -422,7 +431,7 @@ func TestFusedMinPlusPushStep(t *testing.T) {
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if rng.Float64() < density {
-					rows, cols, vals = append(rows, i), append(cols, j), append(vals, float64(rng.Intn(10)))
+					rows, cols, vals = append(rows, i), append(cols, j), append(vals, weight())
 				}
 			}
 		}
@@ -440,7 +449,7 @@ func TestFusedMinPlusPushStep(t *testing.T) {
 				if i, j := rng.Intn(n), rng.Intn(n); k%3 == 0 {
 					A.RemoveElement(i, j)
 				} else {
-					A.SetElement(float64(rng.Intn(10)), i, j)
+					A.SetElement(weight(), i, j)
 				}
 			}
 		}
@@ -449,19 +458,24 @@ func TestFusedMinPlusPushStep(t *testing.T) {
 		}
 		return A
 	}
-	for trial := 0; trial < 60; trial++ {
+	for trial := 0; trial < 80; trial++ {
 		n := 5 + rng.Intn(40)
 		aForm := []string{"sparse", "bitmap", "full", "pending"}[trial%4]
 		fForm := []string{"sorted", "jumbled", "bitmap"}[trial%3]
-		pool := trial%2 == 0
-		label := fmt.Sprintf("trial %d: A %s, f %s, pool %v", trial, aForm, fForm, pool)
+		pool, light := trial%2 == 0, trial%5 < 3
+		delta := []float64{0.5, 3, 4, 9}[rng.Intn(4)]
+		label := fmt.Sprintf("trial %d: A %s, f %s, pool %v, light %v, Δ %v", trial, aForm, fForm, pool, light, delta)
 		SetPoolEnabled(pool)
 
 		A := randA(n, aForm)
 		d := DenseVector(n, inf)
-		for i := 0; i < n; i++ {
+		bins, err := NewBins(d, delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ { // t's values are set after NewBins, so no bin holds them
 			if rng.Intn(3) > 0 {
-				d.SetElement(float64(rng.Intn(40)), i)
+				d.val[i] = float64(rng.Intn(40))
 			}
 		}
 		var fIdx []int
@@ -485,14 +499,22 @@ func TestFusedMinPlusPushStep(t *testing.T) {
 		}
 		fRef, dRef := f.Dup(), d.Dup()
 
-		reached, err := FusedMinPlusPushStep(d, f, A)
+		reached, err := FusedMinPlusPushStep(bins, f, A, light)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
 
-		// The unfused reference (A's pending work is now assembled).
+		// The unfused reference: the half as a copy (A's pending work is
+		// now assembled), then Algorithm 5's relaxation.
+		half, keep := MustMatrix[float64](n, n), ValueGT[float64]()
+		if light {
+			keep = ValueLE[float64]()
+		}
+		if err := Select(half, NoMask, nil, keep, A, delta, nil); err != nil {
+			t.Fatal(err)
+		}
 		tReq := MustVector[float64](n)
-		if err := VxM(tReq, NoVMask, nil, MinPlus[float64](), fRef, A, nil); err != nil {
+		if err := VxM(tReq, NoVMask, nil, MinPlus[float64](), fRef, half, nil); err != nil {
 			t.Fatal(err)
 		}
 		tless := MustVector[bool](n)
@@ -510,27 +532,151 @@ func TestFusedMinPlusPushStep(t *testing.T) {
 			t.Fatalf("%s: t left %s", label, d.Format())
 		}
 		vectorsEqual(t, d, vdenseOf(dRef), label+": t")
-		vectorsEqual(t, f, vdenseOf(lowered), label+": lowered")
 		if reached != tReq.NVals() {
 			t.Fatalf("%s: reached %d, nvals(tReq) %d", label, reached, tReq.NVals())
 		}
+		filed := map[int]float64{}
+		for k, l := range bins.at {
+			for _, e := range bins.lists[l] {
+				if !bins.live(e) {
+					continue
+				}
+				if _, twice := filed[e.v]; twice || k != int(e.x/delta) {
+					t.Fatalf("%s: vertex %d at %v live in bin %d (twice: %v)", label, e.v, e.x, k, twice)
+				}
+				filed[e.v] = e.x
+			}
+		}
+		if want := vdenseOf(lowered); len(filed) != len(want) {
+			t.Fatalf("%s: %d vertices filed, %d lowered", label, len(filed), len(want))
+		} else {
+			for i, x := range want {
+				if filed[i] != x {
+					t.Fatalf("%s: lowered %d to %v, filed at %v", label, i, x, filed[i])
+				}
+			}
+		}
 	}
 
-	// Errors: a non-square A, a vector of the wrong length, a t not full.
+	// Errors: a non-square A, a vector of the wrong length, a t not full,
+	// a Δ that is not positive, a bin number past the int range.
 	f := MustVector[float64](3)
-	if err := firstErr(FusedMinPlusPushStep(DenseVector(3, inf), f, MustMatrix[float64](3, 4))); InfoOf(err) != DimensionMismatch {
+	bins, err := NewBins(DenseVector(3, inf), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := firstErr(FusedMinPlusPushStep(bins, f, MustMatrix[float64](3, 4), true)); InfoOf(err) != DimensionMismatch {
 		t.Fatalf("non-square A: %v", err)
 	}
-	if err := firstErr(FusedMinPlusPushStep(DenseVector(2, inf), f, MustMatrix[float64](3, 3))); InfoOf(err) != DimensionMismatch {
+	if err := firstErr(FusedMinPlusPushStep(bins, f, MustMatrix[float64](2, 2), true)); InfoOf(err) != DimensionMismatch {
 		t.Fatalf("short t: %v", err)
 	}
-	if err := firstErr(FusedMinPlusPushStep(DenseVector(3, inf), MustVector[float64](4), MustMatrix[float64](3, 3))); InfoOf(err) != DimensionMismatch {
+	if err := firstErr(FusedMinPlusPushStep(bins, MustVector[float64](4), MustMatrix[float64](3, 3), true)); InfoOf(err) != DimensionMismatch {
 		t.Fatalf("long f: %v", err)
 	}
 	sparseT := DenseVector(3, inf)
 	sparseT.RemoveElement(1)
-	if err := firstErr(FusedMinPlusPushStep(sparseT, f, MustMatrix[float64](3, 3))); InfoOf(err) != InvalidObject {
+	if _, err := NewBins(sparseT, 1); InfoOf(err) != InvalidObject {
 		t.Fatalf("t with a hole: %v", err)
+	}
+	for _, delta := range []float64{0, -1, math.NaN()} {
+		if _, err := NewBins(DenseVector(3, inf), delta); InfoOf(err) != InvalidValue {
+			t.Fatalf("Δ = %v: %v", delta, err)
+		}
+	}
+	A, err := MatrixFromTuples(3, 3, []int{0}, []int{1}, []float64{100}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := DenseVector(3, inf)
+	t0.val[0] = 0
+	if bins, err = NewBins(t0, 1e-300); err != nil {
+		t.Fatal(err)
+	}
+	f0, err := VectorFromTuples(3, []int{0}, []float64{0}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := firstErr(FusedMinPlusPushStep(bins, f0, A, false)); InfoOf(err) != InvalidValue || !strings.Contains(err.Error(), "delta") {
+		t.Fatalf("bin 1e302: %v, want an InvalidValue error naming delta", err)
+	}
+}
+
+// TestBinsNextAndTake holds Bins to a model of delta-stepping's buckets
+// under random lowerings interleaved with Next and Take: Next opens the
+// lowest bin above the open one that holds a vertex at its current t, Take
+// hands out the open bin's vertices lowered into it since the last Take
+// (all of them when asked), each once, at its value in t; vertices left in
+// bins at or below the open one are dropped, and once Next finds no bin
+// the run is over.
+func TestBinsNextAndTake(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 40; trial++ {
+		n, delta := 10+rng.Intn(30), []float64{0.5, 1, 3, 1e-9}[trial%4]
+		tv := DenseVector(n, MaxOf[float64]())
+		tv.val[0] = 0
+		b, err := NewBins(tv, delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bin := func(x float64) int { return int(x / delta) }
+		open, started, isOpen, over := 0, false, false, false
+		fresh := map[int]bool{} // lowered into the open bin since the last Take
+		inOpen := func(v int) bool { return isOpen && tv.val[v] < MaxOf[float64]() && bin(tv.val[v]) == open }
+		f := MustVector[float64](n)
+		for op := 0; op < 300; op++ {
+			switch r := rng.Intn(10); {
+			case r < 6: // lower a vertex, often into the open bin
+				v, x := rng.Intn(n), float64(rng.Intn(80))*0.25
+				if isOpen && r < 3 {
+					x = float64(open)*delta + rng.Float64()*delta/2
+				}
+				if x < tv.val[v] {
+					tv.val[v] = x
+					if err := b.file(v, x); err != nil {
+						t.Fatal(err)
+					}
+					fresh[v] = fresh[v] || inOpen(v)
+				}
+			case r < 8: // take
+				all := r == 7
+				want := map[int]bool{}
+				for v := 0; v < n; v++ {
+					if inOpen(v) && (all || fresh[v]) {
+						want[v] = true
+					}
+				}
+				got := b.Take(f, all)
+				if got != len(want) || f.NVals() != got {
+					t.Fatalf("trial %d op %d: Take(all %v) = %d (nvals %d), want %v", trial, op, all, got, f.NVals(), want)
+				}
+				f.Iterate(func(v int, x float64) {
+					if !want[v] || x != tv.val[v] {
+						t.Fatalf("trial %d op %d: took %d at %v, t %v, want %v", trial, op, v, x, tv.val[v], want)
+					}
+				})
+				fresh = map[int]bool{}
+			default: // next
+				want, ok := 0, false
+				for v := 0; v < n; v++ {
+					if x := tv.val[v]; !over && x < MaxOf[float64]() && (!started || bin(x) > open) && (!ok || bin(x) < want) {
+						want, ok = bin(x), true
+					}
+				}
+				got, gotOK := b.Next()
+				if got != want || gotOK != ok {
+					t.Fatalf("trial %d op %d: Next = %d, %v; want %d, %v", trial, op, got, gotOK, want, ok)
+				}
+				if isOpen, over = ok, !ok; !ok {
+					break
+				}
+				open, started = got, true
+				fresh = map[int]bool{}
+				for v := 0; v < n; v++ {
+					fresh[v] = inOpen(v)
+				}
+			}
+		}
 	}
 }
 

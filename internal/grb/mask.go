@@ -141,7 +141,7 @@ type allow struct {
 func (mk Mask) allowFor(nc int, scatter bool) allow {
 	a := allow{mk: mk}
 	if scatter && mk.Exists() {
-		a.slab = getSlab(nc)
+		a.slab = getSlice[int8](nc)
 		a.bytes = *a.slab
 	}
 	return a
@@ -194,7 +194,7 @@ func (a *allow) clear() {
 func (a *allow) release() {
 	if a.slab != nil {
 		a.clear()
-		putSlab(a.slab)
+		putSlice(a.slab)
 		a.slab, a.bytes = nil, nil
 	}
 }

@@ -72,18 +72,18 @@ func MxV[TA, TB, TC Value](w *Vector[TC], mask VMask, accum func(TC, TC) TC,
 		// Pull visits every row anyway: a sparse u is read through a bitmap
 		// view scattered into pooled arrays (cleared by u's list as it is
 		// now: a u that is w is w's old list).
-		vals, has, uIdx := getSPA[TB](u.nc), getSlab(u.nc), u.idx
+		vals, has, uIdx := getSlice[TB](u.nc), getSlice[int8](u.nc), u.idx
 		defer func() {
 			for _, k := range uIdx {
 				(*has)[k] = 0
 			}
-			putSlab(has)
-			putSPA(vals)
+			putSlice(has)
+			putSlice(vals)
 		}()
 		for p, k := range u.idx {
-			(*has)[k], vals.val[k] = 1, u.val[p]
+			(*has)[k], (*vals)[k] = 1, u.val[p]
 		}
-		row = &Matrix[TB]{store[TB]{nr: 1, nc: u.nc, format: FormatBitmap, val: vals.val, b: *has}}
+		row = &Matrix[TB]{store[TB]{nr: 1, nc: u.nc, format: FormatBitmap, val: *vals, b: *has}}
 	}
 	masked := mask.Exists()
 	run(wb, nil, 0, func(lo, hi int, o *sink[TC]) {

@@ -13,11 +13,11 @@ import (
 // pool." This file implements that future-work feature for everything a
 // call needs that is sized by a vector length but is not its result:
 //
-//   - sparse accumulators (each block of the saxpy MxM or push VxM, and
-//     the values of the bitmap view a pull MxV reads a sparse u through)
-//     — the generation counter makes reuse free of clearing;
-//   - byte slabs: the mask row an allow scatters for O(1) lookups. A slab
-//     is borrowed all-zero and must be returned all-zero;
+//   - sparse accumulators (each block of the saxpy MxM or push VxM, each
+//     row of the masked dot) — the generation counter makes reuse free;
+//   - slices: a mask row an allow scatters, and the cells and values of
+//     the bitmap a pull MxV reads a sparse u through or a fused pull level
+//     sums into. A byte slab is borrowed all-zero and returned all-zero;
 //   - the write-back of a call (writeback.go), its sinks included.
 //
 // Not pooled: results (index/value arrays, bitmap cells, the row builder's
@@ -99,28 +99,24 @@ func putWriteBack[T Value](wb *writeBack[T]) {
 	}
 }
 
-// slabPool recycles the byte slabs. It holds pointers so that Put does not
-// allocate a slice header per call.
-var slabPool sync.Pool
-
-// getSlab returns an all-zero byte slab of length n.
-func getSlab(n int) *[]int8 {
+// getSlice returns a slice of length n, recycled when the pool is enabled:
+// its values are stale, a byte slab's zero. Pointers spare Put a header.
+func getSlice[T Value](n int) *[]T {
 	if PoolEnabled() {
-		if v := slabPool.Get(); v != nil {
-			s := v.(*[]int8)
-			if cap(*s) >= n {
+		if v := poolOf[[]T]().Get(); v != nil {
+			if s := v.(*[]T); cap(*s) >= n {
 				*s = (*s)[:n]
 				return s
 			}
 		}
 	}
-	s := make([]int8, n)
+	s := make([]T, n)
 	return &s
 }
 
-// putSlab returns a slab the caller has zeroed again.
-func putSlab(s *[]int8) {
+// putSlice returns a slice, a slab zeroed again.
+func putSlice[T Value](s *[]T) {
 	if s != nil && PoolEnabled() {
-		slabPool.Put(s)
+		poolOf[[]T]().Put(s)
 	}
 }

@@ -23,9 +23,10 @@ import (
 // 730 allocations under four workers, under 25 % above the 2.8 MiB and 630
 // its fused steps make, where Algorithm 3's calls as written made 7.1 MiB
 // and 4 180 and allocating by n on every tiny-frontier call 1 286 MiB; for
-// SSSP 16 MiB, where that cost 440, and 10 000 allocations, where
-// selecting each bucket out of the full t made 12 700 (the pending set
-// makes 3 600).
+// SSSP 0.25 MiB and 110 allocations, under 25 % above the 0.20 MiB and 88
+// its bucket bins make, where allocating by n cost 440 MiB, selecting each
+// bucket out of the full t 12 700 allocations and a pending vector with
+// copies AL and AH of A's halves 5.2 MiB in 3 600.
 // The two dense-iteration kernels run on an undirected snapshot that took
 // the same batch in both orientations (the service's graphs are
 // symmetrised) and still holds it as pending tuples, so FastSV and the
@@ -222,8 +223,8 @@ func TestRoadKernelAllocationBudget(t *testing.T) {
 			}
 		})
 	})
-	if mib > 16 || mallocs > 10000 {
-		t.Errorf("SSSP on Road 96×96 allocated %.1f MiB in %d allocations, budget 16 MiB and 10 000", mib, mallocs)
+	if mib > 0.25 || mallocs > 110 {
+		t.Errorf("SSSP on Road 96×96 allocated %.3f MiB in %d allocations, budget 0.25 MiB and 110", mib, mallocs)
 	}
 	if n := base.NumEdges(); n != len(e.Src) {
 		t.Fatalf("the snapshot's base moved: %d edges, want %d", n, len(e.Src))
@@ -411,5 +412,43 @@ func samePartition(t *testing.T, labels *grb.Vector[int64], want []int32) {
 	})
 	if labels.NVals() != len(want) {
 		t.Fatalf("%d labels for %d vertices", labels.NVals(), len(want))
+	}
+}
+
+// TestSSSPTinyDeltaAllocationBudget: bins are found by number, not indexed
+// by it, so on Road 32×32 with weights in [1, 255] SSSP at Δ = 1e-12 —
+// bin numbers up to about 10¹⁶, 887 buckets for 1 024 vertices — computes
+// the distances it computes at Δ = 64 inside 64 KiB a run (30 KB measured,
+// 26 KB at Δ = 64), where a slice indexed by bin number would want 10¹⁶
+// slots.
+func TestSSSPTinyDeltaAllocationBudget(t *testing.T) {
+	e := gen.Road(32, 1)
+	e.AddUniformWeights(7, 1, 255)
+	g := weightedGraph[float64](t, e)
+	want, err := SSSPDeltaStepping(bg, g, 0, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prb := NewProbe(1 << 20)
+	if _, err := SSSPDeltaStepping(WithProbe(bg, prb), g, 0, 1e-12); err != nil {
+		t.Fatal(err)
+	}
+	if buckets := len(prb.Snapshot().Iters); buckets < e.N/2 {
+		t.Fatalf("Δ = 1e-12 ran %d buckets for %d vertices", buckets, e.N)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := SSSPDeltaStepping(bg, g, 0, 1e-12)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if same, err := VectorIsEqual(got, want); err != nil || !same {
+		t.Fatalf("Δ = 1e-12 and Δ = 64 disagree on distances (%v)", err)
+	}
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Δ = 1e-12: %d B a run", bytes)
+	if !raceEnabled && bytes > 64<<10 {
+		t.Errorf("SSSP at Δ = 1e-12 on Road 32×32 allocated %d B, budget 64 KiB", bytes)
 	}
 }

@@ -233,3 +233,79 @@ func TestSSSPCancelsWithinOnePollPerBucket(t *testing.T) {
 		}
 	}
 }
+
+// TestCCCancelsWithinOnePollPerRound pins CC's cancellation latency: a
+// FastSV run to completion on Road 32×32, undirected (its list holds both
+// orientations), polls its context once per hooking/shortcutting round,
+// and a context that turns cancelled at its j-th poll, for every j up to
+// that count, makes CC return the raw context.Canceled at that poll, with
+// no round run after it.
+func TestCCCancelsWithinOnePollPerRound(t *testing.T) {
+	e := gen.Road(32, 1)
+	e.Directed = false
+	g := graphFromEdges(t, e)
+	run := func(cancelAt int) (*pollCtx, int, error) {
+		prb := NewProbe(1 << 20)
+		ctx := &pollCtx{Context: WithProbe(bg, prb), cancelAt: cancelAt}
+		_, err := ConnectedComponents(ctx, g)
+		return ctx, len(prb.Snapshot().Iters), err
+	}
+	full, rounds, err := run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.polls != rounds || rounds < 3 {
+		t.Fatalf("%d polls for %d rounds", full.polls, rounds)
+	}
+	for j := 1; j <= rounds; j++ {
+		if ctx, ran, err := run(j); err != context.Canceled || ctx.polls != j || ran != j-1 {
+			t.Fatalf("cancelled at poll %d: err = %v after %d polls and %d rounds, want the raw context.Canceled after %d and %d", j, err, ctx.polls, ran, j, j-1)
+		}
+	}
+}
+
+// TestPageRankCancelsWithinOnePollPerSweep pins PageRank's cancellation
+// latency as CC's is pinned: a run to convergence on Road 32×32 polls its
+// context once per sweep, for both formulations, and a context that turns
+// cancelled at its j-th poll, for every j up to that count, makes PageRank
+// return the raw context.Canceled at that poll, with no sweep run after it.
+func TestPageRankCancelsWithinOnePollPerSweep(t *testing.T) {
+	g := graphFromEdges(t, gen.Road(32, 1))
+	for _, property := range []func() error{g.PropertyAT, g.PropertyRowDegree} {
+		if err := property(); err != nil && !IsWarning(err) {
+			t.Fatal(err)
+		}
+	}
+	for _, pr := range []struct {
+		name string
+		run  func(context.Context) (int, error)
+	}{
+		{"PageRankGAP", func(ctx context.Context) (int, error) {
+			_, it, err := PageRankGAP(ctx, g, 0.85, 1e-4, 100)
+			return it, err
+		}},
+		{"PageRankGX", func(ctx context.Context) (int, error) {
+			_, it, err := PageRankGX(ctx, g, 0.85, 1e-4, 100)
+			return it, err
+		}},
+	} {
+		run := func(cancelAt int) (*pollCtx, int, error) {
+			prb := NewProbe(1 << 20)
+			ctx := &pollCtx{Context: WithProbe(bg, prb), cancelAt: cancelAt}
+			_, err := pr.run(ctx)
+			return ctx, len(prb.Snapshot().Iters), err
+		}
+		full, sweeps, err := run(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.polls != sweeps || sweeps < 5 || sweeps >= 100 {
+			t.Fatalf("%s: %d polls for %d sweeps", pr.name, full.polls, sweeps)
+		}
+		for j := 1; j <= sweeps; j++ {
+			if ctx, ran, err := run(j); err != context.Canceled || ctx.polls != j || ran != j-1 {
+				t.Fatalf("%s cancelled at poll %d: err = %v after %d polls and %d sweeps, want the raw context.Canceled after %d and %d", pr.name, j, err, ctx.polls, ran, j, j-1)
+			}
+		}
+	}
+}

@@ -233,7 +233,7 @@ func TestSSSPDeltaTooSmall(t *testing.T) {
 	sameDistances(t, "Δ = 1e-12", d, gap.SSSPDelta(gap.Build(e.N, e.Src, e.Dst, e.W, e.Directed), 0, 64))
 }
 
-// TestSSSPMatchesAlgorithm5: the pending-set kernel computes exactly what
+// TestSSSPMatchesAlgorithm5: the bucket-bins kernel computes exactly what
 // Algorithm 5 as written does — every distance, and per bucket the same
 // probe event (bucket number, frontier, work) — and what gap computes, on
 // the three graph classes with float64 and int64 weights in [1, 255], for
@@ -290,8 +290,10 @@ func matchesAlgorithm5[T grb.Number](t *testing.T, g *Graph[T], oracle *gap.Grap
 }
 
 // BenchmarkSSSPRoad is the §VI-B ablation pair for delta-stepping on the
-// Road class (96×96, weights in [1, 255], Δ = 64): the pending-set kernel
-// with the fused min.plus step against Algorithm 5 as written.
+// Road class (96×96, weights in [1, 255], Δ = 64): the kernel over bucket
+// bins, whose fused min.plus step reads A's light and heavy halves in place
+// and files what it lowers, against Algorithm 5 as written, which selects
+// each bucket out of t and copies the halves.
 func BenchmarkSSSPRoad(b *testing.B) {
 	e := gen.Road(96, 1)
 	e.AddUniformWeights(7, 1, 255)
