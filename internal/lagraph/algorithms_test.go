@@ -2,6 +2,7 @@ package lagraph
 
 import (
 	"container/heap"
+	"context"
 	"math"
 	"math/rand"
 	"slices"
@@ -525,16 +526,33 @@ func TestPageRankRanksHubsHigher(t *testing.T) {
 	}
 }
 
+// TestPageRankValidation: the advanced entry points need AT and RowDegree
+// cached, and every entry point rejects a damping outside (0, 1) — NaN
+// included, which would otherwise run itermax sweeps to all-NaN ranks —
+// on an empty graph as on any other.
 func TestPageRankValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	g := mustGraph(t, randDigraph(rng, 5, 0.3), AdjacencyDirected)
 	if _, _, err := PageRankGAP(bg, g, 0.85, 1e-4, 10); StatusOf(err) != StatusPropertyMissing {
 		t.Fatal("advanced PR without properties must fail")
 	}
-	g.PropertyAT()
-	g.PropertyRowDegree()
-	if _, _, err := PageRankGAP(bg, g, 1.5, 1e-4, 10); StatusOf(err) != StatusInvalidValue {
-		t.Fatal("bad damping accepted")
+	empty := mustGraph(t, grb.MustMatrix[float64](0, 0), AdjacencyDirected)
+	for _, g := range []*Graph[float64]{g, empty} {
+		g.PropertyAT()
+		g.PropertyRowDegree()
+	}
+	for _, damping := range []float64{1.5, 2, 0, 1, -0.5, math.NaN(), math.Inf(1)} {
+		for _, g := range []*Graph[float64]{g, empty} {
+			for _, pr := range []func(context.Context, *Graph[float64], float64, float64, int) (*grb.Vector[float64], int, error){
+				PageRank[float64], PageRankGAP[float64], PageRankGX[float64]} {
+				if r, _, err := pr(bg, g, damping, 1e-4, 10); StatusOf(err) != StatusInvalidValue || r != nil {
+					t.Fatalf("damping %v on %d nodes: err %v", damping, g.NumNodes(), err)
+				}
+			}
+		}
+	}
+	if r, iters, err := PageRank(bg, empty, 0.85, 1e-4, 10); err != nil && !IsWarning(err) || r.Size() != 0 || iters != 0 {
+		t.Fatalf("empty graph: %v, %d iterations", err, iters)
 	}
 }
 

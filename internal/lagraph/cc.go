@@ -10,7 +10,8 @@ import (
 // Zhang, Azad and Buluç. A forest of trees is kept in a parent vector f;
 // stochastic hooking, aggressive hooking and shortcutting merge trees until
 // a fixed point. The linear-algebra kernels are an mxv on min.second (the
-// minimum neighbouring grandparent) and min-combining scatters/gathers.
+// minimum neighbouring grandparent) and min-combining scatters/gathers. The
+// grandparent a round gathers and the one it compares with swap, uncopied.
 // min.second never reads the matrix's values, so a directed graph is
 // symmetrised as A ∪ Aᵀ in A's own type, with no pattern copy.
 
@@ -78,10 +79,8 @@ func fastSV[T grb.Value](ctx context.Context, S *grb.Matrix[T]) (*grb.Vector[int
 	if err := grb.ApplyV(f, grb.NoVMask, nil, grb.RowIndexOp[int64, int64](), f, nil); err != nil {
 		return nil, wrap(StatusInvalidValue, err, "fastsv init")
 	}
-	gf := f.Dup()   // grandparent
-	dup := gf.Dup() // previous grandparent, for termination
-	mngf := gf.Dup()
-	diff := grb.MustVector[int64](n)
+	gf, next, mngf := f.Dup(), f.Dup(), f.Dup() // next: step 4's grandparent
+	diff := grb.DenseVector(n, int64(0))
 	// {i, x} ↤ f: the parent array used as scatter indices.
 	x := make([]int, n)
 	parents := func(i int, v int64) { x[i] = int(v) }
@@ -114,23 +113,20 @@ func fastSV[T grb.Value](ctx context.Context, S *grb.Matrix[T]) (*grb.Vector[int
 		if err := grb.EWiseAddV(f, grb.NoVMask, nil, grb.MinOp[int64](), f, gf, nil); err != nil {
 			return nil, wrap(StatusInvalidValue, err, "fastsv shortcut")
 		}
-		// Step 4, grandparents: x = values of f; gf = f(x).
+		// Step 4, grandparents: x = values of f; next = f(x).
 		f.Iterate(parents)
-		if err := grb.ExtractSubvector(gf, grb.NoVMask, nil, f, x, nil); err != nil {
+		if err := grb.ExtractSubvector(next, grb.NoVMask, nil, f, x, nil); err != nil {
 			return nil, wrap(StatusInvalidValue, err, "fastsv grandparent")
 		}
 		// Step 5, termination: any grandparent changed?
-		if err := grb.EWiseMultV(diff, grb.NoVMask, nil, grb.NEOp[int64, int64](), gf, dup, nil); err != nil {
+		if err := grb.EWiseMultV(diff, grb.NoVMask, nil, grb.NEOp[int64, int64](), next, gf, nil); err != nil {
 			return nil, wrap(StatusInvalidValue, err, "fastsv diff")
 		}
+		gf, next = next, gf
 		changed := grb.ReduceVectorToScalar(grb.PlusMonoid[int64](), diff)
 		prb.Iter(IterStat{Iter: round, Work: changed})
 		if changed == 0 {
 			break
-		}
-		// dup = gf, for the next round's comparison.
-		if err := grb.AssignVector(dup, grb.NoVMask, nil, gf, grb.All, nil); err != nil {
-			return nil, wrap(StatusInvalidValue, err, "fastsv previous grandparent")
 		}
 	}
 	// FastSV always terminates at the fixed point — it converged by

@@ -2,6 +2,7 @@ package lagraph
 
 import (
 	"context"
+	"math"
 
 	"lagraph/internal/grb"
 )
@@ -12,7 +13,10 @@ import (
 // PageRankGX is the LDBC Graphalytics variant that redistributes sink rank
 // every iteration.
 //
-// Both use the plus.second semiring so edge weights in A are ignored.
+// Both use the plus.second semiring, so edge weights in A are ignored, and
+// every vector of a sweep is full: d is deg/damping where a degree is stored
+// and +Inf at the sinks, which no row of Aᵀ names, so w = t ÷ d, the pull and
+// t = |t − r| (one call) probe no entry. A GAP sweep is five grb calls.
 
 // PageRankGAP is Algorithm 4 (Advanced mode). It requires the cached AT
 // and RowDegree properties. It returns the rank vector and the number of
@@ -61,25 +65,23 @@ func pagerank[T grb.Value](ctx context.Context, g *Graph[T], op string, damping,
 	if at == nil || rowDegree == nil {
 		return nil, 0, errf(StatusPropertyMissing, "%s: G.AT and G.RowDegree must be cached", op)
 	}
+	if !(damping > 0 && damping < 1) { // NaN fails too
+		return nil, 0, errf(StatusInvalidValue, "pagerank: damping %v outside (0,1)", damping)
+	}
 	prb := ProbeFrom(ctx)
 	n := g.NumNodes()
 	if n == 0 {
 		return grb.MustVector[float64](0), 0, nil
-	}
-	if damping <= 0 || damping >= 1 {
-		return nil, 0, errf(StatusInvalidValue, "pagerank: damping %v outside (0,1)", damping)
 	}
 	if itermax < 1 {
 		itermax = 100
 	}
 	teleport := (1 - damping) / float64(n)
 
-	// d = rowdegree / damping, present only where degree > 0 — the
-	// prescaling trick of Algorithm 4 line 5. Sinks are simply absent, so
-	// the intersection w = t div∩ d drops them (GAP semantics).
-	d := grb.MustVector[float64](n)
+	// d = rowdegree / damping (Algorithm 4 line 5) over +Inf, kept at sinks.
+	d := grb.DenseVector(n, math.Inf(1))
 	toF := grb.UnaryOp[int64, float64]{Name: "scale", F: func(x int64) float64 { return float64(x) / damping }}
-	if err := grb.ApplyV(d, grb.NoVMask, nil, toF, rowDegree, nil); err != nil {
+	if err := grb.ApplyV(d, grb.NoVMask, grb.Second[float64, float64]().F, toF, rowDegree, nil); err != nil {
 		return nil, 0, wrap(StatusInvalidValue, err, "pagerank prescale")
 	}
 
@@ -100,6 +102,7 @@ func pagerank[T grb.Value](ctx context.Context, g *Graph[T], op string, damping,
 	w, ts := grb.MustVector[float64](n), grb.MustVector[float64](n)
 	plus := func(a, b float64) float64 { return a + b }
 	semiring := grb.PlusSecond[T, float64]()
+	absDiff := grb.BinaryOp[float64, float64, float64]{Name: "absdiff", F: func(a, b float64) float64 { return math.Abs(a - b) }}
 
 	iters := 0
 	converged := false
@@ -110,7 +113,7 @@ func pagerank[T grb.Value](ctx context.Context, g *Graph[T], op string, damping,
 		iters = k + 1
 		// swap t and r: t is now the prior rank.
 		t, r = r, t
-		// w = t div∩ d
+		// w = t ÷ d
 		if err := grb.EWiseMultV(w, grb.NoVMask, nil, grb.DivOp[float64](), t, d, nil); err != nil {
 			return nil, 0, wrap(StatusInvalidValue, err, "pagerank contributions")
 		}
@@ -130,12 +133,9 @@ func pagerank[T grb.Value](ctx context.Context, g *Graph[T], op string, damping,
 		if err := grb.MxV(r, grb.NoVMask, plus, semiring, at, w, nil); err != nil {
 			return nil, 0, wrap(StatusInvalidValue, err, "pagerank pull")
 		}
-		// t = |t - r|; converged when the 1-norm of the change is small.
-		if err := grb.EWiseAddV(t, grb.NoVMask, nil, grb.MinusOp[float64](), t, r, nil); err != nil {
+		// t = |t − r|; converged when the 1-norm of the change is small.
+		if err := grb.EWiseAddV(t, grb.NoVMask, nil, absDiff, t, r, nil); err != nil {
 			return nil, 0, wrap(StatusInvalidValue, err, "pagerank delta")
-		}
-		if err := grb.ApplyV(t, grb.NoVMask, nil, grb.AbsOp[float64](), t, nil); err != nil {
-			return nil, 0, wrap(StatusInvalidValue, err, "pagerank abs")
 		}
 		rdiff := grb.ReduceVectorToScalar(grb.PlusMonoid[float64](), t)
 		prb.Iter(IterStat{Iter: iters, Residual: rdiff})
