@@ -533,11 +533,11 @@ func ringPullLevel(t *testing.T, n int) func() error {
 	}
 }
 
-// TestFusedMinPlusPushStepAllocates: one warm SSSP relaxation over a
-// 4-vertex frontier on a Road grid, light and heavy half, makes no
-// allocation once its bins have lists to reuse, on 96×96 and on 384×384
-// alike, where the unfused VxM + EWiseAddV pair scanned all of t and the
-// step's earlier form allocated its lowered entries' two arrays.
+// TestFusedMinPlusPushStepAllocates: one warm SSSP relaxation over every
+// edge of a 4-vertex frontier on a Road grid makes no allocation once its
+// bins have lists to reuse, on 96×96 and on 384×384 alike, where the
+// unfused VxM + EWiseAddV pair scanned all of t and the step's earlier
+// form allocated its lowered entries' two arrays.
 func TestFusedMinPlusPushStepAllocates(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -563,15 +563,11 @@ func TestFusedMinPlusPushStepAllocates(t *testing.T) {
 			for k, i := range front {
 				d.val[i] = vals[k]
 			}
-			var reached int
-			for _, light := range []bool{true, false} {
-				f.Clear()
-				f.idx, f.val = front, vals
-				r, err := FusedMinPlusPushStep(bins, f, A, light)
-				if err != nil {
-					t.Fatalf("step: %v", err)
-				}
-				reached += r
+			f.Clear()
+			f.idx, f.val = front, vals
+			reached, err := FusedMinPlusPushStep(bins, f, A)
+			if err != nil {
+				t.Fatalf("step: %v", err)
 			}
 			if reached == 0 || len(bins.at) == 0 {
 				t.Fatalf("steps reached %d and filed into %d bins", reached, len(bins.at))
@@ -584,9 +580,9 @@ func TestFusedMinPlusPushStepAllocates(t *testing.T) {
 			}
 			bins.order = bins.order[:0]
 		})
-		t.Logf("Road %d×%d: %.1f allocations a step pair", dim, dim, allocs)
+		t.Logf("Road %d×%d: %.1f allocations a step", dim, dim, allocs)
 		if allocs > 0 {
-			t.Errorf("a 4-vertex step pair on Road %d×%d made %.1f allocations, budget 0", dim, dim, allocs)
+			t.Errorf("a 4-vertex step on Road %d×%d made %.1f allocations, budget 0", dim, dim, allocs)
 		}
 	}
 }

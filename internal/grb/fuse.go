@@ -23,12 +23,12 @@ import (
 //
 // The same section names delta-stepping SSSP on the Road class, where each
 // bucket's tiny frontier pays the vertex count on every call. Its
-// relaxation fuses the same way: FusedMinPlusPushStep reads A's light or
-// heavy half in place, writes the min.plus push straight into t and files
-// what it lowers into bucket bins the caller holds (Bins, GAP's sssp.cc
-// layout kept by bin number), so lagraph's SSSPDeltaStepping touches the
-// members of a bucket and never all of t. Algorithm 5 as written stays the
-// reference in its tests and the BenchmarkSSSPRoad ablation.
+// relaxation fuses the same way: FusedMinPlusPushStep relaxes every edge
+// of the frontier in one pass over A, read in place, as sssp.cc does,
+// writes the min.plus push straight into t and files the vertices it
+// lowers into bucket bins the caller holds (Bins, sssp.cc's layout kept by
+// bin number), so lagraph's SSSPDeltaStepping touches the members of a
+// bucket and never all of t. Algorithm 5 stays the reference in its tests.
 //
 // BC's backward phase fuses as GAP's bc.cc runs it: FusedPlusFirstBackStep
 // is a level's two EWiseMults and masked multiply in one pull, finding
@@ -36,38 +36,33 @@ import (
 // reference in lagraph's bc_reference_test.go.
 
 // Bins holds delta-stepping's full distance vector t and its bucket bins
-// for a run, as BC's caller holds P and D: bin k lists each vertex filed at
-// a value x with ⌊x/Δ⌋ = k, live while t still holds x. A map and a heap
-// find bins by number, so memory is O(n + filed entries) for any Δ, where
-// GAP's slice indexed by bin number has max(t)/Δ slots.
+// for a run, as BC's caller holds P and D: bin k lists int32 vertex ids,
+// each live there while ⌊t/Δ⌋ is still k. A map and a heap find bins by
+// number, so memory is O(n + filed entries) for any Δ, where GAP's slice
+// indexed by bin number has max(t)/Δ slots.
 type Bins[T Number] struct {
 	t     []T
 	delta T
-	at    map[int]int     // bin number → its list; absent, lists[0]
-	lists [][]binEntry[T] // lists[0] stays empty
-	spare []int           // lists no bin holds, emptied
-	order binOrder        // the numbers in at
-	open  int             // the bin being settled; MaxInt once none is left
-	taken int             // how much of it Take has handed out
-	seen  []int32         // FusedMinPlusPushStep's reached stamps
+	at    map[int]int // bin number → its list; absent, lists[0]
+	lists [][]int32   // lists[0] stays empty
+	spare []int       // lists no bin holds, emptied
+	order binOrder    // the numbers in at
+	open  int         // the bin being settled; MaxInt once none is left
+	taken int         // how much of it Take has handed out
+	seen  []int32     // stamps: reached by a step, or handed out by a Take
 	stamp int32
 }
 
-type binEntry[T Number] struct {
-	v int
-	x T
-}
-
-// NewBins files t's entries below MaxOf[T] and holds t, which must be full,
-// for the run; delta must be positive.
+// NewBins files t's entries below MaxOf[T] and holds t, which must be full
+// and index its entries in int32, for the run; delta must be positive.
 func NewBins[T Number](t *Vector[T], delta T) (*Bins[T], error) {
-	if t.format != FormatFull {
-		return nil, errf(InvalidObject, "NewBins: t must be full")
+	if t.format != FormatFull || len(t.val) > math.MaxInt32 {
+		return nil, errf(InvalidObject, "NewBins: t must be full, of at most 2³¹−1 entries")
 	}
 	if !(delta > 0) {
 		return nil, errf(InvalidValue, "NewBins: delta %v is not positive", delta)
 	}
-	b := &Bins[T]{t: t.val, delta: delta, at: map[int]int{}, lists: make([][]binEntry[T], 1), open: math.MinInt, seen: make([]int32, len(t.val))}
+	b := &Bins[T]{t: t.val, delta: delta, at: map[int]int{}, lists: make([][]int32, 1), open: math.MinInt, seen: make([]int32, len(t.val))}
 	inf := MaxOf[T]()
 	for v, x := range t.val {
 		if x < inf {
@@ -79,35 +74,41 @@ func NewBins[T Number](t *Vector[T], delta T) (*Bins[T], error) {
 	return b, nil
 }
 
-// file puts v, lowered to x, into bin ⌊x/Δ⌋.
+// file puts v, lowered to x, into bin ⌊x/Δ⌋. A bin below the open one is
+// an error: its vertices' edges were relaxed already, so only a negative
+// weight (or an integer distance that overflowed) can lower into it.
 func (b *Bins[T]) file(v int, x T) error {
 	q := x / b.delta
 	if float64(q) >= math.MaxInt {
 		return errf(InvalidValue, "delta %v is too small: %v is bin %v, past the int range", b.delta, x, q)
 	}
-	l := b.at[int(q)]
+	k := int(q)
+	if k < b.open {
+		return errf(InvalidValue, "vertex %d lowered to %v, into bin %d below the open bin %d: edge weights must be non-negative", v, x, k, b.open)
+	}
+	l := b.at[k]
 	if l == 0 {
 		if l = len(b.lists); len(b.spare) > 0 {
 			l, b.spare = b.spare[len(b.spare)-1], b.spare[:len(b.spare)-1]
 		} else {
 			b.lists = append(b.lists, nil)
 		}
-		b.at[int(q)] = l
-		b.order = append(b.order, int(q))
+		b.at[k] = l
+		b.order = append(b.order, k)
 		heap.Fix(&b.order, len(b.order)-1)
 	}
-	b.lists[l] = append(b.lists[l], binEntry[T]{v, x})
+	b.lists[l] = append(b.lists[l], int32(v))
 	return nil
 }
 
 // Next closes the open bin and opens the lowest bin above it that holds a
-// live entry, returning its number; ok is false when there is none.
+// live vertex, returning its number; ok is false when there is none.
 func (b *Bins[T]) Next() (k int, ok bool) {
 	for b.close(b.open); len(b.order) > 0; b.close(k) {
 		k, b.order[0] = b.order[0], b.order[len(b.order)-1]
 		b.order = b.order[:len(b.order)-1]
 		heap.Fix(&b.order, 0)
-		if k > b.open && slices.ContainsFunc(b.lists[b.at[k]], b.live) {
+		if k > b.open && slices.ContainsFunc(b.lists[b.at[k]], func(v int32) bool { return b.live(v, k) }) {
 			b.open, b.taken = k, 0
 			return k, true
 		}
@@ -125,19 +126,28 @@ func (b *Bins[T]) close(k int) {
 	}
 }
 
-func (b *Bins[T]) live(e binEntry[T]) bool { return b.t[e.v] == e.x }
+func (b *Bins[T]) live(v int32, k int) bool { return int(b.t[v]/b.delta) == k }
 
-// Take sets f to the open bin's live entries at their values, jumbled:
-// those filed since the last Take, or all of them. It returns their number.
-func (b *Bins[T]) Take(f *Vector[T], all bool) int {
-	l := b.lists[b.at[b.open]]
-	if all {
-		b.taken = 0
+// nextStamp returns a stamp no entry of seen holds.
+func (b *Bins[T]) nextStamp() int32 {
+	if b.stamp++; b.stamp == math.MaxInt32 { // wrapped
+		clear(b.seen)
+		b.stamp = 1
 	}
+	return b.stamp
+}
+
+// Take sets f to the live vertices filed into the open bin since the last
+// Take (since Next, the whole bin), each once, at its value in t, jumbled.
+// It returns their number.
+func (b *Bins[T]) Take(f *Vector[T]) int {
+	l := b.lists[b.at[b.open]]
+	seen, stamp := b.seen, b.nextStamp()
 	idx, val := f.idx[:0], f.val[:0]
-	for _, e := range l[b.taken:] {
-		if b.live(e) {
-			idx, val = append(idx, e.v), append(val, e.x)
+	for _, v := range l[b.taken:] {
+		if seen[v] != stamp && b.live(v, b.open) {
+			seen[v] = stamp
+			idx, val = append(idx, int(v)), append(val, b.t[v])
 		}
 	}
 	b.taken = len(l)
@@ -159,15 +169,15 @@ func (h *binOrder) Push(x any)        { *h = append(*h, x.(int)) }
 func (h *binOrder) Pop() any          { x := (*h)[len(*h)-1]; *h = (*h)[:len(*h)-1]; return x }
 
 // FusedMinPlusPushStep performs, in one pass over the frontier's edges in
-// A's light half (A ≤ Δ, b's Δ) or heavy half (A > Δ), read in place,
+// A, read in place,
 //
-//	tReqᵀ = fᵀ min.plus A⟨half⟩;  t = t min∪ tReq
+//	tReqᵀ = fᵀ min.plus A;  t = t min∪ tReq
 //
-// in b's t, filing every vertex it lowers into b. An edge is in a half
-// exactly when Select with ValueLE (ValueGT) and thunk Δ keeps it: a NaN
-// weight is in neither. It returns nvals(tReq). Frontier values are read
-// from f, never from t, as the unfused VxM reads them.
-func FusedMinPlusPushStep[T Number](b *Bins[T], f *Vector[T], A *Matrix[T], light bool) (reached int, err error) {
+// in b's t, filing every vertex it lowers into b. A NaN weight is no edge,
+// as Select with ValueLE and thunk MaxOf[T] drops it. It returns
+// nvals(tReq). Frontier values are read from f, never from t, as the
+// unfused VxM reads them.
+func FusedMinPlusPushStep[T Number](b *Bins[T], f *Vector[T], A *Matrix[T]) (reached int, err error) {
 	n := A.NRows()
 	if A.NCols() != n {
 		return 0, errf(DimensionMismatch, "FusedMinPlusPushStep: A must be square")
@@ -179,11 +189,7 @@ func FusedMinPlusPushStep[T Number](b *Bins[T], f *Vector[T], A *Matrix[T], ligh
 	if len(f.pend) > 0 || f.format != FormatSparse {
 		f.ConvertTo(FormatSparse)
 	}
-	if b.stamp++; b.stamp == math.MaxInt32 { // wrapped
-		clear(b.seen)
-		b.stamp = 1
-	}
-	dist, seen, stamp, delta := b.t, b.seen, b.stamp, b.delta
+	dist, seen, stamp := b.t, b.seen, b.nextStamp()
 	sparse, bitmap := A.format == FormatSparse, A.format == FormatBitmap
 	for q, k := range f.idx {
 		lo, hi := k*n, (k+1)*n // A(k,:)'s positions
@@ -197,10 +203,7 @@ func FusedMinPlusPushStep[T Number](b *Bins[T], f *Vector[T], A *Matrix[T], ligh
 			} else if bitmap && A.b[p] == 0 {
 				continue
 			}
-			if !(light && w <= delta || !light && w > delta) {
-				continue
-			}
-			if seen[j] != stamp {
+			if seen[j] != stamp && w == w { // a NaN weight is no edge
 				seen[j], reached = stamp, reached+1
 			}
 			if d := f.val[q] + w; d < dist[j] {

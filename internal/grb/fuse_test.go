@@ -403,13 +403,13 @@ func TestMinSecondFastPathMatchesGeneric(t *testing.T) {
 	}
 }
 
-// TestFusedMinPlusPushStep: the fused step over A's light (w ≤ Δ) or
-// heavy (w > Δ) half leaves in t what VxM(min.plus) over Select(ValueLE)
-// or Select(ValueGT) of A then EWiseAddV(min) leave, files exactly the
-// entries of t that dropped below their old values, each live in bin
-// ⌊t/Δ⌋ and nowhere else, and returns nvals(tReq) — for a sparse, bitmap,
-// full and pending A (weights 0 … 9 and NaN, which neither half holds), a
-// sorted, jumbled and bitmap f, with the pool on and off.
+// TestFusedMinPlusPushStep: the fused step over every edge of A leaves in
+// t what VxM(min.plus) over Select(ValueLE) of A with thunk MaxOf then
+// EWiseAddV(min) leave, files exactly the vertices of t that dropped below
+// their old values, each live in bin ⌊t/Δ⌋ and in no other, and returns
+// nvals(tReq) — for a sparse, bitmap, full and pending A (weights 0 … 9
+// and NaN, which the Select drops), a sorted, jumbled and bitmap f, with
+// the pool on and off.
 func TestFusedMinPlusPushStep(t *testing.T) {
 	defer SetPoolEnabled(SetPoolEnabled(true))
 	rng := rand.New(rand.NewSource(13))
@@ -462,9 +462,9 @@ func TestFusedMinPlusPushStep(t *testing.T) {
 		n := 5 + rng.Intn(40)
 		aForm := []string{"sparse", "bitmap", "full", "pending"}[trial%4]
 		fForm := []string{"sorted", "jumbled", "bitmap"}[trial%3]
-		pool, light := trial%2 == 0, trial%5 < 3
+		pool := trial%2 == 0
 		delta := []float64{0.5, 3, 4, 9}[rng.Intn(4)]
-		label := fmt.Sprintf("trial %d: A %s, f %s, pool %v, light %v, Δ %v", trial, aForm, fForm, pool, light, delta)
+		label := fmt.Sprintf("trial %d: A %s, f %s, pool %v, Δ %v", trial, aForm, fForm, pool, delta)
 		SetPoolEnabled(pool)
 
 		A := randA(n, aForm)
@@ -499,22 +499,19 @@ func TestFusedMinPlusPushStep(t *testing.T) {
 		}
 		fRef, dRef := f.Dup(), d.Dup()
 
-		reached, err := FusedMinPlusPushStep(bins, f, A, light)
+		reached, err := FusedMinPlusPushStep(bins, f, A)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
 
-		// The unfused reference: the half as a copy (A's pending work is
+		// The unfused reference: A's edges as a copy (A's pending work is
 		// now assembled), then Algorithm 5's relaxation.
-		half, keep := MustMatrix[float64](n, n), ValueGT[float64]()
-		if light {
-			keep = ValueLE[float64]()
-		}
-		if err := Select(half, NoMask, nil, keep, A, delta, nil); err != nil {
+		edges := MustMatrix[float64](n, n)
+		if err := Select(edges, NoMask, nil, ValueLE[float64](), A, inf, nil); err != nil {
 			t.Fatal(err)
 		}
 		tReq := MustVector[float64](n)
-		if err := VxM(tReq, NoVMask, nil, MinPlus[float64](), fRef, half, nil); err != nil {
+		if err := VxM(tReq, NoVMask, nil, MinPlus[float64](), fRef, edges, nil); err != nil {
 			t.Fatal(err)
 		}
 		tless := MustVector[bool](n)
@@ -535,24 +532,24 @@ func TestFusedMinPlusPushStep(t *testing.T) {
 		if reached != tReq.NVals() {
 			t.Fatalf("%s: reached %d, nvals(tReq) %d", label, reached, tReq.NVals())
 		}
-		filed := map[int]float64{}
+		liveIn := map[int]int{} // vertex → the bin it is live in
 		for k, l := range bins.at {
-			for _, e := range bins.lists[l] {
-				if !bins.live(e) {
+			for _, v := range bins.lists[l] {
+				if !bins.live(v, k) {
 					continue
 				}
-				if _, twice := filed[e.v]; twice || k != int(e.x/delta) {
-					t.Fatalf("%s: vertex %d at %v live in bin %d (twice: %v)", label, e.v, e.x, k, twice)
+				if other, ok := liveIn[int(v)]; ok && other != k {
+					t.Fatalf("%s: vertex %d live in bins %d and %d", label, v, other, k)
 				}
-				filed[e.v] = e.x
+				liveIn[int(v)] = k
 			}
 		}
-		if want := vdenseOf(lowered); len(filed) != len(want) {
-			t.Fatalf("%s: %d vertices filed, %d lowered", label, len(filed), len(want))
+		if want := vdenseOf(lowered); len(liveIn) != len(want) {
+			t.Fatalf("%s: %d vertices live in a bin, %d lowered", label, len(liveIn), len(want))
 		} else {
 			for i, x := range want {
-				if filed[i] != x {
-					t.Fatalf("%s: lowered %d to %v, filed at %v", label, i, x, filed[i])
+				if k, ok := liveIn[i]; !ok || k != int(x/delta) || d.val[i] != x {
+					t.Fatalf("%s: lowered %d to %v, live in bin %d (%v) at %v", label, i, x, k, ok, d.val[i])
 				}
 			}
 		}
@@ -565,13 +562,13 @@ func TestFusedMinPlusPushStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := firstErr(FusedMinPlusPushStep(bins, f, MustMatrix[float64](3, 4), true)); InfoOf(err) != DimensionMismatch {
+	if err := firstErr(FusedMinPlusPushStep(bins, f, MustMatrix[float64](3, 4))); InfoOf(err) != DimensionMismatch {
 		t.Fatalf("non-square A: %v", err)
 	}
-	if err := firstErr(FusedMinPlusPushStep(bins, f, MustMatrix[float64](2, 2), true)); InfoOf(err) != DimensionMismatch {
+	if err := firstErr(FusedMinPlusPushStep(bins, f, MustMatrix[float64](2, 2))); InfoOf(err) != DimensionMismatch {
 		t.Fatalf("short t: %v", err)
 	}
-	if err := firstErr(FusedMinPlusPushStep(bins, MustVector[float64](4), MustMatrix[float64](3, 3), true)); InfoOf(err) != DimensionMismatch {
+	if err := firstErr(FusedMinPlusPushStep(bins, MustVector[float64](4), MustMatrix[float64](3, 3))); InfoOf(err) != DimensionMismatch {
 		t.Fatalf("long f: %v", err)
 	}
 	sparseT := DenseVector(3, inf)
@@ -597,7 +594,7 @@ func TestFusedMinPlusPushStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := firstErr(FusedMinPlusPushStep(bins, f0, A, false)); InfoOf(err) != InvalidValue || !strings.Contains(err.Error(), "delta") {
+	if err := firstErr(FusedMinPlusPushStep(bins, f0, A)); InfoOf(err) != InvalidValue || !strings.Contains(err.Error(), "delta") {
 		t.Fatalf("bin 1e302: %v, want an InvalidValue error naming delta", err)
 	}
 }
@@ -606,9 +603,11 @@ func TestFusedMinPlusPushStep(t *testing.T) {
 // under random lowerings interleaved with Next and Take: Next opens the
 // lowest bin above the open one that holds a vertex at its current t, Take
 // hands out the open bin's vertices lowered into it since the last Take
-// (all of them when asked), each once, at its value in t; vertices left in
-// bins at or below the open one are dropped, and once Next finds no bin
-// the run is over.
+// (since Next, all of them), each once, at its value in t; a lowering into
+// a bin below the open one (any bin, once the run is over) is an
+// InvalidValue error that files nothing, and once Next finds no bin the
+// run is over. A vertex lowered twice between two Takes is handed out
+// once, at its last value.
 func TestBinsNextAndTake(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 40; trial++ {
@@ -631,30 +630,31 @@ func TestBinsNextAndTake(t *testing.T) {
 				if isOpen && r < 3 {
 					x = float64(open)*delta + rng.Float64()*delta/2
 				}
-				if x < tv.val[v] {
-					tv.val[v] = x
-					if err := b.file(v, x); err != nil {
-						t.Fatal(err)
-					}
-					fresh[v] = fresh[v] || inOpen(v)
+				if x >= tv.val[v] {
+					break
 				}
+				old := tv.val[v]
+				tv.val[v] = x
+				err := b.file(v, x)
+				if below := over || started && bin(x) < open; below {
+					if InfoOf(err) != InvalidValue {
+						t.Fatalf("trial %d op %d: lowering %d to %v, bin %d below the open bin %d: err %v", trial, op, v, x, bin(x), open, err)
+					}
+					tv.val[v] = old
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh[v] = fresh[v] || inOpen(v)
 			case r < 8: // take
-				all := r == 7
 				want := map[int]bool{}
 				for v := 0; v < n; v++ {
-					if inOpen(v) && (all || fresh[v]) {
+					if inOpen(v) && fresh[v] {
 						want[v] = true
 					}
 				}
-				got := b.Take(f, all)
-				if got != len(want) || f.NVals() != got {
-					t.Fatalf("trial %d op %d: Take(all %v) = %d (nvals %d), want %v", trial, op, all, got, f.NVals(), want)
-				}
-				f.Iterate(func(v int, x float64) {
-					if !want[v] || x != tv.val[v] {
-						t.Fatalf("trial %d op %d: took %d at %v, t %v, want %v", trial, op, v, x, tv.val[v], want)
-					}
-				})
+				takeMatches(t, fmt.Sprintf("trial %d op %d", trial, op), b, f, tv, want)
 				fresh = map[int]bool{}
 			default: // next
 				want, ok := 0, false
@@ -678,6 +678,48 @@ func TestBinsNextAndTake(t *testing.T) {
 			}
 		}
 	}
+
+	// Bin 1 (Δ = 1) holds vertex 1; vertex 2 is lowered into it twice and
+	// vertex 1 once more, so the next Take hands each out once, at 1.25.
+	tv := DenseVector(3, MaxOf[float64]())
+	tv.val[1] = 1.75
+	b, err := NewBins(tv, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := MustVector[float64](3)
+	if k, ok := b.Next(); k != 1 || !ok {
+		t.Fatalf("Next = %d, %v; want 1, true", k, ok)
+	}
+	takeMatches(t, "first take", b, f, tv, map[int]bool{1: true})
+	for _, low := range []struct {
+		v int
+		x float64
+	}{{2, 1.5}, {2, 1.25}, {1, 1.25}} {
+		tv.val[low.v] = low.x
+		if err := b.file(low.v, low.x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	takeMatches(t, "second take", b, f, tv, map[int]bool{1: true, 2: true})
+	takeMatches(t, "third take", b, f, tv, map[int]bool{})
+}
+
+// takeMatches fails unless b.Take hands out exactly want's vertices, once
+// each, at their values in tv.
+func takeMatches(t *testing.T, what string, b *Bins[float64], f, tv *Vector[float64], want map[int]bool) {
+	t.Helper()
+	got := b.Take(f)
+	if got != len(want) || f.NVals() != got {
+		t.Fatalf("%s: Take = %d (nvals %d), want %v", what, got, f.NVals(), want)
+	}
+	took := map[int]bool{}
+	f.Iterate(func(v int, x float64) {
+		if !want[v] || took[v] || x != tv.val[v] {
+			t.Fatalf("%s: took %d at %v (twice: %v), t %v, want %v", what, v, x, took[v], tv.val[v], want)
+		}
+		took[v] = true
+	})
 }
 
 // firstErr drops a call's first result.

@@ -7,21 +7,21 @@ import (
 )
 
 // Single-source shortest paths (paper §IV-D, Algorithm 5): delta-stepping
-// on the min.plus semiring, after Sridhar et al. Edges are partitioned
-// into light (weight ≤ Δ) and heavy (> Δ); vertices are settled bucket by
-// bucket, with light edges relaxed to a fixed point inside the bucket and
-// heavy edges relaxed once when the bucket closes.
+// on the min.plus semiring, after Sridhar et al. Vertices are settled
+// bucket by bucket, Δ wide. Algorithm 5 relaxes light edges (weight ≤ Δ)
+// to a fixed point inside the bucket and heavy ones once it closes; here,
+// as in GAP's sssp.cc, every edge is light. A heavy edge lands in a later
+// bucket either way, so distances, buckets and their frontiers are
+// Algorithm 5's.
 //
-// Algorithm 5 finds each bucket by selecting it out of the full distance
-// vector t, and merges each relaxation into t with whole-vector calls, so
-// every bucket costs O(n) — the Road pathology of §VI-B. Here the run
-// holds bucket bins (grb.Bins, GAP's sssp.cc layout kept by bin number).
-// Each relaxation is grb.FusedMinPlusPushStep, which reads A's light or
-// heavy half in place, lowers t in place and files every vertex it lowers
-// into bin ⌊t/Δ⌋; a bucket is its bin's live entries. A bucket then costs
-// what its members and their edges cost. Algorithm 5 as written stays in
-// sssp_reference_test.go, the reference the kernel's distances and
-// per-bucket probe events are checked against.
+// Algorithm 5 selects each bucket out of the full distance vector t and
+// merges each relaxation into t with whole-vector calls, so every bucket
+// costs O(n) — the Road pathology of §VI-B. Here the run holds bucket bins
+// (grb.Bins) and each relaxation is grb.FusedMinPlusPushStep, which reads
+// A and lowers t in place and files every vertex it lowers into bin
+// ⌊t/Δ⌋, so a bucket costs what its members and their edges cost.
+// Algorithm 5 as written stays in sssp_reference_test.go, the reference
+// the kernel's distances and per-bucket probe events are checked against.
 
 // SingleSourceShortestPath is the Basic-mode entry point. A non-positive
 // delta selects a heuristic bucket width from A's mean edge weight.
@@ -56,15 +56,16 @@ func defaultDelta[T grb.Number](g *Graph[T]) T {
 	return 1
 }
 
-// SSSPDeltaStepping is Algorithm 5 (Advanced mode) over bucket bins: it
-// reads only G.A and requires delta > 0. Edge weights must be
-// non-negative; a zero-weight edge is light. Distances to unreachable
-// vertices are +inf for floating-point weight types (callers on integer
-// graphs should use Reachable to interpret the result: unreached entries
-// hold MaxOf[T]). ctx is polled at every bucket epoch and every inner
-// light-edge relaxation round, returning ctx.Err() once it is done. A
-// delta so small that a distance's bucket number passes the int range is
-// an InvalidValue error.
+// SSSPDeltaStepping is Algorithm 5 (Advanced mode) with every edge light,
+// over bucket bins: it reads only G.A and requires delta > 0. Edge weights
+// must be non-negative: a weight that lowers a vertex into a bucket below
+// the open one is an InvalidValue error naming the negative edge weight,
+// not a wrong distance. Distances to unreachable vertices are +inf for
+// floating-point weight types (callers on integer graphs should use
+// Reachable to interpret the result: unreached entries hold MaxOf[T]). ctx
+// is polled once per bucket and once per relaxation round, returning
+// ctx.Err() once it is done. A delta so small that a distance's bucket
+// number passes the int range is an InvalidValue error.
 func SSSPDeltaStepping[T grb.Number](ctx context.Context, g *Graph[T], src int, delta T) (*grb.Vector[T], error) {
 	if err := validateSource(g, src, "SSSPDeltaStepping"); err != nil {
 		return nil, err
@@ -80,12 +81,6 @@ func SSSPDeltaStepping[T grb.Number](ctx context.Context, g *Graph[T], src int, 
 		return nil, wrap(StatusInvalidValue, err, "SSSPDeltaStepping")
 	}
 	f := grb.MustVector[T](n)
-	// relax is tReq = ALᵀ min.plus f (or AH), t = t min∪ tReq, fused, where
-	// AL = A⟨A ≤ Δ⟩ and AH = A⟨Δ < A⟩ (lines 2-3) are A read in place.
-	relax := func(light bool) (int64, error) {
-		reached, err := grb.FusedMinPlusPushStep(bins, f, g.A, light)
-		return int64(reached), wrap(StatusInvalidValue, err, "SSSPDeltaStepping")
-	}
 
 	// Each epoch is the lowest bin holding a live vertex (line 6's test and
 	// line 8's tB).
@@ -93,28 +88,19 @@ func SSSPDeltaStepping[T grb.Number](ctx context.Context, g *Graph[T], src int, 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		bucketFront, bucketWork := bins.Take(f, false), int64(0)
-		for front := bucketFront; front > 0; front = bins.Take(f, false) {
+		bucketFront, bucketWork := bins.Take(f), int64(0)
+		for front := bucketFront; front > 0; front = bins.Take(f) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			// Light relaxation (lines 10-15); the next inner frontier is
-			// what it lowered into this bucket (lines 13-14).
-			reached, err := relax(true)
+			// tReq = Aᵀ min.plus f, t = t min∪ tReq (lines 10-15); the next
+			// inner frontier is what it lowered into this bucket (lines
+			// 13-14).
+			reached, err := grb.FusedMinPlusPushStep(bins, f, g.A)
 			if err != nil {
-				return nil, err
+				return nil, wrap(StatusInvalidValue, err, "SSSPDeltaStepping")
 			}
-			bucketWork += reached
-		}
-		// At the fixed point, the bin's live entries are exactly the
-		// vertices it settled, at their final distances: one heavy
-		// relaxation for them (lines 16-17).
-		if bins.Take(f, true) > 0 {
-			reached, err := relax(false)
-			if err != nil {
-				return nil, err
-			}
-			bucketWork += reached
+			bucketWork += int64(reached)
 		}
 		if prb.Enabled() {
 			prb.Iter(IterStat{Iter: i, Frontier: bucketFront, Work: bucketWork})

@@ -18,22 +18,24 @@ import (
 // SSSPDeltaStepping is checked against: each bucket is selected out of the
 // full distance vector t, and each relaxation is a VxM, an improvement
 // test, a merge into t and a gather of what improved — several passes over
-// all n vertices a bucket. Light edges are 0 ≤ w ≤ Δ. It reports the same
-// probe events as the kernel: per bucket the number of its vertices and
-// the sum of nvals(tReq) over its relaxations.
-func ssspAlgorithm5[T grb.Number](ctx context.Context, g *Graph[T], src int, delta T) (*grb.Vector[T], error) {
+// all n vertices a bucket. Light edges are w ≤ split: split = Δ is
+// Algorithm 5 as written, split = MaxOf[T] makes every edge light, which
+// is the schedule the kernel runs. It reports the same probe events as the
+// kernel: per bucket the number of its vertices and the sum of nvals(tReq)
+// over its relaxations.
+func ssspAlgorithm5[T grb.Number](ctx context.Context, g *Graph[T], src int, delta, split T) (*grb.Vector[T], error) {
 	prb := ProbeFrom(ctx)
 	n := g.NumNodes()
 	inf := grb.MaxOf[T]()
 	var zero T
 
-	// AL = A⟨A ≤ Δ⟩ ; AH = A⟨Δ < A⟩ (lines 2-3).
+	// AL = A⟨A ≤ split⟩ ; AH = A⟨split < A⟩ (lines 2-3).
 	AL := grb.MustMatrix[T](n, n)
-	if err := grb.Select(AL, grb.NoMask, nil, grb.ValueLE[T](), g.A, delta, nil); err != nil {
+	if err := grb.Select(AL, grb.NoMask, nil, grb.ValueLE[T](), g.A, split, nil); err != nil {
 		return nil, err
 	}
 	AH := grb.MustMatrix[T](n, n)
-	if err := grb.Select(AH, grb.NoMask, nil, grb.ValueGT[T](), g.A, delta, nil); err != nil {
+	if err := grb.Select(AH, grb.NoMask, nil, grb.ValueGT[T](), g.A, split, nil); err != nil {
 		return nil, err
 	}
 
@@ -210,6 +212,35 @@ func TestSSSPZeroWeightEdges(t *testing.T) {
 	sameDistances(t, "Road int64", di, want)
 }
 
+// TestSSSPNegativeWeight: on the directed graph 0→1 (10), 1→3 (10),
+// 0→2 (200), 2→1 (−195) at Δ = 64, bucket 3 lowers vertex 1 to 5, into
+// bucket 0, whose edges were relaxed already; the true dist(3) is 15, and
+// SSSP returns an InvalidValue error naming the negative weight instead of
+// 20, for float64 and int64 weights.
+func TestSSSPNegativeWeight(t *testing.T) {
+	t.Run("float64", func(t *testing.T) { negativeWeightFails[float64](t) })
+	t.Run("int64", func(t *testing.T) { negativeWeightFails[int64](t) })
+}
+
+func negativeWeightFails[T grb.Number](t *testing.T) {
+	var w []T
+	for _, x := range []float64{10, 10, 200, -195} {
+		w = append(w, T(x))
+	}
+	A, err := grb.MatrixFromTuples(4, 4, []int{0, 1, 0, 2}, []int{1, 3, 2, 1}, w, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := SSSPDeltaStepping(bg, mustGraph(t, A, AdjacencyDirected), 0, 64)
+	if StatusOf(err) != StatusInvalidValue || !strings.Contains(err.Error(), "negative") {
+		var got any
+		if d != nil {
+			got, _ = d.ExtractElement(3)
+		}
+		t.Fatalf("err = %v (dist(3) = %v), want an InvalidValue error naming the negative weight", err, got)
+	}
+}
+
 // TestSSSPDeltaTooSmall: on Road 8×8 with weights in [1, 255], a Δ so
 // small that the distances' bucket indices pass the int range is an
 // InvalidValue error naming delta, returned at once rather than at the
@@ -233,12 +264,13 @@ func TestSSSPDeltaTooSmall(t *testing.T) {
 	sameDistances(t, "Δ = 1e-12", d, gap.SSSPDelta(gap.Build(e.N, e.Src, e.Dst, e.W, e.Directed), 0, 64))
 }
 
-// TestSSSPMatchesAlgorithm5: the bucket-bins kernel computes exactly what
-// Algorithm 5 as written does — every distance, and per bucket the same
-// probe event (bucket number, frontier, work) — and what gap computes, on
-// the three graph classes with float64 and int64 weights in [1, 255], for
-// a thin, a middling and a wide bucket, from four sources each (one under
-// the race detector).
+// TestSSSPMatchesAlgorithm5: the bucket-bins kernel computes what
+// Algorithm 5 as written (split = Δ) does — every distance, the number of
+// buckets and per bucket its number and frontier — and what gap computes;
+// and with every edge light (split = MaxOf[T]) the same probe events,
+// work included, and relaxations. On the three graph classes with float64
+// and int64 weights in [1, 255], for a thin, a middling and a wide bucket,
+// from four sources each (one under the race detector).
 func TestSSSPMatchesAlgorithm5(t *testing.T) {
 	graphs := []*gen.EdgeList{gen.Road(96, 1), gen.Kron(12, 8, 1), gen.Urand(12, 8, 1)}
 	for _, e := range graphs {
@@ -257,6 +289,11 @@ func matchesAlgorithm5[T grb.Number](t *testing.T, g *Graph[T], oracle *gap.Grap
 		// cost nearly half a minute a source, most of it Road at Δ = 1.
 		sources = sources[:1]
 	}
+	algorithm5 := func(split T) func(context.Context, *Graph[T], int, T) (*grb.Vector[T], error) {
+		return func(ctx context.Context, g *Graph[T], src int, delta T) (*grb.Vector[T], error) {
+			return ssspAlgorithm5(ctx, g, src, delta, split)
+		}
+	}
 	for _, width := range []int{1, 64, 1024} {
 		delta := T(width)
 		for _, src := range sources {
@@ -270,20 +307,26 @@ func matchesAlgorithm5[T grb.Number](t *testing.T, g *Graph[T], oracle *gap.Grap
 				return d, prb.Snapshot()
 			}
 			got, gotProbe := run(SSSPDeltaStepping[T])
-			ref, refProbe := run(ssspAlgorithm5[T])
+			ref, refProbe := run(algorithm5(delta))
+			_, allLight := run(algorithm5(grb.MaxOf[T]()))
 			want := gap.SSSPDelta(oracle, int32(src), float32(delta))
 			sameDistances(t, what+" kernel", got, want)
 			sameDistances(t, what+" algorithm 5", ref, want)
-			if gotProbe.Iterations != refProbe.Iterations || len(gotProbe.Iters) != len(refProbe.Iters) {
-				t.Fatalf("%s: %d bucket events, algorithm 5 %d", what, gotProbe.Iterations, refProbe.Iterations)
-			}
-			for k, it := range gotProbe.Iters {
-				if r := refProbe.Iters[k]; it.Iter != r.Iter || it.Frontier != r.Frontier || it.Work != r.Work {
-					t.Fatalf("%s: bucket event %d is %+v, algorithm 5 %+v", what, k, it, r)
+			for _, r := range []ProbeSnapshot{refProbe, allLight} {
+				if gotProbe.Iterations != r.Iterations || len(gotProbe.Iters) != len(r.Iters) {
+					t.Fatalf("%s: %d bucket events, algorithm 5 %d", what, gotProbe.Iterations, r.Iterations)
 				}
 			}
-			if gotProbe.Counters["relaxations"] != refProbe.Counters["relaxations"] {
-				t.Fatalf("%s: %d relaxations, algorithm 5 %d", what, gotProbe.Counters["relaxations"], refProbe.Counters["relaxations"])
+			for k, it := range gotProbe.Iters {
+				if r := refProbe.Iters[k]; it.Iter != r.Iter || it.Frontier != r.Frontier {
+					t.Fatalf("%s: bucket event %d is %+v, algorithm 5 %+v", what, k, it, r)
+				}
+				if r := allLight.Iters[k]; it != r {
+					t.Fatalf("%s: bucket event %d is %+v, algorithm 5 with every edge light %+v", what, k, it, r)
+				}
+			}
+			if gotProbe.Counters["relaxations"] != allLight.Counters["relaxations"] {
+				t.Fatalf("%s: %d relaxations, algorithm 5 with every edge light %d", what, gotProbe.Counters["relaxations"], allLight.Counters["relaxations"])
 			}
 		}
 	}
@@ -291,9 +334,10 @@ func matchesAlgorithm5[T grb.Number](t *testing.T, g *Graph[T], oracle *gap.Grap
 
 // BenchmarkSSSPRoad is the §VI-B ablation pair for delta-stepping on the
 // Road class (96×96, weights in [1, 255], Δ = 64): the kernel over bucket
-// bins, whose fused min.plus step reads A's light and heavy halves in place
-// and files what it lowers, against Algorithm 5 as written, which selects
-// each bucket out of t and copies the halves.
+// bins, whose fused min.plus step relaxes every edge of a bucket vertex in
+// one pass over A, read in place, and files the vertices it lowers,
+// against Algorithm 5 as written, which selects each bucket out of t and
+// copies A's light and heavy halves.
 func BenchmarkSSSPRoad(b *testing.B) {
 	e := gen.Road(96, 1)
 	e.AddUniformWeights(7, 1, 255)
@@ -301,7 +345,9 @@ func BenchmarkSSSPRoad(b *testing.B) {
 	for _, k := range []struct {
 		name   string
 		kernel func(context.Context, *Graph[float64], int, float64) (*grb.Vector[float64], error)
-	}{{"fused", SSSPDeltaStepping[float64]}, {"algorithm5", ssspAlgorithm5[float64]}} {
+	}{{"fused", SSSPDeltaStepping[float64]}, {"algorithm5", func(ctx context.Context, g *Graph[float64], src int, delta float64) (*grb.Vector[float64], error) {
+		return ssspAlgorithm5(ctx, g, src, delta, delta)
+	}}} {
 		b.Run(k.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -199,6 +199,16 @@ func TestAlgorithmErrors(t *testing.T) {
 		map[string]any{"sauce": 3}); code != 400 {
 		t.Fatalf("unknown param: %d, want 400", code)
 	}
+	// A negative edge weight: SSSP's bucket 3 lowers vertex 1 to 5, back
+	// into bucket 0, so the distances would be wrong (dist(3) 20, not 15).
+	mm := "%%MatrixMarket matrix coordinate real general\n4 4 4\n1 2 10\n2 4 10\n1 3 200\n3 2 -195\n"
+	if code, body := postBody(t, ts.URL, "format=mm&name=neg&kind=directed", []byte(mm)); code != http.StatusCreated {
+		t.Fatalf("upload: %d %v", code, body)
+	}
+	if code, body := doJSON(t, "POST", ts.URL+"/graphs/neg/algorithms/sssp",
+		map[string]any{"source": 0, "delta": 64}); code != 400 {
+		t.Fatalf("sssp with a negative weight: %d %v, want 400", code, body)
+	}
 	// Missing Content-Type on POST /graphs.
 	resp, err := http.Post(ts.URL+"/graphs", "application/x-octet-stream", strings.NewReader("x"))
 	if err != nil {
