@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -43,19 +44,38 @@ type algoResponse struct {
 	Report *algo.RunReport
 }
 
-// respBufs holds response buffers between requests; a body is never
-// retained with the result it was rendered from.
+// respBufs holds render buffers between requests; a body kept for a
+// repeat is an exact-length copy in its graph's slot (bodySlot).
 var respBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// bodySlot is the default (non-explain) body last written for a graph,
+// with the response it was rendered from.
+type bodySlot struct {
+	resp *algoResponse
+	body []byte
+}
 
 // writeAlgoResponse is the one place an algorithm response is rendered:
 // appended into a pooled buffer by algo.AppendResponse (the report only
-// under explain) and written with its Content-Length in one Write.
-func writeAlgoResponse(ctx context.Context, w http.ResponseWriter, resp *algoResponse, explain bool) {
+// under explain) and written with its Content-Length in one Write. A
+// default body is kept as its graph's slot, and a repeat of that same
+// response (a cache hit or a dedup attach hands back the pointer) writes
+// the kept bytes without rendering.
+func (s *Server) writeAlgoResponse(ctx context.Context, w http.ResponseWriter, resp *algoResponse, explain bool) {
 	_, sp := obs.StartSpan(ctx, "encode")
 	defer sp.End()
 	rep := resp.Report
 	if !explain {
 		rep = nil
+		s.bodyMu.Lock()
+		slot := s.bodies[resp.Graph]
+		s.bodyMu.Unlock()
+		if slot.resp == resp {
+			writeBody(w, http.StatusOK, slot.body)
+			sp.SetAttr("bytes", strconv.Itoa(len(slot.body)))
+			sp.SetAttr("reused", "true")
+			return
+		}
 	}
 	buf := respBufs.Get().(*[]byte)
 	defer respBufs.Put(buf)
@@ -66,7 +86,13 @@ func writeAlgoResponse(ctx context.Context, w http.ResponseWriter, resp *algoRes
 		return
 	}
 	writeBody(w, http.StatusOK, *buf)
+	if !explain {
+		s.bodyMu.Lock()
+		s.bodies[resp.Graph] = bodySlot{resp, bytes.Clone(*buf)}
+		s.bodyMu.Unlock()
+	}
 	sp.SetAttr("bytes", strconv.Itoa(len(*buf)))
+	sp.SetAttr("reused", "false")
 }
 
 // handleAlgorithm is the synchronous algorithm endpoint: submit-and-wait
@@ -110,7 +136,7 @@ func (s *Server) handleAlgorithm(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "request abandoned")
 		return
 	}
-	writeJobOutcome(w, r, job, explainRequested(r))
+	s.writeJobOutcome(w, r, job, explainRequested(r))
 }
 
 // explainRequested reports whether the request opted into the run-report
@@ -146,10 +172,10 @@ func (s *Server) handleGetAlgorithm(w http.ResponseWriter, r *http.Request) {
 // writeJobOutcome renders a terminal job the way the synchronous API
 // always has: the bare result envelope on success (with its "report" key
 // under explain), a mapped error otherwise.
-func writeJobOutcome(w http.ResponseWriter, r *http.Request, j *jobs.Job, explain bool) {
+func (s *Server) writeJobOutcome(w http.ResponseWriter, r *http.Request, j *jobs.Job, explain bool) {
 	if v, ok := j.Result(); ok {
 		if resp, isAlgo := v.(*algoResponse); isAlgo {
-			writeAlgoResponse(r.Context(), w, resp, explain)
+			s.writeAlgoResponse(r.Context(), w, resp, explain)
 		} else { // an embedder's own job on the shared engine
 			writeJSON(w, http.StatusOK, v)
 		}

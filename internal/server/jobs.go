@@ -240,7 +240,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	info := job.Info()
 	switch info.State {
 	case jobs.StateDone, jobs.StateFailed:
-		writeJobOutcome(w, r, job, false)
+		s.writeJobOutcome(w, r, job, false)
 	case jobs.StateCancelled:
 		writeError(w, http.StatusGone, fmt.Sprintf("job %q was cancelled", id))
 	default:
@@ -290,7 +290,7 @@ func (s *Server) handleJobReport(w http.ResponseWriter, r *http.Request) {
 	case jobs.StateCancelled:
 		writeError(w, http.StatusGone, fmt.Sprintf("job %q was cancelled", id))
 	case jobs.StateFailed:
-		writeJobOutcome(w, r, job, false)
+		s.writeJobOutcome(w, r, job, false)
 	default:
 		writeJSON(w, http.StatusConflict, info)
 	}

@@ -202,7 +202,8 @@ func TestTraceLifecycle(t *testing.T) {
 // named. A cold request's trace holds wait (for the job) and encode
 // (append + write, carrying the body's size) under the root span, beside
 // the job's properties and kernel:<name>; a result-cache hit holds the
-// root, wait and encode alone.
+// root, wait and encode alone, and its encode wrote the graph's stored
+// bytes (reused) where the cold one rendered them.
 func TestWaitAndEncodeSpans(t *testing.T) {
 	srv := New(registry.New(0), Options{})
 	ts := newHTTPServer(t, srv)
@@ -210,11 +211,12 @@ func TestWaitAndEncodeSpans(t *testing.T) {
 
 	const root = "http POST /graphs/{name}/algorithms/{alg}"
 	for _, tc := range []struct {
-		id   string
-		want []string
+		id     string
+		want   []string
+		reused string
 	}{
-		{"span-cold", []string{root, "wait", "properties", "kernel:pagerank", "encode"}},
-		{"span-hit", []string{root, "wait", "encode"}},
+		{"span-cold", []string{root, "wait", "properties", "kernel:pagerank", "encode"}, "false"},
+		{"span-hit", []string{root, "wait", "encode"}, "true"},
 	} {
 		req, err := http.NewRequest("POST", ts+"/graphs/g/algorithms/pagerank", strings.NewReader(`{"limit":64}`))
 		if err != nil {
@@ -230,18 +232,7 @@ func TestWaitAndEncodeSpans(t *testing.T) {
 		if err != nil || resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: %d %v", tc.id, resp.StatusCode, err)
 		}
-		// The body carries its length, so it can be read whole before the
-		// handler has returned and the trace entered the ring.
-		var info obs.TraceInfo
-		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-			var ok bool
-			if info, ok = srv.Tracer().Get(tc.id); ok {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: trace never finished", tc.id)
-			}
-		}
+		info := finishedTrace(t, srv, tc.id)
 		var names []string
 		spans := map[string]obs.SpanInfo{}
 		for _, sp := range info.Spans {
@@ -259,8 +250,24 @@ func TestWaitAndEncodeSpans(t *testing.T) {
 				t.Errorf("%s: span %q has parent %q, want the root span", tc.id, name, spans[name].Parent)
 			}
 		}
-		if want := []obs.Attr{obs.String("bytes", strconv.Itoa(len(body)))}; !slices.Equal(spans["encode"].Attrs, want) {
+		want := []obs.Attr{obs.String("bytes", strconv.Itoa(len(body))), obs.String("reused", tc.reused)}
+		if !slices.Equal(spans["encode"].Attrs, want) {
 			t.Errorf("%s: encode attrs %v, want %v", tc.id, spans["encode"].Attrs, want)
+		}
+	}
+}
+
+// finishedTrace waits for a request's trace to enter the ring. A body
+// carries its length, so it can be read whole before the handler has
+// returned and the trace finished.
+func finishedTrace(t *testing.T, srv *Server, id string) obs.TraceInfo {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if info, ok := srv.Tracer().Get(id); ok {
+			return info
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: trace never finished", id)
 		}
 	}
 }

@@ -47,6 +47,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"lagraph/internal/algo"
@@ -117,6 +118,10 @@ type Server struct {
 	obs    *obs.Registry
 	tracer *obs.Tracer
 
+	// The default body last written per resident graph (algorithms.go).
+	bodyMu sync.Mutex
+	bodies map[string]bodySlot
+
 	// Component-level readiness (health.go): probes registered at build
 	// time, read by /healthz and the component_ready gauge family.
 	health []healthComponent
@@ -166,6 +171,7 @@ func New(reg *registry.Registry, opts Options) *Server {
 		stream:  stream.NewEngine(reg, opts.Stream),
 		store:   opts.Store,
 		mux:     http.NewServeMux(),
+		bodies:  map[string]bodySlot{},
 		sem:     make(chan struct{}, opts.MaxInFlight),
 		opts:    opts,
 
@@ -194,11 +200,17 @@ func New(reg *registry.Registry, opts Options) *Server {
 		func() float64 { return time.Since(started).Seconds() })
 	reg.Instrument(o)
 	// Version keys make a removed graph's cached results unreachable;
-	// dropping them as it is deleted or evicted returns their memory too.
-	// The listener runs under the registry mutex and takes the engine's,
-	// which never waits on the registry: completion hooks (lease
-	// releases) run after the engine mutex is released.
-	reg.AddRemoveListener(func(name string, _ registry.RemoveReason) { s.jobs.InvalidateGraph(name) })
+	// dropping them and its kept body as it is deleted or evicted returns
+	// their memory too. The listener runs under the registry mutex and
+	// takes the engine's and bodyMu, neither of which waits on the
+	// registry: completion hooks (lease releases) run after the engine
+	// mutex is released.
+	reg.AddRemoveListener(func(name string, _ registry.RemoveReason) {
+		s.jobs.InvalidateGraph(name)
+		s.bodyMu.Lock()
+		delete(s.bodies, name)
+		s.bodyMu.Unlock()
+	})
 	if s.store != nil {
 		// Order matters: recovery replays the WAL through the stream
 		// engine while no journal is attached (so the replayed batches are
