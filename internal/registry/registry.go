@@ -524,6 +524,17 @@ func (r *Registry) Info(name string) (GraphInfo, bool) {
 	return infoOf(e), true
 }
 
+// WhileResident runs fn under the registry mutex if a graph of that name
+// is resident, so no remove listener runs meanwhile. fn must not call
+// back into the registry.
+func (r *Registry) WhileResident(name string, fn func()) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.entries[name]; ok {
+		fn()
+	}
+}
+
 // infoOf snapshots one entry.
 func infoOf(e *Entry) GraphInfo {
 	g := e.graph

@@ -456,3 +456,21 @@ func TestRemoveListenersGetReasons(t *testing.T) {
 		t.Fatalf("eviction events = %+v", evicted)
 	}
 }
+
+// TestWhileResident: fn runs only while a graph of that name is resident.
+func TestWhileResident(t *testing.T) {
+	r := New(0)
+	if _, err := r.Add("g", loadGraph(t, "g", 4, false)); err != nil {
+		t.Fatal(err)
+	}
+	ran := 0
+	r.WhileResident("g", func() { ran++ })
+	r.WhileResident("missing", func() { ran += 10 })
+	if err := r.Remove("g"); err != nil {
+		t.Fatal(err)
+	}
+	r.WhileResident("g", func() { ran += 100 })
+	if ran != 1 {
+		t.Fatalf("fn ran for %d (1 = resident only), want 1", ran)
+	}
+}

@@ -48,8 +48,7 @@ type algoResponse struct {
 // repeat is an exact-length copy in its graph's slot (bodySlot).
 var respBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// bodySlot is the default (non-explain) body last written for a graph,
-// with the response it was rendered from.
+// bodySlot is a graph's last default (non-explain) body and its response.
 type bodySlot struct {
 	resp *algoResponse
 	body []byte
@@ -58,41 +57,44 @@ type bodySlot struct {
 // writeAlgoResponse is the one place an algorithm response is rendered:
 // appended into a pooled buffer by algo.AppendResponse (the report only
 // under explain) and written with its Content-Length in one Write. A
-// default body is kept as its graph's slot, and a repeat of that same
-// response (a cache hit or a dedup attach hands back the pointer) writes
-// the kept bytes without rendering.
+// default body is kept as its graph's slot; a repeat of that response (a
+// cache hit or dedup attach hands back its pointer) writes it unrendered.
 func (s *Server) writeAlgoResponse(ctx context.Context, w http.ResponseWriter, resp *algoResponse, explain bool) {
 	_, sp := obs.StartSpan(ctx, "encode")
 	defer sp.End()
-	rep := resp.Report
+	rep, reused := resp.Report, "true"
+	var body []byte
 	if !explain {
 		rep = nil
 		s.bodyMu.Lock()
-		slot := s.bodies[resp.Graph]
+		if slot := s.bodies[resp.Graph]; slot.resp == resp {
+			body = slot.body
+		}
 		s.bodyMu.Unlock()
-		if slot.resp == resp {
-			writeBody(w, http.StatusOK, slot.body)
-			sp.SetAttr("bytes", strconv.Itoa(len(slot.body)))
-			sp.SetAttr("reused", "true")
+	}
+	if body == nil {
+		buf := respBufs.Get().(*[]byte)
+		defer respBufs.Put(buf)
+		var err error
+		if *buf, err = algo.AppendResponse((*buf)[:0], resp.Graph, resp.Algorithm, resp.Seconds, resp.Result, rep); err != nil {
+			writeError(w, http.StatusInternalServerError, "encode response: "+err.Error())
 			return
 		}
+		body, reused = *buf, "false"
 	}
-	buf := respBufs.Get().(*[]byte)
-	defer respBufs.Put(buf)
-	var err error
-	*buf, err = algo.AppendResponse((*buf)[:0], resp.Graph, resp.Algorithm, resp.Seconds, resp.Result, rep)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "encode response: "+err.Error())
-		return
+	writeBody(w, http.StatusOK, body)
+	sp.SetAttr("bytes", strconv.Itoa(len(body)))
+	sp.SetAttr("reused", reused)
+	if !explain && reused == "false" {
+		kept := bytes.Clone(body)
+		// Under the registry mutex, so a graph deleted or evicted since
+		// its job finished (its remove listener run) keeps no slot.
+		s.reg.WhileResident(resp.Graph, func() {
+			s.bodyMu.Lock()
+			s.bodies[resp.Graph] = bodySlot{resp, kept}
+			s.bodyMu.Unlock()
+		})
 	}
-	writeBody(w, http.StatusOK, *buf)
-	if !explain {
-		s.bodyMu.Lock()
-		s.bodies[resp.Graph] = bodySlot{resp, bytes.Clone(*buf)}
-		s.bodyMu.Unlock()
-	}
-	sp.SetAttr("bytes", strconv.Itoa(len(*buf)))
-	sp.SetAttr("reused", "false")
 }
 
 // handleAlgorithm is the synchronous algorithm endpoint: submit-and-wait

@@ -2,8 +2,10 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -103,6 +105,33 @@ func TestBodySlotWireIdentity(t *testing.T) {
 	}
 	if _, ok := bodySlotOf(srv, "g"); ok {
 		t.Error("the deleted graph still has a body slot")
+	}
+}
+
+// TestBodySlotNotKeptForRemovedGraph: a response rendered after its graph
+// was deleted (its job done, the remove listener already run) is written
+// but leaves no slot behind.
+func TestBodySlotNotKeptForRemovedGraph(t *testing.T) {
+	srv := New(registry.New(0), Options{})
+	ts := newHTTPServer(t, srv)
+	loadSyntheticGraph(t, ts, "g", "kron", 8)
+	// Its trace finishes after the slot is stored.
+	encodeReused(t, srv, ts+"/graphs/g/algorithms/pagerank", `{"limit":256}`, "cold")
+	slot, ok := bodySlotOf(srv, "g")
+	if !ok {
+		t.Fatal("the cold response kept no slot")
+	}
+	if code, body := doJSON(t, "DELETE", ts+"/graphs/g", nil); code != http.StatusOK {
+		t.Fatalf("delete: %d %v", code, body)
+	}
+
+	rec := httptest.NewRecorder()
+	srv.writeAlgoResponse(context.Background(), rec, slot.resp, false)
+	if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), slot.body) {
+		t.Errorf("late write: %d, equal to the cold body %v", rec.Code, bytes.Equal(rec.Body.Bytes(), slot.body))
+	}
+	if _, ok := bodySlotOf(srv, "g"); ok {
+		t.Error("a response written after its graph was deleted left a slot")
 	}
 }
 
