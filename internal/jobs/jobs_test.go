@@ -774,6 +774,45 @@ func TestSubmitCacheHitAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestColdDispatchAllocationBudget pins what a cold dispatch allocates —
+// Submit of a key the engine has not seen, an empty job run on a worker
+// (context, result caching, LRU element) and WaitOrAbandon until it is
+// done — with the record table and the result cache at their bounds, so
+// every dispatch also prunes a record and evicts a result. This is the
+// path bench/e2e's jobs.dispatch_us times.
+func TestColdDispatchAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocation counts")
+	}
+	const bound, runs = 64, 500
+	e := NewEngine(Options{Workers: 1, MaxJobs: bound, MaxCachedResults: bound, ResultTTL: time.Hour})
+	defer e.Close()
+	ctx := context.Background()
+	run := func(context.Context) (any, error) { return nil, nil }
+	keys := make([]Key, 2*bound+runs+1) // AllocsPerRun calls once more to warm up
+	for k := range keys {
+		keys[k] = testKey("g", 1, "x", fmt.Sprint(k))
+	}
+	next := 0
+	dispatch := func() {
+		j, isNew, err := e.Submit(Request{Key: keys[next], Run: run})
+		next++
+		if err != nil || !isNew {
+			t.Fatalf("cold submission: isNew %v, err %v", isNew, err)
+		}
+		e.WaitOrAbandon(ctx, j)
+	}
+	for range 2 * bound { // past both bounds
+		dispatch()
+	}
+	const budget = 7
+	allocs := testing.AllocsPerRun(runs, dispatch)
+	t.Logf("a cold dispatch allocates %.1f times", allocs)
+	if allocs > budget {
+		t.Fatalf("a cold dispatch allocated %.1f times, budget %d", allocs, budget)
+	}
+}
+
 // BenchmarkSubmitHitFullTable: a cache hit on an engine that already holds
 // MaxJobs records, so every submission prunes one; its cost must not grow
 // with MaxJobs.

@@ -241,8 +241,8 @@ func decodeParamsBody(body io.Reader) (map[string]any, error) {
 
 // decodeJSONBody parses an optional JSON request body into v. An empty
 // body is fine (all-default parameters); trailing garbage is not.
-func decodeJSONBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+func decodeJSONBody(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	dec.UseNumber()
 	if err := dec.Decode(v); err != nil {

@@ -137,7 +137,7 @@ func (spec *loadSpec) validate() error {
 // loadSynthetic builds a graph from a generator spec.
 func (s *Server) loadSynthetic(r *http.Request) (string, *lagraph.Graph[float64], error) {
 	var spec loadSpec
-	if err := decodeJSONBody(r, &spec); err != nil {
+	if err := decodeJSONBody(r.Body, &spec); err != nil {
 		return "", nil, err
 	}
 	if err := spec.validate(); err != nil {

@@ -165,7 +165,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxParamsBytes)
 	var spec jobSpec
-	if err := decodeJSONBody(r, &spec); err != nil {
+	if err := decodeJSONBody(r.Body, &spec); err != nil {
 		writeBodyError(w, err)
 		return
 	}

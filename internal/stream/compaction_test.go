@@ -17,6 +17,9 @@ import (
 	"lagraph/internal/registry"
 )
 
+// coord is one matrix position.
+type coord struct{ i, j int }
+
 // edgeModel is the reference a batch sequence must produce: stored entry
 // (i,j) → weight, both directions for undirected graphs.
 type edgeModel map[coord]float64

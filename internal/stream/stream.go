@@ -30,6 +30,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -114,9 +115,6 @@ func (o *Options) fill() {
 	}
 }
 
-// coord keys the existence overlay.
-type coord struct{ i, j int }
-
 // graphState is the per-name mutation state. mu serializes mutation and
 // compaction for the graph; different graphs proceed in parallel.
 //
@@ -136,10 +134,10 @@ type graphState struct {
 	head    *lagraph.Graph[float64] // private: base plus the delta log, never assembled
 	baseNNZ int
 
-	// overlay indexes the log for has: live (true) or deleted for each
-	// position the log touched (compaction prunes what the new base
-	// answers), so len(overlay) <= pending(); absent → ask base.
-	overlay map[coord]bool
+	// overlay indexes the log for has by cell i·n + j, as grb does: live
+	// (true) or deleted at each position the log touched (compaction prunes
+	// what the new base answers), so len(overlay) <= pending().
+	overlay map[int]bool
 
 	// Incremental bookkeeping, exact at all times.
 	edges int
@@ -374,6 +372,7 @@ func (e *Engine) ApplyCtx(ctx context.Context, name string, ops []Op) (res Resul
 	res = Result{Graph: name, Applied: len(ops)}
 	pendingBefore := st.pending()
 	for _, op := range ops {
+		mirror := st.kind == lagraph.AdjacencyUndirected && op.Src != op.Dst
 		switch op.Op {
 		case OpUpsert:
 			w := 1.0
@@ -381,16 +380,10 @@ func (e *Engine) ApplyCtx(ctx context.Context, name string, ops []Op) (res Resul
 				w = *op.Weight
 			}
 			res.Upserts++
-			res.EdgesAdded += st.upsert(op.Src, op.Dst, w)
-			if st.kind == lagraph.AdjacencyUndirected && op.Src != op.Dst {
-				st.upsert(op.Dst, op.Src, w)
-			}
+			res.EdgesAdded += st.write(op.Src, op.Dst, true, w, mirror)
 		case OpDelete:
 			res.Deletes++
-			res.EdgesRemoved += st.delete(op.Src, op.Dst)
-			if st.kind == lagraph.AdjacencyUndirected && op.Src != op.Dst {
-				st.delete(op.Dst, op.Src)
-			}
+			res.EdgesRemoved += st.write(op.Src, op.Dst, false, 0, mirror)
 		}
 	}
 
@@ -409,7 +402,7 @@ func (e *Engine) ApplyCtx(ctx context.Context, name string, ops []Op) (res Resul
 	journal := e.journalFor()
 	if journal != nil {
 		_, sp := obs.StartSpan(ctx, "wal append",
-			obs.String("graph", name), obs.String("ops", fmt.Sprint(len(ops))))
+			obs.String("graph", name), obs.String("ops", strconv.Itoa(len(ops))))
 		err := journal.AppendBatch(name, nextVersion, ops)
 		sp.End()
 		if err != nil {
@@ -444,36 +437,43 @@ func (e *Engine) ApplyCtx(ctx context.Context, name string, ops []Op) (res Resul
 	return res, nil
 }
 
-// upsert applies one insert/update to the bookkeeping and delta log,
-// returning 1 when a new edge came into existence. Apply validated (i,j),
-// so buffering it on head cannot fail; the same holds for delete.
-func (st *graphState) upsert(i, j int, w float64) int {
+// write logs (i,j), live with weight w or deleted, and (j,i) when mirror (a
+// symmetric pattern holds both or neither, so one probe answers for both).
+// It returns 1 when an edge appeared or vanished; an absent delete logs nothing.
+func (st *graphState) write(i, j int, live bool, w float64, mirror bool) int {
 	existed := st.has(i, j)
-	st.overlay[coord{i, j}] = true
-	_ = st.head.A.SetElement(w, i, j)
-	if existed {
+	if !existed && !live {
 		return 0
 	}
-	st.edges++
-	if i == j {
-		st.ndiag++
+	st.set(i, j, live, w)
+	if mirror {
+		st.set(j, i, live, w)
+	}
+	if existed == live {
+		return 0
+	}
+	d := -1
+	if live {
+		d = 1
+	}
+	st.edges += d
+	if mirror {
+		st.edges += d
+	} else if i == j {
+		st.ndiag += int64(d)
 	}
 	return 1
 }
 
-// delete applies one deletion, returning 1 when a live edge was removed.
-// Deleting an absent edge is a no-op and is not logged.
-func (st *graphState) delete(i, j int) int {
-	if !st.has(i, j) {
-		return 0
+// set buffers an upsert or a tombstone at (i,j) on head and in the
+// overlay; Apply validated (i,j), so buffering cannot fail.
+func (st *graphState) set(i, j int, live bool, w float64) {
+	st.overlay[i*st.n+j] = live
+	if live {
+		_ = st.head.A.SetElement(w, i, j)
+	} else {
+		_ = st.head.A.RemoveElement(i, j)
 	}
-	st.overlay[coord{i, j}] = false
-	_ = st.head.A.RemoveElement(i, j)
-	st.edges--
-	if i == j {
-		st.ndiag--
-	}
-	return 1
 }
 
 // pending is the delta log's length: head's pending operations.
@@ -483,7 +483,7 @@ func (st *graphState) pending() int { return st.head.A.PendingTuples() }
 // It is not a lookup on head: a point lookup through an unindexed pending
 // list costs O(pending) per operation.
 func (st *graphState) has(i, j int) bool {
-	if live, ok := st.overlay[coord{i, j}]; ok {
+	if live, ok := st.overlay[i*st.n+j]; ok {
 		return live
 	}
 	_, err := st.base.ExtractElement(i, j)
@@ -509,7 +509,7 @@ func (st *graphState) resetFrom(entry *registry.Entry) error {
 	}
 	st.entry, st.kind, st.n = entry, g.Kind, g.NumNodes()
 	st.base, st.head, st.baseNNZ = g.A, head, g.A.NVals()
-	st.overlay = make(map[coord]bool)
+	st.overlay = make(map[int]bool)
 	st.edges, st.ndiag = st.baseNNZ, g.CachedNDiag()
 	return nil
 }
@@ -622,9 +622,9 @@ func (e *Engine) compactOne(name string) {
 	}
 	st.base, st.baseNNZ = g.A, g.A.NVals()
 	// Prune what the new base answers: a survivor was touched by the tail.
-	for c, live := range st.overlay {
-		if _, err := g.A.ExtractElement(c.i, c.j); (err == nil) == live {
-			delete(st.overlay, c)
+	for k, live := range st.overlay {
+		if _, err := g.A.ExtractElement(k/st.n, k%st.n); (err == nil) == live {
+			delete(st.overlay, k)
 		}
 	}
 	e.compactions.Inc()
