@@ -361,7 +361,7 @@ func registerTCAdvanced(c *Catalog) {
 				Enum: []string{"sandia-lut", "sandia-ll", "burkhardt", "cohen"},
 				Doc:  "triangle-counting formulation"},
 			{Name: "presort", Type: TBool, Default: false,
-				Doc: "permute the graph by ascending degree before counting"},
+				Doc: "count in ascending degree rank order (L and U selected by each vertex's rank; no permuted copy)"},
 		},
 		Properties: staticProps(lagraph.PropRowDegree),
 		Run: func(ctx context.Context, g *Graph, p Params) (Result, error) {

@@ -1,6 +1,8 @@
 package grb
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -185,4 +187,68 @@ func checkDot[TC Value](t *testing.T, label string, s Semiring[float64, float64,
 		t.Fatalf("%s: %v", label, err)
 	}
 	sameBits(t, C, mergeMxM(s, A, B, allowed), label)
+}
+
+// TestMxMDotPlusPairMisses: plus.pair into int64 over two sparse operands
+// counts |A(i,:) ∩ B(j,:)| and stores nothing where the rows miss — a
+// B(j,:) wholly below A(i,:)'s first column, wholly above its last,
+// interleaved with it, or empty, and an empty A(i,:) — under no mask, a
+// full structural mask, a valued mask of explicit zeros and a complemented
+// one, at one worker and at four.
+func TestMxMDotPlusPairMisses(t *testing.T) {
+	defer parallel.SetMaxThreads(parallel.SetMaxThreads(1))
+	rowsOf := func(nc int, rows [][]int) *Matrix[float64] {
+		var ri, ci []int
+		for i, r := range rows {
+			for _, j := range r {
+				ri, ci = append(ri, i), append(ci, j)
+			}
+		}
+		vals := make([]float64, len(ri))
+		for k := range vals {
+			vals[k] = float64(k + 1)
+		}
+		return mustFromTuples(t, len(rows), nc, ri, ci, vals)
+	}
+	A := rowsOf(12, [][]int{{2, 3, 4}, {5, 6, 7}, {}, {0, 11}})
+	B := rowsOf(12, [][]int{{0, 1}, {8, 9, 10}, {3, 5, 7}, {1, 2, 3, 4, 6, 11}, {}})
+	counts := map[coord]int64{{0, 2}: 1, {0, 3}: 3, {1, 2}: 2, {1, 3}: 1, {3, 0}: 1, {3, 3}: 1}
+	full := MustMatrix[float64](4, 5)
+	zeros := MustMatrix[float64](4, 5)
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 5; j++ {
+			if err := cmp.Or(full.SetElement(1, i, j), zeros.SetElement(float64(j%2), i, j)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	masks := []struct {
+		name    string
+		mask    Mask
+		allowed func(i, j int) bool
+	}{
+		{"no mask", NoMask, func(i, j int) bool { return true }},
+		{"s(M) full", StructMaskOf(full), func(i, j int) bool { return true }},
+		{"M with zeros", MaskOf(zeros), func(i, j int) bool { return j%2 == 1 }},
+		{"¬s(M) of zeros", StructMaskOf(zeros).Not(), func(i, j int) bool { return false }},
+		{"¬M with zeros", MaskOf(zeros).Not(), func(i, j int) bool { return j%2 == 0 }},
+	}
+	for _, threads := range []int{1, 4} {
+		parallel.SetMaxThreads(threads)
+		for _, mk := range masks {
+			C := MustMatrix[int64](4, 5)
+			if err := MxM(C, mk.mask, nil, PlusPair[float64, float64, int64](), A, B, DescT1); err != nil {
+				t.Fatal(err)
+			}
+			want := map[coord]int64{}
+			for p, c := range counts {
+				if mk.allowed(p.i, p.j) {
+					want[p] = c
+				}
+			}
+			label := fmt.Sprintf("%s, %d workers", mk.name, threads)
+			sameBits(t, C, want, label)
+			sameBits(t, C, mergeMxM(PlusPair[float64, float64, int64](), A, B, mk.allowed), label+" (merge)")
+		}
+	}
 }

@@ -126,6 +126,7 @@ func saxpyRow[TA, TB, TC Value](s *Semiring[TA, TB, TC], A *Matrix[TA], i int, B
 // evaluated. When both are sparse, each worker scatters A(i,:) into a
 // pooled accumulator once for the row (if its mask row has entries), and
 // each B(j,:) probes it: TC's L(i,:) is read once, not once per mask entry.
+// Plus.pair into int64 then counts the probe hits in pairCount's one loop.
 func dotKernel[TA, TB, TC Value](wb *writeBack[TC], s Semiring[TA, TB, TC], A *Matrix[TA], B *Matrix[TB]) {
 	mask, nc := wb.mk, B.NRows()
 	enumerable := mask.enumerable()
@@ -136,9 +137,13 @@ func dotKernel[TA, TB, TC Value](wb *writeBack[TC], s Semiring[TA, TB, TC], A *M
 	scatter := A.format == FormatSparse && B.format == FormatSparse
 	run(wb, weight, 0, func(lo, hi int, o *sink[TC]) {
 		var a *spa[TA]
+		var pairs *sink[int64] // o itself, when pairCount computes the product
 		if scatter {
 			a = getSPA[TA](A.nc)
 			defer putSPA(a)
+			if s.pull == pullPlusPair {
+				pairs, _ = any(o).(*sink[int64])
+			}
 		}
 		// One mask-row visitor per block, pointed at the current row: made
 		// per row, it would cost a heap object a row.
@@ -147,7 +152,11 @@ func dotKernel[TA, TB, TC Value](wb *writeBack[TC], s Semiring[TA, TB, TC], A *M
 			if !mask.selects(tv) {
 				return
 			}
-			if x, ok := dotRow(&s, A, B, row, j, a); ok {
+			if pairs != nil {
+				if c := pairCount(A, B, row, j, a); c > 0 {
+					pairs.emit(j, c)
+				}
+			} else if x, ok := dotRow(&s, A, B, row, j, a); ok {
 				o.emit(j, x)
 			}
 		}
@@ -159,22 +168,39 @@ func dotKernel[TA, TB, TC Value](wb *writeBack[TC], s Semiring[TA, TB, TC], A *M
 					a.mark[A.idx[p]], a.val[A.idx[p]] = a.gen, A.val[p]
 				}
 			}
+			row = i
 			if enumerable {
-				row = i
 				mask.src.maskRowIter(i, 0, nc, visit)
 				continue
 			}
 			for j := 0; j < nc; j++ {
-				if !o.ok(j) {
-					continue
-				}
-				if x, ok := dotRow(&s, A, B, i, j, a); ok {
-					o.emit(j, x)
+				if o.ok(j) {
+					visit(j, true)
 				}
 			}
 		}
 	})
 	wb.commit()
+}
+
+// pairCount is dotRow on plus.pair into int64 over two sparse rows, A(i,:)
+// scattered into a: how many entries of B(j,:) a holds, 0 for none. B(j,:)
+// is walked up to A(i,:)'s last column, with no binary search to trim it.
+func pairCount[TA, TB Value](A *Matrix[TA], B *Matrix[TB], i, j int, a *spa[TA]) (c int64) {
+	p, pe, q, qe := A.ptr[i], A.ptr[i+1], B.ptr[j], B.ptr[j+1]
+	if p == pe {
+		return 0
+	}
+	mark, gen, last := a.mark, a.gen, A.idx[pe-1]
+	for _, k := range B.idx[q:qe] {
+		if k > last {
+			break
+		}
+		if mark[k] == gen {
+			c++
+		}
+	}
+	return c
 }
 
 // dotRow reduces the intersection of A(i,:) with B(j,:) on the semiring, in

@@ -575,7 +575,11 @@ func (e *Engine) worker() {
 		}
 		j := e.queue[0]
 		e.queue[0] = nil
-		e.queue = e.queue[1:]
+		if len(e.queue) == 1 { // drained: keep the backing array for the next Submit
+			e.queue = e.queue[:0]
+		} else {
+			e.queue = e.queue[1:]
+		}
 		e.dequeueAccountingLocked()
 		// Arm the run context and transition to running under the same
 		// lock hold as the dequeue: a queued-state cancel can therefore

@@ -515,28 +515,28 @@ func (g *Graph[T]) SampleDegree(nsamples int) (mean, median float64, err error) 
 
 // SortByDegree returns a permutation that sorts the vertices by row degree
 // (ascending when ascending is true), ties broken by vertex id for
-// determinism (paper §V).
+// determinism (paper §V): a stable counting sort, O(n + max degree).
 func (g *Graph[T]) SortByDegree(ascending bool) ([]int, error) {
 	rowDegree := g.CachedRowDegree()
 	if rowDegree == nil {
 		return nil, errf(StatusPropertyMissing, "SortByDegree: RowDegree not cached")
 	}
-	n := g.NumNodes()
-	deg := make([]int64, n)
-	rowDegree.Iterate(func(i int, d int64) { deg[i] = d })
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		da, db := deg[perm[a]], deg[perm[b]]
-		if da != db {
-			if ascending {
-				return da < db
-			}
-			return da > db
+	deg, top := make([]int64, g.NumNodes()), int64(0)
+	rowDegree.Iterate(func(i int, d int64) { deg[i], top = d, max(top, d) })
+	start := make([]int, top+2) // start[k+1] counts sort key k, then start[k] is where its run begins
+	for i, d := range deg {
+		if !ascending {
+			deg[i] = top - d
 		}
-		return perm[a] < perm[b]
-	})
+		start[deg[i]+1]++
+	}
+	for k := 1; k < len(start); k++ {
+		start[k] += start[k-1]
+	}
+	perm := make([]int, len(deg))
+	for i, k := range deg {
+		perm[start[k]] = i
+		start[k]++
+	}
 	return perm, nil
 }

@@ -128,6 +128,7 @@ func TriangleCountAdvanced[T grb.Value](ctx context.Context, g *Graph[T], method
 			prb.Add("presorted", 1)
 		}
 	}
+	lower, upper := grb.Tril[T](), grb.Triu[T]()
 	if presort {
 		if g.CachedRowDegree() == nil {
 			return 0, errf(StatusPropertyMissing, "TriangleCountAdvanced: presort needs RowDegree cached")
@@ -136,11 +137,14 @@ func TriangleCountAdvanced[T grb.Value](ctx context.Context, g *Graph[T], method
 		if err != nil {
 			return 0, err
 		}
-		permuted := grb.MustMatrix[T](n, n)
-		if err := grb.ExtractSubmatrix(permuted, grb.NoMask, nil, A, perm, perm, nil); err != nil {
-			return 0, wrap(StatusInvalidValue, err, "TriangleCountAdvanced permute")
+		// rank(v) is v's place in ascending (degree, id) order: L and U are
+		// A(perm, perm)'s triangles, selected from A with no permuted copy.
+		rank := make([]int, n)
+		for r, v := range perm {
+			rank[v] = r
 		}
-		A = permuted
+		lower.F = func(_ T, i, j int, _ T) bool { return rank[j] <= rank[i] }
+		upper.F = func(_ T, i, j int, _ T) bool { return rank[j] >= rank[i] }
 	}
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -153,12 +157,12 @@ func TriangleCountAdvanced[T grb.Value](ctx context.Context, g *Graph[T], method
 	var L, U *grb.Matrix[T]
 	var err error
 	if method != TCBurkhardt {
-		if L, err = triangle(grb.Tril[T]()); err != nil {
+		if L, err = triangle(lower); err != nil {
 			return 0, err
 		}
 	}
 	if method == TCSandiaLUT || method == TCCohen {
-		if U, err = triangle(grb.Triu[T]()); err != nil {
+		if U, err = triangle(upper); err != nil {
 			return 0, err
 		}
 	}
