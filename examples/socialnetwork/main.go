@@ -105,17 +105,10 @@ func symmetrised(e *gen.EdgeList) *lagraph.Graph[float64] {
 	src := append(append([]int32{}, e.Src...), e.Dst...)
 	dst := append(append([]int32{}, e.Dst...), e.Src...)
 	sym := &gen.EdgeList{N: e.N, Src: src, Dst: dst, Directed: false}
-	dup, err := lagraph.FromEdgeList(sym)
-	if err != nil {
-		log.Fatal(err)
-	}
-	// Duplicate mutual edges collapse via a rebuild through tuples.
-	rows, cols, vv := dup.A.ExtractTuples()
-	B, err := grb.MatrixFromTuples(sym.N, sym.N, rows, cols, vv, func(a, _ float64) float64 { return a })
-	if err != nil {
-		log.Fatal(err)
-	}
-	g, err := lagraph.New(&B, lagraph.AdjacencyUndirected)
+	// Mutual follows appear twice; Dedup collapses them and restores the
+	// (src, dst) order FromEdgeList requires.
+	sym.Dedup()
+	g, err := lagraph.FromEdgeList(sym)
 	if err != nil {
 		log.Fatal(err)
 	}

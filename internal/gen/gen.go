@@ -16,7 +16,7 @@ package gen
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -40,17 +40,13 @@ type EdgeList struct {
 // before deduplication; Road ignores edgeFactor and uses a 2^(scale/2)
 // grid so its vertex count matches.
 func Generate(class string, scale, edgeFactor int, seed uint64) (*EdgeList, error) {
-	switch strings.ToLower(class) {
-	case "kron":
-		return Kron(scale, edgeFactor, seed), nil
-	case "urand":
-		return Urand(scale, edgeFactor, seed), nil
-	case "twitter":
-		return Twitter(scale, edgeFactor, seed), nil
-	case "web":
-		return Web(scale, edgeFactor, seed), nil
-	case "road":
+	if strings.EqualFold(class, "road") {
 		return Road(1<<(scale/2), seed), nil
+	}
+	for i := range classes {
+		if strings.EqualFold(class, classes[i].name) {
+			return classes[i].generate(scale, edgeFactor, seed), nil
+		}
 	}
 	return nil, fmt.Errorf("unknown graph class %q (kron|urand|twitter|web|road)", class)
 }
@@ -113,98 +109,82 @@ func permutation(n int, rng *splitmix64) []int32 {
 	return p
 }
 
-// Kron generates the GAP "Kron" class: an RMAT graph with the Graph500
-// parameters (A=.57, B=.19, C=.19), symmetrised to an undirected graph,
-// vertex labels shuffled. 2^scale vertices, edgeFactor undirected edges
-// per vertex before deduplication.
-func Kron(scale, edgeFactor int, seed uint64) *EdgeList {
-	rng := &splitmix64{state: seed*2654435761 + 1}
+// synthetic is one row of the generator table behind Kron, Urand, Twitter
+// and Web. Its RNG starts at seed*mul + add; it draws the relabelling
+// permutation first (when relabel is set), then per edge either an RMAT
+// edge with quadrant probabilities a, b, c or, when a is 0, a uniform
+// (u, v). Self loops are dropped, and an undirected class keeps both
+// orientations of every edge.
+type synthetic struct {
+	name              string
+	mul, add          uint64
+	a, b, c           float64
+	relabel, directed bool
+}
+
+var classes = [...]synthetic{
+	{"Kron", 2654435761, 1, 0.57, 0.19, 0.19, true, false},
+	{"Urand", 40503, 7, 0, 0, 0, false, false},
+	{"Twitter", 69069, 13, 0.65, 0.15, 0.15, true, true},
+	{"Web", 31337, 27, 0.6, 0.2, 0.1, false, true},
+}
+
+// generate draws ef edges per vertex over 2^scale vertices.
+func (c *synthetic) generate(scale, ef int, seed uint64) *EdgeList {
+	rng := &splitmix64{state: seed*c.mul + c.add}
 	n := 1 << scale
-	m := n * edgeFactor
-	perm := permutation(n, rng)
-	src := make([]int32, 0, 2*m)
-	dst := make([]int32, 0, 2*m)
-	for k := 0; k < m; k++ {
-		u, v := rmat(rng, scale, 0.57, 0.19, 0.19)
-		u, v = perm[u], perm[v]
+	m := n * ef
+	var perm []int32
+	if c.relabel {
+		perm = permutation(n, rng)
+	}
+	size := 2 * m
+	if c.directed {
+		size = m
+	}
+	keys := make([]uint64, 0, size)
+	for range m {
+		var u, v int32
+		if c.a == 0 {
+			u, v = int32(rng.intn(n)), int32(rng.intn(n))
+		} else {
+			u, v = rmat(rng, scale, c.a, c.b, c.c)
+		}
+		if perm != nil {
+			u, v = perm[u], perm[v]
+		}
 		if u == v {
 			continue
 		}
-		src = append(src, u, v)
-		dst = append(dst, v, u)
+		keys = append(keys, key(u, v))
+		if !c.directed {
+			keys = append(keys, key(v, u))
+		}
 	}
-	e := &EdgeList{N: n, Src: src, Dst: dst, Name: "Kron", Directed: false}
-	e.Dedup()
+	e := &EdgeList{N: n, Name: c.name, Directed: c.directed}
+	e.setKeys(keys)
 	return e
 }
 
+// Kron generates the GAP "Kron" class: an RMAT graph with the Graph500
+// parameters (A=.57, B=.19, C=.19), symmetrised to an undirected graph,
+// vertex labels shuffled. 2^scale vertices, ef undirected edges per
+// vertex before deduplication.
+func Kron(scale, ef int, seed uint64) *EdgeList { return classes[0].generate(scale, ef, seed) }
+
 // Urand generates the GAP "Urand" class: an Erdős–Rényi graph of the same
 // size as Kron, symmetrised.
-func Urand(scale, edgeFactor int, seed uint64) *EdgeList {
-	rng := &splitmix64{state: seed*40503 + 7}
-	n := 1 << scale
-	m := n * edgeFactor
-	src := make([]int32, 0, 2*m)
-	dst := make([]int32, 0, 2*m)
-	for k := 0; k < m; k++ {
-		u := int32(rng.intn(n))
-		v := int32(rng.intn(n))
-		if u == v {
-			continue
-		}
-		src = append(src, u, v)
-		dst = append(dst, v, u)
-	}
-	e := &EdgeList{N: n, Src: src, Dst: dst, Name: "Urand", Directed: false}
-	e.Dedup()
-	return e
-}
+func Urand(scale, ef int, seed uint64) *EdgeList { return classes[1].generate(scale, ef, seed) }
 
 // Twitter generates the directed social-follow class: an RMAT graph with
 // more aggressive skew (A=.65) kept directed, labels shuffled — a few
 // celebrity vertices collect enormous in-degrees.
-func Twitter(scale, edgeFactor int, seed uint64) *EdgeList {
-	rng := &splitmix64{state: seed*69069 + 13}
-	n := 1 << scale
-	m := n * edgeFactor
-	perm := permutation(n, rng)
-	src := make([]int32, 0, m)
-	dst := make([]int32, 0, m)
-	for k := 0; k < m; k++ {
-		u, v := rmat(rng, scale, 0.65, 0.15, 0.15)
-		u, v = perm[u], perm[v]
-		if u == v {
-			continue
-		}
-		src = append(src, u)
-		dst = append(dst, v)
-	}
-	e := &EdgeList{N: n, Src: src, Dst: dst, Name: "Twitter", Directed: true}
-	e.Dedup()
-	return e
-}
+func Twitter(scale, ef int, seed uint64) *EdgeList { return classes[2].generate(scale, ef, seed) }
 
 // Web generates the directed crawl class: RMAT without label shuffling, so
 // vertex ids retain the host-locality block structure of a real crawl
 // (nearby ids link to each other), plus skew.
-func Web(scale, edgeFactor int, seed uint64) *EdgeList {
-	rng := &splitmix64{state: seed*31337 + 27}
-	n := 1 << scale
-	m := n * edgeFactor
-	src := make([]int32, 0, m)
-	dst := make([]int32, 0, m)
-	for k := 0; k < m; k++ {
-		u, v := rmat(rng, scale, 0.6, 0.2, 0.1)
-		if u == v {
-			continue
-		}
-		src = append(src, u)
-		dst = append(dst, v)
-	}
-	e := &EdgeList{N: n, Src: src, Dst: dst, Name: "Web", Directed: true}
-	e.Dedup()
-	return e
-}
+func Web(scale, ef int, seed uint64) *EdgeList { return classes[3].generate(scale, ef, seed) }
 
 // Road generates the high-diameter class: a dim × dim grid where each cell
 // connects to its right and down neighbours (both directions, as the USA
@@ -215,26 +195,25 @@ func Web(scale, edgeFactor int, seed uint64) *EdgeList {
 // amount of work").
 func Road(dim int, seed uint64) *EdgeList {
 	rng := &splitmix64{state: seed*2246822519 + 5}
-	n := dim * dim
-	id := func(r, c int) int32 { return int32(r*dim + c) }
-	var src, dst []int32
-	add := func(u, v int32) { src = append(src, u, v); dst = append(dst, v, u) }
+	var keys []uint64
+	add := func(u, v int) { keys = append(keys, key(int32(u), int32(v)), key(int32(v), int32(u))) }
 	for r := 0; r < dim; r++ {
 		for c := 0; c < dim; c++ {
+			u := r*dim + c
 			if c+1 < dim {
-				add(id(r, c), id(r, c+1))
+				add(u, u+1)
 			}
 			if r+1 < dim {
-				add(id(r, c), id(r+1, c))
+				add(u, u+dim)
 			}
 			// Occasional diagonal, like a local shortcut road.
 			if r+1 < dim && c+1 < dim && rng.float64() < 0.05 {
-				add(id(r, c), id(r+1, c+1))
+				add(u, u+dim+1)
 			}
 		}
 	}
-	e := &EdgeList{N: n, Src: src, Dst: dst, Name: "Road", Directed: true}
-	e.Dedup()
+	e := &EdgeList{N: dim * dim, Name: "Road", Directed: true}
+	e.setKeys(keys)
 	return e
 }
 
@@ -256,65 +235,53 @@ func (e *EdgeList) AddUniformWeights(seed uint64, lo, hi int) {
 		if u > v {
 			u, v = v, u
 		}
-		h := splitmix64{state: seed ^ (uint64(u)<<32 | uint64(uint32(v)))}
+		h := splitmix64{state: seed ^ key(u, v)}
 		e.W[k] = float64(lo + h.intn(hi-lo+1))
 	}
 }
 
-// Dedup removes duplicate directed edges and leaves the list sorted by
-// (src, dst) for reproducible downstream builds. It ignores W: the
-// generators assign weights after deduplicating.
+// Dedup sorts the list by (src, dst) and removes repeated edges: the one
+// order every generator leaves and CSR and lagraph.FromEdgeList rely on. It
+// ignores W: the generators assign weights after deduplicating.
 func (e *EdgeList) Dedup() {
-	type pair struct{ u, v int32 }
-	idx := make([]int, len(e.Src))
-	for i := range idx {
-		idx[i] = i
+	keys := make([]uint64, len(e.Src))
+	for k := range keys {
+		keys[k] = key(e.Src[k], e.Dst[k])
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		pa := pair{e.Src[idx[a]], e.Dst[idx[a]]}
-		pb := pair{e.Src[idx[b]], e.Dst[idx[b]]}
-		if pa.u != pb.u {
-			return pa.u < pb.u
-		}
-		return pa.v < pb.v
-	})
-	outS := make([]int32, 0, len(e.Src))
-	outD := make([]int32, 0, len(e.Dst))
-	for _, i := range idx {
-		u, v := e.Src[i], e.Dst[i]
-		if len(outS) > 0 && outS[len(outS)-1] == u && outD[len(outD)-1] == v {
-			continue
-		}
-		outS = append(outS, u)
-		outD = append(outD, v)
-	}
-	e.Src, e.Dst = outS, outD
+	e.setKeys(keys)
 }
 
-// CSR builds compressed sparse row arrays (int indices) from the list.
-// When the list is weighted the returned vals carry the weights, otherwise
-// unit values.
+// key packs an edge into one integer whose order is (src, dst) order.
+func key(u, v int32) uint64 { return uint64(u)<<32 | uint64(uint32(v)) }
+
+// setKeys sorts the packed edges, drops repeats and unpacks them as the
+// list's Src and Dst.
+func (e *EdgeList) setKeys(keys []uint64) {
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	e.Src, e.Dst = make([]int32, len(keys)), make([]int32, len(keys))
+	for k, x := range keys {
+		e.Src[k], e.Dst[k] = int32(x>>32), int32(uint32(x))
+	}
+}
+
+// CSR builds compressed sparse row arrays (int indices) from a list in
+// Dedup's order, copying it as it stands. When the list is weighted the
+// returned vals carry the weights, otherwise unit values.
 func (e *EdgeList) CSR() (ptr []int, idx []int, vals []float64) {
 	ptr = make([]int, e.N+1)
-	for _, s := range e.Src {
+	idx = make([]int, len(e.Src))
+	vals = make([]float64, len(e.Src))
+	for k, s := range e.Src {
 		ptr[s+1]++
+		idx[k] = int(e.Dst[k])
+		vals[k] = 1
+		if e.W != nil {
+			vals[k] = e.W[k]
+		}
 	}
 	for i := 0; i < e.N; i++ {
 		ptr[i+1] += ptr[i]
-	}
-	idx = make([]int, len(e.Src))
-	vals = make([]float64, len(e.Src))
-	next := make([]int, e.N)
-	copy(next, ptr[:e.N])
-	for k := range e.Src {
-		p := next[e.Src[k]]
-		next[e.Src[k]]++
-		idx[p] = int(e.Dst[k])
-		if e.W != nil {
-			vals[p] = e.W[k]
-		} else {
-			vals[p] = 1
-		}
 	}
 	return ptr, idx, vals
 }

@@ -1,5 +1,7 @@
 package grb
 
+import "slices"
+
 // Masks limit the scope of an operation's output (paper §III-C). A mask can
 // be valued (entry must exist and be truthy) or structural (entry must
 // exist), and either sense can be complemented. Replace-vs-merge semantics
@@ -225,12 +227,18 @@ func (s *store[T]) maskRowIter(i, lo, hi int, f func(j int, truthyVal bool)) {
 		}
 		return
 	}
-	p, pe := s.ptr[i], s.ptr[i+1]
-	if p == pe || lo >= hi {
-		return
+	// Each binary search runs only when the row crosses that bound.
+	row, base := s.idx[s.ptr[i]:s.ptr[i+1]], s.ptr[i]
+	if len(row) > 0 && row[0] < lo {
+		a, _ := slices.BinarySearch(row, lo)
+		row, base = row[a:], base+a
 	}
-	for p, pe = trimRange(s.idx, p, pe, lo, hi-1); p < pe; p++ {
-		f(s.idx[p], truthy(s.val[p]))
+	if len(row) > 0 && row[len(row)-1] >= hi {
+		b, _ := slices.BinarySearch(row, hi)
+		row = row[:b]
+	}
+	for p, j := range row {
+		f(j, truthy(s.val[base+p]))
 	}
 }
 

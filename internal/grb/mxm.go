@@ -1,9 +1,6 @@
 package grb
 
-import (
-	"slices"
-	"strconv"
-)
+import "strconv"
 
 // MxM computes C⟨M⟩⊙= A ⊕.⊗ B (paper Table I, first row).
 //
@@ -205,13 +202,12 @@ func pairCount[TA, TB Value](A *Matrix[TA], B *Matrix[TB], i, j int, a *spa[TA])
 
 // dotRow reduces the intersection of A(i,:) with B(j,:) on the semiring, in
 // ascending k. A sparse B(j,:) is walked and A(i,:) probed: a dense A in
-// place, a sparse A through a, its row scattered by dotKernel. B(j,:) is
-// first trimmed to A(i,:)'s column range by a binary search, as
-// SuiteSparse's dot3 does: TC's L(i,:) lies below i and U(j,:) above j, so
-// the walk stops at L(i,:)'s last column. Only columns that cannot match
-// are dropped, so every semiring — early-exit monoids and positional
-// multipliers included — sees the pairs a merge of the two rows would, in
-// the same order. A sparse A with a dense B walks A(i,:) and probes B.
+// place, a sparse A through a, its row scattered by dotKernel. Against a
+// sparse A the walk stops past A(i,:)'s last column, as pairCount's does.
+// Only columns that cannot match are skipped, so every semiring —
+// early-exit monoids and positional multipliers included — sees the pairs
+// a merge of the two rows would, in the same order. A sparse A with a
+// dense B walks A(i,:) and probes B.
 func dotRow[TA, TB, TC Value](s *Semiring[TA, TB, TC], A *Matrix[TA], B *Matrix[TB], i, j int, a *spa[TA]) (TC, bool) {
 	var acc TC
 	got := false
@@ -244,7 +240,7 @@ func dotRow[TA, TB, TC Value](s *Semiring[TA, TB, TC], A *Matrix[TA], B *Matrix[
 		if p == pe || q == qe {
 			return acc, got
 		}
-		for q, qe = trimRange(B.idx, q, qe, A.idx[p], A.idx[pe-1]); q < qe; q++ {
+		for last := A.idx[pe-1]; q < qe && B.idx[q] <= last; q++ {
 			if k := B.idx[q]; a.mark[k] == a.gen && !combine(k, a.val[k], B.val[q]) {
 				return acc, got
 			}
@@ -269,19 +265,6 @@ func dotRow[TA, TB, TC Value](s *Semiring[TA, TB, TC], A *Matrix[TA], B *Matrix[
 		}
 	}
 	return acc, got
-}
-
-// trimRange narrows the sorted list idx[p:pe] to its columns in [lo, hi].
-func trimRange(idx []int, p, pe, lo, hi int) (int, int) {
-	if idx[p] < lo {
-		k, _ := slices.BinarySearch(idx[p:pe], lo)
-		p += k
-	}
-	if idx[pe-1] > hi {
-		k, _ := slices.BinarySearch(idx[p:pe], hi+1)
-		pe = p + k
-	}
-	return p, pe
 }
 
 // entries visits the entries of row i, or — walk — those at the mask's

@@ -140,7 +140,18 @@ func New[T grb.Value](A **grb.Matrix[T], kind Kind) (*Graph[T], error) {
 // become the adjacency matrix (weights when the list carries them, unit
 // values otherwise) and its Directed flag the kind. Every loader of a
 // synthetic graph — server, bench harness, graphgen, examples — calls it.
+// The list must be sorted by (src, dst) with no repeated edge, as every
+// generator and gen.EdgeList.Dedup leave it; a list out of that order or
+// with a vertex outside [0, N) is StatusInvalidGraph.
 func FromEdgeList(e *gen.EdgeList) (*Graph[float64], error) {
+	last := -1
+	for k, s := range e.Src {
+		u, v := int(s), int(e.Dst[k])
+		if u < 0 || u >= e.N || v < 0 || v >= e.N || u*e.N+v <= last {
+			return nil, errf(StatusInvalidGraph, "FromEdgeList: edge %d (%d, %d) is outside [0, %d), repeated or out of (src, dst) order", k, u, v, e.N)
+		}
+		last = u*e.N + v
+	}
 	ptr, idx, vals := e.CSR()
 	A, err := grb.ImportCSR(e.N, e.N, ptr, idx, vals, false)
 	if err != nil {
